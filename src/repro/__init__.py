@@ -50,8 +50,9 @@ from .simulator import (
     BottleneckLink,
     DropTail,
     Flow,
-    Network,
     Pie,
+    Topology,
+    TopologyNetwork,
     mbps_to_bytes_per_sec,
 )
 
@@ -67,10 +68,11 @@ __all__ = [
     "DropTail",
     "ElasticityDetector",
     "Flow",
-    "Network",
     "NewReno",
     "Nimbus",
     "Pie",
+    "Topology",
+    "TopologyNetwork",
     "Vegas",
     "Vivace",
     "elasticity_metric",
@@ -83,7 +85,7 @@ __all__ = [
 def quick_network(link_mbps: float = 96.0, buffer_ms: float = 100.0,
                   dt: float = 0.002, seed: int = 0,
                   aqm: Optional[object] = None
-                  ) -> Tuple[Network, BottleneckLink]:
+                  ) -> Tuple[TopologyNetwork, BottleneckLink]:
     """Build a single-bottleneck network with a drop-tail buffer.
 
     Args:
@@ -99,5 +101,6 @@ def quick_network(link_mbps: float = 96.0, buffer_ms: float = 100.0,
     mu = mbps_to_bytes_per_sec(link_mbps)
     policy = aqm if aqm is not None else DropTail(mu * buffer_ms / 1e3)
     link = BottleneckLink(capacity=mu, policy=policy)
-    network = Network(link, dt=dt, seed=seed)
-    return network, link
+    topology = Topology()
+    topology.attach(link)
+    return TopologyNetwork(topology, dt=dt, seed=seed), link

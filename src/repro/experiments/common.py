@@ -18,17 +18,14 @@ from ..analysis.metrics import ThroughputDelaySummary, summarize_flow
 from ..runtime.build import (
     FluidClassSpec,
     LinkSpec,
-    RoutedLinkSpec,
     RouteSpec,
-    RoutingSpec,
     attach_fluid_classes,
     make_multihop_network,
     make_network,
-    make_routed_network,
     make_scheme,
     make_topology,
 )
-from ..simulator import Flow, Network, mbps_to_bytes_per_sec
+from ..simulator import Flow, TopologyNetwork, mbps_to_bytes_per_sec
 
 #: Name of the main (measured) flow in every experiment.
 MAIN_FLOW = "main"
@@ -41,22 +38,19 @@ __all__ = [
     "FluidClassSpec",
     "LinkSpec",
     "MAIN_FLOW",
-    "RoutedLinkSpec",
     "RouteSpec",
-    "RoutingSpec",
     "SchemeResult",
     "add_main_flow",
     "attach_fluid_classes",
     "make_multihop_network",
     "make_network",
-    "make_routed_network",
     "make_scheme",
     "make_topology",
     "queue_delay_stats",
 ]
 
 
-def add_main_flow(network: Network, scheme: str, link_mbps: float,
+def add_main_flow(network: TopologyNetwork, scheme: str, link_mbps: float,
                   prop_rtt: float = 0.05, name: str = MAIN_FLOW,
                   **overrides) -> Flow:
     """Add the measured bulk-transfer flow running ``scheme``."""

@@ -31,7 +31,7 @@ Sweep axes are plain numerics::
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +43,9 @@ from ..traffic import ScriptedCrossTraffic
 from .common import (
     MAIN_FLOW,
     ExperimentResult,
-    RoutedLinkSpec,
-    RoutingSpec,
+    LinkSpec,
     SchemeResult,
-    make_routed_network,
+    make_multihop_network,
     make_scheme,
     queue_delay_stats,
 )
@@ -77,22 +76,17 @@ class _RouteEventTee(ListTraceSink):
             self._inner.flush()
 
 
-def routing_spec(link_mbps: float = 48.0, primary_mbps: float = 96.0,
-                 backup_mbps: float = 64.0, primary_delay_ms: float = 10.0,
-                 backup_delay_ms: float = 20.0, buffer_ms: float = 100.0,
-                 convergence_ms: float = 50.0) -> RoutingSpec:
-    """The primary/backup two-path topology as a declarative spec."""
-    return RoutingSpec(
-        links=(RoutedLinkSpec("primary", primary_mbps, "S", "M",
-                              delay_ms=primary_delay_ms,
-                              buffer_ms=buffer_ms),
-               RoutedLinkSpec("backup", backup_mbps, "S", "M",
-                              delay_ms=backup_delay_ms,
-                              buffer_ms=buffer_ms),
-               RoutedLinkSpec("bottleneck", link_mbps, "M", "D",
-                              buffer_ms=buffer_ms)),
-        convergence_ms=convergence_ms,
-        monitor="bottleneck")
+def two_path_links(link_mbps: float = 48.0, primary_mbps: float = 96.0,
+                   backup_mbps: float = 64.0, primary_delay_ms: float = 10.0,
+                   backup_delay_ms: float = 20.0, buffer_ms: float = 100.0
+                   ) -> Tuple[LinkSpec, ...]:
+    """The primary/backup two-path topology as declarative link specs."""
+    return (LinkSpec("primary", primary_mbps, delay_ms=primary_delay_ms,
+                     buffer_ms=buffer_ms, src="S", dst="M"),
+            LinkSpec("backup", backup_mbps, delay_ms=backup_delay_ms,
+                     buffer_ms=buffer_ms, src="S", dst="M"),
+            LinkSpec("bottleneck", link_mbps, buffer_ms=buffer_ms,
+                     src="M", dst="D"))
 
 
 def _blackhole_seconds(events: List[dict], duration: float) -> float:
@@ -122,15 +116,16 @@ def run_case(scheme: str = "nimbus", period: float = 8.0,
              elastic_flows: int = 1, duration: float = 60.0,
              dt: float = 0.002, seed: int = 0) -> dict:
     """One scheme over the failing-over two-path topology (batch unit)."""
-    routing = routing_spec(link_mbps=link_mbps, primary_mbps=primary_mbps,
+    links = two_path_links(link_mbps=link_mbps, primary_mbps=primary_mbps,
                            backup_mbps=backup_mbps,
                            primary_delay_ms=primary_delay_ms,
                            backup_delay_ms=backup_delay_ms,
-                           buffer_ms=buffer_ms,
-                           convergence_ms=convergence_ms)
+                           buffer_ms=buffer_ms)
     faults = flap_fault_specs("primary", period=period, duty=duty,
                               until=duration, drop_queued=bool(drop_queued))
-    network = make_routed_network(routing, dt=dt, seed=seed, faults=faults)
+    network = make_multihop_network(links, dt=dt, seed=seed,
+                                    monitor="bottleneck", faults=faults,
+                                    convergence_ms=convergence_ms)
     tee = _RouteEventTee(network.trace_sink)
     network.set_trace_sink(tee)
     mu = mbps_to_bytes_per_sec(link_mbps)

@@ -34,20 +34,16 @@ from .build import (
     FaultSpec,
     FluidClassSpec,
     LinkSpec,
-    RoutedLinkSpec,
     RouteSpec,
-    RoutingSpec,
     attach_fluid_classes,
     flap_fault_specs,
     make_fault_schedule,
     make_multihop_network,
     make_network,
-    make_routed_network,
-    make_routed_topology,
     make_scheme,
     make_topology,
 )
-from .cache import ResultCache, cache_enabled, default_cache_dir, source_digest
+from .cache import ResultCache, cache_enabled, default_cache_dir
 from .depgraph import DependencyGraph, module_digest
 from .executor import (
     BatchExecutor,
@@ -86,9 +82,7 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "OUTCOMES",
     "ResultCache",
-    "RoutedLinkSpec",
     "RouteSpec",
-    "RoutingSpec",
     "ScenarioSpec",
     "SpecExecutionError",
     "SpecFailure",
@@ -103,15 +97,12 @@ __all__ = [
     "make_fault_schedule",
     "make_multihop_network",
     "make_network",
-    "make_routed_network",
-    "make_routed_topology",
     "make_scheme",
     "make_topology",
     "metrics_record",
     "module_digest",
     "run_batch",
     "run_scenario",
-    "source_digest",
     "validate_metrics_record",
     "write_metrics",
 ]

@@ -1,10 +1,8 @@
 """Factories that turn scenario parameters into simulator objects.
 
-These used to live in ``repro.experiments.common``; they sit in the runtime
-layer now so that scenario execution (and anything else below the driver
-layer) can build networks and schemes without importing the experiments
-package.  ``repro.experiments.common`` re-exports both names, so existing
-driver code is unaffected.
+They sit in the runtime layer so that scenario execution (and anything
+else below the driver layer) can build networks and schemes without
+importing the experiments package.
 """
 
 from __future__ import annotations
@@ -25,15 +23,11 @@ from ..cc import (
 from ..cc.base import CongestionControl
 from ..core.nimbus import Nimbus
 from ..simulator import (
-    BottleneckLink,
     DropTail,
     FaultEvent,
     FaultSchedule,
     FluidClass,
-    Network,
     Pie,
-    RoutedNetwork,
-    RoutedTopology,
     Topology,
     TopologyNetwork,
     mbps_to_bytes_per_sec,
@@ -42,7 +36,7 @@ from ..simulator import (
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Declarative description of one hop of a topology.
+    """Declarative description of one directed link of a topology.
 
     A plain frozen dataclass with init-only scalar fields, so it
     canonicalises into a :class:`~repro.runtime.spec.ScenarioSpec` — multi-
@@ -52,12 +46,16 @@ class LinkSpec:
     Attributes:
         name: Link label, unique within the topology.
         mbps: Link rate in Mbit/s.
-        delay_ms: Propagation delay from this link to the next hop (ignored
-            for the last hop of a path, where the flow's own ``prop_rtt``
-            supplies the receiver and ACK legs).
+        delay_ms: Propagation delay from this link to the node it ends at
+            (ignored for the last hop of a route, where the flow's own
+            ``prop_rtt`` supplies the receiver and ACK legs).
         buffer_ms: Queue depth in milliseconds at this link's rate.
         aqm_target_ms: Switch the hop's queue policy from drop-tail to PIE
             with this target delay.
+        src / dst: Endpoint node names (nodes are created on first
+            appearance, in declaration order).  ``None`` chains the link
+            onto the previous one / ends it at a fresh node, so a tuple of
+            endpoint-less specs is a chain.
     """
 
     name: str
@@ -65,6 +63,8 @@ class LinkSpec:
     delay_ms: float = 0.0
     buffer_ms: float = 100.0
     aqm_target_ms: Optional[float] = None
+    src: Optional[str] = None
+    dst: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -157,35 +157,6 @@ def attach_fluid_classes(network: TopologyNetwork,
 
 
 @dataclass(frozen=True)
-class RoutedLinkSpec:
-    """Declarative description of one *directed* link of a routed topology.
-
-    The :class:`LinkSpec` sibling for node/table topologies: same units,
-    plus explicit endpoint node names.  Frozen with init-only scalar
-    fields, so it canonicalises into a
-    :class:`~repro.runtime.spec.ScenarioSpec`.
-
-    Attributes:
-        name: Link label, unique within the topology.
-        mbps: Link rate in Mbit/s.
-        src / dst: Endpoint node names (nodes are created on first
-            appearance, in declaration order).
-        delay_ms: Propagation delay from this link to its ``dst`` node
-            (final-hop wire time comes from the flow's own ``prop_rtt``).
-        buffer_ms: Queue depth in milliseconds at this link's rate.
-        aqm_target_ms: Switch the queue policy from drop-tail to PIE.
-    """
-
-    name: str
-    mbps: float
-    src: str
-    dst: str
-    delay_ms: float = 0.0
-    buffer_ms: float = 100.0
-    aqm_target_ms: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class RouteSpec:
     """One explicit routing-table entry: ``node`` reaches ``dst`` through
     ``links`` (primary first, then backups in failover order)."""
@@ -193,73 +164,6 @@ class RouteSpec:
     node: str
     dst: str
     links: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RoutingSpec:
-    """Declarative description of a routed topology and its tables.
-
-    Attributes:
-        links: The directed links (nodes are inferred from endpoints).
-        routes: Explicit table entries; an empty tuple computes every
-            table from shortest paths
-            (:meth:`~repro.simulator.routing.RoutedTopology.compute_routes`),
-            so backups fall out of the graph automatically.
-        convergence_ms: Reroute convergence delay in milliseconds — the
-            lag between a link-state change and tables re-resolving.
-        monitor: Monitor link name; defaults to the narrowest link.
-    """
-
-    links: Tuple[RoutedLinkSpec, ...]
-    routes: Tuple[RouteSpec, ...] = ()
-    convergence_ms: float = 50.0
-    monitor: Optional[str] = None
-
-
-def make_routed_topology(routing: RoutingSpec, seed: int = 0
-                         ) -> RoutedTopology:
-    """Wire a :class:`RoutingSpec` into a concrete :class:`RoutedTopology`."""
-    if not routing.links:
-        raise ValueError("RoutingSpec needs at least one link")
-    topology = RoutedTopology(
-        name="+".join(spec.name for spec in routing.links))
-    for spec in routing.links:
-        for name in (spec.src, spec.dst):
-            if name not in {node.name for node in topology.nodes}:
-                topology.add_node(name)
-    for position, spec in enumerate(routing.links):
-        mu = mbps_to_bytes_per_sec(spec.mbps)
-        topology.add_link(spec.name, mu, src=spec.src, dst=spec.dst,
-                          delay=spec.delay_ms / 1e3,
-                          policy=_policy_for(mu, spec.buffer_ms,
-                                             spec.aqm_target_ms,
-                                             seed + position))
-    topology.compute_routes()
-    for route in routing.routes:
-        topology.set_route(route.node, route.dst, tuple(route.links))
-    monitor = routing.monitor
-    if monitor is None:
-        monitor = min(routing.links, key=lambda spec: spec.mbps).name
-    topology.set_monitor(monitor)
-    return topology
-
-
-def make_routed_network(routing: RoutingSpec, dt: float = 0.002,
-                        seed: int = 0, faults: Sequence[FaultSpec] = ()
-                        ) -> RoutedNetwork:
-    """A :class:`RoutedNetwork` over the described node/link graph.
-
-    The destination-routed sibling of :func:`make_multihop_network`: same
-    seeding and fault arming, but flows are added with source/destination
-    nodes and chunks follow the routing tables — so an armed ``link_flap``
-    triggers failover instead of a dead end.
-    """
-    network = RoutedNetwork(make_routed_topology(routing, seed=seed),
-                            dt=dt, seed=seed,
-                            convergence_delay=routing.convergence_ms / 1e3)
-    if faults:
-        make_fault_schedule(faults, seed=seed).apply(network)
-    return network
 
 
 def make_fault_schedule(faults: Sequence[FaultSpec],
@@ -315,25 +219,34 @@ def _policy_for(mu: float, buffer_ms: float,
     return DropTail(buffer_bytes)
 
 
-def make_topology(links: Sequence[LinkSpec],
-                  monitor: Optional[str] = None, seed: int = 0) -> Topology:
+def make_topology(links: Sequence[LinkSpec], monitor: Optional[str] = None,
+                  seed: int = 0, routes: Sequence[RouteSpec] = ()
+                  ) -> Topology:
     """Wire :class:`LinkSpec` descriptions into a :class:`Topology`.
 
-    The monitor link (what ``network.link`` and the recorder observe)
-    defaults to the narrowest hop — the natural bottleneck — with ties
-    going to the earliest link.
+    Forwarding tables come from shortest paths, so backups fall out of the
+    graph automatically; ``routes`` pins explicit entries on top.  The
+    monitor link (what ``network.link`` and the recorder observe) defaults
+    to the narrowest link — the natural bottleneck — with ties going to
+    the earliest one.
     """
     if not links:
         raise ValueError("make_topology needs at least one LinkSpec")
     topology = Topology(name="+".join(spec.name for spec in links))
     for position, spec in enumerate(links):
+        for node in (spec.src, spec.dst):
+            if node is not None and node not in topology.nodes:
+                topology.add_node(node)
         mu = mbps_to_bytes_per_sec(spec.mbps)
         # Each hop's policy gets its own RNG stream: identical seeds would
         # perfectly correlate the random drop decisions of stacked AQMs.
         topology.add_link(spec.name, mu, delay=spec.delay_ms / 1e3,
                           policy=_policy_for(mu, spec.buffer_ms,
                                              spec.aqm_target_ms,
-                                             seed + position))
+                                             seed + position),
+                          src=spec.src, dst=spec.dst)
+    for route in routes:
+        topology.set_route(route.node, route.dst, tuple(route.links))
     if monitor is None:
         monitor = min(links, key=lambda spec: spec.mbps).name
     topology.set_monitor(monitor)
@@ -343,19 +256,26 @@ def make_topology(links: Sequence[LinkSpec],
 def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
                           seed: int = 0, monitor: Optional[str] = None,
                           faults: Sequence[FaultSpec] = (),
-                          fluid: Sequence[FluidClassSpec] = ()
+                          fluid: Sequence[FluidClassSpec] = (),
+                          routes: Sequence[RouteSpec] = (),
+                          convergence_ms: Optional[float] = None
                           ) -> TopologyNetwork:
-    """A :class:`TopologyNetwork` over the described chain of hops.
+    """A :class:`TopologyNetwork` over the described links.
 
-    The multi-hop sibling of :func:`make_network`: same defaults, same
-    seeding, but flows may traverse any path over the named links.  Any
+    Flows may traverse any route over the named nodes and links.  Any
     ``faults`` are armed and ``fluid`` classes attached on the fresh
     network (seeded from ``seed``); empty sequences leave the engine
     untouched — bit-identical to a build without the parameters.
+    ``convergence_ms`` is the reroute convergence delay in milliseconds —
+    the lag between a link-state change and the tables re-resolving, so
+    an armed ``link_flap`` triggers failover onto the backups; the default
+    ``None`` freezes the routes and a flap is a dead end.
     """
-    network = TopologyNetwork(make_topology(links, monitor=monitor,
-                                            seed=seed),
-                              dt=dt, seed=seed)
+    network = TopologyNetwork(
+        make_topology(links, monitor=monitor, seed=seed, routes=routes),
+        dt=dt, seed=seed,
+        convergence_delay=(None if convergence_ms is None
+                           else convergence_ms / 1e3))
     if faults:
         make_fault_schedule(faults, seed=seed).apply(network)
     if fluid:
@@ -366,7 +286,7 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
 def make_network(link_mbps: float, buffer_ms: float = 100.0,
                  dt: float = 0.002, seed: int = 0,
                  aqm_target_ms: Optional[float] = None,
-                 fluid: Sequence[FluidClassSpec] = ()) -> Network:
+                 fluid: Sequence[FluidClassSpec] = ()) -> TopologyNetwork:
     """Standard single-bottleneck network used across experiments.
 
     ``aqm_target_ms`` switches the queue policy from drop-tail to PIE with
@@ -374,13 +294,10 @@ def make_network(link_mbps: float, buffer_ms: float = 100.0,
     background-traffic classes to the bottleneck; the default empty
     sequence is bit-identical to a build without the parameter.
     """
-    mu = mbps_to_bytes_per_sec(link_mbps)
-    policy = _policy_for(mu, buffer_ms, aqm_target_ms, seed)
-    link = BottleneckLink(capacity=mu, policy=policy)
-    network = Network(link, dt=dt, seed=seed)
-    if fluid:
-        attach_fluid_classes(network, fluid)
-    return network
+    return make_multihop_network(
+        (LinkSpec("bottleneck", link_mbps, buffer_ms=buffer_ms,
+                  aqm_target_ms=aqm_target_ms),),
+        dt=dt, seed=seed, fluid=fluid)
 
 
 def make_scheme(name: str, mu: float, **overrides) -> CongestionControl:

@@ -5,16 +5,10 @@ where the *module digest* is the dependency-aware digest of the spec's
 driver module (see :mod:`repro.runtime.depgraph`): the hash of the driver's
 own source plus every module it can statically reach.  Editing an
 experiment driver therefore invalidates only that driver's entries, while
-editing something everyone imports (``simulator/engine.py``) invalidates
+editing something everyone imports (``simulator/topology.py``) invalidates
 everything — stale results from older code can never be served, but
-unrelated edits keep the cache warm.
-
-Legacy layout and migration: entries written before per-module keying live
-under ``<cache dir>/<whole-package digest>/``.  A miss in the new layout
-falls back to the legacy location (when the package digest still matches,
-i.e. no source changed since the entry was written) and migrates the entry
-— the identical pickle bytes — into the new layout, so one run after an
-upgrade rekeys everything it touches without re-simulating.
+unrelated edits keep the cache warm.  A target the dependency graph cannot
+resolve is keyed by the whole-package :func:`source_digest` instead.
 
 Corrupt entries (truncated pickles, results pickled against code that no
 longer exists) are deleted on load failure rather than left to fail again
@@ -63,10 +57,9 @@ def default_cache_dir() -> Path:
 def source_digest() -> str:
     """Hash of all ``repro`` package sources, memoised per process.
 
-    This is the *legacy* whole-package cache key, kept for the migration
-    fallback read and for callers that key artefacts against the entire
-    source tree.  New cache entries are keyed per driver module via
-    :func:`repro.runtime.depgraph.module_digest` instead.
+    The coarse whole-package key, used only for targets the dependency
+    graph cannot resolve; everything else is keyed per driver module via
+    :func:`repro.runtime.depgraph.module_digest`.
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
@@ -113,8 +106,8 @@ class ResultCache:
 
         ``fn`` is the spec's dotted target (``"module:callable"`` or a
         bare module name); ``None`` — or a module the dependency graph
-        cannot resolve — falls back to the legacy whole-package digest,
-        which is always a valid (if coarse) key.
+        cannot resolve — falls back to the whole-package digest, which is
+        always a valid (if coarse) key.
         """
         if fn is not None:
             module = fn.partition(":")[0]
@@ -128,9 +121,6 @@ class ResultCache:
 
     def _entry_path(self, spec_hash: str, fn: Optional[str] = None) -> Path:
         return self.directory / self._module_dir(fn) / f"{spec_hash}.pkl"
-
-    def _legacy_path(self, spec_hash: str) -> Path:
-        return self.directory / source_digest() / f"{spec_hash}.pkl"
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -163,35 +153,17 @@ class ResultCache:
     def get(self, spec_hash: str, fn: Optional[str] = None) -> Any:
         """The cached result, or the module-level ``MISS`` sentinel.
 
-        With ``fn`` set (the spec's dotted target), the per-module layout
-        is consulted first, then the legacy whole-package layout; a legacy
-        hit is migrated — byte-identical — into the new layout on the way
-        out.
+        ``fn`` is the spec's dotted target, which selects the per-module
+        directory the entry lives under.
         """
         if not self.enabled:
             return MISS
-        path = self._entry_path(spec_hash, fn)
-        status, value = self._load(path, spec_hash)
+        status, value = self._load(self._entry_path(spec_hash, fn), spec_hash)
         if status == "hit":
             self.hits += 1
             return value
-        if fn is not None:
-            legacy = self._legacy_path(spec_hash)
-            if legacy != path:
-                status, value = self._load(legacy, spec_hash)
-                if status == "hit":
-                    self._migrate(legacy, path)
-                    self.hits += 1
-                    return value
         self.misses += 1
         return MISS
-
-    def _migrate(self, legacy: Path, path: Path) -> None:
-        """Copy a legacy entry's exact bytes into the per-module layout."""
-        try:
-            self._write_bytes(path, legacy.read_bytes())
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------ #
     # Writes

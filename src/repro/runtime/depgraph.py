@@ -6,7 +6,7 @@ module computes something finer: for a driver module ``M``, the digest of
 ``M``'s source plus every module ``M`` can statically reach through its
 import graph.  Editing ``experiments/link_flap.py`` then changes only the
 digests of modules that can reach it (just itself), while editing
-``simulator/engine.py`` changes the digest of every driver that —
+``simulator/topology.py`` changes the digest of every driver that —
 transitively — imports the engine.
 
 The graph is built with :mod:`ast`, never by importing anything, and is

@@ -1,14 +1,13 @@
 """Fluid-chunk network simulator: the reproduction's Mahimahi substitute.
 
 Exports the pieces needed to assemble an experiment: bottleneck links with
-queue policies, multi-hop topologies and paths, transport flows, application
-sources, and the tick-driven network engine (single-link :class:`Network` or
-general :class:`TopologyNetwork`).
+queue policies, node/link topologies with forwarding tables, transport flows,
+application sources, and the tick-driven network engine
+(:class:`TopologyNetwork`).
 """
 
 from .aqm import DropTail, Pie, QueuePolicy
 from .endpoint import Flow
-from .engine import Network
 from .faults import (
     FAULT_EVENT_KINDS,
     BurstLossPolicy,
@@ -19,7 +18,6 @@ from .fluid import FluidClass, FluidLinkState
 from .link import BottleneckLink
 from .measurement import FlowMeasurement, WindowedCounter
 from .packet import Ack, Chunk, FlowStats, LossEvent
-from .routing import Node, RoutedNetwork, RoutedTopology, RoutingTable
 from .source import BackloggedSource, FiniteSource, PacedSource, Source
 from .telemetry import (
     EVENT_KINDS,
@@ -30,7 +28,7 @@ from .telemetry import (
     sink_from_env,
     validate_trace_record,
 )
-from .topology import AuditError, Path, Topology, TopologyNetwork
+from .topology import AuditError, Topology, TopologyNetwork
 from .trace import Recorder
 from .units import (
     BITS_PER_BYTE,
@@ -65,16 +63,10 @@ __all__ = [
     "ListTraceSink",
     "LossEvent",
     "MSS_BYTES",
-    "Network",
-    "Node",
     "PacedSource",
-    "Path",
     "Pie",
     "QueuePolicy",
     "Recorder",
-    "RoutedNetwork",
-    "RoutedTopology",
-    "RoutingTable",
     "Source",
     "Topology",
     "TopologyNetwork",

@@ -31,9 +31,9 @@ class Chunk:
             link on every enqueue), used to compute its queueing delay.
         queue_delay: Total queueing delay experienced so far, in seconds —
             accumulated across every hop of a multi-link path.
-        hop: Position within the flow's path of the link the chunk currently
-            occupies (0 on emission; advanced by the engine as the chunk is
-            forwarded hop by hop).
+        hop: Index of the topology node the chunk was last forwarded to
+            (set by the engine on every hop; the next link is that node's
+            table entry for the flow's destination).
     """
 
     flow_id: int

@@ -1,23 +1,23 @@
-"""Destination-routed topologies: nodes, routing tables, failure reroute.
+"""Forwarding-table maths: shortest-path routes, pinned routes, reroute.
 
-The multi-hop engine (:mod:`repro.simulator.topology`) freezes each flow's
-path at ``add_flow`` time, so a ``link_flap`` down-window is always a dead
-end.  This module adds the routing primitive that makes a flap survivable:
-a :class:`RoutedTopology` wires links between named :class:`Node`\\ s, each
-node owns a :class:`RoutingTable` mapping destinations to an *ordered* list
-of candidate next-hop links (primary first, then backups), and the
-:class:`RoutedNetwork` engine forwards every chunk hop by hop by table
-lookup instead of along a frozen :class:`~repro.simulator.topology.Path`.
+A :class:`~repro.simulator.topology.Topology` keeps two tables indexed
+``[node][destination]``: ``candidates`` — the ordered link positions a node
+may use toward a destination (primary first, then backups in failover
+order) — and ``next_hop`` — the *active* choice every chunk follows.  This
+module owns how those tables are filled (:func:`compute_routes`,
+:func:`set_route`), how they are read along a whole route
+(:func:`walk_route`, :func:`residual_delay`), and how they react to link
+failure (:func:`convergence_pass`).
 
-Failure model (all deterministic — no new RNG anywhere):
+Failure model (all deterministic — no RNG anywhere):
 
 * When :mod:`repro.simulator.faults` opens a ``link_flap`` down-window it
-  calls :meth:`RoutedNetwork.on_link_down`, which schedules one
-  *convergence pass* ``convergence_delay`` seconds later via the engine's
-  own ``schedule_call`` — modelling the detection/update lag of a real
-  routing protocol.  The pass re-resolves every table entry to its first
-  candidate whose link is up, emitting one ``route_change`` trace record
-  per entry that actually moved.
+  calls the engine's ``on_link_down``, which — on a network built with a
+  ``convergence_delay`` — schedules one *convergence pass* that many
+  seconds later via the engine's own ``schedule_call``, modelling the
+  detection/update lag of a real routing protocol.  The pass re-resolves
+  every table entry to its first candidate whose link is up, emitting one
+  ``route_change`` trace record per entry that actually moved.
 * Until convergence, traffic keeps hitting the dead link and is handled
   by the *existing* queue policy: a drain-flap freezes the queue, a
   drop-flap blackholes arrivals into loss feedback (both preserve the
@@ -38,556 +38,162 @@ bit-identical across serial, pooled, and isolated-process execution.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .aqm import QueuePolicy
-from .endpoint import Flow
-from .link import BottleneckLink, DropRecord
-from .packet import Chunk
-from .telemetry import TraceSink
-from .topology import Topology, TopologyNetwork
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .topology import Topology, TopologyNetwork
 
 
-class RoutingTable:
-    """Per-node forwarding state: destination → ordered next-hop candidates.
+def _install(topology: "Topology", node: int, destination: int,
+             positions: Tuple[int, ...]) -> None:
+    topology.candidates[node][destination] = positions
+    # Links are up when routes are laid down; faults only strike later
+    # (they arm through schedule_call), so the primary starts active.
+    topology.next_hop[node][destination] = positions[0] if positions else None
 
-    Candidates are link *positions* in the owning topology, primary first.
-    The *active* choice per destination is the one chunks actually follow;
-    it is (re)resolved to the first candidate whose link is up by the
-    network's convergence passes.
+
+def compute_routes(topology: "Topology") -> None:
+    """Fill every table from shortest paths (BFS, deterministic).
+
+    For each destination, every node that can reach it gets all of its
+    usable outgoing links as candidates, ordered by (hop count through
+    that link, link position) — so the primary is a shortest-path next
+    hop and ties break on attachment order.  Entries pinned with
+    :func:`set_route` override the computed ones.
     """
-
-    def __init__(self) -> None:
-        self._candidates: Dict[str, Tuple[int, ...]] = {}
-        self._active: Dict[str, Optional[int]] = {}
-
-    def set(self, destination: str, candidates: Tuple[int, ...]) -> None:
-        if not candidates:
-            raise ValueError(f"route to {destination!r} needs at least one "
-                             f"candidate link")
-        self._candidates[destination] = tuple(candidates)
-        # Links are up when routes are laid down; faults only strike later
-        # (they arm through schedule_call), so the primary starts active.
-        self._active[destination] = candidates[0]
-
-    @property
-    def destinations(self) -> Tuple[str, ...]:
-        """Known destinations, sorted — the deterministic iteration order."""
-        return tuple(sorted(self._candidates))
-
-    def candidates(self, destination: str) -> Tuple[int, ...]:
-        return self._candidates.get(destination, ())
-
-    def active(self, destination: str) -> Optional[int]:
-        """The link position chunks follow, or ``None`` (no survivor)."""
-        return self._active.get(destination)
-
-    def set_active(self, destination: str, position: Optional[int]) -> None:
-        self._active[destination] = position
-
-    def __repr__(self) -> str:
-        entries = ", ".join(
-            f"{dst}->{self._active.get(dst)}{list(self._candidates[dst])}"
-            for dst in self.destinations)
-        return f"RoutingTable({entries})"
+    link_src, link_dst = topology.link_src, topology.link_dst
+    count = len(topology.nodes)
+    outgoing: List[List[int]] = [[] for _ in range(count)]
+    for position, source in enumerate(link_src):
+        outgoing[source].append(position)
+    incoming: List[List[int]] = [[] for _ in range(count)]
+    for position, target in enumerate(link_dst):
+        incoming[target].append(position)
+    for destination in range(count):
+        # Reverse BFS from the destination: dist[n] = hops n -> dst.
+        dist = {destination: 0}
+        frontier = [destination]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for position in incoming[node]:
+                    source = link_src[position]
+                    if source not in dist:
+                        dist[source] = dist[node] + 1
+                        next_frontier.append(source)
+            frontier = next_frontier
+        for node in range(count):
+            usable = () if node == destination else tuple(sorted(
+                (position for position in outgoing[node]
+                 if link_dst[position] in dist),
+                key=lambda p: (dist[link_dst[p]] + 1, p)))
+            _install(topology, node, destination, usable)
+    for (node, destination), positions in topology.explicit_routes.items():
+        _install(topology, node, destination, positions)
 
 
-class Node:
-    """A named forwarding point owning one :class:`RoutingTable`."""
+def set_route(topology: "Topology", node: str, destination: str,
+              links: Sequence[str]) -> None:
+    """Route ``destination`` at ``node`` through the named links.
 
-    __slots__ = ("name", "index", "table")
-
-    def __init__(self, name: str, index: int) -> None:
-        self.name = name
-        self.index = index
-        self.table = RoutingTable()
-
-    def __repr__(self) -> str:
-        return f"Node({self.name!r}, index={self.index})"
-
-
-class RoutedTopology(Topology):
-    """Named nodes wired by directed links, each node routing by table.
-
-    Unlike the base chain topology, links here have explicit endpoints:
-    ``add_link(name, capacity, src, dst, ...)``.  Routes are laid down
-    either explicitly per node (:meth:`set_route`, primary plus ordered
-    backups) or all at once from shortest paths (:meth:`compute_routes`).
+    The first link is the primary next hop, the rest are backups in
+    failover order.  Every link must originate at ``node``.
     """
-
-    def __init__(self, name: str = "routed") -> None:
-        super().__init__(name)
-        self.nodes: List[Node] = []
-        self._node_index: Dict[str, int] = {}
-        #: Endpoint node indices per link position.
-        self.link_src: List[int] = []
-        self.link_dst: List[int] = []
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def add_node(self, name: str) -> Node:
-        if name in self._node_index:
-            raise ValueError(f"duplicate node name {name!r}")
-        node = Node(name, len(self.nodes))
-        self._node_index[name] = node.index
-        self.nodes.append(node)
-        return node
-
-    def attach(self, link: BottleneckLink, delay: float = 0.0,
-               monitor: bool = False) -> BottleneckLink:
-        raise TypeError("RoutedTopology links need endpoints; use "
-                        "add_link(name, capacity, src=..., dst=...)")
-
-    def add_link(self, name: str, capacity: float, src: str, dst: str,
-                 delay: float = 0.0, policy: Optional[QueuePolicy] = None,
-                 monitor: bool = False) -> BottleneckLink:
-        """Create a directed link from node ``src`` to node ``dst``."""
-        source = self.node_index(src)
-        target = self.node_index(dst)
-        if source == target:
-            raise ValueError(f"link {name!r} cannot loop on node {src!r}")
-        link = Topology.attach(
-            self, BottleneckLink(capacity, policy=policy, name=name),
-            delay=delay, monitor=monitor)
-        self.link_src.append(source)
-        self.link_dst.append(target)
-        return link
-
-    # ------------------------------------------------------------------ #
-    # Lookup
-    # ------------------------------------------------------------------ #
-    def node_index(self, name: str) -> int:
-        try:
-            return self._node_index[name]
-        except KeyError:
-            raise KeyError(f"no node named {name!r}; "
-                           f"known: {sorted(self._node_index)}") from None
-
-    def node(self, name: str) -> Node:
-        return self.nodes[self.node_index(name)]
-
-    # ------------------------------------------------------------------ #
-    # Routes
-    # ------------------------------------------------------------------ #
-    def set_route(self, node: str, destination: str,
-                  links: Sequence[str]) -> None:
-        """Route ``destination`` at ``node`` through the named links.
-
-        The first link is the primary next hop, the rest are backups in
-        failover order.  Every link must originate at ``node``.
-        """
-        owner = self.node(node)
-        if self.node_index(destination) == owner.index:
-            raise ValueError(f"node {node!r} cannot route to itself")
-        positions = tuple(self.index_of(name) for name in links)
-        for position in positions:
-            if self.link_src[position] != owner.index:
-                raise ValueError(
-                    f"link {self.links[position].name!r} does not originate "
-                    f"at node {node!r} (it leaves "
-                    f"{self.nodes[self.link_src[position]].name!r})")
-        owner.table.set(destination, positions)
-
-    def compute_routes(self) -> None:
-        """Populate every table from shortest paths (BFS, deterministic).
-
-        For each destination, every node that can reach it gets all of its
-        usable outgoing links as candidates, ordered by (hop count through
-        that link, link position) — so the primary is a shortest-path next
-        hop and ties break on attachment order.  Explicit
-        :meth:`set_route` entries laid down *after* this call override it.
-        """
-        outgoing: List[List[int]] = [[] for _ in self.nodes]
-        for position, source in enumerate(self.link_src):
-            outgoing[source].append(position)
-        incoming: List[List[int]] = [[] for _ in self.nodes]
-        for position, target in enumerate(self.link_dst):
-            incoming[target].append(position)
-        for destination in self.nodes:
-            # Reverse BFS from the destination: dist[n] = hops n -> dst.
-            dist = {destination.index: 0}
-            frontier = [destination.index]
-            while frontier:
-                next_frontier = []
-                for node in frontier:
-                    for position in incoming[node]:
-                        source = self.link_src[position]
-                        if source not in dist:
-                            dist[source] = dist[node] + 1
-                            next_frontier.append(source)
-                frontier = next_frontier
-            for node in self.nodes:
-                if node.index == destination.index:
-                    continue
-                candidates = sorted(
-                    (position for position in outgoing[node.index]
-                     if self.link_dst[position] in dist),
-                    key=lambda p: (dist[self.link_dst[p]] + 1, p))
-                if candidates:
-                    node.table.set(destination.name, tuple(candidates))
-
-    def __repr__(self) -> str:
-        hops = ", ".join(
-            f"{link.name}:{self.nodes[s].name}->{self.nodes[d].name}"
-            for link, s, d in zip(self.links, self.link_src, self.link_dst))
-        return f"RoutedTopology({self.name!r}: {hops})"
+    owner = topology.node_index(node)
+    target = topology.node_index(destination)
+    if owner == target:
+        raise ValueError(f"node {node!r} cannot route to itself")
+    positions = tuple(topology.index_of(name) for name in links)
+    if not positions:
+        raise ValueError(f"route to {destination!r} needs at least one "
+                         f"candidate link")
+    for position in positions:
+        if topology.link_src[position] != owner:
+            raise ValueError(
+                f"link {topology.links[position].name!r} does not originate "
+                f"at node {node!r} (it leaves "
+                f"{topology.nodes[topology.link_src[position]]!r})")
+    topology.explicit_routes[owner, target] = positions
+    _install(topology, owner, target, positions)
 
 
-class RoutedNetwork(TopologyNetwork):
-    """Tick engine over a :class:`RoutedTopology`: table-lookup forwarding.
+def walk_route(topology: "Topology", source: int,
+               destination: int) -> Optional[Tuple[int, ...]]:
+    """Follow the active choices source → destination; ``None`` if the
+    walk dead-ends or loops before reaching the destination."""
+    next_hop, link_dst = topology.next_hop, topology.link_dst
+    positions = []
+    node = source
+    visited = set()
+    while node != destination:
+        if node in visited:
+            return None
+        visited.add(node)
+        position = next_hop[node][destination]
+        if position is None:
+            return None
+        positions.append(position)
+        node = link_dst[position]
+    return tuple(positions)
 
-    Args:
-        topology: The wired node/link graph with its routing tables.
-        dt / seed / trace: As for :class:`TopologyNetwork`.
-        convergence_delay: Seconds between a link-state change
-            (:meth:`on_link_down` / :meth:`on_link_up`) and the convergence
-            pass that re-resolves the tables — the modelled routing-protocol
-            reaction lag.  ``0`` converges within the same tick.
 
-    A chunk's ``hop`` field holds the index of the *node* it has arrived
-    at (not a path position): forwarding is a table lookup at that node
-    for the flow's destination.
+def residual_delay(topology: "Topology", position: int,
+                   destination: int) -> float:
+    """Wire delay from link ``position`` to the destination, excluding
+    the final hop's (whose wire is the flow's ``delay_to_receiver``).
+
+    A walk that dead-ends or loops stops accumulating there (the hole
+    surfaces with whatever downstream delay was accounted so far).
     """
+    next_hop, link_dst = topology.next_hop, topology.link_dst
+    delays = topology.delays
+    extra = 0.0
+    visited = set()
+    while link_dst[position] != destination:
+        extra += delays[position]
+        node = link_dst[position]
+        if node in visited:
+            break
+        visited.add(node)
+        follow = next_hop[node][destination]
+        if follow is None:
+            break
+        position = follow
+    return extra
 
-    def __init__(self, topology: RoutedTopology, dt: float = 0.001,
-                 seed: int = 0, trace: Optional[TraceSink] = None,
-                 convergence_delay: float = 0.05) -> None:
-        if not isinstance(topology, RoutedTopology):
-            raise TypeError("RoutedNetwork needs a RoutedTopology, got "
-                            f"{type(topology).__name__}")
-        if not topology.nodes:
-            raise ValueError("routed topology has no nodes")
-        if convergence_delay < 0:
-            raise ValueError("convergence_delay must be >= 0")
-        super().__init__(topology, dt=dt, seed=seed, trace=trace)
-        self.convergence_delay = convergence_delay
-        self._nodes = topology.nodes
-        self._link_src = topology.link_src
-        self._link_dst = topology.link_dst
-        #: Per-flow endpoints (node indices) and blackhole state.
-        self._flow_src: List[int] = []
-        self._flow_dst: List[int] = []
-        self._blackholed: List[bool] = []
-        #: Entry-link positions mirroring ``_entry_links`` (-1 = blackholed).
-        self._entry_positions: List[int] = []
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def add_flow(self, flow: Flow, start: Optional[float] = None,
-                 src: Optional[str] = None,
-                 dst: Optional[str] = None) -> Flow:
-        """Register a flow from node ``src`` to node ``dst``.
+def convergence_pass(network: "TopologyNetwork") -> Callable[[float], None]:
+    """The callback one link-state change schedules on ``network``.
 
-        Defaults — first node as source, last node as destination — keep
-        path-agnostic traffic generators (which call ``add_flow(flow)``)
-        working.  A flow whose destination is unreachable *right now* is
-        accepted in the blackhole state and joins the network when a
-        convergence pass finds it a route.
-        """
-        nodes = self._nodes
-        source = nodes[0].index if src is None else \
-            self.topology.node_index(src)
-        target = nodes[-1].index if dst is None else \
-            self.topology.node_index(dst)
-        if source == target:
-            raise ValueError("flow source and destination nodes must differ")
-        route = self._current_route(source, target)
-        flow.flow_id = self._next_flow_id
-        self._next_flow_id += 1
-        self.flows.append(flow)
-        self._flow_src.append(source)
-        self._flow_dst.append(target)
-        blackholed = route is None
-        self._blackholed.append(blackholed)
-        if blackholed:
-            self._routes.append(())
-            self._entry_links.append(None)
-            self._entry_positions.append(-1)
-        else:
-            self._routes.append(route)
-            self._entry_links.append(self._links[route[0]])
-            self._entry_positions.append(route[0])
-        self._last_hop.append(-1)  # unused: delivery is a node comparison
-        start_time = flow.start_time if start is None else start
-        flow.start_time = start_time
-        if start_time <= self.now:
-            flow.start(self.now)
-            if flow.active:
-                self._activate(flow.flow_id)
-        else:
-            self._push(start_time, self._START, flow)
-        sink = self._sink
-        if sink is not None:
-            sink.emit({
-                "time": self.now, "event": "flow_start",
-                "flow_id": flow.flow_id, "flow": flow.name,
-                "cc": flow.cc.name,
-                "path": [] if blackholed else
-                        [self._links[i].name for i in route],
-                "start": start_time})
-            if blackholed:
-                sink.emit(self._blackhole_record("blackhole_start",
-                                                 flow.flow_id))
-        return flow
-
-    def _activate(self, flow_id: int) -> None:
-        insort(self._active, flow_id)
-        if len(self._active) > self._stats.roster_peak:
-            self._stats.roster_peak = len(self._active)
-
-    def route_of(self, flow_id: int) -> Tuple[BottleneckLink, ...]:
-        """The links the flow would traverse *right now* (empty when
-        blackholed)."""
-        links = self._links
-        return tuple(links[position] for position in self._routes[flow_id])
-
-    def is_blackholed(self, flow_id: int) -> bool:
-        return self._blackholed[flow_id]
-
-    # ------------------------------------------------------------------ #
-    # Link-state hooks (called by the fault layer)
-    # ------------------------------------------------------------------ #
-    def on_link_down(self, name: str) -> None:
-        self.topology.index_of(name)  # raises on unknown names
-        self.schedule_call(self.now + self.convergence_delay, self._converge)
-
-    def on_link_up(self, name: str) -> None:
-        self.topology.index_of(name)
-        self.schedule_call(self.now + self.convergence_delay, self._converge)
-
-    def _converge(self, now: float) -> None:
-        """One convergence pass: re-resolve every table entry and every
-        flow's entry link / blackhole state against current link health.
-
-        Idempotent — a pass that finds nothing changed emits nothing — so
-        the one-pass-per-link-event scheduling never double-reports.
-        Iteration order (nodes by index, destinations sorted, flows by id)
-        is fixed, making the ``route_change`` sequence deterministic.
-        """
-        sink = self._sink
-        links = self._links
-        for node in self._nodes:
-            table = node.table
-            for destination in table.destinations:
-                resolved = None
-                for position in table.candidates(destination):
-                    if links[position].up:
-                        resolved = position
-                        break
-                previous = table.active(destination)
+    It re-resolves every table entry to its first candidate whose link is
+    up, then lets the engine re-derive each flow's entry link and blackhole
+    state.  Idempotent — a pass that finds nothing changed emits nothing —
+    so the one-pass-per-link-event scheduling never double-reports.
+    Iteration order (nodes by index, destinations sorted by name, flows by
+    id) is fixed, making the ``route_change`` sequence deterministic.
+    """
+    def converge(now: float) -> None:
+        topology = network.topology
+        sink = network.trace_sink
+        links, names = topology.links, topology.nodes
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        for node, (candidates, active) in enumerate(
+                zip(topology.candidates, topology.next_hop)):
+            for destination in by_name:
+                resolved = next((position
+                                 for position in candidates[destination]
+                                 if links[position].up), None)
+                previous = active[destination]
                 if resolved != previous:
-                    table.set_active(destination, resolved)
+                    active[destination] = resolved
                     if sink is not None:
                         sink.emit({
                             "time": now, "event": "route_change",
-                            "node": node.name, "destination": destination,
+                            "node": names[node],
+                            "destination": names[destination],
                             "from_link": None if previous is None
                             else links[previous].name,
                             "to_link": None if resolved is None
                             else links[resolved].name})
-        for flow_id, flow in enumerate(self.flows):
-            if flow.finished:
-                continue
-            route = self._current_route(self._flow_src[flow_id],
-                                        self._flow_dst[flow_id])
-            blackholed = route is None
-            if blackholed:
-                self._routes[flow_id] = ()
-                self._entry_links[flow_id] = None
-                self._entry_positions[flow_id] = -1
-            else:
-                self._routes[flow_id] = route
-                self._entry_links[flow_id] = links[route[0]]
-                self._entry_positions[flow_id] = route[0]
-            if blackholed != self._blackholed[flow_id]:
-                self._blackholed[flow_id] = blackholed
-                if sink is not None:
-                    sink.emit(self._blackhole_record(
-                        "blackhole_start" if blackholed else "blackhole_end",
-                        flow_id))
-
-    def _blackhole_record(self, kind: str, flow_id: int) -> dict:
-        return {
-            "time": self.now, "event": kind,
-            "flow_id": flow_id, "flow": self.flows[flow_id].name,
-            "node": self._nodes[self._flow_src[flow_id]].name,
-            "destination": self._nodes[self._flow_dst[flow_id]].name}
-
-    # ------------------------------------------------------------------ #
-    # Route resolution
-    # ------------------------------------------------------------------ #
-    def _active_choice(self, node: int, destination: int) -> Optional[int]:
-        """The active next-hop link position at ``node``, or ``None``."""
-        return self._nodes[node].table.active(
-            self._nodes[destination].name)
-
-    def _current_route(self, source: int,
-                       destination: int) -> Optional[Tuple[int, ...]]:
-        """Walk the active choices source → destination; ``None`` if the
-        walk dead-ends or loops before reaching the destination."""
-        positions = []
-        node = source
-        visited = set()
-        while node != destination:
-            if node in visited:
-                return None
-            visited.add(node)
-            position = self._active_choice(node, destination)
-            if position is None:
-                return None
-            positions.append(position)
-            node = self._link_dst[position]
-        return tuple(positions)
-
-    def _residual_delay(self, position: int, destination: int) -> float:
-        """Wire delay from link ``position`` to the destination, excluding
-        the final hop's (whose wire is the flow's ``delay_to_receiver``).
-
-        Mirrors the base engine's drop-feedback convention; a walk that
-        dead-ends or loops stops accumulating there (the hole surfaces
-        with whatever downstream delay was accounted so far).
-        """
-        delays = self._link_delays
-        extra = 0.0
-        visited = set()
-        while self._link_dst[position] != destination:
-            extra += delays[position]
-            node = self._link_dst[position]
-            if node in visited:
-                break
-            visited.add(node)
-            follow = self._active_choice(node, destination)
-            if follow is None:
-                break
-            position = follow
-        return extra
-
-    def _queue_drop_feedback(self, position: int, flow: Flow) -> float:
-        """Time for a queue drop at link ``position`` to reach the sender."""
-        return (self._residual_delay(position, self._flow_dst[flow.flow_id])
-                + flow.delay_to_receiver + flow.delay_ack)
-
-    def _drop_feedback_delay(self, position: int,
-                             flow_id: int) -> Tuple[float, int]:
-        flow = self.flows[flow_id]
-        return (self._queue_drop_feedback(position, flow),
-                self._link_src[position])
-
-    # ------------------------------------------------------------------ #
-    # Forwarding (table lookup instead of frozen routes)
-    # ------------------------------------------------------------------ #
-    def _emit_all(self, now: float) -> None:
-        # Same rotation/stale-flow structure as the base engine; the
-        # routed differences are the None entry link (blackholed source:
-        # the emission becomes loss feedback without entering any queue)
-        # and table-derived drop feedback delays.
-        active = self._active
-        if not active:
-            return
-        entry_links = self._entry_links
-        sink = self._sink
-        start = int(round(now / self.dt)) % len(self.flows)
-        pivot = bisect_left(active, start)
-        stale = None
-        for flow_id in active[pivot:] + active[:pivot]:
-            flow = self.flows[flow_id]
-            if not flow.active:
-                if stale is None:
-                    stale = [flow_id]
-                else:
-                    stale.append(flow_id)
-                continue
-            chunk = flow.emit(now, self.dt)
-            if chunk is None:
-                continue
-            link = entry_links[flow_id]
-            if link is None:
-                # Blackholed: the bytes leave the sender and vanish; the
-                # sender learns via loss feedback one receiver-plus-ACK
-                # delay later.  No queue is touched, so conservation holds.
-                self._push(now + flow.delay_to_receiver + flow.delay_ack,
-                           self._LOSS,
-                           DropRecord(flow_id, chunk.size, now))
-                continue
-            chunk.hop = self._flow_src[flow_id]
-            if sink is not None:
-                sink.emit({
-                    "time": now, "event": "enqueue",
-                    "flow_id": flow_id, "flow": flow.name,
-                    "link": link.name, "hop": chunk.hop,
-                    "bytes": chunk.size, "seq": chunk.seq})
-            drops = link.enqueue(chunk, now)
-            if drops:
-                feedback_delay = self._queue_drop_feedback(
-                    self._entry_positions[flow_id], flow)
-                for drop in drops:
-                    self._push(now + feedback_delay, self._LOSS, drop)
-                if sink is not None:
-                    for drop in drops:
-                        sink.emit({
-                            "time": now, "event": "drop",
-                            "flow_id": drop.flow_id, "flow": flow.name,
-                            "link": link.name, "hop": chunk.hop,
-                            "bytes": drop.lost_bytes})
-        if stale is not None:
-            for flow_id in stale:
-                self._deactivate(flow_id)
-
-    def _serve_links(self, now: float) -> None:
-        flows = self.flows
-        flow_dst = self._flow_dst
-        link_dst = self._link_dst
-        dt = self.dt
-        for position, link in enumerate(self._links):
-            served = link.service(now, dt)
-            if not served:
-                continue
-            delay = self._link_delays[position]
-            arrival = link_dst[position]
-            for chunk in served:
-                flow_id = chunk.flow_id
-                if arrival == flow_dst[flow_id]:
-                    self._push(now + flows[flow_id].delay_to_receiver,
-                               self._DELIVER, chunk)
-                else:
-                    chunk.hop = arrival
-                    self._push(now + delay, self._HOP, chunk)
-
-    def _forward(self, chunk: Chunk, now: float) -> None:
-        """Chunk arrives at node ``chunk.hop``: forward by table lookup.
-
-        No surviving next hop at the node means the chunk is dropped on
-        the spot and surfaces as loss feedback at the sender (graceful
-        degradation for traffic already in flight when a route died).
-        """
-        sink = self._sink
-        flow = self.flows[chunk.flow_id]
-        node = chunk.hop
-        position = self._active_choice(node, self._flow_dst[chunk.flow_id])
-        if position is None:
-            self._push(now + flow.delay_to_receiver + flow.delay_ack,
-                       self._LOSS,
-                       DropRecord(chunk.flow_id, chunk.size, now))
-            return
-        link = self._links[position]
-        if sink is not None:
-            sink.emit({
-                "time": now, "event": "hop",
-                "flow_id": chunk.flow_id, "flow": flow.name,
-                "link": link.name, "hop": node,
-                "bytes": chunk.size, "seq": chunk.seq})
-        drops = link.enqueue(chunk, now)
-        if drops:
-            feedback_delay = self._queue_drop_feedback(position, flow)
-            for drop in drops:
-                self._push(now + feedback_delay, self._LOSS, drop)
-            if sink is not None:
-                for drop in drops:
-                    sink.emit({
-                        "time": now, "event": "drop",
-                        "flow_id": drop.flow_id, "flow": flow.name,
-                        "link": link.name, "hop": node,
-                        "bytes": drop.lost_bytes})
+        network.reroute_flows()
+    return converge

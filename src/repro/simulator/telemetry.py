@@ -23,10 +23,13 @@ Per-kind payload fields:
     ``cc`` (algorithm name), ``path`` (list of link names), ``start``
     (scheduled start time).
 ``enqueue``
-    First-hop admission: ``link``, ``hop`` (always 0), ``bytes``, ``seq``.
+    First-hop admission: ``link``, ``hop`` (index of the node the chunk
+    is at — the node ``link`` leaves from; 0 for a flow entering at the
+    head of a chain), ``bytes``, ``seq``.
 ``hop``
-    Arrival at an interior hop's queue (the ``_HOP`` forward): ``link``,
-    ``hop`` (1-based position along the path), ``bytes``, ``seq``.
+    Arrival at an interior node (the ``_HOP`` forward) and admission to
+    the link its table picks: ``link``, ``hop`` (that node's index),
+    ``bytes``, ``seq``.
 ``drop``
     Bytes refused by a hop's queue policy: ``link``, ``hop``, ``bytes``.
 ``delivery``
@@ -52,7 +55,7 @@ Per-kind payload fields:
     control-plane and carry no ``flow_id``/``flow`` — they describe the
     network, not a flow.
 ``route_change``
-    A :class:`~repro.simulator.routing.RoutedNetwork` convergence pass
+    A convergence pass (:func:`repro.simulator.routing.convergence_pass`)
     re-resolved one routing-table entry: ``node``, ``destination``,
     ``from_link`` (previous next hop, or null on first resolution),
     ``to_link`` (new next hop, or null when no candidate survives).

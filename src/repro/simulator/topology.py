@@ -1,33 +1,41 @@
-"""Multi-hop topology engine: paths of store-and-forward links.
+"""The network engine: nodes, directed links, per-node forwarding tables.
 
-This module generalises the reproduction's single-bottleneck engine into a
-small network-of-queues simulator.  A :class:`Topology` is an ordered set of
+A :class:`Topology` is a small directed graph.  Named *nodes* are joined by
 named :class:`~repro.simulator.link.BottleneckLink`\\ s, each with its own
 queue policy and a *downstream propagation delay* — the time a chunk spends
-on the wire between leaving that link and reaching the next hop.  A
-:class:`Path` names the ordered subset of links a flow traverses; the
-:class:`TopologyNetwork` engine routes every served chunk hop by hop through
-its flow's path using the same calendar event queue that drives the
-single-link engine.
+on the wire between leaving that link and reaching the node at its far
+end.  Every node owns a forwarding table: for each destination node, an
+ordered tuple of candidate outgoing links (primary first, then backups) and
+the *active* choice chunks actually follow (see
+:mod:`repro.simulator.routing` for how tables are computed and
+re-resolved).  Links added without endpoints extend a chain, so a chain is
+simply a graph whose every node has one outgoing link — and the single
+bottleneck of the paper's emulated experiments is a chain of length one.
 
-Timing model (a strict superset of the single-link engine's):
+:class:`TopologyNetwork` is the one tick engine over that graph.  Every
+flow is a ``(source node, destination node)`` pair and every chunk is
+forwarded by the same ``next_hop[node][destination]`` lookup; a static path
+is just a table that is never re-resolved (``convergence_delay=None``, the
+default), while a number makes link flaps trigger convergence-delayed
+failover onto the backups.
 
-* senders are adjacent to the first link of their path — an emitted chunk
+Timing model:
+
+* senders are adjacent to the first link of their route — an emitted chunk
   enters that queue in the same tick,
-* a chunk served by an *intermediate* link is scheduled to arrive at the
-  next hop's queue after that link's propagation delay (a ``_HOP`` event),
-* a chunk served by the *last* link of its path reaches the receiver after
-  the flow's ``delay_to_receiver`` and is acknowledged after the flow's
-  ``delay_ack`` (exactly the legacy behaviour), so a flow's base RTT is
+* a chunk served by a link that does not end at the flow's destination is
+  scheduled to arrive at the next node after that link's propagation delay
+  (a ``_HOP`` event), where it is forwarded by table lookup,
+* a chunk served by a link that ends at its destination reaches the
+  receiver after the flow's ``delay_to_receiver`` and is acknowledged after
+  the flow's ``delay_ack``, so a flow's base RTT is
   ``sum(intermediate link delays) + flow.prop_rtt``,
-* bytes dropped at any hop are reported to the sender one remaining-path
+* bytes dropped at any hop are reported to the sender one remaining-route
   -plus-ACK delay after the drop, which is when duplicate ACKs would reveal
   the hole.
 
-With a single-link topology no ``_HOP`` event ever fires and the engine
-pushes exactly the same events, in the same order, with the same counter
-values, as the historical ``Network`` — the single-bottleneck numbers are
-bit-identical (see ``tests/test_topology.py``).
+With a single link no ``_HOP`` event ever fires: every chunk goes straight
+from the bottleneck to its receiver.
 
 Event storage is a *calendar queue*: because every event dispatches on a
 tick boundary anyway, events are filed under the integer tick at which they
@@ -48,13 +56,11 @@ import os
 import random
 from array import array
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -62,10 +68,11 @@ from typing import (
     Union,
 )
 
+from . import routing
 from .aqm import QueuePolicy
 from .endpoint import Flow
 from .fluid import FluidClass, FluidLinkState
-from .link import BottleneckLink
+from .link import BottleneckLink, DropRecord
 from .packet import Ack, Chunk
 from .telemetry import TraceSink, sink_from_env
 from .trace import Recorder
@@ -125,92 +132,110 @@ def _audit_period_from_env(environ=None) -> int:
     return period if period > 1 else _AUDIT_DEFAULT_TICKS
 
 
-@dataclass(frozen=True)
-class Path:
-    """An ordered route through a topology, as a tuple of link names.
-
-    Paths are frozen and hashable so they can ride inside canonicalised
-    scenario parameters.  Resolution against a concrete topology (names to
-    link indices, validation) happens in :meth:`Topology.resolve_path`.
-    """
-
-    links: Tuple[str, ...]
-
-    def __init__(self, links: Iterable[str]) -> None:
-        object.__setattr__(self, "links", tuple(links))
-        if not self.links:
-            raise ValueError("a Path needs at least one link")
-        if any(not isinstance(name, str) for name in self.links):
-            raise TypeError("Path links are link names (strings)")
-
-    @classmethod
-    def of(cls, *links: str) -> "Path":
-        return cls(links)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.links)
-
-    def __len__(self) -> int:
-        return len(self.links)
-
-
-#: Anything accepted where a path is expected: ``None`` (the topology's
-#: full chain), a single link name, a :class:`Path`, or a sequence of link
-#: names / link indices.
-PathLike = Union[None, str, Path, Sequence[Union[str, int]]]
+#: Anything accepted where an explicit path is expected: a single link name
+#: or a sequence of link names / link positions.
+PathLike = Union[str, Sequence[Union[str, int]]]
 
 
 class Topology:
-    """Named links wired into a linear chain, each with its own queue
-    policy and downstream propagation delay.
+    """Named nodes joined by directed links, each node forwarding by table.
 
-    The *default path* is the full chain in insertion order; flows may
-    instead follow any ordered subset (e.g. a parking-lot cross flow that
-    enters and leaves at one hop).  One link is the *monitor* link — the
-    queue the :class:`~repro.simulator.trace.Recorder` tracks and the one
-    exposed as ``network.link`` for single-bottleneck compatibility; it
-    defaults to the first link attached.
+    ``add_link`` / ``attach`` with ``src=`` / ``dst=`` wire a link between
+    two existing nodes; without them the link extends a chain — it leaves
+    the node the previous link ended at (a fresh first node when there is
+    none) and ends at a fresh node.  Forwarding tables are recomputed from
+    shortest paths on every attachment (ties break on attachment order, so
+    a chain's only route is the chain); :meth:`set_route` pins an entry to
+    an explicit primary-plus-backups list.
+
+    One link is the *monitor* link — the queue the
+    :class:`~repro.simulator.trace.Recorder` tracks and the one exposed as
+    ``network.link``; it defaults to the first link attached.
     """
 
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         #: Links in insertion order; positions double as link ids.
         self.links: List[BottleneckLink] = []
-        #: links[i]'s propagation delay to the next hop, in seconds.
+        #: links[i]'s propagation delay to the node it ends at, in seconds.
         self.delays: List[float] = []
+        #: Endpoint node ids per link position.
+        self.link_src: List[int] = []
+        self.link_dst: List[int] = []
+        #: Node names in creation order; positions double as node ids.
+        self.nodes: List[str] = []
+        #: Forwarding tables, ``[node][destination]``: the ordered candidate
+        #: link positions, and the active choice chunks follow (``None``
+        #: when no candidate survives).
+        self.candidates: List[List[Tuple[int, ...]]] = []
+        self.next_hop: List[List[Optional[int]]] = []
+        #: Entries pinned by :meth:`set_route`, re-applied on recompute.
+        self.explicit_routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._index: Dict[str, int] = {}
+        self._node_index: Dict[str, int] = {}
         self._monitor = 0
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    def add_node(self, name: str) -> int:
+        """Create a node (no routes reach it until a link does)."""
+        if name in self._node_index:
+            raise ValueError(f"duplicate node name {name!r}")
+        index = self._node_index[name] = len(self.nodes)
+        self.nodes.append(name)
+        for candidates, active in zip(self.candidates, self.next_hop):
+            candidates.append(())
+            active.append(None)
+        self.candidates.append([()] * (index + 1))
+        self.next_hop.append([None] * (index + 1))
+        return index
+
     def attach(self, link: BottleneckLink, delay: float = 0.0,
-               monitor: bool = False) -> BottleneckLink:
-        """Wire an existing link into the chain (appended at the tail)."""
+               monitor: bool = False, src: Optional[str] = None,
+               dst: Optional[str] = None) -> BottleneckLink:
+        """Wire an existing link from node ``src`` to node ``dst``.
+
+        ``src=None`` continues from where the previous link ended and
+        ``dst=None`` ends at a fresh node, so endpoint-less calls build a
+        chain in attachment order.
+        """
         if delay < 0:
             raise ValueError("propagation delay must be >= 0")
         if link.name in self._index:
             raise ValueError(f"duplicate link name {link.name!r}")
+        if src is not None:
+            source = self.node_index(src)
+        elif self.links:
+            source = self.link_dst[-1]
+        else:
+            source = self.add_node(f"n{len(self.nodes)}")
+        if dst is None:
+            target = self.add_node(f"n{len(self.nodes)}")
+        else:
+            target = self.node_index(dst)
+            if source == target:
+                raise ValueError(
+                    f"link {link.name!r} cannot loop on node {dst!r}")
         self._index[link.name] = len(self.links)
         self.links.append(link)
         self.delays.append(delay)
+        self.link_src.append(source)
+        self.link_dst.append(target)
         if monitor:
             self._monitor = len(self.links) - 1
+        routing.compute_routes(self)
         return link
 
     def add_link(self, name: str, capacity: float, delay: float = 0.0,
-                 policy: Optional[QueuePolicy] = None,
-                 monitor: bool = False) -> BottleneckLink:
+                 policy: Optional[QueuePolicy] = None, monitor: bool = False,
+                 src: Optional[str] = None,
+                 dst: Optional[str] = None) -> BottleneckLink:
         """Create and attach a link: per-hop capacity, delay, queue policy."""
         return self.attach(BottleneckLink(capacity, policy=policy, name=name),
-                           delay=delay, monitor=monitor)
+                           delay=delay, monitor=monitor, src=src, dst=dst)
 
-    @classmethod
-    def single(cls, link: BottleneckLink) -> "Topology":
-        """The degenerate one-link topology the legacy ``Network`` wraps."""
-        topology = cls(name=f"single[{link.name}]")
-        topology.attach(link, delay=0.0, monitor=True)
-        return topology
+    set_route = routing.set_route
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -221,6 +246,13 @@ class Topology:
         except KeyError:
             raise KeyError(f"no link named {name!r}; "
                            f"known: {sorted(self._index)}") from None
+
+    def node_index(self, name: str) -> int:
+        try:
+            return self._node_index[name]
+        except KeyError:
+            raise KeyError(f"no node named {name!r}; "
+                           f"known: {sorted(self._node_index)}") from None
 
     def link(self, name: str) -> BottleneckLink:
         return self.links[self.index_of(name)]
@@ -236,25 +268,13 @@ class Topology:
         """The link recorded by the engine's Recorder (``network.link``)."""
         return self.links[self._monitor]
 
-    # ------------------------------------------------------------------ #
-    # Path resolution
-    # ------------------------------------------------------------------ #
-    def resolve_path(self, path: PathLike = None) -> Tuple[int, ...]:
-        """Normalise any :data:`PathLike` into a tuple of link positions.
+    def resolve_path(self, path: PathLike) -> Tuple[int, ...]:
+        """Normalise an explicit :data:`PathLike` into link positions.
 
-        ``None`` resolves to the full chain in insertion order — which for
-        a single-link topology is exactly the legacy behaviour.
+        Consecutive links must share a node — each one starts where the
+        previous one ends — so a path can never teleport a chunk.
         """
-        if not self.links:
-            raise ValueError("topology has no links")
-        if path is None:
-            return tuple(range(len(self.links)))
-        if isinstance(path, str):
-            names: Sequence[Union[str, int]] = (path,)
-        elif isinstance(path, Path):
-            names = path.links
-        else:
-            names = tuple(path)
+        names = (path,) if isinstance(path, str) else tuple(path)
         if not names:
             raise ValueError("a path needs at least one link")
         route = tuple(name if isinstance(name, int) else self.index_of(name)
@@ -263,16 +283,21 @@ class Topology:
             if not 0 <= position < len(self.links):
                 raise IndexError(f"link position {position} out of range")
         for before, after in zip(route, route[1:]):
-            if before == after:
+            if self.link_dst[before] != self.link_src[after]:
                 raise ValueError(
-                    f"path visits link {self.links[before].name!r} twice "
-                    f"in a row")
+                    f"path is not contiguous: link "
+                    f"{self.links[before].name!r} ends at node "
+                    f"{self.nodes[self.link_dst[before]]!r} but "
+                    f"{self.links[after].name!r} starts at "
+                    f"{self.nodes[self.link_src[after]]!r}")
         return route
 
     def __repr__(self) -> str:
-        hops = " -> ".join(
-            f"{link.name}(+{delay * 1e3:.0f}ms)"
-            for link, delay in zip(self.links, self.delays))
+        hops = ", ".join(
+            f"{link.name}:{self.nodes[s]}->{self.nodes[d]}"
+            f"(+{delay * 1e3:.0f}ms)"
+            for link, s, d, delay in zip(self.links, self.link_src,
+                                         self.link_dst, self.delays))
         return f"Topology({self.name!r}: {hops})"
 
 
@@ -280,7 +305,7 @@ class TopologyNetwork:
     """Tick-driven engine over a :class:`Topology` of store-and-forward hops.
 
     Args:
-        topology: The wired set of links flows traverse.
+        topology: The wired node/link graph with its forwarding tables.
         dt: Simulation tick in seconds.
         seed: Seed for the network-level random number generator (exposed to
             traffic generators for reproducibility).
@@ -289,6 +314,19 @@ class TopologyNetwork:
             falls back to the environment (``REPRO_TRACE``); with no sink
             configured every emission site reduces to one pointer check and
             the run is numerically identical to an untraced engine.
+        convergence_delay: Seconds between a link-state change
+            (:meth:`on_link_down` / :meth:`on_link_up`) and the convergence
+            pass that re-resolves the tables — the modelled routing-protocol
+            reaction lag; ``0`` converges within the same tick.  ``None``
+            (the default) never re-resolves: routes stay frozen and a downed
+            link is a dead end.
+
+    Each tick the engine dispatches the events that have come due (chunk
+    arrivals at the next node or the receiver, ACKs and loss notifications
+    back at senders, scheduled callbacks), offers every active flow the
+    chance to emit one chunk into the first link of its route, and serves
+    every link up to ``capacity * dt`` bytes.  A chunk's ``hop`` field
+    holds the index of the *node* it is at.
     """
 
     #: Event kinds handled by the engine loop.
@@ -300,28 +338,31 @@ class TopologyNetwork:
     _HOP = 5
 
     def __init__(self, topology: Topology, dt: float = 0.001,
-                 seed: int = 0, trace: Optional[TraceSink] = None) -> None:
+                 seed: int = 0, trace: Optional[TraceSink] = None,
+                 convergence_delay: Optional[float] = None) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
         if not topology.links:
             raise ValueError("topology has no links")
+        if convergence_delay is not None and convergence_delay < 0:
+            raise ValueError("convergence_delay must be >= 0")
         self.topology = topology
+        self.convergence_delay = convergence_delay
         #: The monitor link: what the Recorder tracks and what single-
         #: bottleneck code reaches via ``network.link``.
         self.link = topology.monitor_link
         self._links = topology.links
-        self._link_delays = topology.delays
         self.dt = dt
         self.now = 0.0
         self.rng = random.Random(seed)
         self.flows: List[Flow] = []
-        #: Per-flow routes (tuples of link positions), indexed by flow id.
-        self._routes: List[Tuple[int, ...]] = []
-        #: Hot-path mirrors of ``_routes``: the link a flow's emissions
-        #: enter, and the index of its final hop, both by flow id — one
-        #: list index on the per-chunk paths instead of a route unpack.
-        self._entry_links: List[BottleneckLink] = []
-        self._last_hop: List[int] = []
+        #: Per-flow endpoints (node ids), indexed by flow id.
+        self._flow_src: List[int] = []
+        self._flow_dst: List[int] = []
+        #: The link each flow's emissions enter, by flow id — one list
+        #: index on the per-chunk path instead of a table walk.  ``None``
+        #: is the *blackhole* state: no surviving route to the destination.
+        self._entry_links: List[Optional[BottleneckLink]] = []
         self.recorder = Recorder(self)
         #: Calendar: tick index -> [(time, counter, kind, payload), ...].
         self._calendar: dict = {}
@@ -369,22 +410,41 @@ class TopologyNetwork:
     # Construction
     # ------------------------------------------------------------------ #
     def add_flow(self, flow: Flow, start: Optional[float] = None,
-                 path: PathLike = None) -> Flow:
-        """Register a flow; it starts at ``start`` (default ``flow.start_time``).
+                 path: Optional[PathLike] = None, src: Optional[str] = None,
+                 dst: Optional[str] = None) -> Flow:
+        """Register a flow from node ``src`` to node ``dst``.
 
-        ``path`` names the links the flow traverses, in order (any
-        :data:`PathLike`); by default the flow follows the topology's full
-        chain, which on a single-link topology is the legacy behaviour.
+        It starts at ``start`` (default ``flow.start_time``).  The
+        endpoints default to the first and last node — the whole chain —
+        so path-agnostic traffic generators can call ``add_flow(flow)``.
+        ``path`` is spelling for "from the tail of the first named link to
+        the head of the last" (any :data:`PathLike`).  A flow whose
+        destination is unreachable *right now* is accepted in the
+        blackhole state and joins the network when a convergence pass
+        finds it a route.
         """
-        # Resolve (and validate) the path before touching any engine state,
-        # so a bad path name leaves the engine exactly as it was.
-        route = self.topology.resolve_path(path)
+        # Resolve (and validate) the endpoints before touching any engine
+        # state, so a bad name leaves the engine exactly as it was.
+        topology = self.topology
+        if path is not None:
+            if src is not None or dst is not None:
+                raise ValueError("give either path= or src=/dst=, not both")
+            positions = topology.resolve_path(path)
+            source = topology.link_src[positions[0]]
+            target = topology.link_dst[positions[-1]]
+        else:
+            source = 0 if src is None else topology.node_index(src)
+            target = (len(topology.nodes) - 1 if dst is None
+                      else topology.node_index(dst))
+        if source == target:
+            raise ValueError("flow source and destination nodes must differ")
         flow.flow_id = self._next_flow_id
         self._next_flow_id += 1
         self.flows.append(flow)
-        self._routes.append(route)
-        self._entry_links.append(self._links[route[0]])
-        self._last_hop.append(len(route) - 1)
+        self._flow_src.append(source)
+        self._flow_dst.append(target)
+        route = self.route_of(flow.flow_id)
+        self._entry_links.append(route[0] if route else None)
         start_time = flow.start_time if start is None else start
         flow.start_time = start_time
         if start_time <= self.now:
@@ -395,19 +455,28 @@ class TopologyNetwork:
                     self._stats.roster_peak = len(self._active)
         else:
             self._push(start_time, self._START, flow)
-        if self._sink is not None:
-            self._sink.emit({
+        sink = self._sink
+        if sink is not None:
+            sink.emit({
                 "time": self.now, "event": "flow_start",
                 "flow_id": flow.flow_id, "flow": flow.name,
                 "cc": flow.cc.name,
-                "path": [self._links[i].name for i in route],
+                "path": [link.name for link in route],
                 "start": start_time})
+            if not route:
+                sink.emit(self._blackhole_record("blackhole_start",
+                                                 flow.flow_id))
         return flow
 
     def route_of(self, flow_id: int) -> Tuple[BottleneckLink, ...]:
-        """The links flow ``flow_id`` traverses, in order."""
-        links = self._links
-        return tuple(links[position] for position in self._routes[flow_id])
+        """The links the flow would traverse *right now* (empty when
+        blackholed)."""
+        route = routing.walk_route(self.topology, self._flow_src[flow_id],
+                                   self._flow_dst[flow_id])
+        return tuple(self._links[position] for position in route or ())
+
+    def is_blackholed(self, flow_id: int) -> bool:
+        return self._entry_links[flow_id] is None
 
     def schedule_call(self, time: float, fn: Callable[[float], None]) -> None:
         """Run ``fn(now)`` at the given simulation time (>= now)."""
@@ -455,50 +524,56 @@ class TopologyNetwork:
         """
         position = self.topology.index_of(name)
         link = self._links[position]
-        fluid_flushed = (link.fluid.flush(self.now)
-                         if link.fluid is not None else 0.0)
-        drops = link.flush(self.now)
-        if not drops:
-            return fluid_flushed
-        sink = self._sink
-        flushed = fluid_flushed
-        for drop in drops:
+        flushed = link.fluid.flush(self.now) if link.fluid is not None else 0.0
+        for drop in link.flush(self.now):
             flushed += drop.lost_bytes
-            flow = self.flows[drop.flow_id]
-            feedback, hop = self._drop_feedback_delay(position, drop.flow_id)
-            self._push(self.now + feedback, self._LOSS, drop)
-            if sink is not None:
-                sink.emit({
-                    "time": self.now, "event": "drop",
-                    "flow_id": drop.flow_id, "flow": flow.name,
-                    "link": link.name, "hop": hop,
-                    "bytes": drop.lost_bytes})
+            self._feed_back_drops((drop,), position,
+                                  self.flows[drop.flow_id], self.now)
         return flushed
-
-    def _drop_feedback_delay(self, position: int,
-                             flow_id: int) -> Tuple[float, int]:
-        """Feedback delay and hop index for a queue drop at ``position``.
-
-        Path-routed flows locate the link inside their frozen route;
-        destination-routed subclasses override this, because a chunk's hop
-        index is not derivable from the link alone once tables can change.
-        """
-        route = self._routes[flow_id]
-        hop = route.index(position)
-        return (self._loss_feedback_delay(route, hop, self.flows[flow_id]),
-                hop)
 
     def on_link_down(self, name: str) -> None:
         """Routing hook: the named link stopped carrying traffic.
 
         Called by :mod:`repro.simulator.faults` when a ``link_flap``
-        down-window opens.  Path-routed networks have nowhere to move
-        traffic, so this is a no-op; :class:`~repro.simulator.routing.
-        RoutedNetwork` schedules a convergence pass.
+        down-window opens.  With a ``convergence_delay`` this schedules one
+        convergence pass that many seconds later (see
+        :func:`repro.simulator.routing.convergence_pass`); with ``None``
+        routes are frozen and there is nowhere to move traffic.
         """
+        self.topology.index_of(name)  # raises on unknown names
+        if self.convergence_delay is not None:
+            self.schedule_call(self.now + self.convergence_delay,
+                               routing.convergence_pass(self))
 
     def on_link_up(self, name: str) -> None:
         """Routing hook: the named link came back into service."""
+        self.on_link_down(name)  # the same reaction: one convergence pass
+
+    def reroute_flows(self) -> None:
+        """Re-derive every live flow's entry link and blackhole state from
+        the tables (the flow half of a convergence pass), in flow-id order.
+        """
+        sink = self._sink
+        entry_links = self._entry_links
+        for flow_id, flow in enumerate(self.flows):
+            if flow.finished:
+                continue
+            route = self.route_of(flow_id)
+            entry = route[0] if route else None
+            was_blackholed = entry_links[flow_id] is None
+            entry_links[flow_id] = entry
+            if (entry is None) != was_blackholed and sink is not None:
+                sink.emit(self._blackhole_record(
+                    "blackhole_end" if was_blackholed else "blackhole_start",
+                    flow_id))
+
+    def _blackhole_record(self, kind: str, flow_id: int) -> dict:
+        nodes = self.topology.nodes
+        return {
+            "time": self.now, "event": kind,
+            "flow_id": flow_id, "flow": self.flows[flow_id].name,
+            "node": nodes[self._flow_src[flow_id]],
+            "destination": nodes[self._flow_dst[flow_id]]}
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -697,50 +772,57 @@ class TopologyNetwork:
         self._push(now + flow.delay_ack, self._ACK, ack)
 
     def _forward(self, chunk: Chunk, now: float) -> None:
-        """Chunk arrives at an intermediate hop; enter that hop's queue.
+        """Chunk arrives at node ``chunk.hop``: forward by table lookup.
 
-        Bytes the hop's policy refuses become loss feedback to the sender
-        after the remaining path-plus-ACK delay, exactly like first-hop
-        drops.  ``queue_delay`` keeps accumulating across hops because
-        every link adds its own waiting time to the same chunk field.
+        No surviving next hop at the node means the chunk is dropped on
+        the spot and surfaces as loss feedback at the sender (graceful
+        degradation for traffic already in flight when a route died).
+        ``queue_delay`` keeps accumulating across hops because every link
+        adds its own waiting time to the same chunk field.
         """
-        sink = self._sink
-        route = self._routes[chunk.flow_id]
-        link = self._links[route[chunk.hop]]
-        if sink is not None:
-            sink.emit({
+        flow = self.flows[chunk.flow_id]
+        node = chunk.hop
+        position = self.topology.next_hop[node][self._flow_dst[chunk.flow_id]]
+        if position is None:
+            self._push(now + flow.delay_to_receiver + flow.delay_ack,
+                       self._LOSS,
+                       DropRecord(chunk.flow_id, chunk.size, now))
+            return
+        link = self._links[position]
+        if self._sink is not None:
+            self._sink.emit({
                 "time": now, "event": "hop",
-                "flow_id": chunk.flow_id,
-                "flow": self.flows[chunk.flow_id].name,
-                "link": link.name, "hop": chunk.hop,
+                "flow_id": chunk.flow_id, "flow": flow.name,
+                "link": link.name, "hop": node,
                 "bytes": chunk.size, "seq": chunk.seq})
         drops = link.enqueue(chunk, now)
         if drops:
-            flow = self.flows[chunk.flow_id]
-            feedback_delay = self._loss_feedback_delay(route, chunk.hop, flow)
-            for drop in drops:
-                self._push(now + feedback_delay, self._LOSS, drop)
-            if sink is not None:
-                for drop in drops:
-                    sink.emit({
-                        "time": now, "event": "drop",
-                        "flow_id": drop.flow_id, "flow": flow.name,
-                        "link": link.name, "hop": chunk.hop,
-                        "bytes": drop.lost_bytes})
+            self._feed_back_drops(drops, position, flow, now)
 
-    def _loss_feedback_delay(self, route: Tuple[int, ...], hop: int,
-                             flow: Flow) -> float:
-        """Time for a drop at ``route[hop]`` to surface at the sender.
+    def _feed_back_drops(self, drops: Sequence[DropRecord], position: int,
+                         flow: Flow, now: float) -> None:
+        """Report bytes of ``flow`` dropped at link ``position`` to its sender.
 
-        Remaining downstream propagation (carried by the packets behind the
-        hole) plus the receiver leg and the ACK path; queueing on the way
-        is ignored, as it was in the single-link engine.
+        The loss surfaces after the remaining downstream propagation
+        (carried by the packets behind the hole; the final link's wire is
+        the flow's own receiver leg) plus the receiver leg and the ACK
+        path; queueing on the way is ignored.
         """
-        delays = self._link_delays
-        extra = 0.0
-        for position in route[hop:-1]:
-            extra += delays[position]
-        return extra + flow.delay_to_receiver + flow.delay_ack
+        delay = (routing.residual_delay(self.topology, position,
+                                        self._flow_dst[flow.flow_id])
+                 + flow.delay_to_receiver + flow.delay_ack)
+        for drop in drops:
+            self._push(now + delay, self._LOSS, drop)
+        sink = self._sink
+        if sink is not None:
+            link = self._links[position]
+            for drop in drops:
+                sink.emit({
+                    "time": now, "event": "drop",
+                    "flow_id": drop.flow_id, "flow": flow.name,
+                    "link": link.name,
+                    "hop": self.topology.link_src[position],
+                    "bytes": drop.lost_bytes})
 
     def _emit_all(self, now: float) -> None:
         # Rotate the service order every tick so that when the buffer is
@@ -770,6 +852,14 @@ class TopologyNetwork:
             if chunk is None:
                 continue
             link = entry_links[flow_id]
+            if link is None:
+                # Blackholed: the bytes leave the sender and vanish; the
+                # sender learns via loss feedback one receiver-plus-ACK
+                # delay later.  No queue is touched, so conservation holds.
+                self._push(now + flow.delay_to_receiver + flow.delay_ack,
+                           self._LOSS,
+                           DropRecord(flow_id, chunk.size, now))
+                continue
             if sink is not None:
                 # Before admission: ``enqueue`` records the offered bytes
                 # (the policy may trim ``chunk.size`` down to the admitted
@@ -777,21 +867,13 @@ class TopologyNetwork:
                 sink.emit({
                     "time": now, "event": "enqueue",
                     "flow_id": flow_id, "flow": flow.name,
-                    "link": link.name, "hop": 0,
+                    "link": link.name, "hop": self._flow_src[flow_id],
                     "bytes": chunk.size, "seq": chunk.seq})
             drops = link.enqueue(chunk, now)
             if drops:
-                feedback_delay = self._loss_feedback_delay(
-                    self._routes[flow_id], 0, flow)
-                for drop in drops:
-                    self._push(now + feedback_delay, self._LOSS, drop)
-                if sink is not None:
-                    for drop in drops:
-                        sink.emit({
-                            "time": now, "event": "drop",
-                            "flow_id": drop.flow_id, "flow": flow.name,
-                            "link": link.name, "hop": 0,
-                            "bytes": drop.lost_bytes})
+                self._feed_back_drops(
+                    drops, self.topology.next_hop[self._flow_src[flow_id]][
+                        self._flow_dst[flow_id]], flow, now)
         if stale is not None:
             for flow_id in stale:
                 self._deactivate(flow_id)
@@ -870,20 +952,23 @@ class TopologyNetwork:
 
     def _serve_links(self, now: float) -> None:
         flows = self.flows
-        last_hop = self._last_hop
+        flow_dst = self._flow_dst
+        link_dst = self.topology.link_dst
+        delays = self.topology.delays
         dt = self.dt
         for position, link in enumerate(self._links):
             served = link.service(now, dt)
             if not served:
                 continue
-            delay = self._link_delays[position]
+            arrival = link_dst[position]
+            delay = delays[position]
             for chunk in served:
                 flow_id = chunk.flow_id
-                if chunk.hop == last_hop[flow_id]:
+                if arrival == flow_dst[flow_id]:
                     self._push(now + flows[flow_id].delay_to_receiver,
                                self._DELIVER, chunk)
                 else:
-                    chunk.hop += 1
+                    chunk.hop = arrival
                     self._push(now + delay, self._HOP, chunk)
 
     # ------------------------------------------------------------------ #

@@ -32,9 +32,9 @@ from .units import bytes_per_sec_to_mbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .endpoint import Flow
-    from .engine import Network
     from .link import BottleneckLink
     from .packet import Chunk
+    from .topology import TopologyNetwork
 
 
 def _grow(values: list, upto: int, fill) -> None:
@@ -114,7 +114,7 @@ class _FluidRecord:
 class Recorder:
     """Bins deliveries and queue observations into fixed-width intervals."""
 
-    def __init__(self, network: "Network", bin_width: float = 0.1) -> None:
+    def __init__(self, network: "TopologyNetwork", bin_width: float = 0.1) -> None:
         self.network = network
         self.bin_width = bin_width
         #: Insertion-ordered by first touch, which ``_select`` relies on to

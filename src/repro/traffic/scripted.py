@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 from ..cc.base import NullCC
 from ..cc.cubic import Cubic
 from ..simulator.endpoint import Flow
-from ..simulator.engine import Network
+from ..simulator.topology import TopologyNetwork
 from .poisson import PoissonSource
 
 
@@ -57,7 +57,7 @@ class ScriptedCrossTraffic:
         name: Label given to all generated flows.
     """
 
-    network: Network
+    network: TopologyNetwork
     phases: List[Phase]
     prop_rtt: float = 0.05
     start: float = 0.0

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 
 from ..cc.cubic import Cubic
 from ..simulator.endpoint import Flow
-from ..simulator.engine import Network
+from ..simulator.topology import TopologyNetwork
 from ..simulator.source import FiniteSource
 from .flowsize import HeavyTailedFlowSizes
 
@@ -59,7 +59,8 @@ class WanWorkloadConfig:
 class WanTrafficGenerator:
     """Drives Poisson arrivals of finite Cubic flows on a network."""
 
-    def __init__(self, network: Network, config: WanWorkloadConfig) -> None:
+    def __init__(self, network: TopologyNetwork,
+                 config: WanWorkloadConfig) -> None:
         self.network = network
         self.config = config
         self.flow_sizes = (config.flow_sizes if config.flow_sizes is not None

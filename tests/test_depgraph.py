@@ -176,8 +176,8 @@ def test_real_drivers_share_the_engine_but_not_each_other():
     graph = DependencyGraph()
     flap = graph.reachable("repro.experiments.link_flap")
     wan = graph.reachable("repro.experiments.fig09_wan")
-    assert "repro.simulator.engine" in flap
-    assert "repro.simulator.engine" in wan
+    assert "repro.simulator.topology" in flap
+    assert "repro.simulator.topology" in wan
     assert "repro.experiments.fig09_wan" not in flap
     assert "repro.experiments.link_flap" not in wan
     # The aggregator __init__ imports every driver; including it would
@@ -199,7 +199,7 @@ def test_real_driver_edit_keeps_the_other_family_warm():
 
 def test_real_engine_edit_invalidates_every_driver():
     clean = DependencyGraph()
-    path = _origin("repro.simulator.engine")
+    path = _origin("repro.simulator.topology")
     edited = DependencyGraph(
         overlay={path: path.read_bytes() + b"\n# what-if\n"})
     for module in ("repro.experiments.link_flap",
@@ -223,7 +223,7 @@ def test_cli_digest_deps_key(capsys):
 
     assert depgraph.main(["deps", "repro.experiments.link_flap"]) == 0
     deps = capsys.readouterr().out.split()
-    assert "repro.simulator.engine" in deps
+    assert "repro.simulator.topology" in deps
 
     assert depgraph.main(["key", "repro.experiments.link_flap",
                           "repro.experiments.fig09_wan"]) == 0

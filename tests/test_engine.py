@@ -114,9 +114,11 @@ class TestSharing:
         assert link.total_drops > 0
 
     def test_invalid_dt(self):
-        from repro.simulator import BottleneckLink, Network
+        from repro.simulator import Topology, TopologyNetwork
+        topology = Topology()
+        topology.add_link("bottleneck", 1e6)
         with pytest.raises(ValueError):
-            Network(BottleneckLink(capacity=1e6), dt=0.0)
+            TopologyNetwork(topology, dt=0.0)
 
 
 class TestCalendarQueue:

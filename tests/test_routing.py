@@ -1,7 +1,7 @@
-"""Routed-topology tests: tables, failover, blackholes, determinism.
+"""Forwarding-table tests: tables, failover, blackholes, determinism.
 
-Covers the destination-routed forwarding layer end to end — topology and
-table construction, failure-driven reroute after the convergence delay,
+Covers table-lookup forwarding end to end — node/link topology and table
+construction, failure-driven reroute after the convergence delay,
 graceful degradation into the explicit blackhole state, the three new
 control-plane telemetry kinds, and — promoted to tier 1 per the roadmap —
 the per-hop conservation audit running through an active reroute and
@@ -23,43 +23,43 @@ from repro.experiments.common import MAIN_FLOW, make_scheme
 from repro.runtime import (
     BatchExecutor,
     FaultSpec,
-    RoutedLinkSpec,
+    FluidClassSpec,
+    LinkSpec,
     RouteSpec,
-    RoutingSpec,
     ScenarioSpec,
-    make_routed_network,
-    make_routed_topology,
+    make_multihop_network,
+    make_topology,
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.spec import canonicalize
 from repro.simulator import (
     Flow,
     ListTraceSink,
-    RoutedNetwork,
-    RoutedTopology,
-    RoutingTable,
+    Topology,
+    TopologyNetwork,
     mbps_to_bytes_per_sec,
     validate_trace_record,
 )
-from repro.simulator.topology import Topology
+from repro.simulator.routing import convergence_pass
 
 RUN_CASE = "repro.experiments.reroute:run_case"
 
+#: The driver's primary/backup two-path topology, test-sized.
+LINKS = (LinkSpec("primary", 96.0, delay_ms=10.0, src="S", dst="M"),
+         LinkSpec("backup", 64.0, delay_ms=20.0, src="S", dst="M"),
+         LinkSpec("bottleneck", 48.0, src="M", dst="D"))
 
-def _spec(convergence_ms: float = 50.0) -> RoutingSpec:
-    """The driver's primary/backup two-path topology, test-sized."""
-    return RoutingSpec(
-        links=(RoutedLinkSpec("primary", 96.0, "S", "M", delay_ms=10.0),
-               RoutedLinkSpec("backup", 64.0, "S", "M", delay_ms=20.0),
-               RoutedLinkSpec("bottleneck", 48.0, "M", "D")),
-        convergence_ms=convergence_ms,
-        monitor="bottleneck")
+
+def _topology(routes=()) -> Topology:
+    return make_topology(LINKS, monitor="bottleneck", routes=routes)
 
 
 def _network(convergence_ms: float = 50.0, faults=(), dt: float = 0.002,
-             seed: int = 1, flow: bool = True) -> RoutedNetwork:
-    network = make_routed_network(_spec(convergence_ms), dt=dt, seed=seed,
-                                  faults=faults)
+             seed: int = 1, flow: bool = True, fluid=()) -> TopologyNetwork:
+    network = make_multihop_network(LINKS, dt=dt, seed=seed,
+                                    monitor="bottleneck", faults=faults,
+                                    fluid=fluid,
+                                    convergence_ms=convergence_ms)
     if flow:
         mu = mbps_to_bytes_per_sec(48.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
@@ -75,74 +75,99 @@ def _route_names(network, flow_id: int = 0):
     return tuple(link.name for link in network.route_of(flow_id))
 
 
+def _table(topology, table, node, destination):
+    """One ``[node][destination]`` entry of ``candidates`` / ``next_hop``."""
+    return getattr(topology, table)[topology.node_index(node)][
+        topology.node_index(destination)]
+
+
 class TestRoutedTopology:
     def test_duplicate_node_rejected(self):
-        topology = RoutedTopology()
+        topology = Topology()
         topology.add_node("S")
         with pytest.raises(ValueError, match="duplicate node"):
             topology.add_node("S")
 
-    def test_plain_attach_rejected(self):
-        with pytest.raises(TypeError, match="endpoints"):
-            make_routed_topology(_spec()).attach(None)
+    def test_plain_attach_extends_the_chain(self):
+        """An endpoint-less link leaves the node the previous link ended
+        at and ends at a fresh node — on any graph, not only on chains."""
+        topology = _topology()
+        topology.add_link("tail", 1e6)
+        position = topology.index_of("tail")
+        assert topology.link_src[position] == topology.node_index("D")
+        assert topology.link_dst[position] == len(topology.nodes) - 1
+        # The fresh node is reachable from everywhere upstream.
+        assert topology.next_hop[topology.node_index("M")][-1] == \
+            topology.index_of("bottleneck")
 
     def test_link_requires_known_nodes(self):
-        topology = RoutedTopology()
+        topology = Topology()
         topology.add_node("S")
         with pytest.raises(KeyError, match="no node named 'M'"):
             topology.add_link("up", 1e6, src="S", dst="M")
+        assert topology.links == [] and topology.nodes == ["S"]
 
     def test_self_loop_link_rejected(self):
-        topology = RoutedTopology()
+        topology = Topology()
         topology.add_node("S")
         with pytest.raises(ValueError, match="loop"):
             topology.add_link("up", 1e6, src="S", dst="S")
 
     def test_compute_routes_primary_then_backup(self):
-        topology = make_routed_topology(_spec())
-        table = topology.node("S").table
+        topology = _topology()
         # Both S->M links tie on hop count; attachment order breaks the
         # tie, so `primary` (position 0) leads and is the active choice.
-        assert table.candidates("D") == (0, 1)
-        assert table.active("D") == 0
-        assert table.candidates("M") == (0, 1)
+        assert _table(topology, "candidates", "S", "D") == (0, 1)
+        assert _table(topology, "next_hop", "S", "D") == 0
+        assert _table(topology, "candidates", "S", "M") == (0, 1)
         # D is a sink: nothing routes back, and D's own table is empty.
-        assert topology.node("D").table.destinations == ()
-        assert topology.node("M").table.candidates("S") == ()
+        assert set(topology.candidates[topology.node_index("D")]) == {()}
+        assert _table(topology, "candidates", "M", "S") == ()
 
     def test_set_route_validates_origin(self):
-        topology = make_routed_topology(_spec())
+        topology = _topology()
         with pytest.raises(ValueError, match="does not originate"):
             topology.set_route("M", "D", ["primary"])
 
     def test_set_route_to_self_rejected(self):
-        topology = make_routed_topology(_spec())
+        topology = _topology()
         with pytest.raises(ValueError, match="cannot route to itself"):
             topology.set_route("S", "S", ["primary"])
 
     def test_explicit_route_overrides_computed(self):
-        routing = RoutingSpec(links=_spec().links,
-                              routes=(RouteSpec("S", "D",
-                                                ("backup", "primary")),),
-                              monitor="bottleneck")
-        topology = make_routed_topology(routing)
-        assert topology.node("S").table.active("D") == \
+        topology = _topology(routes=(RouteSpec("S", "D",
+                                               ("backup", "primary")),))
+        assert _table(topology, "next_hop", "S", "D") == \
             topology.index_of("backup")
+        # A pinned entry survives the recompute a later attachment runs.
+        topology.add_link("tail", 1e6)
+        assert _table(topology, "candidates", "S", "D") == (1, 0)
 
     def test_empty_candidate_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            RoutingTable().set("D", ())
+            _topology().set_route("S", "D", [])
 
 
 class TestRoutedNetworkConstruction:
-    def test_requires_routed_topology(self):
-        with pytest.raises(TypeError, match="RoutedTopology"):
-            RoutedNetwork(Topology("chain"))
+    def test_chain_topology_takes_a_convergence_delay(self):
+        """One engine: a plain chain accepts the routing parameter (its
+        single route has no backup, so a flap blackholes, then recovers)."""
+        network = make_multihop_network(
+            (LinkSpec("a", 48.0, delay_ms=5.0), LinkSpec("b", 24.0)),
+            dt=0.002, convergence_ms=50.0,
+            faults=(FaultSpec("link_flap", "a", 0.5, 0.5),))
+        mu = mbps_to_bytes_per_sec(24.0)
+        network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05))
+        assert _route_names(network) == ("a", "b")
+        network.run(0.8)
+        assert network.is_blackholed(0) and _route_names(network) == ()
+        network.run(1.2)
+        assert not network.is_blackholed(0)
+        assert _route_names(network) == ("a", "b")
 
     def test_negative_convergence_rejected(self):
         with pytest.raises(ValueError, match="convergence_delay"):
-            RoutedNetwork(make_routed_topology(_spec()),
-                          convergence_delay=-0.1)
+            TopologyNetwork(_topology(), convergence_delay=-0.1)
 
     def test_add_flow_defaults_to_first_and_last_node(self):
         network = _network(flow=False)
@@ -157,6 +182,15 @@ class TestRoutedNetworkConstruction:
             network.add_flow(Flow(cc=make_scheme("cubic", mu),
                                   prop_rtt=0.05), src="S", dst="S")
 
+    def test_path_and_endpoints_are_exclusive(self):
+        network = _network(flow=False)
+        mu = mbps_to_bytes_per_sec(48.0)
+        with pytest.raises(ValueError, match="not both"):
+            network.add_flow(Flow(cc=make_scheme("cubic", mu),
+                                  prop_rtt=0.05),
+                             path=("bottleneck",), dst="D")
+        assert network.flows == []
+
     def test_flow_start_reports_current_path(self):
         network = _network(flow=False)
         sink = ListTraceSink(events=("flow_start",))
@@ -165,6 +199,24 @@ class TestRoutedNetworkConstruction:
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
                               name=MAIN_FLOW), src="S", dst="D")
         assert sink.records[0]["path"] == ["primary", "bottleneck"]
+
+    def test_path_cross_flow_on_a_graph_is_delivered(self):
+        """``path=`` is spelling for endpoints on any topology: a cross
+        flow entering at M shares only the bottleneck with the main flow."""
+        network = _network()
+        sink = ListTraceSink(events=("enqueue",), flows=("cross",))
+        network.set_trace_sink(sink)
+        cross = network.add_flow(
+            Flow(cc=make_scheme("cubic", mbps_to_bytes_per_sec(48.0)),
+                 prop_rtt=0.05, name="cross"), path=("bottleneck",))
+        assert _route_names(network, cross.flow_id) == ("bottleneck",)
+        network.run(2.0)
+        assert network.recorder.mean_throughput("cross") > 0.0
+        assert cross.stats.bytes_delivered > 0.0
+        # It reports its real position: node M, not the head of the graph.
+        assert {r["hop"] for r in sink.records} == \
+            {network.topology.node_index("M")}
+        assert {r["link"] for r in sink.records} == {"bottleneck"}
 
 
 class TestFailover:
@@ -222,7 +274,7 @@ class TestFailover:
         network.set_trace_sink(sink)
         network.run(1.2)
         seen = len(sink.records)
-        network._converge(network.now)  # nothing changed since the pass
+        convergence_pass(network)(network.now)  # nothing changed since
         assert len(sink.records) == seen
 
     def test_audit_clean_through_reroute(self, monkeypatch):
@@ -233,6 +285,34 @@ class TestFailover:
         network.run(3.0)  # would raise AuditError on any leaked byte
         network.audit_conservation()
         assert _link(network, "bottleneck").total_served > 0
+
+
+class TestFluidOnTheBackup:
+    def test_audit_clean_through_failover_and_blackhole(self, monkeypatch):
+        """A fluid class loading `backup` shares that queue with rerouted
+        chunk traffic through a failover (primary flap) and then sits out
+        a blackhole window (bottleneck flap) — conservation, fluid terms
+        included, is re-checked every 16 ticks throughout."""
+        monkeypatch.setenv("REPRO_AUDIT", "16")
+        network = _network(
+            faults=(FaultSpec("link_flap", "primary", 0.5, 0.75),
+                    FaultSpec("link_flap", "bottleneck", 1.75, 0.5,
+                              drop_queued=True)),
+            fluid=(FluidClassSpec("bg", kind="inelastic", link="backup",
+                                  load=0.4, rtt_ms=50.0, seed=3),))
+        backup = _link(network, "backup")
+        network.run(1.0)
+        assert _route_names(network) == ("backup", "bottleneck")
+        network.run(1.2)
+        assert backup.total_served > 0.0  # chunks rode the fluid's link
+        network.run(2.0)
+        assert network.is_blackholed(0)
+        network.audit_conservation()  # mid-window: must not raise
+        network.run(3.0)
+        assert not network.is_blackholed(0)
+        network.audit_conservation()
+        (fluid,) = network.fluid_classes()
+        assert fluid.total_served > 0.0
 
 
 class TestBlackhole:
@@ -339,7 +419,7 @@ class TestRoutedTelemetry:
 
 class TestSpecPlumbing:
     def test_routing_spec_canonicalises(self):
-        frozen = canonicalize(_spec())
+        frozen = canonicalize((LINKS, (RouteSpec("S", "D", ("backup",)),)))
         assert pickle.loads(pickle.dumps(frozen)) == frozen
 
     def test_convergence_delay_in_cache_key(self):

@@ -14,9 +14,8 @@ from repro.runtime import (
     ScenarioSpec,
     run_batch,
     run_scenario,
-    source_digest,
 )
-from repro.runtime.cache import MISS
+from repro.runtime.cache import MISS, source_digest
 from repro.runtime.spec import canonicalize, expand_grid
 
 
@@ -153,26 +152,6 @@ def test_corrupt_entry_is_deleted_and_reported(tmp_path):
     assert cache.put("abc", 43) and cache.get("abc") == 43
 
 
-def test_per_module_layout_and_legacy_migration(tmp_path):
-    cache = ResultCache(directory=tmp_path, enabled=True)
-    fn = "_toy_driver:run"
-    # An entry written before per-module keying lives in the legacy layout.
-    cache.put("abc", {"x": 1})
-    legacy = tmp_path / source_digest() / "abc.pkl"
-    assert legacy.exists()
-    # A keyed read falls back to it and migrates the exact bytes.
-    assert cache.get("abc", fn=fn) == {"x": 1}
-    from repro.runtime.depgraph import default_graph
-
-    new = tmp_path / f"mod-{default_graph().digest_for('_toy_driver')}" \
-        / "abc.pkl"
-    assert new.exists()
-    assert new.read_bytes() == legacy.read_bytes()
-    # Keyed writes land in the per-module layout directly.
-    cache.put("def", 2, fn=fn)
-    assert (new.parent / "def.pkl").exists()
-
-
 # --------------------------------------------------------------------- #
 # BatchExecutor
 # --------------------------------------------------------------------- #
@@ -292,6 +271,41 @@ def test_topology_layer_imports_neither_runtime_nor_experiments():
     be importable with no runtime (and no driver) module loaded."""
     assert _imports_none_of("repro.simulator.topology",
                             ("repro.runtime", "repro.experiments"))
+
+
+def test_one_engine_one_forwarding_path():
+    """The engine ladder must not grow back: one class under
+    ``repro.simulator`` owns the tick loop, each forwarding primitive is
+    defined once, and nothing in the package subclasses the engine or the
+    topology to swap one out."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    steppers, definitions, subclasses = [], [], []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None))
+                         for base in node.bases}
+                if bases & {"Topology", "TopologyNetwork"}:
+                    subclasses.append(f"{path.name}:{node.name}")
+            if path.parent.name != "simulator":
+                continue
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "step"
+                    for item in node.body):
+                steppers.append(node.name)
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "_emit_all", "_serve_links", "_forward", "add_flow"):
+                definitions.append(node.name)
+    assert steppers == ["TopologyNetwork"]
+    assert sorted(definitions) == ["_emit_all", "_forward", "_serve_links",
+                                   "add_flow"]
+    assert subclasses == []
 
 
 # --------------------------------------------------------------------- #

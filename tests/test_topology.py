@@ -1,4 +1,4 @@
-"""Multi-hop topology engine: per-hop invariants and legacy equivalence."""
+"""Multi-hop topology engine: per-hop invariants, single-link equivalence."""
 
 from __future__ import annotations
 
@@ -7,13 +7,16 @@ import pickle
 import pytest
 
 from repro.cc import Cubic, NullCC
-from repro.runtime.build import LinkSpec, make_multihop_network, make_topology
+from repro.runtime.build import (
+    LinkSpec,
+    make_multihop_network,
+    make_network,
+    make_topology,
+)
 from repro.simulator import (
     BottleneckLink,
     DropTail,
     Flow,
-    Network,
-    Path,
     Topology,
     TopologyNetwork,
     mbps_to_bytes_per_sec,
@@ -34,7 +37,7 @@ def _chain(hops=3, capacity=MU, buffer_bytes=None, delay=0.01, dt=0.002,
 
 
 # --------------------------------------------------------------------- #
-# Topology / Path data model
+# Topology data model
 # --------------------------------------------------------------------- #
 class TestTopologyModel:
     def test_duplicate_link_names_rejected(self):
@@ -68,10 +71,9 @@ class TestTopologyModel:
         topology = Topology()
         topology.add_link("a", MU)
         topology.add_link("b", MU)
-        assert topology.resolve_path(None) == (0, 1)
         assert topology.resolve_path("b") == (1,)
-        assert topology.resolve_path(("b", "a")) == (1, 0)
-        assert topology.resolve_path(Path.of("a", "b")) == (0, 1)
+        assert topology.resolve_path(("a", "b")) == (0, 1)
+        assert topology.resolve_path(["a", 1]) == (0, 1)
         assert topology.resolve_path((1,)) == (1,)
         with pytest.raises(ValueError):
             topology.resolve_path(())
@@ -83,12 +85,26 @@ class TestTopologyModel:
             topology.resolve_path((7,))
 
     def test_path_validates(self):
-        with pytest.raises(ValueError):
-            Path(())
-        with pytest.raises(TypeError):
-            Path((1, 2))
-        path = Path.of("a", "b")
-        assert list(path) == ["a", "b"] and len(path) == 2
+        """Consecutive links must share a node: a path that skips a hop
+        (or runs backwards) used to teleport chunks between queues."""
+        network = _chain(hops=3)
+        topology = network.topology
+        for bad in (("hop1", "hop3"), ("hop2", "hop1"), (0, 2)):
+            with pytest.raises(ValueError, match="not contiguous"):
+                topology.resolve_path(bad)
+        with pytest.raises(ValueError, match="not contiguous"):
+            network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05),
+                             path=("hop1", "hop3"))
+        assert network.flows == [] and network._next_flow_id == 0
+
+    def test_endpointless_links_form_a_chain(self):
+        topology = _chain(hops=3).topology
+        assert topology.link_src == [0, 1, 2]
+        assert topology.link_dst == [1, 2, 3]
+        # One outgoing link per node: the only route is the chain itself.
+        assert topology.next_hop[0][1:] == [0, 0, 0]
+        assert topology.candidates[1][3] == (1,)
+        assert topology.next_hop[2][0] is None
 
     def test_engine_requires_a_link(self):
         with pytest.raises(ValueError):
@@ -111,9 +127,13 @@ class TestTopologyModel:
         network = _chain(hops=3)
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05))
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05), path=("hop2",))
+        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05),
+                         path=("hop2", "hop3"))
         assert [link.name for link in network.route_of(0)] == \
             ["hop1", "hop2", "hop3"]
         assert [link.name for link in network.route_of(1)] == ["hop2"]
+        assert [link.name for link in network.route_of(2)] == \
+            ["hop2", "hop3"]
 
 
 # --------------------------------------------------------------------- #
@@ -215,7 +235,7 @@ class TestPerHopInvariants:
 
 
 # --------------------------------------------------------------------- #
-# Legacy equivalence: single-link Topology vs the historical Network
+# Single-link equivalence: make_network vs a hand-built one-link Topology
 # --------------------------------------------------------------------- #
 def _cruise_fingerprint(network):
     network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cubic"))
@@ -235,16 +255,15 @@ def _cruise_fingerprint(network):
 
 class TestLegacyEquivalence:
     def test_single_link_topology_is_bit_identical_to_network(self):
-        legacy = Network(BottleneckLink(MU, policy=DropTail(MU * 0.1)),
-                         dt=0.002, seed=0)
-        general = TopologyNetwork(
-            Topology.single(BottleneckLink(MU, policy=DropTail(MU * 0.1))),
-            dt=0.002, seed=0)
-        assert _cruise_fingerprint(legacy) == _cruise_fingerprint(general)
+        built = make_network(24.0, buffer_ms=100.0, dt=0.002, seed=0)
+        topology = Topology()
+        topology.attach(BottleneckLink(MU, policy=DropTail(MU * 0.1)))
+        general = TopologyNetwork(topology, dt=0.002, seed=0)
+        assert _cruise_fingerprint(built) == _cruise_fingerprint(general)
 
     def test_network_is_a_one_hop_topology(self):
-        network = Network(BottleneckLink(MU), dt=0.002)
-        assert isinstance(network, TopologyNetwork)
+        network = make_network(24.0, dt=0.002)
+        assert type(network) is TopologyNetwork
         assert [link.name for link in network.topology.links] == \
             ["bottleneck"]
         assert network.topology.monitor_link is network.link
