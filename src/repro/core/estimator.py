@@ -19,6 +19,7 @@ the pulser-conflict check of §6.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Optional, Tuple
 
 import numpy as np
@@ -133,10 +134,11 @@ class CrossTrafficEstimator:
 
     def _tail(self, series: Deque[float],
               duration: Optional[float]) -> np.ndarray:
-        arr = np.asarray(series, dtype=float)
-        if duration is None:
-            return arr
-        n = self.sample_count(duration)
-        if n >= len(arr):
-            return arr
-        return arr[-n:]
+        n = len(series)
+        if duration is not None:
+            n = min(n, self.sample_count(duration))
+        # Only the tail is read off the deque, newest first, so a 5 s
+        # window does not pay for copying the 30 s history.
+        newest_first = np.fromiter(islice(reversed(series), n), dtype=float,
+                                   count=n)
+        return newest_first[::-1].copy()

@@ -29,6 +29,8 @@ import random
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
+import numpy as np
+
 from ..cc.base import CongestionControl
 from ..cc.basic_delay import BasicDelay
 from ..cc.cubic import Cubic
@@ -47,6 +49,10 @@ from .pulses import AsymmetricSinusoidPulse, NoPulse, PulseShape
 #: Mode labels (shared with Copa's so classification accuracy is comparable).
 MODE_DELAY = "delay"
 MODE_COMPETITIVE = "competitive"
+
+#: How many of the newest z-sample timestamps the realised sample spacing is
+#: taken over (see :meth:`Nimbus.actual_sample_interval`).
+_SPACING_SAMPLES = 200
 
 
 class Nimbus(CongestionControl):
@@ -256,12 +262,11 @@ class Nimbus(CongestionControl):
         frequency axis must use the realised spacing or the pulse peak lands
         in the wrong bin.
         """
-        times = self.estimator.times()
+        times = self.estimator.times(
+            _SPACING_SAMPLES * self.estimator.sample_interval)
         if len(times) < 3:
             return self.sample_interval
-        import numpy as np
-
-        spacing = float(np.median(np.diff(times[-200:])))
+        spacing = float(np.median(np.diff(times)))
         return spacing if spacing > 0 else self.sample_interval
 
     def _single_flow_logic(self, now: float) -> None:

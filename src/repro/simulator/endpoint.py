@@ -118,7 +118,7 @@ class Flow:
     # ------------------------------------------------------------------ #
     def emit(self, now: float, dt: float) -> Optional[Chunk]:
         """Return the chunk to transmit during this tick, if any."""
-        if not self.active:
+        if not self._started or self._finished:
             return None
         self.source.advance(now, dt)
         self._run_control(now, dt)
@@ -142,8 +142,6 @@ class Flow:
             budget = min(budget, self.max_burst_bytes)
 
         if budget < 1.0 or not math.isfinite(budget):
-            if not math.isfinite(budget):
-                budget = 0.0
             return None
 
         chunk = Chunk(flow_id=self.flow_id, size=budget, seq=self.next_seq,

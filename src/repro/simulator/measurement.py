@@ -12,7 +12,25 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, List, Tuple
+
+
+def _newer_than(samples: Deque[tuple], cutoff: float) -> List[tuple]:
+    """The samples whose timestamp (field 0) is ``> cutoff``, oldest first.
+
+    Timestamps are appended in non-decreasing order, so those samples are a
+    suffix of the deque: walking back from the newest one costs what the
+    window holds, not what the horizon retains.  The suffix is handed back
+    in its original order so that callers reduce it exactly as a full scan
+    would — a running sum would drift from that in the last ulp.
+    """
+    newest_first = []
+    for sample in reversed(samples):
+        if not sample[0] > cutoff:
+            break
+        newest_first.append(sample)
+    newest_first.reverse()
+    return newest_first
 
 
 class WindowedCounter:
@@ -53,8 +71,7 @@ class WindowedCounter:
     def sum_over(self, now: float, window: float) -> float:
         """Total bytes recorded in the trailing ``window`` seconds."""
         self._prune(now)
-        cutoff = now - window
-        return sum(b for t, b in self._samples if t > cutoff)
+        return sum(b for _, b in _newer_than(self._samples, now - window))
 
     def rate_over(self, now: float, window: float) -> float:
         """Average rate (bytes/s) over the trailing ``window`` seconds."""
@@ -179,8 +196,7 @@ class FlowMeasurement:
         cross-traffic estimate insensitive to the sender's own pulses.
         """
         window = window if window is not None else self.measurement_window()
-        cutoff = now - window
-        records = [rec for rec in self._acked if rec[0] > cutoff]
+        records = _newer_than(self._acked, now - window)
         if len(records) < 3:
             return self.send_rate(now, window), self.delivery_rate(now, window)
         total = sum(nbytes for _, _, nbytes in records)

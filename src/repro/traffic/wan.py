@@ -15,6 +15,7 @@ at any time, the fraction of delivered cross-traffic bytes that belong to
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -66,8 +67,13 @@ class WanTrafficGenerator:
         self.flow_sizes = (config.flow_sizes if config.flow_sizes is not None
                            else HeavyTailedFlowSizes(seed=config.seed))
         self.records: List[CrossFlowRecord] = []
-        self._rng = network.rng if config.seed is None else __import__(
-            "random").Random(config.seed)
+        #: Generated flows that have not finished.  A finished flow never
+        #: runs again, so an arrival prunes and counts this roster (at most
+        #: ``max_concurrent`` plus the flows not yet started) instead of
+        #: rescanning every record ever made.
+        self._live: List[Flow] = []
+        self._rng = (network.rng if config.seed is None
+                     else random.Random(config.seed))
         self._arrival_rate = self.flow_sizes.arrival_rate_for_load(
             config.link_rate, config.load)
         self._stopped = False
@@ -89,7 +95,9 @@ class WanTrafficGenerator:
     def _on_arrival(self, now: float) -> None:
         if self._stopped:
             return
-        active = sum(1 for r in self.records if r.flow.active)
+        live = self._live = [flow for flow in self._live
+                             if not flow._finished]
+        active = sum(1 for flow in live if flow._started)
         if active < self.config.max_concurrent:
             sample = self.flow_sizes.sample()
             rtt = self.config.prop_rtt
@@ -100,6 +108,7 @@ class WanTrafficGenerator:
                         source=FiniteSource(sample.size_bytes),
                         start_time=now, name=self.config.name)
             self.network.add_flow(flow)
+            live.append(flow)
             self.records.append(CrossFlowRecord(
                 flow=flow, size_bytes=sample.size_bytes,
                 elastic=sample.elastic, start_time=now))

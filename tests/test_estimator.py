@@ -108,3 +108,59 @@ class TestCrossTrafficEstimator:
         assert len(est.z_series()) == len(est.s_series()) == len(est.r_series())
         assert len(est.times()) == len(est.z_series())
         assert np.all(np.diff(est.times()) > 0)
+
+
+class TestSeriesTail:
+    """``*_series(duration)`` / ``times(duration)`` read the newest
+    ``sample_count(duration)`` samples, oldest first, and nothing else."""
+
+    INTERVAL = 0.01
+
+    def _filled(self, samples: int, history: float = 1.0):
+        est = CrossTrafficEstimator(MU, sample_interval=self.INTERVAL,
+                                    history=history)
+        for i in range(samples):
+            est.add_sample(i * self.INTERVAL, (i + 1.0) * 1e3, 0.4 * MU)
+        return est, [(i + 1.0) * 1e3 for i in range(samples)][-est.maxlen:]
+
+    def test_duration_rounding_to_zero_samples_is_empty(self):
+        # Regression: ``arr[-0:]`` used to hand back the whole series.
+        est, _ = self._filled(30)
+        for series in (est.z_series, est.s_series, est.r_series, est.times):
+            tail = series(self.INTERVAL / 2 - 1e-6)
+            assert tail.shape == (0,) and tail.dtype == np.float64
+
+    def test_none_returns_everything(self):
+        est, sent = self._filled(30)
+        assert est.s_series().tolist() == sent
+        assert est.s_series(None).tolist() == sent
+
+    def test_duration_longer_than_history_returns_everything(self):
+        est, sent = self._filled(30)
+        assert est.s_series(10.0).tolist() == sent
+
+    def test_tail_is_the_newest_samples_oldest_first(self):
+        est, sent = self._filled(30)
+        assert est.s_series(0.07).tolist() == sent[-7:]
+        assert est.times(0.07).tolist() == [i * self.INTERVAL
+                                            for i in range(23, 30)]
+
+    def test_exactly_full_deque(self):
+        est, sent = self._filled(250, history=1.0)
+        assert len(est) == est.maxlen == 100 and len(sent) == 100
+        assert est.s_series().tolist() == sent
+        assert est.s_series(1.0).tolist() == sent
+        assert est.s_series(0.25).tolist() == sent[-25:]
+        assert est.s_series(0.0).tolist() == []
+
+    def test_empty_estimator(self):
+        est = CrossTrafficEstimator(MU)
+        assert est.z_series().shape == (0,)
+        assert est.z_series(5.0).shape == (0,)
+
+    def test_result_is_a_private_contiguous_copy(self):
+        est, sent = self._filled(30)
+        tail = est.s_series(0.1)
+        assert tail.flags["C_CONTIGUOUS"] and tail.flags["OWNDATA"]
+        tail[:] = 0.0
+        assert est.s_series(0.1).tolist() == sent[-10:]

@@ -2,6 +2,8 @@
 
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simulator.measurement import FlowMeasurement, WindowedCounter
 
@@ -156,3 +158,173 @@ class TestPickleStability:
     def test_no_instance_dict(self):
         assert not hasattr(FlowMeasurement(), "__dict__")
         assert not hasattr(WindowedCounter(), "__dict__")
+
+
+# ---------------------------------------------------------------------- #
+# Differential tests: the suffix walk against a full scan
+# ---------------------------------------------------------------------- #
+class FullScanCounter(WindowedCounter):
+    """Reference oracle: ``sum_over`` filters every retained sample."""
+
+    __slots__ = ()
+
+    def sum_over(self, now, window):
+        self._prune(now)
+        cutoff = now - window
+        return sum(b for t, b in self._samples if t > cutoff)
+
+
+class FullScanMeasurement(FlowMeasurement):
+    """Reference oracle: ``paired_rates`` filters every retained record."""
+
+    __slots__ = ()
+
+    def __init__(self, horizon=10.0):
+        super().__init__(horizon)
+        self.sent = FullScanCounter(horizon)
+        self.delivered = FullScanCounter(horizon)
+        self.lost = FullScanCounter(horizon)
+
+    def paired_rates(self, now, window=None):
+        window = window if window is not None else self.measurement_window()
+        cutoff = now - window
+        records = [rec for rec in self._acked if rec[0] > cutoff]
+        if len(records) < 3:
+            return self.send_rate(now, window), self.delivery_rate(now, window)
+        total = sum(nbytes for _, _, nbytes in records)
+        total_gap = total - records[0][2]
+        ack_span = records[-1][0] - records[0][0]
+        sent_span = records[-1][1] - records[0][1]
+        if ack_span <= 0 or sent_span <= 0 or total_gap <= 0:
+            return self.send_rate(now, window), self.delivery_rate(now, window)
+        send_rate = total_gap / sent_span
+        delivery_rate = total_gap / ack_span
+        if delivery_rate > self.max_delivery_rate:
+            self.max_delivery_rate = delivery_rate
+        return send_rate, delivery_rate
+
+
+#: Quarter-second steps are exact in binary, so timestamps repeat (step 0)
+#: and samples land exactly on ``now - window`` and ``now - horizon``; the
+#: irregular steps and sizes make the order of the additions matter.
+HORIZON = 2.0
+steps = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
+                  st.floats(min_value=0.0, max_value=1.5))
+#: Queries may also lag or lead the newest sample.
+offsets = st.sampled_from([-0.5, -0.25, 0.0, 0.0, 0.25, 1.0, HORIZON])
+windows = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, HORIZON, HORIZON + 0.25, 1e9]),
+    st.floats(min_value=0.0, max_value=2 * HORIZON))
+#: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1 and 1e16 absorbs a lone 1.0: sums
+#: of these depend on the order they are added in.
+sizes = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 1500.0, 1e16]),
+                  st.floats(min_value=0.1, max_value=1e7))
+rtts = st.one_of(st.sampled_from([0.0, 0.25, 0.5]),
+                 st.floats(min_value=0.001, max_value=1.0))
+
+counter_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), steps, sizes),
+    st.tuples(st.just("sum_over"), offsets, windows)), max_size=80)
+
+
+@given(ops=counter_ops)
+def test_sum_over_equals_full_scan(ops):
+    new, ref = WindowedCounter(HORIZON), FullScanCounter(HORIZON)
+    clock = 0.0
+    for op, step, value in ops:
+        if op == "add":
+            clock += step
+            new.add(clock, value)
+            ref.add(clock, value)
+        else:
+            assert new.sum_over(clock + step, value) == \
+                ref.sum_over(clock + step, value)
+        assert new._samples == ref._samples
+    assert new.total == ref.total
+
+
+#: ACKs and ``paired_rates`` are drawn most often, so that windows holding
+#: three or more records with a positive span (no fallback) are common.
+acks = st.tuples(st.just("on_ack"), steps, sizes, rtts)
+queries = st.tuples(
+    st.sampled_from(["paired_rates"] * 4
+                    + ["send_rate", "delivery_rate", "loss_rate"]),
+    offsets, st.one_of(st.none(), windows))
+measurement_ops = st.lists(st.one_of(
+    acks, acks, acks, queries, queries,
+    st.tuples(st.just("on_send"), steps, sizes),
+    st.tuples(st.just("on_loss"), steps, sizes)), max_size=80)
+
+
+@given(ops=measurement_ops)
+def test_paired_rates_equal_full_scan(ops):
+    new, ref = FlowMeasurement(HORIZON), FullScanMeasurement(HORIZON)
+    clock = 0.0
+    for op, step, *args in ops:
+        if op.startswith("on_"):
+            clock += step
+            if op == "on_ack":
+                args.append(0.0)  # queue delay: stored, never summed
+            getattr(new, op)(clock, *args)
+            getattr(ref, op)(clock, *args)
+        else:
+            assert getattr(new, op)(clock + step, *args) == \
+                getattr(ref, op)(clock + step, *args)
+        assert new.max_delivery_rate == ref.max_delivery_rate
+    assert new._acked == ref._acked
+    for name in ("sent", "delivered", "lost"):
+        assert getattr(new, name)._samples == getattr(ref, name)._samples
+
+
+class TestWindowEdges:
+    """The cases the differential tests must not miss, spelled out."""
+
+    def test_sample_exactly_on_the_cutoff_is_excluded(self):
+        counter = WindowedCounter()
+        for t in (1.0, 1.5, 1.5, 2.0):
+            counter.add(t, 100)
+        # now - window == 1.5 exactly: both duplicates fall outside.
+        assert counter.sum_over(2.0, window=0.5) == 100
+        assert counter.sum_over(2.0, window=0.75) == 300
+
+    def test_window_longer_than_horizon_reads_what_is_retained(self):
+        counter = WindowedCounter(horizon=1.0)
+        for t in (0.5, 1.0, 2.0):
+            counter.add(t, 100)
+        # t == now - horizon is retained (pruning drops strictly older).
+        assert counter.sum_over(2.0, window=5.0) == 200
+        assert [t for t, _ in counter._samples] == [1.0, 2.0]
+
+    def test_query_older_than_newest_sample_still_counts_it(self):
+        counter = WindowedCounter()
+        counter.add(1.0, 100)
+        counter.add(2.0, 50)
+        assert counter.sum_over(1.5, window=1.0) == 150
+
+    def test_summation_order_is_oldest_first(self):
+        # 1e16 + 1 + 1 is 1e16 added oldest-first, 1e16 + 2 newest-first.
+        counter = WindowedCounter()
+        for t, b in ((1.0, 1e16), (2.0, 1.0), (3.0, 1.0)):
+            counter.add(t, b)
+        assert counter.sum_over(3.0, window=10.0) == sum([1e16, 1.0, 1.0])
+
+    def test_paired_rates_fallbacks_match_windowed_rates(self):
+        m = FlowMeasurement()
+        m.on_send(0.9, 3000)
+        m.on_ack(1.0, 1500, rtt=0.1, queue_delay=0.0)
+        m.on_ack(1.0, 1500, rtt=0.1, queue_delay=0.0)
+        # Two records: too few to span a gap.
+        assert m.paired_rates(1.0, 0.5) == (m.send_rate(1.0, 0.5),
+                                            m.delivery_rate(1.0, 0.5))
+        m.on_ack(1.0, 1500, rtt=0.1, queue_delay=0.0)
+        # Three records with one ACK time: zero span.
+        assert m.paired_rates(1.0, 0.5) == (6000.0, 9000.0)
+        assert m.max_delivery_rate == 9000.0
+
+    def test_paired_rates_reads_only_the_window(self):
+        m = FlowMeasurement()
+        for i in range(8):
+            m.on_ack(1.0 + 0.25 * i, 1000, rtt=0.25, queue_delay=0.0)
+        # Records acked after 2.75 - 0.75 = 2.0: t = 2.25, 2.5, 2.75.
+        assert m.paired_rates(2.75, 0.75) == (4000.0, 4000.0)
+        assert m.max_delivery_rate == 4000.0

@@ -104,6 +104,114 @@ class TestWanGenerator:
         assert len(generator.records) == count
 
 
+class TestWanGeneratorRoster:
+    """The generator counts concurrency over a pruned roster of live flows;
+    it must decide exactly as a rescan of every record would."""
+
+    MAX_CONCURRENT = 6
+
+    def checked_generator(self, stop_at_arrival=None):
+        """A generator whose every arrival is checked against the rescan.
+
+        Returns (network, generator, log); ``log`` holds one dict per
+        arrival.  ``stop_at_arrival`` ends one running cross flow through
+        ``Flow.stop`` just before that arrival is handled.
+        """
+        network, _ = quick_network(link_mbps=12, buffer_ms=100, dt=0.004)
+        config = WanWorkloadConfig(
+            link_rate=mbps_to_bytes_per_sec(12), load=0.95, prop_rtt=0.05,
+            seed=5, max_concurrent=self.MAX_CONCURRENT)
+        generator = WanTrafficGenerator(network, config)
+        original = generator._on_arrival
+        log = []
+
+        def checked(now):
+            records = generator.records
+            if stop_at_arrival == len(log):
+                victim = next(r.flow for r in records if r.flow.active)
+                victim.stop(now)
+            rescan = sum(1 for r in records if r.flow.active)
+            before = len(records)
+            original(now)
+            roster = generator._live
+            created = len(records) - before
+            assert created == (1 if rescan < self.MAX_CONCURRENT else 0)
+            # Exactly the unfinished flows, in creation order: the started
+            # ones among them are the rescan's count.
+            assert roster == [r.flow for r in records
+                              if not r.flow.finished]
+            assert sum(1 for flow in roster[:len(roster) - created]
+                       if flow.active) == rescan
+            waiting = sum(1 for flow in roster if not flow._started)
+            assert len(roster) <= self.MAX_CONCURRENT + waiting
+            log.append({"rescan": rescan, "created": created})
+
+        # The generator re-schedules ``self._on_arrival``, so the instance
+        # attribute routes every arrival through the check.
+        generator._on_arrival = checked
+        generator.start()
+        return network, generator, log
+
+    def test_count_matches_rescan_at_every_arrival(self):
+        network, generator, log = self.checked_generator()
+        network.run(20.0)
+        assert len(log) > 100
+        # The run is loaded enough to be refused at the cap...
+        assert any(entry["created"] == 0 for entry in log)
+        assert max(entry["rescan"] for entry in log) == self.MAX_CONCURRENT
+        # ...and long enough that the records grow past ten times the cap
+        # (every arrival above checked that the roster did not).
+        assert len(generator.records) > 10 * self.MAX_CONCURRENT
+
+    def test_flow_stopped_early_leaves_the_roster(self):
+        network, generator, log = self.checked_generator(stop_at_arrival=40)
+        network.run(8.0)
+        assert len(log) > 41
+        stopped = [r.flow for r in generator.records
+                   if r.flow.finished and not r.flow.source.finished]
+        assert len(stopped) == 1
+        assert stopped[0] not in generator._live
+
+    def test_flows_not_yet_started_are_kept_but_not_counted(self):
+        network, _ = quick_network(link_mbps=12, dt=0.004)
+        config = WanWorkloadConfig(link_rate=mbps_to_bytes_per_sec(12),
+                                   seed=5, max_concurrent=2)
+        generator = WanTrafficGenerator(network, config)
+        # Arrivals stamped ahead of the engine clock: the flows are queued
+        # to start later, so none of them counts against the cap yet.
+        for _ in range(4):
+            generator._on_arrival(1.0)
+        assert len(generator.records) == len(generator._live) == 4
+        assert not any(r.flow.active for r in generator.records)
+        network.run(1.1)
+        active = sum(1 for r in generator.records if r.flow.active)
+        assert active > 2
+        before = len(generator.records)
+        generator._on_arrival(network.now)
+        assert len(generator.records) == before
+
+    def test_records_and_statistics_do_not_depend_on_the_roster(self):
+        network, generator, _ = self.checked_generator()
+        added = []
+        add_flow = network.add_flow
+        network.add_flow = lambda flow: added.append(flow) or add_flow(flow)
+        network.run(12.0)
+        records = generator.records
+        # One record per generated flow, in creation order, finished or not.
+        assert [r.flow for r in records] == added
+        assert len(generator._live) < len(records) / 5
+        completed = generator.completed_records()
+        expected = [r for r in records if r.flow.fct is not None]
+        assert len(completed) == len(expected) > 50
+        assert all(a is b for a, b in zip(completed, expected))
+        # Finished flows left the roster but still carry their bytes.
+        elastic = sum(r.flow.stats.bytes_delivered for r in records
+                      if r.elastic)
+        total = sum(r.flow.stats.bytes_delivered for r in records)
+        assert generator.elastic_byte_fraction(0.0, 12.0) == \
+            pytest.approx(elastic / total)
+
+
 class TestScripted:
     def test_phase_lookup(self):
         phases = [Phase(duration=10.0, elastic_flows=1),
