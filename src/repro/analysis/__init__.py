@@ -7,7 +7,14 @@ from .accuracy import (
     classification_accuracy,
     mode_fraction,
 )
-from .fct import DEFAULT_SIZE_BINS, FctBin, bin_label, fct_by_size, normalized_p95
+from .fct import (
+    DEFAULT_SIZE_BINS,
+    FctBin,
+    FctRecord,
+    bin_label,
+    fct_by_size,
+    normalized_p95,
+)
 from .metrics import (
     ThroughputDelaySummary,
     cdf,
@@ -24,6 +31,7 @@ __all__ = [
     "AccuracyReport",
     "DEFAULT_SIZE_BINS",
     "FctBin",
+    "FctRecord",
     "MODE_COMPETITIVE",
     "MODE_DELAY",
     "ThroughputDelaySummary",

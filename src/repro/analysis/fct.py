@@ -8,7 +8,7 @@ value measured when the competing bulk flow runs Nimbus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,6 +16,19 @@ from .metrics import percentile
 
 #: The paper's flow-size bin edges (upper bound of each bin, in bytes).
 DEFAULT_SIZE_BINS = (15e3, 150e3, 1.5e6, 15e6, 150e6)
+
+
+class FctRecord(NamedTuple):
+    """One completed cross flow as experiment payloads carry it.
+
+    The four values of a :class:`repro.traffic.wan.CrossFlowRecord` that
+    outlive the run — plain data, so a cached payload embeds no ``Flow``.
+    """
+
+    size_bytes: float
+    elastic: bool
+    start_time: float
+    fct: float
 
 
 @dataclass
@@ -46,9 +59,10 @@ def fct_by_size(records: Iterable, size_bins: Sequence[float] = DEFAULT_SIZE_BIN
                 ) -> Dict[str, FctBin]:
     """Group completed cross-flow records by size and summarise FCTs.
 
-    ``records`` are :class:`repro.traffic.wan.CrossFlowRecord` objects (or
-    anything with ``size_bytes`` and ``fct`` attributes); records without an
-    FCT (unfinished flows) are ignored.
+    ``records`` are :class:`FctRecord` rows or live
+    :class:`repro.traffic.wan.CrossFlowRecord` objects (anything with
+    ``size_bytes`` and ``fct`` attributes); records without an FCT
+    (unfinished flows) are ignored.
     """
     buckets: Dict[float, List[float]] = {b: [] for b in size_bins}
     for record in records:

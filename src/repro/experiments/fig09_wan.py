@@ -13,6 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..analysis.fct import FctRecord
 from ..analysis.metrics import rate_cdf_over_intervals, summarize_flow
 from ..runtime import ScenarioSpec, run_batch
 from ..traffic import WanTrafficGenerator, WanWorkloadConfig
@@ -70,8 +71,9 @@ def run_case(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
 
     This is the batch unit behind :func:`run` (and Fig. 13's load sweep):
     the runtime executes it in worker processes and memoises the returned
-    payload, so only picklable summaries leave this function — never the
-    network object itself.
+    payload, so only data leaves this function — summaries, arrays and
+    :class:`~repro.analysis.fct.FctRecord` rows, never the network or a
+    ``Flow``.
     """
     network, _, generator = run_single(
         scheme, link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
@@ -85,7 +87,10 @@ def run_case(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     summary = summarize_flow(recorder, MAIN_FLOW, scheme=scheme, start=warmup)
     if generator is not None:
         cross_flows = len(generator.records)
-        fct_records = generator.completed_records()
+        fct_records = [
+            FctRecord(record.size_bytes, record.elastic, record.start_time,
+                      record.fct)
+            for record in generator.completed_records()]
         fluid_extra = {}
     else:
         cls = network.fluid_classes()[0]

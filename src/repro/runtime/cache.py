@@ -8,7 +8,14 @@ experiment driver therefore invalidates only that driver's entries, while
 editing something everyone imports (``simulator/topology.py``) invalidates
 everything — stale results from older code can never be served, but
 unrelated edits keep the cache warm.  A target the dependency graph cannot
-resolve is keyed by the whole-package :func:`source_digest` instead.
+resolve is keyed by the whole-package :func:`source_digest` instead.  The
+graph keeps its per-file stat index, ``depgraph-index.json``, beside the
+``mod-*`` directories.
+
+Entries are data: the executor pickles each miss once and hands the bytes
+to :meth:`ResultCache.put` as they are, and drivers return summaries,
+arrays and plain rows — never a network, a ``Flow`` or anything else a
+reader would need the simulator's classes (and their pickle layout) for.
 
 Corrupt entries (truncated pickles, results pickled against code that no
 longer exists) are deleted on load failure rather than left to fail again
@@ -76,6 +83,26 @@ def source_digest() -> str:
     return _SOURCE_DIGEST
 
 
+def write_atomic(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temp file + ``os.replace``.
+
+    A crashed or parallel writer can at worst leave an orphan temp file,
+    never a truncated ``path``.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Pickle-per-entry result store, keyed by spec hash + module digest.
 
@@ -115,7 +142,7 @@ class ResultCache:
                 else depgraph.default_graph()
             try:
                 return f"mod-{graph.digest_for(module)}"
-            except Exception:
+            except depgraph.DigestError:
                 pass
         return source_digest()
 
@@ -168,28 +195,20 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def _write_bytes(self, path: Path, payload: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+    def put(self, spec_hash: str, result: Any, fn: Optional[str] = None,
+            *, pickled: bool = False) -> bool:
+        """Store a result; returns False when disabled or unpicklable.
 
-    def put(self, spec_hash: str, result: Any,
-            fn: Optional[str] = None) -> bool:
-        """Store a result; returns False when disabled or unpicklable."""
+        ``pickled=True`` says ``result`` already *is* the result's pickle
+        (the executor serialises each miss once and returns what those
+        same bytes load to); it is written verbatim.
+        """
         if not self.enabled:
             return False
         try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            self._write_bytes(self._entry_path(spec_hash, fn), payload)
+            payload = result if pickled else pickle.dumps(
+                result, protocol=pickle.HIGHEST_PROTOCOL)
+            write_atomic(self._entry_path(spec_hash, fn), payload)
         except (OSError, pickle.PicklingError, TypeError):
             return False
         return True

@@ -10,7 +10,8 @@ digests of modules that can reach it (just itself), while editing
 transitively — imports the engine.
 
 The graph is built with :mod:`ast`, never by importing anything, and is
-memoised per process.  Resolution rules, deliberately simple and
+memoised per process — and, per source file, across processes: see "The
+stat index" below.  Resolution rules, deliberately simple and
 deterministic:
 
 * ``import a.b.c`` depends on module ``a.b.c``.
@@ -35,11 +36,32 @@ reachable set is a plain closure, and the digest is computed over the
 sorted (module name, source sha) pairs, so it is deterministic across
 interpreter runs and hash seeds.
 
+The stat index
+--------------
+
+Reading, hashing and parsing the ~50 files of a driver's closure used to
+cost every process ~0.1 s — a third of a launch that is otherwise served
+from cache.  What a file contributes (its content sha256 and its import
+statements, still unresolved) is a pure function of its bytes, so the graph
+keeps those per file in ``<cache dir>/depgraph-index.json`` and trusts an
+entry only while the file's ``(st_size, st_mtime_ns, st_ctime_ns)`` are the
+recorded ones *and* both times are strictly older than the index file's
+own mtime, its write stamp (git's racy-clean rule: a file touched in the
+instant the index was written could change again without its stat moving,
+so it is re-hashed next time).
+Everything that depends on more than one file — which names resolve to
+tracked modules, the closure, the digest — is recomputed live, so an
+indexed digest is the digest a fresh graph computes, at the price of one
+``stat`` per closure file plus the ``is_file`` probes of name resolution.
+An unreadable, truncated or wrong-schema index is ignored and replaced
+(temp file + ``os.replace``).  Graphs built with ``overlay=`` and processes
+running with ``REPRO_NO_CACHE`` neither read nor write it.
+
 A small CLI supports cache-key plumbing from CI::
 
     python -m repro.runtime.depgraph digest repro.experiments.link_flap
     python -m repro.runtime.depgraph deps repro.experiments.fig09_wan
-    python -m repro.runtime.depgraph key repro.experiments.*  # one key
+    python -m repro.runtime.depgraph key 'repro.experiments.*'  # one key
 """
 
 from __future__ import annotations
@@ -47,12 +69,22 @@ from __future__ import annotations
 import ast
 import hashlib
 import importlib.util
+import json
+import os
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 #: Length of the hex digests this module hands out (same as the legacy
 #: whole-package digest, so directory names stay uniform).
 DIGEST_LEN = 16
+
+#: File name of the stat index inside the cache directory.
+INDEX_NAME = "depgraph-index.json"
+_INDEX_SCHEMA = 1
+
+#: One import statement as the index stores it: ``[level, module, names]``,
+#: ``names`` being ``None`` for a plain ``import module``.
+ImportStatement = List[Union[int, str, None, List[str]]]
 
 
 class DigestError(LookupError):
@@ -89,9 +121,17 @@ class DependencyGraph:
             self._overlay[Path(key).resolve()] = data
         self._unresolvable_tops: Set[str] = set()
         self._file_memo: Dict[str, Optional[Path]] = {}
-        self._sha_memo: Dict[Path, str] = {}
+        self._scan_memo: Dict[Path, Tuple[str, List[ImportStatement]]] = {}
         self._imports_memo: Dict[str, Tuple[str, ...]] = {}
         self._digest_memo: Dict[str, str] = {}
+        #: The stat index: path -> [[size, mtime_ns, ctime_ns], sha256,
+        #: import statements].  ``_index`` holds the stored entries that
+        #: passed the racy-clean rule (``None`` until first needed, and for
+        #: good in graphs that must not use one); ``_hashed`` what this
+        #: process had to hash itself and will write back.
+        self._index: Optional[Dict[str, list]] = None
+        self._hashed: Dict[str, list] = {}
+        self._index_dirty = False
 
     # ------------------------------------------------------------------ #
     # Root management
@@ -145,21 +185,65 @@ class DependencyGraph:
         self._file_memo[module] = path
         return path
 
-    def _read(self, path: Path) -> bytes:
-        resolved = path.resolve()
-        if resolved in self._overlay:
-            return self._overlay[resolved]
-        return path.read_bytes()
+    # ------------------------------------------------------------------ #
+    # Per-file facts: content sha + import statements (the stat index)
+    # ------------------------------------------------------------------ #
+    def _scanned(self, path: Path) -> Tuple[str, List[ImportStatement]]:
+        """``(sha256, import statements)`` of one source file.
 
-    def _file_sha(self, path: Path) -> str:
-        resolved = path.resolve()
-        if resolved not in self._sha_memo:
-            self._sha_memo[resolved] = hashlib.sha256(
-                self._read(path)).hexdigest()
-        return self._sha_memo[resolved]
+        Served from the stat index while the file's stat is the recorded
+        one (see the module docstring); otherwise the file is read, hashed
+        and parsed, and queued for the next index write.
+        """
+        if path in self._scan_memo:
+            return self._scan_memo[path]
+        index = self._loaded_index()
+        if index is None:
+            overlaid = self._overlay.get(path.resolve()) \
+                if self._overlay else None
+            scanned = _scan_source(path.read_bytes() if overlaid is None
+                                   else overlaid)
+        else:
+            status = os.stat(path)
+            stat = [status.st_size, status.st_mtime_ns, status.st_ctime_ns]
+            entry = index.get(str(path))
+            if entry is not None and entry[0] == stat:
+                scanned = entry[1], entry[2]
+            else:
+                scanned = _scan_source(path.read_bytes())
+                self._hashed[str(path)] = [stat, *scanned]
+                self._index_dirty = True
+        self._scan_memo[path] = scanned
+        return scanned
+
+    def _loaded_index(self) -> Optional[Dict[str, list]]:
+        """The stat index, read on first use; ``None`` = do without one."""
+        if self._index is None and not self._overlay:
+            path = _index_path()
+            if path is not None:
+                self._index = _read_index(path)
+        return self._index
+
+    def _save_index(self) -> None:
+        """Write the index back if this process hashed anything itself."""
+        path = _index_path() if self._index_dirty else None
+        if path is None:
+            return
+        from .cache import write_atomic
+
+        files = {name: entry
+                 for name, entry in {**self._index, **self._hashed}.items()
+                 if os.path.exists(name)}
+        payload = json.dumps({"schema": _INDEX_SCHEMA, "files": files},
+                             separators=(",", ":"))
+        try:
+            write_atomic(path, payload.encode("ascii"))
+        except OSError:
+            return  # an unwritable cache dir costs the next process a re-hash
+        self._index_dirty = False
 
     # ------------------------------------------------------------------ #
-    # Import extraction
+    # Import resolution
     # ------------------------------------------------------------------ #
     def imports_of(self, module: str) -> Tuple[str, ...]:
         """Tracked modules that ``module`` imports directly (sorted)."""
@@ -168,62 +252,57 @@ class DependencyGraph:
         path = self._module_file(module)
         found: Set[str] = set()
         if path is not None:
-            try:
-                tree = ast.parse(self._read(path))
-            except SyntaxError:
-                tree = None
-            if tree is not None:
-                is_pkg = path.name == "__init__.py"
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Import):
-                        for alias in node.names:
-                            if self._module_file(alias.name) is not None:
-                                found.add(alias.name)
-                    elif isinstance(node, ast.ImportFrom):
-                        found.update(self._from_import_targets(
-                            module, is_pkg, node))
+            is_pkg = path.name == "__init__.py"
+            for level, source, names in self._scanned(path)[1]:
+                if names is None:
+                    if self._module_file(source) is not None:
+                        found.add(source)
+                else:
+                    found.update(self._from_import_targets(
+                        module, is_pkg, level, source, names))
         found.discard(module)
         resolved = tuple(sorted(found))
         self._imports_memo[module] = resolved
         return resolved
 
-    def _from_import_targets(self, module: str, is_pkg: bool,
-                             node: ast.ImportFrom) -> Set[str]:
-        """Modules referenced by one ``from ... import ...`` statement."""
-        if node.level == 0:
-            base = node.module
+    def _from_import_targets(self, module: str, is_pkg: bool, level: int,
+                             source: Optional[str],
+                             names: Iterable[str]) -> Set[str]:
+        """Modules referenced by ``from <level dots><source> import names``."""
+        if level == 0:
+            base = source
         else:
             parts = module.split(".")
             if not is_pkg:
                 parts = parts[:-1]
-            strip = node.level - 1
+            strip = level - 1
             if strip > len(parts):
                 return set()
             parts = parts[:len(parts) - strip] if strip else parts
-            if not parts and not node.module:
+            if not parts and not source:
                 return set()
-            base = ".".join(parts + node.module.split(".")) if node.module \
+            base = ".".join(parts + source.split(".")) if source \
                 else ".".join(parts)
         if not base:
             return set()
         targets: Set[str] = set()
-        if node.module is not None:
+        if source is not None:
             # The source module was named explicitly: depend on it.
             if self._module_file(base) is not None:
                 targets.add(base)
-            for alias in node.names:
-                if alias.name == "*":
+            for name in names:
+                if name == "*":
                     continue
-                candidate = f"{base}.{alias.name}"
+                candidate = f"{base}.{name}"
                 if self._module_file(candidate) is not None:
                     targets.add(candidate)
         else:
             # ``from . import x``: depend on the named submodules; fall
             # back to the package __init__ only for pure attributes.
-            for alias in node.names:
-                if alias.name == "*":
+            for name in names:
+                if name == "*":
                     continue
-                candidate = f"{base}.{alias.name}"
+                candidate = f"{base}.{name}"
                 if self._module_file(candidate) is not None:
                     targets.add(candidate)
                 elif self._module_file(base) is not None:
@@ -255,6 +334,17 @@ class DependencyGraph:
                          if name not in seen)
         return tuple(sorted(seen))
 
+    def modules_in(self, package: str) -> Tuple[str, ...]:
+        """Sorted direct submodules (and subpackages) of a tracked package."""
+        self._ensure_root(package.partition(".")[0])
+        init = self._module_file(package)
+        if init is None or init.name != "__init__.py":
+            raise DigestError(f"{package!r} is not a tracked package")
+        return tuple(sorted(
+            f"{package}.{entry.stem}" for entry in init.parent.iterdir()
+            if (entry.suffix == ".py" and entry.stem != "__init__")
+            or (entry / "__init__.py").is_file()))
+
     def digest_for(self, module: str) -> str:
         """Hex digest of ``module``'s reachable closure (name + source sha).
 
@@ -267,18 +357,90 @@ class DependencyGraph:
             for name in self.reachable(module):
                 digest.update(name.encode("utf-8"))
                 digest.update(b"\0")
-                digest.update(self._file_sha(
-                    self._module_file(name)).encode("ascii"))
+                digest.update(self._scanned(
+                    self._module_file(name))[0].encode("ascii"))
                 digest.update(b"\n")
             self._digest_memo[module] = digest.hexdigest()[:DIGEST_LEN]
+            self._save_index()
         return self._digest_memo[module]
 
     def invalidate(self) -> None:
-        """Forget memoised files/imports/digests (after an on-disk edit)."""
+        """Forget memoised files/imports/digests (after an on-disk edit).
+
+        The stored stat index stays: its entries are re-checked against
+        the files' stat on next use, which is what catches the edit; files
+        this process hashed itself are hashed again.
+        """
         self._file_memo.clear()
-        self._sha_memo.clear()
+        self._scan_memo.clear()
         self._imports_memo.clear()
         self._digest_memo.clear()
+
+
+def _scan_source(source: bytes) -> Tuple[str, List[ImportStatement]]:
+    """Content sha256 and import statements of one file's bytes.
+
+    The statements are kept unresolved (dots, source, names as written),
+    so the pair depends on the bytes alone and can outlive the process.
+    """
+    statements: List[ImportStatement] = []
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        tree = None
+    if tree is not None:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                statements.extend([0, alias.name, None]
+                                  for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                statements.append([node.level, node.module,
+                                   [alias.name for alias in node.names]])
+    return hashlib.sha256(source).hexdigest(), statements
+
+
+def _index_path() -> Optional[Path]:
+    """Where the stat index lives; ``None`` while the cache is switched off."""
+    from . import cache  # which imports this module at load time
+
+    if not cache.cache_enabled():
+        return None
+    return cache.default_cache_dir() / INDEX_NAME
+
+
+def _read_index(path: Path) -> Dict[str, list]:
+    """The trustworthy entries of a stored index; ``{}`` if unusable.
+
+    The index file's mtime is its write stamp: an entry whose file was not
+    strictly older than that was racily clean when written and is dropped,
+    to be re-hashed on next use.
+    """
+    try:
+        with open(path, "rb") as handle:
+            stamp = os.fstat(handle.fileno()).st_mtime_ns
+            stored = json.load(handle)
+        if stored["schema"] != _INDEX_SCHEMA:
+            return {}
+        return {name: entry for name, entry in stored["files"].items()
+                if _valid_entry(entry) and max(entry[0][1:]) < stamp}
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        return {}  # absent, truncated, garbage: rebuilt and replaced on save
+
+
+def _valid_entry(entry: object) -> bool:
+    """Whether a stored index entry has the shape ``_scanned`` relies on."""
+    try:
+        stat, sha, statements = entry
+        return (len(stat) == 3 and all(type(n) is int for n in stat)
+                and isinstance(sha, str)
+                and all(type(level) is int
+                        and (source is None or isinstance(source, str))
+                        and (names is None or all(isinstance(name, str)
+                                                  for name in names))
+                        and not (source is None and names is None)
+                        for level, source, names in statements))
+    except (TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------- #
@@ -331,14 +493,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     graph = default_graph()
     try:
+        # ``pkg.*`` stands for every module directly inside ``pkg``.
+        modules = [name for given in args.modules
+                   for name in (graph.modules_in(given[:-2])
+                                if given.endswith(".*") else (given,))]
         if args.command == "digest":
-            for module in args.modules:
+            for module in modules:
                 print(f"{module} {graph.digest_for(module)}")
         elif args.command == "deps":
-            for name in graph.reachable(args.modules[0]):
+            for name in graph.reachable(modules[0]):
                 print(name)
         else:
-            print(combined_key(args.modules))
+            print(combined_key(modules))
     except DigestError as error:
         print(str(error), file=__import__("sys").stderr)
         return 2

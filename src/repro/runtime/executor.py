@@ -5,11 +5,14 @@ then a process pool for the misses (``REPRO_BENCH_WORKERS`` workers,
 default ``os.cpu_count()``), falling back to in-process serial execution
 when only one worker is configured or the batch has a single miss.
 
-Serial results are round-tripped through pickle before being returned, so
-a batch produces bit-identical payloads whether it ran serially, pooled,
-or from the cache — the pickle codec is the common denominator, and
-structures that differ only in memoised object identity (shared vs copied
-arrays) collapse to the same bytes.
+Every miss is serialised exactly once, in the process that computed it
+(:func:`_timed_execute`): those bytes are what the cache entry holds, and what
+``pickle.loads`` of them yields is what the batch returns.  A batch
+therefore produces bit-identical payloads whether it ran serially,
+pooled, hardened, or from the cache — the pickle codec is the common
+denominator, and structures that differ only in memoised object identity
+(shared vs copied arrays) collapse to the same bytes — without paying for
+a second ``dumps`` to store what was already serialised to be returned.
 
 Hardened mode
 -------------
@@ -27,8 +30,8 @@ the result cache.  Retries back off with seeded full jitter: attempt
 retry_backoff * 2**(n-1)))`` seconds, the draw keyed on
 ``(spec hash, attempt)`` so it is deterministic per spec and attempt —
 concurrent retries decorrelate without making metrics irreproducible.
-Because the child pickles its result into the pipe, hardened results are
-bit-identical to pool and serial results regardless of worker width.
+The child sends its result as the same single pickle, so hardened results
+are bit-identical to pool and serial results regardless of worker width.
 
 With ``journal_path`` set, every spec's terminal state is appended to a
 :class:`~repro.runtime.journal.BatchJournal` the moment it resolves;
@@ -81,12 +84,22 @@ def execute_spec(spec: ScenarioSpec) -> Any:
     return target(**spec.kwargs())
 
 
-def _timed_execute_in_worker(spec: ScenarioSpec) -> Tuple[float, int, Any]:
-    """Pool entry point: mark the process as a worker, execute, and time it."""
-    os.environ[_WORKER_ENV] = "1"
+def _timed_execute(spec: ScenarioSpec) -> Tuple[float, int, bytes]:
+    """Execute one spec: ``(driver wall seconds, pid, pickled result)``.
+
+    This ``dumps`` is the one serialisation of a miss: its bytes are
+    shipped, stored and loaded as they are.
+    """
     begin = time.perf_counter()
     result = execute_spec(spec)
-    return time.perf_counter() - begin, os.getpid(), result
+    return (time.perf_counter() - begin, os.getpid(),
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _timed_execute_in_worker(spec: ScenarioSpec) -> Tuple[float, int, bytes]:
+    """Pool entry point: mark the process as a worker, then execute."""
+    os.environ[_WORKER_ENV] = "1"
+    return _timed_execute(spec)
 
 
 def _isolated_entry(conn, spec: ScenarioSpec) -> None:
@@ -101,9 +114,7 @@ def _isolated_entry(conn, spec: ScenarioSpec) -> None:
     os.environ[_WORKER_ENV] = "1"
     begin = time.perf_counter()
     try:
-        result = execute_spec(spec)
-        payload = ("ok", time.perf_counter() - begin, os.getpid(),
-                   pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        payload = ("ok", *_timed_execute(spec))
     except BaseException:
         payload = ("error", time.perf_counter() - begin, os.getpid(),
                    traceback.format_exc().strip())
@@ -192,11 +203,6 @@ class BatchStats:
     timings: List[Tuple[str, Optional[float]]]
     failed: int = 0
     corrupt: int = 0
-
-
-def _pickle_roundtrip(result: Any) -> Any:
-    """Re-serialise a result exactly as a pool worker would."""
-    return pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class BatchExecutor:
@@ -336,22 +342,24 @@ class BatchExecutor:
                 fresh = self._run_misses_hardened(miss_specs, list(unique),
                                                   journal)
             else:
-                fresh = [(seconds, pid, result, 1) for seconds, pid, result
+                fresh = [(seconds, pid, pickled, 1) for seconds, pid, pickled
                          in self._run_misses(miss_specs)]
-            by_hash = dict(zip(unique, fresh))
-            for spec_hash, settled in by_hash.items():
+            result_by_hash: dict = {}
+            for spec_hash, settled in zip(unique, fresh):
                 if isinstance(settled, SpecFailure):
                     failure_by_hash[spec_hash] = settled
+                    result_by_hash[spec_hash] = settled
                     seconds_by_hash[spec_hash] = settled.seconds
                     pid_by_hash[spec_hash] = None
                     attempts_by_hash[spec_hash] = settled.attempts
                     continue
-                seconds, pid, result, attempts = settled
+                seconds, pid, pickled, attempts = settled
                 seconds_by_hash[spec_hash] = seconds
                 pid_by_hash[spec_hash] = pid
                 attempts_by_hash[spec_hash] = attempts
-                self.cache.put(spec_hash, result,
-                               fn=specs[unique[spec_hash]].fn)
+                self.cache.put(spec_hash, pickled,
+                               fn=specs[unique[spec_hash]].fn, pickled=True)
+                result_by_hash[spec_hash] = pickle.loads(pickled)
                 if journal is not None and not self.hardened:
                     # The hardened scheduler journals at reap time; the
                     # legacy path settles everything here.
@@ -361,9 +369,7 @@ class BatchExecutor:
                                    seconds=seconds)
             for index, result in enumerate(results):
                 if result is MISS:
-                    settled = by_hash[hashes[index]]
-                    results[index] = settled if isinstance(
-                        settled, SpecFailure) else settled[2]
+                    results[index] = result_by_hash[hashes[index]]
         self.last_stats = BatchStats(
             hits=missed.count(False),
             misses=missed.count(True),
@@ -407,17 +413,10 @@ class BatchExecutor:
 
     def _run_misses(
             self, specs: Sequence[ScenarioSpec]
-    ) -> List[Tuple[float, int, Any]]:
-        """Execute specs, returning ``(wall seconds, pid, result)`` per spec."""
+    ) -> List[Tuple[float, int, bytes]]:
+        """Execute specs: ``(wall seconds, pid, pickled result)`` per spec."""
         if self.workers <= 1 or len(specs) <= 1:
-            timed: List[Tuple[float, int, Any]] = []
-            pid = os.getpid()
-            for spec in specs:
-                begin = time.perf_counter()
-                result = execute_spec(spec)
-                timed.append((time.perf_counter() - begin, pid,
-                              _pickle_roundtrip(result)))
-            return timed
+            return [_timed_execute(spec) for spec in specs]
         width = min(self.workers, len(specs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
             return list(pool.map(_timed_execute_in_worker, specs))
@@ -425,10 +424,11 @@ class BatchExecutor:
     def _run_misses_hardened(
             self, specs: Sequence[ScenarioSpec], hashes: Sequence[str],
             journal: Optional[BatchJournal]
-    ) -> List[Union[Tuple[float, int, Any, int], SpecFailure]]:
+    ) -> List[Union[Tuple[float, int, bytes, int], SpecFailure]]:
         """Crash-isolated execution: one dedicated process per attempt.
 
-        Returns, per spec, either ``(seconds, pid, result, attempts)`` or
+        Returns, per spec, either ``(seconds, pid, pickled result,
+        attempts)`` — the child's bytes, untouched — or
         a terminal :class:`SpecFailure`.  A failed attempt (raise, timeout,
         worker death) is retried after a seeded full-jitter backoff
         (:meth:`retry_delay`) while attempts remain; sibling specs keep
@@ -502,8 +502,7 @@ class BatchExecutor:
                 del active[index]
                 status, seconds, pid, payload = settled
                 if status == "ok":
-                    settled_all[index] = (seconds, pid,
-                                          pickle.loads(payload), attempt)
+                    settled_all[index] = (seconds, pid, payload, attempt)
                     if journal is not None:
                         journal.record(spec_hash=hashes[index],
                                        label=specs[index].label,

@@ -38,21 +38,10 @@ class WindowedCounter:
 
     Slotted: every flow owns three of these and ``add`` runs on every send,
     delivery, and loss, so the per-instance ``__dict__`` was measurable
-    overhead.  Pickling is overridden to emit the exact dict state the
-    un-slotted class produced, because experiment payloads serialise whole
-    flows and their bytes must stay stable across this optimisation.
+    overhead.
     """
 
     __slots__ = ("horizon", "_samples", "_total")
-
-    def __getstate__(self) -> dict:
-        return {"horizon": self.horizon, "_samples": self._samples,
-                "_total": self._total}
-
-    def __setstate__(self, state: dict) -> None:
-        self.horizon = state["horizon"]
-        self._samples = state["_samples"]
-        self._total = state["_total"]
 
     def __init__(self, horizon: float = 10.0) -> None:
         #: Oldest age (seconds) of samples retained; anything older is pruned.
@@ -105,15 +94,6 @@ class FlowMeasurement:
     __slots__ = ("sent", "delivered", "lost", "rtt", "min_rtt",
                  "queue_delay", "max_delivery_rate", "_last_now", "_acked",
                  "_acked_horizon")
-
-    def __getstate__(self) -> dict:
-        # Same key order as the historical __dict__ so pickled flows are
-        # byte-identical (see WindowedCounter.__getstate__).
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
 
     def __init__(self, horizon: float = 10.0) -> None:
         self.sent = WindowedCounter(horizon)

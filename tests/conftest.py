@@ -30,6 +30,41 @@ def _isolated_result_cache(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def payload_dumps(tmp_path, monkeypatch):
+    """Count ``pickle.dumps`` calls on experiment payloads, across forks.
+
+    Patches ``pickle.dumps`` (forked workers inherit the patch) to append
+    ``<pid> <sha256 of the bytes produced>`` to a log file whenever the
+    object pickled is an ``ExperimentResult``; returns a callable that
+    reads the log back as ``[(pid, sha256), ...]``.
+    """
+    import hashlib
+    import pickle
+
+    from repro.experiments.common import ExperimentResult
+
+    log = tmp_path / "payload-dumps.log"
+    real_dumps = pickle.dumps
+
+    def logging_dumps(obj, *args, **kwargs):
+        data = real_dumps(obj, *args, **kwargs)
+        if isinstance(obj, ExperimentResult):
+            with open(log, "a", encoding="ascii") as handle:
+                handle.write(
+                    f"{os.getpid()} {hashlib.sha256(data).hexdigest()}\n")
+        return data
+
+    monkeypatch.setattr(pickle, "dumps", logging_dumps)
+
+    def entries():
+        if not log.exists():
+            return []
+        return [(int(pid), sha) for pid, sha in
+                (line.split() for line in log.read_text().splitlines())]
+    return entries
+
+
+@pytest.fixture
 def small_network():
     """A 24 Mbit/s, 100 ms-buffer network with a coarse tick for fast tests."""
     network, link = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)

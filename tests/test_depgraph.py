@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,14 +141,15 @@ def test_on_disk_edit_after_invalidate(toy_root, toy_graph):
 # --------------------------------------------------------------------- #
 # Determinism
 # --------------------------------------------------------------------- #
-def _digest_in_subprocess(toy_root, module, hashseed):
+def _digest_in_subprocess(toy_root, module, hashseed, prelude=""):
     import repro
 
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = str(hashseed)
-    code = ("from repro.runtime.depgraph import DependencyGraph; "
+    code = (prelude +
+            "from repro.runtime.depgraph import DependencyGraph; "
             f"g = DependencyGraph(packages={{'toypkg': {str(toy_root)!r}}}); "
             f"print(g.digest_for({module!r}))")
     out = subprocess.check_output([sys.executable, "-c", code], env=env)
@@ -163,6 +167,208 @@ def test_fresh_graph_instances_agree(toy_root, toy_graph):
     again = DependencyGraph(packages={"toypkg": toy_root})
     assert again.digest_for("toypkg.driver_b") == \
         toy_graph.digest_for("toypkg.driver_b")
+
+
+# --------------------------------------------------------------------- #
+# The stat index: what a file contributes, kept across processes
+# --------------------------------------------------------------------- #
+_NO_PARSING = ("import ast\n"
+               "def _refuse(*args, **kwargs):\n"
+               "    raise AssertionError('ast.parse called')\n"
+               "ast.parse = _refuse\n")
+
+
+@pytest.fixture
+def index_path():
+    """Where the graphs of this test keep their index (see conftest)."""
+    return Path(os.environ["REPRO_CACHE_DIR"]) / depgraph.INDEX_NAME
+
+
+def _toy(toy_root, **kwargs):
+    return DependencyGraph(packages={"toypkg": toy_root}, **kwargs)
+
+
+def _unindexed_digest(toy_root, module, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NO_CACHE", "1")
+        return _toy(toy_root).digest_for(module)
+
+
+def _age(*paths):
+    """Let the clock that stamps files tick, so ``paths`` are strictly
+    older than whatever is written next (kernels stamp files from a clock
+    that advances every 1-10 ms)."""
+    newest = max(max(os.stat(path).st_mtime_ns, os.stat(path).st_ctime_ns)
+                 for path in paths)
+    probe = Path(paths[0]).parent / ".clock-probe"
+    while True:
+        probe.write_bytes(b"")
+        if os.stat(probe).st_mtime_ns > newest:
+            break
+        time.sleep(0.002)
+    probe.unlink()
+
+
+def _forbid_parsing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ast.parse called")
+    monkeypatch.setattr(depgraph.ast, "parse", refuse)
+
+
+def test_index_is_written_next_to_the_results(toy_root, index_path):
+    assert not index_path.exists()
+    _toy(toy_root).digest_for("toypkg.driver_a")
+    stored = json.loads(index_path.read_bytes())
+    assert stored["schema"] == 1
+    assert sorted(Path(name).name for name in stored["files"]) == [
+        "driver_a.py", "engine.py", "util.py"]
+    stat, sha, statements = stored["files"][str(toy_root / "engine.py")]
+    status = os.stat(toy_root / "engine.py")
+    assert stat == [status.st_size, status.st_mtime_ns, status.st_ctime_ns]
+    assert sha == hashlib.sha256(
+        (toy_root / "engine.py").read_bytes()).hexdigest()
+    assert statements == [[1, "util", ["X"]]]
+    assert [path.name for path in index_path.parent.iterdir()] == [
+        depgraph.INDEX_NAME]  # the temp file was renamed, not left behind
+
+
+def test_indexed_digests_equal_fresh_digests_for_every_real_driver(
+        monkeypatch):
+    drivers = DependencyGraph().modules_in("repro.experiments")
+    assert "repro.experiments.fig09_wan" in drivers
+    writer = DependencyGraph()
+    written = {module: writer.digest_for(module) for module in drivers}
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_NO_CACHE", "1")
+        fresh = DependencyGraph()
+        assert {module: fresh.digest_for(module)
+                for module in drivers} == written
+    _forbid_parsing(monkeypatch)
+    reader = DependencyGraph()
+    assert {module: reader.digest_for(module)
+            for module in drivers} == written
+
+
+def test_second_process_hashes_and_parses_nothing(toy_root, toy_graph):
+    _age(*toy_root.glob("*.py"))
+    first = _digest_in_subprocess(toy_root, "toypkg.driver_a", 0)
+    assert first == toy_graph.digest_for("toypkg.driver_a")
+    assert _digest_in_subprocess(toy_root, "toypkg.driver_a", 1,
+                                 prelude=_NO_PARSING) == first
+
+
+def test_same_size_edit_with_restored_mtime_changes_the_digest(
+        toy_root, index_path, monkeypatch):
+    """Only ``st_ctime_ns`` gives this edit away."""
+    util = toy_root / "util.py"
+    _age(util)
+    before = _toy(toy_root).digest_for("toypkg.driver_a")
+    _age(index_path)
+    status = os.stat(util)
+    util.write_text("X = 2\n", encoding="utf-8")
+    os.utime(util, ns=(status.st_atime_ns, status.st_mtime_ns))
+    edited = os.stat(util)
+    assert (edited.st_size, edited.st_mtime_ns) == \
+        (status.st_size, status.st_mtime_ns)
+    after = _toy(toy_root).digest_for("toypkg.driver_a")
+    assert after != before
+    assert after == _unindexed_digest(toy_root, "toypkg.driver_a",
+                                      monkeypatch)
+
+
+def test_file_not_older_than_the_index_is_hashed_again(
+        toy_root, index_path, monkeypatch):
+    """The racy-clean rule: a file written in the instant the index was
+    could change again without its stat moving, so its entry is not
+    believed — shown here with an entry whose sha is wrong."""
+    truth = _toy(toy_root).digest_for("toypkg.driver_a")
+    util = str(toy_root / "util.py")
+    stored = json.loads(index_path.read_bytes())
+    stored["files"][util][1] = "0" * 64
+    index_path.write_text(json.dumps(stored))
+    instant = os.stat(util).st_ctime_ns
+    os.utime(index_path, ns=(instant, instant))
+    assert _toy(toy_root).digest_for("toypkg.driver_a") == truth
+    # ...and re-hashing it replaced the poisoned entry.
+    assert json.loads(index_path.read_bytes())["files"][util][1] != "0" * 64
+    # Believed when strictly older — which is why the rule is needed.
+    stored["files"][util][1] = "0" * 64
+    index_path.write_text(json.dumps(stored))
+    newest = max(os.stat(path).st_ctime_ns for path in toy_root.glob("*.py"))
+    os.utime(index_path, ns=(newest + 1, newest + 1))
+    with monkeypatch.context() as patch:
+        _forbid_parsing(patch)
+        assert _toy(toy_root).digest_for("toypkg.driver_a") != truth
+
+
+@pytest.mark.parametrize("garbage", [
+    b"", b'{"schema": 1, "files": {"/x.py": [[1, 2', b"\x80\x04not json",
+    b"[]", b'{"schema": 99, "files": {}}', b'{"schema": 1, "files": 7}',
+    b'{"schema": 1}',
+], ids=["empty", "truncated", "binary", "list", "schema", "files", "keys"])
+def test_unusable_index_is_ignored_and_replaced(toy_root, index_path,
+                                                garbage, monkeypatch):
+    truth = _unindexed_digest(toy_root, "toypkg.driver_a", monkeypatch)
+    index_path.parent.mkdir(parents=True)
+    index_path.write_bytes(garbage)
+    assert _toy(toy_root).digest_for("toypkg.driver_a") == truth
+    assert len(json.loads(index_path.read_bytes())["files"]) == 3
+    assert [path.name for path in index_path.parent.iterdir()] == [
+        depgraph.INDEX_NAME]
+
+
+def test_malformed_entries_are_dropped_one_by_one(toy_root, index_path):
+    truth = _toy(toy_root).digest_for("toypkg.driver_a")
+    _age(index_path)
+    stored = json.loads(index_path.read_bytes())
+    engine, util = str(toy_root / "engine.py"), str(toy_root / "util.py")
+    stored["files"][engine][2] = [[1, None, None]]  # no such statement
+    stored["files"][util] = [stored["files"][util][0], 5]
+    index_path.write_text(json.dumps(stored))
+    assert _toy(toy_root).digest_for("toypkg.driver_a") == truth
+    rewritten = json.loads(index_path.read_bytes())["files"]
+    assert rewritten[engine][2] == [[1, "util", ["X"]]]
+    assert len(rewritten[util]) == 3
+
+
+def test_overlay_graphs_neither_read_nor_write_the_index(
+        toy_root, index_path, monkeypatch):
+    _overlay_graph(toy_root, "driver_a.py").digest_for("toypkg.driver_a")
+    assert not index_path.exists()
+    truth = _toy(toy_root).digest_for("toypkg.driver_a")
+    _age(index_path)
+    stored = json.loads(index_path.read_bytes())
+    for entry in stored["files"].values():
+        entry[1] = "0" * 64
+    poisoned = json.dumps(stored)
+    index_path.write_text(poisoned)
+    _age(index_path)
+    same_bytes = _toy(toy_root, overlay={
+        toy_root / "driver_a.py": (toy_root / "driver_a.py").read_bytes()})
+    assert same_bytes.digest_for("toypkg.driver_a") == truth
+    assert index_path.read_text() == poisoned
+
+
+def test_no_cache_env_writes_no_index(toy_root, index_path, monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    _toy(toy_root).digest_for("toypkg.driver_a")
+    assert not index_path.parent.exists()
+
+
+def test_deleted_files_leave_the_index(toy_root, index_path):
+    _toy(toy_root).digest_for("toypkg.driver_a")
+    (toy_root / "driver_a.py").unlink()
+    _toy(toy_root).digest_for("toypkg.driver_b")
+    assert sorted(Path(name).name for name in json.loads(
+        index_path.read_bytes())["files"]) == [
+            "driver_b.py", "engine.py", "util.py"]
+
+
+def test_unwritable_cache_dir_only_costs_the_rehash(toy_root, index_path,
+                                                    monkeypatch):
+    index_path.parent.write_text("a file where the directory should be")
+    assert _toy(toy_root).digest_for("toypkg.driver_a") == \
+        _unindexed_digest(toy_root, "toypkg.driver_a", monkeypatch)
 
 
 # --------------------------------------------------------------------- #
@@ -230,6 +436,19 @@ def test_cli_digest_deps_key(capsys):
     key = capsys.readouterr().out.strip()
     assert key == combined_key(("repro.experiments.link_flap",
                                 "repro.experiments.fig09_wan"))
+
+
+def test_cli_expands_a_package_wildcard(capsys):
+    assert depgraph.main(["digest", "repro.experiments.*"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    graph = DependencyGraph()
+    assert lines == [f"{module} {graph.digest_for(module)}" for module
+                     in graph.modules_in("repro.experiments")]
+    assert depgraph.main(["key", "repro.experiments.*"]) == 0
+    assert capsys.readouterr().out.strip() == combined_key(
+        graph.modules_in("repro.experiments"))
+    assert depgraph.main(["digest", "repro.experiments.link_flap.*"]) == 2
+    assert "not a tracked package" in capsys.readouterr().err
 
 
 def test_cli_unresolvable_module_exits_2(capsys):

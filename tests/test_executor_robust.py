@@ -185,6 +185,26 @@ class TestBitIdentity:
         dumps = [pickle.dumps(batch) for batch in (legacy, serial, pooled)]
         assert dumps[0] == dumps[1] == dumps[2]
 
+    def test_child_pickles_once_and_its_bytes_are_the_cache_entry(
+            self, tmp_path, payload_dumps):
+        import hashlib
+        import os
+
+        cache = ResultCache(directory=tmp_path / "cache", enabled=True)
+        specs = [_spec(seed=seed) for seed in (1, 2, 3)]
+        cold = BatchExecutor(workers=2, timeout=60.0, cache=cache).run(specs)
+        produced = payload_dumps()
+        assert len(produced) == 3  # one dumps per miss, each in its child
+        assert os.getpid() not in {pid for pid, _ in produced}
+        assert len({pid for pid, _ in produced}) == 3
+        stored = [hashlib.sha256(entry.read_bytes()).hexdigest()
+                  for entry in (tmp_path / "cache").rglob("*.pkl")]
+        assert sorted(stored) == sorted(sha for _, sha in produced)
+        warm = BatchExecutor(workers=1, cache=cache).run(specs)
+        assert len(payload_dumps()) == 3  # a hit pickles nothing
+        assert [pickle.dumps(result) for result in cold] == \
+            [pickle.dumps(result) for result in warm]
+
     def test_hardened_not_engaged_by_default(self):
         executor = BatchExecutor(workers=1)
         assert not executor.hardened

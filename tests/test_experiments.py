@@ -91,6 +91,19 @@ class TestScaledDownDrivers:
         medians = result.data["median_eta"]
         assert medians[1.0] > medians[0.0]
 
+    def test_fig09_payload_rows_carry_what_fct_analysis_reads(self):
+        from repro.analysis import FctRecord, fct_by_size
+        from repro.experiments import fig09_wan
+
+        args = dict(duration=6.0, seed=3, **FAST)
+        *_, generator = fig09_wan.run_single("cubic", **args)
+        live = generator.completed_records()
+        rows = fig09_wan.run_case("cubic", **args)["data"]["fct_records"]
+        assert len(rows) == len(live) > 100
+        assert rows == [FctRecord(r.size_bytes, r.elastic, r.start_time,
+                                  r.fct) for r in live]
+        assert fct_by_size(rows) == fct_by_size(live)
+
     def test_fig10(self):
         result = fig10_copa_drop.run(schemes=["nimbus"], duration=25,
                                      elastic_start=8, **FAST)

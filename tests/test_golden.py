@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -54,6 +55,10 @@ def _internet_paths(duration: float, dt: float, seed: int) -> Any:
                               schemes=("nimbus",), duration=duration, dt=dt,
                               seed=seed)
 
+
+#: Packages whose instances must never be reachable from a payload.
+SIMULATOR_PACKAGES = ("repro.simulator.", "repro.cc.", "repro.core.",
+                      "repro.traffic.")
 
 #: name -> ("module:function" or callable, kwargs).  Reduced scale: the
 #: whole table recomputes in ~5 s.
@@ -157,8 +162,9 @@ def canonical_digest(payload: Any) -> str:
 # ---------------------------------------------------------------------- #
 # Compute / compare / rebless
 # ---------------------------------------------------------------------- #
-def compute(name: str) -> str:
-    """Run one golden scenario under :data:`GOLDEN_ENV`; return its digest."""
+@functools.lru_cache(maxsize=None)
+def payload_of(name: str) -> Any:
+    """Run one golden scenario under :data:`GOLDEN_ENV`, once per process."""
     target, kwargs = SCENARIOS[name]
     saved = {key: os.environ.get(key) for key in GOLDEN_ENV}
     os.environ.update(GOLDEN_ENV)
@@ -166,13 +172,34 @@ def compute(name: str) -> str:
         if isinstance(target, str):
             module, _, attr = target.partition(":")
             target = getattr(importlib.import_module(module), attr)
-        return canonical_digest(target(**kwargs))
+        return target(**kwargs)
     finally:
         for key, value in saved.items():
             if value is None:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
+
+
+def compute(name: str) -> str:
+    """Digest of one golden scenario's payload."""
+    return canonical_digest(payload_of(name))
+
+
+def simulator_objects(payload: Any) -> List[str]:
+    """Classes of reachable objects that belong to the simulator.
+
+    A payload is data: it is cached, shipped between processes and loaded
+    by code that never ran the scenario, so an instance of anything under
+    :data:`SIMULATOR_PACKAGES` (a ``Flow``, a cc algorithm, a detector) in
+    it means a driver leaked its network.  A class or function *named* in
+    a payload (``CrossSpec.cc = NewReno``) is a name, not state.
+    """
+    reached: List[Any] = []
+    _walk(payload, lambda _: None, {}, reached)
+    return sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
+                   for obj in reached
+                   if type(obj).__module__.startswith(SIMULATOR_PACKAGES)})
 
 
 def load_golden() -> Dict[str, str]:
@@ -240,6 +267,21 @@ if pytest is not None:
             f"{name}: payload differs from benchmarks/golden.json — a "
             f"refactor must not move it; a deliberate numeric change adds "
             f"a CHANGES.md line and runs tests/test_golden.py --rebless")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_payloads_hold_data_not_simulator_objects(name):
+        assert simulator_objects(payload_of(name)) == []
+
+    def test_simulator_object_guard_sees_through_containers():
+        from repro.cc import Cubic
+        from repro.simulator import Flow
+
+        flow = Flow(cc=Cubic(), prop_rtt=0.05, name="leak")
+        found = simulator_objects({"data": [("row", flow)], "named": Cubic})
+        assert "repro.simulator.endpoint.Flow" in found
+        assert "repro.cc.cubic.Cubic" in found  # flow.cc, an instance
+        # Naming a class or a function is not holding an object of it.
+        assert simulator_objects({"named": Cubic, "fn": Flow.emit}) == []
 
     def test_golden_file_covers_exactly_the_scenarios():
         assert sorted(load_golden()) == sorted(SCENARIOS)

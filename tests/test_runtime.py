@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pickle
 import sys
 
@@ -137,6 +139,25 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "elsewhere" / source_digest() / "abc.pkl").exists()
 
 
+def test_only_an_unresolvable_target_falls_back_to_the_package_digest(
+        tmp_path):
+    from repro.runtime import DependencyGraph
+
+    cache = ResultCache(directory=tmp_path, enabled=True)
+    assert cache.put("abc", 1, fn="no_such_package.mod:run")
+    assert (tmp_path / source_digest() / "abc.pkl").exists()
+
+    class BrokenGraph(DependencyGraph):
+        def digest_for(self, module):
+            raise RuntimeError("graph bug")
+
+    broken = ResultCache(directory=tmp_path, enabled=True,
+                         graph=BrokenGraph())
+    # Silently re-keying would cold-start every entry; say so instead.
+    with pytest.raises(RuntimeError, match="graph bug"):
+        broken.get("abc", fn="repro.experiments.link_flap:run")
+
+
 def test_corrupt_entry_is_deleted_and_reported(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
     cache.put("abc", 42)
@@ -178,6 +199,49 @@ def test_serial_and_pooled_runs_are_bit_identical(tmp_path):
     pooled = BatchExecutor(workers=2,
                            cache=ResultCache(enabled=False)).run(specs)
     assert pickle.dumps(serial) == pickle.dumps(pooled)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_a_miss_is_pickled_once_and_stored_as_produced(
+        tmp_path, monkeypatch, payload_dumps, workers):
+    hashed = []
+    real_hash = ScenarioSpec.spec_hash
+    monkeypatch.setattr(
+        ScenarioSpec, "spec_hash",
+        lambda spec: hashed.append(spec) or real_hash(spec))
+    cache = ResultCache(directory=tmp_path / "cache", enabled=True)
+    specs = _batch(3) + _batch(1)  # the fourth repeats the first
+    cold = BatchExecutor(workers=workers, cache=cache).run(specs)
+    # One hash per spec to look it up and one for its metrics record, as
+    # before the executor handed its bytes to the cache.
+    assert len(hashed) == 2 * len(specs)
+    produced = payload_dumps()
+    assert len(produced) == 3  # one dumps per miss, none for the duplicate
+    if workers == 1:
+        assert {pid for pid, _ in produced} == {os.getpid()}
+    else:
+        assert os.getpid() not in {pid for pid, _ in produced}
+    stored = [hashlib.sha256(entry.read_bytes()).hexdigest()
+              for entry in (tmp_path / "cache").rglob("*.pkl")]
+    assert sorted(stored) == sorted(sha for _, sha in produced)
+    # ...and what the batch returned is what those bytes load to.
+    warm = BatchExecutor(workers=1, cache=cache).run(specs)
+    assert len(payload_dumps()) == 3  # a hit pickles nothing
+    assert [pickle.dumps(result) for result in cold] == \
+        [pickle.dumps(result) for result in warm]
+
+
+def test_cache_disabled_still_pickles_each_miss_once(payload_dumps):
+    BatchExecutor(workers=1, cache=ResultCache(enabled=False)).run(_batch(2))
+    assert len(payload_dumps()) == 2
+
+
+def test_put_pickled_writes_the_bytes_verbatim(tmp_path):
+    cache = ResultCache(directory=tmp_path, enabled=True)
+    data = pickle.dumps({"x": 1}, protocol=2)  # not the protocol put() uses
+    assert cache.put("abc", data, pickled=True)
+    assert (tmp_path / source_digest() / "abc.pkl").read_bytes() == data
+    assert cache.get("abc") == {"x": 1}
 
 
 def test_pooled_run_populates_the_shared_cache(tmp_path):
