@@ -3,9 +3,9 @@
 This package is the repository's answer to "every driver re-simulates from
 scratch on each invocation": a :class:`ScenarioSpec` fully describes one
 simulation (target function plus canonicalised parameters), a
-:class:`BatchExecutor` fans a batch of specs across a process pool and
-memoises each result in an on-disk cache keyed by spec hash + the
-dependency-aware digest of the spec's driver module
+:class:`BatchExecutor` fans a batch of specs across persistent isolated
+worker processes and memoises each result in an on-disk cache keyed by
+spec hash + the dependency-aware digest of the spec's driver module
 (:mod:`repro.runtime.depgraph`), and :mod:`repro.runtime.build` houses the
 network/scheme factories shared by every driver.
 

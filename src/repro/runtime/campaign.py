@@ -1,4 +1,4 @@
-"""Campaign runner: execute a manifest as cached, journalled batches.
+"""Campaign runner: execute a manifest as one cached, journalled batch.
 
 ``repro-campaign`` promotes the batch runtime from "run one figure's
 batch" to a manifest-driven campaign service::
@@ -9,13 +9,15 @@ batch" to a manifest-driven campaign service::
     repro-campaign diff   runs/smoke/summary.json runs/other/summary.json
 
 ``run`` expands the manifest (see :mod:`repro.runtime.manifest`) and
-executes the cells in chunks on the hardened executor — per-spec crash
-isolation, structured failures, one campaign-level journal spanning every
-chunk — streaming one JSONL line per cell to ``<out>/results.jsonl`` as it
-settles and writing ``<out>/summary.json`` at the end.  Because results
-are memoised per spec hash × driver-module digest, re-running a campaign
-re-executes only cells whose code or parameters changed; everything else
-resolves as cache hits.
+hands every cell to the hardened executor as a single batch — per-spec
+crash isolation, structured failures, one campaign-level journal — so no
+worker ever idles at a batch boundary.  Each cell's JSONL line reaches
+``<out>/results.jsonl`` as soon as it and every cell before it in
+manifest order have settled (the file is always a cell-order prefix of
+the finished one), and ``<out>/summary.json`` is written at the end.
+Because results are memoised per spec hash × driver-module digest,
+re-running a campaign re-executes only cells whose code or parameters
+changed; everything else resolves as cache hits.
 
 ``status`` reads the campaign journal without executing anything.
 ``resume`` keeps the journal and re-attempts only failed or never-resolved
@@ -43,11 +45,6 @@ from .manifest import CampaignCell, CampaignManifest, ManifestError
 
 #: Version tag stamped into result lines and summaries.
 CAMPAIGN_SCHEMA_VERSION = 1
-
-#: Cells executed per executor batch.  Chunking is what makes a campaign
-#: *stream*: results and journal lines appear as each chunk settles
-#: instead of after the whole grid.
-DEFAULT_CHUNK = 8
 
 
 def _accuracy_of(result: Any) -> Optional[float]:
@@ -98,11 +95,10 @@ class CampaignRunner:
         manifest: Parsed campaign manifest.
         out_dir: Output directory; defaults to ``campaign-runs/<name>``.
             Holds ``results.jsonl``, ``summary.json``, ``journal.jsonl``.
-        workers: Executor pool width (``None`` reads the environment).
+        workers: Executor worker count (``None`` reads the environment).
         cache: Result cache override (tests inject toy-package graphs).
         timeout: Per-cell wall-clock deadline in seconds.
         max_retries: Extra attempts per failed cell.
-        chunk: Cells per executor batch (streaming granularity).
         resolver: Bare-driver-name resolver override (tests).
     """
 
@@ -111,7 +107,6 @@ class CampaignRunner:
                  workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  timeout: Optional[float] = None, max_retries: int = 0,
-                 chunk: int = DEFAULT_CHUNK,
                  resolver: Optional[Callable[[str], str]] = None) -> None:
         self.manifest = manifest
         self.out_dir = Path(out_dir) if out_dir is not None \
@@ -120,7 +115,6 @@ class CampaignRunner:
         self.cache = cache
         self.timeout = timeout
         self.max_retries = max_retries
-        self.chunk = max(1, int(chunk))
         self.cells: List[CampaignCell] = manifest.expand(resolver)
 
     @property
@@ -140,47 +134,49 @@ class CampaignRunner:
             echo: Optional[Callable[[str], None]] = None) -> dict:
         """Execute the campaign; returns (and writes) the summary dict."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        begin = time.perf_counter()
+        #: Settled rows not yet written: cells settle in any order, the
+        #: file takes them in manifest order.
+        rows: Dict[int, dict] = {}
+        cell_rows: Dict[str, dict] = {}
+
+        def on_settle(index: int, result: Any, record: dict) -> None:
+            rows[index] = {
+                "schema_version": CAMPAIGN_SCHEMA_VERSION,
+                "campaign": self.manifest.name,
+                "cell": self.cells[index].cell_id,
+                "experiment": self.cells[index].experiment,
+                **{key: record[key] for key in (
+                    "spec_hash", "fn", "cache", "outcome", "attempts",
+                    "seconds", "worker_pid")},
+                "accuracy": _accuracy_of(result),
+                "scalars": _scalars_of(result),
+            }
+            # Cell ids are unique, so len(cell_rows) is the next cell due.
+            while len(cell_rows) in rows:
+                row = rows.pop(len(cell_rows))
+                stream.write(json.dumps(row, separators=(",", ":"),
+                                        sort_keys=True) + "\n")
+                stream.flush()
+                cell_rows[row["cell"]] = {
+                    key: row[key] for key in (
+                        "experiment", "spec_hash", "cache", "outcome",
+                        "attempts", "seconds", "accuracy")}
+                if echo is not None:
+                    seconds = row["seconds"]
+                    timing = "cached" if seconds is None \
+                        else f"{seconds:6.2f}s"
+                    echo(f"{row['cell']:<44} {row['cache']:>7} "
+                         f"{row['outcome']:<7} {timing}")
+
         executor = BatchExecutor(
             workers=self.workers, cache=self.cache,
             timeout=self.timeout, max_retries=self.max_retries,
             on_error="record", journal_path=str(self.journal_path),
-            resume=resume)
-        begin = time.perf_counter()
-        cell_rows: Dict[str, dict] = {}
+            resume=resume, on_settle=on_settle)
         mode = "a" if resume and self.results_path.exists() else "w"
         with open(self.results_path, mode, encoding="utf-8") as stream:
-            for start in range(0, len(self.cells), self.chunk):
-                batch = self.cells[start:start + self.chunk]
-                results = executor.run([cell.spec for cell in batch])
-                for cell, result, record in zip(batch, results,
-                                                executor.last_metrics):
-                    row = {
-                        "schema_version": CAMPAIGN_SCHEMA_VERSION,
-                        "campaign": self.manifest.name,
-                        "cell": cell.cell_id,
-                        "experiment": cell.experiment,
-                        "spec_hash": record["spec_hash"],
-                        "fn": record["fn"],
-                        "cache": record["cache"],
-                        "outcome": record["outcome"],
-                        "attempts": record["attempts"],
-                        "seconds": record["seconds"],
-                        "accuracy": _accuracy_of(result),
-                        "scalars": _scalars_of(result),
-                    }
-                    stream.write(json.dumps(row, separators=(",", ":"),
-                                            sort_keys=True) + "\n")
-                    cell_rows[cell.cell_id] = {
-                        key: row[key] for key in (
-                            "experiment", "spec_hash", "cache", "outcome",
-                            "attempts", "seconds", "accuracy")}
-                    if echo is not None:
-                        seconds = row["seconds"]
-                        timing = "cached" if seconds is None \
-                            else f"{seconds:6.2f}s"
-                        echo(f"{cell.cell_id:<44} {row['cache']:>7} "
-                             f"{row['outcome']:<7} {timing}")
-                stream.flush()
+            executor.run([cell.spec for cell in self.cells])
         summary = self._build_summary(cell_rows,
                                       wall=time.perf_counter() - begin)
         self._write_summary(summary)
@@ -313,16 +309,13 @@ def _add_exec_options(cmd) -> None:
                      help="Output directory (default: "
                           "campaign-runs/<campaign name>)")
     cmd.add_argument("--workers", type=int, default=None,
-                     help="Executor pool width (default: "
+                     help="Executor worker count (default: "
                           "REPRO_BENCH_WORKERS / cpu count)")
     cmd.add_argument("--timeout", type=float, default=None,
                      metavar="SECONDS",
                      help="Per-cell wall-clock deadline")
     cmd.add_argument("--max-retries", type=int, default=0, metavar="N",
                      help="Extra attempts per failed cell")
-    cmd.add_argument("--chunk", type=int, default=DEFAULT_CHUNK,
-                     metavar="N", help="Cells per executor batch "
-                                       f"(default {DEFAULT_CHUNK})")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -367,8 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out_dir=getattr(args, "out", None),
             workers=getattr(args, "workers", None),
             timeout=getattr(args, "timeout", None),
-            max_retries=getattr(args, "max_retries", 0),
-            chunk=getattr(args, "chunk", DEFAULT_CHUNK))
+            max_retries=getattr(args, "max_retries", 0))
     except ManifestError as error:
         print(str(error), file=sys.stderr)
         return 2

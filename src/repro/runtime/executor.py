@@ -1,48 +1,59 @@
 """Batch execution of scenario specs with memoisation.
 
-The executor resolves each spec's result in three tiers: the on-disk cache,
-then a process pool for the misses (``REPRO_BENCH_WORKERS`` workers,
-default ``os.cpu_count()``), falling back to in-process serial execution
-when only one worker is configured or the batch has a single miss.
+The executor resolves each spec's result from the on-disk cache first and
+executes the misses one of two ways:
+
+* **in-process**, one after the other, when forking would buy nothing or
+  is impossible: a non-hardened executor with one worker or a single
+  miss, and any batch opened *inside* a worker (a driver fanning out its
+  own cases — daemonic workers cannot have children);
+* **on isolated workers** otherwise: at most ``workers``
+  (``REPRO_BENCH_WORKERS``, default ``os.cpu_count()``) forked processes,
+  each on a duplex pipe running a ``recv spec -> execute -> send result``
+  loop (:func:`_worker_loop`).  A worker that reports is handed the next
+  pending spec; only a worker that hangs past the deadline or dies is
+  killed and replaced.  A spec that raises, hangs, or kills its
+  interpreter therefore cannot take the batch or its siblings with it,
+  and a healthy batch pays for ``workers`` forks, not one per spec.
 
 Every miss is serialised exactly once, in the process that computed it
-(:func:`_timed_execute`): those bytes are what the cache entry holds, and what
-``pickle.loads`` of them yields is what the batch returns.  A batch
-therefore produces bit-identical payloads whether it ran serially,
-pooled, hardened, or from the cache — the pickle codec is the common
-denominator, and structures that differ only in memoised object identity
-(shared vs copied arrays) collapse to the same bytes — without paying for
-a second ``dumps`` to store what was already serialised to be returned.
+(:func:`_timed_execute`): those bytes are what the cache entry holds, and
+what ``pickle.loads`` of them yields is what the batch returns.  A batch
+therefore produces bit-identical payloads whether it ran in-process, on
+workers, or from the cache — the pickle codec is the common denominator,
+and structures that differ only in memoised object identity (shared vs
+copied arrays) collapse to the same bytes — without paying for a second
+``dumps`` to store what was already serialised to be returned.
 
-Hardened mode
--------------
+A spec *settles* the moment its terminal state is known: its bytes go to
+the cache, then its line to the journal (``journal_path``; see
+:class:`~repro.runtime.journal.BatchJournal`), then ``on_settle`` is told
+— in that order, so a journalled ``ok`` always has a cache entry behind
+it, a ``resume=True`` re-run re-executes only failed or never-settled
+specs, and a consumer (the campaign runner streams ``results.jsonl``
+from the hook) sees results as they finish, not when the batch does.
 
-Passing any of ``timeout``, ``max_retries``, or ``on_error="record"``
-switches the executor onto a crash-isolated path: every miss runs in its
-own dedicated process connected by a pipe, so a spec that raises, hangs,
-or kills its interpreter cannot take the batch (or sibling specs) with
-it.  Failures become structured :class:`SpecFailure` records — placed at
-the spec's result position with ``on_error="record"``, or raised as one
-:class:`SpecExecutionError` after the rest of the batch completes with
-the default ``on_error="raise"``.  Failed specs are *never* written to
-the result cache.  Retries back off with seeded full jitter: attempt
-``n`` waits a uniform draw from ``[0, min(retry_backoff_max,
-retry_backoff * 2**(n-1)))`` seconds, the draw keyed on
-``(spec hash, attempt)`` so it is deterministic per spec and attempt —
-concurrent retries decorrelate without making metrics irreproducible.
-The child sends its result as the same single pickle, so hardened results
-are bit-identical to pool and serial results regardless of worker width.
+Failure handling
+----------------
 
-With ``journal_path`` set, every spec's terminal state is appended to a
-:class:`~repro.runtime.journal.BatchJournal` the moment it resolves;
-``resume=True`` keeps an existing journal, and — since successful results
-were cached — a re-run only re-executes the failed or never-completed
-specs.
+On the worker path a failed attempt is one of ``"error"`` (the spec
+raised; the worker survives), ``"timeout"`` (still running at
+``timeout`` seconds; the worker is terminated) or ``"crash"`` (the
+worker died without reporting).  It is retried up to ``max_retries``
+times, each after a seeded full-jitter backoff (:meth:`BatchExecutor.
+retry_delay`).  A spec out of attempts becomes a structured
+:class:`SpecFailure` — placed at the spec's result position with
+``on_error="record"``, or raised as one :class:`SpecExecutionError` after
+the rest of the batch has settled with the default ``on_error="raise"``.
+Failed specs are *never* written to the result cache.  Setting any of
+``timeout``, ``max_retries`` or ``on_error="record"`` makes the executor
+*hardened*: it then uses workers even for a single spec on one worker,
+because in-process execution could honour none of the three.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -96,37 +107,66 @@ def _timed_execute(spec: ScenarioSpec) -> Tuple[float, int, bytes]:
             pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _timed_execute_in_worker(spec: ScenarioSpec) -> Tuple[float, int, bytes]:
-    """Pool entry point: mark the process as a worker, then execute."""
-    os.environ[_WORKER_ENV] = "1"
-    return _timed_execute(spec)
+def _worker_loop(conn, parent_end) -> None:
+    """Worker entry: execute the specs the parent sends until told to stop.
 
-
-def _isolated_entry(conn, spec: ScenarioSpec) -> None:
-    """Hardened-mode child entry: execute one spec, report over the pipe.
-
-    The result is pickled *in the child* — the parent stores and fans out
-    those exact bytes, so hardened results match pool results bit for bit.
-    A raising spec (any ``BaseException``) reports its traceback instead;
-    a child that dies outright simply never sends, which the parent
-    classifies as a crash.
+    Each result is pickled *here* — the parent stores and fans out those
+    exact bytes, so worker results match in-process results bit for bit.
+    A raising spec (any ``BaseException``) reports its traceback and the
+    loop carries on; a worker that dies outright simply never sends, which
+    the parent classifies as a crash.  ``None`` (or the parent vanishing)
+    ends the loop.
     """
+    # Forked with a copy of the parent's end: holding it open would hide
+    # the parent's death from the ``recv`` below.
+    parent_end.close()
     os.environ[_WORKER_ENV] = "1"
-    begin = time.perf_counter()
-    try:
-        payload = ("ok", *_timed_execute(spec))
-    except BaseException:
-        payload = ("error", time.perf_counter() - begin, os.getpid(),
-                   traceback.format_exc().strip())
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
+    while True:
+        try:
+            spec = conn.recv()
+        except EOFError:
+            spec = None
+        if spec is None:
+            return
+        begin = time.perf_counter()
+        try:
+            message = ("ok", *_timed_execute(spec))
+        except BaseException:
+            message = ("error", time.perf_counter() - begin, os.getpid(),
+                       traceback.format_exc().strip())
+        conn.send(message)
+
+
+class _Worker:
+    """One forked worker and the parent's end of its pipe."""
+
+    def __init__(self, ctx) -> None:
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(target=_worker_loop,
+                                   args=(child_end, self.conn), daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def close(self, stop: bool) -> None:
+        """Reap the process: asked to ``stop`` when it is idle in ``recv``,
+        terminated when it is (or may be) mid-spec, killed if it lingers."""
+        if stop:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already dead; the join below reaps it
+        else:
+            self.process.terminate()
+        self.conn.close()
+        self.process.join(5.0)
+        if self.process.is_alive():  # pragma: no cover - stuck child
+            self.process.kill()
+            self.process.join()
 
 
 @dataclass(frozen=True)
 class SpecFailure:
-    """Structured terminal failure of one spec under the hardened executor.
+    """Structured terminal failure of one spec on the worker path.
 
     Takes the place of the spec's result when ``on_error="record"``; never
     written to the result cache.
@@ -191,8 +231,7 @@ class BatchStats:
         timings: One ``(label, seconds)`` pair per spec, in batch order;
             ``seconds`` is ``None`` for cache hits and the execution wall
             time otherwise (duplicates report the shared execution's time).
-        failed: Spec positions that ended in a :class:`SpecFailure`
-            (always 0 outside hardened mode).
+        failed: Spec positions that ended in a :class:`SpecFailure`.
         corrupt: Spec positions whose cached entry was corrupt (deleted
             and re-executed; a subset of ``misses``).
     """
@@ -209,15 +248,16 @@ class BatchExecutor:
     """Runs batches of :class:`ScenarioSpec` with caching and fan-out.
 
     Args:
-        workers: Process-pool width; ``None`` reads the environment.
+        workers: Most worker processes alive at once; ``None`` reads the
+            environment.
         cache: Result cache; ``None`` builds one from the environment.
             Pass ``ResultCache(enabled=False)`` to force cold runs.
         metrics_path: When set, every :meth:`run` appends one JSONL record
             per spec to this file (see :mod:`repro.runtime.metrics`).
         timeout: Per-spec wall-clock deadline in seconds; a spec still
-            running at the deadline is terminated (hardened mode).
+            running at the deadline is terminated with its worker.
         max_retries: Extra attempts after a failed one — error, timeout,
-            or crash alike (hardened mode).
+            or crash alike.
         retry_backoff: Base of the exponential retry ceiling: attempt
             ``n`` waits a deterministic full-jitter draw from
             ``[0, min(retry_backoff_max, retry_backoff * 2**(n-1)))``
@@ -232,6 +272,11 @@ class BatchExecutor:
         resume: Keep an existing journal instead of truncating it; with
             the result cache enabled, previously-successful specs resolve
             as hits and only failed/incomplete ones re-execute.
+        on_settle: Called as ``on_settle(index, result, record)`` for
+            every spec position the moment it settles — hits first, then
+            misses in completion order — with the position's result (or
+            :class:`SpecFailure`) and metrics record, after the result
+            was cached and journalled.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -241,7 +286,9 @@ class BatchExecutor:
                  retry_backoff: float = 0.25,
                  retry_backoff_max: float = 8.0, on_error: str = "raise",
                  journal_path: Union[str, os.PathLike, None] = None,
-                 resume: bool = False) -> None:
+                 resume: bool = False,
+                 on_settle: Optional[Callable[[int, Any, dict], None]] = None
+                 ) -> None:
         self.workers = configured_workers() if workers is None else max(1, workers)
         self.cache = ResultCache() if cache is None else cache
         self.metrics_path = metrics_path
@@ -265,6 +312,7 @@ class BatchExecutor:
         self.on_error = on_error
         self.journal_path = journal_path
         self.resume = resume
+        self.on_settle = on_settle
         self._journal: Optional[BatchJournal] = None
         #: Accounting for the most recent batch (see :class:`BatchStats`).
         self.last_stats: Optional[BatchStats] = None
@@ -274,10 +322,10 @@ class BatchExecutor:
 
     @property
     def hardened(self) -> bool:
-        """Whether misses run crash-isolated (see the module docstring).
+        """Whether a timeout, retries or failure records were asked for.
 
-        False by default, keeping the legacy serial/pool path — and its
-        bit-identical, allocation-lean behaviour — untouched.
+        A hardened executor never executes in-process (outside a worker),
+        where it could honour none of them; see the module docstring.
         """
         return (self.timeout is not None or self.max_retries > 0
                 or self.on_error == "record")
@@ -308,8 +356,8 @@ class BatchExecutor:
 
         Identical specs within one batch are simulated once: the misses
         are deduplicated by spec hash and the shared result fanned back
-        out to every position.  In hardened mode a position may resolve to
-        a :class:`SpecFailure` (``on_error="record"``) or the batch may
+        out to every position.  A position may resolve to a
+        :class:`SpecFailure` (``on_error="record"``) or the batch may
         raise :class:`SpecExecutionError` after every spec has settled
         (``on_error="raise"``).
         """
@@ -320,84 +368,74 @@ class BatchExecutor:
         missed = [result is MISS for result in results]
         corrupt_hashes = self.cache.take_corrupt()
         journal = self._ensure_journal()
-        if journal is not None:
-            recorded = set()
-            for index, spec in enumerate(specs):
-                if not missed[index] and hashes[index] not in recorded:
-                    recorded.add(hashes[index])
-                    journal.record(spec_hash=hashes[index], label=spec.label,
-                                   outcome="ok", attempts=0, seconds=None)
+        #: Every position of each distinct hash; the first one executes.
+        positions: Dict[str, List[int]] = {}
+        for index, spec_hash in enumerate(hashes):
+            positions.setdefault(spec_hash, []).append(index)
+        records: List[Any] = [None] * len(specs)
+        failures: List[SpecFailure] = []
 
-        unique: dict = {}
-        for index, result in enumerate(results):
-            if result is MISS and hashes[index] not in unique:
-                unique[hashes[index]] = index
-        seconds_by_hash: dict = {}
-        pid_by_hash: dict = {}
-        attempts_by_hash: dict = {}
-        failure_by_hash: Dict[str, SpecFailure] = {}
-        if unique:
-            miss_specs = [specs[i] for i in unique.values()]
-            if self.hardened:
-                fresh = self._run_misses_hardened(miss_specs, list(unique),
-                                                  journal)
+        def settle(spec_hash: str, status: str = "ok",
+                   seconds: Optional[float] = None, pid: Optional[int] = None,
+                   payload: Any = None, attempts: int = 0) -> None:
+            """Terminal state of one hash: cache, journal, publish."""
+            first = positions[spec_hash][0]
+            spec = specs[first]
+            failure = None if status == "ok" else SpecFailure(
+                spec_hash=spec_hash, label=spec.label, fn=spec.fn,
+                outcome=status, attempts=attempts, error=str(payload),
+                seconds=seconds)
+            if failure is not None:
+                failures.append(failure)
+                result, pid = failure, None
+            elif missed[first]:
+                self.cache.put(spec_hash, payload, fn=spec.fn, pickled=True)
+                result = pickle.loads(payload)
             else:
-                fresh = [(seconds, pid, pickled, 1) for seconds, pid, pickled
-                         in self._run_misses(miss_specs)]
-            result_by_hash: dict = {}
-            for spec_hash, settled in zip(unique, fresh):
-                if isinstance(settled, SpecFailure):
-                    failure_by_hash[spec_hash] = settled
-                    result_by_hash[spec_hash] = settled
-                    seconds_by_hash[spec_hash] = settled.seconds
-                    pid_by_hash[spec_hash] = None
-                    attempts_by_hash[spec_hash] = settled.attempts
-                    continue
-                seconds, pid, pickled, attempts = settled
-                seconds_by_hash[spec_hash] = seconds
-                pid_by_hash[spec_hash] = pid
-                attempts_by_hash[spec_hash] = attempts
-                self.cache.put(spec_hash, pickled,
-                               fn=specs[unique[spec_hash]].fn, pickled=True)
-                result_by_hash[spec_hash] = pickle.loads(pickled)
-                if journal is not None and not self.hardened:
-                    # The hardened scheduler journals at reap time; the
-                    # legacy path settles everything here.
-                    journal.record(spec_hash=spec_hash,
-                                   label=specs[unique[spec_hash]].label,
-                                   outcome="ok", attempts=attempts,
-                                   seconds=seconds)
-            for index, result in enumerate(results):
-                if result is MISS:
-                    results[index] = result_by_hash[hashes[index]]
+                result = results[first]
+            if journal is not None:
+                journal.record(
+                    spec_hash=spec_hash, label=spec.label, outcome=status,
+                    attempts=attempts, seconds=seconds,
+                    error=failure.summary if failure else None)
+            state = "hit" if not missed[first] else \
+                "corrupt" if spec_hash in corrupt_hashes else "miss"
+            for index in positions[spec_hash]:
+                results[index] = result
+                records[index] = metrics_record(
+                    specs[index], cache=state, seconds=seconds,
+                    worker_pid=pid, dedup=missed[index] and index != first,
+                    outcome=status, attempts=attempts)
+                if self.on_settle is not None:
+                    self.on_settle(index, result, records[index])
+
+        unique = [h for h, indices in positions.items() if missed[indices[0]]]
+        for spec_hash, indices in positions.items():
+            if not missed[indices[0]]:
+                settle(spec_hash)
+        fan_out = self.hardened or (self.workers > 1 and len(unique) > 1)
+        if fan_out and not os.environ.get(_WORKER_ENV):
+            self._run_on_workers(
+                [specs[positions[h][0]] for h in unique], unique, settle)
+        else:
+            for spec_hash in unique:
+                settle(spec_hash, "ok",
+                       *_timed_execute(specs[positions[spec_hash][0]]), 1)
         self.last_stats = BatchStats(
             hits=missed.count(False),
             misses=missed.count(True),
             executed=len(unique),
-            timings=[(spec.label,
-                      seconds_by_hash[hashes[index]] if missed[index] else None)
-                     for index, spec in enumerate(specs)],
+            timings=[(record["label"], record["seconds"])
+                     for record in records],
             failed=sum(1 for result in results
                        if isinstance(result, SpecFailure)),
-            corrupt=sum(1 for index in range(len(specs))
-                        if missed[index] and hashes[index] in corrupt_hashes))
-        self.last_metrics = [
-            metrics_record(
-                spec,
-                cache=("corrupt" if hashes[index] in corrupt_hashes
-                       else "miss") if missed[index] else "hit",
-                seconds=seconds_by_hash[hashes[index]] if missed[index] else None,
-                worker_pid=pid_by_hash[hashes[index]] if missed[index] else None,
-                dedup=missed[index] and unique.get(hashes[index]) != index,
-                outcome=failure_by_hash[hashes[index]].outcome
-                if hashes[index] in failure_by_hash else "ok",
-                attempts=attempts_by_hash.get(
-                    hashes[index], 1 if missed[index] else 0))
-            for index, spec in enumerate(specs)]
+            corrupt=sum(1 for record in records
+                        if record["cache"] == "corrupt"))
+        self.last_metrics = records
         if self.metrics_path:
             write_metrics(self.last_metrics, self.metrics_path)
-        if failure_by_hash and self.on_error == "raise":
-            raise SpecExecutionError(list(failure_by_hash.values()))
+        if failures and self.on_error == "raise":
+            raise SpecExecutionError(failures)
         return results
 
     def run_one(self, spec: ScenarioSpec) -> Any:
@@ -411,122 +449,90 @@ class BatchExecutor:
                  for params in param_sets]
         return self.run(specs)
 
-    def _run_misses(
-            self, specs: Sequence[ScenarioSpec]
-    ) -> List[Tuple[float, int, bytes]]:
-        """Execute specs: ``(wall seconds, pid, pickled result)`` per spec."""
-        if self.workers <= 1 or len(specs) <= 1:
-            return [_timed_execute(spec) for spec in specs]
-        width = min(self.workers, len(specs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=width) as pool:
-            return list(pool.map(_timed_execute_in_worker, specs))
-
-    def _run_misses_hardened(
+    def _run_on_workers(
             self, specs: Sequence[ScenarioSpec], hashes: Sequence[str],
-            journal: Optional[BatchJournal]
-    ) -> List[Union[Tuple[float, int, bytes, int], SpecFailure]]:
-        """Crash-isolated execution: one dedicated process per attempt.
+            settle: Callable[[str, str, float, Optional[int], Any, int], None]
+    ) -> None:
+        """Execute ``specs`` on at most ``workers`` isolated workers.
 
-        Returns, per spec, either ``(seconds, pid, pickled result,
-        attempts)`` — the child's bytes, untouched — or
-        a terminal :class:`SpecFailure`.  A failed attempt (raise, timeout,
-        worker death) is retried after a seeded full-jitter backoff
-        (:meth:`retry_delay`) while attempts remain; sibling specs keep
-        running throughout.  Terminal states
-        are journalled the moment they settle, so an interrupted batch
-        leaves a truthful journal behind.
+        ``settle(spec hash, status, seconds, pid, payload, attempts)`` is
+        called once per spec, the moment its terminal state is known:
+        ``"ok"`` with the worker's bytes, untouched, or the last failed
+        attempt's status and diagnostic.  A failed attempt (raise,
+        timeout, worker death) is retried after a seeded full-jitter
+        backoff (:meth:`retry_delay`) while attempts remain; sibling specs
+        keep running throughout.  A worker is forked when a spec is due
+        and none is idle, reused for as long as it keeps reporting, and
+        replaced only after a timeout or its death; none outlives this
+        call, however it ends.
         """
         ctx = multiprocessing.get_context()
-        width = max(1, min(self.workers, len(specs)))
-        settled_all: List[Any] = [None] * len(specs)
-        #: (spec index, attempt number, not-before monotonic time)
-        pending: List[Tuple[int, int, float]] = \
-            [(index, 1, 0.0) for index in range(len(specs))]
-        active: Dict[int, tuple] = {}
-        while pending or active:
-            now = time.monotonic()
-            pending.sort(key=lambda entry: (entry[2], entry[0]))
-            while pending and len(active) < width and pending[0][2] <= now:
-                index, attempt, _ = pending.pop(0)
-                parent, child = ctx.Pipe(duplex=False)
-                process = ctx.Process(target=_isolated_entry,
-                                      args=(child, specs[index]),
-                                      daemon=True)
-                process.start()
-                child.close()
-                deadline = None if self.timeout is None \
-                    else time.monotonic() + self.timeout
-                active[index] = (process, parent, deadline, attempt)
-            if not active:
-                # Every queued retry is still backing off.
-                time.sleep(max(0.0, pending[0][2] - time.monotonic()) + 1e-3)
-                continue
-            multiprocessing.connection.wait(
-                [conn for _, conn, _, _ in active.values()], timeout=0.05)
-            for index, (process, conn, deadline, attempt) \
-                    in list(active.items()):
-                settled = None
-                if conn.poll():
-                    try:
-                        message = conn.recv()
-                    except EOFError:
-                        message = None
-                    process.join()
-                    if message is None:
-                        settled = ("crash", 0.0, None,
-                                   f"worker pipe closed without a result "
-                                   f"(exit code {process.exitcode})")
+        width = min(self.workers, len(specs))
+        #: Heap of (not-before monotonic time, spec index, attempt number);
+        #: born sorted, so specs are first dispatched in batch order.
+        pending: List[Tuple[float, int, int]] = \
+            [(0.0, index, 1) for index in range(len(specs))]
+        idle: List[_Worker] = []
+        #: spec index -> (worker, deadline, attempt number)
+        busy: Dict[int, Tuple[_Worker, Optional[float], int]] = {}
+        try:
+            while pending or busy:
+                while pending and len(busy) < width \
+                        and pending[0][0] <= time.monotonic():
+                    _, index, attempt = heapq.heappop(pending)
+                    worker = idle.pop() if idle else _Worker(ctx)
+                    deadline = None if self.timeout is None \
+                        else time.monotonic() + self.timeout
+                    busy[index] = (worker, deadline, attempt)
+                    worker.conn.send(specs[index])
+                # Sleep until a worker reports or dies, or the nearest
+                # deadline or retry not-before comes due.
+                due = [deadline for _, deadline, _ in busy.values()
+                       if deadline is not None]
+                if pending and len(busy) < width:
+                    due.append(pending[0][0])
+                multiprocessing.connection.wait(
+                    [waitable for worker, _, _ in busy.values() for waitable
+                     in (worker.conn, worker.process.sentinel)],
+                    max(0.0, min(due) - time.monotonic()) if due else None)
+                for index, (worker, deadline, attempt) in list(busy.items()):
+                    if worker.conn.poll():
+                        try:
+                            status, seconds, pid, payload = worker.conn.recv()
+                        except EOFError:
+                            status = "crash"
+                    elif not worker.process.is_alive():
+                        status = "crash"  # died with its pipe held open
+                    elif deadline is not None \
+                            and time.monotonic() >= deadline:
+                        status = "timeout"
                     else:
-                        status, seconds, pid, payload = message
-                        settled = (status, seconds, pid, payload)
-                elif not process.is_alive():
-                    process.join()
-                    if conn.poll():
-                        # The result raced the exit; read it next sweep.
                         continue
-                    settled = ("crash", 0.0, None,
-                               f"worker died without reporting "
-                               f"(exit code {process.exitcode})")
-                elif deadline is not None and time.monotonic() >= deadline:
-                    process.terminate()
-                    process.join(5.0)
-                    if process.is_alive():  # pragma: no cover - stuck child
-                        process.kill()
-                        process.join()
-                    settled = ("timeout", float(self.timeout), None,
-                               f"timed out after {self.timeout:g}s and was "
-                               f"terminated")
-                if settled is None:
-                    continue
-                conn.close()
-                del active[index]
-                status, seconds, pid, payload = settled
-                if status == "ok":
-                    settled_all[index] = (seconds, pid, payload, attempt)
-                    if journal is not None:
-                        journal.record(spec_hash=hashes[index],
-                                       label=specs[index].label,
-                                       outcome="ok", attempts=attempt,
-                                       seconds=seconds)
-                elif attempt <= self.max_retries:
-                    delay = self.retry_delay(hashes[index], attempt)
-                    pending.append((index, attempt + 1,
-                                    time.monotonic() + delay))
-                else:
-                    failure = SpecFailure(
-                        spec_hash=hashes[index], label=specs[index].label,
-                        fn=specs[index].fn, outcome=status,
-                        attempts=attempt, error=str(payload),
-                        seconds=float(seconds or 0.0))
-                    settled_all[index] = failure
-                    if journal is not None:
-                        journal.record(spec_hash=failure.spec_hash,
-                                       label=failure.label,
-                                       outcome=failure.outcome,
-                                       attempts=failure.attempts,
-                                       seconds=failure.seconds,
-                                       error=failure.summary)
-        return settled_all
+                    del busy[index]
+                    if status == "crash":
+                        worker.close(stop=False)
+                        seconds, pid, payload = 0.0, None, (
+                            f"worker died without reporting "
+                            f"(exit code {worker.process.exitcode})")
+                    elif status == "timeout":
+                        worker.close(stop=False)
+                        seconds, pid, payload = float(self.timeout), None, (
+                            f"timed out after {self.timeout:g}s and was "
+                            f"terminated")
+                    else:
+                        idle.append(worker)
+                    if status != "ok" and attempt <= self.max_retries:
+                        delay = self.retry_delay(hashes[index], attempt)
+                        heapq.heappush(pending, (time.monotonic() + delay,
+                                                 index, attempt + 1))
+                    else:
+                        settle(hashes[index], status, seconds, pid, payload,
+                               attempt)
+        finally:
+            for worker in idle:
+                worker.close(stop=True)
+            for worker, _, _ in busy.values():
+                worker.close(stop=False)
 
 
 def run_batch(specs: Sequence[ScenarioSpec],

@@ -6,8 +6,8 @@ as it happens, so a batch killed mid-run (crash, ^C, OOM) leaves a truthful
 record of what finished.  A subsequent run with ``resume=True`` keeps the
 journal and re-attempts only the specs that failed or never completed:
 specs journalled ``ok`` are served from the on-disk result cache (their
-results were cached when they succeeded), everything else is a cache miss
-and executes again.
+results were cached before they were journalled), everything else is a
+cache miss and executes again.
 
 Journal line schema (``JOURNAL_SCHEMA_VERSION`` = 1): ``schema_version``,
 ``spec_hash``, ``label``, ``outcome`` (``ok``/``error``/``timeout``/
@@ -20,11 +20,11 @@ The default journal location is derived from the batch content —
 of the sorted spec hashes — so re-running the same batch finds its own
 journal without any path plumbing.
 
-A journal is not limited to one executor batch: the campaign runner (see
-:mod:`repro.runtime.campaign`) executes a manifest as a sequence of
-chunked batches that all append to a single campaign-level journal, so
-``status``/``resume`` see the whole campaign regardless of how it was
-chunked.  :meth:`BatchJournal.counts` summarises that spanning view.
+An ``ok`` line promises a loadable result: the executor caches a spec's
+bytes *before* journalling it, so a batch killed between the two re-runs
+one spec instead of trusting a line with nothing behind it.  A campaign
+(:mod:`repro.runtime.campaign`) is one batch on one journal that every
+``resume`` appends to; :meth:`BatchJournal.counts` summarises it.
 """
 
 from __future__ import annotations
@@ -105,9 +105,8 @@ class BatchJournal:
     def counts(self) -> Dict[str, int]:
         """Journalled specs per outcome (latest line wins per spec).
 
-        Campaign runs append every batch of every chunk to one journal, so
-        this is the campaign-level progress summary behind
-        ``repro-campaign status``.
+        A campaign and all its resumes share one journal, so this is the
+        campaign-level progress summary behind ``repro-campaign status``.
         """
         totals: Dict[str, int] = {}
         for entry in self.entries.values():

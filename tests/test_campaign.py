@@ -9,6 +9,7 @@ source only that driver's cells re-execute.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -72,7 +73,7 @@ def _runner(campkg, tmp_path, out_name, manifest=None):
                         graph=graph)
     return CampaignRunner(
         CampaignManifest.from_mapping(manifest or _MANIFEST),
-        out_dir=tmp_path / out_name, cache=cache, workers=1, chunk=2)
+        out_dir=tmp_path / out_name, cache=cache, workers=1)
 
 
 # ---------------------------------------------------------------------- #
@@ -163,6 +164,81 @@ def test_failed_cells_are_recorded_not_raised(campkg, tmp_path):
         resume=True)
     assert resumed["cells"]["fl[x=1]"]["cache"] == "hit"
     assert resumed["cells"]["fl[x=2]"]["outcome"] == "error"
+
+
+# ---------------------------------------------------------------------- #
+# One batch per campaign: streaming, order, resume
+# ---------------------------------------------------------------------- #
+_SELFTEST = "repro.experiments.selftest"
+
+
+def _slow_cell_runner(tmp_path, slow_first):
+    """Four quick cells and one that sleeps 1 s, on two workers."""
+    quick = {"id": "quick", "driver": f"{_SELFTEST}:run",
+             "axes": {"seed": [1, 2, 3, 4]}}
+    slow = {"id": "slow", "driver": f"{_SELFTEST}:sleepy_run",
+            "params": {"marker": str(tmp_path / "slow-marker"),
+                       "sleep": 1.0}}
+    manifest = {"campaign": {"name": "stream"},
+                "experiment": [slow, quick] if slow_first else [quick, slow]}
+    return CampaignRunner(CampaignManifest.from_mapping(manifest),
+                          out_dir=tmp_path / "run-stream", workers=2)
+
+
+def test_settled_prefix_is_on_disk_before_run_returns(tmp_path):
+    runner = _slow_cell_runner(tmp_path, slow_first=False)
+    seen = []  # (when, cells in results.jsonl) at every echoed row
+
+    def echo(line):
+        rows = runner.results_path.read_text().splitlines()
+        seen.append((time.monotonic(),
+                     [json.loads(row)["cell"] for row in rows]))
+
+    runner.run(echo=echo)
+    returned = time.monotonic()
+    cells = [cell.cell_id for cell in runner.cells]
+    # One row at a time, each on disk by the time it is echoed...
+    assert [on_disk for _, on_disk in seen] == \
+        [cells[:count] for count in range(1, 6)]
+    # ...and the four quick rows were there while the slow cell slept.
+    assert returned - seen[3][0] > 0.5
+
+
+def test_results_keep_manifest_order_whatever_the_settle_order(tmp_path):
+    runner = _slow_cell_runner(tmp_path, slow_first=True)
+    summary = runner.run()
+    assert summary["totals"]["ok"] == 5
+    cells = [cell.cell_id for cell in runner.cells]
+    hashes = [cell.spec.spec_hash() for cell in runner.cells]
+    rows = [json.loads(line)
+            for line in runner.results_path.read_text().splitlines()]
+    assert [row["cell"] for row in rows] == cells
+    assert list(summary["cells"]) == cells
+    # The journal is in settle order: the slow first cell settled last.
+    journalled = [json.loads(line)["spec_hash"] for line
+                  in runner.journal_path.read_text().splitlines()]
+    assert journalled[-1] == hashes[0]
+    assert sorted(journalled) == sorted(hashes)
+
+
+def test_resume_reexecutes_only_the_unsettled_cells(campkg, tmp_path):
+    def interrupt_after_two(line):
+        if line.startswith(_CELLS[1]):
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _runner(campkg, tmp_path, "run-cut").run(echo=interrupt_after_two)
+    cut = _runner(campkg, tmp_path, "run-cut")
+    assert cut.status()["counts"] == {"ok": 2, "pending": 1}
+    assert not cut.summary_path.exists()
+    resumed = cut.run(resume=True)
+    assert {cell: row["cache"] for cell, row in resumed["cells"].items()} \
+        == {_CELLS[0]: "hit", _CELLS[1]: "hit", _CELLS[2]: "miss"}
+    assert resumed["totals"]["ok"] == 3
+    # The stream holds the interrupted run's prefix, then the full resume.
+    rows = [json.loads(line)["cell"]
+            for line in cut.results_path.read_text().splitlines()]
+    assert rows == list(_CELLS[:2]) + list(_CELLS)
 
 
 # ---------------------------------------------------------------------- #

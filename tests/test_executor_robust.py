@@ -10,9 +10,14 @@ flags do.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
+
+import repro.runtime.executor as executor_module
 
 from repro.runtime import (
     BatchExecutor,
@@ -39,6 +44,24 @@ def _spec(**params):
 def _outcomes(executor):
     return [(r["cache"], r["outcome"], r["attempts"])
             for r in executor.last_metrics]
+
+
+def _pids(executor):
+    return [r["worker_pid"] for r in executor.last_metrics]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Pids of every worker the executor forks, in fork order."""
+    pids = []
+
+    class LoggedWorker(executor_module._Worker):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            pids.append(self.process.pid)
+
+    monkeypatch.setattr(executor_module, "_Worker", LoggedWorker)
+    return pids
 
 
 class TestCrashIsolation:
@@ -181,22 +204,26 @@ class TestBitIdentity:
         legacy = BatchExecutor(workers=1, **cold).run(specs)
         serial = BatchExecutor(workers=1, timeout=60.0, **cold).run(specs)
         pooled = BatchExecutor(workers=4, timeout=60.0, **cold).run(specs)
+        # Non-hardened fan-out is the same worker path with failure
+        # handling off, and a cache hit loads the bytes a worker sent.
+        fanned = BatchExecutor(workers=4).run(specs)
+        cached = BatchExecutor(workers=1).run(specs)
 
-        dumps = [pickle.dumps(batch) for batch in (legacy, serial, pooled)]
-        assert dumps[0] == dumps[1] == dumps[2]
+        dumps = [pickle.dumps(batch)
+                 for batch in (legacy, serial, pooled, fanned, cached)]
+        assert len(set(dumps)) == 1
 
     def test_child_pickles_once_and_its_bytes_are_the_cache_entry(
             self, tmp_path, payload_dumps):
         import hashlib
-        import os
 
         cache = ResultCache(directory=tmp_path / "cache", enabled=True)
         specs = [_spec(seed=seed) for seed in (1, 2, 3)]
         cold = BatchExecutor(workers=2, timeout=60.0, cache=cache).run(specs)
         produced = payload_dumps()
-        assert len(produced) == 3  # one dumps per miss, each in its child
+        assert len(produced) == 3  # one dumps per miss, none in the parent
         assert os.getpid() not in {pid for pid, _ in produced}
-        assert len({pid for pid, _ in produced}) == 3
+        assert len({pid for pid, _ in produced}) <= 2  # workers, not misses
         stored = [hashlib.sha256(entry.read_bytes()).hexdigest()
                   for entry in (tmp_path / "cache").rglob("*.pkl")]
         assert sorted(stored) == sorted(sha for _, sha in produced)
@@ -211,6 +238,128 @@ class TestBitIdentity:
         assert BatchExecutor(workers=1, timeout=1.0).hardened
         assert BatchExecutor(workers=1, max_retries=1).hardened
         assert BatchExecutor(workers=1, on_error="record").hardened
+
+
+class TestWorkerReuse:
+    """Workers persist across specs; only a hang or a death costs one."""
+
+    def test_twelve_specs_share_two_workers(self, forked):
+        executor = BatchExecutor(workers=2, timeout=60.0)
+        executor.run([_spec(seed=seed) for seed in range(12)])
+        assert len(forked) == 2
+        assert set(_pids(executor)) <= set(forked)
+        assert os.getpid() not in forked
+        assert [r["attempts"] for r in executor.last_metrics] == [1] * 12
+
+    def test_error_does_not_cost_the_worker(self, forked):
+        executor = BatchExecutor(workers=1, on_error="record")
+        executor.run([_spec(seed=1), _spec(seed=2, crash=1), _spec(seed=3)])
+        assert [r["outcome"] for r in executor.last_metrics] == \
+            ["ok", "error", "ok"]
+        assert len(forked) == 1
+        assert _pids(executor) == [forked[0], None, forked[0]]
+
+    def test_crash_replaces_only_the_dead_worker(self, forked):
+        """The sibling sleeps through the crash on its own pid; the spec
+        behind the crash finds no idle worker and gets a fresh one."""
+        executor = BatchExecutor(workers=2, on_error="record")
+        executor.run([_spec(seed=1, sleep=1.0),
+                      ScenarioSpec.make(HARD_EXIT, seed=2),
+                      _spec(seed=3), _spec(seed=4)])
+        assert _outcomes(executor) == [
+            ("miss", "ok", 1), ("miss", "crash", 1),
+            ("miss", "ok", 1), ("miss", "ok", 1)]
+        sibling, dead, fresh = forked
+        assert _pids(executor) == [sibling, None, fresh, fresh]
+        assert len({sibling, dead, fresh}) == 3
+
+    def test_timeout_replaces_the_hung_worker(self, forked, tmp_path):
+        marker = str(tmp_path / "sleepy-marker")
+        executor = BatchExecutor(workers=1, timeout=0.4, on_error="record")
+        executor.run([_spec(seed=1),
+                      ScenarioSpec.make(SLEEPY, marker=marker, sleep=30.0),
+                      _spec(seed=3)])
+        assert [r["outcome"] for r in executor.last_metrics] == \
+            ["ok", "timeout", "ok"]
+        hung, fresh = forked
+        assert _pids(executor) == [hung, None, fresh]
+        assert hung != fresh
+
+
+class TestNoLeakedWorkers:
+    """``run`` reaps every worker it forked, however it ends."""
+
+    @pytest.mark.parametrize("specs, kwargs", [
+        ([_spec(seed=1), _spec(seed=2)], dict()),
+        ([_spec(seed=1), _spec(seed=2, crash=1)], dict()),
+        ([_spec(seed=1), _spec(seed=2, sleep=30.0)], dict(timeout=0.4)),
+        ([_spec(seed=1), ScenarioSpec.make(HARD_EXIT, seed=2)], dict()),
+    ], ids=["ok", "error", "timeout", "crash"])
+    def test_returning_or_raising(self, specs, kwargs):
+        for on_error in ("record", "raise"):
+            executor = BatchExecutor(workers=2, on_error=on_error,
+                                     cache=ResultCache(enabled=False),
+                                     **kwargs)
+            try:
+                executor.run(specs)
+            except SpecExecutionError:
+                assert on_error == "raise"
+            assert multiprocessing.active_children() == []
+
+    def test_interrupt_mid_batch(self):
+        def interrupt(index, result, record):
+            raise KeyboardInterrupt
+
+        executor = BatchExecutor(workers=2, timeout=60.0,
+                                 on_settle=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run([_spec(seed=1), _spec(seed=2, sleep=30.0),
+                          _spec(seed=3)])
+        assert multiprocessing.active_children() == []
+
+
+class TestDeadlineAwareWait:
+    """The scheduler sleeps until the next event instead of polling."""
+
+    @pytest.fixture
+    def waits(self, monkeypatch):
+        """``(objects waited on, timeout)`` of every ``connection.wait``.
+
+        ``poll`` and ``join`` wait on one object; the scheduler waits on a
+        pipe and a sentinel per busy worker — or on nothing, to back off.
+        """
+        calls = []
+        real_wait = multiprocessing.connection.wait
+
+        def recording_wait(objects, timeout=None):
+            calls.append((len(objects), timeout))
+            return real_wait(objects, timeout)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait",
+                            recording_wait)
+        return calls
+
+    def test_idle_batch_blocks_until_the_worker_reports(self, waits):
+        """One wake-up per event; the old 50 ms poll woke ~10x here."""
+        BatchExecutor(workers=1, on_error="record").run(
+            [_spec(seed=1, sleep=0.5)])
+        assert [timeout for count, timeout in waits if count == 2] == [None]
+
+    def test_retry_waits_out_its_backoff_without_slop(self, tmp_path, waits):
+        marker = str(tmp_path / "flaky-marker")
+        spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=1)
+        executor = BatchExecutor(workers=1, max_retries=1,
+                                 retry_backoff=0.6, on_error="record")
+        delay = executor.retry_delay(spec.spec_hash(), 1)
+        begin = time.monotonic()
+        executor.run([spec])
+        elapsed = time.monotonic() - begin
+        assert _outcomes(executor) == [("miss", "ok", 2)]
+        assert elapsed >= delay
+        # The back-off is one sleep on no worker, sized to the not-before.
+        backoffs = [timeout for count, timeout in waits if count == 0]
+        assert len(backoffs) == 1
+        assert backoffs[0] == pytest.approx(delay, abs=0.02)
 
 
 class TestMetricsV2:
@@ -297,6 +446,38 @@ class TestJournalAndResume:
         assert _outcomes(resumed) == [("miss", "ok", 1)]
         assert BatchJournal(journal_path,
                             resume=True).outcome_of(spec.spec_hash()) == "ok"
+
+    def test_journalled_ok_implies_a_cache_entry(self, tmp_path):
+        """Interrupted right after the first reap: whatever the journal
+        calls ``ok`` must already be loadable — bytes first, line second."""
+        journal_path = tmp_path / "batch.jsonl"
+        specs = [_spec(seed=seed) for seed in range(6)]
+        seen = []
+
+        def interrupt(index, result, record):
+            seen.append(index)
+            raise KeyboardInterrupt
+
+        executor = BatchExecutor(workers=2, timeout=60.0,
+                                 journal_path=journal_path,
+                                 on_settle=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(specs)
+        assert len(seen) == 1
+        journalled = [json.loads(line) for line
+                      in journal_path.read_text().splitlines()]
+        assert [entry["outcome"] for entry in journalled] == ["ok"]
+        cache = ResultCache()
+        by_hash = {spec.spec_hash(): spec for spec in specs}
+        for entry in journalled:
+            spec = by_hash[entry["spec_hash"]]
+            assert cache.get(entry["spec_hash"], fn=spec.fn) is not MISS
+        # Resuming re-executes exactly the specs that never settled.
+        resumed = BatchExecutor(workers=2, timeout=60.0,
+                                journal_path=journal_path, resume=True)
+        resumed.run(specs)
+        assert sorted(r["cache"] for r in resumed.last_metrics) == \
+            ["hit"] + ["miss"] * 5
 
     def test_fresh_run_truncates_journal(self, tmp_path):
         journal_path = tmp_path / "batch.jsonl"

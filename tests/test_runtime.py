@@ -252,6 +252,31 @@ def test_pooled_run_populates_the_shared_cache(tmp_path):
     assert cache.stats()[0] == 2  # both warm lookups hit
 
 
+def test_what_a_raising_spec_surfaces_as():
+    """In-process execution lets the driver's own exception through; on
+    the worker path — fan-out, hardened or not — the spec raised in
+    another process, so the batch finishes its siblings and then raises
+    one ``SpecExecutionError`` carrying the traceback (before the
+    executor paths were merged, the non-hardened pool re-raised the
+    driver's exception and abandoned the batch)."""
+    from repro.runtime import SpecExecutionError
+
+    selftest = "repro.experiments.selftest:run"
+    bad = ScenarioSpec.make(selftest, seed=1, crash=1)
+    good = ScenarioSpec.make(selftest, seed=2)
+    cold = ResultCache(enabled=False)
+    with pytest.raises(RuntimeError, match="deliberate crash") as serial:
+        BatchExecutor(workers=1, cache=cold).run([bad, good])
+    assert not isinstance(serial.value, SpecExecutionError)
+    fanned = BatchExecutor(workers=2, cache=cold)
+    assert not fanned.hardened
+    with pytest.raises(SpecExecutionError, match="deliberate crash") as fan:
+        fanned.run([bad, good])
+    assert [failure.outcome for failure in fan.value.failures] == ["error"]
+    assert "RuntimeError" in fan.value.failures[0].error
+    assert fanned.last_stats.executed == 2  # the sibling still ran
+
+
 def test_duplicate_specs_in_one_batch_run_once(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
     spec = ScenarioSpec.make(_toy_driver.run, seed=42, duration=0.1)
