@@ -5,38 +5,6 @@ Each module exposes a ``run(**params)`` function returning an
 mirror the paper's setups; benchmarks pass scaled-down durations.
 """
 
-from . import (
-    accuracy_scenarios,
-    appE_buffer_aqm,
-    fig01_motivation,
-    fig03_self_inflicted,
-    fig04_pulse_response,
-    fig05_fft,
-    fig06_elasticity_cdf,
-    fig08_time_varying,
-    fig09_fluid,
-    fig09_wan,
-    fig10_copa_drop,
-    fig11_video,
-    fig12_eta_tracking,
-    fig13_load,
-    fig14_accuracy_vs_copa,
-    fig15_rtt_sweep,
-    fig16_multiflow,
-    fig17_multiflow_cross,
-    fig21_fct,
-    fig22_bbr_compete,
-    fig23_copa_cbr,
-    fig24_copa_rtt,
-    fig25_multifactor,
-    fig26_vivace_pulse,
-    internet_paths,
-    link_flap,
-    parking_lot,
-    reroute,
-    selftest,
-    table1_classification,
-)
 from .common import (
     CROSS_FLOW,
     MAIN_FLOW,
@@ -48,40 +16,41 @@ from .common import (
     queue_delay_stats,
 )
 
-#: Registry mapping paper artefact -> experiment module, used by the
-#: benchmark harness and the EXPERIMENTS.md index.
+#: Registry mapping paper artefact -> dotted name of its driver module.
+#: Names, not modules: importing this package imports no driver; whoever
+#: needs one (the runner, a spec being executed) imports it on first use.
 EXPERIMENT_INDEX = {
-    "fig01": fig01_motivation,
-    "fig03": fig03_self_inflicted,
-    "fig04": fig04_pulse_response,
-    "fig05": fig05_fft,
-    "fig06": fig06_elasticity_cdf,
-    "fig08": fig08_time_varying,
-    "fig09": fig09_wan,
-    "fig09_fluid": fig09_fluid,
-    "fig10": fig10_copa_drop,
-    "fig11": fig11_video,
-    "fig12": fig12_eta_tracking,
-    "fig13": fig13_load,
-    "fig14": fig14_accuracy_vs_copa,
-    "fig15": fig15_rtt_sweep,
-    "fig16": fig16_multiflow,
-    "fig17": fig17_multiflow_cross,
-    "fig18": internet_paths,
-    "fig19": internet_paths,
-    "fig20": internet_paths,
-    "fig21": fig21_fct,
-    "fig22": fig22_bbr_compete,
-    "fig23": fig23_copa_cbr,
-    "fig24": fig24_copa_rtt,
-    "fig25": fig25_multifactor,
-    "fig26": fig26_vivace_pulse,
-    "appE": appE_buffer_aqm,
-    "link_flap": link_flap,
-    "parking_lot": parking_lot,
-    "reroute": reroute,
-    "selftest": selftest,
-    "table1": table1_classification,
+    "fig01": "repro.experiments.fig01_motivation",
+    "fig03": "repro.experiments.fig03_self_inflicted",
+    "fig04": "repro.experiments.fig04_pulse_response",
+    "fig05": "repro.experiments.fig05_fft",
+    "fig06": "repro.experiments.fig06_elasticity_cdf",
+    "fig08": "repro.experiments.fig08_time_varying",
+    "fig09": "repro.experiments.fig09_wan",
+    "fig09_fluid": "repro.experiments.fig09_fluid",
+    "fig10": "repro.experiments.fig10_copa_drop",
+    "fig11": "repro.experiments.fig11_video",
+    "fig12": "repro.experiments.fig12_eta_tracking",
+    "fig13": "repro.experiments.fig13_load",
+    "fig14": "repro.experiments.fig14_accuracy_vs_copa",
+    "fig15": "repro.experiments.fig15_rtt_sweep",
+    "fig16": "repro.experiments.fig16_multiflow",
+    "fig17": "repro.experiments.fig17_multiflow_cross",
+    "fig18": "repro.experiments.internet_paths",
+    "fig19": "repro.experiments.internet_paths",
+    "fig20": "repro.experiments.internet_paths",
+    "fig21": "repro.experiments.fig21_fct",
+    "fig22": "repro.experiments.fig22_bbr_compete",
+    "fig23": "repro.experiments.fig23_copa_cbr",
+    "fig24": "repro.experiments.fig24_copa_rtt",
+    "fig25": "repro.experiments.fig25_multifactor",
+    "fig26": "repro.experiments.fig26_vivace_pulse",
+    "appE": "repro.experiments.appE_buffer_aqm",
+    "link_flap": "repro.experiments.link_flap",
+    "parking_lot": "repro.experiments.parking_lot",
+    "reroute": "repro.experiments.reroute",
+    "selftest": "repro.experiments.selftest",
+    "table1": "repro.experiments.table1_classification",
 }
 
 __all__ = [

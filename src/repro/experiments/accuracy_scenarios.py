@@ -9,14 +9,19 @@ the flow sits in the correct mode.  This module provides that recipe once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.accuracy import AccuracyReport, classification_accuracy
 from ..cc import NewReno, NullCC
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..simulator.source import PacedSource
 from ..traffic import PoissonSource
-from .common import MAIN_FLOW, add_main_flow, make_network
+from .common import (
+    MAIN_FLOW,
+    add_main_flow,
+    make_network,
+    queue_delay_stats,
+)
 
 
 @dataclass
@@ -86,14 +91,13 @@ def run_accuracy_scenario(scheme: str, spec: CrossSpec,
                           buffer_ms: float = 100.0, duration: float = 60.0,
                           dt: float = 0.002, seed: int = 0,
                           aqm_target_ms: Optional[float] = None,
-                          settle: float = 6.0,
                           **scheme_overrides) -> AccuracyScenarioResult:
     """Run ``scheme`` against ``spec`` and score its mode decisions.
 
     The warmup excludes the first FFT window plus slow start; the ground
     truth is constant over the run (the cross traffic composition does not
     change), so accuracy is simply the fraction of post-warmup time spent in
-    the correct mode.
+    the correct mode — there is no transition to grant a settling time.
     """
     network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed,
                            aqm_target_ms=aqm_target_ms)
@@ -108,16 +112,9 @@ def run_accuracy_scenario(scheme: str, spec: CrossSpec,
     report = classification_accuracy(
         times, modes, elastic_truth=lambda t: spec.has_elastic,
         warmup=warmup, settle=0.0)
-    from .common import queue_delay_stats
-
     stats = queue_delay_stats(recorder, start=warmup)
     return AccuracyScenarioResult(
         scheme=scheme, spec=spec, report=report,
         mean_throughput_mbps=recorder.mean_throughput(MAIN_FLOW, start=warmup),
         mean_queue_delay_ms=stats["mean"])
 
-
-def sweep(scheme: str, specs: List[CrossSpec], **kwargs
-          ) -> List[AccuracyScenarioResult]:
-    """Run a list of scenarios for one scheme."""
-    return [run_accuracy_scenario(scheme, spec, **kwargs) for spec in specs]

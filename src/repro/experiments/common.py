@@ -4,27 +4,30 @@ Every experiment in the paper is some combination of: a bottleneck link, a
 "main" bulk flow running one of the schemes under study, and cross traffic.
 This module provides the scheme registry (string name -> congestion-control
 instance), the standard network construction, and result containers, so the
-individual ``figXX_*`` modules stay small and declarative.
+individual ``figXX_*`` modules stay small and declarative.  It also holds
+the recipes several drivers share: :func:`run_per_scheme` (one cached
+``run_case`` batch, reassembled per scheme), :func:`link_byte_table` and
+:func:`scripted_case_payload` (the measurement half of the chaos drivers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
 
+from ..analysis.accuracy import classification_accuracy
 from ..analysis.metrics import ThroughputDelaySummary, summarize_flow
 from ..runtime.build import (
     FluidClassSpec,
     LinkSpec,
-    RouteSpec,
-    attach_fluid_classes,
     make_multihop_network,
     make_network,
     make_scheme,
-    make_topology,
 )
+from ..runtime.executor import run_batch
+from ..runtime.spec import ScenarioSpec
 from ..simulator import Flow, TopologyNetwork, mbps_to_bytes_per_sec
 
 #: Name of the main (measured) flow in every experiment.
@@ -38,15 +41,15 @@ __all__ = [
     "FluidClassSpec",
     "LinkSpec",
     "MAIN_FLOW",
-    "RouteSpec",
     "SchemeResult",
     "add_main_flow",
-    "attach_fluid_classes",
+    "link_byte_table",
     "make_multihop_network",
     "make_network",
     "make_scheme",
-    "make_topology",
     "queue_delay_stats",
+    "run_per_scheme",
+    "scripted_case_payload",
 ]
 
 
@@ -112,4 +115,77 @@ def queue_delay_stats(recorder, start: float = 0.0) -> Dict[str, float]:
         "mean": float(np.mean(selected)),
         "median": float(np.median(selected)),
         "p95": float(np.percentile(selected, 95)),
+    }
+
+
+def run_per_scheme(result: ExperimentResult, run_case: Callable,
+                   schemes: Iterable[str], **params) -> ExperimentResult:
+    """Run ``run_case(scheme=..., **params)`` for every scheme as one cached
+    batch and file each ``{"scheme", "summary", "extra", "data"}`` payload
+    under its scheme in ``result``."""
+    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
+                               **params) for scheme in schemes]
+    for payload in run_batch(specs):
+        scheme = payload["scheme"]
+        result.schemes[scheme] = SchemeResult(
+            scheme=scheme, summary=payload["summary"],
+            extra=payload["extra"])
+        result.data[scheme] = payload["data"]
+    return result
+
+
+def link_byte_table(network: TopologyNetwork) -> Dict[str, dict]:
+    """Every link's conservation counters (``offered == served + dropped +
+    queued``), keyed by link name in attachment order."""
+    return {link.name: {"offered_bytes": link.total_offered,
+                        "served_bytes": link.total_served,
+                        "dropped_bytes": link.total_drops,
+                        "queued_bytes": link.queue_bytes}
+            for link in network.topology.links}
+
+
+def scripted_case_payload(network: TopologyNetwork, cross, scheme: str,
+                          link_mbps: float, duration: float,
+                          fault_windows: int, extra: dict,
+                          data: Optional[dict] = None) -> dict:
+    """The payload of one finished chaos case (``link_flap``, ``reroute``).
+
+    Main-flow summary, throughput / queue-delay / mode series, mode
+    accuracy against the scripted ``cross`` traffic's ground truth and the
+    per-link byte table, all after a warm-up of ``min(10, duration / 6)``
+    seconds.  Key order is part of the payload's digest: the driver's own
+    ``extra`` keys sit between ``fault_windows`` and ``queue``, its ``data``
+    keys between ``modes`` and ``per_link``.
+    """
+    recorder = network.recorder
+    warmup = min(10.0, duration / 6.0)
+    summary = summarize_flow(recorder, MAIN_FLOW, scheme=scheme,
+                             start=warmup)
+    times, tput = recorder.throughput_series(MAIN_FLOW)
+    _, qdelay = recorder.link_queue_delay_series()
+    accuracy = None
+    _, modes = recorder.mode_series(MAIN_FLOW)
+    if any(m is not None for m in modes):
+        accuracy = classification_accuracy(
+            times, modes, elastic_truth=cross.elastic_present,
+            warmup=warmup, settle=6.0).accuracy
+    return {
+        "scheme": scheme,
+        "summary": summary,
+        "extra": {
+            "mode_accuracy": accuracy,
+            "fault_windows": fault_windows,
+            **extra,
+            "queue": queue_delay_stats(recorder, start=warmup),
+            "main_share": (summary.mean_throughput_mbps / link_mbps
+                           if link_mbps else 0.0),
+        },
+        "data": {
+            "times": times,
+            "throughput_mbps": tput,
+            "queue_delay_ms": qdelay,
+            "modes": np.array([m if m is not None else "" for m in modes]),
+            **(data or {}),
+            "per_link": link_byte_table(network),
+        },
     }

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..runtime import ScenarioSpec, run_batch
-from .common import ExperimentResult, SchemeResult
+from .common import ExperimentResult, run_per_scheme
 from .fig09_wan import run_case
 
 
@@ -32,16 +31,7 @@ def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
         parameters=dict(schemes=schemes, link_mbps=link_mbps,
                         load=load, duration=duration,
                         fluid_arrivals=fluid_arrivals))
-    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
-                               link_mbps=link_mbps, prop_rtt=prop_rtt,
-                               buffer_ms=buffer_ms, load=load,
-                               duration=duration, dt=dt, seed=seed,
-                               fluid=1, fluid_arrivals=fluid_arrivals)
-             for scheme in schemes]
-    for payload in run_batch(specs):
-        scheme = payload["scheme"]
-        result.schemes[scheme] = SchemeResult(
-            scheme=scheme, summary=payload["summary"],
-            extra=payload["extra"])
-        result.data[scheme] = payload["data"]
-    return result
+    return run_per_scheme(
+        result, run_case, schemes, link_mbps=link_mbps, prop_rtt=prop_rtt,
+        buffer_ms=buffer_ms, load=load, duration=duration, dt=dt, seed=seed,
+        fluid=1, fluid_arrivals=fluid_arrivals)

@@ -15,18 +15,16 @@ import numpy as np
 
 from ..analysis.fct import FctRecord
 from ..analysis.metrics import rate_cdf_over_intervals, summarize_flow
-from ..runtime import ScenarioSpec, run_batch
 from ..traffic import WanTrafficGenerator, WanWorkloadConfig
 from ..simulator import mbps_to_bytes_per_sec
 from .common import (
     MAIN_FLOW,
     ExperimentResult,
     FluidClassSpec,
-    SchemeResult,
     add_main_flow,
-    attach_fluid_classes,
     make_network,
     queue_delay_stats,
+    run_per_scheme,
 )
 
 DEFAULT_SCHEMES = ("nimbus", "cubic", "bbr", "vegas", "copa", "pcc-vivace")
@@ -45,15 +43,15 @@ def run_single(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     background flows at unchanged cost); the default ``fluid=0`` is the
     per-flow path, bit-identical to a build without the parameters.
     """
-    network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
+    classes = (FluidClassSpec(
+        "wan", kind="elastic", load=load, rtt_ms=prop_rtt * 1e3,
+        arrivals_per_sec=fluid_arrivals or None, seed=seed),) if fluid else ()
+    network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed,
+                           fluid=classes)
     flow = add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt,
                          **scheme_overrides)
-    if fluid:
-        attach_fluid_classes(network, (FluidClassSpec(
-            "wan", kind="elastic", load=load, rtt_ms=prop_rtt * 1e3,
-            arrivals_per_sec=fluid_arrivals or None, seed=seed),))
-        generator = None
-    else:
+    generator = None
+    if not fluid:
         generator = WanTrafficGenerator(network, WanWorkloadConfig(
             link_rate=mbps_to_bytes_per_sec(link_mbps), load=load,
             prop_rtt=prop_rtt, seed=seed))
@@ -130,15 +128,6 @@ def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
         name="fig09_wan",
         parameters=dict(schemes=schemes, link_mbps=link_mbps,
                         load=load, duration=duration))
-    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
-                               link_mbps=link_mbps, prop_rtt=prop_rtt,
-                               buffer_ms=buffer_ms, load=load,
-                               duration=duration, dt=dt, seed=seed)
-             for scheme in schemes]
-    for payload in run_batch(specs):
-        scheme = payload["scheme"]
-        result.schemes[scheme] = SchemeResult(
-            scheme=scheme, summary=payload["summary"],
-            extra=payload["extra"])
-        result.data[scheme] = payload["data"]
-    return result
+    return run_per_scheme(
+        result, run_case, schemes, link_mbps=link_mbps, prop_rtt=prop_rtt,
+        buffer_ms=buffer_ms, load=load, duration=duration, dt=dt, seed=seed)

@@ -24,21 +24,17 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
-from ..analysis.accuracy import classification_accuracy
-from ..analysis.metrics import summarize_flow
-from ..runtime import ScenarioSpec, flap_fault_specs, run_batch
+from ..runtime import flap_fault_specs
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import Phase, ScriptedCrossTraffic
 from .common import (
     MAIN_FLOW,
     ExperimentResult,
     LinkSpec,
-    SchemeResult,
     make_multihop_network,
     make_scheme,
-    queue_delay_stats,
+    run_per_scheme,
+    scripted_case_payload,
 )
 
 #: Mode-switching schemes by default: accuracy under faults is the point.
@@ -101,47 +97,11 @@ def run_case(scheme: str = "nimbus", period: float = 8.0, depth: float = 1.0,
     cross.install()
     network.run(duration)
 
-    recorder = network.recorder
-    warmup = min(10.0, duration / 6.0)
-    summary = summarize_flow(recorder, MAIN_FLOW, scheme=scheme,
-                             start=warmup)
-    times, tput = recorder.throughput_series(MAIN_FLOW)
-    _, qdelay = recorder.link_queue_delay_series()
-    accuracy = None
-    _, modes = recorder.mode_series(MAIN_FLOW)
-    if any(m is not None for m in modes):
-        report = classification_accuracy(
-            times, modes, elastic_truth=cross.elastic_present,
-            warmup=warmup, settle=6.0)
-        accuracy = report.accuracy
     down_seconds = sum(fault.duration for fault in faults)
-    per_link = {}
-    for link in network.topology.links:
-        per_link[link.name] = {
-            "offered_bytes": link.total_offered,
-            "served_bytes": link.total_served,
-            "dropped_bytes": link.total_drops,
-            "queued_bytes": link.queue_bytes,
-        }
-    return {
-        "scheme": scheme,
-        "summary": summary,
-        "extra": {
-            "mode_accuracy": accuracy,
-            "fault_windows": len(faults),
-            "down_fraction": down_seconds / duration if duration else 0.0,
-            "queue": queue_delay_stats(recorder, start=warmup),
-            "main_share": (summary.mean_throughput_mbps / link_mbps
-                           if link_mbps else 0.0),
-        },
-        "data": {
-            "times": times,
-            "throughput_mbps": tput,
-            "queue_delay_ms": qdelay,
-            "modes": np.array([m if m is not None else "" for m in modes]),
-            "per_link": per_link,
-        },
-    }
+    return scripted_case_payload(
+        network, cross, scheme, link_mbps, duration, len(faults),
+        extra={"down_fraction": (down_seconds / duration
+                                 if duration else 0.0)})
 
 
 def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
@@ -159,19 +119,9 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
                         duty=duty, drop_queued=int(drop_queued),
                         link_mbps=link_mbps, wan_mbps=wan_mbps,
                         duration=duration))
-    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
-                               period=period, depth=depth, duty=duty,
-                               drop_queued=int(drop_queued),
-                               link_mbps=link_mbps, wan_mbps=wan_mbps,
-                               hop_delay_ms=hop_delay_ms,
-                               buffer_ms=buffer_ms, prop_rtt=prop_rtt,
-                               phase_duration=phase_duration,
-                               duration=duration, dt=dt, seed=seed)
-             for scheme in schemes]
-    for payload in run_batch(specs):
-        scheme = payload["scheme"]
-        result.schemes[scheme] = SchemeResult(
-            scheme=scheme, summary=payload["summary"],
-            extra=payload["extra"])
-        result.data[scheme] = payload["data"]
-    return result
+    return run_per_scheme(
+        result, run_case, schemes, period=period, depth=depth, duty=duty,
+        drop_queued=int(drop_queued), link_mbps=link_mbps,
+        wan_mbps=wan_mbps, hop_delay_ms=hop_delay_ms, buffer_ms=buffer_ms,
+        prop_rtt=prop_rtt, phase_duration=phase_duration,
+        duration=duration, dt=dt, seed=seed)

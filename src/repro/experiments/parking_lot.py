@@ -22,16 +22,16 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from ..analysis.metrics import summarize_flow
-from ..runtime import ScenarioSpec, run_batch
 from ..simulator import Flow, TopologyNetwork, mbps_to_bytes_per_sec
 from .common import (
     MAIN_FLOW,
     ExperimentResult,
     LinkSpec,
-    SchemeResult,
+    link_byte_table,
     make_multihop_network,
     make_scheme,
     queue_delay_stats,
+    run_per_scheme,
 )
 
 DEFAULT_SCHEMES = ("nimbus", "cubic", "vegas")
@@ -107,18 +107,14 @@ def run_case(scheme: str = "nimbus", hops: int = 3, cross_flows: int = 2,
     warmup = duration / 6.0
     summary = summarize_flow(recorder, MAIN_FLOW, scheme=scheme,
                              start=warmup)
-    per_hop = {}
+    per_hop = link_byte_table(network)
     for link, delay in zip(network.topology.links,
                            network.topology.delays):
         times, qdelay_ms = recorder.link_queue_delay_series(link.name)
         _, tput_mbps = recorder.link_throughput_series(link.name)
         _, drop_mbps = recorder.link_drop_series(link.name)
         settled = times >= warmup
-        per_hop[link.name] = {
-            "offered_bytes": link.total_offered,
-            "served_bytes": link.total_served,
-            "dropped_bytes": link.total_drops,
-            "queued_bytes": link.queue_bytes,
+        per_hop[link.name].update({
             "delay_ms": delay * 1e3,
             "queue_delay_ms_mean": (float(qdelay_ms[settled].mean())
                                     if settled.any() else 0.0),
@@ -126,7 +122,7 @@ def run_case(scheme: str = "nimbus", hops: int = 3, cross_flows: int = 2,
                                      if settled.any() else 0.0),
             "drop_mbps_mean": (float(drop_mbps[settled].mean())
                                if settled.any() else 0.0),
-        }
+        })
     cross_tput = {
         flow.name: recorder.mean_throughput(flow.name, start=warmup)
         for flow in network.flows[1:]
@@ -160,17 +156,8 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES, hops: int = 3,
         parameters=dict(schemes=schemes, hops=int(hops),
                         cross_flows=int(cross_flows), link_mbps=link_mbps,
                         duration=duration))
-    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
-                               hops=int(hops), cross_flows=int(cross_flows),
-                               link_mbps=link_mbps,
-                               hop_delay_ms=hop_delay_ms,
-                               buffer_ms=buffer_ms, prop_rtt=prop_rtt,
-                               duration=duration, dt=dt, seed=seed)
-             for scheme in schemes]
-    for payload in run_batch(specs):
-        scheme = payload["scheme"]
-        result.schemes[scheme] = SchemeResult(
-            scheme=scheme, summary=payload["summary"],
-            extra=payload["extra"])
-        result.data[scheme] = payload["data"]
-    return result
+    return run_per_scheme(
+        result, run_case, schemes, hops=int(hops),
+        cross_flows=int(cross_flows), link_mbps=link_mbps,
+        hop_delay_ms=hop_delay_ms, buffer_ms=buffer_ms, prop_rtt=prop_rtt,
+        duration=duration, dt=dt, seed=seed)

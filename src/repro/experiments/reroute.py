@@ -33,21 +33,17 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-import numpy as np
-
-from ..analysis.accuracy import classification_accuracy
-from ..analysis.metrics import summarize_flow
-from ..runtime import ScenarioSpec, flap_fault_specs, run_batch
+from ..runtime import flap_fault_specs
 from ..simulator import Flow, ListTraceSink, TraceSink, mbps_to_bytes_per_sec
 from ..traffic import ScriptedCrossTraffic
 from .common import (
     MAIN_FLOW,
     ExperimentResult,
     LinkSpec,
-    SchemeResult,
     make_multihop_network,
     make_scheme,
-    queue_delay_stats,
+    run_per_scheme,
+    scripted_case_payload,
 )
 from .link_flap import build_phases
 
@@ -139,52 +135,16 @@ def run_case(scheme: str = "nimbus", period: float = 8.0,
     cross.install()
     network.run(duration)
 
-    recorder = network.recorder
-    warmup = min(10.0, duration / 6.0)
-    summary = summarize_flow(recorder, MAIN_FLOW, scheme=scheme,
-                             start=warmup)
-    times, tput = recorder.throughput_series(MAIN_FLOW)
-    _, qdelay = recorder.link_queue_delay_series()
-    accuracy = None
-    _, modes = recorder.mode_series(MAIN_FLOW)
-    if any(m is not None for m in modes):
-        report = classification_accuracy(
-            times, modes, elastic_truth=cross.elastic_present,
-            warmup=warmup, settle=6.0)
-        accuracy = report.accuracy
     route_events = tee.records
     route_changes = sum(1 for record in route_events
-                       if record["event"] == "route_change")
-    per_link = {}
-    for link in network.topology.links:
-        per_link[link.name] = {
-            "offered_bytes": link.total_offered,
-            "served_bytes": link.total_served,
-            "dropped_bytes": link.total_drops,
-            "queued_bytes": link.queue_bytes,
-        }
-    return {
-        "scheme": scheme,
-        "summary": summary,
-        "extra": {
-            "mode_accuracy": accuracy,
-            "fault_windows": len(faults),
-            "route_changes": route_changes,
-            "blackhole_seconds": _blackhole_seconds(route_events, duration),
-            "convergence_ms": convergence_ms,
-            "queue": queue_delay_stats(recorder, start=warmup),
-            "main_share": (summary.mean_throughput_mbps / link_mbps
-                           if link_mbps else 0.0),
-        },
-        "data": {
-            "times": times,
-            "throughput_mbps": tput,
-            "queue_delay_ms": qdelay,
-            "modes": np.array([m if m is not None else "" for m in modes]),
-            "route_events": route_events,
-            "per_link": per_link,
-        },
-    }
+                        if record["event"] == "route_change")
+    return scripted_case_payload(
+        network, cross, scheme, link_mbps, duration, len(faults),
+        extra={"route_changes": route_changes,
+               "blackhole_seconds": _blackhole_seconds(route_events,
+                                                       duration),
+               "convergence_ms": convergence_ms},
+        data={"route_events": route_events})
 
 
 def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
@@ -203,19 +163,10 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
                         drop_queued=int(drop_queued), link_mbps=link_mbps,
                         primary_mbps=primary_mbps, backup_mbps=backup_mbps,
                         duration=duration))
-    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
-                               period=period, convergence_ms=convergence_ms,
-                               duty=duty, drop_queued=int(drop_queued),
-                               link_mbps=link_mbps,
-                               primary_mbps=primary_mbps,
-                               backup_mbps=backup_mbps, prop_rtt=prop_rtt,
-                               phase_duration=phase_duration,
-                               duration=duration, dt=dt, seed=seed)
-             for scheme in schemes]
-    for payload in run_batch(specs):
-        scheme = payload["scheme"]
-        result.schemes[scheme] = SchemeResult(
-            scheme=scheme, summary=payload["summary"],
-            extra=payload["extra"])
-        result.data[scheme] = payload["data"]
-    return result
+    return run_per_scheme(
+        result, run_case, schemes, period=period,
+        convergence_ms=convergence_ms, duty=duty,
+        drop_queued=int(drop_queued), link_mbps=link_mbps,
+        primary_mbps=primary_mbps, backup_mbps=backup_mbps,
+        prop_rtt=prop_rtt, phase_duration=phase_duration,
+        duration=duration, dt=dt, seed=seed)

@@ -9,8 +9,10 @@ code::
 
 Arbitrary numeric keyword overrides can be passed as ``--set name=value``;
 they are forwarded to the driver's ``run`` function.  ``sweep`` mode
-expands comma-separated ``--set`` values into the cross product and runs
-the whole grid as one scenario batch (parallel workers + result cache)::
+expands comma-separated ``--set`` values into the cross product — through
+:func:`repro.runtime.spec.expand_grid`, the expander campaign manifests
+use — and runs the whole grid as one scenario batch (parallel workers +
+result cache)::
 
     python -m repro.experiments.runner sweep fig09 --set seed=1,2,3 \\
         --set load=0.5,0.9 --duration 30
@@ -41,6 +43,7 @@ but some specs failed.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
 import os
 import sys
@@ -60,27 +63,13 @@ from . import EXPERIMENT_INDEX
 from .common import ExperimentResult
 
 
-def _parse_overrides(pairs: List[str]) -> Dict[str, float]:
-    """Turn ``name=value`` strings into keyword arguments (numbers only)."""
-    overrides: Dict[str, float] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--set expects name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
-        try:
-            overrides[name.strip()] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"--set expects a numeric value, got {pair!r}")
-    return overrides
-
-
-def _parse_sweep_overrides(
+def _parse_overrides(
         pairs: List[str]) -> Tuple[Dict[str, float], Dict[str, List[float]]]:
     """Split ``--set`` pairs into fixed overrides and sweep axes.
 
-    ``name=a,b,c`` becomes a sweep axis with values ``[a, b, c]``;
-    single-valued pairs stay plain overrides.
+    The one ``--set`` parser (numbers only): ``name=a,b,c`` becomes a sweep
+    axis with values ``[a, b, c]``; single-valued pairs are plain keyword
+    overrides.  A plain run accepts no axes; ``main`` says so.
     """
     fixed: Dict[str, float] = {}
     axes: Dict[str, List[float]] = {}
@@ -163,7 +152,7 @@ def _accepts_kwarg(fn, name: str) -> bool:
 
 def _print_listing() -> None:
     for key in sorted(EXPERIMENT_INDEX):
-        module = EXPERIMENT_INDEX[key]
+        module = importlib.import_module(EXPERIMENT_INDEX[key])
         summary = (module.__doc__ or "").strip().splitlines()
         print(f"{key:<8} {summary[0] if summary else ''}")
 
@@ -228,38 +217,34 @@ def main(argv: List[str] | None = None) -> int:
         print("sweep mode needs an experiment id, e.g. "
               "'runner sweep fig09 --set seed=1,2,3'", file=sys.stderr)
         return 2
-    module = EXPERIMENT_INDEX.get(experiment_id)
-    if module is None:
+    module_name = EXPERIMENT_INDEX.get(experiment_id)
+    if module_name is None:
         print(f"unknown experiment {experiment_id!r}; "
               f"try --list", file=sys.stderr)
         return 2
 
-    fn = f"{module.__name__}:run"
+    fn = f"{module_name}:run"
     # Some drivers do not take a duration (they use phase_duration etc.);
     # decide up front instead of re-running a whole batch on TypeError.
-    takes_duration = _accepts_kwarg(module.run, "duration")
-    axes: Dict[str, List[float]] = {}
+    # The registry holds names: this imports the one driver needed.
+    takes_duration = _accepts_kwarg(
+        importlib.import_module(module_name).run, "duration")
     try:
-        if sweep_mode:
-            base, axes = _parse_sweep_overrides(args.overrides)
-            base.setdefault("dt", args.dt)
-            if args.duration is not None:
-                base["duration"] = args.duration
-            if not takes_duration:
-                if "duration" in axes:
-                    print(f"{experiment_id} does not take a duration; it "
-                          f"cannot be a sweep axis", file=sys.stderr)
-                    return 2
-                base.pop("duration", None)
-            specs = list(expand_grid(fn, base, axes))
-        else:
-            kwargs = _parse_overrides(args.overrides)
-            kwargs.setdefault("dt", args.dt)
-            if args.duration is not None:
-                kwargs["duration"] = args.duration
-            if not takes_duration:
-                kwargs.pop("duration", None)
-            specs = [ScenarioSpec.make(fn, label=experiment_id, **kwargs)]
+        base, axes = _parse_overrides(args.overrides)
+        if axes and not sweep_mode:
+            raise ValueError(
+                f"--set {next(iter(axes))}=V1,V2,... is a sweep axis; run "
+                f"'runner sweep {experiment_id} ...' to expand it")
+        base.setdefault("dt", args.dt)
+        if args.duration is not None:
+            base["duration"] = args.duration
+        if not takes_duration:
+            if "duration" in axes:
+                raise ValueError(f"{experiment_id} does not take a duration; "
+                                 f"it cannot be a sweep axis")
+            base.pop("duration", None)
+        specs = list(expand_grid(fn, base, axes)) if sweep_mode else [
+            ScenarioSpec.make(fn, label=experiment_id, **base)]
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2

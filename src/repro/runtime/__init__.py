@@ -31,13 +31,10 @@ drivers import the runtime, not the reverse.
 """
 
 from .build import (
-    FaultSpec,
     FluidClassSpec,
     LinkSpec,
     RouteSpec,
-    attach_fluid_classes,
     flap_fault_specs,
-    make_fault_schedule,
     make_multihop_network,
     make_network,
     make_scheme,
@@ -53,7 +50,6 @@ from .executor import (
     configured_workers,
     execute_spec,
     run_batch,
-    run_scenario,
 )
 from .journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -75,7 +71,6 @@ __all__ = [
     "BatchJournal",
     "BatchStats",
     "DependencyGraph",
-    "FaultSpec",
     "FluidClassSpec",
     "JOURNAL_SCHEMA_VERSION",
     "LinkSpec",
@@ -86,7 +81,6 @@ __all__ = [
     "ScenarioSpec",
     "SpecExecutionError",
     "SpecFailure",
-    "attach_fluid_classes",
     "batch_id",
     "cache_enabled",
     "configured_workers",
@@ -94,7 +88,6 @@ __all__ = [
     "default_journal_path",
     "execute_spec",
     "flap_fault_specs",
-    "make_fault_schedule",
     "make_multihop_network",
     "make_network",
     "make_scheme",
@@ -102,7 +95,6 @@ __all__ = [
     "metrics_record",
     "module_digest",
     "run_batch",
-    "run_scenario",
     "validate_metrics_record",
     "write_metrics",
 ]

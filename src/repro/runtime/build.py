@@ -3,6 +3,15 @@
 They sit in the runtime layer so that scenario execution (and anything
 else below the driver layer) can build networks and schemes without
 importing the experiments package.
+
+One builder, :func:`make_multihop_network`, takes everything a network
+is described by — links, routes, fault windows, fluid classes — and
+:func:`make_network` is its one-link shorthand.  Each description exists
+once: links, routes and fluid classes are the frozen ``*Spec``
+dataclasses below (driver units: Mbit/s, milliseconds); a fault window is
+the simulator's own :class:`~repro.simulator.faults.FaultEvent` (engine
+units: seconds), which is already a frozen dataclass of scalars and so
+canonicalises into a :class:`~repro.runtime.spec.ScenarioSpec` as it is.
 """
 
 from __future__ import annotations
@@ -68,39 +77,6 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """Declarative description of one fault window (driver units).
-
-    The :class:`LinkSpec` sibling for the chaos layer: a frozen dataclass
-    with init-only scalar fields, so a tuple of these canonicalises into a
-    :class:`~repro.runtime.spec.ScenarioSpec` and fault scenarios hash,
-    cache, and batch like any other.  Times are in seconds; ``delay_ms``
-    is in milliseconds to match :class:`LinkSpec`.
-
-    Attributes:
-        kind: ``capacity_dip``, ``link_flap``, ``delay_jitter``, or
-            ``burst_loss``.
-        link: Name of the target link.
-        start: Window start in simulation seconds.
-        duration: Window length in seconds.
-        factor: Capacity multiplier during a ``capacity_dip``.
-        drop_queued: ``link_flap`` queue policy — flush the queue and
-            blackhole arrivals instead of freezing and draining later.
-        delay_ms: Extra propagation delay for ``delay_jitter``.
-        loss_rate: Per-chunk drop probability for ``burst_loss``.
-    """
-
-    kind: str
-    link: str
-    start: float
-    duration: float
-    factor: float = 0.5
-    drop_queued: bool = False
-    delay_ms: float = 0.0
-    loss_rate: float = 0.0
-
-
-@dataclass(frozen=True)
 class FluidClassSpec:
     """Declarative description of one fluid-aggregate cross-traffic class.
 
@@ -140,22 +116,6 @@ class FluidClassSpec:
     seed: int = 1
 
 
-def attach_fluid_classes(network: TopologyNetwork,
-                         fluid: Sequence[FluidClassSpec]) -> None:
-    """Attach the described fluid classes to a built network."""
-    for spec in fluid:
-        link = (network.topology.link(spec.link)
-                if spec.link is not None else network.link)
-        network.attach_fluid_class(
-            FluidClass(
-                spec.name, link.capacity, kind=spec.kind, load=spec.load,
-                rate=(mbps_to_bytes_per_sec(spec.rate_mbps)
-                      if spec.rate_mbps is not None else None),
-                rtt=spec.rtt_ms / 1e3, flows=spec.flows,
-                arrivals_per_sec=spec.arrivals_per_sec, seed=spec.seed),
-            link=spec.link)
-
-
 @dataclass(frozen=True)
 class RouteSpec:
     """One explicit routing-table entry: ``node`` reaches ``dst`` through
@@ -164,18 +124,6 @@ class RouteSpec:
     node: str
     dst: str
     links: Tuple[str, ...]
-
-
-def make_fault_schedule(faults: Sequence[FaultSpec],
-                        seed: int = 0) -> FaultSchedule:
-    """Convert driver-unit :class:`FaultSpec` entries into a schedule."""
-    events = [FaultEvent(kind=spec.kind, link=spec.link, start=spec.start,
-                         duration=spec.duration, factor=spec.factor,
-                         drop_queued=bool(spec.drop_queued),
-                         delay=spec.delay_ms / 1e3,
-                         loss_rate=spec.loss_rate)
-              for spec in faults]
-    return FaultSchedule(events, seed=seed)
 
 
 def flap_fault_specs(link: str, period: float, duty: float, until: float,
@@ -201,11 +149,11 @@ def flap_fault_specs(link: str, period: float, duty: float, until: float,
     begin = first
     while begin < until:
         if depth >= 1.0:
-            faults.append(FaultSpec("link_flap", link, begin, down,
-                                    drop_queued=drop_queued))
+            faults.append(FaultEvent("link_flap", link, begin, down,
+                                     drop_queued=bool(drop_queued)))
         else:
-            faults.append(FaultSpec("capacity_dip", link, begin, down,
-                                    factor=1.0 - depth))
+            faults.append(FaultEvent("capacity_dip", link, begin, down,
+                                     factor=1.0 - depth))
         begin += period
     return tuple(faults)
 
@@ -255,7 +203,7 @@ def make_topology(links: Sequence[LinkSpec], monitor: Optional[str] = None,
 
 def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
                           seed: int = 0, monitor: Optional[str] = None,
-                          faults: Sequence[FaultSpec] = (),
+                          faults: Sequence[FaultEvent] = (),
                           fluid: Sequence[FluidClassSpec] = (),
                           routes: Sequence[RouteSpec] = (),
                           convergence_ms: Optional[float] = None
@@ -266,6 +214,11 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
     ``faults`` are armed and ``fluid`` classes attached on the fresh
     network (seeded from ``seed``); empty sequences leave the engine
     untouched — bit-identical to a build without the parameters.
+    ``faults`` are :class:`~repro.simulator.faults.FaultEvent` windows as
+    they are (frozen scalar dataclasses, so they canonicalise into a
+    :class:`~repro.runtime.spec.ScenarioSpec` like a :class:`LinkSpec`):
+    engine units, so ``delay_jitter``'s ``delay`` is in *seconds* where
+    every ``*_ms`` field of this module is in milliseconds.
     ``convergence_ms`` is the reroute convergence delay in milliseconds —
     the lag between a link-state change and the tables re-resolving, so
     an armed ``link_flap`` triggers failover onto the backups; the default
@@ -277,9 +230,18 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
         convergence_delay=(None if convergence_ms is None
                            else convergence_ms / 1e3))
     if faults:
-        make_fault_schedule(faults, seed=seed).apply(network)
-    if fluid:
-        attach_fluid_classes(network, fluid)
+        FaultSchedule(faults, seed=seed).apply(network)
+    for spec in fluid:
+        link = (network.topology.link(spec.link)
+                if spec.link is not None else network.link)
+        network.attach_fluid_class(
+            FluidClass(
+                spec.name, link.capacity, kind=spec.kind, load=spec.load,
+                rate=(mbps_to_bytes_per_sec(spec.rate_mbps)
+                      if spec.rate_mbps is not None else None),
+                rtt=spec.rtt_ms / 1e3, flows=spec.flows,
+                arrivals_per_sec=spec.arrivals_per_sec, seed=spec.seed),
+            link=spec.link)
     return network
 
 

@@ -62,8 +62,8 @@ import random
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 from .cache import MISS, ResultCache
 from .journal import BatchJournal
@@ -442,13 +442,6 @@ class BatchExecutor:
         """Single-spec convenience wrapper around :meth:`run`."""
         return self.run([spec])[0]
 
-    def map(self, fn: Callable | str, param_sets: Iterable[dict],
-            **shared: Any) -> List[Any]:
-        """Run ``fn`` once per parameter set (plus shared kwargs)."""
-        specs = [ScenarioSpec.make(fn, **{**shared, **params})
-                 for params in param_sets]
-        return self.run(specs)
-
     def _run_on_workers(
             self, specs: Sequence[ScenarioSpec], hashes: Sequence[str],
             settle: Callable[[str, str, float, Optional[int], Any, int], None]
@@ -541,7 +534,3 @@ def run_batch(specs: Sequence[ScenarioSpec],
     """Execute a batch of specs with a throwaway executor."""
     return BatchExecutor(workers=workers, cache=cache).run(specs)
 
-
-def run_scenario(fn: Callable | str, **params: Any) -> Any:
-    """Build one spec from ``fn``/``params`` and execute it (cached)."""
-    return BatchExecutor().run_one(ScenarioSpec.make(fn, **params))

@@ -24,7 +24,8 @@ An ``ok`` line promises a loadable result: the executor caches a spec's
 bytes *before* journalling it, so a batch killed between the two re-runs
 one spec instead of trusting a line with nothing behind it.  A campaign
 (:mod:`repro.runtime.campaign`) is one batch on one journal that every
-``resume`` appends to; :meth:`BatchJournal.counts` summarises it.
+``resume`` appends to; ``repro-campaign status`` counts its cells per
+outcome through :meth:`BatchJournal.outcome_of`.
 """
 
 from __future__ import annotations
@@ -101,18 +102,6 @@ class BatchJournal:
         """Latest journalled outcome for a spec, or ``None`` if absent."""
         entry = self.entries.get(spec_hash)
         return entry.get("outcome") if entry else None
-
-    def counts(self) -> Dict[str, int]:
-        """Journalled specs per outcome (latest line wins per spec).
-
-        A campaign and all its resumes share one journal, so this is the
-        campaign-level progress summary behind ``repro-campaign status``.
-        """
-        totals: Dict[str, int] = {}
-        for entry in self.entries.values():
-            outcome = entry.get("outcome", "ok")
-            totals[outcome] = totals.get(outcome, 0) + 1
-        return totals
 
     def record(self, *, spec_hash: str, label: str, outcome: str,
                attempts: int, seconds: Optional[float],

@@ -1,4 +1,4 @@
-"""Declarative campaign manifests: experiments × grids × faults × seeds.
+"""Declarative campaign manifests: experiments × grids × seeds.
 
 A campaign manifest is a TOML (or JSON) file describing a grid of
 scenarios across one or more experiment drivers.  It expands into a list
@@ -25,12 +25,6 @@ Schema (TOML spelling)::
     period = [2, 4]         # are the cross product, in declared order
     depth = [0.5, 1.0]
 
-    [[experiment.faults]]   # optional: FaultSpec rows, passed to the
-    kind = "link_flap"      # driver as a ``faults=(FaultSpec(...), ...)``
-    link = "wan"            # parameter
-    start = 1.0
-    duration = 0.5
-
     [[experiment.include]]  # optional: keep only cells matching at least
     depth = 1.0             # one include row (all listed params equal)
 
@@ -38,9 +32,14 @@ Schema (TOML spelling)::
     period = 2              # applied after include
     depth = 0.5
 
-Cell ids are ``<experiment id>[axis=value,...]`` with values in canonical
-spelling (``2.0`` prints as ``2``), so the same manifest always produces
-the same ids — they are the join key for ``repro-campaign diff``.
+Each block's grid is expanded by :func:`repro.runtime.spec.expand_grid`
+— the one cross-product expander, shared with ``runner sweep`` — and a
+cell id is ``<experiment id>[<grid label>]``, i.e. ``axis=value,...`` with
+values in canonical spelling (``2.0`` prints as ``2``), so the same
+manifest always produces the same ids — they are the join key for
+``repro-campaign diff``.  Fault windows are not a manifest concept: the
+chaos drivers (``link_flap``, ``reroute``) derive theirs from numeric
+axes (``period``, ``depth``, ``duty``), which sweep like any other.
 
 Bare ``driver`` names are resolved against the experiment registry
 *lazily* (only during :meth:`CampaignManifest.expand`), so importing this
@@ -50,22 +49,20 @@ layer in, preserving the runtime-below-experiments layering rule.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from .build import FaultSpec
-from .spec import ScenarioSpec, canonicalize
+from .spec import ScenarioSpec, canonicalize, expand_grid
 
 #: Keys accepted at each level; anything else is a spelling mistake and
 #: rejected loudly rather than silently ignored.
 _CAMPAIGN_KEYS = frozenset({"name", "seeds"})
 _EXPERIMENT_KEYS = frozenset({"id", "driver", "params", "axes", "seeds",
-                              "faults", "include", "exclude"})
+                              "include", "exclude"})
 _TOP_KEYS = frozenset({"campaign", "experiment"})
 
 
@@ -78,18 +75,18 @@ def default_experiment_resolver(name: str) -> str:
 
     Imports :mod:`repro.experiments` lazily — only when a manifest
     actually uses a bare id — so the runtime package stays importable
-    without the driver layer.
+    without the driver layer; the registry holds module *names*, so no
+    driver is imported to expand a manifest.
     """
     import importlib
 
-    experiments = importlib.import_module("repro.experiments")
-    module = experiments.EXPERIMENT_INDEX.get(name)
-    if module is None:
-        known = ", ".join(sorted(experiments.EXPERIMENT_INDEX))
+    index = importlib.import_module("repro.experiments").EXPERIMENT_INDEX
+    if name not in index:
         raise ManifestError(
-            f"unknown experiment id {name!r}; known ids: {known} "
+            f"unknown experiment id {name!r}; known ids: "
+            f"{', '.join(sorted(index))} "
             f"(or use a dotted 'module:callable' path)")
-    return f"{module.__name__}:run"
+    return f"{index[name]}:run"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -106,15 +103,10 @@ def _scalar_list(value: Any, where: str) -> Tuple[Any, ...]:
     return tuple(value)
 
 
-def _format_value(value: Any) -> str:
-    """Canonical display spelling for a cell id (``2.0`` -> ``2``)."""
-    return str(canonicalize(value))
-
-
 def _matches(params: Mapping[str, Any], row: Mapping[str, Any]) -> bool:
-    """Whether a cell's parameters satisfy one include/exclude row."""
-    return all(name in params
-               and canonicalize(params[name]) == canonicalize(value)
+    """Whether a cell's (canonical) parameters satisfy one include/exclude
+    row."""
+    return all(name in params and params[name] == canonicalize(value)
                for name, value in row.items())
 
 
@@ -127,7 +119,6 @@ class ExperimentBlock:
     params: Tuple[Tuple[str, Any], ...] = ()
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     seeds: Optional[Tuple[int, ...]] = None
-    faults: Tuple[Tuple[Tuple[str, Any], ...], ...] = ()
     include: Tuple[Tuple[Tuple[str, Any], ...], ...] = ()
     exclude: Tuple[Tuple[Tuple[str, Any], ...], ...] = ()
 
@@ -248,9 +239,6 @@ class CampaignManifest:
             if block_seeds is not None:
                 block_seeds = tuple(int(s) for s in _scalar_list(
                     block_seeds, f"{where}: seeds"))
-            faults = block.get("faults", [])
-            _require(isinstance(faults, list),
-                     f"{where}: faults must be a list of tables")
             include = block.get("include", [])
             exclude = block.get("exclude", [])
             for label, rows in (("include", include), ("exclude", exclude)):
@@ -261,7 +249,6 @@ class CampaignManifest:
                 id=block_id, driver=driver,
                 params=tuple(sorted(params.items())),
                 axes=tuple(axes), seeds=block_seeds,
-                faults=tuple(tuple(sorted(f.items())) for f in faults),
                 include=tuple(tuple(sorted(r.items())) for r in include),
                 exclude=tuple(tuple(sorted(r.items())) for r in exclude)))
         return cls(name=name, experiments=blocks, seeds=seeds,
@@ -284,65 +271,28 @@ class CampaignManifest:
             fn = block.driver if ":" in block.driver \
                 else resolve(block.driver)
             base: Dict[str, Any] = dict(block.params)
-            if block.faults:
-                _require("faults" not in base,
-                         f"experiment {block.id!r}: faults given both as a "
-                         f"param and as [[experiment.faults]] tables")
-                try:
-                    base["faults"] = tuple(
-                        FaultSpec(**dict(row)) for row in block.faults)
-                except TypeError as error:
-                    raise ManifestError(
-                        f"experiment {block.id!r}: bad fault spec: {error}")
-            axes: List[Tuple[str, Sequence[Any]]] = list(block.axes)
+            axes: Dict[str, Tuple[Any, ...]] = dict(block.axes)
             seeds = block.seeds if block.seeds is not None else self.seeds
             if seeds is not None:
-                _require(all(axis != "seed" for axis, _ in axes)
-                         and "seed" not in base,
+                _require("seed" not in axes and "seed" not in base,
                          f"experiment {block.id!r}: seeds given while "
                          f"'seed' is already a param or axis")
-                axes.append(("seed", seeds))
-            names = [axis for axis, _ in axes]
-            combos = itertools.product(*(values for _, values in axes)) \
-                if axes else iter(((),))
-            for combo in combos:
-                params = dict(base)
-                params.update(zip(names, combo))
+                axes["seed"] = seeds
+            for spec in expand_grid(fn, base, axes):
+                params = dict(spec.params)
                 if block.include and not any(
                         _matches(params, dict(row)) for row in block.include):
                     continue
                 if any(_matches(params, dict(row)) for row in block.exclude):
                     continue
-                if names:
-                    point = ",".join(
-                        f"{name}={_format_value(value)}"
-                        for name, value in zip(names, combo))
-                    cell_id = f"{block.id}[{point}]"
-                else:
-                    cell_id = block.id
+                cell_id = f"{block.id}[{spec.label}]" if axes else block.id
                 _require(cell_id not in seen,
                          f"duplicate cell id {cell_id!r} (experiments "
                          f"{seen.get(cell_id)!r} and {block.id!r})")
                 seen[cell_id] = block.id
                 cells.append(CampaignCell(
                     cell_id=cell_id, experiment=block.id,
-                    spec=ScenarioSpec.make(fn, label=cell_id, **params)))
+                    spec=dataclasses.replace(spec, label=cell_id)))
         _require(bool(cells), "manifest expands to zero cells "
                               "(filters removed everything)")
         return cells
-
-    def driver_modules(self, resolver: Optional[Callable[[str], str]] = None
-                       ) -> Tuple[str, ...]:
-        """Sorted module names behind every experiment block's driver.
-
-        These are the cache-key scopes of the campaign: feed them to
-        ``python -m repro.runtime.depgraph key`` to derive a CI cache key
-        that only changes when code the campaign actually runs changes.
-        """
-        resolve = resolver or default_experiment_resolver
-        modules = set()
-        for block in self.experiments:
-            fn = block.driver if ":" in block.driver \
-                else resolve(block.driver)
-            modules.add(fn.partition(":")[0])
-        return tuple(sorted(modules))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Tuple
@@ -161,12 +162,6 @@ class ScenarioSpec:
         payload = repr((self.fn, self.params)).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
-    def with_params(self, **updates: Any) -> "ScenarioSpec":
-        """A copy of this spec with some parameters replaced or added."""
-        merged = self.kwargs()
-        merged.update(updates)
-        return ScenarioSpec.make(self.fn, label=self.label, **merged)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         args = ", ".join(f"{k}={v!r}" for k, v in self.params)
         return f"{self.label or self.fn}({args})"
@@ -176,18 +171,19 @@ def expand_grid(fn: Callable | str, base: Mapping[str, Any],
                 axes: Mapping[str, Any]) -> Tuple[ScenarioSpec, ...]:
     """Cross-product expansion of sweep axes into a batch of specs.
 
+    The one grid expander: ``runner sweep`` and campaign manifests
+    (:meth:`repro.runtime.manifest.CampaignManifest.expand`) both call it.
     ``axes`` maps parameter name -> iterable of values; ``base`` holds the
     parameters common to every point.  Returns one spec per point of the
-    cross product, in row-major order of the axes as given.
+    cross product, in row-major order of the axes as given, labelled
+    ``axis=value,...`` with values in canonical spelling (``2.0`` prints as
+    ``2``) — the part of a campaign cell id between the brackets.
     """
-    import itertools
-
     names = list(axes)
-    value_lists = [list(axes[name]) for name in names]
     specs = []
-    for combo in itertools.product(*value_lists):
-        params = dict(base)
-        params.update(zip(names, combo))
-        label = ",".join(f"{n}={v}" for n, v in zip(names, combo))
-        specs.append(ScenarioSpec.make(fn, label=label, **params))
+    for combo in itertools.product(*(axes[name] for name in names)):
+        label = ",".join(f"{name}={canonicalize(value)}"
+                         for name, value in zip(names, combo))
+        specs.append(ScenarioSpec.make(
+            fn, label=label, **{**base, **dict(zip(names, combo))}))
     return tuple(specs)

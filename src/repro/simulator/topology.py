@@ -505,7 +505,7 @@ class TopologyNetwork:
             state = target.fluid = FluidLinkState(target)
             self._fluid_states.append(state)
         state.classes.append(fluid_class)
-        self.recorder.register_fluid(fluid_class, target.name)
+        self.recorder.register_fluid(fluid_class)
         return fluid_class
 
     def fluid_classes(self) -> List[FluidClass]:

@@ -12,6 +12,10 @@ series — mean queueing delay, served throughput, drop rate, and queue
 occupancy — sampled from the links' own byte counters, so a parking-lot
 experiment can ask *which* hop queued or dropped, not just whether the
 monitor hop did (``link_queue_delay_series("hop2")`` and friends).
+Fluid classes get offered / served / dropped series the same way, and by
+the same code: one :class:`_CounterRecord` per source differences that
+source's monotone byte counters at bin boundaries, whatever the source
+is, and :meth:`Recorder._counter_bins` reads any of them back.
 
 Bins are stored as growable lists indexed by bin number rather than
 dict-of-bin mappings: simulation time only moves forward, so the bin index
@@ -32,7 +36,6 @@ from .units import bytes_per_sec_to_mbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .endpoint import Flow
-    from .link import BottleneckLink
     from .packet import Chunk
     from .topology import TopologyNetwork
 
@@ -60,55 +63,52 @@ class _FlowRecord:
         self.mode_by_bin: Dict[int, str] = {}
 
 
-class _LinkRecord:
-    """Per-link accumulation buckets: occupancy, served and dropped bytes.
+class _CounterRecord:
+    """Per-bin differences of one source's monotone byte counters.
 
-    The per-tick cost is one ``occ_acc += link.queue_bytes`` (zero for a
-    single-link network, where the monitor queue-delay sum already carries
-    the occupancy); everything else — flushing the occupancy sum and
-    differencing the link's own monotone ``total_served`` /
-    ``total_drops`` counters — happens once per bin boundary (every
-    ``bin_width / dt`` ticks), so sampling every link of a topology stays
-    off the engine's hot path.
+    One record type for links (``total_served`` / ``total_drops``) and
+    fluid classes (``total_offered`` / ``total_served`` /
+    ``total_dropped``): ``source`` is the object that owns the counters,
+    ``prev`` their readings when the current bin opened and ``by_bin`` the
+    closed bins' deltas, both keyed by counter name.  The counters are
+    read once per bin boundary (every ``bin_width / dt`` ticks) and when a
+    series is asked for, so recording every link and class of a topology
+    stays off the engine's hot path.  ``closed`` backfills zeros for bins
+    that ended before the record was made (a class attached mid-run).
+
+    Link records also carry the queue occupancy, the one per-tick cost:
+    ``occ_acc += source.queue_bytes`` (zero for a single-link network,
+    where the monitor queue-delay sum already carries the occupancy).
     """
 
-    __slots__ = ("link", "occ_acc", "occ_by_bin", "served_by_bin",
-                 "dropped_by_bin", "prev_served", "prev_drops")
+    __slots__ = ("source", "prev", "by_bin", "occ_acc", "occ_by_bin")
 
-    def __init__(self, link: "BottleneckLink") -> None:
-        self.link = link
-        #: Occupancy sum of the bin currently accumulating.
-        self.occ_acc = 0.0
-        #: Flushed per-bin values for bins ``0 .. Recorder._link_bin - 1``.
-        self.occ_by_bin: List[float] = []
-        self.served_by_bin: List[float] = []
-        self.dropped_by_bin: List[float] = []
-        #: Counter readings at the last flush (start of the current bin).
-        self.prev_served = 0.0
-        self.prev_drops = 0.0
-
-
-class _FluidRecord:
-    """Per-fluid-class accumulation buckets: offered/served/dropped bytes.
-
-    Same counter-differencing scheme as :class:`_LinkRecord`: the class's
-    own monotone byte counters are read once per bin boundary, so the
-    recorder adds nothing to the fluid model's per-tick cost.
-    """
-
-    __slots__ = ("source", "link_name", "offered_by_bin", "served_by_bin",
-                 "dropped_by_bin", "prev_offered", "prev_served",
-                 "prev_dropped")
-
-    def __init__(self, source, link_name: str) -> None:
+    def __init__(self, source, counters: Tuple[str, ...],
+                 closed: int = 0) -> None:
         self.source = source
-        self.link_name = link_name
-        self.offered_by_bin: List[float] = []
-        self.served_by_bin: List[float] = []
-        self.dropped_by_bin: List[float] = []
-        self.prev_offered = source.total_offered
-        self.prev_served = source.total_served
-        self.prev_dropped = source.total_dropped
+        self.prev: Dict[str, float] = {
+            name: getattr(source, name) for name in counters}
+        self.by_bin: Dict[str, List[float]] = {
+            name: [0.0] * closed for name in counters}
+        #: Occupancy sum of the bin currently accumulating (links only).
+        self.occ_acc = 0.0
+        self.occ_by_bin: List[float] = []
+
+    def close_bin(self, gap: int) -> None:
+        """Append every counter's delta since the last close, then ``gap``
+        zero bins no tick landed in."""
+        source, prev = self.source, self.prev
+        for name, closed in self.by_bin.items():
+            reading = getattr(source, name)
+            closed.append(reading - prev[name])
+            prev[name] = reading
+            if gap > 0:
+                closed.extend([0.0] * gap)
+
+
+#: The monotone byte counters differenced per bin, by kind of source.
+_LINK_COUNTERS = ("total_served", "total_drops")
+_FLUID_COUNTERS = ("total_offered", "total_served", "total_dropped")
 
 
 class Recorder:
@@ -131,14 +131,15 @@ class Recorder:
         # series (every link is sampled on the same ticks).
         topology = getattr(network, "topology", None)
         links = topology.links if topology is not None else [network.link]
-        self._link_records = [_LinkRecord(link) for link in links]
-        self._link_index: Dict[str, _LinkRecord] = {
-            record.link.name: record for record in self._link_records}
+        self._link_records = [_CounterRecord(link, _LINK_COUNTERS)
+                              for link in links]
+        self._link_index: Dict[str, _CounterRecord] = {
+            record.source.name: record for record in self._link_records}
         #: The bin the link records are currently accumulating into.
         self._link_bin = 0
         #: Fluid-class records, keyed by class name in attachment order
         #: (classes register through the engine's ``attach_fluid_class``).
-        self._fluid_records: Dict[str, _FluidRecord] = {}
+        self._fluid_records: Dict[str, _CounterRecord] = {}
         #: Single-link fast path: when the only link is the monitor link,
         #: its occupancy is already captured by the per-tick queue-delay
         #: sum (``queue_delay == queue_bytes / capacity``), so the bin
@@ -146,7 +147,7 @@ class Recorder:
         #: extra per-link work at all.
         self._solo_record = (self._link_records[0]
                              if len(self._link_records) == 1
-                             and self._link_records[0].link
+                             and self._link_records[0].source
                              is getattr(network, "link", None) else None)
 
     # ------------------------------------------------------------------ #
@@ -158,7 +159,7 @@ class Recorder:
             rec = self._flows[flow_id] = _FlowRecord()
         return rec
 
-    def register_fluid(self, fluid_class, link_name: str) -> None:
+    def register_fluid(self, fluid_class) -> None:
         """Start recording a fluid class's per-bin byte series.
 
         Called by ``TopologyNetwork.attach_fluid_class``.  Classes may
@@ -168,13 +169,9 @@ class Recorder:
         name = fluid_class.name
         if name in self._fluid_records:
             raise ValueError(f"fluid class {name!r} already registered")
-        record = _FluidRecord(fluid_class, link_name)
-        closed = len(self._link_records[0].served_by_bin)
-        if closed:
-            record.offered_by_bin = [0.0] * closed
-            record.served_by_bin = [0.0] * closed
-            record.dropped_by_bin = [0.0] * closed
-        self._fluid_records[name] = record
+        self._fluid_records[name] = _CounterRecord(
+            fluid_class, _FLUID_COUNTERS,
+            closed=len(self._link_records[0].occ_by_bin))
 
     def on_delivery(self, flow: "Flow", chunk: "Chunk", now: float) -> None:
         b = self._bin(now)
@@ -201,14 +198,14 @@ class Recorder:
             _grow(self._link_qdelay_sum, b, 0.0)
             _grow(self._link_qdelay_cnt, b, 0)
             if b != self._link_bin:
-                self._flush_link_bins(b)
+                self._close_bins(b)
         self._link_qdelay_sum[b] += self.network.link.queue_delay
         self._link_qdelay_cnt[b] += 1
         if b > self._max_bin:
             self._max_bin = b
         if self._solo_record is None:
             for record in self._link_records:
-                record.occ_acc += record.link.queue_bytes
+                record.occ_acc += record.source.queue_bytes
         # The engine's roster lists active flows in flow-id order — the
         # same order a scan over every flow ever created would visit them.
         flows = self.network.flows
@@ -286,57 +283,52 @@ class Recorder:
                     series[b] = qdelay_sum[b] / cnt
             return self.times(), series * 1e3
         record = self._link_record(link_name)
-        occ, _, _ = self._link_bins(record)
-        times, occupancy = self._per_tick_mean(occ)
-        return times, occupancy / record.link.capacity * 1e3
+        times, occupancy = self._per_tick_mean(self._occupancy_sums(record))
+        return times, occupancy / record.source.capacity * 1e3
 
     def link_names(self) -> List[str]:
         """Names of the links this recorder samples, in attachment order."""
-        return [record.link.name for record in self._link_records]
+        return [record.source.name for record in self._link_records]
 
     def link_occupancy_series(self, link_name: str
                               ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, bytes) mean queued bytes per bin at the named link."""
-        occ, _, _ = self._link_bins(self._link_record(link_name))
-        return self._per_tick_mean(occ)
+        return self._per_tick_mean(
+            self._occupancy_sums(self._link_record(link_name)))
 
     def link_throughput_series(self, link_name: str
                                ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, Mbit/s) bytes served per bin by the named link."""
-        _, served, _ = self._link_bins(self._link_record(link_name))
-        return self._per_bin_rate(served)
+        return self._per_bin_rate(self._link_record(link_name),
+                                  "total_served")
 
     def link_drop_series(self, link_name: str
                          ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, Mbit/s) bytes dropped per bin at the named link."""
-        _, _, dropped = self._link_bins(self._link_record(link_name))
-        return self._per_bin_rate(dropped)
+        return self._per_bin_rate(self._link_record(link_name),
+                                  "total_drops")
 
     def fluid_class_names(self) -> List[str]:
         """Names of the recorded fluid classes, in registration order."""
         return list(self._fluid_records)
 
-    def fluid_link_of(self, class_name: str) -> str:
-        """The link the named fluid class is attached to."""
-        return self._fluid_record(class_name).link_name
-
     def fluid_offered_series(self, class_name: str
                              ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, Mbit/s) bytes the named fluid class offered per bin."""
-        offered, _, _ = self._fluid_bins(self._fluid_record(class_name))
-        return self._per_bin_rate(offered)
+        return self._per_bin_rate(self._fluid_record(class_name),
+                                  "total_offered")
 
     def fluid_served_series(self, class_name: str
                             ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, Mbit/s) bytes served to the named fluid class per bin."""
-        _, served, _ = self._fluid_bins(self._fluid_record(class_name))
-        return self._per_bin_rate(served)
+        return self._per_bin_rate(self._fluid_record(class_name),
+                                  "total_served")
 
     def fluid_drop_series(self, class_name: str
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, Mbit/s) bytes dropped from the named fluid class per bin."""
-        _, _, dropped = self._fluid_bins(self._fluid_record(class_name))
-        return self._per_bin_rate(dropped)
+        return self._per_bin_rate(self._fluid_record(class_name),
+                                  "total_dropped")
 
     def mode_series(self, name: Optional[str] = None,
                     flow_id: Optional[int] = None
@@ -396,73 +388,61 @@ class Recorder:
         # int() truncation == floor for the engine's non-negative clock.
         return int(now / self.bin_width)
 
-    def _link_record(self, link_name: str) -> _LinkRecord:
+    def _link_record(self, link_name: str) -> _CounterRecord:
         record = self._link_index.get(link_name)
         if record is None:
             raise KeyError(f"no recorded link named {link_name!r}; "
                            f"known: {self.link_names()}")
         return record
 
-    def _flush_link_bins(self, b: int) -> None:
-        """Close the accumulating link bin and advance to bin ``b``.
+    def _fluid_record(self, class_name: str) -> _CounterRecord:
+        record = self._fluid_records.get(class_name)
+        if record is None:
+            raise KeyError(f"no recorded fluid class named {class_name!r}; "
+                           f"known: {self.fluid_class_names()}")
+        return record
 
-        Appends each record's occupancy sum and the served/dropped byte
+    def _close_bins(self, b: int) -> None:
+        """Close the accumulating bin of every record and advance to ``b``.
+
+        Appends each link's occupancy sum and every record's counter
         deltas since the previous flush, then pads zeros for any bins no
         tick landed in (only possible when ``bin_width < dt``).
         """
         gap = b - self._link_bin - 1
         for record in self._link_records:
-            link = record.link
             record.occ_by_bin.append(record.occ_acc)
             record.occ_acc = 0.0
-            served = link.total_served
-            record.served_by_bin.append(served - record.prev_served)
-            record.prev_served = served
-            drops = link.total_drops
-            record.dropped_by_bin.append(drops - record.prev_drops)
-            record.prev_drops = drops
             if gap > 0:
                 record.occ_by_bin.extend([0.0] * gap)
-                record.served_by_bin.extend([0.0] * gap)
-                record.dropped_by_bin.extend([0.0] * gap)
-        for fluid in self._fluid_records.values():
-            source = fluid.source
-            offered = source.total_offered
-            fluid.offered_by_bin.append(offered - fluid.prev_offered)
-            fluid.prev_offered = offered
-            served = source.total_served
-            fluid.served_by_bin.append(served - fluid.prev_served)
-            fluid.prev_served = served
-            dropped = source.total_dropped
-            fluid.dropped_by_bin.append(dropped - fluid.prev_dropped)
-            fluid.prev_dropped = dropped
-            if gap > 0:
-                fluid.offered_by_bin.extend([0.0] * gap)
-                fluid.served_by_bin.extend([0.0] * gap)
-                fluid.dropped_by_bin.extend([0.0] * gap)
+            record.close_bin(gap)
+        for record in self._fluid_records.values():
+            record.close_bin(gap)
         self._link_bin = b
 
-    def _link_bins(self, record: _LinkRecord
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(occupancy sums, served bytes, dropped bytes) per bin.
+    def _counter_bins(self, record: _CounterRecord,
+                      counter: str) -> np.ndarray:
+        """Bytes per bin by which one of ``record``'s counters advanced.
 
-        Flushed bins come from the record's lists; the still-accumulating
-        bin is read live (occupancy accumulator plus the counter deltas
-        since the last flush), so series are current mid-run without
-        mutating the record.
+        Closed bins come from the record's list; the still-accumulating
+        bin is read live (the counter's advance since the last flush), so
+        series are current mid-run without mutating the record.
         """
         n = self._max_bin + 1
+        values = np.zeros(n)
+        closed = record.by_bin[counter]
+        flushed = min(len(closed), n)
+        values[:flushed] = closed[:flushed]
+        if self._link_bin < n:
+            values[self._link_bin] += (getattr(record.source, counter)
+                                       - record.prev[counter])
+        return values
+
+    def _occupancy_sums(self, record: _CounterRecord) -> np.ndarray:
+        """Per-bin sums of a link's per-tick queue occupancy (live bin
+        included, like :meth:`_counter_bins`)."""
+        n = self._max_bin + 1
         occ = np.zeros(n)
-        served = np.zeros(n)
-        dropped = np.zeros(n)
-        flushed = min(len(record.served_by_bin), n)
-        served[:flushed] = record.served_by_bin[:flushed]
-        dropped[:flushed] = record.dropped_by_bin[:flushed]
-        current = self._link_bin
-        if current < n:
-            link = record.link
-            served[current] += link.total_served - record.prev_served
-            dropped[current] += link.total_drops - record.prev_drops
         if record is self._solo_record:
             # Fast path: the lone link is the monitor link, whose per-tick
             # queue-delay sum is ``queue_bytes / capacity`` — scale back up
@@ -471,43 +451,13 @@ class Recorder:
             m = min(len(sums), n)
             if m:
                 occ[:m] = (np.asarray(sums[:m], dtype=float)
-                           * record.link.capacity)
+                           * record.source.capacity)
         else:
+            flushed = min(len(record.occ_by_bin), n)
             occ[:flushed] = record.occ_by_bin[:flushed]
-            if current < n:
-                occ[current] += record.occ_acc
-        return occ, served, dropped
-
-    def _fluid_record(self, class_name: str) -> _FluidRecord:
-        record = self._fluid_records.get(class_name)
-        if record is None:
-            raise KeyError(f"no recorded fluid class named {class_name!r}; "
-                           f"known: {self.fluid_class_names()}")
-        return record
-
-    def _fluid_bins(self, record: _FluidRecord
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(offered, served, dropped) bytes per bin for one fluid class.
-
-        Flushed bins come from the record's lists; the still-accumulating
-        bin is read live from the class's counters, mirroring
-        :meth:`_link_bins`.
-        """
-        n = self._max_bin + 1
-        offered = np.zeros(n)
-        served = np.zeros(n)
-        dropped = np.zeros(n)
-        flushed = min(len(record.offered_by_bin), n)
-        offered[:flushed] = record.offered_by_bin[:flushed]
-        served[:flushed] = record.served_by_bin[:flushed]
-        dropped[:flushed] = record.dropped_by_bin[:flushed]
-        current = self._link_bin
-        if current < n:
-            source = record.source
-            offered[current] += source.total_offered - record.prev_offered
-            served[current] += source.total_served - record.prev_served
-            dropped[current] += source.total_dropped - record.prev_dropped
-        return offered, served, dropped
+            if self._link_bin < n:
+                occ[self._link_bin] += record.occ_acc
+        return occ
 
     def _per_tick_mean(self, sums: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -522,10 +472,11 @@ class Recorder:
                                    where=cnt > 0)
         return self.times(), series
 
-    def _per_bin_rate(self, by_bin: np.ndarray
+    def _per_bin_rate(self, record: _CounterRecord, counter: str
                       ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-bin byte totals as an Mbit/s rate series."""
-        return self.times(), bytes_per_sec_to_mbps(by_bin / self.bin_width)
+        """One counter's per-bin byte advance as an Mbit/s rate series."""
+        return self.times(), bytes_per_sec_to_mbps(
+            self._counter_bins(record, counter) / self.bin_width)
 
     def _select(self, name: Optional[str], flow_id: Optional[int]) -> List[int]:
         if flow_id is not None:

@@ -4,6 +4,8 @@ Full-scale reproductions live in ``benchmarks/``; here each driver is run at
 a heavily reduced duration just to validate its plumbing and result shape.
 """
 
+import importlib
+
 import pytest
 
 from repro.experiments import (
@@ -38,7 +40,8 @@ class TestRegistry:
         assert expected.issubset(EXPERIMENT_INDEX.keys())
 
     def test_every_driver_has_run(self):
-        for module in set(EXPERIMENT_INDEX.values()):
+        for name in set(EXPERIMENT_INDEX.values()):
+            module = importlib.import_module(name)
             assert hasattr(module, "run") or hasattr(module, "run_path")
 
 

@@ -14,8 +14,9 @@ import pytest
 
 from repro.experiments import link_flap, parking_lot
 from repro.experiments.common import MAIN_FLOW
-from repro.runtime import FaultSpec, flap_fault_specs, make_fault_schedule
+from repro.runtime import flap_fault_specs
 from repro.runtime.build import LinkSpec, make_multihop_network
+from repro.runtime.spec import canonicalize, decanonicalize
 from repro.simulator import (
     Flow,
     FaultEvent,
@@ -79,8 +80,8 @@ class TestFaultEventValidation:
         runs before the later window's effect, so the second dip scales
         the *nominal* capacity — never the already-dipped one."""
         network = _two_hop(faults=(
-            FaultSpec("capacity_dip", "wan", 1.0, 1.0, factor=0.5),
-            FaultSpec("capacity_dip", "wan", 2.0, 1.0, factor=0.25),))
+            FaultEvent("capacity_dip", "wan", 1.0, 1.0, factor=0.5),
+            FaultEvent("capacity_dip", "wan", 2.0, 1.0, factor=0.25),))
         wan = _link(network, "wan")
         nominal = wan.capacity
         network.run(1.5)
@@ -101,7 +102,7 @@ class TestFaultEventValidation:
 class TestCapacityDip:
     def test_capacity_scaled_and_restored_exactly(self):
         network = _two_hop(faults=(
-            FaultSpec("capacity_dip", "wan", 0.5, 0.5, factor=0.25),))
+            FaultEvent("capacity_dip", "wan", 0.5, 0.5, factor=0.25),))
         wan = _link(network, "wan")
         nominal = wan.capacity
         network.run(0.75)
@@ -114,7 +115,7 @@ class TestCapacityDip:
         calm = _two_hop()
         calm.run(6.0)
         dipped = _two_hop(faults=(
-            FaultSpec("capacity_dip", "wan", 2.0, 3.0, factor=0.05),))
+            FaultEvent("capacity_dip", "wan", 2.0, 3.0, factor=0.05),))
         dipped.run(6.0)
         assert (_link(dipped, "bottleneck").total_served
                 < 0.8 * _link(calm, "bottleneck").total_served)
@@ -123,7 +124,7 @@ class TestCapacityDip:
 class TestLinkFlap:
     def test_drain_flap_freezes_queue_and_recovers(self):
         network = _two_hop(faults=(
-            FaultSpec("link_flap", "bottleneck", 1.0, 0.5),))
+            FaultEvent("link_flap", "bottleneck", 1.0, 0.5),))
         link = _link(network, "bottleneck")
         network.run(1.2)
         assert not link.up
@@ -139,8 +140,8 @@ class TestLinkFlap:
 
     def test_drop_flap_flushes_queue_and_blackholes(self):
         network = _two_hop(faults=(
-            FaultSpec("link_flap", "bottleneck", 1.0, 0.5,
-                      drop_queued=True),))
+            FaultEvent("link_flap", "bottleneck", 1.0, 0.5,
+                       drop_queued=True),))
         link = _link(network, "bottleneck")
         network.run(0.9)
         assert link.queue_bytes > 0  # cubic fills the buffer
@@ -160,8 +161,8 @@ class TestLinkFlap:
     def test_conservation_holds_mid_flap(self):
         for drop_queued in (False, True):
             network = _two_hop(faults=(
-                FaultSpec("link_flap", "bottleneck", 1.0, 1.0,
-                          drop_queued=drop_queued),))
+                FaultEvent("link_flap", "bottleneck", 1.0, 1.0,
+                           drop_queued=drop_queued),))
             network.run(1.5)
             assert not _link(network, "bottleneck").up
             network.audit_conservation()  # mid-window: must not raise
@@ -170,8 +171,8 @@ class TestLinkFlap:
 
     def test_flush_emits_loss_feedback(self):
         network = _two_hop(faults=(
-            FaultSpec("link_flap", "bottleneck", 1.0, 0.5,
-                      drop_queued=True),))
+            FaultEvent("link_flap", "bottleneck", 1.0, 0.5,
+                       drop_queued=True),))
         sink = ListTraceSink(events=("drop", "loss"))
         network.set_trace_sink(sink)
         network.run(2.5)
@@ -183,7 +184,7 @@ class TestLinkFlap:
 class TestDelayJitter:
     def test_delay_bumped_and_restored(self):
         network = _two_hop(faults=(
-            FaultSpec("delay_jitter", "wan", 1.0, 0.5, delay_ms=20.0),))
+            FaultEvent("delay_jitter", "wan", 1.0, 0.5, delay=0.020),))
         position = network.topology.index_of("wan")
         base = network.topology.delays[position]
         network.run(1.2)
@@ -196,8 +197,8 @@ class TestDelayJitter:
 class TestBurstLoss:
     def test_burst_window_drops_and_unwraps(self):
         network = _two_hop(faults=(
-            FaultSpec("burst_loss", "bottleneck", 1.0, 1.0,
-                      loss_rate=0.5),))
+            FaultEvent("burst_loss", "bottleneck", 1.0, 1.0,
+                       loss_rate=0.5),))
         link = _link(network, "bottleneck")
         inner = link.policy
         network.run(1.5)
@@ -210,8 +211,8 @@ class TestBurstLoss:
     def test_deterministic_across_runs(self):
         def totals():
             network = _two_hop(faults=(
-                FaultSpec("burst_loss", "bottleneck", 1.0, 1.0,
-                          loss_rate=0.3),))
+                FaultEvent("burst_loss", "bottleneck", 1.0, 1.0,
+                           loss_rate=0.3),))
             network.run(3.0)
             link = _link(network, "bottleneck")
             return (link.total_offered, link.total_served,
@@ -234,10 +235,10 @@ class TestBurstLoss:
 class TestFaultTelemetry:
     def test_fault_events_validate_and_pair(self):
         network = _two_hop(faults=(
-            FaultSpec("capacity_dip", "wan", 0.5, 0.5, factor=0.5),
-            FaultSpec("link_flap", "bottleneck", 1.5, 0.5,
-                      drop_queued=True),
-            FaultSpec("burst_loss", "wan", 2.5, 0.5, loss_rate=0.2),))
+            FaultEvent("capacity_dip", "wan", 0.5, 0.5, factor=0.5),
+            FaultEvent("link_flap", "bottleneck", 1.5, 0.5,
+                       drop_queued=True),
+            FaultEvent("burst_loss", "wan", 2.5, 0.5, loss_rate=0.2),))
         sink = ListTraceSink()
         network.set_trace_sink(sink)
         network.run(4.0)
@@ -255,7 +256,7 @@ class TestFaultTelemetry:
 
     def test_flow_filter_keeps_fault_events(self):
         network = _two_hop(faults=(
-            FaultSpec("link_flap", "bottleneck", 0.5, 0.5),))
+            FaultEvent("link_flap", "bottleneck", 0.5, 0.5),))
         sink = ListTraceSink(flows=("no-such-flow",))
         network.set_trace_sink(sink)
         network.run(1.5)
@@ -264,7 +265,7 @@ class TestFaultTelemetry:
 
     def test_link_filter_applies_to_fault_events(self):
         network = _two_hop(faults=(
-            FaultSpec("link_flap", "bottleneck", 0.5, 0.5),))
+            FaultEvent("link_flap", "bottleneck", 0.5, 0.5),))
         sink = ListTraceSink(links=("wan",), events=("fault_start",
                                                      "fault_end"))
         network.set_trace_sink(sink)
@@ -291,7 +292,6 @@ class TestFlapHelper:
             flap_fault_specs("wan", period=4.0, duty=1.5, until=8.0)
 
     def test_specs_canonicalise(self):
-        from repro.runtime.spec import canonicalize
         faults = flap_fault_specs("wan", period=4.0, duty=0.25, until=8.0)
         frozen = canonicalize(faults)
         assert pickle.loads(pickle.dumps(frozen)) == frozen
@@ -343,13 +343,33 @@ class TestAuditTier1:
 
 
 class TestFaultSpecConversion:
-    def test_delay_ms_converts_to_seconds(self):
-        schedule = make_fault_schedule(
-            [FaultSpec("delay_jitter", "wan", 1.0, 0.5, delay_ms=25.0)])
-        assert schedule.events[0].delay == pytest.approx(0.025)
+    """``FaultEvent`` is the fault spec: the builder hands the windows to
+    :class:`FaultSchedule` as they are, in engine units, with its seed."""
+
+    def test_delay_is_seconds_end_to_end(self):
+        event = FaultEvent("delay_jitter", "wan", 1.0, 0.5, delay=0.025)
+        (rebuilt,) = decanonicalize(canonicalize((event,)))
+        assert rebuilt == event
+        network = _two_hop(faults=(rebuilt,))
+        position = network.topology.index_of("wan")
+        base = network.topology.delays[position]
+        network.run(1.2)
+        assert network.topology.delays[position] == base + 0.025
 
     def test_seed_threads_through(self):
-        schedule = make_fault_schedule(
-            [FaultSpec("burst_loss", "wan", 1.0, 0.5, loss_rate=0.1)],
-            seed=42)
-        assert schedule.seed == 42
+        """The builder seeds the schedule: its burst-loss draws are those
+        of ``FaultSchedule(events, seed=<network seed>)`` applied by hand,
+        and another seed draws differently."""
+        burst = (FaultEvent("burst_loss", "wan", 1.0, 0.5, loss_rate=0.3),)
+
+        def drops(network):
+            network.run(2.0)
+            return _link(network, "wan").total_drops
+
+        built = drops(_two_hop(seed=42, faults=burst))
+        by_hand = _two_hop(seed=42)
+        FaultSchedule(burst, seed=42).apply(by_hand)
+        assert built == drops(by_hand) > 0
+        other_seed = _two_hop(seed=42)
+        FaultSchedule(burst, seed=7).apply(other_seed)
+        assert drops(other_seed) != built

@@ -20,7 +20,7 @@ from repro import quick_network
 from repro.analysis.telemetry import render_trace_summary, trace_summary
 from repro.cc import Cubic
 from repro.core.nimbus import Nimbus
-from repro.runtime import FluidClassSpec, attach_fluid_classes, make_network
+from repro.runtime import FluidClassSpec, make_network
 from repro.runtime.spec import ScenarioSpec
 from repro.simulator import Flow, FluidClass, mbps_to_bytes_per_sec
 from repro.simulator.telemetry import ListTraceSink, validate_trace_record
@@ -294,8 +294,7 @@ class TestSpecWiring:
         assert make_network(24.0).fluid_classes() == []
 
     def test_attach_fluid_classes_population(self):
-        network = make_network(96.0)
-        attach_fluid_classes(network, (FluidClassSpec(
+        network = make_network(96.0, fluid=(FluidClassSpec(
             "pop", flows=8, rtt_ms=40.0),))
         cls = network.fluid_classes()[0]
         assert cls.flows == 8
@@ -387,4 +386,4 @@ class TestFig09Fluid:
 
     def test_registered_in_experiment_index(self):
         from repro.experiments import EXPERIMENT_INDEX, fig09_fluid
-        assert EXPERIMENT_INDEX["fig09_fluid"] is fig09_fluid
+        assert EXPERIMENT_INDEX["fig09_fluid"] == fig09_fluid.__name__

@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from repro.runtime.build import FaultSpec
 from repro.runtime.manifest import (
     CampaignManifest,
     ManifestError,
     default_experiment_resolver,
 )
+from repro.runtime.spec import expand_grid
 
 _TOML = """
 [campaign]
@@ -140,10 +140,12 @@ def test_zero_cells_after_filtering_rejected():
 
 
 def test_bad_fault_field_rejected():
+    # Rejected at parse time, whatever the rows hold: the table itself is
+    # unknown (see test_faults_table_is_rejected_as_an_unknown_key).
     data = _mapping()
     data["experiment"][0]["faults"] = [{"kind": "link_flap", "oops": 1}]
-    with pytest.raises(ManifestError, match="bad fault spec"):
-        CampaignManifest.from_mapping(data).expand()
+    with pytest.raises(ManifestError, match="unknown keys"):
+        CampaignManifest.from_mapping(data)
 
 
 # --------------------------------------------------------------------- #
@@ -174,14 +176,48 @@ def test_block_seeds_override_campaign_seeds():
     assert [c.spec.kwargs()["seed"] for c in cells] == [9, 9]
 
 
-def test_faults_become_fault_spec_parameters():
+def test_faults_table_is_rejected_as_an_unknown_key():
+    """Fault windows are not a manifest concept any more: the chaos
+    drivers derive theirs from numeric axes, so a leftover
+    ``[[experiment.faults]]`` table is a spelling mistake like any other."""
     data = _mapping()
     data["experiment"][0]["faults"] = [
         {"kind": "link_flap", "link": "wan", "start": 1.0, "duration": 0.5}]
-    cells = CampaignManifest.from_mapping(data).expand()
-    (fault,) = cells[0].spec.kwargs()["faults"]
-    assert fault == FaultSpec(kind="link_flap", link="wan",
-                              start=1.0, duration=0.5)
+    with pytest.raises(ManifestError, match=r"unknown keys \['faults'\]"):
+        CampaignManifest.from_mapping(data)
+
+
+#: One table of grids for both expanders: (axes, bracketed part of the id).
+_SHARED_GRIDS = [
+    ({"scale": [2.0]}, ["scale=2"]),
+    ({"scale": [1.5, 2.0], "seed": [0, 1]},
+     ["scale=1.5,seed=0", "scale=1.5,seed=1", "scale=2,seed=0",
+      "scale=2,seed=1"]),
+    ({"mode": ["fast", "slow"]}, ["mode=fast", "mode=slow"]),
+    ({"flag": [True, False], "depth": [-0.0, 1e-3]},
+     ["flag=True,depth=0", "flag=True,depth=0.001", "flag=False,depth=0",
+      "flag=False,depth=0.001"]),
+    ({}, [""]),
+]
+
+
+@pytest.mark.parametrize("axes, points", _SHARED_GRIDS)
+def test_expand_grid_and_manifest_cell_ids_agree(axes, points):
+    """``runner sweep`` and manifests share one expander: same points, in
+    the same order, spelled the same way, carrying the same specs."""
+    base = {"dt": 0.004}
+    specs = expand_grid("_toy_driver:run", base, axes)
+    block = {"id": "toy", "driver": "_toy_driver:run", "params": base}
+    if axes:
+        block["axes"] = axes
+    cells = CampaignManifest.from_mapping(
+        _mapping(experiment=[block])).expand()
+    assert [spec.label for spec in specs] == [p or "run" for p in points]
+    assert [cell.cell_id for cell in cells] == [
+        f"toy[{point}]" if point else "toy" for point in points]
+    assert [cell.spec for cell in cells] == list(specs)
+    assert [cell.spec.label for cell in cells] == [
+        cell.cell_id for cell in cells]
 
 
 def test_no_axes_yields_a_single_bare_cell():
@@ -205,12 +241,3 @@ def test_default_resolver_uses_the_experiment_registry():
         "repro.experiments.link_flap:run"
     with pytest.raises(ManifestError, match="unknown experiment id"):
         default_experiment_resolver("definitely_not_registered")
-
-
-def test_driver_modules_lists_cache_key_scopes():
-    data = _mapping()
-    data["experiment"].append(
-        {"id": "other", "driver": "repro.experiments.fig09_wan:run"})
-    manifest = CampaignManifest.from_mapping(data)
-    assert manifest.driver_modules() == (
-        "_toy_driver", "repro.experiments.fig09_wan")

@@ -10,15 +10,16 @@ import pytest
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _load_perf_engine():
+def _load_benchmark_script(name):
     spec = importlib.util.spec_from_file_location(
-        "perf_engine", _ROOT / "benchmarks" / "perf_engine.py")
+        name, _ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-perf_engine = _load_perf_engine()
+perf_engine = _load_benchmark_script("perf_engine")
+layer_counts = _load_benchmark_script("check_layer_counts")
 
 
 def _stats(seconds):
@@ -154,3 +155,35 @@ class TestCommittedBaseline:
             f"{small['seconds']:.2f}s -> {large['seconds']:.2f}s")
         # And the two runs really differ by ~40x in represented flows.
         assert large["cross_flows"] > 30 * small["cross_flows"]
+
+
+class TestLayerCounts:
+    """``benchmarks/check_layer_counts.py``: the exact-valued gate (the
+    traced passes themselves run in CI's perf-smoke job, not here)."""
+
+    def test_committed_file_covers_every_exact_metric_of_every_workload(self):
+        contract = json.loads((_ROOT / "BENCHMARK.json").read_text())
+        committed = json.loads(layer_counts.COUNTS.read_text())
+        names = layer_counts.exact_metrics()
+        assert "engine.events_executed" in names
+        assert "sim.main_tput_mbps" in names
+        assert "runtime.cache.bytes_written" not in names
+        assert not any(name.endswith("_s") for name in names)  # no timings
+        assert sorted(committed) == sorted(
+            w["name"] for w in contract["workloads"])
+        for workload, values in committed.items():
+            assert sorted(values) == names, workload
+
+    def test_any_difference_is_reported_and_identical_sets_are_not(self):
+        committed = json.loads(layer_counts.COUNTS.read_text())
+        assert layer_counts.differences(committed, committed) == []
+        moved = json.loads(json.dumps(committed))
+        moved["wan_churn"]["engine.events_executed"] += 1
+        del moved["fluid_crowd"]["sim.seconds"]
+        del moved["campaign_grid"]
+        lines = layer_counts.differences(moved, committed)
+        assert len(lines) == 2 + len(committed["campaign_grid"])
+        assert any(line.startswith("wan_churn: engine.events_executed = ")
+                   for line in lines)
+        assert any("fluid_crowd: sim.seconds = None" in line
+                   for line in lines)

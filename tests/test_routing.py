@@ -22,7 +22,6 @@ from repro.experiments import EXPERIMENT_INDEX, reroute
 from repro.experiments.common import MAIN_FLOW, make_scheme
 from repro.runtime import (
     BatchExecutor,
-    FaultSpec,
     FluidClassSpec,
     LinkSpec,
     RouteSpec,
@@ -33,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.cache import ResultCache
 from repro.runtime.spec import canonicalize
 from repro.simulator import (
+    FaultEvent,
     Flow,
     ListTraceSink,
     Topology,
@@ -155,7 +155,7 @@ class TestRoutedNetworkConstruction:
         network = make_multihop_network(
             (LinkSpec("a", 48.0, delay_ms=5.0), LinkSpec("b", 24.0)),
             dt=0.002, convergence_ms=50.0,
-            faults=(FaultSpec("link_flap", "a", 0.5, 0.5),))
+            faults=(FaultEvent("link_flap", "a", 0.5, 0.5),))
         mu = mbps_to_bytes_per_sec(24.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05))
         assert _route_names(network) == ("a", "b")
@@ -220,7 +220,7 @@ class TestRoutedNetworkConstruction:
 
 
 class TestFailover:
-    FLAP = (FaultSpec("link_flap", "primary", 1.0, 1.0),)
+    FLAP = (FaultEvent("link_flap", "primary", 1.0, 1.0),)
 
     def test_reroute_waits_for_convergence_delay(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
@@ -295,9 +295,9 @@ class TestFluidOnTheBackup:
         included, is re-checked every 16 ticks throughout."""
         monkeypatch.setenv("REPRO_AUDIT", "16")
         network = _network(
-            faults=(FaultSpec("link_flap", "primary", 0.5, 0.75),
-                    FaultSpec("link_flap", "bottleneck", 1.75, 0.5,
-                              drop_queued=True)),
+            faults=(FaultEvent("link_flap", "primary", 0.5, 0.75),
+                    FaultEvent("link_flap", "bottleneck", 1.75, 0.5,
+                               drop_queued=True)),
             fluid=(FluidClassSpec("bg", kind="inelastic", link="backup",
                                   load=0.4, rtt_ms=50.0, seed=3),))
         backup = _link(network, "backup")
@@ -316,8 +316,8 @@ class TestFluidOnTheBackup:
 
 
 class TestBlackhole:
-    FLAP = (FaultSpec("link_flap", "bottleneck", 1.0, 1.0,
-                      drop_queued=True),)
+    FLAP = (FaultEvent("link_flap", "bottleneck", 1.0, 1.0,
+                       drop_queued=True),)
 
     def test_no_survivor_blackholes_then_recovers(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
@@ -379,8 +379,8 @@ class TestBlackhole:
 
 class TestRoutedTelemetry:
     def test_flow_filter_keeps_control_plane_kinds(self):
-        network = _network(faults=(FaultSpec("link_flap", "primary",
-                                             0.5, 0.5),))
+        network = _network(faults=(FaultEvent("link_flap", "primary",
+                                              0.5, 0.5),))
         sink = ListTraceSink(flows=("no-such-flow",))
         network.set_trace_sink(sink)
         network.run(1.5)
@@ -396,8 +396,8 @@ class TestRoutedTelemetry:
                                    "from_link": "primary"})
 
     def test_cli_require_flag(self, tmp_path):
-        network = _network(faults=(FaultSpec("link_flap", "primary",
-                                             0.5, 0.5),))
+        network = _network(faults=(FaultEvent("link_flap", "primary",
+                                              0.5, 0.5),))
         sink = ListTraceSink()
         network.set_trace_sink(sink)
         network.run(1.5)
@@ -433,7 +433,7 @@ class TestSpecPlumbing:
                               **base).spec_hash()
 
     def test_driver_registered(self):
-        assert EXPERIMENT_INDEX["reroute"] is reroute
+        assert EXPERIMENT_INDEX["reroute"] == reroute.__name__
 
 
 class TestRerouteDriver:

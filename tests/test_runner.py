@@ -9,7 +9,7 @@ from repro.experiments import EXPERIMENT_INDEX, runner
 @pytest.fixture
 def toy_index(monkeypatch):
     """Register the microscopic fake driver under the id ``toy``."""
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy", _toy_driver)
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy", _toy_driver.__name__)
     return "toy"
 
 
@@ -24,8 +24,8 @@ def test_unknown_experiment():
 
 
 def test_parse_overrides():
-    assert runner._parse_overrides(["load=0.9", "seed=3"]) == {
-        "load": 0.9, "seed": 3.0}
+    assert runner._parse_overrides(["load=0.9", "seed=3"]) == (
+        {"load": 0.9, "seed": 3.0}, {})
     with pytest.raises(ValueError):
         runner._parse_overrides(["oops"])
     with pytest.raises(ValueError):
@@ -37,6 +37,9 @@ def test_bad_override_exits_with_error(toy_index, capsys):
     assert "name=value" in capsys.readouterr().err
     assert runner.main(["toy", "--set", "seed=banana"]) == 2
     assert "numeric" in capsys.readouterr().err
+    # An axis outside sweep mode is refused, not silently expanded.
+    assert runner.main(["toy", "--set", "seed=1,2"]) == 2
+    assert "runner sweep toy" in capsys.readouterr().err
 
 
 def test_single_run_via_runtime(toy_index, capsys):
@@ -47,17 +50,13 @@ def test_single_run_via_runtime(toy_index, capsys):
 
 
 def test_duration_dropped_for_drivers_without_duration(monkeypatch, capsys):
-    import _toy_driver2
-
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", _toy_driver2)
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2")
     assert runner.main(["toy2", "--duration", "9.0"]) == 0
     assert "== toy ==" in capsys.readouterr().out
 
 
 def test_duration_sweep_axis_rejected_without_duration(monkeypatch, capsys):
-    import _toy_driver2
-
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", _toy_driver2)
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2")
     assert runner.main(["sweep", "toy2", "--set", "duration=1,2"]) == 2
     assert "cannot be a sweep axis" in capsys.readouterr().err
     # A sweep over a parameter the driver does accept still works.
@@ -66,16 +65,17 @@ def test_duration_sweep_axis_rejected_without_duration(monkeypatch, capsys):
 
 
 def test_parse_sweep_overrides():
-    fixed, axes = runner._parse_sweep_overrides(
+    """The same parser: comma lists become sweep axes."""
+    fixed, axes = runner._parse_overrides(
         ["seed=1,2,3", "load=0.9", "scale=1,2"])
     assert fixed == {"load": 0.9}
     assert axes == {"seed": [1.0, 2.0, 3.0], "scale": [1.0, 2.0]}
     with pytest.raises(ValueError):
-        runner._parse_sweep_overrides(["oops"])
+        runner._parse_overrides(["oops"])
     with pytest.raises(ValueError):
-        runner._parse_sweep_overrides(["seed=1,banana"])
+        runner._parse_overrides(["seed=1,banana"])
     with pytest.raises(ValueError):
-        runner._parse_sweep_overrides(["seed=,"])
+        runner._parse_overrides(["seed=,"])
 
 
 def test_sweep_mode_expands_the_grid(toy_index, capsys):

@@ -15,7 +15,6 @@ from repro.runtime import (
     ResultCache,
     ScenarioSpec,
     run_batch,
-    run_scenario,
 )
 from repro.runtime.cache import MISS, source_digest
 from repro.runtime.spec import canonicalize, expand_grid
@@ -89,7 +88,9 @@ def test_expand_grid_cross_product():
     assert len(specs) == 6
     assert {s.kwargs()["seed"] for s in specs} == {1, 2}
     assert specs[0].kwargs() == {"dt": 0.004, "seed": 1, "scale": 1}
-    assert specs[0].label == "seed=1,scale=1.0"
+    # Labels spell values canonically (2.0 -> 2): they are the bracketed
+    # part of a campaign cell id.
+    assert specs[0].label == "seed=1,scale=1"
     # No axes: a single spec with just the base parameters.
     (only,) = expand_grid(_toy_driver.run, {"seed": 5}, {})
     assert only.kwargs() == {"seed": 5}
@@ -314,14 +315,6 @@ def test_workers_env_is_honoured(monkeypatch):
     assert BatchExecutor().workers == 1
 
 
-def test_run_scenario_convenience(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    result = run_scenario(_toy_driver.run, seed=9, duration=0.1)
-    assert result.parameters["seed"] == 9
-    again = run_scenario(_toy_driver.run, seed=9, duration=0.1)
-    assert pickle.dumps(result) == pickle.dumps(again)
-
-
 def test_run_batch_preserves_order(tmp_path):
     specs = list(reversed(_batch(3)))
     results = run_batch(specs, workers=1, cache=ResultCache(enabled=False))
@@ -395,6 +388,41 @@ def test_one_engine_one_forwarding_path():
     assert sorted(definitions) == ["_emit_all", "_forward", "_serve_links",
                                    "add_flow"]
     assert subclasses == []
+
+
+def test_each_decision_is_described_once():
+    """The second descriptions deleted in PR 18 must not grow back: no
+    name of theirs anywhere under ``src/``, one cross-product expander
+    for the runtime (``spec.expand_grid``) and none in the runner, and a
+    manifest layer that does not reach into the network builders."""
+    import ast
+    import pathlib
+    import re
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    banned = ("FaultSpec", "make_fault_schedule", "_parse_sweep_overrides",
+              "_LinkRecord", "_FluidRecord", "_link_bins", "_fluid_bins")
+    products = []
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name in banned:
+            assert not re.search(rf"\b{name}\b", source), \
+                f"{name} is back in {path.name}"
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr == "product"
+                    and getattr(node.value, "id", None) == "itertools") or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "itertools"
+                    and any(a.name == "product" for a in node.names)):
+                products.append(f"{path.parent.name}/{path.name}")
+    assert [p for p in products if p.startswith(("runtime/", "experiments/"))
+            ] == ["runtime/spec.py"]
+    manifest = ast.parse((root / "runtime" / "manifest.py").read_text())
+    imported = {node.module for node in ast.walk(manifest)
+                if isinstance(node, ast.ImportFrom)}
+    assert "build" not in imported and "repro.runtime.build" not in imported
 
 
 # --------------------------------------------------------------------- #

@@ -350,7 +350,7 @@ class TestExecutorMetrics:
 @pytest.fixture
 def toy_index(monkeypatch):
     from repro.experiments import EXPERIMENT_INDEX
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy", _toy_driver)
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy", _toy_driver.__name__)
     return "toy"
 
 

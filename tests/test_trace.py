@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import quick_network
 from repro.cc import Cubic
 from repro.core.nimbus import Nimbus
 from repro.simulator import Flow, mbps_to_bytes_per_sec
+from repro.simulator.trace import Recorder
+from repro.simulator.units import bytes_per_sec_to_mbps
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +148,287 @@ def test_uncongested_hop_records_no_queueing(multihop_run):
 def test_unknown_link_raises_with_known_names(multihop_run):
     with pytest.raises(KeyError, match="hop1"):
         multihop_run.recorder.link_queue_delay_series("nope")
+
+
+# --------------------------------------------------------------------- #
+# One counter record: differential test against the two-record recorder
+# --------------------------------------------------------------------- #
+# ``_CounterRecord`` replaced ``_LinkRecord`` + ``_FluidRecord`` and
+# ``_counter_bins`` replaced ``_link_bins`` + ``_fluid_bins``.  The old
+# logic is kept here, verbatim in its arithmetic, as the oracle: both
+# recorders watch the same scripted counters and every public link/fluid
+# series must come out ``==``, mid-run reads of the open bin included.
+class _ScriptedLink:
+    def __init__(self, name, capacity):
+        self.name, self.capacity = name, capacity
+        self.queue_bytes = 0.0
+        self.total_served = 0.0
+        self.total_drops = 0.0
+
+    @property
+    def queue_delay(self):
+        return self.queue_bytes / self.capacity
+
+
+class _ScriptedFluid:
+    def __init__(self, name):
+        self.name = name
+        self.total_offered = 0.0
+        self.total_served = 0.0
+        self.total_dropped = 0.0
+
+
+class _ScriptedTopology:
+    def __init__(self, links):
+        self.links = links
+
+
+class _ScriptedNetwork:
+    """The slice of ``TopologyNetwork`` a recorder's link side reads."""
+
+    flows = ()
+
+    def __init__(self, links):
+        self.topology = _ScriptedTopology(links)
+        self.link = links[-1]  # the monitor link
+
+    def active_flow_ids(self):
+        return ()
+
+
+class _TwoRecordOracle:
+    """The link/fluid half of the recorder as it was before the merge."""
+
+    class _LinkRecord:
+        def __init__(self, link):
+            self.link = link
+            self.occ_acc = 0.0
+            self.occ_by_bin, self.served_by_bin, self.dropped_by_bin = \
+                [], [], []
+            self.prev_served = 0.0
+            self.prev_drops = 0.0
+
+    class _FluidRecord:
+        def __init__(self, source):
+            self.source = source
+            self.offered_by_bin, self.served_by_bin, self.dropped_by_bin = \
+                [], [], []
+            self.prev_offered = source.total_offered
+            self.prev_served = source.total_served
+            self.prev_dropped = source.total_dropped
+
+    def __init__(self, network, bin_width):
+        self.network, self.bin_width = network, bin_width
+        self._link_qdelay_sum, self._link_qdelay_cnt = [], []
+        self._max_bin = 0
+        self._link_records = [self._LinkRecord(link)
+                              for link in network.topology.links]
+        self._link_index = {r.link.name: r for r in self._link_records}
+        self._link_bin = 0
+        self._fluid_records = {}
+        self._solo_record = (self._link_records[0]
+                             if len(self._link_records) == 1 else None)
+
+    def register_fluid(self, fluid_class):
+        record = self._FluidRecord(fluid_class)
+        closed = len(self._link_records[0].served_by_bin)
+        if closed:
+            record.offered_by_bin = [0.0] * closed
+            record.served_by_bin = [0.0] * closed
+            record.dropped_by_bin = [0.0] * closed
+        self._fluid_records[fluid_class.name] = record
+
+    def on_tick(self, now):
+        b = int(now / self.bin_width)
+        if b >= len(self._link_qdelay_sum):
+            missing = b + 1 - len(self._link_qdelay_sum)
+            self._link_qdelay_sum.extend([0.0] * missing)
+            self._link_qdelay_cnt.extend([0] * missing)
+            if b != self._link_bin:
+                self._flush_link_bins(b)
+        self._link_qdelay_sum[b] += self.network.link.queue_delay
+        self._link_qdelay_cnt[b] += 1
+        if b > self._max_bin:
+            self._max_bin = b
+        if self._solo_record is None:
+            for record in self._link_records:
+                record.occ_acc += record.link.queue_bytes
+
+    def _flush_link_bins(self, b):
+        gap = b - self._link_bin - 1
+        for record in self._link_records:
+            link = record.link
+            record.occ_by_bin.append(record.occ_acc)
+            record.occ_acc = 0.0
+            served = link.total_served
+            record.served_by_bin.append(served - record.prev_served)
+            record.prev_served = served
+            drops = link.total_drops
+            record.dropped_by_bin.append(drops - record.prev_drops)
+            record.prev_drops = drops
+            if gap > 0:
+                record.occ_by_bin.extend([0.0] * gap)
+                record.served_by_bin.extend([0.0] * gap)
+                record.dropped_by_bin.extend([0.0] * gap)
+        for fluid in self._fluid_records.values():
+            source = fluid.source
+            offered = source.total_offered
+            fluid.offered_by_bin.append(offered - fluid.prev_offered)
+            fluid.prev_offered = offered
+            served = source.total_served
+            fluid.served_by_bin.append(served - fluid.prev_served)
+            fluid.prev_served = served
+            dropped = source.total_dropped
+            fluid.dropped_by_bin.append(dropped - fluid.prev_dropped)
+            fluid.prev_dropped = dropped
+            if gap > 0:
+                fluid.offered_by_bin.extend([0.0] * gap)
+                fluid.served_by_bin.extend([0.0] * gap)
+                fluid.dropped_by_bin.extend([0.0] * gap)
+        self._link_bin = b
+
+    def _link_bins(self, record):
+        n = self._max_bin + 1
+        occ, served, dropped = np.zeros(n), np.zeros(n), np.zeros(n)
+        flushed = min(len(record.served_by_bin), n)
+        served[:flushed] = record.served_by_bin[:flushed]
+        dropped[:flushed] = record.dropped_by_bin[:flushed]
+        current = self._link_bin
+        if current < n:
+            link = record.link
+            served[current] += link.total_served - record.prev_served
+            dropped[current] += link.total_drops - record.prev_drops
+        if record is self._solo_record:
+            sums = self._link_qdelay_sum
+            m = min(len(sums), n)
+            if m:
+                occ[:m] = (np.asarray(sums[:m], dtype=float)
+                           * record.link.capacity)
+        else:
+            occ[:flushed] = record.occ_by_bin[:flushed]
+            if current < n:
+                occ[current] += record.occ_acc
+        return occ, served, dropped
+
+    def _fluid_bins(self, record):
+        n = self._max_bin + 1
+        offered, served, dropped = np.zeros(n), np.zeros(n), np.zeros(n)
+        flushed = min(len(record.offered_by_bin), n)
+        offered[:flushed] = record.offered_by_bin[:flushed]
+        served[:flushed] = record.served_by_bin[:flushed]
+        dropped[:flushed] = record.dropped_by_bin[:flushed]
+        current = self._link_bin
+        if current < n:
+            source = record.source
+            offered[current] += source.total_offered - record.prev_offered
+            served[current] += source.total_served - record.prev_served
+            dropped[current] += source.total_dropped - record.prev_dropped
+        return offered, served, dropped
+
+    def times(self):
+        return (np.arange(self._max_bin + 1) + 0.5) * self.bin_width
+
+    def _per_tick_mean(self, sums):
+        series = np.zeros(len(sums))
+        m = min(len(sums), len(self._link_qdelay_cnt))
+        if m:
+            cnt = np.asarray(self._link_qdelay_cnt[:m], dtype=float)
+            series[:m] = np.divide(sums[:m], cnt, out=np.zeros(m),
+                                   where=cnt > 0)
+        return self.times(), series
+
+    def _per_bin_rate(self, by_bin):
+        return self.times(), bytes_per_sec_to_mbps(by_bin / self.bin_width)
+
+    def series(self):
+        """Every public link / fluid series, keyed like ``_all_series``."""
+        out = {}
+        for name, record in self._link_index.items():
+            occ, served, dropped = self._link_bins(record)
+            times, occupancy = self._per_tick_mean(occ)
+            out["link_occupancy", name] = (times, occupancy)
+            out["link_queue_delay", name] = (
+                times, occupancy / record.link.capacity * 1e3)
+            out["link_throughput", name] = self._per_bin_rate(served)
+            out["link_drop", name] = self._per_bin_rate(dropped)
+        for name, record in self._fluid_records.items():
+            offered, served, dropped = self._fluid_bins(record)
+            out["fluid_offered", name] = self._per_bin_rate(offered)
+            out["fluid_served", name] = self._per_bin_rate(served)
+            out["fluid_drop", name] = self._per_bin_rate(dropped)
+        return out
+
+
+def _all_series(recorder):
+    out = {}
+    for name in recorder.link_names():
+        out["link_occupancy", name] = recorder.link_occupancy_series(name)
+        out["link_queue_delay", name] = \
+            recorder.link_queue_delay_series(name)
+        out["link_throughput", name] = recorder.link_throughput_series(name)
+        out["link_drop", name] = recorder.link_drop_series(name)
+    for name in recorder.fluid_class_names():
+        out["fluid_offered", name] = recorder.fluid_offered_series(name)
+        out["fluid_served", name] = recorder.fluid_served_series(name)
+        out["fluid_drop", name] = recorder.fluid_drop_series(name)
+    return out
+
+
+_bytes = st.floats(min_value=0.0, max_value=3e5, allow_nan=False)
+
+
+@st.composite
+def _counter_scripts(draw):
+    """(bin_width, dt, link count, per-tick steps) — bins both wider and
+    narrower than the tick, so flushes leave gaps of empty bins."""
+    dt = draw(st.sampled_from([0.002, 0.004, 0.01]))
+    bin_width = draw(st.sampled_from([0.1, 0.02, 0.004, 0.003]))
+    links = draw(st.integers(min_value=1, max_value=3))
+    steps = draw(st.lists(st.tuples(
+        st.lists(st.tuples(_bytes, _bytes, _bytes),   # served, drops, queue
+                 min_size=links, max_size=links),
+        st.tuples(_bytes, _bytes, _bytes),            # fluid offered/served/dropped
+        st.sampled_from(["", "", "", "read", "attach"])),
+        min_size=1, max_size=60))
+    return bin_width, dt, links, steps
+
+
+@given(_counter_scripts())
+def test_one_counter_record_equals_the_two_record_recorder(script):
+    bin_width, dt, link_count, steps = script
+    links = [_ScriptedLink(f"hop{i}", 1e6 * (i + 1))
+             for i in range(link_count)]
+    network = _ScriptedNetwork(links)
+    recorder = Recorder(network, bin_width=bin_width)
+    oracle = _TwoRecordOracle(network, bin_width)
+    assert (recorder._solo_record is None) == (oracle._solo_record is None)
+    fluids = []
+
+    def compare():
+        ours, theirs = _all_series(recorder), oracle.series()
+        assert ours.keys() == theirs.keys()
+        for key in ours:
+            for mine, reference in zip(ours[key], theirs[key]):
+                assert np.array_equal(mine, reference), key
+
+    for tick, (per_link, fluid_step, action) in enumerate(steps):
+        for link, (served, drops, queued) in zip(links, per_link):
+            link.total_served += served
+            link.total_drops += drops
+            link.queue_bytes = queued
+        for fluid in fluids:
+            fluid.total_offered += fluid_step[0]
+            fluid.total_served += fluid_step[1]
+            fluid.total_dropped += fluid_step[2]
+        if action == "attach":
+            # A class registered mid-run, its counters already running.
+            fluid = _ScriptedFluid(f"class{len(fluids)}")
+            fluid.total_offered = fluid_step[0]
+            fluids.append(fluid)
+            recorder.register_fluid(fluid)
+            oracle.register_fluid(fluid)
+        recorder.on_tick(tick * dt)
+        oracle.on_tick(tick * dt)
+        if action == "read":
+            compare()  # the open bin is read live, nothing is mutated
+    compare()
