@@ -1,0 +1,131 @@
+"""Option census: which constructor options does anything actually set?
+
+For every constructor parameter and dataclass field with a default under
+``src/repro/{cc,core,simulator,traffic}``, look for a call site under
+``src/``, ``benchmarks/`` or ``examples/`` (tests do not count) that sets it
+— by keyword, by position, or through a ``**kwargs`` the class is called
+with, in which case the option counts as set when some call or dict literal
+in the scanned trees spells its name.  Options nobody sets are printed; exit
+1 if one of them is missing from ``benchmarks/option_census.json``, the
+allow-list giving each kept option its one reason, or if the list names an
+option that is set or gone.  Pure ``ast``: nothing under ``src/`` is imported.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGES = ("cc", "core", "simulator", "traffic")
+ROOTS = ("src", "benchmarks", "examples")
+ALLOW_LIST = ROOT / "benchmarks" / "option_census.json"
+
+
+def _trees(directory: pathlib.Path):
+    for path in sorted(directory.rglob("*.py")):
+        yield ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _base_names(cls: ast.ClassDef) -> list:
+    return [ast.unparse(base).rpartition(".")[2] for base in cls.bases]
+
+
+def declared_options() -> tuple:
+    """``{class: [option, ...]}`` in positional order (``None`` for a
+    parameter that is required, private or state) and ``{class: [base
+    name, ...]}``."""
+    options, bases = {}, {}
+    trees = [tree for package in PACKAGES
+             for tree in _trees(ROOT / "src" / "repro" / package)]
+    # A dataclass field the engine assigns after construction
+    # (``flow.stats.bytes_sent += ...``) is state, not an option.
+    state = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Store)
+             and ast.unparse(node.value) != "self"}
+    classes = (node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef))
+    for cls in classes:
+        bases[cls.name] = _base_names(cls)
+        init = next((n for n in cls.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "__init__"), None)
+        if init is not None:
+            args = init.args
+            required = len(args.args) - 1 - len(args.defaults)
+            names = [a.arg for a in args.args[1 + required:]]
+            names += [a.arg for a, default in zip(args.kwonlyargs,
+                                                  args.kw_defaults) if default]
+        elif any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+            required = sum(1 for n in fields if not n.value)
+            names = ["_" if n.target.id in state else n.target.id
+                     for n in fields if n.value]
+        else:
+            continue
+        names = [None if n.startswith("_") else n for n in names]
+        if any(names) and not cls.name.startswith("_"):
+            options[cls.name] = [None] * required + names
+    return options, bases
+
+
+def _calls(tree):
+    """``(callee name, call)`` pairs; ``super().__init__(...)`` is a call of
+    each base of the enclosing class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield getattr(node.func, "id",
+                          getattr(node.func, "attr", None)), node
+        elif isinstance(node, ast.ClassDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and ast.unparse(
+                        call.func) == "super().__init__":
+                    for base in _base_names(node):
+                        yield base, call
+
+
+def unset_options(roots=ROOTS) -> list:
+    """``["Class.option", ...]`` that no call site under ``roots`` sets."""
+    options, bases = declared_options()
+    set_here = {name: set() for name in options}
+    forwarded, spelled = set(), set()
+    for root in roots:
+        for tree in _trees(ROOT / root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Dict):
+                    spelled.update(k.value for k in node.keys
+                                   if isinstance(k, ast.Constant))
+            for callee, call in _calls(tree):
+                keywords = {k.arg for k in call.keywords}
+                spelled.update(keywords - {None})
+                if callee in options:
+                    set_here[callee].update(options[callee][:len(call.args)])
+                # A keyword given to a subclass may be meant for a base.
+                lineage = [callee]
+                for cls in lineage:
+                    lineage.extend(bases.get(cls, ()))
+                    if cls in options:
+                        set_here[cls].update(keywords)
+                        if None in keywords:
+                            forwarded.add(cls)
+    return sorted(
+        f"{cls}.{name}" for cls, names in options.items() for name in names
+        if name and name not in set_here[cls]
+        and not (cls in forwarded and name in spelled))
+
+
+def main() -> int:
+    allowed = json.loads(ALLOW_LIST.read_text(encoding="utf-8"))
+    unset = unset_options()
+    for option in unset:
+        print(f"{option}: {allowed.get(option, 'UNEXPLAINED')}")
+    stale = sorted(set(allowed) - set(unset))
+    for option in stale:
+        print(f"{option}: listed in {ALLOW_LIST.name} but set or gone")
+    return 1 if stale or not set(unset) <= set(allowed) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,12 +1,7 @@
 """Analysis utilities: summary metrics, classification accuracy, FCTs."""
 
-from .accuracy import (
-    MODE_COMPETITIVE,
-    MODE_DELAY,
-    AccuracyReport,
-    classification_accuracy,
-    mode_fraction,
-)
+from ..cc.base import MODE_COMPETITIVE, MODE_DELAY
+from .accuracy import AccuracyReport, classification_accuracy, mode_fraction
 from .fct import (
     DEFAULT_SIZE_BINS,
     FctBin,

@@ -14,9 +14,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-#: Mode labels (kept in sync with repro.core.nimbus and repro.cc.copa).
-MODE_DELAY = "delay"
-MODE_COMPETITIVE = "competitive"
+from ..cc.base import MODE_COMPETITIVE
 
 
 @dataclass

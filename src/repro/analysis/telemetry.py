@@ -26,7 +26,7 @@ import sys
 from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..runtime.metrics import validate_metrics_record
+from ..runtime.metrics import tally, validate_metrics_record
 from ..simulator.telemetry import LINK_KINDS, validate_trace_record
 
 
@@ -105,31 +105,6 @@ def trace_summary(records: Iterable[dict]) -> Dict[str, dict]:
             "fluid": fluid}
 
 
-def metrics_summary(records: Iterable[dict]) -> Dict[str, Optional[float]]:
-    """Aggregate a metrics file: cache accounting and execution rates."""
-    records = list(records)
-    executed = [r for r in records
-                if r["cache"] in ("miss", "corrupt") and not r["dedup"]]
-    seconds = [r["seconds"] for r in executed if r["seconds"] is not None]
-    rates = [r["ticks_per_sec"] for r in executed
-             if r["ticks_per_sec"] is not None]
-    workers = {r["worker_pid"] for r in executed
-               if r["worker_pid"] is not None}
-    return {
-        "specs": len(records),
-        "hits": sum(r["cache"] == "hit" for r in records),
-        "misses": sum(r["cache"] == "miss" for r in records),
-        "corrupt": sum(r["cache"] == "corrupt" for r in records),
-        "executed": len(executed),
-        "deduped": sum(r["dedup"] for r in records),
-        "failures": sum(r.get("outcome", "ok") != "ok" for r in records),
-        "retried": sum(r.get("attempts", 0) > 1 for r in records),
-        "workers": len(workers),
-        "total_seconds": sum(seconds) if seconds else 0.0,
-        "mean_ticks_per_sec": (sum(rates) / len(rates)) if rates else None,
-    }
-
-
 def _counter_table(title: str, counter: Counter, indent: str = "  ") -> str:
     lines = [title]
     width = max((len(str(key)) for key in counter), default=0)
@@ -170,7 +145,7 @@ def render_trace_summary(records: Iterable[dict]) -> str:
 
 
 def render_metrics_summary(records: Iterable[dict]) -> str:
-    summary = metrics_summary(records)
+    summary = tally(records)
     lines = []
     for key, value in summary.items():
         if isinstance(value, float):

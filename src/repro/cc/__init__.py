@@ -5,11 +5,11 @@ common :class:`~repro.cc.base.CongestionControl` interface so experiments
 can mix and match them freely.
 """
 
-from .base import CongestionControl, NullCC
+from .base import MODE_COMPETITIVE, MODE_DELAY, CongestionControl, NullCC
 from .basic_delay import BasicDelay
 from .bbr import Bbr
 from .compound import Compound
-from .copa import MODE_COMPETITIVE, MODE_DELAY, Copa
+from .copa import Copa
 from .cubic import Cubic
 from .misc import AppLimited, ConstantRate, FixedWindow
 from .reno import NewReno, Reno

@@ -10,8 +10,11 @@ transport endpoint consults the algorithm for two limits each tick:
   flow is purely window/ACK clocked).
 
 and feeds back acknowledgements, loss notifications, and a periodic tick at
-the control interval (10 ms by default, matching the paper's CCP reporting
-cadence).
+the control interval (10 ms, matching the paper's CCP reporting cadence).
+
+What makes an algorithm a building block of a mode-switching controller
+(:class:`~repro.core.nimbus.Nimbus`) also lives here: the mode vocabulary
+and the hand-off hook :meth:`CongestionControl.take_over`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.endpoint import Flow
     from ..simulator.measurement import FlowMeasurement
     from ..simulator.packet import Ack
+
+#: What a mode-switching algorithm (Nimbus, Copa) reports as its ``mode``.
+MODE_DELAY = "delay"
+MODE_COMPETITIVE = "competitive"
 
 
 class CongestionControl(ABC):
@@ -42,10 +49,15 @@ class CongestionControl(ABC):
     #: sources (constant bit-rate) set this to False; the experiment drivers
     #: use it as ground truth for classification accuracy.
     elastic: bool = True
+    #: None unless the algorithm switches modes.
+    mode: Optional[str] = None
+    #: Window a window-based algorithm starts from (IW10) and its floor.
+    init_cwnd: float = 10 * MSS_BYTES
+    min_cwnd: float = 2 * MSS_BYTES
 
     def __init__(self) -> None:
         self.flow: Optional["Flow"] = None
-        self.cwnd: Optional[float] = 10 * MSS_BYTES
+        self.cwnd: Optional[float] = self.init_cwnd
         self.rate: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -85,7 +97,19 @@ class CongestionControl(ABC):
         """Called when the flow learns that ``lost_bytes`` were dropped."""
 
     def on_control_tick(self, now: float, dt: float) -> None:
-        """Called every control interval (default 10 ms)."""
+        """Called every control interval (10 ms)."""
+
+    def take_over(self, rate: float, rtt: float) -> None:
+        """Govern the flow from this operating point (bytes/s, seconds).
+
+        Called by a mode-switching controller on the inner algorithm it
+        hands the flow to.  The default seeds the window; override to also
+        reset what remembers the old operating point, or to set a rate.
+        The hook does not know which role it serves: an override's reset
+        applies whether the algorithm is the delay or the competitive mode.
+        """
+        if self.cwnd is not None:
+            self.cwnd = max(rate * rtt, 4 * MSS_BYTES)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -37,10 +37,13 @@ class BasicDelay(CongestionControl):
     name = "basicdelay"
     elastic = True
 
+    #: The rate never falls below this fraction of ``mu``.
+    MIN_RATE_FRACTION = 0.02
+
     def __init__(self, mu: float, alpha: float = 0.8, beta: float = 0.5,
                  target_delay: float = 0.0125,
-                 z_provider: Optional[Callable[[float], float]] = None,
-                 min_rate_fraction: float = 0.02) -> None:
+                 z_provider: Optional[Callable[[float], float]] = None
+                 ) -> None:
         super().__init__()
         if mu <= 0:
             raise ValueError("mu must be positive")
@@ -49,7 +52,7 @@ class BasicDelay(CongestionControl):
         self.beta = beta
         self.target_delay = target_delay
         self.z_provider = z_provider
-        self.min_rate = min_rate_fraction * mu
+        self.min_rate = self.MIN_RATE_FRACTION * mu
         self.rate = 0.1 * mu
         # A generous window cap so the flow stays rate-limited, not
         # window-limited, while still bounding the data in flight.
@@ -85,6 +88,6 @@ class BasicDelay(CongestionControl):
         # to the fair estimate of spare capacity.
         self.rate = max(self.rate * 0.7, self.min_rate)
 
-    def set_rate(self, rate: float) -> None:
-        """Externally reset the rate (used by Nimbus on mode switches)."""
+    def take_over(self, rate: float, rtt: float) -> None:
+        """Carry on from ``rate``, clamped like every rate this sets."""
         self.rate = float(min(max(rate, self.min_rate), 1.2 * self.mu))

@@ -31,6 +31,11 @@ PROBE_RTT = "probe_rtt"
 GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 #: 2 / ln(2) — the startup gain that doubles the sending rate every RTT.
 STARTUP_GAIN = 2.885
+#: Bandwidth filter length in round trips; RTprop filter length and the
+#: interval between PROBE_RTT episodes in seconds (BBR v1's constants).
+BW_WINDOW_RTTS = 10
+RTPROP_WINDOW = 10.0
+PROBE_RTT_INTERVAL = 10.0
 
 
 class Bbr(CongestionControl):
@@ -39,17 +44,8 @@ class Bbr(CongestionControl):
     name = "bbr"
     elastic = True
 
-    def __init__(self, init_cwnd_segments: int = 10,
-                 bw_window_rtts: int = 10,
-                 rtprop_window: float = 10.0,
-                 probe_rtt_interval: float = 10.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.cwnd = init_cwnd_segments * MSS_BYTES
-        self.rate = None
-        self.bw_window_rtts = bw_window_rtts
-        self.rtprop_window = rtprop_window
-        self.probe_rtt_interval = probe_rtt_interval
-
         self.state = STARTUP
         self._bw_samples: deque[tuple[float, float]] = deque()
         self._rtt_samples: deque[tuple[float, float]] = deque()
@@ -106,11 +102,11 @@ class Bbr(CongestionControl):
         return min(r for _, r in self._rtt_samples)
 
     def _prune(self, now: float, rtt: float) -> None:
-        bw_horizon = self.bw_window_rtts * max(rtt, 1e-3)
+        bw_horizon = BW_WINDOW_RTTS * max(rtt, 1e-3)
         while self._bw_samples and self._bw_samples[0][0] < now - bw_horizon:
             self._bw_samples.popleft()
         while (self._rtt_samples
-               and self._rtt_samples[0][0] < now - self.rtprop_window):
+               and self._rtt_samples[0][0] < now - RTPROP_WINDOW):
             self._rtt_samples.popleft()
 
     def _advance_state(self, now: float, rtt: float) -> None:
@@ -136,7 +132,7 @@ class Bbr(CongestionControl):
             if now - self._cycle_start >= max(self.rt_prop, 1e-3):
                 self._cycle_start = now
                 self._cycle_index = (self._cycle_index + 1) % len(GAIN_CYCLE)
-            if now - self._last_probe_rtt > self.probe_rtt_interval:
+            if now - self._last_probe_rtt > PROBE_RTT_INTERVAL:
                 self.state = PROBE_RTT
                 self._probe_rtt_until = now + max(0.2, 2 * self.rt_prop)
         elif self.state == PROBE_RTT:

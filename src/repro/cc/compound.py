@@ -32,13 +32,11 @@ class Compound(CongestionControl):
     #: Loss-window multiplicative decrease.
     BETA = 0.5
 
-    def __init__(self, init_cwnd_segments: int = 10,
-                 min_cwnd_segments: int = 2) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.lwnd = init_cwnd_segments * MSS_BYTES
+        self.lwnd = self.init_cwnd
         self.dwnd = 0.0
         self.ssthresh = math.inf
-        self.min_cwnd = min_cwnd_segments * MSS_BYTES
         self.cwnd = self.lwnd + self.dwnd
         self._last_loss_reaction = -math.inf
         self._last_dwnd_update = 0.0
@@ -78,3 +76,8 @@ class Compound(CongestionControl):
         self.dwnd = max(window * (1 - self.BETA) - self.lwnd / 2.0, 0.0)
         self.ssthresh = max(self.lwnd, self.min_cwnd)
         self.cwnd = max(self.lwnd + self.dwnd, self.min_cwnd)
+
+    def take_over(self, rate: float, rtt: float) -> None:
+        """Leave slow start at the handed-over window."""
+        super().take_over(rate, rtt)
+        self.ssthresh = self.cwnd

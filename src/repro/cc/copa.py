@@ -26,19 +26,13 @@ import math
 from collections import deque
 
 from ..simulator.units import MSS_BYTES
-from .base import CongestionControl
-
-#: Mode labels shared with Nimbus so experiments can compare classifiers.
-MODE_DELAY = "delay"
-MODE_COMPETITIVE = "competitive"
+from .base import MODE_COMPETITIVE, MODE_DELAY, CongestionControl
 
 
 class Copa(CongestionControl):
     """Copa with default/TCP-competitive mode switching.
 
     Args:
-        delta_default: Target aggressiveness in default mode (0.5 in the
-            Copa paper: ~2 packets in the queue at equilibrium).
         mode_switching: If False the algorithm always stays in default mode
             (this is "Copa's default mode", used as a Nimbus delay-mode
             algorithm in §4.1).
@@ -47,17 +41,16 @@ class Copa(CongestionControl):
     name = "copa"
     elastic = True
 
-    def __init__(self, delta_default: float = 0.5, mode_switching: bool = True,
-                 init_cwnd_segments: int = 10,
-                 min_cwnd_segments: int = 2) -> None:
+    #: Target aggressiveness in default mode (0.5 in the Copa paper: ~2
+    #: packets in the queue at equilibrium).
+    DELTA_DEFAULT = 0.5
+
+    def __init__(self, mode_switching: bool = True) -> None:
         super().__init__()
-        self.delta_default = delta_default
         self.mode_switching = mode_switching
-        self.cwnd = init_cwnd_segments * MSS_BYTES
-        self.min_cwnd = min_cwnd_segments * MSS_BYTES
 
         self.mode = MODE_DELAY
-        self.delta = delta_default
+        self.delta = self.DELTA_DEFAULT
         self._velocity = 1.0
         self._max_velocity = 64.0
         self._direction = 0
@@ -115,7 +108,7 @@ class Copa(CongestionControl):
         if self.mode == MODE_COMPETITIVE:
             # In competitive mode 1/delta behaves like a TCP window: halve it
             # (i.e. double delta) on loss, capped at the default value.
-            self.delta = min(self.delta * 2.0, self.delta_default)
+            self.delta = min(self.delta * 2.0, self.DELTA_DEFAULT)
             self.cwnd = max(self.cwnd / 2.0, self.min_cwnd)
 
     def on_control_tick(self, now: float, dt: float) -> None:
@@ -176,12 +169,12 @@ class Copa(CongestionControl):
         if nearly_empty:
             if self.mode != MODE_DELAY:
                 self.mode = MODE_DELAY
-                self.delta = self.delta_default
+                self.delta = self.DELTA_DEFAULT
                 self._velocity = 1.0
         else:
             if self.mode != MODE_COMPETITIVE:
                 self.mode = MODE_COMPETITIVE
-                self.delta = self.delta_default
+                self.delta = self.DELTA_DEFAULT
             else:
                 # AIMD on 1/delta while competitive: grow aggressiveness
                 # every check interval without loss.

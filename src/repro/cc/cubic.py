@@ -26,20 +26,15 @@ class Cubic(CongestionControl):
     #: Multiplicative decrease factor.
     BETA = 0.7
 
-    def __init__(self, init_cwnd_segments: int = 10,
-                 min_cwnd_segments: int = 2,
-                 fast_convergence: bool = True) -> None:
+    def __init__(self, fast_convergence: bool = True) -> None:
         super().__init__()
-        self.cwnd = init_cwnd_segments * MSS_BYTES
         self.ssthresh = math.inf
-        self.min_cwnd = min_cwnd_segments * MSS_BYTES
         self.fast_convergence = fast_convergence
 
         self.w_max = 0.0          # window (bytes) just before the last loss
         self._epoch_start: float | None = None
         self._k = 0.0             # time offset of the cubic origin (seconds)
         self._w_est = 0.0         # Reno-friendly window estimate (bytes)
-        self._acked_since_epoch = 0.0
         self._last_loss_reaction = -math.inf
 
     # ------------------------------------------------------------------ #
@@ -53,7 +48,6 @@ class Cubic(CongestionControl):
 
         if self._epoch_start is None:
             self._start_epoch(now)
-        self._acked_since_epoch += acked
 
         target = self._cubic_window(now + self.measurement.base_rtt())
         if target > self.cwnd:
@@ -86,12 +80,17 @@ class Cubic(CongestionControl):
         self.ssthresh = self.cwnd
         self._epoch_start = None
 
+    def take_over(self, rate: float, rtt: float) -> None:
+        """Start a fresh cubic epoch anchored at the handed-over window."""
+        super().take_over(rate, rtt)
+        self.ssthresh = self.w_max = self.cwnd
+        self._epoch_start = None
+
     # ------------------------------------------------------------------ #
     # Cubic window function
     # ------------------------------------------------------------------ #
     def _start_epoch(self, now: float) -> None:
         self._epoch_start = now
-        self._acked_since_epoch = 0.0
         if self.cwnd < self.w_max:
             self._k = ((self.w_max - self.cwnd)
                        / (self.C * MSS_BYTES)) ** (1.0 / 3.0)

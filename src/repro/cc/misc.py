@@ -7,12 +7,10 @@
   the paper's sense: its sending rate follows its delivery rate.
 * :class:`AppLimited` — convenience wrapper marking an application-limited
   flow (e.g. a low-bitrate video) as inelastic ground truth while letting an
-  inner algorithm (default Cubic) govern the window.
+  inner Cubic govern the window.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..simulator.units import MSS_BYTES
 from .base import CongestionControl
@@ -47,7 +45,7 @@ class FixedWindow(CongestionControl):
 
 
 class AppLimited(CongestionControl):
-    """Application-limited flow: inner CC, but inelastic ground truth.
+    """Application-limited flow: inner Cubic, but inelastic ground truth.
 
     The application source attached to the flow (e.g. a
     :class:`~repro.simulator.source.PacedSource` below the fair share)
@@ -58,9 +56,9 @@ class AppLimited(CongestionControl):
     name = "app-limited"
     elastic = False
 
-    def __init__(self, inner: Optional[CongestionControl] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.inner = inner if inner is not None else Cubic()
+        self.inner = Cubic()
 
     def register(self, flow) -> None:
         super().register(flow)

@@ -21,12 +21,9 @@ class NewReno(CongestionControl):
     name = "newreno"
     elastic = True
 
-    def __init__(self, init_cwnd_segments: int = 10,
-                 min_cwnd_segments: int = 2) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.cwnd = init_cwnd_segments * MSS_BYTES
         self.ssthresh = math.inf
-        self.min_cwnd = min_cwnd_segments * MSS_BYTES
         self._last_loss_reaction = -math.inf
 
     def on_ack(self, ack, now: float) -> None:
@@ -47,6 +44,11 @@ class NewReno(CongestionControl):
         self._last_loss_reaction = now
         self.ssthresh = max(self.cwnd / 2.0, self.min_cwnd)
         self.cwnd = max(self.ssthresh, self.min_cwnd)
+
+    def take_over(self, rate: float, rtt: float) -> None:
+        """Carry on in congestion avoidance from the handed-over window."""
+        super().take_over(rate, rtt)
+        self.ssthresh = self.cwnd
 
 
 class Reno(NewReno):

@@ -20,16 +20,12 @@ class Vegas(CongestionControl):
     name = "vegas"
     elastic = True
 
-    def __init__(self, alpha: float = 2.0, beta: float = 4.0,
-                 init_cwnd_segments: int = 10,
-                 min_cwnd_segments: int = 2) -> None:
+    def __init__(self, alpha: float = 2.0, beta: float = 4.0) -> None:
         super().__init__()
         if alpha > beta:
             raise ValueError("alpha must not exceed beta")
         self.alpha = alpha
         self.beta = beta
-        self.cwnd = init_cwnd_segments * MSS_BYTES
-        self.min_cwnd = min_cwnd_segments * MSS_BYTES
         self._last_update = 0.0
         self._in_slow_start = True
 

@@ -35,19 +35,20 @@ class Vivace(CongestionControl):
     LATENCY_COEFF = 900.0
     #: Weight of the loss penalty.
     LOSS_COEFF = 11.35
+    #: Starting rate and the floor the rate never goes below (Mbit/s).
+    INITIAL_RATE_MBPS = 4.0
+    MIN_RATE_MBPS = 0.3
+    #: Each probing pair sends at (1 +/- this) times the base rate.
+    PROBE_FRACTION = 0.05
+    #: Base rate step per decision and its amplified cap (Mbit/s).
+    STEP_MBPS = 1.0
+    MAX_STEP_MBPS = 12.0
 
-    def __init__(self, initial_rate_mbps: float = 4.0,
-                 probe_fraction: float = 0.05,
-                 step_mbps: float = 1.0,
-                 max_step_mbps: float = 12.0,
-                 min_rate_mbps: float = 0.3) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.cwnd = None
-        self.rate = mbps_to_bytes_per_sec(initial_rate_mbps)
-        self.probe_fraction = probe_fraction
-        self.step_mbps = step_mbps
-        self.max_step_mbps = max_step_mbps
-        self.min_rate = mbps_to_bytes_per_sec(min_rate_mbps)
+        self.rate = mbps_to_bytes_per_sec(self.INITIAL_RATE_MBPS)
+        self.min_rate = mbps_to_bytes_per_sec(self.MIN_RATE_MBPS)
 
         self._base_rate = self.rate
         self._mi_start = 0.0
@@ -107,9 +108,9 @@ class Vivace(CongestionControl):
 
     def _set_probe_rate(self) -> None:
         if self._phase == 0:
-            self.rate = self._base_rate * (1.0 + self.probe_fraction)
+            self.rate = self._base_rate * (1.0 + self.PROBE_FRACTION)
         elif self._phase == 1:
-            self.rate = self._base_rate * (1.0 - self.probe_fraction)
+            self.rate = self._base_rate * (1.0 - self.PROBE_FRACTION)
         else:
             self.rate = self._base_rate
         self.rate = max(self.rate, self.min_rate)
@@ -126,8 +127,8 @@ class Vivace(CongestionControl):
         self._last_direction = direction
         # Step size grows while the gradient keeps pointing the same way
         # (Vivace's confidence amplifier), bounded to avoid oscillation.
-        step = self.step_mbps * (1 + min(self._consecutive_same_direction, 10))
-        step = min(step, self.max_step_mbps)
+        step = self.STEP_MBPS * (1 + min(self._consecutive_same_direction, 10))
+        step = min(step, self.MAX_STEP_MBPS)
         new_rate_mbps = bytes_per_sec_to_mbps(self._base_rate) + direction * step
         self._base_rate = max(mbps_to_bytes_per_sec(new_rate_mbps),
                               self.min_rate)

@@ -2,13 +2,14 @@
 and the Nimbus mode-switching congestion controller.
 """
 
+from ..cc.base import MODE_COMPETITIVE, MODE_DELAY
 from .elasticity import (
     DetectionResult,
     ElasticityDetector,
     PulserDetector,
+    Spectrum,
     cross_correlation_detector,
     elasticity_metric,
-    fft_magnitude,
 )
 from .estimator import CrossTrafficEstimator, estimate_cross_traffic
 from .multiflow import (
@@ -17,7 +18,7 @@ from .multiflow import (
     PulserElection,
     WatcherRateFilter,
 )
-from .nimbus import MODE_COMPETITIVE, MODE_DELAY, Nimbus
+from .nimbus import Nimbus
 from .pulses import (
     AsymmetricSinusoidPulse,
     NoPulse,
@@ -40,11 +41,11 @@ __all__ = [
     "PulserElection",
     "ROLE_PULSER",
     "ROLE_WATCHER",
+    "Spectrum",
     "SquareWavePulse",
     "SymmetricSinusoidPulse",
     "WatcherRateFilter",
     "cross_correlation_detector",
     "elasticity_metric",
     "estimate_cross_traffic",
-    "fft_magnitude",
 ]

@@ -16,6 +16,9 @@ frequencies and ``eta`` stays near 1.  Traffic is classified elastic when
 The same machinery is reused by watcher flows (§6) to detect whether a
 pulser is active, and at which of the two agreed frequencies it is pulsing,
 by examining the FFT of their own receive rate.
+
+One window is transformed once: :class:`Spectrum` is the only caller of
+``np.fft`` in the package, and every reading comes off the one built.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cc.base import MODE_COMPETITIVE, MODE_DELAY
+
 #: Default pulse frequency (Hz).
 DEFAULT_PULSE_FREQUENCY = 5.0
 #: Default FFT window (seconds).
@@ -33,75 +38,70 @@ DEFAULT_FFT_DURATION = 5.0
 DEFAULT_THRESHOLD = 2.0
 
 
-def fft_magnitude(samples: Sequence[float], sample_interval: float
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (frequencies, magnitudes) of the one-sided FFT of ``samples``.
+class Spectrum:
+    """One-sided magnitude spectrum (``freqs``, ``mags``) of one window.
 
-    The mean is removed first so the DC component does not dominate, and the
-    magnitudes are normalised by the number of samples so that a sinusoid of
-    amplitude ``a`` appears with magnitude ``~a/2`` regardless of window
-    length (the absolute scale cancels in the elasticity ratio anyway).
+    The mean is removed first so the DC component does not dominate, and
+    the magnitudes are normalised by the number of samples so that a
+    sinusoid of amplitude ``a`` appears with magnitude ``~a/2`` regardless
+    of window length (the absolute scale cancels in the elasticity ratio
+    anyway).  Fewer than four samples make an empty spectrum, which reads
+    0.0 everywhere.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 4:
-        return np.array([]), np.array([])
-    x = x - x.mean()
-    spectrum = np.fft.rfft(x)
-    freqs = np.fft.rfftfreq(x.size, d=sample_interval)
-    mags = np.abs(spectrum) / x.size
-    return freqs, mags
 
+    def __init__(self, samples: Sequence[float],
+                 sample_interval: float) -> None:
+        x = np.asarray(samples, dtype=float)
+        self.size = x.size
+        self.sample_interval = sample_interval
+        if x.size < 4:
+            self.freqs = self.mags = np.array([])
+            return
+        x = x - x.mean()
+        self.freqs = np.fft.rfftfreq(x.size, d=sample_interval)
+        self.mags = np.abs(np.fft.rfft(x)) / x.size
 
-def band_peak(freqs: np.ndarray, mags: np.ndarray, low: float, high: float,
-              include_low: bool = False, include_high: bool = False) -> float:
-    """Largest magnitude with frequency in the interval (low, high).
+    def at(self, frequency: float) -> float:
+        """Magnitude of the bin closest to ``frequency``."""
+        if self.freqs.size == 0:
+            return 0.0
+        return float(self.mags[int(np.argmin(np.abs(self.freqs - frequency)))])
 
-    Endpoint inclusion is configurable; the elasticity metric excludes both
-    endpoints (the pulse frequency itself and its first harmonic).
-    """
-    if freqs.size == 0:
-        return 0.0
-    lo = freqs >= low if include_low else freqs > low
-    hi = freqs <= high if include_high else freqs < high
-    mask = lo & hi
-    if not mask.any():
-        return 0.0
-    return float(mags[mask].max())
+    def peak_between(self, low: float, high: float) -> float:
+        """Largest magnitude with frequency strictly inside (low, high)."""
+        mask = (self.freqs > low) & (self.freqs < high)
+        if not mask.any():
+            return 0.0
+        return float(self.mags[mask].max())
 
+    def eta(self, pulse_frequency: float) -> float:
+        """The elasticity metric (Eq. 3) for pulses at ``pulse_frequency``.
 
-def magnitude_at(freqs: np.ndarray, mags: np.ndarray, frequency: float
-                 ) -> float:
-    """Magnitude of the FFT bin closest to ``frequency``."""
-    if freqs.size == 0:
-        return 0.0
-    idx = int(np.argmin(np.abs(freqs - frequency)))
-    return float(mags[idx])
+        Returns 0.0 when there are not enough samples to resolve the pulse
+        frequency (less than roughly two pulse periods of data).
+        """
+        min_samples = max(8, int(round(
+            2.0 / (pulse_frequency * self.sample_interval))))
+        if self.size < min_samples:
+            return 0.0
+        peak_at_fp = self.at(pulse_frequency)
+        # Exclude the fp bin itself (and a guard bin either side) from the
+        # comparison band so spectral leakage from the peak does not count
+        # against it.
+        resolution = self.freqs[1] - self.freqs[0]
+        competitor = self.peak_between(
+            pulse_frequency + 1.5 * resolution,
+            2.0 * pulse_frequency - 0.5 * resolution)
+        if competitor <= 0.0:
+            return float("inf") if peak_at_fp > 0 else 0.0
+        return peak_at_fp / competitor
 
 
 def elasticity_metric(samples: Sequence[float], sample_interval: float,
                       pulse_frequency: float = DEFAULT_PULSE_FREQUENCY
                       ) -> float:
-    """Compute eta (Eq. 3) from a z(t) sample series.
-
-    Returns 0.0 when there are not enough samples to resolve the pulse
-    frequency (less than roughly two pulse periods of data).
-    """
-    x = np.asarray(samples, dtype=float)
-    min_samples = max(8, int(round(2.0 / (pulse_frequency * sample_interval))))
-    if x.size < min_samples:
-        return 0.0
-    freqs, mags = fft_magnitude(x, sample_interval)
-    peak_at_fp = magnitude_at(freqs, mags, pulse_frequency)
-    # Exclude the fp bin itself (and a guard bin either side) from the
-    # comparison band so spectral leakage from the peak does not count
-    # against it.
-    resolution = freqs[1] - freqs[0] if freqs.size > 1 else sample_interval
-    competitor = band_peak(freqs, mags,
-                           pulse_frequency + 1.5 * resolution,
-                           2.0 * pulse_frequency - 0.5 * resolution)
-    if competitor <= 0.0:
-        return float("inf") if peak_at_fp > 0 else 0.0
-    return peak_at_fp / competitor
+    """Compute eta (Eq. 3) from a z(t) sample series."""
+    return Spectrum(samples, sample_interval).eta(pulse_frequency)
 
 
 @dataclass
@@ -110,10 +110,6 @@ class DetectionResult:
 
     eta: float
     elastic: bool
-    pulse_frequency: float
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience only
-        return self.elastic
 
 
 class ElasticityDetector:
@@ -136,7 +132,6 @@ class ElasticityDetector:
         self.pulse_frequency = pulse_frequency
         self.fft_duration = fft_duration
         self.threshold = threshold
-        self.last_result: Optional[DetectionResult] = None
 
     @property
     def window_samples(self) -> int:
@@ -145,14 +140,9 @@ class ElasticityDetector:
 
     def evaluate(self, z_samples: Sequence[float]) -> DetectionResult:
         """Classify the given z series (uses the trailing FFT window)."""
-        x = np.asarray(z_samples, dtype=float)
-        if x.size > self.window_samples:
-            x = x[-self.window_samples:]
-        eta = elasticity_metric(x, self.sample_interval, self.pulse_frequency)
-        result = DetectionResult(eta=eta, elastic=eta >= self.threshold,
-                                 pulse_frequency=self.pulse_frequency)
-        self.last_result = result
-        return result
+        x = np.asarray(z_samples, dtype=float)[-self.window_samples:]
+        eta = Spectrum(x, self.sample_interval).eta(self.pulse_frequency)
+        return DetectionResult(eta=eta, elastic=eta >= self.threshold)
 
     def has_full_window(self, z_samples: Sequence[float]) -> bool:
         """True when at least one full FFT window of samples is available."""
@@ -187,19 +177,16 @@ class PulserDetector:
                  ) -> Tuple[bool, Optional[str], float, float]:
         """Return (pulser_present, mode, eta_competitive, eta_delay).
 
-        ``mode`` is "competitive" or "delay" when a pulser is detected, and
-        None otherwise.
+        ``mode`` is :data:`MODE_COMPETITIVE` or :data:`MODE_DELAY` when a
+        pulser is detected, and None otherwise.
         """
-        x = np.asarray(rate_samples, dtype=float)
-        if x.size > self.window_samples:
-            x = x[-self.window_samples:]
-        eta_c = elasticity_metric(x, self.sample_interval,
-                                  self.competitive_frequency)
-        eta_d = elasticity_metric(x, self.sample_interval,
-                                  self.delay_frequency)
+        x = np.asarray(rate_samples, dtype=float)[-self.window_samples:]
+        spectrum = Spectrum(x, self.sample_interval)
+        eta_c = spectrum.eta(self.competitive_frequency)
+        eta_d = spectrum.eta(self.delay_frequency)
         if max(eta_c, eta_d) < self.threshold:
             return False, None, eta_c, eta_d
-        mode = "competitive" if eta_c >= eta_d else "delay"
+        mode = MODE_COMPETITIVE if eta_c >= eta_d else MODE_DELAY
         return True, mode, eta_c, eta_d
 
 

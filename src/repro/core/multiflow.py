@@ -99,8 +99,6 @@ class WatcherRateFilter:
             raise ValueError("cutoff_frequency must be positive")
         if update_interval <= 0:
             raise ValueError("update_interval must be positive")
-        self.cutoff_frequency = cutoff_frequency
-        self.update_interval = update_interval
         # Standard bilinear mapping of a first-order RC low-pass filter.
         time_constant = 1.0 / (2.0 * math.pi * cutoff_frequency)
         self.alpha = update_interval / (update_interval + time_constant)

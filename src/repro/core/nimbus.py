@@ -20,6 +20,12 @@ With ``multi_flow=True`` the controller additionally plays the
 pulser/watcher protocol of §6: watchers do not pulse, low-pass filter their
 rate, and copy the mode signalled by the pulser's choice of frequency
 (``fpc`` in competitive mode, ``fpd`` in delay mode).
+
+The inner algorithms are building blocks: Nimbus drives them through the
+:class:`~repro.cc.base.CongestionControl` hooks alone and hands the flow
+over with ``take_over(rate, rtt)``.  Each detection interval builds one
+:class:`~repro.core.elasticity.Spectrum` per window it reads (z for a
+single flow; r for a watcher; z and r for a pulser).
 """
 
 from __future__ import annotations
@@ -31,24 +37,14 @@ from typing import Callable, Deque, Optional, Tuple
 
 import numpy as np
 
-from ..cc.base import CongestionControl
+from ..cc.base import MODE_COMPETITIVE, MODE_DELAY, CongestionControl
 from ..cc.basic_delay import BasicDelay
 from ..cc.cubic import Cubic
 from ..simulator.units import MSS_BYTES
-from .elasticity import (
-    ElasticityDetector,
-    PulserDetector,
-    elasticity_metric,
-    fft_magnitude,
-    magnitude_at,
-)
+from .elasticity import ElasticityDetector, PulserDetector, Spectrum
 from .estimator import CrossTrafficEstimator
 from .multiflow import ROLE_PULSER, ROLE_WATCHER, PulserElection, WatcherRateFilter
 from .pulses import AsymmetricSinusoidPulse, NoPulse, PulseShape
-
-#: Mode labels (shared with Copa's so classification accuracy is comparable).
-MODE_DELAY = "delay"
-MODE_COMPETITIVE = "competitive"
 
 #: How many of the newest z-sample timestamps the realised sample spacing is
 #: taken over (see :meth:`Nimbus.actual_sample_interval`).
@@ -121,11 +117,11 @@ class Nimbus(CongestionControl):
 
         shape_factory = (pulse_shape_factory if pulse_shape_factory is not None
                          else AsymmetricSinusoidPulse)
-        self._shape_factory = shape_factory
-        self._pulse_single = shape_factory(pulse_frequency, pulse_fraction)
-        self._pulse_competitive = shape_factory(competitive_frequency,
-                                                pulse_fraction)
-        self._pulse_delay = shape_factory(delay_frequency, pulse_fraction)
+        #: The pulser's shape per mode (one frequency unless multi-flow).
+        fpc, fpd = ((competitive_frequency, delay_frequency) if multi_flow
+                    else (pulse_frequency, pulse_frequency))
+        self._pulses = {MODE_COMPETITIVE: shape_factory(fpc, pulse_fraction),
+                        MODE_DELAY: shape_factory(fpd, pulse_fraction)}
 
         self.competitive_cc = competitive if competitive is not None else Cubic()
         if delay is not None:
@@ -167,9 +163,7 @@ class Nimbus(CongestionControl):
         self.rate = None
         self._rate_history: Deque[Tuple[float, float]] = deque()
         self._last_sample = -math.inf
-        self._last_switch = -math.inf
         self._last_eta_above_threshold = -math.inf
-        self._started = False
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -192,10 +186,7 @@ class Nimbus(CongestionControl):
         """The pulse shape in use, given the role and mode."""
         if self.role == ROLE_WATCHER:
             return NoPulse()
-        if not self.multi_flow:
-            return self._pulse_single
-        return (self._pulse_competitive if self.mode == MODE_COMPETITIVE
-                else self._pulse_delay)
+        return self._pulses[self.mode]
 
     # ------------------------------------------------------------------ #
     # Registration / delegation
@@ -306,24 +297,22 @@ class Nimbus(CongestionControl):
         if not self.detector.has_full_window(z_series):
             return
         fp = self.current_pulse.frequency
-        eta = elasticity_metric(z_series, sample_interval, fp)
+        z_spectrum = Spectrum(z_series, sample_interval)
+        eta = z_spectrum.eta(fp)
         self.last_eta = eta
         self.eta_history.append((now, eta))
         target_mode = self._decide_mode(eta, now)
         if target_mode != self.mode:
             self._switch_mode(target_mode, now)
-        self._check_pulser_conflict(z_series, r_series, fp)
+        self._check_pulser_conflict(z_spectrum, r_series, fp)
 
-    def _check_pulser_conflict(self, z_series, r_series, fp: float) -> None:
+    def _check_pulser_conflict(self, z_spectrum: Spectrum, r_series,
+                               fp: float) -> None:
         """Demote to watcher if the cross traffic pulses harder than we do."""
         if len(r_series) < self.pulser_detector.window_samples:
             return
-        sample_interval = self.actual_sample_interval()
-        zf, zm = fft_magnitude(z_series, sample_interval)
-        rf, rm = fft_magnitude(r_series, sample_interval)
-        z_peak = magnitude_at(zf, zm, fp)
-        r_peak = magnitude_at(rf, rm, fp)
-        if z_peak > r_peak * 1.2 and self.election.should_demote():
+        r_peak = Spectrum(r_series, z_spectrum.sample_interval).at(fp)
+        if z_spectrum.at(fp) > r_peak * 1.2 and self.election.should_demote():
             self.role = ROLE_WATCHER
             self.watcher_filter.reset()
 
@@ -343,28 +332,14 @@ class Nimbus(CongestionControl):
         return MODE_DELAY
 
     def _switch_mode(self, target_mode: str, now: float) -> None:
-        previous_rate = self._rate_at(now - self.fft_duration)
-        current_rate = self._current_base_rate(now)
-        self.mode = target_mode
-        self._last_switch = now
-        rtt = max(self.measurement.rtt, self.measurement.base_rtt())
+        rate = self._current_base_rate(now)  # of the inner we are leaving
         if target_mode == MODE_COMPETITIVE:
             # Reset to the rate from one FFT window ago: the elastic cross
             # traffic has been stealing bandwidth while we detected it.
-            restore = max(previous_rate, current_rate)
-            cwnd = max(restore * rtt, 4 * MSS_BYTES)
-            self.competitive_cc.cwnd = cwnd
-            if hasattr(self.competitive_cc, "ssthresh"):
-                self.competitive_cc.ssthresh = cwnd
-            if hasattr(self.competitive_cc, "_epoch_start"):
-                self.competitive_cc._epoch_start = None
-            if hasattr(self.competitive_cc, "w_max"):
-                self.competitive_cc.w_max = cwnd
-        else:
-            if isinstance(self.delay_cc, BasicDelay):
-                self.delay_cc.set_rate(current_rate)
-            elif self.delay_cc.cwnd is not None:
-                self.delay_cc.cwnd = max(current_rate * rtt, 4 * MSS_BYTES)
+            rate = max(self._rate_at(now - self.fft_duration), rate)
+        self.mode = target_mode
+        self.active_inner.take_over(
+            rate, max(self.measurement.rtt, self.measurement.base_rtt()))
 
     # ------------------------------------------------------------------ #
     # Rate computation

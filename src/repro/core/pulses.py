@@ -66,10 +66,6 @@ class AsymmetricSinusoidPulse(PulseShape):
         rest = self.period - quarter
         return -(amplitude / 3.0) * math.sin(math.pi * (phase - quarter) / rest)
 
-    def burst_bytes(self, mu: float) -> float:
-        """Bytes sent above the mean rate during one pulse: mu*T/(8*pi)."""
-        return mu * self.period * self.pulse_fraction / (2.0 * math.pi) * 2.0
-
     def min_base_fraction(self) -> float:
         return self.pulse_fraction / 3.0
 
@@ -98,9 +94,10 @@ class SquareWavePulse(PulseShape):
 class NoPulse(PulseShape):
     """No modulation at all (watcher flows, and ablation baselines)."""
 
-    def __init__(self, frequency: float = 1.0,
-                 pulse_fraction: float = 1e-9) -> None:
-        super().__init__(frequency, pulse_fraction)
+    def __init__(self) -> None:
+        # Placeholder values that pass PulseShape's validation; neither
+        # is read, because the offset is identically zero.
+        super().__init__(frequency=1.0, pulse_fraction=1e-9)
 
     def offset_fraction(self, t: float) -> float:
         return 0.0

@@ -6,7 +6,6 @@ mirror the paper's setups; benchmarks pass scaled-down durations.
 """
 
 from .common import (
-    CROSS_FLOW,
     MAIN_FLOW,
     ExperimentResult,
     SchemeResult,
@@ -54,7 +53,6 @@ EXPERIMENT_INDEX = {
 }
 
 __all__ = [
-    "CROSS_FLOW",
     "EXPERIMENT_INDEX",
     "ExperimentResult",
     "MAIN_FLOW",

@@ -32,11 +32,8 @@ from ..simulator import Flow, TopologyNetwork, mbps_to_bytes_per_sec
 
 #: Name of the main (measured) flow in every experiment.
 MAIN_FLOW = "main"
-#: Name given to cross-traffic flows.
-CROSS_FLOW = "cross"
 
 __all__ = [
-    "CROSS_FLOW",
     "ExperimentResult",
     "FluidClassSpec",
     "LinkSpec",

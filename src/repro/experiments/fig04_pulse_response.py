@@ -15,7 +15,7 @@ from typing import Dict
 import numpy as np
 
 from ..cc import Cubic, NullCC
-from ..core.elasticity import elasticity_metric, fft_magnitude, magnitude_at, band_peak
+from ..core.elasticity import Spectrum
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource
 from .common import ExperimentResult, add_main_flow, make_network
@@ -43,10 +43,7 @@ def _run_one(cross_kind: str, link_mbps: float, prop_rtt: float,
     z = nimbus.estimator.z_series()
     s = nimbus.estimator.s_series()
     times = nimbus.estimator.times()
-    freqs, mags = fft_magnitude(z[-nimbus.detector.window_samples:],
-                                sample_interval)
-    eta = elasticity_metric(z[-nimbus.detector.window_samples:],
-                            sample_interval, pulse_frequency)
+    spectrum = Spectrum(z[-nimbus.detector.window_samples:], sample_interval)
 
     # Time-domain correlation between the pulses in S and the response in z,
     # evaluated at a one-RTT lag (the elastic response arrives an RTT later).
@@ -65,12 +62,12 @@ def _run_one(cross_kind: str, link_mbps: float, prop_rtt: float,
         "times": times,
         "z_mbps": np.asarray(z) * 8 / 1e6,
         "s_mbps": np.asarray(s) * 8 / 1e6,
-        "fft_freqs": freqs,
-        "fft_mags_mbps": mags * 8 / 1e6,
-        "eta": eta,
-        "peak_at_fp": magnitude_at(freqs, mags, pulse_frequency) * 8 / 1e6,
-        "peak_neighbourhood": band_peak(
-            freqs, mags, pulse_frequency * 1.2, pulse_frequency * 2.0) * 8 / 1e6,
+        "fft_freqs": spectrum.freqs,
+        "fft_mags_mbps": spectrum.mags * 8 / 1e6,
+        "eta": spectrum.eta(pulse_frequency),
+        "peak_at_fp": spectrum.at(pulse_frequency) * 8 / 1e6,
+        "peak_neighbourhood": spectrum.peak_between(
+            pulse_frequency * 1.2, pulse_frequency * 2.0) * 8 / 1e6,
         "lagged_correlation": lagged_corr,
         "recorder": network.recorder,
     }

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..analysis.accuracy import mode_fraction
 from ..analysis.metrics import jain_fairness
+from ..cc import MODE_DELAY
 from ..core.multiflow import ROLE_PULSER
 from ..core.nimbus import Nimbus
 from ..simulator import Flow, mbps_to_bytes_per_sec
@@ -56,7 +57,7 @@ def run(n_flows: int = 4, stagger: float = 20.0, flow_duration: float = 80.0,
     delay_fractions = []
     for i in range(n_flows):
         _, modes = recorder.mode_series(f"nimbus{i}")
-        delay_fractions.append(mode_fraction(modes, "delay"))
+        delay_fractions.append(mode_fraction(modes, MODE_DELAY))
 
     pulser_counts = np.array([count for _, count in role_samples])
     result = ExperimentResult(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from ..analysis.accuracy import mode_fraction
-from ..cc import NullCC
+from ..cc import MODE_COMPETITIVE, NullCC
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource
 from .common import (
@@ -59,7 +59,7 @@ def run(cbr_fractions: Iterable[float] = (0.25, 0.83),
             result.add_scheme(label, recorder, start=warmup,
                               cbr_fraction=fraction, queue=queue,
                               competitive_fraction=mode_fraction(
-                                  modes, "competitive"))
+                                  modes, MODE_COMPETITIVE))
             delays[scheme][fraction] = queue["mean"]
     result.data["mean_queue_delay_ms"] = delays
     return result

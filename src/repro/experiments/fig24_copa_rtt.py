@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from ..analysis.accuracy import mode_fraction
-from ..cc import NewReno
+from ..cc import MODE_COMPETITIVE, NewReno
 from ..simulator import Flow
 from .common import MAIN_FLOW, ExperimentResult, add_main_flow, make_network
 
@@ -43,7 +43,7 @@ def run(rtt_ratios: Iterable[float] = (1.0, 4.0),
             result.add_scheme(
                 label, recorder, start=warmup, rtt_ratio=ratio,
                 reno_throughput=recorder.mean_throughput("reno", start=warmup),
-                competitive_fraction=mode_fraction(modes, "competitive"))
+                competitive_fraction=mode_fraction(modes, MODE_COMPETITIVE))
             throughput[scheme][ratio] = recorder.mean_throughput(
                 MAIN_FLOW, start=warmup)
     result.data["throughput"] = throughput

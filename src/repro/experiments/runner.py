@@ -57,6 +57,7 @@ from ..runtime import (
     SpecFailure,
     batch_id,
     default_journal_path,
+    tally,
 )
 from ..runtime.spec import expand_grid
 from . import EXPERIMENT_INDEX
@@ -126,19 +127,21 @@ def _describe_failure(failure: SpecFailure) -> str:
             f"after {failure.attempts} attempt(s)\n  {failure.summary}")
 
 
-def _print_profile(stats, wall: float) -> None:
-    """Render per-scenario wall times and cache accounting for --profile."""
+def _print_profile(records: List[dict], wall: float) -> None:
+    """Render per-scenario wall times and the batch tally for --profile."""
     print("--- profile ---")
-    for label, seconds in stats.timings:
+    for record in records:
+        seconds = record["seconds"]
         status = "cached" if seconds is None else f"{seconds:8.2f}s"
-        print(f"{label:<40} {status}")
-    failed = f", {stats.failed} failed" if stats.failed else ""
-    corrupt = (f", {stats.corrupt} corrupt cache entr"
-               f"{'y' if stats.corrupt == 1 else 'ies'} re-executed"
-               if stats.corrupt else "")
-    print(f"batch: {len(stats.timings)} spec(s) in {wall:.2f}s — "
-          f"{stats.hits} cache hit(s), {stats.misses} miss(es), "
-          f"{stats.executed} executed{failed}{corrupt}")
+        print(f"{record['label']:<40} {status}")
+    count = tally(records)
+    failed = f", {count['failures']} failed" if count["failures"] else ""
+    corrupt = (f", {count['corrupt']} corrupt cache entr"
+               f"{'y' if count['corrupt'] == 1 else 'ies'} re-executed"
+               if count["corrupt"] else "")
+    print(f"batch: {count['specs']} spec(s) in {wall:.2f}s — "
+          f"{count['hits']} cache hit(s), {count['misses']} miss(es), "
+          f"{count['executed']} executed{failed}{corrupt}")
 
 
 def _accepts_kwarg(fn, name: str) -> bool:
@@ -179,7 +182,8 @@ def main(argv: List[str] | None = None) -> int:
                              "(repeatable)")
     parser.add_argument("--profile", action="store_true",
                         help="After the batch, print per-scenario wall time "
-                             "and cache hit/miss counts")
+                             "and the batch tally (hits / misses / corrupt "
+                             "entries re-executed, executed, failed)")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="Append one runtime-metrics JSONL record per "
                              "scenario to PATH")
@@ -312,7 +316,7 @@ def main(argv: List[str] | None = None) -> int:
         else:
             print(_describe(result))
     if args.profile:
-        _print_profile(executor.last_stats, wall)
+        _print_profile(executor.last_metrics, wall)
     if failures:
         print(f"{len(failures)} of {len(specs)} spec(s) failed; "
               f"re-attempt them with --resume", file=sys.stderr)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
 from ..analysis.accuracy import mode_fraction
-from ..cc import Bbr, Copa, Cubic, FixedWindow, NewReno, NullCC, Vegas, Vivace
+from ..cc import (MODE_COMPETITIVE, Bbr, Copa, Cubic, FixedWindow, NewReno,
+                  NullCC, Vegas, Vivace)
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..simulator.source import PacedSource
 from ..traffic import PoissonSource
@@ -86,7 +87,7 @@ def classify(traffic: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     network.run(duration)
     times, modes = network.recorder.mode_series(MAIN_FLOW)
     post_warmup = [m for t, m in zip(times, modes) if t > 10.0 and m]
-    competitive_fraction = mode_fraction(post_warmup, "competitive")
+    competitive_fraction = mode_fraction(post_warmup, MODE_COMPETITIVE)
     classification = "elastic" if competitive_fraction >= 0.5 else "inelastic"
     return {
         "traffic": traffic,

@@ -44,7 +44,6 @@ from .cache import ResultCache, cache_enabled, default_cache_dir
 from .depgraph import DependencyGraph, module_digest
 from .executor import (
     BatchExecutor,
-    BatchStats,
     SpecExecutionError,
     SpecFailure,
     configured_workers,
@@ -61,6 +60,7 @@ from .metrics import (
     METRICS_SCHEMA_VERSION,
     OUTCOMES,
     metrics_record,
+    tally,
     validate_metrics_record,
     write_metrics,
 )
@@ -69,7 +69,6 @@ from .spec import ScenarioSpec
 __all__ = [
     "BatchExecutor",
     "BatchJournal",
-    "BatchStats",
     "DependencyGraph",
     "FluidClassSpec",
     "JOURNAL_SCHEMA_VERSION",
@@ -95,6 +94,7 @@ __all__ = [
     "metrics_record",
     "module_digest",
     "run_batch",
+    "tally",
     "validate_metrics_record",
     "write_metrics",
 ]

@@ -42,6 +42,7 @@ from .cache import ResultCache
 from .executor import BatchExecutor, SpecFailure
 from .journal import BatchJournal
 from .manifest import CampaignCell, CampaignManifest, ManifestError
+from .metrics import tally
 
 #: Version tag stamped into result lines and summaries.
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -177,26 +178,21 @@ class CampaignRunner:
         mode = "a" if resume and self.results_path.exists() else "w"
         with open(self.results_path, mode, encoding="utf-8") as stream:
             executor.run([cell.spec for cell in self.cells])
-        summary = self._build_summary(cell_rows,
+        summary = self._build_summary(cell_rows, tally(executor.last_metrics),
                                       wall=time.perf_counter() - begin)
         self._write_summary(summary)
         return summary
 
-    def _build_summary(self, cell_rows: Dict[str, dict],
+    def _build_summary(self, cell_rows: Dict[str, dict], count: dict,
                        wall: float) -> dict:
-        seconds = [row["seconds"] for row in cell_rows.values()
-                   if row["seconds"] is not None]
         totals = {
-            "cells": len(cell_rows),
-            "ok": sum(r["outcome"] == "ok" for r in cell_rows.values()),
-            "failed": sum(r["outcome"] != "ok"
-                          for r in cell_rows.values()),
-            "hits": sum(r["cache"] == "hit" for r in cell_rows.values()),
-            "misses": sum(r["cache"] == "miss"
-                          for r in cell_rows.values()),
-            "corrupt": sum(r["cache"] == "corrupt"
-                           for r in cell_rows.values()),
-            "sim_seconds": sum(seconds),
+            "cells": count["specs"],
+            "ok": count["specs"] - count["failures"],
+            "failed": count["failures"],
+            "hits": count["hits"],
+            "misses": count["misses"],
+            "corrupt": count["corrupt"],
+            "sim_seconds": count["total_seconds"],
             "wall_seconds": wall,
         }
         return {

@@ -32,6 +32,7 @@ the cache, then its line to the journal (``journal_path``; see
 it, a ``resume=True`` re-run re-executes only failed or never-settled
 specs, and a consumer (the campaign runner streams ``results.jsonl``
 from the hook) sees results as they finish, not when the batch does.
+``run`` closes the journal's append handle however the batch ends.
 
 Failure handling
 ----------------
@@ -219,31 +220,6 @@ class SpecExecutionError(RuntimeError):
             f"{first.attempts} attempt(s){extra}:\n{first.error}")
 
 
-@dataclass
-class BatchStats:
-    """Cache accounting for the most recent :meth:`BatchExecutor.run`.
-
-    Attributes:
-        hits: Spec positions served straight from the on-disk cache.
-        misses: Spec positions that required a simulation.
-        executed: Simulations actually run (misses minus in-batch
-            duplicates, which are simulated once and fanned out).
-        timings: One ``(label, seconds)`` pair per spec, in batch order;
-            ``seconds`` is ``None`` for cache hits and the execution wall
-            time otherwise (duplicates report the shared execution's time).
-        failed: Spec positions that ended in a :class:`SpecFailure`.
-        corrupt: Spec positions whose cached entry was corrupt (deleted
-            and re-executed; a subset of ``misses``).
-    """
-
-    hits: int
-    misses: int
-    executed: int
-    timings: List[Tuple[str, Optional[float]]]
-    failed: int = 0
-    corrupt: int = 0
-
-
 class BatchExecutor:
     """Runs batches of :class:`ScenarioSpec` with caching and fan-out.
 
@@ -314,8 +290,6 @@ class BatchExecutor:
         self.resume = resume
         self.on_settle = on_settle
         self._journal: Optional[BatchJournal] = None
-        #: Accounting for the most recent batch (see :class:`BatchStats`).
-        self.last_stats: Optional[BatchStats] = None
         #: Metrics records for the most recent batch, in spec order
         #: (populated even when ``metrics_path`` is unset).
         self.last_metrics: List[dict] = []
@@ -345,12 +319,6 @@ class BatchExecutor:
                       self.retry_backoff * (2 ** (attempt - 1)))
         return random.Random(f"{spec_hash}:{attempt}").random() * ceiling
 
-    def _ensure_journal(self) -> Optional[BatchJournal]:
-        if self.journal_path is not None and self._journal is None:
-            self._journal = BatchJournal(self.journal_path,
-                                         resume=self.resume)
-        return self._journal
-
     def run(self, specs: Sequence[ScenarioSpec]) -> List[Any]:
         """Execute a batch; results come back in spec order.
 
@@ -361,13 +329,23 @@ class BatchExecutor:
         raise :class:`SpecExecutionError` after every spec has settled
         (``on_error="raise"``).
         """
-        specs = list(specs)
+        if self.journal_path is not None and self._journal is None:
+            self._journal = BatchJournal(self.journal_path,
+                                         resume=self.resume)
+        try:
+            return self._run(list(specs))
+        finally:
+            # The next batch's first ``record`` reopens it to append.
+            if self._journal is not None:
+                self._journal.close()
+
+    def _run(self, specs: List[ScenarioSpec]) -> List[Any]:
         hashes = [spec.spec_hash() for spec in specs]
         results: List[Any] = [self.cache.get(h, fn=spec.fn)
                               for h, spec in zip(hashes, specs)]
         missed = [result is MISS for result in results]
         corrupt_hashes = self.cache.take_corrupt()
-        journal = self._ensure_journal()
+        journal = self._journal
         #: Every position of each distinct hash; the first one executes.
         positions: Dict[str, List[int]] = {}
         for index, spec_hash in enumerate(hashes):
@@ -421,16 +399,6 @@ class BatchExecutor:
             for spec_hash in unique:
                 settle(spec_hash, "ok",
                        *_timed_execute(specs[positions[spec_hash][0]]), 1)
-        self.last_stats = BatchStats(
-            hits=missed.count(False),
-            misses=missed.count(True),
-            executed=len(unique),
-            timings=[(record["label"], record["seconds"])
-                     for record in records],
-            failed=sum(1 for result in results
-                       if isinstance(result, SpecFailure)),
-            corrupt=sum(1 for record in records
-                        if record["cache"] == "corrupt"))
         self.last_metrics = records
         if self.metrics_path:
             write_metrics(self.last_metrics, self.metrics_path)

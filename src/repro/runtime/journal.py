@@ -132,12 +132,6 @@ class BatchJournal:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "BatchJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (f"BatchJournal(path={str(self.path)!r}, "
                 f"entries={len(self.entries)})")

@@ -5,7 +5,7 @@ JSON-lines record per spec describing how that spec was resolved: served
 from the on-disk cache, simulated fresh, or fanned out from an in-batch
 duplicate.  The records are plain dicts, one JSON object per line, so any
 log shipper (or :mod:`repro.analysis.telemetry`) can consume them without
-a schema registry.
+a schema registry.  :func:`tally` is the one count of a batch's records.
 
 Record schema (``schema_version`` = :data:`METRICS_SCHEMA_VERSION`):
 
@@ -51,7 +51,7 @@ masquerading as plain misses).
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Optional, Union
+from typing import IO, Dict, Iterable, Optional, Union
 
 from .spec import ScenarioSpec
 
@@ -158,6 +158,35 @@ def validate_metrics_record(record: dict) -> None:
     if record["cache"] == "hit" and (outcome != "ok" or attempts != 0):
         raise ValueError("cache hits must report outcome='ok' and "
                          "attempts=0 (failed specs are never cached)")
+
+
+def tally(records: Iterable[dict]) -> Dict[str, Optional[float]]:
+    """The one count of a batch: cache accounting and execution rates.
+
+    ``hits`` / ``misses`` / ``corrupt`` are the schema's three disjoint
+    cache states and sum to ``specs``; ``executed`` is the simulations
+    actually run (misses and corrupt entries, minus in-batch duplicates).
+    """
+    records = list(records)
+    executed = [r for r in records if r["cache"] != "hit" and not r["dedup"]]
+    seconds = [r["seconds"] for r in executed if r["seconds"] is not None]
+    rates = [r["ticks_per_sec"] for r in executed
+             if r["ticks_per_sec"] is not None]
+    workers = {r["worker_pid"] for r in executed
+               if r["worker_pid"] is not None}
+    return {
+        "specs": len(records),
+        "hits": sum(r["cache"] == "hit" for r in records),
+        "misses": sum(r["cache"] == "miss" for r in records),
+        "corrupt": sum(r["cache"] == "corrupt" for r in records),
+        "executed": len(executed),
+        "deduped": sum(r["dedup"] for r in records),
+        "failures": sum(r["outcome"] != "ok" for r in records),
+        "retried": sum(r["attempts"] > 1 for r in records),
+        "workers": len(workers),
+        "total_seconds": sum(seconds) if seconds else 0.0,
+        "mean_ticks_per_sec": (sum(rates) / len(rates)) if rates else None,
+    }
 
 
 def write_metrics(records: Iterable[dict],

@@ -63,18 +63,20 @@ class Pie(QueuePolicy):
     with the current probability; a hard cap mirrors the physical buffer.
     """
 
+    #: Seconds between drop-probability updates, and the gains on the
+    #: delay's deviation from the target and on its change (RFC 8033).
+    UPDATE_INTERVAL = 0.015
+    ALPHA = 0.125
+    BETA = 1.25
+
     def __init__(self, target_delay: float, buffer_bytes: float,
-                 update_interval: float = 0.015, alpha: float = 0.125,
-                 beta: float = 1.25, seed: int | None = 0) -> None:
+                 seed: int | None = 0) -> None:
         if target_delay <= 0:
             raise ValueError("target_delay must be positive")
         if buffer_bytes <= 0:
             raise ValueError("buffer_bytes must be positive")
         self.target_delay = target_delay
         self.buffer_bytes = buffer_bytes
-        self.update_interval = update_interval
-        self.alpha = alpha
-        self.beta = beta
         self.drop_prob = 0.0
         self._last_update = 0.0
         self._last_delay = 0.0
@@ -102,11 +104,11 @@ class Pie(QueuePolicy):
         self._maybe_update(now)
 
     def _maybe_update(self, now: float) -> None:
-        if now - self._last_update < self.update_interval:
+        if now - self._last_update < self.UPDATE_INTERVAL:
             return
         delay = self._current_delay
-        delta = (self.alpha * (delay - self.target_delay)
-                 + self.beta * (delay - self._last_delay))
+        delta = (self.ALPHA * (delay - self.target_delay)
+                 + self.BETA * (delay - self._last_delay))
         # Scale the adjustment down when the drop probability is small, as
         # RFC 8033 recommends, so the controller does not oscillate.
         if self.drop_prob < 0.01:

@@ -28,6 +28,10 @@ from .units import MSS_BYTES
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cc.base import CongestionControl
 
+#: How often (seconds) a flow runs its algorithm's ``on_control_tick``: the
+#: paper's 10 ms CCP reporting cadence.
+CONTROL_INTERVAL = 0.01
+
 
 class Flow:
     """A unidirectional transport flow through the bottleneck.
@@ -43,14 +47,13 @@ class Flow:
         source: Application source; defaults to a backlogged bulk transfer.
         start_time: Simulation time at which the flow starts sending.
         name: Optional label for traces; defaults to the algorithm name.
-        control_interval: How often the algorithm's periodic hook runs.
         max_burst_bytes: Cap on bytes emitted in a single tick, to bound the
             burstiness of unpaced window-based senders.
     """
 
     def __init__(self, cc: "CongestionControl", prop_rtt: float,
                  source: Optional[Source] = None, start_time: float = 0.0,
-                 name: Optional[str] = None, control_interval: float = 0.01,
+                 name: Optional[str] = None,
                  max_burst_bytes: Optional[float] = None) -> None:
         if prop_rtt <= 0:
             raise ValueError("prop_rtt must be positive")
@@ -59,7 +62,6 @@ class Flow:
         self.source: Source = source if source is not None else BackloggedSource()
         self.start_time = start_time
         self.name = name if name is not None else cc.name
-        self.control_interval = control_interval
         self.max_burst_bytes = max_burst_bytes
 
         #: Identifier assigned by the network when the flow is added.
@@ -182,7 +184,7 @@ class Flow:
     # Internal helpers
     # ------------------------------------------------------------------ #
     def _run_control(self, now: float, dt: float) -> None:
-        if now - self._last_control >= self.control_interval - 1e-12:
+        if now - self._last_control >= CONTROL_INTERVAL - 1e-12:
             self.cc.on_control_tick(now, dt)
             self._last_control = now
 

@@ -112,17 +112,16 @@ class FluidClass:
             for 10^5 flows at unchanged cost.  Default: the rate implied
             by the target load and the mixture's mean flow size.
         seed: Seed of the class's private numpy generator.
-        packet_bytes: MSS used for window arithmetic and packet noise.
-        max_window: Aggregate window cap in bytes (default: four
-            buffered-BDPs worth at ``link_rate``).
     """
+
+    #: MSS used for window arithmetic and packet noise.
+    packet_bytes = float(MSS_BYTES)
 
     def __init__(self, name: str, link_rate: float, kind: str = "elastic",
                  load: float = 0.5, rate: Optional[float] = None,
                  rtt: float = 0.05, flows: int = 0,
-                 arrivals_per_sec: Optional[float] = None, seed: int = 1,
-                 packet_bytes: float = float(MSS_BYTES),
-                 max_window: Optional[float] = None) -> None:
+                 arrivals_per_sec: Optional[float] = None,
+                 seed: int = 1) -> None:
         if kind not in ("elastic", "inelastic"):
             raise ValueError(f"kind must be 'elastic' or 'inelastic', "
                              f"got {kind!r}")
@@ -136,7 +135,6 @@ class FluidClass:
         self.kind = kind
         self.link_rate = link_rate
         self.rtt = rtt
-        self.packet_bytes = float(packet_bytes)
         self.target_rate = float(rate) if rate is not None \
             else float(load) * link_rate
         if self.target_rate <= 0:
@@ -174,8 +172,8 @@ class FluidClass:
         #: All bytes not yet delivered (work + queue + retransmit debt).
         self.bytes_in_system = 0.0
         self.window = float(flows) * _INITIAL_WINDOW_BYTES
-        self._max_window = (float(max_window) if max_window is not None
-                            else 4.0 * link_rate * (rtt + 0.2))
+        #: Aggregate window cap: four buffered-BDPs worth at ``link_rate``.
+        self._max_window = 4.0 * link_rate * (rtt + 0.2)
         #: Loss events (packets) since the last multiplicative decrease.
         self._pending_loss = 0.0
         self._last_backoff = 0.0

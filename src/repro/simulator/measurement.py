@@ -92,8 +92,7 @@ class FlowMeasurement:
     """
 
     __slots__ = ("sent", "delivered", "lost", "rtt", "min_rtt",
-                 "queue_delay", "max_delivery_rate", "_last_now", "_acked",
-                 "_acked_horizon")
+                 "queue_delay", "max_delivery_rate", "_acked", "_acked_horizon")
 
     def __init__(self, horizon: float = 10.0) -> None:
         self.sent = WindowedCounter(horizon)
@@ -103,7 +102,6 @@ class FlowMeasurement:
         self.min_rtt: float = math.inf
         self.queue_delay: float = 0.0
         self.max_delivery_rate: float = 0.0
-        self._last_now: float = 0.0
         #: Acked-packet records (ack_time, sent_time, bytes) used to measure
         #: S and R over the *same* packets, as Eq. (2) of the paper requires.
         self._acked: Deque[Tuple[float, float, float]] = deque()
@@ -114,7 +112,6 @@ class FlowMeasurement:
     # ------------------------------------------------------------------ #
     def on_send(self, now: float, nbytes: float) -> None:
         self.sent.add(now, nbytes)
-        self._last_now = now
 
     def on_ack(self, now: float, nbytes: float, rtt: float,
                queue_delay: float) -> None:
@@ -123,7 +120,6 @@ class FlowMeasurement:
         self.queue_delay = queue_delay
         if rtt > 0:
             self.min_rtt = min(self.min_rtt, rtt)
-        self._last_now = now
         self._acked.append((now, now - rtt, nbytes))
         cutoff = now - self._acked_horizon
         while self._acked and self._acked[0][0] < cutoff:
@@ -131,7 +127,6 @@ class FlowMeasurement:
 
     def on_loss(self, now: float, nbytes: float) -> None:
         self.lost.add(now, nbytes)
-        self._last_now = now
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -12,7 +12,7 @@ build-up and drain, and drop feedback after roughly one round-trip time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -115,7 +115,6 @@ class FlowStats:
     end_time: float | None = None
     rtt_samples: int = 0
     rtt_sum: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     @property
     def mean_rtt(self) -> float:

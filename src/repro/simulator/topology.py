@@ -995,7 +995,7 @@ class TopologyNetwork:
         flows = self.flows
         modes = self._last_modes
         for flow_id in self._active:
-            mode = getattr(flows[flow_id].cc, "mode", None)
+            mode = flows[flow_id].cc.mode
             if mode is not None and mode != modes.get(flow_id):
                 previous = modes.get(flow_id)
                 modes[flow_id] = mode

@@ -50,13 +50,12 @@ def _grow(values: list, upto: int, fill) -> None:
 class _FlowRecord:
     """Per-flow accumulation buckets (dense, indexed by bin number)."""
 
-    __slots__ = ("bytes_by_bin", "qdelay_sum", "qdelay_cnt",
-                 "qdelay_samples", "rtt_samples", "mode_by_bin")
+    __slots__ = ("bytes_by_bin", "qdelay_sum", "qdelay_samples",
+                 "rtt_samples", "mode_by_bin")
 
     def __init__(self) -> None:
         self.bytes_by_bin: List[float] = []
         self.qdelay_sum: List[float] = []
-        self.qdelay_cnt: List[int] = []
         self.qdelay_samples: List[float] = []
         self.rtt_samples: List[float] = []
         #: Sparse: only mode-switching algorithms report a mode at all.
@@ -122,7 +121,7 @@ class Recorder:
         self._flows: Dict[int, _FlowRecord] = {}
         self._names: Dict[int, str] = {}
         self._link_qdelay_sum: List[float] = []
-        self._link_qdelay_cnt: List[int] = []
+        self._ticks_by_bin: List[int] = []
         self._max_bin = 0
         # One record per topology link, in attachment order.  The engine
         # constructs its recorder after wiring the topology, so the link
@@ -180,10 +179,8 @@ class Recorder:
         if b >= len(rec.bytes_by_bin):
             _grow(rec.bytes_by_bin, b, 0.0)
             _grow(rec.qdelay_sum, b, 0.0)
-            _grow(rec.qdelay_cnt, b, 0)
         rec.bytes_by_bin[b] += chunk.size
         rec.qdelay_sum[b] += chunk.queue_delay * chunk.size
-        rec.qdelay_cnt[b] += 1
         rec.qdelay_samples.append(chunk.queue_delay)
         if b > self._max_bin:
             self._max_bin = b
@@ -196,11 +193,11 @@ class Recorder:
             # tick of every new bin — the one moment the link records
             # need their accumulating bin closed.
             _grow(self._link_qdelay_sum, b, 0.0)
-            _grow(self._link_qdelay_cnt, b, 0)
+            _grow(self._ticks_by_bin, b, 0)
             if b != self._link_bin:
                 self._close_bins(b)
         self._link_qdelay_sum[b] += self.network.link.queue_delay
-        self._link_qdelay_cnt[b] += 1
+        self._ticks_by_bin[b] += 1
         if b > self._max_bin:
             self._max_bin = b
         if self._solo_record is None:
@@ -213,7 +210,7 @@ class Recorder:
             flow = flows[flow_id]
             if not flow.active:
                 continue
-            mode = getattr(flow.cc, "mode", None)
+            mode = flow.cc.mode
             if mode is not None:
                 rec = self._flow_record(flow_id)
                 self._names[flow_id] = flow.name
@@ -276,9 +273,9 @@ class Recorder:
             nbins = self._max_bin + 1
             series = np.zeros(nbins)
             qdelay_sum = self._link_qdelay_sum
-            qdelay_cnt = self._link_qdelay_cnt
-            for b in range(min(nbins, len(qdelay_cnt))):
-                cnt = qdelay_cnt[b]
+            ticks = self._ticks_by_bin
+            for b in range(min(nbins, len(ticks))):
+                cnt = ticks[b]
                 if cnt:
                     series[b] = qdelay_sum[b] / cnt
             return self.times(), series * 1e3
@@ -464,7 +461,7 @@ class Recorder:
         """Per-bin mean of a tick-accumulated sum (tick counts are shared
         across links: every link is sampled on every tick)."""
         series = np.zeros(len(sums))
-        counts = self._link_qdelay_cnt
+        counts = self._ticks_by_bin
         m = min(len(sums), len(counts))
         if m:
             cnt = np.asarray(counts[:m], dtype=float)

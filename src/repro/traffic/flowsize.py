@@ -25,6 +25,14 @@ from ..simulator.units import MSS_BYTES
 #: in the paper's Fig. 12 analysis.
 ELASTIC_THRESHOLD_BYTES = 10 * MSS_BYTES
 
+#: Median and log-sigma of the log-normal body of short flows, scale of the
+#: Pareto tail, and the cap on any one flow.  ``repro.simulator.fluid``
+#: mirrors these (it must not import this layer); a test keeps them equal.
+SHORT_MEDIAN_BYTES = 6.0e3
+SHORT_SIGMA = 1.2
+PARETO_SCALE_BYTES = 3.0e4
+MAX_FLOW_BYTES = 5.0e8
+
 
 @dataclass
 class FlowSizeSample:
@@ -42,23 +50,17 @@ class HeavyTailedFlowSizes:
     drawn from a Pareto distribution whose shape < 2 gives the heavy tail.
     """
 
-    def __init__(self, seed: int = 0,
-                 short_fraction: float = 0.9,
-                 short_median_bytes: float = 6.0e3,
-                 short_sigma: float = 1.2,
-                 pareto_shape: float = 1.2,
-                 pareto_scale_bytes: float = 3.0e4,
-                 max_bytes: float = 5.0e8) -> None:
+    #: Every sampled size lies in ``[100, max_bytes]``.
+    max_bytes = MAX_FLOW_BYTES
+
+    def __init__(self, seed: int = 0, short_fraction: float = 0.9,
+                 pareto_shape: float = 1.2) -> None:
         if not 0.0 < short_fraction < 1.0:
             raise ValueError("short_fraction must be in (0, 1)")
         if pareto_shape <= 1.0:
             raise ValueError("pareto_shape must exceed 1 for a finite mean")
         self.short_fraction = short_fraction
-        self.short_median_bytes = short_median_bytes
-        self.short_sigma = short_sigma
         self.pareto_shape = pareto_shape
-        self.pareto_scale_bytes = pareto_scale_bytes
-        self.max_bytes = max_bytes
         self._rng = random.Random(seed)
 
     # ------------------------------------------------------------------ #
@@ -67,12 +69,12 @@ class HeavyTailedFlowSizes:
     def sample(self) -> FlowSizeSample:
         """Draw one flow size."""
         if self._rng.random() < self.short_fraction:
-            size = self._rng.lognormvariate(math.log(self.short_median_bytes),
-                                            self.short_sigma)
+            size = self._rng.lognormvariate(math.log(SHORT_MEDIAN_BYTES),
+                                            SHORT_SIGMA)
         else:
             u = self._rng.random()
-            size = self.pareto_scale_bytes / (u ** (1.0 / self.pareto_shape))
-        size = min(max(size, 100.0), self.max_bytes)
+            size = PARETO_SCALE_BYTES / (u ** (1.0 / self.pareto_shape))
+        size = min(max(size, 100.0), MAX_FLOW_BYTES)
         return FlowSizeSample(size_bytes=size,
                               elastic=size > ELASTIC_THRESHOLD_BYTES)
 
@@ -85,12 +87,11 @@ class HeavyTailedFlowSizes:
     # ------------------------------------------------------------------ #
     def mean_bytes(self) -> float:
         """Approximate mean flow size of the mixture (bytes)."""
-        lognormal_mean = (self.short_median_bytes
-                          * math.exp(self.short_sigma ** 2 / 2.0))
-        pareto_mean = (self.pareto_shape * self.pareto_scale_bytes
+        lognormal_mean = SHORT_MEDIAN_BYTES * math.exp(SHORT_SIGMA ** 2 / 2.0)
+        pareto_mean = (self.pareto_shape * PARETO_SCALE_BYTES
                        / (self.pareto_shape - 1.0))
-        # The Pareto mean is truncated at max_bytes; correct roughly for it.
-        pareto_mean = min(pareto_mean, self.max_bytes)
+        # The Pareto mean is truncated at the cap; correct roughly for it.
+        pareto_mean = min(pareto_mean, MAX_FLOW_BYTES)
         return (self.short_fraction * lognormal_mean
                 + (1.0 - self.short_fraction) * pareto_mean)
 

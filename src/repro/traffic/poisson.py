@@ -17,22 +17,17 @@ from ..simulator.units import MSS_BYTES
 class PoissonSource(Source):
     """Packets arrive from the application as a Poisson process.
 
-    Each arrival contributes one packet of ``packet_bytes``; the arrival
-    rate is ``rate / packet_bytes`` per second so the long-run offered load
-    is exactly ``rate`` bytes per second, but with the short-term variance
-    of a Poisson process — the variance that produces the "false peaks" in
-    the FFT the paper discusses (§3.4, §8.2).
+    Each arrival contributes one MSS-sized packet; the arrival rate is
+    ``rate / MSS_BYTES`` per second so the long-run offered load is exactly
+    ``rate`` bytes per second, but with the short-term variance of a
+    Poisson process — the variance that produces the "false peaks" in the
+    FFT the paper discusses (§3.4, §8.2).  The backlog is unbounded.
     """
 
-    def __init__(self, rate: float, packet_bytes: float = MSS_BYTES,
-                 seed: int = 0, max_backlog: float | None = None) -> None:
+    def __init__(self, rate: float, seed: int = 0) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
-        if packet_bytes <= 0:
-            raise ValueError("packet_bytes must be positive")
         self.rate = rate
-        self.packet_bytes = packet_bytes
-        self.max_backlog = max_backlog
         self._rng = random.Random(seed)
         self._backlog = 0.0
         self._next_arrival = 0.0
@@ -43,10 +38,8 @@ class PoissonSource(Source):
             self._next_arrival = now + self._sample_gap()
             self._initialised = True
         while self._next_arrival <= now:
-            self._backlog += self.packet_bytes
+            self._backlog += MSS_BYTES
             self._next_arrival += self._sample_gap()
-        if self.max_backlog is not None:
-            self._backlog = min(self._backlog, self.max_backlog)
 
     def available(self, now: float) -> float:
         return self._backlog
@@ -55,7 +48,7 @@ class PoissonSource(Source):
         self._backlog = max(0.0, self._backlog - nbytes)
 
     def _sample_gap(self) -> float:
-        mean_gap = self.packet_bytes / self.rate
+        mean_gap = MSS_BYTES / self.rate
         return self._rng.expovariate(1.0 / mean_gap)
 
     def __repr__(self) -> str:

@@ -13,13 +13,16 @@ reference line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..cc.base import NullCC
 from ..cc.cubic import Cubic
 from ..simulator.endpoint import Flow
 from ..simulator.topology import TopologyNetwork
 from .poisson import PoissonSource
+
+#: Label of every generated cross flow, scripted or WAN.
+CROSS_FLOW = "cross"
 
 
 @dataclass
@@ -29,16 +32,12 @@ class Phase:
     Attributes:
         duration: Length of the phase in seconds.
         inelastic_rate: Offered rate of Poisson (inelastic) traffic, bytes/s.
-        elastic_flows: Number of long-running elastic cross flows.
-        elastic_cc_factory: Constructor for the elastic flows' transport.
-        elastic_rtt: Propagation RTT of the elastic flows (None: same as main).
+        elastic_flows: Number of long-running elastic (Cubic) cross flows.
     """
 
     duration: float
     inelastic_rate: float = 0.0
     elastic_flows: int = 0
-    elastic_cc_factory: Callable[[], object] = Cubic
-    elastic_rtt: Optional[float] = None
 
     @property
     def has_elastic(self) -> bool:
@@ -52,16 +51,14 @@ class ScriptedCrossTraffic:
     Args:
         network: The network to add cross flows to.
         phases: The schedule, executed back to back starting at ``start``.
-        prop_rtt: Default propagation RTT for cross flows.
+        prop_rtt: Propagation RTT of the cross flows.
         start: Time at which the first phase begins.
-        name: Label given to all generated flows.
     """
 
     network: TopologyNetwork
     phases: List[Phase]
     prop_rtt: float = 0.05
     start: float = 0.0
-    name: str = "cross"
     seed: int = 7
     _active_flows: List[Flow] = field(default_factory=list)
     _boundaries: List[float] = field(default_factory=list)
@@ -82,17 +79,16 @@ class ScriptedCrossTraffic:
     # ------------------------------------------------------------------ #
     def _begin_phase(self, phase: Phase, index: int, now: float) -> None:
         self._end_all(now)
-        rtt = phase.elastic_rtt if phase.elastic_rtt is not None else self.prop_rtt
         for i in range(phase.elastic_flows):
-            flow = Flow(cc=phase.elastic_cc_factory(), prop_rtt=rtt,
-                        start_time=now, name=self.name)
+            flow = Flow(cc=Cubic(), prop_rtt=self.prop_rtt,
+                        start_time=now, name=CROSS_FLOW)
             self.network.add_flow(flow)
             self._active_flows.append(flow)
         if phase.inelastic_rate > 0:
             source = PoissonSource(phase.inelastic_rate,
                                    seed=self.seed + index)
-            flow = Flow(cc=NullCC(), prop_rtt=rtt, source=source,
-                        start_time=now, name=self.name)
+            flow = Flow(cc=NullCC(), prop_rtt=self.prop_rtt, source=source,
+                        start_time=now, name=CROSS_FLOW)
             self.network.add_flow(flow)
             self._active_flows.append(flow)
 

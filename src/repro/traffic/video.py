@@ -26,18 +26,21 @@ from ..simulator.units import mbps_to_bytes_per_sec
 LADDER_4K_MBPS = (10.0, 16.0, 25.0, 40.0, 60.0)
 LADDER_1080P_MBPS = (1.5, 3.0, 4.5, 6.0, 8.0)
 
+#: Playback seconds per segment; buffered seconds at which playback starts
+#: and above which the client stops fetching.
+SEGMENT_DURATION = 2.0
+STARTUP_BUFFER = 4.0
+MAX_BUFFER = 20.0
+#: Buffer levels (seconds) at which the client steps up / down one rung.
+UPSWITCH_BUFFER = 10.0
+DOWNSWITCH_BUFFER = 5.0
+
 
 @dataclass
 class VideoConfig:
     """Parameters of a DASH client."""
 
     ladder_mbps: Sequence[float] = LADDER_4K_MBPS
-    segment_duration: float = 2.0
-    startup_buffer: float = 4.0
-    max_buffer: float = 20.0
-    #: Buffer levels (seconds) at which the client steps up one rung.
-    upswitch_buffer: float = 10.0
-    downswitch_buffer: float = 5.0
 
 
 class DashVideoSource(Source):
@@ -57,7 +60,6 @@ class DashVideoSource(Source):
         self._segment_remaining = 0.0
         self._segment_unsent = 0.0
         self._downloading = False
-        self._last_advance = 0.0
         # Deliveries and losses reported between segments are parked here and
         # settled against the next segment, so no bytes are ever lost from
         # the accounting (losses during a hand-over otherwise deadlock the
@@ -79,11 +81,10 @@ class DashVideoSource(Source):
             else:
                 self.rebuffer_time += dt
                 self._playing = False
-        elif self._buffer_seconds >= self.config.startup_buffer:
+        elif self._buffer_seconds >= STARTUP_BUFFER:
             self._playing = True
 
-        if (not self._downloading
-                and self._buffer_seconds < self.config.max_buffer):
+        if not self._downloading and self._buffer_seconds < MAX_BUFFER:
             self._start_segment()
 
     def available(self, now: float) -> float:
@@ -115,7 +116,7 @@ class DashVideoSource(Source):
         # residue that would otherwise keep the segment "open" forever.
         if self._segment_remaining <= 1.0:
             self._downloading = False
-            self._buffer_seconds += self.config.segment_duration
+            self._buffer_seconds += SEGMENT_DURATION
             self.segments_downloaded += 1
 
     # ------------------------------------------------------------------ #
@@ -124,8 +125,7 @@ class DashVideoSource(Source):
     def _start_segment(self) -> None:
         self._adapt_quality()
         bitrate = self.config.ladder_mbps[self._quality_index]
-        segment_bytes = (mbps_to_bytes_per_sec(bitrate)
-                         * self.config.segment_duration)
+        segment_bytes = mbps_to_bytes_per_sec(bitrate) * SEGMENT_DURATION
         self._segment_remaining = segment_bytes
         self._segment_unsent = segment_bytes
         self._downloading = True
@@ -134,16 +134,11 @@ class DashVideoSource(Source):
         self._settle()
 
     def _adapt_quality(self) -> None:
-        if self._buffer_seconds >= self.config.upswitch_buffer:
+        if self._buffer_seconds >= UPSWITCH_BUFFER:
             self._quality_index = min(self._quality_index + 1,
                                       len(self.config.ladder_mbps) - 1)
-        elif self._buffer_seconds <= self.config.downswitch_buffer:
+        elif self._buffer_seconds <= DOWNSWITCH_BUFFER:
             self._quality_index = max(self._quality_index - 1, 0)
-
-    @property
-    def current_bitrate_mbps(self) -> float:
-        """Bitrate of the most recently selected rung (Mbit/s)."""
-        return self.config.ladder_mbps[self._quality_index]
 
 
 def video_4k() -> DashVideoSource:

@@ -11,19 +11,23 @@ detection pays off.
 The generator also maintains the ground truth the paper uses in Fig. 12:
 at any time, the fraction of delivered cross-traffic bytes that belong to
 "elastic" flows (flows bigger than the initial congestion window).
+
+The transport (Cubic), the size mixture (``HeavyTailedFlowSizes`` on the
+workload's seed) and the flow label are fixed: no driver varies them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..cc.cubic import Cubic
 from ..simulator.endpoint import Flow
 from ..simulator.topology import TopologyNetwork
 from ..simulator.source import FiniteSource
 from .flowsize import HeavyTailedFlowSizes
+from .scripted import CROSS_FLOW
 
 
 @dataclass
@@ -48,13 +52,8 @@ class WanWorkloadConfig:
     load: float = 0.5
     prop_rtt: float = 0.05
     seed: int = 1
-    cc_factory: Callable[[], object] = Cubic
-    flow_sizes: Optional[HeavyTailedFlowSizes] = None
-    rtt_jitter: float = 0.0
-    name: str = "cross"
     #: Cap on concurrently active generated flows, to bound simulation cost.
     max_concurrent: int = 60
-    extra: dict = field(default_factory=dict)
 
 
 class WanTrafficGenerator:
@@ -64,16 +63,14 @@ class WanTrafficGenerator:
                  config: WanWorkloadConfig) -> None:
         self.network = network
         self.config = config
-        self.flow_sizes = (config.flow_sizes if config.flow_sizes is not None
-                           else HeavyTailedFlowSizes(seed=config.seed))
+        self.flow_sizes = HeavyTailedFlowSizes(seed=config.seed)
         self.records: List[CrossFlowRecord] = []
         #: Generated flows that have not finished.  A finished flow never
         #: runs again, so an arrival prunes and counts this roster (at most
         #: ``max_concurrent`` plus the flows not yet started) instead of
         #: rescanning every record ever made.
         self._live: List[Flow] = []
-        self._rng = (network.rng if config.seed is None
-                     else random.Random(config.seed))
+        self._rng = random.Random(config.seed)
         self._arrival_rate = self.flow_sizes.arrival_rate_for_load(
             config.link_rate, config.load)
         self._stopped = False
@@ -100,13 +97,9 @@ class WanTrafficGenerator:
         active = sum(1 for flow in live if flow._started)
         if active < self.config.max_concurrent:
             sample = self.flow_sizes.sample()
-            rtt = self.config.prop_rtt
-            if self.config.rtt_jitter > 0:
-                rtt += self._rng.uniform(-1, 1) * self.config.rtt_jitter
-                rtt = max(rtt, 0.004)
-            flow = Flow(cc=self.config.cc_factory(), prop_rtt=rtt,
+            flow = Flow(cc=Cubic(), prop_rtt=self.config.prop_rtt,
                         source=FiniteSource(sample.size_bytes),
-                        start_time=now, name=self.config.name)
+                        start_time=now, name=CROSS_FLOW)
             self.network.add_flow(flow)
             live.append(flow)
             self.records.append(CrossFlowRecord(

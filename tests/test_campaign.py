@@ -142,6 +142,28 @@ def test_status_pending_then_ok(campkg, tmp_path):
     assert after["counts"] == {"ok": 3}
 
 
+def test_sim_seconds_counts_a_shared_simulation_once(campkg, tmp_path):
+    """Two cells with one spec hash are one simulation: both rows carry
+    its time, and ``totals.sim_seconds`` (``tally``'s ``total_seconds``)
+    counts it once."""
+    manifest = {
+        "campaign": {"name": "twins"},
+        "experiment": [
+            {"id": "first", "driver": "campkg.driver_a:run",
+             "axes": {"x": [1]}},
+            {"id": "twin", "driver": "campkg.driver_a:run",
+             "axes": {"x": [1]}},
+        ],
+    }
+    summary = _runner(campkg, tmp_path, "run-twins", manifest).run()
+    first, twin = summary["cells"]["first[x=1]"], summary["cells"]["twin[x=1]"]
+    assert first["spec_hash"] == twin["spec_hash"]
+    assert first["seconds"] == twin["seconds"] > 0
+    totals = summary["totals"]
+    assert (totals["cells"], totals["misses"], totals["hits"]) == (2, 2, 0)
+    assert totals["sim_seconds"] == first["seconds"]
+
+
 def test_failed_cells_are_recorded_not_raised(campkg, tmp_path):
     manifest = {
         "campaign": {"name": "flaky"},

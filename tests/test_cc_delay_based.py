@@ -167,9 +167,9 @@ class TestBasicDelay:
         bd = BasicDelay(self.MU)
         attach(bd)
         bd.measurement.on_ack(0.0, MSS_BYTES, 0.05, 0.0)
-        bd.set_rate(100 * self.MU)
+        bd.take_over(100 * self.MU, 0.05)
         assert bd.rate <= 1.2 * self.MU
-        bd.set_rate(0.0)
+        bd.take_over(0.0, 0.05)
         assert bd.rate >= bd.min_rate
 
     def test_external_z_provider_used(self):
@@ -188,7 +188,7 @@ class TestBasicDelay:
     def test_loss_backs_off(self):
         bd = BasicDelay(self.MU)
         attach(bd)
-        bd.set_rate(0.5 * self.MU)
+        bd.take_over(0.5 * self.MU, 0.05)
         before = bd.rate
         bd.on_loss(MSS_BYTES, 1.0)
         assert bd.rate < before

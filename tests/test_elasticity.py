@@ -3,15 +3,15 @@ cross-correlation strawman."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.elasticity import (
     ElasticityDetector,
     PulserDetector,
-    band_peak,
+    Spectrum,
     cross_correlation_detector,
     elasticity_metric,
-    fft_magnitude,
-    magnitude_at,
 )
 
 SAMPLE_INTERVAL = 0.01
@@ -30,27 +30,146 @@ def sine_at(frequency, duration=5.0, amplitude=1.0, noise=0.0, seed=0):
 
 class TestFftHelpers:
     def test_fft_peak_location(self):
-        freqs, mags = fft_magnitude(sine_at(FP), SAMPLE_INTERVAL)
-        assert freqs[np.argmax(mags)] == pytest.approx(FP, abs=0.2)
+        spectrum = Spectrum(sine_at(FP), SAMPLE_INTERVAL)
+        assert spectrum.freqs[np.argmax(spectrum.mags)] == \
+            pytest.approx(FP, abs=0.2)
 
     def test_magnitude_at(self):
-        freqs, mags = fft_magnitude(sine_at(FP), SAMPLE_INTERVAL)
-        assert magnitude_at(freqs, mags, FP) == pytest.approx(0.5, rel=0.05)
+        spectrum = Spectrum(sine_at(FP), SAMPLE_INTERVAL)
+        assert spectrum.at(FP) == pytest.approx(0.5, rel=0.05)
 
     def test_band_peak_excludes_endpoints(self):
-        freqs = np.array([5.0, 6.0, 7.0, 10.0])
-        mags = np.array([9.0, 1.0, 2.0, 8.0])
-        assert band_peak(freqs, mags, 5.0, 10.0) == pytest.approx(2.0)
+        # One second at 10 ms puts every integer frequency on its own bin.
+        signal = sum(amplitude * sine_at(frequency, duration=1.0)
+                     for frequency, amplitude in
+                     ((5.0, 18.0), (6.0, 2.0), (7.0, 4.0), (10.0, 16.0)))
+        spectrum = Spectrum(signal, SAMPLE_INTERVAL)
+        assert spectrum.peak_between(5.0, 10.0) == pytest.approx(2.0)
+        assert spectrum.peak_between(4.5, 10.0) == pytest.approx(9.0)
+        assert spectrum.peak_between(5.0, 10.5) == pytest.approx(8.0)
 
     def test_empty_input(self):
-        freqs, mags = fft_magnitude([], SAMPLE_INTERVAL)
-        assert freqs.size == 0
-        assert magnitude_at(freqs, mags, FP) == 0.0
-        assert band_peak(freqs, mags, 1, 2) == 0.0
+        spectrum = Spectrum([], SAMPLE_INTERVAL)
+        assert spectrum.freqs.size == 0
+        assert spectrum.at(FP) == 0.0
+        assert spectrum.peak_between(1, 2) == 0.0
+        assert spectrum.eta(FP) == 0.0
 
     def test_dc_removed(self):
-        freqs, mags = fft_magnitude(np.full(500, 7.0), SAMPLE_INTERVAL)
-        assert mags.max() == pytest.approx(0.0, abs=1e-9)
+        spectrum = Spectrum(np.full(500, 7.0), SAMPLE_INTERVAL)
+        assert spectrum.mags.max() == pytest.approx(0.0, abs=1e-9)
+
+
+# --------------------------------------------------------------------- #
+# Differential: Spectrum against the four free functions it replaced,
+# kept here verbatim as the reference.  Same floats, so ``==``.
+# --------------------------------------------------------------------- #
+def _ref_fft_magnitude(samples, sample_interval):
+    x = np.asarray(samples, dtype=float)
+    if x.size < 4:
+        return np.array([]), np.array([])
+    x = x - x.mean()
+    spectrum = np.fft.rfft(x)
+    freqs = np.fft.rfftfreq(x.size, d=sample_interval)
+    mags = np.abs(spectrum) / x.size
+    return freqs, mags
+
+
+def _ref_band_peak(freqs, mags, low, high,
+                   include_low=False, include_high=False):
+    if freqs.size == 0:
+        return 0.0
+    lo = freqs >= low if include_low else freqs > low
+    hi = freqs <= high if include_high else freqs < high
+    mask = lo & hi
+    if not mask.any():
+        return 0.0
+    return float(mags[mask].max())
+
+
+def _ref_magnitude_at(freqs, mags, frequency):
+    if freqs.size == 0:
+        return 0.0
+    idx = int(np.argmin(np.abs(freqs - frequency)))
+    return float(mags[idx])
+
+
+def _ref_elasticity_metric(samples, sample_interval, pulse_frequency=5.0):
+    x = np.asarray(samples, dtype=float)
+    min_samples = max(8, int(round(2.0 / (pulse_frequency * sample_interval))))
+    if x.size < min_samples:
+        return 0.0
+    freqs, mags = _ref_fft_magnitude(x, sample_interval)
+    peak_at_fp = _ref_magnitude_at(freqs, mags, pulse_frequency)
+    resolution = freqs[1] - freqs[0] if freqs.size > 1 else sample_interval
+    competitor = _ref_band_peak(freqs, mags,
+                                pulse_frequency + 1.5 * resolution,
+                                2.0 * pulse_frequency - 0.5 * resolution)
+    if competitor <= 0.0:
+        return float("inf") if peak_at_fp > 0 else 0.0
+    return peak_at_fp / competitor
+
+
+@st.composite
+def windows(draw):
+    """A z-like window: noise, a pulse response in noise, a constant or
+    all zeros; from nothing at all up to a 6 s window of 10 ms samples."""
+    size = draw(st.one_of(st.integers(0, 12), st.integers(4, 600)))
+    kind = draw(st.sampled_from(("noise", "pulse", "constant", "zero")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "zero":
+        return np.zeros(size)
+    if kind == "constant":
+        return np.full(size, draw(st.floats(-1e9, 1e9)))
+    x = rng.normal(draw(st.floats(0, 1e7)), draw(st.floats(1e-3, 1e6)), size)
+    if kind == "pulse":
+        t = np.arange(size) * 0.01
+        x += draw(st.floats(0, 1e6)) * np.sin(
+            2 * np.pi * draw(st.sampled_from((2.0, 5.0, 6.0))) * t)
+    return x
+
+
+spacings = st.sampled_from((0.010, 0.012))
+frequencies = st.one_of(st.sampled_from((2.0, 5.0, 6.0)),
+                        st.floats(0.5, 20.0))
+
+
+@given(x=windows(), dt=spacings, fp=frequencies,
+       band=st.tuples(st.floats(0, 60), st.floats(0, 60)),
+       bins=st.tuples(st.integers(0, 300), st.integers(0, 300)))
+def test_spectrum_reads_what_the_free_functions_read(x, dt, fp, band, bins):
+    spectrum = Spectrum(x, dt)
+    freqs, mags = _ref_fft_magnitude(x, dt)
+    assert spectrum.freqs.tolist() == freqs.tolist()
+    assert spectrum.mags.tolist() == mags.tolist()
+    assert spectrum.at(fp) == _ref_magnitude_at(freqs, mags, fp)
+    assert spectrum.peak_between(*band) == _ref_band_peak(freqs, mags, *band)
+    if freqs.size:  # a band whose endpoints sit exactly on two bins
+        on_bins = [float(freqs[k % freqs.size]) for k in bins]
+        assert spectrum.peak_between(*on_bins) == \
+            _ref_band_peak(freqs, mags, *on_bins)
+    eta = _ref_elasticity_metric(x, dt, fp)
+    assert spectrum.eta(fp) == eta
+    assert elasticity_metric(x, dt, fp) == eta
+
+
+@given(x=windows(), dt=spacings, fp=frequencies)
+def test_detectors_read_one_spectrum_like_the_old_two(x, dt, fp):
+    """Both detectors evaluate the trailing FFT window exactly as the
+    per-frequency ``elasticity_metric`` calls they used to make."""
+    detector = ElasticityDetector(sample_interval=dt, pulse_frequency=fp)
+    tail = x[-detector.window_samples:]
+    result = detector.evaluate(x)
+    assert result.eta == _ref_elasticity_metric(tail, dt, fp)
+    assert result.elastic == (result.eta >= detector.threshold)
+    pulser = PulserDetector(sample_interval=dt)
+    eta_c = _ref_elasticity_metric(tail, dt, pulser.competitive_frequency)
+    eta_d = _ref_elasticity_metric(tail, dt, pulser.delay_frequency)
+    present, mode, got_c, got_d = pulser.evaluate(x)
+    assert (got_c, got_d) == (eta_c, eta_d)
+    assert present == (max(eta_c, eta_d) >= pulser.threshold)
+    assert mode == (None if not present else
+                    "competitive" if eta_c >= eta_d else "delay")
 
 
 class TestElasticityMetric:

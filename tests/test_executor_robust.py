@@ -29,7 +29,7 @@ from repro.runtime import (
     default_journal_path,
 )
 from repro.runtime.cache import MISS, ResultCache
-from repro.runtime.metrics import validate_metrics_record
+from repro.runtime.metrics import tally, validate_metrics_record
 
 RUN = "repro.experiments.selftest:run"
 FLAKY = "repro.experiments.selftest:flaky_run"
@@ -78,7 +78,7 @@ class TestCrashIsolation:
         assert "deliberate crash" in failure.error
         assert "RuntimeError" in failure.error  # full traceback
         assert failure.fn == RUN
-        assert executor.last_stats.failed == 1
+        assert tally(executor.last_metrics)["failures"] == 1
 
     def test_default_on_error_raises_after_batch(self):
         executor = BatchExecutor(workers=2, timeout=60.0)
@@ -88,7 +88,7 @@ class TestCrashIsolation:
         assert "deliberate crash" in str(excinfo.value)
         assert len(excinfo.value.failures) == 1
         # The siblings still completed and were cached before the raise.
-        assert executor.last_stats.executed == 3
+        assert tally(executor.last_metrics)["executed"] == 3
         cache = ResultCache()
         assert cache.get(specs[0].spec_hash(), fn=specs[0].fn) is not MISS
         assert cache.get(specs[1].spec_hash(), fn=specs[1].fn) is MISS
@@ -489,6 +489,32 @@ class TestJournalAndResume:
         assert len(lines) == 1
         assert json.loads(lines[0])["outcome"] == "ok"
 
+    @staticmethod
+    def _open_on(path):
+        """File descriptors of this process that point at ``path``."""
+        fds = "/proc/self/fd"
+        return [fd for fd in os.listdir(fds)
+                if os.path.realpath(os.path.join(fds, fd)) == str(path)]
+
+    @pytest.mark.parametrize("on_error", ["record", "raise"])
+    def test_no_journal_handle_outlives_run(self, tmp_path, on_error):
+        """``run`` closes the journal however it ends; the next batch
+        reopens it to append, so nothing is truncated or lost."""
+        journal_path = tmp_path / "batch.jsonl"
+        executor = BatchExecutor(workers=2, on_error=on_error,
+                                 journal_path=journal_path)
+        specs = [_spec(seed=1), _spec(seed=2, crash=1)]
+        if on_error == "raise":
+            with pytest.raises(SpecExecutionError):
+                executor.run(specs)
+        else:
+            executor.run(specs)
+        assert len(journal_path.read_text().splitlines()) == 2
+        assert self._open_on(journal_path) == []
+        executor.run([_spec(seed=3)])  # same executor, same journal
+        assert len(journal_path.read_text().splitlines()) == 3
+        assert self._open_on(journal_path) == []
+
     def test_torn_trailing_line_tolerated_on_resume(self, tmp_path):
         journal_path = tmp_path / "batch.jsonl"
         executor = BatchExecutor(workers=1, on_error="record",
@@ -522,5 +548,5 @@ class TestDedupUnderFailure:
         results = executor.run([spec, spec])
         assert all(isinstance(result, SpecFailure) for result in results)
         assert results[0] is results[1]
-        assert executor.last_stats.executed == 1
-        assert executor.last_stats.failed == 2
+        count = tally(executor.last_metrics)
+        assert (count["executed"], count["failures"]) == (1, 2)

@@ -28,6 +28,24 @@ from repro.simulator.telemetry import ListTraceSink, validate_trace_record
 MU_96 = mbps_to_bytes_per_sec(96.0)
 
 
+def test_hand_mirrored_constants_agree():
+    """``simulator/fluid.py`` must not import the traffic or cc layers, so
+    it spells their constants again; nothing else keeps the copies equal."""
+    from repro.simulator import fluid
+    from repro.traffic import flowsize
+
+    sizes = flowsize.HeavyTailedFlowSizes()
+    assert (fluid._SHORT_FRACTION, fluid._PARETO_SHAPE) == \
+        (sizes.short_fraction, sizes.pareto_shape)
+    assert (fluid._SHORT_MEDIAN_BYTES, fluid._SHORT_SIGMA,
+            fluid._PARETO_SCALE_BYTES, fluid._MAX_FLOW_BYTES) == \
+        (flowsize.SHORT_MEDIAN_BYTES, flowsize.SHORT_SIGMA,
+         flowsize.PARETO_SCALE_BYTES, flowsize.MAX_FLOW_BYTES)
+    assert fluid._mixture_mean_bytes() == sizes.mean_bytes()
+    assert (fluid._CUBIC_C, fluid._CUBIC_BETA) == (Cubic.C, Cubic.BETA)
+    assert fluid._INITIAL_WINDOW_BYTES == Cubic.init_cwnd
+
+
 def _population_network(flows, link_mbps=96.0, seed=5, audit=None,
                         monkeypatch=None):
     """Main Cubic flow vs a fluid population of ``flows`` Cubic-alikes."""

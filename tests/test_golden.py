@@ -56,12 +56,49 @@ def _internet_paths(duration: float, dt: float, seed: int) -> Any:
                               seed=seed)
 
 
+#: The reduced fig16 run: three staggered ``multi_flow=True`` flows, the only
+#: golden scenario in which pulsers are elected, checked for conflict and
+#: demoted (§6).
+_FIG16_KWARGS = dict(n_flows=3, stagger=3.0, flow_duration=24.0, dt=0.004,
+                     seed=1)
+
+
+def _multiflow_detector(**kwargs: Any) -> Any:
+    """What each flow's detector saw and did during the fig16 run: every
+    (time, eta) it evaluated and its (time, role, mode) at each change."""
+    from repro.core.nimbus import Nimbus
+    from repro.experiments import fig16_multiflow
+
+    class Observed(Nimbus):
+        def on_control_tick(self, now: float, dt: float) -> None:
+            super().on_control_tick(now, dt)
+            if self.timeline[-1][1:] != (self.role, self.mode):
+                self.timeline.append((now, self.role, self.mode))
+
+    observed: List[Observed] = []
+
+    def make(**nimbus_kwargs: Any) -> Observed:
+        cc = Observed(**nimbus_kwargs)
+        cc.timeline = [(0.0, cc.role, cc.mode)]
+        observed.append(cc)
+        return cc
+
+    fig16_multiflow.Nimbus = make
+    try:
+        fig16_multiflow.run(**kwargs)
+    finally:
+        fig16_multiflow.Nimbus = Nimbus
+    return {f"nimbus{i}": {"eta_history": cc.eta_history,
+                           "timeline": cc.timeline}
+            for i, cc in enumerate(observed)}
+
+
 #: Packages whose instances must never be reachable from a payload.
 SIMULATOR_PACKAGES = ("repro.simulator.", "repro.cc.", "repro.core.",
                       "repro.traffic.")
 
 #: name -> ("module:function" or callable, kwargs).  Reduced scale: the
-#: whole table recomputes in ~5 s.
+#: whole table recomputes in ~12 s.
 SCENARIOS: Dict[str, tuple] = {
     "fig09_wan[nimbus]": ("repro.experiments.fig09_wan:run_case", dict(
         scheme="nimbus", duration=8.0, dt=0.004, seed=1)),
@@ -86,6 +123,12 @@ SCENARIOS: Dict[str, tuple] = {
         phase_duration=2.0, duration=12.0, dt=0.004, seed=4)),
     "internet_paths": (_internet_paths, dict(
         duration=8.0, dt=0.004, seed=5)),
+    "fig16": ("repro.experiments.fig16_multiflow:run", _FIG16_KWARGS),
+    "multiflow_detector": (_multiflow_detector, _FIG16_KWARGS),
+    "fig17": ("repro.experiments.fig17_multiflow_cross:run", dict(
+        n_flows=2, phase_duration=12.0, warmup=10.0, dt=0.004, seed=2)),
+    "fig04": ("repro.experiments.fig04_pulse_response:run", dict(
+        duration=12.0, dt=0.004)),
 }
 
 

@@ -1,13 +1,27 @@
 """The Nimbus controller: detection, mode switching, pulsing, multi-flow roles."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import quick_network
-from repro.cc import Cubic, NullCC, Vegas
+from repro.cc import (
+    BasicDelay,
+    Bbr,
+    Compound,
+    Copa,
+    Cubic,
+    FixedWindow,
+    NewReno,
+    NullCC,
+    Vegas,
+    Vivace,
+)
+from repro.core.multiflow import ROLE_PULSER, ROLE_WATCHER
 from repro.core.nimbus import MODE_COMPETITIVE, MODE_DELAY, Nimbus
 from repro.core.pulses import SymmetricSinusoidPulse
-from repro.simulator import Flow, mbps_to_bytes_per_sec
+from repro.simulator import MSS_BYTES, Flow, mbps_to_bytes_per_sec
 from repro.traffic import PoissonSource
 
 MU_24 = mbps_to_bytes_per_sec(24)
@@ -139,6 +153,155 @@ class TestRateAndPulsing:
         nimbus.competitive_cc.cwnd = 0.5 * MU_24 * 0.05
         nimbus._switch_mode(MODE_DELAY, 1.0)
         assert nimbus.delay_cc.rate == pytest.approx(0.5 * MU_24, rel=0.2)
+
+
+# --------------------------------------------------------------------- #
+# The hand-off hook against the attribute poking it replaced, kept here
+# as the reference: what ``Nimbus._switch_mode`` did to the inner
+# algorithm it switched *to*, by probing for privates.
+# --------------------------------------------------------------------- #
+def _old_hand_off_to_competitive(cc, rate, rtt):
+    cwnd = max(rate * rtt, 4 * MSS_BYTES)
+    cc.cwnd = cwnd
+    if hasattr(cc, "ssthresh"):
+        cc.ssthresh = cwnd
+    if hasattr(cc, "_epoch_start"):
+        cc._epoch_start = None
+    if hasattr(cc, "w_max"):
+        cc.w_max = cwnd
+
+
+def _old_hand_off_to_delay(cc, rate, rtt):
+    if isinstance(cc, BasicDelay):
+        cc.rate = float(min(max(rate, cc.min_rate), 1.2 * cc.mu))  # set_rate
+    elif cc.cwnd is not None:
+        cc.cwnd = max(rate * rtt, 4 * MSS_BYTES)
+
+
+WINDOW_BASED = [Cubic, NewReno, Compound, Vegas, Copa, Bbr, FixedWindow]
+#: What callers pass as ``delay=``, plus the rate-based algorithms.
+DELAY_CAPABLE = [Vegas, Copa, lambda: Copa(mode_switching=False), Bbr,
+                 FixedWindow, lambda: BasicDelay(MU_24), Vivace]
+OPERATING_POINTS = [(0.5 * MU_24, 0.05), (0.0, 0.05), (100 * MU_24, 0.2),
+                    (1.0, 1e-3)]
+
+
+def _worn_in(make):
+    """An algorithm that has seen a loss, so its loss state is not the
+    pristine state a hand-off would happen to restore anyway."""
+    cc = make()
+    flow = Flow(cc=cc, prop_rtt=0.05)
+    flow.flow_id = 0
+    flow.start(0.0)
+    cc.measurement.on_ack(0.0, 1500, 0.05, 0.0)
+    cc.cwnd = None if cc.cwnd is None else 40.0 * MSS_BYTES
+    cc.on_loss(MSS_BYTES, 1.0)
+    return cc
+
+
+class TestTakeOver:
+    @pytest.mark.parametrize("rate,rtt", OPERATING_POINTS)
+    @pytest.mark.parametrize("make", WINDOW_BASED)
+    def test_as_competitive_mode(self, make, rate, rtt):
+        new, old = _worn_in(make), _worn_in(make)
+        new.flow = old.flow = None
+        assert vars(new) == vars(old)
+        new.take_over(rate, rtt)
+        _old_hand_off_to_competitive(old, rate, rtt)
+        assert vars(new) == vars(old)
+        assert new.cwnd == max(rate * rtt, 4 * MSS_BYTES)
+
+    @pytest.mark.parametrize("rate,rtt", OPERATING_POINTS)
+    @pytest.mark.parametrize("make", DELAY_CAPABLE)
+    def test_as_delay_mode(self, make, rate, rtt):
+        new, old = _worn_in(make), _worn_in(make)
+        new.flow = old.flow = None
+        new.take_over(rate, rtt)
+        _old_hand_off_to_delay(old, rate, rtt)
+        assert vars(new) == vars(old)
+
+    def test_cubic_starts_a_fresh_epoch(self):
+        cubic = _worn_in(Cubic)
+        cubic._epoch_start = 0.5
+        cubic.take_over(0.5 * MU_24, 0.05)
+        assert cubic._epoch_start is None
+        assert cubic.ssthresh == cubic.w_max == cubic.cwnd == 0.5 * MU_24 * 0.05
+
+    def test_switch_mode_hands_over_through_the_hook_only(self):
+        """Any algorithm is a Nimbus mode by implementing one method."""
+        class Recording(NullCC):
+            def take_over(self, rate, rtt):
+                self.taken = (rate, rtt)
+
+        nimbus = Nimbus(mu=MU_24, competitive=Recording(),
+                        delay=Recording())
+        flow = Flow(cc=nimbus, prop_rtt=0.05)
+        flow.flow_id = 0
+        flow.start(0.0)
+        nimbus.measurement.on_ack(0.0, 1500, 0.05, 0.0)
+        nimbus._record_rate(0.0, 0.5 * MU_24)
+        nimbus._switch_mode(MODE_COMPETITIVE, 5.0)
+        assert nimbus.competitive_cc.taken == (0.5 * MU_24, 0.05)
+        assert not hasattr(nimbus.delay_cc, "taken")
+        before = copy.copy(vars(nimbus.competitive_cc))
+        nimbus._switch_mode(MODE_DELAY, 6.0)
+        rate, rtt = nimbus.delay_cc.taken
+        assert rtt == 0.05 and rate > 0
+        assert vars(nimbus.competitive_cc) == before
+
+
+# --------------------------------------------------------------------- #
+# One spectrum per window
+# --------------------------------------------------------------------- #
+def _ffts_per_detection(monkeypatch, flows, duration):
+    """Run ``flows`` (name -> Nimbus) together and return, per name, the
+    set of ``np.fft.rfft`` call counts seen in one detection interval,
+    keyed by the role the flow held when the interval began."""
+    calls = [0]
+    real_rfft = np.fft.rfft
+
+    def counting_rfft(*args, **kwargs):
+        calls[0] += 1
+        return real_rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    seen = {name: {ROLE_PULSER: set(), ROLE_WATCHER: set()}
+            for name in flows}
+
+    def counted(name, nimbus, logic):
+        def wrapper(now):
+            before, role = calls[0], nimbus.role
+            logic(now)
+            seen[name][role].add(calls[0] - before)
+        return wrapper
+
+    network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    for name, nimbus in flows.items():
+        attr = "_multi_flow_logic" if nimbus.multi_flow \
+            else "_single_flow_logic"
+        setattr(nimbus, attr, counted(name, nimbus, getattr(nimbus, attr)))
+        network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name=name))
+    network.run(duration)
+    return seen
+
+
+class TestOneSpectrumPerWindow:
+    def test_single_flow_interval_costs_one_fft(self, monkeypatch):
+        seen = _ffts_per_detection(monkeypatch, {"n": Nimbus(mu=MU_24)}, 7.0)
+        # Nothing before the first full window, then exactly one each.
+        assert seen["n"][ROLE_PULSER] == {0, 1}
+
+    def test_pulser_costs_two_and_watcher_one(self, monkeypatch):
+        pulser = Nimbus(mu=MU_24, multi_flow=True, seed=0)
+        pulser.role = ROLE_PULSER  # elected before the run starts
+        watcher = Nimbus(mu=MU_24, multi_flow=True, seed=1)
+        seen = _ffts_per_detection(
+            monkeypatch, {"pulser": pulser, "watcher": watcher}, 7.0)
+        # z and r of the pulser (eta + the conflict check read one z
+        # spectrum); the watcher's r, read at both agreed frequencies.
+        assert max(seen["pulser"][ROLE_PULSER]) == 2
+        assert seen["watcher"][ROLE_WATCHER] == {0, 1}
+        assert len(pulser.eta_history) > 10
 
 
 @pytest.mark.slow

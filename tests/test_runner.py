@@ -1,5 +1,7 @@
 """The command-line experiment runner."""
 
+from pathlib import Path
+
 import pytest
 
 import _toy_driver
@@ -140,6 +142,29 @@ def test_profile_flag_reports_timings_and_cache_counts(toy_index, capsys):
     out = capsys.readouterr().out
     assert "cached" in out
     assert "1 cache hit(s), 0 miss(es), 0 executed" in out
+
+
+def test_profile_and_metrics_summary_count_a_corrupt_entry_alike(
+        toy_index, capsys, tmp_path):
+    """One tally: a corrupt cache entry is re-executed and is neither a
+    hit nor a miss, in ``--profile`` and in ``telemetry summary`` alike."""
+    from repro.analysis.telemetry import main as telemetry_cli
+    from repro.runtime import default_cache_dir
+
+    args = ["toy", "--set", "seed=13", "--duration", "0.5", "--profile"]
+    assert runner.main(args) == 0
+    (entry,) = Path(default_cache_dir()).rglob("*.pkl")
+    entry.write_bytes(b"\x80")  # truncated pickle
+    capsys.readouterr()
+    metrics = tmp_path / "metrics.jsonl"
+    assert runner.main(args + ["--metrics", str(metrics)]) == 0
+    out = capsys.readouterr().out
+    assert ("0 cache hit(s), 0 miss(es), 1 executed, "
+            "1 corrupt cache entry re-executed") in out
+    assert telemetry_cli(["summary", "--kind", "metrics", str(metrics)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    for line in ("hits: 0", "misses: 0", "corrupt: 1", "executed: 1"):
+        assert line in summary
 
 
 def test_no_profile_by_default(toy_index, capsys):

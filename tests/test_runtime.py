@@ -15,6 +15,7 @@ from repro.runtime import (
     ResultCache,
     ScenarioSpec,
     run_batch,
+    tally,
 )
 from repro.runtime.cache import MISS, source_digest
 from repro.runtime.spec import canonicalize, expand_grid
@@ -275,7 +276,7 @@ def test_what_a_raising_spec_surfaces_as():
         fanned.run([bad, good])
     assert [failure.outcome for failure in fan.value.failures] == ["error"]
     assert "RuntimeError" in fan.value.failures[0].error
-    assert fanned.last_stats.executed == 2  # the sibling still ran
+    assert tally(fanned.last_metrics)["executed"] == 2  # the sibling still ran
 
 
 def test_duplicate_specs_in_one_batch_run_once(tmp_path):
@@ -391,10 +392,12 @@ def test_one_engine_one_forwarding_path():
 
 
 def test_each_decision_is_described_once():
-    """The second descriptions deleted in PR 18 must not grow back: no
-    name of theirs anywhere under ``src/``, one cross-product expander
-    for the runtime (``spec.expand_grid``) and none in the runner, and a
-    manifest layer that does not reach into the network builders."""
+    """The second descriptions deleted in PRs 18 and 19 must not grow
+    back: no name of theirs anywhere under ``src/``, one cross-product
+    expander for the runtime (``spec.expand_grid``) and none in the
+    runner, a manifest layer that does not reach into the network
+    builders, one file that transforms (``np.fft``), one definition of
+    the mode vocabulary, and a ``core/`` that probes nothing."""
     import ast
     import pathlib
     import re
@@ -403,13 +406,22 @@ def test_each_decision_is_described_once():
 
     root = pathlib.Path(repro.__file__).parent
     banned = ("FaultSpec", "make_fault_schedule", "_parse_sweep_overrides",
-              "_LinkRecord", "_FluidRecord", "_link_bins", "_fluid_bins")
-    products = []
+              "_LinkRecord", "_FluidRecord", "_link_bins", "_fluid_bins",
+              "fft_magnitude", "magnitude_at", "band_peak", "BatchStats",
+              "last_stats", "qdelay_cnt")
+    products, transforms, vocabularies = [], [], []
     for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
+        where = f"{path.parent.name}/{path.name}"
         for name in banned:
             assert not re.search(rf"\b{name}\b", source), \
                 f"{name} is back in {path.name}"
+        if "np.fft" in source:
+            transforms.append(where)
+        vocabularies += [where] * len(re.findall(r"MODE_COMPETITIVE = ",
+                                                 source))
+        assert path.parent.name != "core" or "hasattr(" not in source, \
+            f"{where} probes an object for attributes"
         for node in ast.walk(ast.parse(source)):
             if (isinstance(node, ast.Attribute) and node.attr == "product"
                     and getattr(node.value, "id", None) == "itertools") or (
@@ -419,6 +431,8 @@ def test_each_decision_is_described_once():
                 products.append(f"{path.parent.name}/{path.name}")
     assert [p for p in products if p.startswith(("runtime/", "experiments/"))
             ] == ["runtime/spec.py"]
+    assert transforms == ["core/elasticity.py"]
+    assert vocabularies == ["cc/base.py"]
     manifest = ast.parse((root / "runtime" / "manifest.py").read_text())
     imported = {node.module for node in ast.walk(manifest)
                 if isinstance(node, ast.ImportFrom)}
@@ -433,14 +447,15 @@ def test_batch_stats_cold_run_counts_misses(tmp_path):
     executor = BatchExecutor(workers=1, cache=cache)
     spec = ScenarioSpec.make(_toy_driver.run, seed=42, duration=0.1)
     executor.run(_batch(2) + [spec, spec])
-    stats = executor.last_stats
-    assert (stats.hits, stats.misses) == (0, 4)
-    assert stats.executed == 3  # the duplicated spec simulated once
-    assert len(stats.timings) == 4
-    assert all(seconds is not None and seconds >= 0.0
-               for _, seconds in stats.timings)
-    # Duplicates report the one shared execution's wall time.
-    assert stats.timings[2][1] == stats.timings[3][1]
+    stats = tally(executor.last_metrics)
+    assert (stats["hits"], stats["misses"]) == (0, 4)
+    assert stats["executed"] == 3  # the duplicated spec simulated once
+    timings = [record["seconds"] for record in executor.last_metrics]
+    assert len(timings) == stats["specs"] == 4
+    assert all(seconds is not None and seconds >= 0.0 for seconds in timings)
+    # Duplicates report the one shared execution's wall time, counted once.
+    assert timings[2] == timings[3]
+    assert stats["total_seconds"] == sum(timings[:3])
 
 
 def test_batch_stats_warm_run_counts_hits(tmp_path):
@@ -448,17 +463,17 @@ def test_batch_stats_warm_run_counts_hits(tmp_path):
     BatchExecutor(workers=1, cache=cache).run(_batch(2))
     executor = BatchExecutor(workers=1, cache=cache)
     executor.run(_batch(3))
-    stats = executor.last_stats
-    assert (stats.hits, stats.misses, stats.executed) == (2, 1, 1)
-    assert [seconds is None for _, seconds in stats.timings] == \
-        [True, True, False]
-    labels = [label for label, _ in stats.timings]
-    assert len(labels) == 3
+    stats = tally(executor.last_metrics)
+    assert (stats["hits"], stats["misses"], stats["executed"]) == (2, 1, 1)
+    assert [record["seconds"] is None for record in executor.last_metrics] \
+        == [True, True, False]
+    assert tally(executor.last_metrics)["specs"] == 3
 
 
-def test_batch_stats_before_any_run_is_none():
-    assert BatchExecutor(workers=1,
-                         cache=ResultCache(enabled=False)).last_stats is None
+def test_batch_tally_before_any_run_is_empty():
+    executor = BatchExecutor(workers=1, cache=ResultCache(enabled=False))
+    assert executor.last_metrics == []
+    assert tally(executor.last_metrics)["specs"] == 0
 
 
 def test_executor_reports_corrupt_entries_in_metrics(tmp_path):
@@ -471,8 +486,12 @@ def test_executor_reports_corrupt_entries_in_metrics(tmp_path):
     executor = BatchExecutor(workers=1, cache=cache)
     results = executor.run([spec])
     assert results[0].parameters["seed"] == 0  # re-executed fine
-    assert executor.last_stats.corrupt == 1
-    assert executor.last_stats.misses == 1
+    # The three cache states are disjoint: a corrupt entry is re-executed
+    # but is not also a miss (runner --profile, telemetry summary and
+    # campaign totals all read this one tally).
+    stats = tally(executor.last_metrics)
+    assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 0, 1)
+    assert stats["executed"] == 1
     record = executor.last_metrics[0]
     assert record["cache"] == "corrupt"
     # The repaired entry serves the next run as a normal hit.

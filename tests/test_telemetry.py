@@ -13,7 +13,6 @@ from repro.analysis.telemetry import (
     load_metrics,
     load_trace,
     main as telemetry_cli,
-    metrics_summary,
     trace_summary,
 )
 from repro.cc import Cubic
@@ -26,6 +25,7 @@ from repro.runtime import (
     ScenarioSpec,
     make_multihop_network,
     metrics_record,
+    tally,
     validate_metrics_record,
     write_metrics,
 )
@@ -338,7 +338,7 @@ class TestExecutorMetrics:
 
         records = load_metrics(str(path))  # both runs appended
         assert [r["cache"] for r in records] == ["miss", "miss", "hit"]
-        summary = metrics_summary(records)
+        summary = tally(records)
         assert summary["executed"] == 1
         assert summary["deduped"] == 1
         assert summary["hits"] == 1
