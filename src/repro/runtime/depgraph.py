@@ -377,6 +377,11 @@ class DependencyGraph:
         self._digest_memo.clear()
 
 
+#: The fields through which a statement holds other statements, in
+#: ``_fields`` order; imports are statements, so expressions are not visited.
+_BLOCKS = ("body", "handlers", "orelse", "finalbody", "cases")
+
+
 def _scan_source(source: bytes) -> Tuple[str, List[ImportStatement]]:
     """Content sha256 and import statements of one file's bytes.
 
@@ -388,14 +393,16 @@ def _scan_source(source: bytes) -> Tuple[str, List[ImportStatement]]:
         tree = ast.parse(source)
     except SyntaxError:
         tree = None
-    if tree is not None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                statements.extend([0, alias.name, None]
-                                  for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                statements.append([node.level, node.module,
-                                   [alias.name for alias in node.names]])
+    todo = [] if tree is None else [tree]
+    for node in todo:  # grows as it is read: ast.walk's order, statements only
+        if isinstance(node, ast.Import):
+            statements.extend([0, alias.name, None] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            statements.append([node.level, node.module,
+                               [alias.name for alias in node.names]])
+        else:
+            for block in _BLOCKS:
+                todo.extend(getattr(node, block, ()))
     return hashlib.sha256(source).hexdigest(), statements
 
 

@@ -2,8 +2,8 @@
 and a path together into a flow the network engine can drive.
 
 The flow is the unit of scheduling in the simulator.  Every tick the engine
-asks each active flow how many bytes it wants to transmit; the flow answers
-by combining three limits:
+asks each active flow *that time alone could unblock* how many bytes it
+wants to transmit; the flow answers by combining three limits:
 
 * the congestion window (ACK clocking) reported by its algorithm,
 * the pacing rate reported by its algorithm, and
@@ -13,6 +13,15 @@ ACK clocking is therefore emergent: a window-limited flow can only emit new
 bytes when acknowledgements return, so fluctuations induced at the
 bottleneck by Nimbus's pulses show up in the flow's send rate one RTT later
 — the very behaviour the elasticity detector looks for (§3.2 of the paper).
+
+A flow that found no budget and that only feedback can unblock — it has no
+pacing rate and neither its algorithm's ``on_control_tick`` nor its source's
+``advance`` does anything — is marked *waiting* and is not asked again until
+``handle_ack``, ``handle_loss`` or ``stop`` clears the mark: a sender that
+filled its window blocks until an ACK arrives.  Whether the two hooks are
+the inherited no-ops is read off the two classes when the flow is built
+rather than declared by them, so a new paced, wrapping or time-fed class
+cannot get it wrong by forgetting a flag; such flows are asked every tick.
 """
 
 from __future__ import annotations
@@ -75,6 +84,15 @@ class Flow:
         self._last_control = -math.inf
         self._started = False
         self._finished = False
+        # Imported here: cc.base imports this package while it loads.
+        from ..cc.base import CongestionControl
+        #: Both per-tick hooks are the interfaces' no-ops: nothing but
+        #: feedback (or a pacing rate) changes this flow's budget.
+        self._feedback_clocked = (
+            type(cc).on_control_tick is CongestionControl.on_control_tick
+            and type(self.source).advance is Source.advance)
+        #: Found no budget; the engine skips the flow until feedback arrives.
+        self._waiting = False
 
         cc.register(self)
 
@@ -113,7 +131,9 @@ class Flow:
         """Terminate the flow (used by scripted workloads to end cross flows)."""
         if not self._finished:
             self._finished = True
+            self._waiting = False
             self.stats.end_time = now
+            self.measurement.drop_windows()
 
     # ------------------------------------------------------------------ #
     # Emission (called once per tick by the engine)
@@ -144,6 +164,7 @@ class Flow:
             budget = min(budget, self.max_burst_bytes)
 
         if budget < 1.0 or not math.isfinite(budget):
+            self._waiting = self._feedback_clocked and rate is None
             return None
 
         chunk = Chunk(flow_id=self.flow_id, size=budget, seq=self.next_seq,
@@ -162,6 +183,7 @@ class Flow:
     # ------------------------------------------------------------------ #
     def handle_ack(self, ack: Ack, now: float) -> None:
         """Process an acknowledgement arriving back at the sender."""
+        self._waiting = False
         self.inflight = max(0.0, self.inflight - ack.acked_bytes)
         rtt = now - ack.sent_time
         self.measurement.on_ack(now, ack.acked_bytes, rtt, ack.queue_delay)
@@ -174,6 +196,7 @@ class Flow:
 
     def handle_loss(self, lost_bytes: float, now: float) -> None:
         """Process a loss notification (bytes dropped at the bottleneck)."""
+        self._waiting = False
         self.inflight = max(0.0, self.inflight - lost_bytes)
         self.measurement.on_loss(now, lost_bytes)
         self.stats.bytes_lost += lost_bytes
@@ -190,8 +213,7 @@ class Flow:
 
     def _maybe_finish(self, now: float) -> None:
         if self.source.finished and self.inflight <= 1.0:
-            self._finished = True
-            self.stats.end_time = now
+            self.stop(now)
 
     # ------------------------------------------------------------------ #
     # Convenience accessors used by experiments and traces

@@ -128,6 +128,16 @@ class FlowMeasurement:
     def on_loss(self, now: float, nbytes: float) -> None:
         self.lost.add(now, nbytes)
 
+    def drop_windows(self) -> None:
+        """Release the sample stores of a flow that has finished.
+
+        Totals and the scalar readings stay, and every windowed query still
+        answers (with zero); an empty deque alone holds ~0.6 KB, so the four
+        stores are swapped for the shared empty tuple, not cleared.
+        """
+        self.sent._samples = self.delivered._samples = ()
+        self.lost._samples = self._acked = ()
+
     # ------------------------------------------------------------------ #
     # Derived quantities
     # ------------------------------------------------------------------ #

@@ -84,7 +84,8 @@ class FiniteSource(Source):
 
     @property
     def finished(self) -> bool:
-        return self._unsent <= 1e-9 and self._delivered >= self.size_bytes - 1.0
+        # Under one byte the sender cannot emit (``Flow.emit``'s floor).
+        return self._unsent < 1.0 and self._delivered >= self.size_bytes - 1.0
 
     def __repr__(self) -> str:
         return f"FiniteSource(size_bytes={self.size_bytes:.0f})"

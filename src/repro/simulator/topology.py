@@ -47,7 +47,13 @@ bit-identical to the historical heap implementation, including the
 ``1e-12`` boundary tolerance.  Workloads with thousands of short cross
 flows additionally benefit from the engine keeping an explicit roster of
 *active* flows: finished flows cost nothing per tick instead of being
-re-scanned forever.
+re-scanned forever.  Of the roster, ``_emit_all`` asks only the flows that
+time alone could unblock; one that found no budget and is clocked purely by
+feedback (a window-limited or drained Cubic flow — the flow works that out
+from what its algorithm and source *are*, see
+:mod:`repro.simulator.endpoint`) is passed over until an ACK, a loss or
+``stop`` wakes it.  It stays in the roster, keeps its place in the rotation
+and is still sampled by the recorder every tick.
 """
 
 from __future__ import annotations
@@ -841,6 +847,8 @@ class TopologyNetwork:
         stale = None
         for flow_id in active[pivot:] + active[:pivot]:
             flow = self.flows[flow_id]
+            if flow._waiting:
+                continue  # only feedback can give it budget (endpoint.py)
             if not flow.active:
                 # Stopped from a callback; drop it from the roster lazily.
                 if stale is None:

@@ -20,10 +20,11 @@ is, and :meth:`Recorder._counter_bins` reads any of them back.
 Bins are stored as growable lists indexed by bin number rather than
 dict-of-bin mappings: simulation time only moves forward, so the bin index
 is nondecreasing and appending amortises to O(1) without the per-sample
-hashing and boxing of a ``defaultdict``.  Series extraction pads every
-per-flow list to the common length and accumulates in the same flow order
-as the historical dict implementation, so the produced arrays are
-bit-identical.
+hashing and boxing of a ``defaultdict``.  A flow's per-bin lists start at
+the bin of its first delivery (``_FlowRecord.first_bin``), so a late flow
+stores no zeros back to t = 0; series extraction adds each record at that
+offset, in the same flow order as the historical dict implementation — the
+omitted zeros added nothing, so the produced arrays are bit-identical.
 """
 
 from __future__ import annotations
@@ -48,12 +49,14 @@ def _grow(values: list, upto: int, fill) -> None:
 
 
 class _FlowRecord:
-    """Per-flow accumulation buckets (dense, indexed by bin number)."""
+    """Per-flow accumulation buckets (dense, indexed from ``first_bin``)."""
 
-    __slots__ = ("bytes_by_bin", "qdelay_sum", "qdelay_samples",
+    __slots__ = ("first_bin", "bytes_by_bin", "qdelay_sum", "qdelay_samples",
                  "rtt_samples", "mode_by_bin")
 
     def __init__(self) -> None:
+        #: Bin of the first delivery: what index 0 of the two lists means.
+        self.first_bin = 0
         self.bytes_by_bin: List[float] = []
         self.qdelay_sum: List[float] = []
         self.qdelay_samples: List[float] = []
@@ -176,11 +179,14 @@ class Recorder:
         b = self._bin(now)
         rec = self._flow_record(flow.flow_id)
         self._names[flow.flow_id] = flow.name
-        if b >= len(rec.bytes_by_bin):
-            _grow(rec.bytes_by_bin, b, 0.0)
-            _grow(rec.qdelay_sum, b, 0.0)
-        rec.bytes_by_bin[b] += chunk.size
-        rec.qdelay_sum[b] += chunk.queue_delay * chunk.size
+        if not rec.bytes_by_bin:
+            rec.first_bin = b
+        i = b - rec.first_bin
+        if i >= len(rec.bytes_by_bin):
+            _grow(rec.bytes_by_bin, i, 0.0)
+            _grow(rec.qdelay_sum, i, 0.0)
+        rec.bytes_by_bin[i] += chunk.size
+        rec.qdelay_sum[i] += chunk.queue_delay * chunk.size
         rec.qdelay_samples.append(chunk.queue_delay)
         if b > self._max_bin:
             self._max_bin = b
@@ -237,8 +243,8 @@ class Recorder:
             rec = self._flows.get(fid)
             if rec is None:
                 continue
-            chunk_bytes = rec.bytes_by_bin
-            series[:len(chunk_bytes)] += chunk_bytes
+            span = slice(rec.first_bin, rec.first_bin + len(rec.bytes_by_bin))
+            series[span] += rec.bytes_by_bin
         rate = series / self.bin_width
         return self.times(), bytes_per_sec_to_mbps(rate)
 
@@ -254,8 +260,9 @@ class Recorder:
             rec = self._flows.get(fid)
             if rec is None:
                 continue
-            dsum[:len(rec.qdelay_sum)] += rec.qdelay_sum
-            bsum[:len(rec.bytes_by_bin)] += rec.bytes_by_bin
+            span = slice(rec.first_bin, rec.first_bin + len(rec.bytes_by_bin))
+            dsum[span] += rec.qdelay_sum
+            bsum[span] += rec.bytes_by_bin
         with np.errstate(invalid="ignore", divide="ignore"):
             mean = np.where(bsum > 0, dsum / np.maximum(bsum, 1e-12), 0.0)
         return self.times(), mean * 1e3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -84,6 +85,81 @@ def test_import_cycles_are_tolerated(toy_graph):
     assert "toypkg.cyc_a" in closure and "toypkg.cyc_b" in closure
     assert toy_graph.digest_for("toypkg.cyc_a")
     assert toy_graph.digest_for("toypkg.cyc_b")
+
+
+#: Imports everywhere a statement can sit — and nowhere an expression can.
+_NESTED_SOURCE = """\
+from __future__ import annotations
+from typing import TYPE_CHECKING
+if TYPE_CHECKING:
+    from .util import X
+elif X:
+    import toypkg.cyc_b
+else:
+    from . import driver_b
+try:
+    from .engine import simulate
+except ImportError:
+    from . import driver_a
+else:
+    from .sub import VALUE
+finally:
+    import toypkg.cyc_a
+with open(__file__) as handle:
+    from . import attr_user
+for _ in ():
+    import json
+else:
+    import os.path
+while False:
+    import hashlib, time
+match VALUE:
+    case 3:
+        from .util import X as Y
+    case _:
+        import sys
+class Outer:
+    class Inner:
+        def method(self):
+            async def deeper():
+                from .engine import simulate as again
+            return [lambda: (yield)] and deeper
+"""
+
+
+def _walk_everything(source):
+    """The scan as it was: ``ast.walk`` over every node of the tree."""
+    statements = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            statements.extend([0, alias.name, None] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            statements.append([node.level, node.module,
+                               [alias.name for alias in node.names]])
+    return statements
+
+
+def test_imports_are_found_wherever_a_statement_can_sit(toy_root):
+    sha, statements = depgraph._scan_source(_NESTED_SOURCE.encode())
+    assert sha == hashlib.sha256(_NESTED_SOURCE.encode()).hexdigest()
+    assert statements == _walk_everything(_NESTED_SOURCE)
+    assert len(statements) == 17
+    (toy_root / "nested.py").write_text(_NESTED_SOURCE, encoding="utf-8")
+    graph = DependencyGraph(packages={"toypkg": toy_root})
+    assert graph.reachable("toypkg.nested") == (
+        "toypkg.attr_user", "toypkg.cyc_a", "toypkg.cyc_b",
+        "toypkg.driver_a", "toypkg.driver_b", "toypkg.engine",
+        "toypkg.nested", "toypkg.sub", "toypkg.util")
+
+
+def test_statement_walk_equals_the_full_walk_on_the_real_tree():
+    root = Path(depgraph.__file__).resolve().parents[1]
+    files = sorted(root.rglob("*.py"))
+    assert len(files) > 80
+    for path in files:
+        source = path.read_bytes()
+        assert depgraph._scan_source(source)[1] == _walk_everything(source), \
+            path
 
 
 def test_unresolvable_module_raises(toy_graph):

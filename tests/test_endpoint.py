@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.cc import AppLimited, Bbr, Compound, Copa, NewReno, Vegas
 from repro.cc.base import CongestionControl, NullCC
 from repro.cc.cubic import Cubic
+from repro.core.nimbus import Nimbus
 from repro.simulator.endpoint import Flow
 from repro.simulator.packet import Ack
-from repro.simulator.source import FiniteSource, PacedSource
+from repro.simulator.source import BackloggedSource, FiniteSource, PacedSource
 from repro.simulator.units import MSS_BYTES
+from repro.traffic import PoissonSource
+from repro.traffic.video import video_1080p
 
 
 class WindowOnly(CongestionControl):
@@ -138,6 +142,89 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             Flow(cc=NullCC(), prop_rtt=0.0)
 
+    def test_sub_byte_remainder_after_a_fractional_loss_finishes(self):
+        """The last chunk loses 0.4 B: too little to resend, so forgiven."""
+        flow = started_flow(WindowOnly(100 * MSS_BYTES),
+                            source=FiniteSource(3000))
+        chunk = flow.emit(0.01, 0.01)
+        flow.handle_loss(0.4, 0.05)
+        assert flow.emit(0.052, 0.002) is None  # under the emission floor
+        flow.handle_ack(Ack(flow_id=0, acked_bytes=chunk.size - 0.4,
+                            sent_time=chunk.sent_time, queue_delay=0.0,
+                            delivered_time=0.05), 0.06)
+        assert flow.finished and flow.fct == pytest.approx(0.06)
+
     def test_fct_none_while_running(self):
         flow = started_flow(WindowOnly(10 * MSS_BYTES))
         assert flow.fct is None
+
+
+def paced_cubic() -> Cubic:
+    cubic = Cubic()
+    cubic.rate = 1e6
+    return cubic
+
+
+class TestWaiting:
+    """Which flows are marked waiting by an empty ``emit`` — worked out from
+    the algorithm and source classes, not declared by them."""
+
+    @staticmethod
+    def blocked(cc, source) -> Flow:
+        """A started flow just after an ``emit`` that found no budget."""
+        flow = started_flow(cc, source=source)
+        flow.source.available = lambda now: 0.0  # nothing to send this tick
+        assert flow.emit(0.01, 0.002) is None
+        return flow
+
+    @pytest.mark.parametrize("make_cc", [Cubic, NewReno, Vegas, Compound])
+    @pytest.mark.parametrize("make_source",
+                             [BackloggedSource, lambda: FiniteSource(9000)])
+    def test_window_clocked_over_untimed_source_waits(self, make_cc,
+                                                      make_source):
+        assert self.blocked(make_cc(), make_source())._waiting
+
+    @pytest.mark.parametrize("make_cc, make_source", [
+        (lambda: Nimbus(mu=6e6), BackloggedSource),   # on_control_tick: wraps
+        (AppLimited, lambda: PacedSource(1e5)),       # wraps, time-fed
+        (AppLimited, BackloggedSource),
+        (Bbr, BackloggedSource),                      # on_control_tick
+        (Copa, BackloggedSource),
+        (NullCC, lambda: PoissonSource(1e5)),         # advance: time-fed
+        (Cubic, lambda: PacedSource(1e5)),
+        (Cubic, video_1080p),
+        (paced_cubic, BackloggedSource),              # pace credit accrues
+        (lambda: RateOnly(1e6), BackloggedSource),
+    ])
+    def test_paced_wrapping_or_time_fed_never_waits(self, make_cc,
+                                                    make_source):
+        assert not self.blocked(make_cc(), make_source())._waiting
+
+    def test_window_limited_flow_waits_until_feedback(self):
+        flow = started_flow(WindowOnly(10 * MSS_BYTES),
+                            source=FiniteSource(100 * MSS_BYTES))
+        chunk = flow.emit(0.01, 0.002)
+        assert not flow._waiting            # it sent: ask again next tick
+        assert flow.emit(0.012, 0.002) is None and flow._waiting
+        flow.handle_loss(MSS_BYTES, 0.05)
+        assert not flow._waiting
+        assert flow.emit(0.052, 0.002) is not None  # one segment of window
+        assert flow.emit(0.054, 0.002) is None and flow._waiting
+        flow.handle_ack(Ack(flow_id=0, acked_bytes=chunk.size - MSS_BYTES,
+                            sent_time=chunk.sent_time, queue_delay=0.0,
+                            delivered_time=0.05), 0.06)
+        assert not flow._waiting
+
+    def test_a_pacing_rate_acquired_later_ends_the_waiting(self):
+        cubic = Cubic()
+        flow = self.blocked(cubic, BackloggedSource())
+        assert flow._waiting
+        flow.handle_ack(Ack(flow_id=0, acked_bytes=0.0, sent_time=0.0,
+                            queue_delay=0.0, delivered_time=0.01), 0.02)
+        cubic.rate = 1e6
+        assert flow.emit(0.03, 0.002) is None and not flow._waiting
+
+    def test_stop_clears_the_mark(self):
+        flow = self.blocked(Cubic(), BackloggedSource())
+        flow.stop(1.0)
+        assert not flow._waiting and flow.finished

@@ -4,8 +4,10 @@ import pytest
 
 from repro import quick_network
 from repro.cc import Cubic, NullCC
+from repro.runtime import make_network
 from repro.simulator import Flow, FiniteSource
 from repro.simulator.source import PacedSource
+from repro.simulator.units import MSS_BYTES
 
 
 class TestBasicOperation:
@@ -74,6 +76,31 @@ class TestDynamicFlows:
         assert flow.finished
         assert flow.fct is not None
         assert flow.fct > 0.05  # at least one RTT
+
+    def test_sub_byte_remainder_finishes_and_leaves_the_roster(self):
+        """``10 * MSS + 0.5`` bytes: the last half byte is under the sender's
+        emission floor, so it can be neither sent nor waited for."""
+        network = make_network(48.0, buffer_ms=100.0, dt=0.002)
+        flow = network.add_flow(Flow(
+            cc=Cubic(), prop_rtt=0.05,
+            source=FiniteSource(10 * MSS_BYTES + 0.5)))
+        network.run(5.0)
+        assert flow.finished and flow.source.finished
+        assert flow.stats.bytes_delivered == 10 * MSS_BYTES
+        assert flow.inflight == 0.0
+        assert flow.fct == pytest.approx(0.056, abs=0.005)
+        assert network.active_flow_ids() == []
+
+    def test_stopping_a_waiting_flow_takes_it_off_the_roster(
+            self, small_network):
+        network, _ = small_network
+        flow = network.add_flow(Flow(cc=Cubic(), prop_rtt=0.2, name="slow"))
+        network.run(0.1)
+        assert flow._waiting  # window out, first ACK 0.2 s away
+        network.schedule_call(0.15, flow.stop)
+        network.run(0.3)
+        assert flow.finished and flow.fct == pytest.approx(0.15, abs=0.005)
+        assert network.active_flow_ids() == []
 
     def test_stop_releases_bandwidth(self, small_network):
         network, _ = small_network

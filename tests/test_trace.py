@@ -1,5 +1,7 @@
 """Recorder: throughput/delay/mode series extraction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from repro import quick_network
 from repro.cc import Cubic
 from repro.core.nimbus import Nimbus
 from repro.simulator import Flow, mbps_to_bytes_per_sec
+from repro.simulator.packet import Chunk
 from repro.simulator.trace import Recorder
 from repro.simulator.units import bytes_per_sec_to_mbps
 
@@ -432,3 +435,159 @@ def test_one_counter_record_equals_the_two_record_recorder(script):
         if action == "read":
             compare()  # the open bin is read live, nothing is mutated
     compare()
+
+
+# --------------------------------------------------------------------- #
+# Flow records start where the flow does: differential test against the
+# zero-padded record
+# --------------------------------------------------------------------- #
+# ``_FlowRecord.bytes_by_bin`` / ``qdelay_sum`` used to be padded with
+# zeros back to bin 0; they now start at the bin of the flow's first
+# delivery.  The padded record is kept here as the oracle: both watch the
+# same scripted deliveries and every per-flow series must come out ``==``.
+class _ScriptedFlow:
+    active = True
+
+    def __init__(self, flow_id, name, rtt):
+        self.flow_id, self.name = flow_id, name
+        self.cc = SimpleNamespace(mode=None)
+        self.measurement = SimpleNamespace(rtt=rtt)
+
+
+class _PaddedFlowOracle:
+    """The per-flow delivery half of the recorder as it was before."""
+
+    def __init__(self, bin_width):
+        self.bin_width = bin_width
+        self._bytes, self._qdelay, self._names = {}, {}, {}
+        self._max_bin = 0
+
+    def _touch(self, flow_id):
+        self._bytes.setdefault(flow_id, [])
+        self._qdelay.setdefault(flow_id, [])
+
+    def on_delivery(self, flow, size, queue_delay, now):
+        b = int(now / self.bin_width)
+        fid = flow.flow_id
+        self._touch(fid)
+        self._names[fid] = flow.name
+        for values in (self._bytes[fid], self._qdelay[fid]):
+            values.extend([0.0] * (b + 1 - len(values)))
+        self._bytes[fid][b] += size
+        self._qdelay[fid][b] += queue_delay * size
+        self._max_bin = max(self._max_bin, b)
+
+    def on_tick(self, flows, now):
+        self._max_bin = max(self._max_bin, int(now / self.bin_width))
+        for flow in flows:
+            if flow.measurement.rtt > 0:
+                self._touch(flow.flow_id)  # an RTT sample makes the record
+
+    def _select(self, name, flow_id):
+        if flow_id is not None:
+            return [flow_id]
+        if name is None:
+            return list(self._bytes)
+        return [fid for fid, n in self._names.items() if n == name]
+
+    def times(self):
+        return (np.arange(self._max_bin + 1) + 0.5) * self.bin_width
+
+    def throughput_series(self, name=None, flow_id=None):
+        series = np.zeros(self._max_bin + 1)
+        for fid in self._select(name, flow_id):
+            values = self._bytes.get(fid, [])
+            series[:len(values)] += values
+        return self.times(), bytes_per_sec_to_mbps(series / self.bin_width)
+
+    def queue_delay_series(self, name=None, flow_id=None):
+        dsum = np.zeros(self._max_bin + 1)
+        bsum = np.zeros(self._max_bin + 1)
+        for fid in self._select(name, flow_id):
+            dsum[:len(self._qdelay.get(fid, []))] += self._qdelay.get(fid, [])
+            bsum[:len(self._bytes.get(fid, []))] += self._bytes.get(fid, [])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.where(bsum > 0, dsum / np.maximum(bsum, 1e-12), 0.0)
+        return self.times(), mean * 1e3
+
+    def mean_throughput(self, name=None, flow_id=None, start=0.0, end=None):
+        times, series = self.throughput_series(name, flow_id)
+        end = end if end is not None else times[-1] + self.bin_width / 2
+        mask = (times >= start) & (times <= end)
+        return float(np.mean(series[mask])) if mask.any() else 0.0
+
+
+@st.composite
+def _delivery_scripts(draw):
+    """(bin_width, dt, flow names, per-tick deliveries); flows first deliver
+    anywhere in the run, so their records start at different bins."""
+    dt = draw(st.sampled_from([0.002, 0.004, 0.01]))
+    bin_width = draw(st.sampled_from([0.1, 0.02, 0.004]))
+    names = draw(st.lists(st.sampled_from(["main", "cross"]),
+                          min_size=1, max_size=5))
+    delivery = st.tuples(st.integers(0, len(names) - 1),
+                         st.floats(min_value=1.0, max_value=3e4),   # bytes
+                         st.floats(min_value=0.0, max_value=0.2))   # qdelay
+    steps = draw(st.lists(st.lists(delivery, max_size=3),
+                          min_size=1, max_size=80))
+    return bin_width, dt, names, steps
+
+
+@given(_delivery_scripts())
+def test_offset_flow_records_equal_the_zero_padded_records(script):
+    bin_width, dt, names, steps = script
+    flows = [_ScriptedFlow(i, name, rtt=0.05 * (i % 2))
+             for i, name in enumerate(names)]
+    # Two more: one with RTT samples but never a delivery, and one whose
+    # first delivery lands in the last bin of the run.
+    silent = _ScriptedFlow(len(flows), "cross", rtt=0.04)
+    last = _ScriptedFlow(len(flows) + 1, "main", rtt=0.0)
+    flows += [silent, last]
+    network = _ScriptedNetwork([_ScriptedLink("hop0", 1e6)])
+    network.flows = flows
+    network.active_flow_ids = lambda: range(len(flows))
+    recorder = Recorder(network, bin_width=bin_width)
+    oracle = _PaddedFlowOracle(bin_width)
+
+    def deliver(flow, size, queue_delay, now):
+        chunk = Chunk(flow_id=flow.flow_id, size=size, seq=0.0, sent_time=now)
+        chunk.queue_delay = queue_delay
+        recorder.on_delivery(flow, chunk, now)
+        oracle.on_delivery(flow, size, queue_delay, now)
+
+    def compare():
+        selections = [{"name": name} for name in (None, "main", "cross",
+                                                  "missing")]
+        selections += [{"flow_id": flow.flow_id} for flow in flows]
+        selections.append({"flow_id": len(flows) + 7})  # never seen
+        end = recorder.times()[-1]
+        for selection in selections:
+            for query in ("throughput_series", "queue_delay_series"):
+                ours = getattr(recorder, query)(**selection)
+                theirs = getattr(oracle, query)(**selection)
+                for mine, reference in zip(ours, theirs):
+                    assert np.array_equal(mine, reference), (query, selection)
+            for window in ({}, {"start": end / 2}, {"end": end / 3},
+                           {"start": end * 2}):
+                assert recorder.mean_throughput(**selection, **window) == \
+                    oracle.mean_throughput(**selection, **window)
+
+    now = 0.0
+    for tick, deliveries in enumerate(steps):
+        now = tick * dt
+        for index, size, queue_delay in deliveries:
+            deliver(flows[index], size, queue_delay, now)
+        recorder.on_tick(now)
+        oracle.on_tick(flows, now)
+        if tick == len(steps) // 2:
+            compare()  # mid-run: records still growing
+    deliver(last, 1500.0, 0.01, now)
+    assert recorder._flows[last.flow_id].first_bin == recorder._max_bin
+    assert recorder._flows[silent.flow_id].bytes_by_bin == []
+    compare()
+    # The point of the offset: no record holds a bin before its first one.
+    for fid, record in recorder._flows.items():
+        assert record.first_bin + len(record.bytes_by_bin) <= \
+            recorder._max_bin + 1
+        assert len(record.bytes_by_bin) == len(record.qdelay_sum) <= \
+            len(oracle._bytes[fid])

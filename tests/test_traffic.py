@@ -1,9 +1,14 @@
 """Traffic generators: flow sizes, WAN workload, scripted phases."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import quick_network
-from repro.simulator import mbps_to_bytes_per_sec
+from repro.experiments.fig09_wan import run_single
+from repro.simulator import FlowMeasurement, mbps_to_bytes_per_sec
+from repro.simulator.units import MSS_BYTES
 from repro.traffic import (
     ELASTIC_THRESHOLD_BYTES,
     HeavyTailedFlowSizes,
@@ -12,6 +17,7 @@ from repro.traffic import (
     WanTrafficGenerator,
     WanWorkloadConfig,
 )
+from repro.traffic.flowsize import FlowSizeSample
 
 
 class TestFlowSizes:
@@ -210,6 +216,93 @@ class TestWanGeneratorRoster:
         total = sum(r.flow.stats.bytes_delivered for r in records)
         assert generator.elastic_byte_fraction(0.0, 12.0) == \
             pytest.approx(elastic / total)
+
+
+def _windows(measurement):
+    """The four sample stores of a flow's measurement, as plain lists."""
+    return [list(store) for store in (
+        measurement.sent._samples, measurement.delivered._samples,
+        measurement.lost._samples, measurement._acked)]
+
+
+class TestStateFollowsLiveness:
+    """A finished flow keeps its totals, not its windows: window memory is
+    O(live flows) however many flows the generator has ever made."""
+
+    @staticmethod
+    def capped_run():
+        network, _ = quick_network(link_mbps=12, buffer_ms=100, dt=0.004)
+        generator = WanTrafficGenerator(network, WanWorkloadConfig(
+            link_rate=mbps_to_bytes_per_sec(12), load=0.95, prop_rtt=0.05,
+            seed=5, max_concurrent=6))
+        generator.start()
+        network.run(12.0)
+        return [record.flow for record in generator.records]
+
+    def test_finished_flows_hold_totals_live_flows_hold_windows(
+            self, monkeypatch):
+        flows = self.capped_run()
+        # The reference: the same run with nothing dropped at finish.
+        monkeypatch.setattr(FlowMeasurement, "drop_windows",
+                            lambda self: None)
+        reference = self.capped_run()
+        assert len(flows) == len(reference) > 100
+        finished = live = 0
+        for flow, kept in zip(flows, reference):
+            mine, theirs = flow.measurement, kept.measurement
+            assert flow.finished == kept.finished
+            if flow.finished:
+                finished += 1
+                assert _windows(mine) == [[], [], [], []]
+                assert sum(map(len, _windows(theirs))) > 0
+            else:
+                live += 1
+                assert _windows(mine) == _windows(theirs)
+            # What a finished flow is read for afterwards is all there.
+            assert (mine.sent.total, mine.delivered.total, mine.lost.total,
+                    mine.rtt, mine.min_rtt, mine.queue_delay,
+                    mine.max_delivery_rate) == (
+                theirs.sent.total, theirs.delivered.total, theirs.lost.total,
+                theirs.rtt, theirs.min_rtt, theirs.queue_delay,
+                theirs.max_delivery_rate)
+            assert flow.stats == kept.stats and flow.fct == kept.fct
+            # ...and a windowed query still answers: from the same window
+            # while the flow lives, with zero once it has finished.
+            rates = (mine.paired_rates(12.0), mine.loss_rate(12.0, 1.0))
+            assert rates == (((0.0, 0.0), 0.0) if flow.finished else (
+                theirs.paired_rates(12.0), theirs.loss_rate(12.0, 1.0)))
+        assert finished > 100 and live > 0
+
+    def test_retained_memory_per_flow_ever_created(self):
+        """8.5 KB per created flow before finished flows gave up their
+        windows and records stopped padding back to t = 0; about 3 KB now
+        (the margin covers 3.11 / 3.12 object sizes)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            network, _, generator = run_single("cubic", duration=8, dt=0.004)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(generator.records) > 1000
+        assert retained / len(network.flows) < 5 * 1024
+
+    def test_sub_byte_remainder_produces_an_fct_row(self):
+        """A size no whole emission carries still completes and is reported,
+        instead of holding one of the ``max_concurrent`` slots for ever."""
+        network, _ = quick_network(link_mbps=48, buffer_ms=100, dt=0.002)
+        generator = WanTrafficGenerator(network, WanWorkloadConfig(
+            link_rate=mbps_to_bytes_per_sec(48), load=0.3, seed=2))
+        generator.flow_sizes.sample = lambda: FlowSizeSample(
+            size_bytes=10 * MSS_BYTES + 0.5, elastic=True)
+        generator.start()
+        network.run(1.0)
+        generator.stop()
+        network.run(2.0)
+        assert len(generator.records) > 20
+        assert generator.completed_records() == generator.records
+        assert network.active_flow_ids() == []
 
 
 class TestScripted:
