@@ -1,6 +1,7 @@
-"""Ablations of Nimbus design choices called out in DESIGN.md: FFT window
-length, detection threshold, pulse shape, and the rejected time-domain
-cross-correlation detector."""
+"""Ablations of the Nimbus design choices the docstrings of
+``repro/core/elasticity.py`` and ``repro/core/pulses.py`` call out (§4 of
+the paper): FFT window length, detection threshold, pulse shape, and the
+rejected time-domain cross-correlation detector."""
 
 import numpy as np
 

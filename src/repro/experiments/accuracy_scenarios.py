@@ -118,3 +118,12 @@ def run_accuracy_scenario(scheme: str, spec: CrossSpec,
         mean_throughput_mbps=recorder.mean_throughput(MAIN_FLOW, start=warmup),
         mean_queue_delay_ms=stats["mean"])
 
+
+def run_case(scheme: str = "nimbus", kind: str = "mix",
+             rate_fraction: float = 0.25, elastic_flows: int = 1,
+             rtt_ratio: float = 1.0, **scenario) -> AccuracyScenarioResult:
+    """:func:`run_accuracy_scenario` from scalars: the batch unit of Figs. 14
+    and 25 and Appendix E (``scenario``: its remaining keyword arguments)."""
+    spec = CrossSpec(kind=kind, rate_fraction=float(rate_fraction),
+                     elastic_flows=elastic_flows, rtt_ratio=float(rtt_ratio))
+    return run_accuracy_scenario(scheme, spec, **scenario)

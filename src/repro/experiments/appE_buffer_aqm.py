@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .accuracy_scenarios import CrossSpec, run_accuracy_scenario
-from .common import ExperimentResult
-
-DEFAULT_BUFFERS_BDP = (0.5, 1.0, 2.0, 4.0)
-DEFAULT_RTTS = (0.025, 0.05, 0.075)
+from .accuracy_scenarios import run_case
+from .common import ExperimentResult, run_cases
 
 
 def run(buffer_bdp_multipliers: Iterable[float] = (1.0, 2.0),
@@ -32,32 +29,26 @@ def run(buffer_bdp_multipliers: Iterable[float] = (1.0, 2.0),
                         categories=list(categories), link_mbps=link_mbps,
                         duration=duration))
 
-    def spec_for(category: str) -> CrossSpec:
-        if category == "elastic":
-            return CrossSpec(kind="elastic", elastic_flows=1)
-        if category == "mix":
-            return CrossSpec(kind="mix", elastic_flows=1, rate_fraction=0.25)
-        return CrossSpec(kind="poisson", rate_fraction=0.5, elastic_flows=0)
-
-    accuracy: Dict[Tuple, float] = {}
+    cross = {"elastic": dict(kind="elastic", elastic_flows=1),
+             "mix": dict(kind="mix", elastic_flows=1, rate_fraction=0.25)}
+    poisson = dict(kind="poisson", rate_fraction=0.5, elastic_flows=0)
+    keys, cases = [], []
     for category in categories:
         for rtt in prop_rtts:
             for multiplier in buffer_bdp_multipliers:
-                buffer_ms = rtt * 1e3 * multiplier
-                scenario = run_accuracy_scenario(
-                    "nimbus", spec_for(category), link_mbps=link_mbps,
-                    prop_rtt=rtt, buffer_ms=buffer_ms, duration=duration,
-                    dt=dt, seed=seed)
-                accuracy[(category, rtt, multiplier, "droptail")] = (
-                    scenario.report.accuracy)
+                keys.append((category, rtt, multiplier, "droptail"))
+                cases.append(dict(cross.get(category, poisson), prop_rtt=rtt,
+                                  buffer_ms=rtt * 1e3 * multiplier))
             for target in (pie_targets_bdp or ()):
-                scenario = run_accuracy_scenario(
-                    "nimbus", spec_for(category), link_mbps=link_mbps,
-                    prop_rtt=rtt, buffer_ms=rtt * 1e3 * 4,
-                    aqm_target_ms=rtt * 1e3 * target, duration=duration,
-                    dt=dt, seed=seed)
-                accuracy[(category, rtt, target, "pie")] = (
-                    scenario.report.accuracy)
+                keys.append((category, rtt, target, "pie"))
+                cases.append(dict(cross.get(category, poisson), prop_rtt=rtt,
+                                  buffer_ms=rtt * 1e3 * 4,
+                                  aqm_target_ms=rtt * 1e3 * target))
+    scenarios = run_cases(run_case, cases, link_mbps=link_mbps,
+                          duration=duration, dt=dt, seed=seed)
+    accuracy: Dict[Tuple, float] = {
+        key: scenario.report.accuracy
+        for key, scenario in zip(keys, scenarios)}
 
     result.data["accuracy"] = accuracy
     result.data["mean_accuracy"] = (sum(accuracy.values()) / len(accuracy)

@@ -4,10 +4,16 @@ Every experiment in the paper is some combination of: a bottleneck link, a
 "main" bulk flow running one of the schemes under study, and cross traffic.
 This module provides the scheme registry (string name -> congestion-control
 instance), the standard network construction, and result containers, so the
-individual ``figXX_*`` modules stay small and declarative.  It also holds
-the recipes several drivers share: :func:`run_per_scheme` (one cached
-``run_case`` batch, reassembled per scheme), :func:`link_byte_table` and
-:func:`scripted_case_payload` (the measurement half of the chaos drivers).
+individual ``figXX_*`` modules stay small and declarative.
+
+The one recipe for a driver that simulates more than once lives here too.
+A *case* (a module-level ``run_case(**scalars)``) builds, runs and measures
+one network and returns data only — a ``{"scheme", "summary", "extra",
+"data"}`` dict or an ``AccuracyScenarioResult``; a *front-end* (``run``)
+lists its cases, hands them to :func:`run_cases` and reduces the payloads.
+A spec spells ``4.0`` as ``4``, so a case echoes a numeric parameter into a
+label or an ``extra`` through ``float()``.  :func:`link_byte_table` and
+:func:`scripted_case_payload` are the measurement half of the chaos cases.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ __all__ = [
     "make_network",
     "make_scheme",
     "queue_delay_stats",
-    "run_per_scheme",
+    "run_cases",
     "scripted_case_payload",
 ]
 
@@ -90,13 +96,15 @@ class ExperimentResult:
         return result
 
     def table(self) -> str:
-        """Human-readable summary table (used by the examples and EXPERIMENTS.md)."""
+        """Summary table as the runner and the examples print it; the scheme
+        column fits the longest label (never narrower than 18)."""
+        width = max([18] + [len(scheme) + 2 for scheme in self.schemes])
         lines = [f"== {self.name} ==",
-                 f"{'scheme':<18}{'tput (Mbit/s)':>15}{'mean delay (ms)':>18}"
-                 f"{'p95 delay (ms)':>16}"]
+                 f"{'scheme':<{width}}{'tput (Mbit/s)':>15}"
+                 f"{'mean delay (ms)':>18}{'p95 delay (ms)':>16}"]
         for scheme, result in self.schemes.items():
             s = result.summary
-            lines.append(f"{scheme:<18}{s.mean_throughput_mbps:>15.1f}"
+            lines.append(f"{scheme:<{width}}{s.mean_throughput_mbps:>15.1f}"
                          f"{s.mean_delay_ms:>18.1f}{s.p95_delay_ms:>16.1f}")
         return "\n".join(lines)
 
@@ -115,20 +123,27 @@ def queue_delay_stats(recorder, start: float = 0.0) -> Dict[str, float]:
     }
 
 
-def run_per_scheme(result: ExperimentResult, run_case: Callable,
-                   schemes: Iterable[str], **params) -> ExperimentResult:
-    """Run ``run_case(scheme=..., **params)`` for every scheme as one cached
-    batch and file each ``{"scheme", "summary", "extra", "data"}`` payload
-    under its scheme in ``result``."""
-    specs = [ScenarioSpec.make(run_case, label=scheme, scheme=scheme,
-                               **params) for scheme in schemes]
-    for payload in run_batch(specs):
+def run_cases(run_case: Callable, cases: Iterable[dict],
+              result: Optional[ExperimentResult] = None, **shared) -> list:
+    """Run ``run_case(**shared, **case)`` for every case as one cached batch
+    (the only place a driver meets the batch runtime); payloads in case order.
+    Given ``result``, each ``{"scheme", "summary", "extra", "data"}`` payload
+    is also filed there under its scheme (``data`` unless it is ``None``).
+    A spec's label is its case's values (an object's ``name``) joined by @."""
+    payloads = run_batch([ScenarioSpec.make(
+        run_case, label="@".join(str(getattr(value, "name", value))
+                                 for value in case.values()),
+        **shared, **case) for case in cases])
+    if result is None:
+        return payloads
+    for payload in payloads:
         scheme = payload["scheme"]
         result.schemes[scheme] = SchemeResult(
             scheme=scheme, summary=payload["summary"],
             extra=payload["extra"])
-        result.data[scheme] = payload["data"]
-    return result
+        if payload["data"] is not None:
+            result.data[scheme] = payload["data"]
+    return payloads
 
 
 def link_byte_table(network: TopologyNetwork) -> Dict[str, dict]:

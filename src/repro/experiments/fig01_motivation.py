@@ -9,10 +9,11 @@ and drops the queueing delay once it is inelastic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
+from ..analysis.metrics import summarize_flow
 from ..simulator import mbps_to_bytes_per_sec
 from ..traffic import Phase, ScriptedCrossTraffic
 from .common import (
@@ -21,6 +22,7 @@ from .common import (
     add_main_flow,
     make_network,
     queue_delay_stats,
+    run_cases,
 )
 
 DEFAULT_SCHEMES = ("cubic", "basicdelay", "nimbus")
@@ -36,6 +38,40 @@ def build_schedule(phase_duration: float, link_mbps: float) -> list:
     ]
 
 
+def run_case(scheme: str, link_mbps: float = 48.0, prop_rtt: float = 0.05,
+             buffer_ms: float = 100.0, phase_duration: float = 60.0,
+             dt: float = 0.002, seed: int = 0) -> dict:
+    """One scheme through the Fig. 1 schedule, summarised per phase."""
+    warmup = phase_duration / 2.0
+    elastic_window = (warmup + 5.0, warmup + phase_duration)
+    inelastic_window = (warmup + phase_duration + 5.0,
+                        warmup + 2 * phase_duration)
+    network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
+    add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
+    ScriptedCrossTraffic(
+        network=network, phases=build_schedule(phase_duration, link_mbps),
+        prop_rtt=prop_rtt).install()
+    network.run(warmup + 2 * phase_duration)
+
+    recorder = network.recorder
+    times, tput = recorder.throughput_series(MAIN_FLOW)
+    _, qdelay = recorder.link_queue_delay_series()
+
+    def window_mean(series: np.ndarray, window) -> float:
+        mask = (times >= window[0]) & (times <= window[1])
+        return float(np.mean(series[mask])) if mask.any() else 0.0
+
+    summary = summarize_flow(recorder, MAIN_FLOW, scheme=scheme, start=warmup)
+    extra = dict(
+        elastic_throughput=window_mean(tput, elastic_window),
+        inelastic_throughput=window_mean(tput, inelastic_window),
+        elastic_delay_ms=window_mean(qdelay, elastic_window),
+        inelastic_delay_ms=window_mean(qdelay, inelastic_window),
+        queue=queue_delay_stats(recorder, start=warmup))
+    data = {"times": times, "throughput_mbps": tput, "queue_delay_ms": qdelay}
+    return {"scheme": scheme, "summary": summary, "extra": extra, "data": data}
+
+
 def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
         link_mbps: float = 48.0, prop_rtt: float = 0.05,
         buffer_ms: float = 100.0, phase_duration: float = 60.0,
@@ -45,47 +81,14 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
         name="fig01_motivation",
         parameters=dict(link_mbps=link_mbps, prop_rtt=prop_rtt,
                         buffer_ms=buffer_ms, phase_duration=phase_duration))
+    run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
+              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+              phase_duration=phase_duration, dt=dt, seed=seed)
     warmup = phase_duration / 2.0
-    elastic_window = (warmup + 5.0, warmup + phase_duration)
-    inelastic_window = (warmup + phase_duration + 5.0,
-                        warmup + 2 * phase_duration)
-
-    for scheme in schemes:
-        network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
-        add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
-        cross = ScriptedCrossTraffic(
-            network=network, phases=build_schedule(phase_duration, link_mbps),
-            prop_rtt=prop_rtt)
-        cross.install()
-        network.run(warmup + 2 * phase_duration)
-
-        recorder = network.recorder
-        times, tput = recorder.throughput_series(MAIN_FLOW)
-        _, qdelay = recorder.link_queue_delay_series()
-
-        def window_mean(series: np.ndarray, window) -> float:
-            mask = (times >= window[0]) & (times <= window[1])
-            return float(np.mean(series[mask])) if mask.any() else 0.0
-
-        result.add_scheme(
-            scheme, recorder, start=warmup,
-            elastic_throughput=window_mean(tput, elastic_window),
-            inelastic_throughput=window_mean(tput, inelastic_window),
-            elastic_delay_ms=window_mean(qdelay, elastic_window),
-            inelastic_delay_ms=window_mean(qdelay, inelastic_window),
-            queue=queue_delay_stats(recorder, start=warmup))
-        result.data[scheme] = {
-            "times": times,
-            "throughput_mbps": tput,
-            "queue_delay_ms": qdelay,
-        }
     result.data["windows"] = {
-        "elastic": elastic_window,
-        "inelastic": inelastic_window,
+        "elastic": (warmup + 5.0, warmup + phase_duration),
+        "inelastic": (warmup + phase_duration + 5.0,
+                      warmup + 2 * phase_duration),
     }
     return result
 
-
-def fair_share_mbps(link_mbps: float) -> Dict[str, float]:
-    """Fair share of the main flow in the two phases of the experiment."""
-    return {"elastic": link_mbps / 2.0, "inelastic": link_mbps / 2.0}

@@ -10,20 +10,22 @@ cross traffic produces a pronounced FFT peak at ``fp``.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
+from ..analysis.metrics import summarize_flow
 from ..cc import Cubic, NullCC
 from ..core.elasticity import Spectrum
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource
-from .common import ExperimentResult, add_main_flow, make_network
+from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
+                     run_cases)
 
 
-def _run_one(cross_kind: str, link_mbps: float, prop_rtt: float,
-             buffer_ms: float, duration: float, pulse_frequency: float,
-             dt: float, seed: int) -> Dict[str, object]:
+def run_case(cross_kind: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
+             buffer_ms: float = 100.0, duration: float = 30.0,
+             pulse_frequency: float = 5.0, dt: float = 0.002,
+             seed: int = 0) -> dict:
+    """Nimbus pulsing against a Cubic flow ("elastic") or a Poisson stream."""
     network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
     mu = mbps_to_bytes_per_sec(link_mbps)
     main = add_main_flow(network, "nimbus", link_mbps, prop_rtt=prop_rtt,
@@ -58,7 +60,10 @@ def _run_one(cross_kind: str, link_mbps: float, prop_rtt: float,
     else:
         lagged_corr = 0.0
 
-    return {
+    scheme = f"nimbus-vs-{cross_kind}"
+    summary = summarize_flow(network.recorder, MAIN_FLOW, scheme=scheme,
+                             start=duration / 3)
+    return {"scheme": scheme, "summary": summary, "extra": {}, "data": {
         "times": times,
         "z_mbps": np.asarray(z) * 8 / 1e6,
         "s_mbps": np.asarray(s) * 8 / 1e6,
@@ -69,8 +74,7 @@ def _run_one(cross_kind: str, link_mbps: float, prop_rtt: float,
         "peak_neighbourhood": spectrum.peak_between(
             pulse_frequency * 1.2, pulse_frequency * 2.0) * 8 / 1e6,
         "lagged_correlation": lagged_corr,
-        "recorder": network.recorder,
-    }
+    }}
 
 
 def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
@@ -82,10 +86,11 @@ def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
         name="fig04_fig05_pulse_response",
         parameters=dict(link_mbps=link_mbps, duration=duration,
                         pulse_frequency=pulse_frequency))
-    for kind in ("elastic", "inelastic"):
-        data = _run_one(kind, link_mbps, prop_rtt, buffer_ms, duration,
-                        pulse_frequency, dt, seed)
-        recorder = data.pop("recorder")
-        result.add_scheme(f"nimbus-vs-{kind}", recorder, start=duration / 3)
-        result.data[kind] = data
+    kinds = ("elastic", "inelastic")
+    payloads = run_cases(
+        run_case, [dict(cross_kind=kind) for kind in kinds], result,
+        link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+        duration=duration, pulse_frequency=pulse_frequency, dt=dt, seed=seed)
+    result.data = {kind: payload["data"]
+                   for kind, payload in zip(kinds, payloads)}
     return result

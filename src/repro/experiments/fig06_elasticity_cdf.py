@@ -10,16 +10,48 @@ component pushes the distribution above the threshold of 2.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
+from ..analysis.metrics import summarize_flow
 from ..cc import Cubic, NullCC
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource
-from .common import ExperimentResult, add_main_flow, make_network
+from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
+                     run_cases)
 
 DEFAULT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def run_case(fraction: float, link_mbps: float = 96.0, prop_rtt: float = 0.05,
+             buffer_ms: float = 100.0, duration: float = 40.0,
+             cross_share: float = 0.5, dt: float = 0.002,
+             seed: int = 0) -> dict:
+    """The eta series of Nimbus against an elastic share of ``fraction``."""
+    network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
+    main = add_main_flow(network, "nimbus", link_mbps, prop_rtt=prop_rtt)
+    inelastic_rate = (cross_share * mbps_to_bytes_per_sec(link_mbps)
+                      * (1.0 - fraction))
+    if inelastic_rate > 0:
+        network.add_flow(Flow(
+            cc=NullCC(), prop_rtt=prop_rtt,
+            source=PoissonSource(inelastic_rate, seed=seed + 1),
+            name="cross-inelastic"))
+    if fraction > 0:
+        network.add_flow(Flow(cc=Cubic(), prop_rtt=prop_rtt,
+                              name="cross-elastic"))
+    network.run(duration)
+
+    series = np.array([eta for t, eta in main.cc.eta_history
+                       if t > duration / 3])
+    series = series[np.isfinite(series)]
+    scheme = f"elastic-{int(fraction * 100)}%"
+    summary = summarize_flow(network.recorder, MAIN_FLOW, scheme=scheme,
+                             start=duration / 3)
+    median = float(np.median(series)) if series.size else 0.0
+    return {"scheme": scheme, "summary": summary,
+            "extra": {"median_eta": median}, "data": series}
 
 
 def run(elastic_fractions: Iterable[float] = DEFAULT_FRACTIONS,
@@ -40,34 +72,14 @@ def run(elastic_fractions: Iterable[float] = DEFAULT_FRACTIONS,
         name="fig06_elasticity_cdf",
         parameters=dict(link_mbps=link_mbps, duration=duration,
                         cross_share=cross_share))
-    mu = mbps_to_bytes_per_sec(link_mbps)
-    etas: Dict[float, np.ndarray] = {}
-    medians: Dict[float, float] = {}
-
-    for fraction in elastic_fractions:
-        network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt,
-                               seed=seed)
-        main = add_main_flow(network, "nimbus", link_mbps, prop_rtt=prop_rtt)
-        inelastic_rate = cross_share * mu * (1.0 - fraction)
-        if inelastic_rate > 0:
-            network.add_flow(Flow(
-                cc=NullCC(), prop_rtt=prop_rtt,
-                source=PoissonSource(inelastic_rate, seed=seed + 1),
-                name="cross-inelastic"))
-        if fraction > 0:
-            network.add_flow(Flow(cc=Cubic(), prop_rtt=prop_rtt,
-                                  name="cross-elastic"))
-        network.run(duration)
-
-        nimbus = main.cc
-        series = np.array([eta for t, eta in nimbus.eta_history
-                           if t > duration / 3])
-        series = series[np.isfinite(series)]
-        etas[fraction] = series
-        medians[fraction] = float(np.median(series)) if series.size else 0.0
-        result.add_scheme(f"elastic-{int(fraction * 100)}%", network.recorder,
-                          start=duration / 3,
-                          median_eta=medians[fraction])
-
-    result.data = {"etas": etas, "median_eta": medians}
+    fractions = list(elastic_fractions)
+    payloads = run_cases(
+        run_case, [dict(fraction=fraction) for fraction in fractions], result,
+        link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+        duration=duration, cross_share=cross_share, dt=dt, seed=seed)
+    result.data = {
+        "etas": {f: p["data"] for f, p in zip(fractions, payloads)},
+        "median_eta": {f: p["extra"]["median_eta"]
+                       for f, p in zip(fractions, payloads)},
+    }
     return result

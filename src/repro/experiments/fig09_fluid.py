@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .common import ExperimentResult, run_per_scheme
+from .common import ExperimentResult, run_cases
 from .fig09_wan import run_case
 
 
@@ -31,7 +31,8 @@ def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
         parameters=dict(schemes=schemes, link_mbps=link_mbps,
                         load=load, duration=duration,
                         fluid_arrivals=fluid_arrivals))
-    return run_per_scheme(
-        result, run_case, schemes, link_mbps=link_mbps, prop_rtt=prop_rtt,
-        buffer_ms=buffer_ms, load=load, duration=duration, dt=dt, seed=seed,
-        fluid=1, fluid_arrivals=fluid_arrivals)
+    run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
+              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+              load=load, duration=duration, dt=dt, seed=seed, fluid=1,
+              fluid_arrivals=fluid_arrivals)
+    return result

@@ -24,10 +24,8 @@ from .common import (
     add_main_flow,
     make_network,
     queue_delay_stats,
-    run_per_scheme,
+    run_cases,
 )
-
-DEFAULT_SCHEMES = ("nimbus", "cubic", "bbr", "vegas", "copa", "pcc-vivace")
 
 
 def run_single(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
@@ -128,6 +126,7 @@ def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
         name="fig09_wan",
         parameters=dict(schemes=schemes, link_mbps=link_mbps,
                         load=load, duration=duration))
-    return run_per_scheme(
-        result, run_case, schemes, link_mbps=link_mbps, prop_rtt=prop_rtt,
-        buffer_ms=buffer_ms, load=load, duration=duration, dt=dt, seed=seed)
+    run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
+              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+              load=load, duration=duration, dt=dt, seed=seed)
+    return result

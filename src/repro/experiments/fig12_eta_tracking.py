@@ -30,18 +30,15 @@ def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
     eta_times = np.array([t for t, _ in nimbus.eta_history])
     eta_values = np.array([e for _, e in nimbus.eta_history])
 
-    def truth(t: float) -> bool:
-        return generator.elastic_present(max(0.0, t - truth_window), t,
-                                         byte_fraction_threshold=truth_threshold)
-
+    # One fraction per bin; the truth label is that series thresholded.
     times, modes = recorder.mode_series(MAIN_FLOW)
+    truth_series = generator.elastic_byte_fraction(
+        np.maximum(0.0, times - truth_window), times)
+    truth = dict(zip(times.tolist(), truth_series >= truth_threshold))
     warmup = 10.0
-    report = classification_accuracy(times, modes, elastic_truth=truth,
-                                     warmup=warmup, settle=truth_window)
-
-    truth_series = np.array([
-        generator.elastic_byte_fraction(max(0.0, t - truth_window), t)
-        for t in times])
+    report = classification_accuracy(times, modes, warmup=warmup,
+                                     elastic_truth=truth.__getitem__,
+                                     settle=truth_window)
 
     result = ExperimentResult(
         name="fig12_eta_tracking",

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable
 
-from ..runtime import ScenarioSpec, run_batch
-from .common import ExperimentResult, SchemeResult
+from .common import ExperimentResult, SchemeResult, run_cases
 from .fig09_wan import run_case
 
 
@@ -34,23 +33,19 @@ def run(loads: Iterable[float] = (0.5, 0.9),
         name="fig13_load",
         parameters=dict(loads=list(loads), pulse_sizes=list(pulse_sizes),
                         link_mbps=link_mbps, duration=duration))
-    shared = dict(link_mbps=link_mbps, prop_rtt=prop_rtt,
-                  buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed)
-    cases = []
+    points = []
     for load in loads:
         for scheme in baselines:
-            cases.append((f"{scheme}@load{int(load * 100)}",
-                          dict(load=load),
-                          ScenarioSpec.make(run_case, scheme=scheme,
-                                            load=load, **shared)))
+            points.append((f"{scheme}@load{int(load * 100)}", scheme,
+                           dict(load=load)))
         for pulse in pulse_sizes:
-            cases.append((f"nimbus{pulse}@load{int(load * 100)}",
-                          dict(load=load, pulse_fraction=pulse),
-                          ScenarioSpec.make(run_case, scheme="nimbus",
-                                            load=load, pulse_fraction=pulse,
-                                            **shared)))
-    payloads = run_batch([spec for _, _, spec in cases])
-    for (label, point, _), payload in zip(cases, payloads):
+            points.append((f"nimbus{pulse}@load{int(load * 100)}", "nimbus",
+                           dict(load=load, pulse_fraction=pulse)))
+    payloads = run_cases(
+        run_case, [dict(scheme=s, **point) for _, s, point in points],
+        link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+        duration=duration, dt=dt, seed=seed)
+    for (label, _, point), payload in zip(points, payloads):
         extra = dict(payload["extra"])
         extra.update(point)
         result.schemes[label] = SchemeResult(

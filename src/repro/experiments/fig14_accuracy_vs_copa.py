@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from .accuracy_scenarios import CrossSpec, run_accuracy_scenario
-from .common import ExperimentResult
+from .accuracy_scenarios import run_case
+from .common import ExperimentResult, run_cases
 
 DEFAULT_SHARES = (0.3, 0.5, 0.7, 0.85)
 DEFAULT_RTT_RATIOS = (1.0, 2.0, 4.0)
@@ -39,22 +39,22 @@ def run(schemes: Iterable[str] = ("nimbus", "copa"),
     inelastic_accuracy: Dict[str, Dict] = {s: {} for s in schemes}
     rtt_accuracy: Dict[str, Dict] = {s: {} for s in schemes}
 
+    slots, cases = [], []
     for scheme in schemes:
         for kind in inelastic_kinds:
             for share in inelastic_shares:
-                spec = CrossSpec(kind=kind, rate_fraction=share,
-                                 elastic_flows=0)
-                scenario = run_accuracy_scenario(
-                    scheme, spec, link_mbps=link_mbps, prop_rtt=prop_rtt,
-                    buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed)
-                inelastic_accuracy[scheme][(kind, share)] = scenario
+                slots.append((inelastic_accuracy[scheme], (kind, share)))
+                cases.append(dict(scheme=scheme, kind=kind,
+                                  rate_fraction=share, elastic_flows=0))
         for ratio in rtt_ratios:
-            spec = CrossSpec(kind="elastic", elastic_flows=1,
-                             rtt_ratio=ratio, rate_fraction=0.0)
-            scenario = run_accuracy_scenario(
-                scheme, spec, link_mbps=link_mbps, prop_rtt=prop_rtt,
-                buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed)
-            rtt_accuracy[scheme][ratio] = scenario
+            slots.append((rtt_accuracy[scheme], ratio))
+            cases.append(dict(scheme=scheme, kind="elastic",
+                              rate_fraction=0.0, rtt_ratio=ratio))
+    scenarios = run_cases(run_case, cases, link_mbps=link_mbps,
+                          prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+                          duration=duration, dt=dt, seed=seed)
+    for (table, key), scenario in zip(slots, scenarios):
+        table[key] = scenario
 
     result.data = {
         "inelastic": {

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-from ..runtime import ScenarioSpec, run_batch
 from .accuracy_scenarios import (
     AccuracyScenarioResult,
     CrossSpec,
     run_accuracy_scenario,
 )
-from .common import ExperimentResult
+from .common import ExperimentResult, run_cases
 
-DEFAULT_RATIOS = (0.2, 0.5, 1.0, 2.0, 4.0)
 DEFAULT_CATEGORIES = ("elastic", "mix", "poisson")
 
 
@@ -71,18 +69,14 @@ def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
         name="fig15_rtt_sweep",
         parameters=dict(rtt_ratios=rtt_ratios, categories=categories,
                         link_mbps=link_mbps, duration=duration))
-    shared = dict(link_mbps=link_mbps, prop_rtt=prop_rtt,
-                  buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed)
     grid = [(category, ratio)
             for category in categories for ratio in rtt_ratios]
-    specs = [ScenarioSpec.make(run_case, label=f"{category}@x{ratio}",
-                               category=category, ratio=ratio, **shared)
-             for category, ratio in grid]
+    cases = [dict(category=category, ratio=ratio) for category, ratio in grid]
     if mixed_rtts:
-        specs.append(ScenarioSpec.make(
-            run_case, label="mixed-rtt", category="mixed-rtt",
-            mixed_rtts=tuple(mixed_rtts), **shared))
-    payloads = run_batch(specs)
+        cases.append(dict(category="mixed-rtt", mixed_rtts=tuple(mixed_rtts)))
+    payloads = run_cases(run_case, cases, link_mbps=link_mbps,
+                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+                         duration=duration, dt=dt, seed=seed)
 
     accuracy: Dict[str, Dict[float, float]] = {c: {} for c in categories}
     scenarios: Dict[str, Dict[float, object]] = {c: {} for c in categories}

@@ -12,10 +12,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..analysis.fct import fct_by_size, normalized_p95
-from .common import ExperimentResult
-from .fig09_wan import run_single
-
-DEFAULT_SCHEMES = ("nimbus", "cubic", "bbr", "vegas")
+from .common import ExperimentResult, SchemeResult, run_cases
+from .fig09_wan import run_case
 
 
 def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
@@ -31,15 +29,15 @@ def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
         parameters=dict(schemes=schemes, link_mbps=link_mbps, load=load,
                         duration=duration))
     fcts = {}
-    for scheme in schemes:
-        network, _, generator = run_single(
-            scheme, link_mbps=link_mbps, prop_rtt=prop_rtt,
-            buffer_ms=buffer_ms, load=load, duration=duration, dt=dt,
-            seed=seed)
-        records = generator.completed_records()
+    for payload in run_cases(
+            run_case, [dict(scheme=scheme) for scheme in schemes],
+            link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+            load=load, duration=duration, dt=dt, seed=seed):
+        scheme, records = payload["scheme"], payload["data"]["fct_records"]
         fcts[scheme] = fct_by_size(records)
-        result.add_scheme(scheme, network.recorder, start=duration / 6.0,
-                          completed_cross_flows=len(records))
+        result.schemes[scheme] = SchemeResult(
+            scheme, payload["summary"],
+            dict(completed_cross_flows=len(records)))
     result.data = {
         "fct_by_size": fcts,
         "normalized_p95": normalized_p95(fcts, baseline_scheme="nimbus"),

@@ -12,11 +12,29 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
+from ..analysis.metrics import summarize_flow
 from ..cc import Bbr
 from ..simulator import Flow
-from .common import MAIN_FLOW, ExperimentResult, add_main_flow, make_network
+from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
+                     run_cases)
 
-DEFAULT_BUFFERS_BDP = (0.5, 1.0, 2.0, 4.0)
+
+def run_case(scheme: str, buffer_bdp: float, link_mbps: float = 96.0,
+             prop_rtt: float = 0.05, duration: float = 50.0,
+             dt: float = 0.002, seed: int = 0) -> dict:
+    """One scheme against one BBR flow, the buffer ``buffer_bdp`` BDPs deep."""
+    multiplier, warmup = float(buffer_bdp), duration / 4.0
+    network = make_network(link_mbps, buffer_ms=prop_rtt * 1e3 * multiplier,
+                           dt=dt, seed=seed)
+    add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
+    network.add_flow(Flow(cc=Bbr(), prop_rtt=prop_rtt, name="bbr"))
+    network.run(duration)
+    recorder = network.recorder
+    label = f"{scheme}@{multiplier}bdp"
+    summary = summarize_flow(recorder, MAIN_FLOW, scheme=label, start=warmup)
+    extra = dict(buffer_bdp=multiplier,
+                 bbr_throughput=recorder.mean_throughput("bbr", start=warmup))
+    return {"scheme": label, "summary": summary, "extra": extra, "data": None}
 
 
 def run(buffer_bdp_multipliers: Iterable[float] = (0.5, 2.0),
@@ -30,24 +48,14 @@ def run(buffer_bdp_multipliers: Iterable[float] = (0.5, 2.0),
         parameters=dict(buffer_bdp_multipliers=list(buffer_bdp_multipliers),
                         schemes=list(schemes), link_mbps=link_mbps,
                         duration=duration))
-    warmup = duration / 4.0
+    cases = [dict(scheme=scheme, buffer_bdp=multiplier)
+             for multiplier in buffer_bdp_multipliers for scheme in schemes]
+    payloads = run_cases(run_case, cases, result, link_mbps=link_mbps,
+                         prop_rtt=prop_rtt, duration=duration, dt=dt,
+                         seed=seed)
     throughput: Dict[float, Dict[str, float]] = {}
-    for multiplier in buffer_bdp_multipliers:
-        buffer_ms = prop_rtt * 1e3 * multiplier
-        throughput[multiplier] = {}
-        for scheme in schemes:
-            network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt,
-                                   seed=seed)
-            add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
-            network.add_flow(Flow(cc=Bbr(), prop_rtt=prop_rtt, name="bbr"))
-            network.run(duration)
-            recorder = network.recorder
-            label = f"{scheme}@{multiplier}bdp"
-            result.add_scheme(label, recorder, start=warmup,
-                              buffer_bdp=multiplier,
-                              bbr_throughput=recorder.mean_throughput(
-                                  "bbr", start=warmup))
-            throughput[multiplier][scheme] = recorder.mean_throughput(
-                MAIN_FLOW, start=warmup)
+    for case, payload in zip(cases, payloads):
+        throughput.setdefault(case["buffer_bdp"], {})[case["scheme"]] = (
+            payload["summary"].mean_throughput_mbps)
     result.data["throughput"] = throughput
     return result

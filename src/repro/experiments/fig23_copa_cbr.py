@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from ..analysis.accuracy import mode_fraction
+from ..analysis.metrics import summarize_flow
 from ..cc import MODE_COMPETITIVE, NullCC
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource
@@ -25,7 +26,30 @@ from .common import (
     add_main_flow,
     make_network,
     queue_delay_stats,
+    run_cases,
 )
+
+
+def run_case(scheme: str, cbr_fraction: float, link_mbps: float = 96.0,
+             prop_rtt: float = 0.05, buffer_ms: float = 100.0,
+             duration: float = 50.0, dt: float = 0.002, seed: int = 0) -> dict:
+    """One scheme against a stream at ``cbr_fraction`` of the link rate."""
+    fraction, warmup = float(cbr_fraction), duration / 4.0
+    network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
+    mu = mbps_to_bytes_per_sec(link_mbps)
+    add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
+    network.add_flow(Flow(cc=NullCC(), prop_rtt=prop_rtt,
+                          source=PoissonSource(fraction * mu, seed=seed + 17),
+                          name="cbr"))
+    network.run(duration)
+    recorder = network.recorder
+    label = f"{scheme}@cbr{int(fraction * 100)}"
+    _, modes = recorder.mode_series(MAIN_FLOW)
+    summary = summarize_flow(recorder, MAIN_FLOW, scheme=label, start=warmup)
+    extra = dict(cbr_fraction=fraction,
+                 queue=queue_delay_stats(recorder, start=warmup),
+                 competitive_fraction=mode_fraction(modes, MODE_COMPETITIVE))
+    return {"scheme": label, "summary": summary, "extra": extra, "data": None}
 
 
 def run(cbr_fractions: Iterable[float] = (0.25, 0.83),
@@ -39,27 +63,14 @@ def run(cbr_fractions: Iterable[float] = (0.25, 0.83),
         parameters=dict(cbr_fractions=list(cbr_fractions),
                         schemes=list(schemes), link_mbps=link_mbps,
                         duration=duration))
-    warmup = duration / 4.0
+    cases = [dict(scheme=scheme, cbr_fraction=fraction)
+             for fraction in cbr_fractions for scheme in schemes]
+    payloads = run_cases(run_case, cases, result, link_mbps=link_mbps,
+                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+                         duration=duration, dt=dt, seed=seed)
     delays: Dict[str, Dict[float, float]] = {s: {} for s in schemes}
-    for fraction in cbr_fractions:
-        for scheme in schemes:
-            network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt,
-                                   seed=seed)
-            mu = mbps_to_bytes_per_sec(link_mbps)
-            add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
-            network.add_flow(Flow(cc=NullCC(), prop_rtt=prop_rtt,
-                                  source=PoissonSource(fraction * mu,
-                                                       seed=seed + 17),
-                                  name="cbr"))
-            network.run(duration)
-            recorder = network.recorder
-            label = f"{scheme}@cbr{int(fraction * 100)}"
-            queue = queue_delay_stats(recorder, start=warmup)
-            _, modes = recorder.mode_series(MAIN_FLOW)
-            result.add_scheme(label, recorder, start=warmup,
-                              cbr_fraction=fraction, queue=queue,
-                              competitive_fraction=mode_fraction(
-                                  modes, MODE_COMPETITIVE))
-            delays[scheme][fraction] = queue["mean"]
+    for case, payload in zip(cases, payloads):
+        delays[case["scheme"]][case["cbr_fraction"]] = (
+            payload["extra"]["queue"]["mean"])
     result.data["mean_queue_delay_ms"] = delays
     return result

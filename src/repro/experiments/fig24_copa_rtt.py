@@ -12,9 +12,32 @@ from __future__ import annotations
 from typing import Dict, Iterable
 
 from ..analysis.accuracy import mode_fraction
+from ..analysis.metrics import summarize_flow
 from ..cc import MODE_COMPETITIVE, NewReno
 from ..simulator import Flow
-from .common import MAIN_FLOW, ExperimentResult, add_main_flow, make_network
+from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
+                     run_cases)
+
+
+def run_case(scheme: str, rtt_ratio: float, link_mbps: float = 96.0,
+             prop_rtt: float = 0.05, buffer_ms: float = 100.0,
+             duration: float = 60.0, dt: float = 0.002, seed: int = 0) -> dict:
+    """One scheme against a NewReno flow at ``rtt_ratio`` times its RTT."""
+    ratio, warmup = float(rtt_ratio), duration / 3.0
+    network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
+    add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
+    network.add_flow(Flow(cc=NewReno(), prop_rtt=prop_rtt * ratio,
+                          name="reno"))
+    network.run(duration)
+    recorder = network.recorder
+    label = f"{scheme}@rtt{ratio:g}x"
+    _, modes = recorder.mode_series(MAIN_FLOW)
+    summary = summarize_flow(recorder, MAIN_FLOW, scheme=label, start=warmup)
+    extra = dict(
+        rtt_ratio=ratio,
+        reno_throughput=recorder.mean_throughput("reno", start=warmup),
+        competitive_fraction=mode_fraction(modes, MODE_COMPETITIVE))
+    return {"scheme": label, "summary": summary, "extra": extra, "data": None}
 
 
 def run(rtt_ratios: Iterable[float] = (1.0, 4.0),
@@ -27,25 +50,15 @@ def run(rtt_ratios: Iterable[float] = (1.0, 4.0),
         name="fig24_copa_rtt",
         parameters=dict(rtt_ratios=list(rtt_ratios), schemes=list(schemes),
                         link_mbps=link_mbps, duration=duration))
-    warmup = duration / 3.0
+    cases = [dict(scheme=scheme, rtt_ratio=ratio)
+             for ratio in rtt_ratios for scheme in schemes]
+    payloads = run_cases(run_case, cases, result, link_mbps=link_mbps,
+                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+                         duration=duration, dt=dt, seed=seed)
     throughput: Dict[str, Dict[float, float]] = {s: {} for s in schemes}
-    for ratio in rtt_ratios:
-        for scheme in schemes:
-            network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt,
-                                   seed=seed)
-            add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
-            network.add_flow(Flow(cc=NewReno(), prop_rtt=prop_rtt * ratio,
-                                  name="reno"))
-            network.run(duration)
-            recorder = network.recorder
-            label = f"{scheme}@rtt{ratio:g}x"
-            _, modes = recorder.mode_series(MAIN_FLOW)
-            result.add_scheme(
-                label, recorder, start=warmup, rtt_ratio=ratio,
-                reno_throughput=recorder.mean_throughput("reno", start=warmup),
-                competitive_fraction=mode_fraction(modes, MODE_COMPETITIVE))
-            throughput[scheme][ratio] = recorder.mean_throughput(
-                MAIN_FLOW, start=warmup)
+    for case, payload in zip(cases, payloads):
+        throughput[case["scheme"]][case["rtt_ratio"]] = (
+            payload["summary"].mean_throughput_mbps)
     result.data["throughput"] = throughput
     result.data["fair_share_mbps"] = link_mbps / 2.0
     return result

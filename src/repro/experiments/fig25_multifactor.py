@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from .accuracy_scenarios import CrossSpec, run_accuracy_scenario
-from .common import ExperimentResult
-
-DEFAULT_PULSE_SIZES = (0.0625, 0.125, 0.25, 0.5)
-DEFAULT_LINK_RATES = (96.0, 192.0, 384.0)
-DEFAULT_SHARES = (0.125, 0.25, 0.5, 0.75)
+from .accuracy_scenarios import run_case
+from .common import ExperimentResult, run_cases
 
 
 def run(pulse_sizes: Iterable[float] = (0.125, 0.25),
@@ -37,27 +33,30 @@ def run(pulse_sizes: Iterable[float] = (0.125, 0.25),
                         link_rates_mbps=list(link_rates_mbps),
                         nimbus_shares=list(nimbus_shares),
                         traffic_kind=traffic_kind, duration=duration))
-    accuracy: Dict[Tuple[float, float, float], float] = {}
+    keys, cases = [], []
     for link_rate in link_rates_mbps:
         for share in nimbus_shares:
             inelastic_fraction = max(0.0, 1.0 - share)
             if traffic_kind == "mix":
                 # Half the non-Nimbus share is elastic, half inelastic.
-                spec = CrossSpec(kind="mix", elastic_flows=1,
-                                 rate_fraction=inelastic_fraction / 2.0)
+                cross = dict(kind="mix", elastic_flows=1,
+                             rate_fraction=inelastic_fraction / 2.0)
             elif traffic_kind == "elastic":
-                spec = CrossSpec(kind="elastic", elastic_flows=1,
-                                 rate_fraction=0.0)
+                cross = dict(kind="elastic", elastic_flows=1,
+                             rate_fraction=0.0)
             else:
-                spec = CrossSpec(kind="poisson",
-                                 rate_fraction=inelastic_fraction,
-                                 elastic_flows=0)
+                cross = dict(kind="poisson", elastic_flows=0,
+                             rate_fraction=inelastic_fraction)
             for pulse in pulse_sizes:
-                scenario = run_accuracy_scenario(
-                    "nimbus", spec, link_mbps=link_rate, prop_rtt=prop_rtt,
-                    buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed,
-                    pulse_fraction=pulse)
-                accuracy[(pulse, link_rate, share)] = scenario.report.accuracy
+                keys.append((pulse, link_rate, share))
+                cases.append(dict(cross, link_mbps=link_rate,
+                                  pulse_fraction=pulse))
+    scenarios = run_cases(run_case, cases, prop_rtt=prop_rtt,
+                          buffer_ms=buffer_ms, duration=duration, dt=dt,
+                          seed=seed)
+    accuracy: Dict[Tuple[float, float, float], float] = {
+        key: scenario.report.accuracy
+        for key, scenario in zip(keys, scenarios)}
     result.data["accuracy"] = accuracy
     result.data["mean_accuracy"] = (sum(accuracy.values()) / len(accuracy)
                                     if accuracy else 0.0)

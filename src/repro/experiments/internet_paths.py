@@ -18,19 +18,22 @@ emulation of these paths an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
+from ..analysis.metrics import summarize_flow
 from ..cc import Cubic, NullCC
-from ..simulator import Flow, TopologyNetwork, mbps_to_bytes_per_sec
+from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource, WanTrafficGenerator, WanWorkloadConfig
 from .common import (
     MAIN_FLOW,
     ExperimentResult,
     LinkSpec,
+    SchemeResult,
     add_main_flow,
     make_multihop_network,
     queue_delay_stats,
+    run_cases,
 )
 
 #: Name of the access (bottleneck) hop in every emulated path.
@@ -98,31 +101,23 @@ DEFAULT_PROFILES: List[PathProfile] = [
                 description="deep buffer with a competing elastic flow"),
 ]
 
-DEFAULT_SCHEMES = ("nimbus", "cubic", "bbr", "vegas")
 
+def run_case(scheme: str, profile: PathProfile, duration: float = 40.0,
+             dt: float = 0.002, seed: int = 0) -> dict:
+    """One scheme over one path profile; ``data`` is the mean RTT in ms.
 
-def build_path_network(profile: PathProfile, dt: float = 0.002,
-                       seed: int = 0) -> TopologyNetwork:
-    """The two-hop (backbone -> access bottleneck) network of one profile."""
+    The main flow traverses backbone + access; cross traffic is last-mile
+    (access hop only), except the WAN mix, which models transit flows
+    sharing the whole path.
+    """
     links = (
         LinkSpec(WAN_LINK, profile.wan_rate_mbps(),
                  delay_ms=profile.wan_delay() * 1e3, buffer_ms=200.0),
         LinkSpec(ACCESS_LINK, profile.link_mbps,
                  buffer_ms=profile.buffer_ms),
     )
-    return make_multihop_network(links, dt=dt, seed=seed,
-                                 monitor=ACCESS_LINK)
-
-
-def run_path(profile: PathProfile, scheme: str, duration: float = 40.0,
-             dt: float = 0.002, seed: int = 0):
-    """Run one scheme over one path profile; returns the network.
-
-    The main flow traverses backbone + access; cross traffic is last-mile
-    (access hop only), except the WAN mix, which models transit flows
-    sharing the whole path.
-    """
-    network = build_path_network(profile, dt=dt, seed=seed)
+    network = make_multihop_network(links, dt=dt, seed=seed,
+                                    monitor=ACCESS_LINK)
     mu = mbps_to_bytes_per_sec(profile.link_mbps)
     access_rtt = profile.access_rtt()
     add_main_flow(network, scheme, profile.link_mbps, prop_rtt=access_rtt)
@@ -140,7 +135,14 @@ def run_path(profile: PathProfile, scheme: str, duration: float = 40.0,
         network.add_flow(Flow(cc=Cubic(), prop_rtt=profile.prop_rtt,
                               name="cross-elastic"), path=(ACCESS_LINK,))
     network.run(duration)
-    return network
+    recorder, warmup = network.recorder, duration / 4.0
+    label = f"{scheme}@{profile.name}"
+    summary = summarize_flow(recorder, MAIN_FLOW, scheme=label, start=warmup)
+    extra = dict(path=profile.name,
+                 queue=queue_delay_stats(recorder, start=warmup))
+    rtt_ms = recorder.rtt_samples(MAIN_FLOW) * 1e3
+    return {"scheme": label, "summary": summary, "extra": extra,
+            "data": float(rtt_ms.mean()) if rtt_ms.size else 0.0}
 
 
 def run(profiles: Optional[Iterable[PathProfile]] = None,
@@ -153,25 +155,18 @@ def run(profiles: Optional[Iterable[PathProfile]] = None,
         name="fig18_internet_paths",
         parameters=dict(paths=[p.name for p in profiles],
                         schemes=list(schemes), duration=duration))
-    per_path: Dict[str, Dict[str, dict]] = {}
-    warmup = duration / 4.0
-    for profile in profiles:
-        per_path[profile.name] = {}
-        for scheme in schemes:
-            network = run_path(profile, scheme, duration=duration, dt=dt,
-                               seed=seed)
-            recorder = network.recorder
-            label = f"{scheme}@{profile.name}"
-            scheme_result = result.add_scheme(
-                label, recorder, start=warmup, path=profile.name,
-                queue=queue_delay_stats(recorder, start=warmup))
-            rtt_ms = recorder.rtt_samples(MAIN_FLOW) * 1e3
-            per_path[profile.name][scheme] = {
-                "throughput_mbps": scheme_result.summary.mean_throughput_mbps,
-                "mean_delay_ms": scheme_result.summary.mean_delay_ms,
-                "mean_rtt_ms": float(rtt_ms.mean()) if rtt_ms.size else 0.0,
-            }
-    result.data["per_path"] = per_path
+    cases = [dict(scheme=scheme, profile=profile)
+             for profile in profiles for scheme in schemes]
+    payloads = run_cases(run_case, cases, result, duration=duration, dt=dt,
+                         seed=seed)
+    per_path: Dict[str, Dict[str, dict]] = {p.name: {} for p in profiles}
+    for case, payload in zip(cases, payloads):
+        per_path[case["profile"].name][case["scheme"]] = {
+            "throughput_mbps": payload["summary"].mean_throughput_mbps,
+            "mean_delay_ms": payload["summary"].mean_delay_ms,
+            "mean_rtt_ms": payload["data"],
+        }
+    result.data = {"per_path": per_path}
     return result
 
 
@@ -183,11 +178,11 @@ def run_appendix_a(profile: Optional[PathProfile] = None,
     result = ExperimentResult(
         name="fig20_inelastic_paths",
         parameters=dict(path=profile.name, duration=duration))
-    warmup = duration / 4.0
-    for scheme in ("cubic", "nimbus-delay"):
-        network = run_path(profile, scheme, duration=duration, dt=dt,
-                           seed=seed)
-        result.add_scheme(scheme, network.recorder, start=warmup,
-                          queue=queue_delay_stats(network.recorder,
-                                                  start=warmup))
+    schemes = ("cubic", "nimbus-delay")
+    payloads = run_cases(run_case, [dict(scheme=s) for s in schemes],
+                         profile=profile, duration=duration, dt=dt, seed=seed)
+    for scheme, payload in zip(schemes, payloads):
+        result.schemes[scheme] = SchemeResult(
+            scheme, replace(payload["summary"], scheme=scheme),
+            dict(queue=payload["extra"]["queue"]))
     return result

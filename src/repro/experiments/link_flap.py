@@ -33,7 +33,7 @@ from .common import (
     LinkSpec,
     make_multihop_network,
     make_scheme,
-    run_per_scheme,
+    run_cases,
     scripted_case_payload,
 )
 
@@ -119,9 +119,10 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
                         duty=duty, drop_queued=int(drop_queued),
                         link_mbps=link_mbps, wan_mbps=wan_mbps,
                         duration=duration))
-    return run_per_scheme(
-        result, run_case, schemes, period=period, depth=depth, duty=duty,
-        drop_queued=int(drop_queued), link_mbps=link_mbps,
-        wan_mbps=wan_mbps, hop_delay_ms=hop_delay_ms, buffer_ms=buffer_ms,
-        prop_rtt=prop_rtt, phase_duration=phase_duration,
+    run_cases(
+        run_case, [dict(scheme=scheme) for scheme in schemes], result,
+        period=period, depth=depth, duty=duty, drop_queued=int(drop_queued),
+        link_mbps=link_mbps, wan_mbps=wan_mbps, hop_delay_ms=hop_delay_ms,
+        buffer_ms=buffer_ms, prop_rtt=prop_rtt, phase_duration=phase_duration,
         duration=duration, dt=dt, seed=seed)
+    return result

@@ -31,7 +31,7 @@ from .common import (
     make_multihop_network,
     make_scheme,
     queue_delay_stats,
-    run_per_scheme,
+    run_cases,
 )
 
 DEFAULT_SCHEMES = ("nimbus", "cubic", "vegas")
@@ -156,8 +156,9 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES, hops: int = 3,
         parameters=dict(schemes=schemes, hops=int(hops),
                         cross_flows=int(cross_flows), link_mbps=link_mbps,
                         duration=duration))
-    return run_per_scheme(
-        result, run_case, schemes, hops=int(hops),
-        cross_flows=int(cross_flows), link_mbps=link_mbps,
-        hop_delay_ms=hop_delay_ms, buffer_ms=buffer_ms, prop_rtt=prop_rtt,
-        duration=duration, dt=dt, seed=seed)
+    run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
+              hops=int(hops), cross_flows=int(cross_flows),
+              link_mbps=link_mbps, hop_delay_ms=hop_delay_ms,
+              buffer_ms=buffer_ms, prop_rtt=prop_rtt, duration=duration, dt=dt,
+              seed=seed)
+    return result

@@ -42,7 +42,7 @@ from .common import (
     LinkSpec,
     make_multihop_network,
     make_scheme,
-    run_per_scheme,
+    run_cases,
     scripted_case_payload,
 )
 from .link_flap import build_phases
@@ -163,10 +163,10 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
                         drop_queued=int(drop_queued), link_mbps=link_mbps,
                         primary_mbps=primary_mbps, backup_mbps=backup_mbps,
                         duration=duration))
-    return run_per_scheme(
-        result, run_case, schemes, period=period,
-        convergence_ms=convergence_ms, duty=duty,
-        drop_queued=int(drop_queued), link_mbps=link_mbps,
-        primary_mbps=primary_mbps, backup_mbps=backup_mbps,
-        prop_rtt=prop_rtt, phase_duration=phase_duration,
-        duration=duration, dt=dt, seed=seed)
+    run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
+              period=period, convergence_ms=convergence_ms, duty=duty,
+              drop_queued=int(drop_queued), link_mbps=link_mbps,
+              primary_mbps=primary_mbps, backup_mbps=backup_mbps,
+              prop_rtt=prop_rtt, phase_duration=phase_duration,
+              duration=duration, dt=dt, seed=seed)
+    return result

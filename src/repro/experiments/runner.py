@@ -43,7 +43,6 @@ but some specs failed.
 from __future__ import annotations
 
 import argparse
-import importlib
 import inspect
 import os
 import sys
@@ -155,8 +154,11 @@ def _accepts_kwarg(fn, name: str) -> bool:
 
 def _print_listing() -> None:
     for key in sorted(EXPERIMENT_INDEX):
-        module = importlib.import_module(EXPERIMENT_INDEX[key])
-        summary = (module.__doc__ or "").strip().splitlines()
+        target = ScenarioSpec.make(EXPERIMENT_INDEX[key]).resolve()
+        # The module describes its ``run``; any other target, itself.
+        doc = (sys.modules[target.__module__] if target.__name__ == "run"
+               else target).__doc__
+        summary = (doc or "").strip().splitlines()
         print(f"{key:<8} {summary[0] if summary else ''}")
 
 
@@ -221,18 +223,17 @@ def main(argv: List[str] | None = None) -> int:
         print("sweep mode needs an experiment id, e.g. "
               "'runner sweep fig09 --set seed=1,2,3'", file=sys.stderr)
         return 2
-    module_name = EXPERIMENT_INDEX.get(experiment_id)
-    if module_name is None:
+    fn = EXPERIMENT_INDEX.get(experiment_id)
+    if fn is None:
         print(f"unknown experiment {experiment_id!r}; "
               f"try --list", file=sys.stderr)
         return 2
 
-    fn = f"{module_name}:run"
     # Some drivers do not take a duration (they use phase_duration etc.);
     # decide up front instead of re-running a whole batch on TypeError.
     # The registry holds names: this imports the one driver needed.
-    takes_duration = _accepts_kwarg(
-        importlib.import_module(module_name).run, "duration")
+    takes_duration = _accepts_kwarg(ScenarioSpec.make(fn).resolve(),
+                                    "duration")
     try:
         base, axes = _parse_overrides(args.overrides)
         if axes and not sweep_mode:

@@ -31,7 +31,8 @@ from ..cc import (MODE_COMPETITIVE, Bbr, Copa, Cubic, FixedWindow, NewReno,
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..simulator.source import PacedSource
 from ..traffic import PoissonSource
-from .common import MAIN_FLOW, ExperimentResult, add_main_flow, make_network
+from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
+                     run_cases)
 
 
 @dataclass
@@ -106,9 +107,8 @@ def run(traffic_classes: Optional[Iterable[str]] = None,
     result = ExperimentResult(name="table1_classification",
                               parameters=dict(traffic_classes=names,
                                               **kwargs))
-    rows = {}
-    for name in names:
-        rows[name] = classify(name, **kwargs)
+    rows = dict(zip(names, run_cases(
+        classify, [dict(traffic=name) for name in names], **kwargs)))
     result.data["rows"] = rows
     result.data["all_correct"] = all(r["correct"] for r in rows.values())
     return result

@@ -71,12 +71,12 @@ class ManifestError(ValueError):
 
 
 def default_experiment_resolver(name: str) -> str:
-    """Map a bare experiment id to its driver's dotted ``run`` path.
+    """Map a bare experiment id to its front-end's ``"module:function"``.
 
     Imports :mod:`repro.experiments` lazily — only when a manifest
     actually uses a bare id — so the runtime package stays importable
-    without the driver layer; the registry holds module *names*, so no
-    driver is imported to expand a manifest.
+    without the driver layer; the registry holds *names*, so no driver is
+    imported to expand a manifest.
     """
     import importlib
 
@@ -86,7 +86,7 @@ def default_experiment_resolver(name: str) -> str:
             f"unknown experiment id {name!r}; known ids: "
             f"{', '.join(sorted(index))} "
             f"(or use a dotted 'module:callable' path)")
-    return f"{index[name]}:run"
+    return index[name]
 
 
 def _require(condition: bool, message: str) -> None:

@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from ..cc.cubic import Cubic
 from ..simulator.endpoint import Flow
 from ..simulator.topology import TopologyNetwork
@@ -113,29 +115,28 @@ class WanTrafficGenerator:
     # ------------------------------------------------------------------ #
     # Ground truth and statistics
     # ------------------------------------------------------------------ #
-    def elastic_byte_fraction(self, start: float, end: float) -> float:
+    def elastic_byte_fraction(self, start, end) -> np.ndarray:
         """Fraction of generated bytes delivered in [start, end] that belong
-        to elastic flows (the paper's ground truth for Fig. 12)."""
-        elastic = 0.0
-        total = 0.0
-        for record in self.records:
-            flow = record.flow
-            f_start = record.start_time
-            f_end = flow.stats.end_time if flow.stats.end_time is not None else end
-            overlap = max(0.0, min(end, f_end) - max(start, f_start))
-            duration = max(f_end - f_start, 1e-9)
-            bytes_in_window = flow.stats.bytes_delivered * overlap / duration
-            total += bytes_in_window
-            if record.elastic:
-                elastic += bytes_in_window
-        if total <= 0:
-            return 0.0
-        return elastic / total
-
-    def elastic_present(self, start: float, end: float,
-                        byte_fraction_threshold: float = 0.3) -> bool:
-        """Whether elastic flows carry a significant share of bytes in the window."""
-        return self.elastic_byte_fraction(start, end) >= byte_fraction_threshold
+        to elastic flows (the paper's ground truth for Fig. 12).  ``start``
+        and ``end`` broadcast, one window per element: the per-record arrays
+        are built once per call, so ask for a run's windows in one call."""
+        stats = [r.flow.stats for r in self.records]
+        begun = np.array([r.start_time for r in self.records], dtype=float)
+        # ``end_time`` is None while a flow is still running: nan.
+        ended = np.array([s.end_time for s in stats], dtype=float)
+        delivered = np.array([s.bytes_delivered for s in stats], dtype=float)
+        elastic = np.array([r.elastic for r in self.records], dtype=bool)
+        windows = np.broadcast(start, end)
+        fractions = []
+        for w_start, w_end in windows:
+            f_end = np.where(np.isnan(ended), w_end, ended)
+            overlap = np.maximum(
+                0.0, np.minimum(w_end, f_end) - np.maximum(w_start, begun))
+            in_window = delivered * overlap / np.maximum(f_end - begun, 1e-9)
+            total = in_window.sum()
+            fractions.append(in_window[elastic].sum() / total
+                             if total > 0 else 0.0)
+        return np.array(fractions, dtype=float).reshape(windows.shape)
 
     def completed_records(self) -> List[CrossFlowRecord]:
         """Records of flows that have finished (for FCT analysis)."""

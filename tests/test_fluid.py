@@ -404,4 +404,4 @@ class TestFig09Fluid:
 
     def test_registered_in_experiment_index(self):
         from repro.experiments import EXPERIMENT_INDEX, fig09_fluid
-        assert EXPERIMENT_INDEX["fig09_fluid"] == fig09_fluid.__name__
+        assert EXPERIMENT_INDEX["fig09_fluid"] == f"{fig09_fluid.__name__}:run"

@@ -239,5 +239,12 @@ def test_custom_resolver_maps_bare_driver_names():
 def test_default_resolver_uses_the_experiment_registry():
     assert default_experiment_resolver("link_flap") == \
         "repro.experiments.link_flap:run"
+    # The registry names the function, not just the module: an id that
+    # shares a module with another reaches its own front-end.
+    data = _mapping()
+    data["experiment"][0]["driver"] = "fig20"
+    cells = CampaignManifest.from_mapping(data).expand()
+    assert {cell.spec.fn for cell in cells} == {
+        "repro.experiments.internet_paths:run_appendix_a"}
     with pytest.raises(ManifestError, match="unknown experiment id"):
         default_experiment_resolver("definitely_not_registered")

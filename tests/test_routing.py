@@ -433,7 +433,7 @@ class TestSpecPlumbing:
                               **base).spec_hash()
 
     def test_driver_registered(self):
-        assert EXPERIMENT_INDEX["reroute"] == reroute.__name__
+        assert EXPERIMENT_INDEX["reroute"] == f"{reroute.__name__}:run"
 
 
 class TestRerouteDriver:

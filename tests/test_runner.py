@@ -11,7 +11,8 @@ from repro.experiments import EXPERIMENT_INDEX, runner
 @pytest.fixture
 def toy_index(monkeypatch):
     """Register the microscopic fake driver under the id ``toy``."""
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy", _toy_driver.__name__)
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy",
+                        f"{_toy_driver.__name__}:run")
     return "toy"
 
 
@@ -19,6 +20,25 @@ def test_list_exits_cleanly(capsys):
     assert runner.main(["--list"]) == 0
     out = capsys.readouterr().out
     assert "fig09" in out and "table1" in out
+
+
+def test_list_describes_an_id_that_shares_a_module_by_its_function(capsys):
+    assert runner.main(["--list"]) == 0
+    lines = {line.split()[0]: line for line in
+             capsys.readouterr().out.splitlines()}
+    assert "Appendix A / Fig. 20" in lines["fig20"]
+    # fig18 and fig19 are the module's ``run``: the module describes them.
+    assert lines["fig18"].split(None, 1)[1] == lines["fig19"].split(None, 1)[1]
+    assert "Appendix A / Fig. 20" not in lines["fig18"]
+
+
+def test_fig20_runs_appendix_a_not_fig18(capsys):
+    """The registry names the function: ``fig20`` used to resolve to
+    ``internet_paths:run`` and print Fig. 18's table."""
+    assert runner.main(["fig20", "--duration", "4", "--dt", "0.004"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== fig20_inelastic_paths ==")
+    assert "nimbus-delay" in out and "fig18" not in out
 
 
 def test_unknown_experiment():
@@ -52,13 +72,13 @@ def test_single_run_via_runtime(toy_index, capsys):
 
 
 def test_duration_dropped_for_drivers_without_duration(monkeypatch, capsys):
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2")
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2:run")
     assert runner.main(["toy2", "--duration", "9.0"]) == 0
     assert "== toy ==" in capsys.readouterr().out
 
 
 def test_duration_sweep_axis_rejected_without_duration(monkeypatch, capsys):
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2")
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2:run")
     assert runner.main(["sweep", "toy2", "--set", "duration=1,2"]) == 2
     assert "cannot be a sweep axis" in capsys.readouterr().err
     # A sweep over a parameter the driver does accept still works.

@@ -350,7 +350,8 @@ class TestExecutorMetrics:
 @pytest.fixture
 def toy_index(monkeypatch):
     from repro.experiments import EXPERIMENT_INDEX
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy", _toy_driver.__name__)
+    monkeypatch.setitem(EXPERIMENT_INDEX, "toy",
+                        f"{_toy_driver.__name__}:run")
     return "toy"
 
 

@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import quick_network
@@ -96,6 +97,47 @@ class TestWanGenerator:
         _, generator = wan_run
         frac = generator.elastic_byte_fraction(0.0, 30.0)
         assert 0.0 <= frac <= 1.0
+
+    @staticmethod
+    def scanned_elastic_byte_fraction(generator, start, end):
+        """The per-window scan over every record, as it was before the
+        per-record arrays: the oracle for the array arithmetic."""
+        elastic = 0.0
+        total = 0.0
+        for record in generator.records:
+            flow = record.flow
+            f_start = record.start_time
+            f_end = (flow.stats.end_time if flow.stats.end_time is not None
+                     else end)
+            overlap = max(0.0, min(end, f_end) - max(start, f_start))
+            duration = max(f_end - f_start, 1e-9)
+            bytes_in_window = flow.stats.bytes_delivered * overlap / duration
+            total += bytes_in_window
+            if record.elastic:
+                elastic += bytes_in_window
+        if total <= 0:
+            return 0.0
+        return elastic / total
+
+    def test_elastic_byte_fraction_matches_the_record_scan(self, wan_run):
+        network, generator = wan_run
+        # Finished and still-running flows, elastic and not, are all there.
+        ended = [r.flow.stats.end_time is not None for r in generator.records]
+        assert any(ended) and not all(ended)
+        assert len({r.elastic for r in generator.records}) == 2
+        ends = np.arange(0.0, 31.0, 0.5)
+        for window in (0.5, 5.0, 40.0):
+            starts = np.maximum(0.0, ends - window)
+            fractions = generator.elastic_byte_fraction(starts, ends)
+            assert fractions.shape == ends.shape
+            scanned = [self.scanned_elastic_byte_fraction(generator, s, e)
+                       for s, e in zip(starts, ends)]
+            assert fractions == pytest.approx(scanned, abs=1e-12, rel=0)
+            assert len(set(scanned)) > len(scanned) // 2
+        # An empty window (and an empty generator) carries no bytes.
+        assert generator.elastic_byte_fraction(5.0, 5.0) == 0.0
+        idle = WanTrafficGenerator(network, generator.config)
+        assert idle.elastic_byte_fraction(0.0, 30.0) == 0.0
 
     def test_stop_halts_arrivals(self):
         network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
