@@ -172,6 +172,12 @@ SCENARIOS: Dict[str, tuple] = {
     "table1": ("repro.experiments.table1_classification:run", dict(
         traffic_classes=("cubic", "app-limited", "constant-stream"),
         duration=12.0, dt=0.004)),
+    # The two single-simulation front-ends that build their result from a
+    # live recorder (fig16 / fig17 are pinned above).
+    "fig03": ("repro.experiments.fig03_self_inflicted:run", dict(
+        phase_duration=4.0, dt=0.004)),
+    "fig12": ("repro.experiments.fig12_eta_tracking:run", dict(
+        duration=14.0, truth_window=2.0, dt=0.004, seed=1)),
 }
 
 
