@@ -9,7 +9,7 @@ from conftest import BENCH_DT
 
 from repro.core.elasticity import cross_correlation_detector, elasticity_metric
 from repro.core.pulses import AsymmetricSinusoidPulse, SymmetricSinusoidPulse
-from repro.experiments.accuracy_scenarios import CrossSpec, run_accuracy_scenario
+from repro.experiments.accuracy_scenarios import run_case
 
 
 def _signal(frequency=5.0, noise=1.0, duration=5.0, seed=0):
@@ -50,18 +50,18 @@ def test_ablation_pulse_shape(benchmark):
     """The asymmetric pulse needs only a third of the base rate a symmetric
     pulse needs, while achieving the same detection accuracy."""
     def evaluate():
-        spec = CrossSpec(kind="elastic", elastic_flows=1)
-        asym = run_accuracy_scenario(
-            "nimbus", spec, duration=30.0, dt=BENCH_DT,
+        asym = run_case(
+            "nimbus", kind="elastic", duration=30.0, dt=BENCH_DT,
             pulse_shape_factory=AsymmetricSinusoidPulse)
-        sym = run_accuracy_scenario(
-            "nimbus", spec, duration=30.0, dt=BENCH_DT,
+        sym = run_case(
+            "nimbus", kind="elastic", duration=30.0, dt=BENCH_DT,
             pulse_shape_factory=SymmetricSinusoidPulse)
         return asym, sym
     asym, sym = benchmark.pedantic(evaluate, rounds=1, iterations=1)
     assert AsymmetricSinusoidPulse(5.0, 0.25).min_base_fraction() < \
         SymmetricSinusoidPulse(5.0, 0.25).min_base_fraction()
-    assert asym.report.accuracy >= sym.report.accuracy - 0.2
+    assert asym["extra"]["mode_accuracy"] >= \
+        sym["extra"]["mode_accuracy"] - 0.2
 
 
 def test_ablation_crosscorr(benchmark):

@@ -89,17 +89,6 @@ class CrossTrafficEstimator:
         self._times.append(now)
         return z
 
-    def add_sample(self, now: float, send_rate: float,
-                   delivery_rate: float) -> float:
-        """Record a sample from externally supplied S and R values."""
-        z = estimate_cross_traffic(self.mu, send_rate, delivery_rate)
-        self._z.append(z)
-        self._s.append(send_rate)
-        self._r.append(delivery_rate)
-        self._times.append(now)
-        self._last_sample = now
-        return z
-
     # ------------------------------------------------------------------ #
     # Series access
     # ------------------------------------------------------------------ #

@@ -4,11 +4,11 @@ Each module exposes a ``run(**params)`` front-end returning an
 :class:`~repro.experiments.common.ExperimentResult`.  Default parameters
 mirror the paper's setups; benchmarks pass scaled-down durations.
 
-A driver that simulates more than once follows one recipe: a module-level
-``run_case(**scalars)`` builds, runs and measures one network and returns
-data only; ``run`` lists its cases for :func:`.common.run_cases` (one cached
-batch) and reduces the payloads.  Cases echo numeric parameters through
-``float()``.
+Every driver follows one recipe: a module-level ``run_case(**scalars)``
+builds, runs and measures one network and returns the payload — a
+``{"scheme", "summary", "extra", "data"}`` dict, data only; ``run`` lists its
+cases for :func:`.common.run_cases` (one cached batch) and reduces the
+payloads.  Cases echo numeric parameters through ``float()``.
 """
 
 from .common import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .accuracy_scenarios import run_case
+from .accuracy_scenarios import cross_traffic, run_case
 from .common import ExperimentResult, run_cases
 
 
@@ -29,25 +29,23 @@ def run(buffer_bdp_multipliers: Iterable[float] = (1.0, 2.0),
                         categories=list(categories), link_mbps=link_mbps,
                         duration=duration))
 
-    cross = {"elastic": dict(kind="elastic", elastic_flows=1),
-             "mix": dict(kind="mix", elastic_flows=1, rate_fraction=0.25)}
-    poisson = dict(kind="poisson", rate_fraction=0.5, elastic_flows=0)
     keys, cases = [], []
     for category in categories:
+        cross = cross_traffic(category)
         for rtt in prop_rtts:
             for multiplier in buffer_bdp_multipliers:
                 keys.append((category, rtt, multiplier, "droptail"))
-                cases.append(dict(cross.get(category, poisson), prop_rtt=rtt,
+                cases.append(dict(cross, prop_rtt=rtt,
                                   buffer_ms=rtt * 1e3 * multiplier))
             for target in (pie_targets_bdp or ()):
                 keys.append((category, rtt, target, "pie"))
-                cases.append(dict(cross.get(category, poisson), prop_rtt=rtt,
+                cases.append(dict(cross, prop_rtt=rtt,
                                   buffer_ms=rtt * 1e3 * 4,
                                   aqm_target_ms=rtt * 1e3 * target))
     scenarios = run_cases(run_case, cases, link_mbps=link_mbps,
                           duration=duration, dt=dt, seed=seed)
     accuracy: Dict[Tuple, float] = {
-        key: scenario.report.accuracy
+        key: scenario["extra"]["mode_accuracy"]
         for key, scenario in zip(keys, scenarios)}
 
     result.data["accuracy"] = accuracy

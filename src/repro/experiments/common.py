@@ -6,13 +6,13 @@ This module provides the scheme registry (string name -> congestion-control
 instance), the standard network construction, and result containers, so the
 individual ``figXX_*`` modules stay small and declarative.
 
-The one recipe for a driver that simulates more than once lives here too.
-A *case* (a module-level ``run_case(**scalars)``) builds, runs and measures
-one network and returns data only — a ``{"scheme", "summary", "extra",
-"data"}`` dict or an ``AccuracyScenarioResult``; a *front-end* (``run``)
-lists its cases, hands them to :func:`run_cases` and reduces the payloads.
-A spec spells ``4.0`` as ``4``, so a case echoes a numeric parameter into a
-label or an ``extra`` through ``float()``.  :func:`link_byte_table` and
+The one recipe every driver follows lives here too.  A *case* (a
+module-level ``run_case(**scalars)``) builds, runs and measures one network
+and returns the payload — the ``{"scheme", "summary", "extra", "data"}``
+dict, data only; a *front-end* (``run``) lists its cases, hands them to
+:func:`run_cases` and reduces the payloads.  A spec spells ``4.0`` as
+``4``, so a case echoes a numeric parameter into a label or an ``extra``
+through ``float()``.  :func:`link_byte_table` and
 :func:`scripted_case_payload` are the measurement half of the chaos cases.
 """
 
@@ -50,6 +50,7 @@ __all__ = [
     "make_multihop_network",
     "make_network",
     "make_scheme",
+    "masked_mean",
     "queue_delay_stats",
     "run_cases",
     "scripted_case_payload",
@@ -85,16 +86,6 @@ class ExperimentResult:
     schemes: Dict[str, SchemeResult] = field(default_factory=dict)
     data: dict = field(default_factory=dict)
 
-    def add_scheme(self, scheme: str, recorder, flow_name: str = MAIN_FLOW,
-                   start: float = 0.0, end: Optional[float] = None,
-                   **extra) -> SchemeResult:
-        """Summarise a recorder's main flow under the given scheme label."""
-        summary = summarize_flow(recorder, flow_name, scheme=scheme,
-                                 start=start, end=end)
-        result = SchemeResult(scheme=scheme, summary=summary, extra=extra)
-        self.schemes[scheme] = result
-        return result
-
     def table(self) -> str:
         """Summary table as the runner and the examples print it; the scheme
         column fits the longest label (never narrower than 18)."""
@@ -121,6 +112,11 @@ def queue_delay_stats(recorder, start: float = 0.0) -> Dict[str, float]:
         "median": float(np.median(selected)),
         "p95": float(np.percentile(selected, 95)),
     }
+
+
+def masked_mean(series: np.ndarray, mask: np.ndarray) -> float:
+    """Mean of the selected samples, 0.0 when the mask selects none."""
+    return float(np.mean(series[mask])) if mask.any() else 0.0
 
 
 def run_cases(run_case: Callable, cases: Iterable[dict],

@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis.metrics import summarize_flow
 from ..simulator import mbps_to_bytes_per_sec
-from .common import ExperimentResult, add_main_flow, make_network
-from .fig01_motivation import build_schedule
 from ..traffic import ScriptedCrossTraffic
+from .common import (MAIN_FLOW, ExperimentResult, SchemeResult,
+                     add_main_flow, make_network, masked_mean, run_cases)
+from .fig01_motivation import build_schedule
 
 
-def run(link_mbps: float = 48.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, phase_duration: float = 40.0,
-        sample_interval: float = 0.1, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
-    """Run the Cubic flow of Fig. 1a and record self-inflicted vs total delay."""
+def run_case(link_mbps: float = 48.0, prop_rtt: float = 0.05,
+             buffer_ms: float = 100.0, phase_duration: float = 40.0,
+             sample_interval: float = 0.1, dt: float = 0.002,
+             seed: int = 0) -> dict:
+    """The Cubic flow of Fig. 1a, its own share of the queue sampled every
+    ``sample_interval`` (``extra``: the per-phase mean delays)."""
     network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
     flow = add_main_flow(network, "cubic", link_mbps, prop_rtt=prop_rtt)
     cross = ScriptedCrossTraffic(
@@ -50,21 +53,38 @@ def run(link_mbps: float = 48.0, prop_rtt: float = 0.05,
     elastic_mask = (times >= warmup + 5) & (times <= warmup + phase_duration)
     inelastic_mask = (times >= warmup + phase_duration + 5)
 
+    return {
+        "scheme": "cubic",
+        "summary": summarize_flow(network.recorder, MAIN_FLOW, scheme="cubic",
+                                  start=warmup),
+        "extra": {
+            "self_inflicted_elastic_mean": masked_mean(self_inflicted_ms,
+                                                       elastic_mask),
+            "self_inflicted_inelastic_mean": masked_mean(self_inflicted_ms,
+                                                         inelastic_mask),
+            "total_elastic_mean": masked_mean(total_ms, elastic_mask),
+            "total_inelastic_mean": masked_mean(total_ms, inelastic_mask),
+        },
+        "data": {
+            "times": times,
+            "self_inflicted_ms": self_inflicted_ms,
+            "total_ms": total_ms,
+        },
+    }
+
+
+def run(link_mbps: float = 48.0, prop_rtt: float = 0.05,
+        buffer_ms: float = 100.0, phase_duration: float = 40.0,
+        sample_interval: float = 0.1, dt: float = 0.002,
+        seed: int = 0) -> ExperimentResult:
+    """Run the Cubic flow of Fig. 1a and record self-inflicted vs total delay."""
     result = ExperimentResult(
         name="fig03_self_inflicted",
         parameters=dict(link_mbps=link_mbps, phase_duration=phase_duration))
-    result.add_scheme("cubic", network.recorder, start=warmup)
-    result.data = {
-        "times": times,
-        "self_inflicted_ms": self_inflicted_ms,
-        "total_ms": total_ms,
-        "self_inflicted_elastic_mean": float(
-            np.mean(self_inflicted_ms[elastic_mask])) if elastic_mask.any() else 0.0,
-        "self_inflicted_inelastic_mean": float(
-            np.mean(self_inflicted_ms[inelastic_mask])) if inelastic_mask.any() else 0.0,
-        "total_elastic_mean": float(
-            np.mean(total_ms[elastic_mask])) if elastic_mask.any() else 0.0,
-        "total_inelastic_mean": float(
-            np.mean(total_ms[inelastic_mask])) if inelastic_mask.any() else 0.0,
-    }
+    payload, = run_cases(run_case, [{}], link_mbps=link_mbps,
+                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
+                         phase_duration=phase_duration,
+                         sample_interval=sample_interval, dt=dt, seed=seed)
+    result.schemes["cubic"] = SchemeResult("cubic", payload["summary"])
+    result.data = {**payload["data"], **payload["extra"]}
     return result

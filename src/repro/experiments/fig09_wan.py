@@ -28,12 +28,13 @@ from .common import (
 )
 
 
-def run_single(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
-               buffer_ms: float = 100.0, load: float = 0.5,
-               duration: float = 60.0, dt: float = 0.002, seed: int = 1,
-               fluid: int = 0, fluid_arrivals: float = 0.0,
-               **scheme_overrides):
-    """Run one scheme against the WAN workload; returns (recorder, generator).
+def _simulate(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
+              buffer_ms: float = 100.0, load: float = 0.5,
+              duration: float = 60.0, dt: float = 0.002, seed: int = 1,
+              fluid: int = 0, fluid_arrivals: float = 0.0,
+              **scheme_overrides):
+    """Run one scheme against the WAN workload: the live ``(network, main
+    flow, generator)`` a case (here, or Fig. 12's) measures and discards.
 
     ``fluid=1`` replaces the per-flow cross-traffic generator with one
     fluid-aggregate elastic class at the same load (``fluid_arrivals``
@@ -71,7 +72,7 @@ def run_case(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     :class:`~repro.analysis.fct.FctRecord` rows, never the network or a
     ``Flow``.
     """
-    network, _, generator = run_single(
+    network, _, generator = _simulate(
         scheme, link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
         load=load, duration=duration, dt=dt, seed=seed,
         fluid=fluid, fluid_arrivals=fluid_arrivals, **scheme_overrides)

@@ -12,16 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.accuracy import classification_accuracy
-from .common import MAIN_FLOW, ExperimentResult
-from .fig09_wan import run_single
+from ..analysis.metrics import summarize_flow
+from .common import MAIN_FLOW, ExperimentResult, SchemeResult, run_cases
+from .fig09_wan import _simulate
 
 
-def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, load: float = 0.5, duration: float = 80.0,
-        truth_window: float = 5.0, truth_threshold: float = 0.3,
-        dt: float = 0.002, seed: int = 1) -> ExperimentResult:
-    """Run Nimbus on the WAN workload and score eta against ground truth."""
-    network, flow, generator = run_single(
+def run_case(link_mbps: float = 96.0, prop_rtt: float = 0.05,
+             buffer_ms: float = 100.0, load: float = 0.5,
+             duration: float = 80.0, truth_window: float = 5.0,
+             truth_threshold: float = 0.3, dt: float = 0.002,
+             seed: int = 1) -> dict:
+    """Nimbus on the WAN workload, its eta and modes scored against the
+    generator's ground truth."""
+    network, flow, generator = _simulate(
         "nimbus", link_mbps=link_mbps, prop_rtt=prop_rtt,
         buffer_ms=buffer_ms, load=load, duration=duration, dt=dt, seed=seed)
     recorder = network.recorder
@@ -39,21 +42,40 @@ def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
     report = classification_accuracy(times, modes, warmup=warmup,
                                      elastic_truth=truth.__getitem__,
                                      settle=truth_window)
+    return {
+        "scheme": "nimbus",
+        "summary": summarize_flow(recorder, MAIN_FLOW, scheme="nimbus",
+                                  start=warmup),
+        "extra": {
+            "accuracy": report.accuracy,
+            "time_in_competitive": report.time_in_competitive,
+            "truth_elastic_fraction": report.time_elastic_truth,
+        },
+        "data": {
+            "eta_times": eta_times,
+            "eta_values": eta_values,
+            "mode_times": times,
+            "modes": modes,
+            "elastic_fraction_truth": truth_series,
+            "accuracy": report.accuracy,
+        },
+    }
 
+
+def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
+        buffer_ms: float = 100.0, load: float = 0.5, duration: float = 80.0,
+        truth_window: float = 5.0, truth_threshold: float = 0.3,
+        dt: float = 0.002, seed: int = 1) -> ExperimentResult:
+    """Run Nimbus on the WAN workload and score eta against ground truth."""
     result = ExperimentResult(
         name="fig12_eta_tracking",
         parameters=dict(link_mbps=link_mbps, load=load, duration=duration,
                         truth_window=truth_window))
-    result.add_scheme("nimbus", recorder, start=warmup,
-                      accuracy=report.accuracy,
-                      time_in_competitive=report.time_in_competitive,
-                      truth_elastic_fraction=report.time_elastic_truth)
-    result.data = {
-        "eta_times": eta_times,
-        "eta_values": eta_values,
-        "mode_times": times,
-        "modes": modes,
-        "elastic_fraction_truth": truth_series,
-        "accuracy": report.accuracy,
-    }
+    payload, = run_cases(run_case, [{}], link_mbps=link_mbps,
+                         prop_rtt=prop_rtt, buffer_ms=buffer_ms, load=load,
+                         duration=duration, truth_window=truth_window,
+                         truth_threshold=truth_threshold, dt=dt, seed=seed)
+    result.schemes["nimbus"] = SchemeResult("nimbus", payload["summary"],
+                                            payload["extra"])
+    result.data = payload["data"]
     return result

@@ -34,6 +34,7 @@ def run(schemes: Iterable[str] = ("nimbus", "copa"),
         name="fig14_accuracy_vs_copa",
         parameters=dict(schemes=list(schemes),
                         inelastic_shares=list(inelastic_shares),
+                        inelastic_kinds=list(inelastic_kinds),
                         rtt_ratios=list(rtt_ratios), link_mbps=link_mbps,
                         duration=duration))
     inelastic_accuracy: Dict[str, Dict] = {s: {} for s in schemes}
@@ -58,12 +59,12 @@ def run(schemes: Iterable[str] = ("nimbus", "copa"),
 
     result.data = {
         "inelastic": {
-            scheme: {key: scen.report.accuracy
+            scheme: {key: scen["extra"]["mode_accuracy"]
                      for key, scen in runs.items()}
             for scheme, runs in inelastic_accuracy.items()
         },
         "rtt": {
-            scheme: {ratio: scen.report.accuracy
+            scheme: {ratio: scen["extra"]["mode_accuracy"]
                      for ratio, scen in runs.items()}
             for scheme, runs in rtt_accuracy.items()
         },

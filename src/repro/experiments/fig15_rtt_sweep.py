@@ -10,44 +10,12 @@ Nimbus's RTT.  The paper reports > 98 % accuracy for the pure cases and
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
-from .accuracy_scenarios import (
-    AccuracyScenarioResult,
-    CrossSpec,
-    run_accuracy_scenario,
-)
+from .accuracy_scenarios import cross_traffic, run_case
 from .common import ExperimentResult, run_cases
 
 DEFAULT_CATEGORIES = ("elastic", "mix", "poisson")
-
-
-def run_case(category: str, ratio: float = 1.0,
-             mixed_rtts: Optional[Sequence[float]] = None,
-             link_mbps: float = 96.0, prop_rtt: float = 0.05,
-             buffer_ms: float = 100.0, duration: float = 50.0,
-             dt: float = 0.002, seed: int = 0) -> AccuracyScenarioResult:
-    """One (category, RTT-ratio) accuracy point; the batch unit of the sweep.
-
-    ``category`` ``"mixed-rtt"`` ignores ``ratio`` and runs the
-    heterogeneous-RTT companion scenario over ``mixed_rtts`` instead.
-    """
-    if category == "elastic":
-        spec = CrossSpec(kind="elastic", elastic_flows=2, rtt_ratio=ratio)
-    elif category == "mix":
-        spec = CrossSpec(kind="mix", elastic_flows=1, rate_fraction=0.25,
-                         rtt_ratio=ratio)
-    elif category == "poisson":
-        spec = CrossSpec(kind="poisson", rate_fraction=0.5, elastic_flows=0,
-                         rtt_ratio=ratio)
-    elif category == "mixed-rtt":
-        spec = CrossSpec(kind="elastic", elastic_flows=len(mixed_rtts or ()),
-                         elastic_rtts=list(mixed_rtts or ()))
-    else:
-        raise ValueError(f"unknown cross-traffic category {category!r}")
-    return run_accuracy_scenario(
-        "nimbus", spec, link_mbps=link_mbps, prop_rtt=prop_rtt,
-        buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed)
 
 
 def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
@@ -58,10 +26,10 @@ def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
         dt: float = 0.002, seed: int = 0) -> ExperimentResult:
     """Sweep cross-traffic RTT ratio for each traffic category.
 
-    The (category, ratio) grid is executed as one scenario batch;
-    ``mixed_rtts`` optionally appends the multiple-elastic-flows-with-
-    different-RTTs scenario: a list of RTTs (seconds), one backlogged
-    flow each.
+    The (category, ratio) grid is executed as one scenario batch (two
+    backlogged flows make the elastic category); ``mixed_rtts`` optionally
+    appends the multiple-elastic-flows-with-different-RTTs scenario: a list
+    of RTTs (seconds), one backlogged flow each.
     """
     rtt_ratios = list(rtt_ratios)
     categories = list(categories)
@@ -71,19 +39,23 @@ def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
                         link_mbps=link_mbps, duration=duration))
     grid = [(category, ratio)
             for category in categories for ratio in rtt_ratios]
-    cases = [dict(category=category, ratio=ratio) for category, ratio in grid]
+    cases = [dict(cross_traffic(category, elastic_flows=2), rtt_ratio=ratio)
+             for category, ratio in grid]
     if mixed_rtts:
-        cases.append(dict(category="mixed-rtt", mixed_rtts=tuple(mixed_rtts)))
+        cases.append(dict(
+            cross_traffic("elastic", elastic_flows=len(mixed_rtts)),
+            elastic_rtts=tuple(mixed_rtts)))
     payloads = run_cases(run_case, cases, link_mbps=link_mbps,
                          prop_rtt=prop_rtt, buffer_ms=buffer_ms,
                          duration=duration, dt=dt, seed=seed)
 
     accuracy: Dict[str, Dict[float, float]] = {c: {} for c in categories}
-    scenarios: Dict[str, Dict[float, object]] = {c: {} for c in categories}
+    scenarios: Dict[str, Dict[float, dict]] = {c: {} for c in categories}
     for (category, ratio), scenario in zip(grid, payloads):
-        accuracy[category][ratio] = scenario.report.accuracy
+        accuracy[category][ratio] = scenario["extra"]["mode_accuracy"]
         scenarios[category][ratio] = scenario
     result.data = {"accuracy": accuracy, "scenarios": scenarios}
     if mixed_rtts:
-        result.data["mixed_rtt_accuracy"] = payloads[-1].report.accuracy
+        result.data["mixed_rtt_accuracy"] = \
+            payloads[-1]["extra"]["mode_accuracy"]
     return result

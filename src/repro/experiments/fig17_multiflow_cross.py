@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..analysis.metrics import summarize_flow
 from ..core.nimbus import Nimbus
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import Phase, ScriptedCrossTraffic
-from .common import ExperimentResult, make_network
+from .common import (ExperimentResult, SchemeResult, make_network,
+                     masked_mean, run_cases)
 
 
-def run(n_flows: int = 3, link_mbps: float = 192.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, phase_duration: float = 60.0,
-        warmup: float = 30.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
-    """Run the two-phase multi-flow scenario."""
+def run_case(n_flows: int = 3, link_mbps: float = 192.0,
+             prop_rtt: float = 0.05, buffer_ms: float = 100.0,
+             phase_duration: float = 60.0, warmup: float = 30.0,
+             dt: float = 0.002, seed: int = 0) -> dict:
+    """The two-phase scenario.  One payload for the whole run: ``summary``
+    is the first flow's, ``data["flows"]`` holds every flow's."""
     network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
     mu = mbps_to_bytes_per_sec(link_mbps)
     for i in range(n_flows):
@@ -51,30 +54,47 @@ def run(n_flows: int = 3, link_mbps: float = 192.0, prop_rtt: float = 0.05,
     elastic_window = (times >= warmup + 10) & (times <= warmup + phase_duration)
     inelastic_window = times >= warmup + phase_duration + 10
 
-    # Fair share of the aggregate: n_flows/(n_flows + 3 cubic) of the link in
-    # the elastic phase, and everything the CBR leaves in the second phase.
-    fair_elastic = link_mbps * n_flows / (n_flows + 3)
-    fair_inelastic = link_mbps * 0.5
+    summaries = {name: summarize_flow(recorder, name, start=warmup)
+                 for name in names}
+    return {
+        "scheme": names[0],
+        "summary": summaries[names[0]],
+        "extra": {
+            "aggregate_elastic_mean": masked_mean(aggregate, elastic_window),
+            "aggregate_inelastic_mean": masked_mean(aggregate,
+                                                    inelastic_window),
+            "delay_elastic_mean_ms": masked_mean(qdelay, elastic_window),
+            "delay_inelastic_mean_ms": masked_mean(qdelay, inelastic_window),
+            # Fair share of the aggregate: n_flows/(n_flows + 3 cubic) of
+            # the link in the elastic phase, and everything the CBR leaves
+            # in the second phase.
+            "fair_share_elastic_mbps": link_mbps * n_flows / (n_flows + 3),
+            "fair_share_inelastic_mbps": link_mbps * 0.5,
+        },
+        "data": {
+            "flows": summaries,
+            "times": times,
+            "aggregate_mbps": aggregate,
+            "queue_delay_ms": qdelay,
+        },
+    }
 
+
+def run(n_flows: int = 3, link_mbps: float = 192.0, prop_rtt: float = 0.05,
+        buffer_ms: float = 100.0, phase_duration: float = 60.0,
+        warmup: float = 30.0, dt: float = 0.002,
+        seed: int = 0) -> ExperimentResult:
+    """Run the two-phase multi-flow scenario."""
     result = ExperimentResult(
         name="fig17_multiflow_cross",
         parameters=dict(n_flows=n_flows, link_mbps=link_mbps,
                         phase_duration=phase_duration))
-    for name in names:
-        result.add_scheme(name, recorder, flow_name=name, start=warmup)
-    result.data = {
-        "times": times,
-        "aggregate_mbps": aggregate,
-        "queue_delay_ms": qdelay,
-        "aggregate_elastic_mean": float(np.mean(aggregate[elastic_window]))
-        if elastic_window.any() else 0.0,
-        "aggregate_inelastic_mean": float(np.mean(aggregate[inelastic_window]))
-        if inelastic_window.any() else 0.0,
-        "delay_elastic_mean_ms": float(np.mean(qdelay[elastic_window]))
-        if elastic_window.any() else 0.0,
-        "delay_inelastic_mean_ms": float(np.mean(qdelay[inelastic_window]))
-        if inelastic_window.any() else 0.0,
-        "fair_share_elastic_mbps": fair_elastic,
-        "fair_share_inelastic_mbps": fair_inelastic,
-    }
+    payload, = run_cases(run_case, [{}], n_flows=n_flows,
+                         link_mbps=link_mbps, prop_rtt=prop_rtt,
+                         buffer_ms=buffer_ms, phase_duration=phase_duration,
+                         warmup=warmup, dt=dt, seed=seed)
+    series = dict(payload["data"])
+    for name, summary in series.pop("flows").items():
+        result.schemes[name] = SchemeResult(name, summary)
+    result.data = {**series, **payload["extra"]}
     return result

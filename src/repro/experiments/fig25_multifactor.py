@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from .accuracy_scenarios import run_case
+from .accuracy_scenarios import cross_traffic, run_case
 from .common import ExperimentResult, run_cases
 
 
@@ -36,17 +36,8 @@ def run(pulse_sizes: Iterable[float] = (0.125, 0.25),
     keys, cases = [], []
     for link_rate in link_rates_mbps:
         for share in nimbus_shares:
-            inelastic_fraction = max(0.0, 1.0 - share)
-            if traffic_kind == "mix":
-                # Half the non-Nimbus share is elastic, half inelastic.
-                cross = dict(kind="mix", elastic_flows=1,
-                             rate_fraction=inelastic_fraction / 2.0)
-            elif traffic_kind == "elastic":
-                cross = dict(kind="elastic", elastic_flows=1,
-                             rate_fraction=0.0)
-            else:
-                cross = dict(kind="poisson", elastic_flows=0,
-                             rate_fraction=inelastic_fraction)
+            cross = cross_traffic(traffic_kind,
+                                  inelastic_fraction=max(0.0, 1.0 - share))
             for pulse in pulse_sizes:
                 keys.append((pulse, link_rate, share))
                 cases.append(dict(cross, link_mbps=link_rate,
@@ -55,7 +46,7 @@ def run(pulse_sizes: Iterable[float] = (0.125, 0.25),
                           buffer_ms=buffer_ms, duration=duration, dt=dt,
                           seed=seed)
     accuracy: Dict[Tuple[float, float, float], float] = {
-        key: scenario.report.accuracy
+        key: scenario["extra"]["mode_accuracy"]
         for key, scenario in zip(keys, scenarios)}
     result.data["accuracy"] = accuracy
     result.data["mean_accuracy"] = (sum(accuracy.values()) / len(accuracy)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
 from ..analysis.accuracy import mode_fraction
-from ..cc import (MODE_COMPETITIVE, Bbr, Copa, Cubic, FixedWindow, NewReno,
-                  NullCC, Vegas, Vivace)
+from ..analysis.metrics import summarize_flow
+from ..cc import (MODE_COMPETITIVE, MODE_DELAY, Bbr, Copa, Cubic, FixedWindow,
+                  NewReno, NullCC, Vegas, Vivace)
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..simulator.source import PacedSource
 from ..traffic import PoissonSource
@@ -78,24 +79,37 @@ TRAFFIC_CLASSES: Dict[str, TrafficClass] = {
 
 def classify(traffic: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
              buffer_ms: float = 100.0, duration: float = 40.0,
-             dt: float = 0.002, seed: int = 0) -> Dict[str, object]:
-    """Run Nimbus against one traffic class and report the majority decision."""
+             dt: float = 0.002, seed: int = 0) -> dict:
+    """Run Nimbus against one traffic class and report the majority decision
+    (``mode_accuracy``: the share of scored bins spent in the mode the
+    paper's table expects)."""
     spec = TRAFFIC_CLASSES[traffic]
     network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
     mu = mbps_to_bytes_per_sec(link_mbps)
     add_main_flow(network, "nimbus", link_mbps, prop_rtt=prop_rtt)
     network.add_flow(spec.make_flow(mu, prop_rtt, seed + 5))
     network.run(duration)
-    times, modes = network.recorder.mode_series(MAIN_FLOW)
-    post_warmup = [m for t, m in zip(times, modes) if t > 10.0 and m]
+    recorder, warmup = network.recorder, 10.0
+    times, modes = recorder.mode_series(MAIN_FLOW)
+    post_warmup = [m for t, m in zip(times, modes) if t > warmup and m]
     competitive_fraction = mode_fraction(post_warmup, MODE_COMPETITIVE)
     classification = "elastic" if competitive_fraction >= 0.5 else "inelastic"
+    label = f"nimbus@{traffic}"
     return {
-        "traffic": traffic,
-        "expected": spec.expected,
-        "classification": classification,
-        "competitive_fraction": competitive_fraction,
-        "correct": classification == spec.expected,
+        "scheme": label,
+        "summary": summarize_flow(recorder, MAIN_FLOW, scheme=label,
+                                  start=warmup),
+        "extra": {
+            "traffic": traffic,
+            "expected": spec.expected,
+            "classification": classification,
+            "competitive_fraction": competitive_fraction,
+            "correct": classification == spec.expected,
+            "mode_accuracy": mode_fraction(
+                post_warmup, MODE_COMPETITIVE if spec.expected == "elastic"
+                else MODE_DELAY),
+        },
+        "data": None,
     }
 
 
@@ -107,8 +121,9 @@ def run(traffic_classes: Optional[Iterable[str]] = None,
     result = ExperimentResult(name="table1_classification",
                               parameters=dict(traffic_classes=names,
                                               **kwargs))
-    rows = dict(zip(names, run_cases(
-        classify, [dict(traffic=name) for name in names], **kwargs)))
+    payloads = run_cases(classify, [dict(traffic=name) for name in names],
+                         result, **kwargs)
+    rows = {name: payload["extra"] for name, payload in zip(names, payloads)}
     result.data["rows"] = rows
     result.data["all_correct"] = all(r["correct"] for r in rows.values())
     return result

@@ -48,45 +48,50 @@ from .metrics import tally
 CAMPAIGN_SCHEMA_VERSION = 1
 
 
-def _accuracy_of(result: Any) -> Optional[float]:
-    """Best-effort classification accuracy of one cell's result.
-
-    Duck-typed on purpose — the runtime layer must not import the driver
-    layer.  Understands :class:`~repro.experiments.common.
-    ExperimentResult`-shaped objects (mean of per-scheme
-    ``extra["mode_accuracy"]``) and the plain payload dicts the per-case
-    drivers return.
-    """
-    if isinstance(result, SpecFailure):
-        return None
-    schemes = getattr(result, "schemes", None)
-    if isinstance(schemes, dict):
-        values = [s.extra.get("mode_accuracy") for s in schemes.values()
-                  if getattr(s, "extra", None)]
-        values = [v for v in values if isinstance(v, (int, float))]
-        if values:
-            return float(sum(values) / len(values))
-    data = result.get("extra") if isinstance(result, dict) else None
-    if isinstance(data, dict):
-        value = data.get("mode_accuracy")
-        if isinstance(value, (int, float)):
-            return float(value)
-    return None
+def _payload_scalars(summary: Any, extra: Dict[str, Any]) -> Dict[str, Any]:
+    """One payload's scalars: its ``summary``'s fields and the scalar
+    entries of its ``extra``, one nested level dotted (``queue.mean``)."""
+    flat: Dict[str, Any] = {}
+    fields = vars(summary) if summary is not None else {}
+    for key, value in {**fields, **extra}.items():
+        leaves = ({f"{key}.{sub}": leaf for sub, leaf in value.items()}
+                  if isinstance(value, dict) else {key: value})
+        flat.update({name: leaf for name, leaf in leaves.items()
+                     if isinstance(leaf, (int, float, str, bool))})
+    return flat
 
 
 def _scalars_of(result: Any) -> Dict[str, Any]:
-    """Small scalar summary of a cell result for the JSONL stream."""
+    """Scalar summary of one cell's result for the JSONL stream.
+
+    The one shape read is the drivers' payload, ``{"scheme", "summary",
+    "extra", "data"}`` (a dict without those keys reads as a bare
+    ``extra``).  An ``ExperimentResult`` is the top-level scalars of its
+    ``data``, then its schemes' payloads keyed by label: ``{field: {label:
+    value}}``.  Duck-typed on purpose: the runtime layer must not import
+    the driver layer.
+    """
     if isinstance(result, SpecFailure):
         return {"error": result.summary}
-    source = None
     if isinstance(result, dict):
-        source = result
-    elif hasattr(result, "data") and isinstance(result.data, dict):
-        source = result.data
-    if not source:
-        return {}
-    return {key: value for key, value in sorted(source.items())
-            if isinstance(value, (int, float, str, bool))}
+        return _payload_scalars(result.get("summary"),
+                                result.get("extra", result))
+    by_field: Dict[str, Dict[str, Any]] = {}
+    for label, scheme in result.schemes.items():
+        for key, value in _payload_scalars(scheme.summary,
+                                           scheme.extra).items():
+            by_field.setdefault(key, {})[label] = value
+    return {**{key: value for key, value in result.data.items()
+               if isinstance(value, (int, float, str, bool))}, **by_field}
+
+
+def _accuracy_of(scalars: Dict[str, Any]) -> Optional[float]:
+    """A row's accuracy: its scalars' ``mode_accuracy`` (a front-end's row:
+    the mean over its schemes)."""
+    value = scalars.get("mode_accuracy")
+    values = [v for v in (value.values() if isinstance(value, dict)
+                          else [value]) if isinstance(v, (int, float))]
+    return float(sum(values) / len(values)) if values else None
 
 
 class CampaignRunner:
@@ -150,9 +155,9 @@ class CampaignRunner:
                 **{key: record[key] for key in (
                     "spec_hash", "fn", "cache", "outcome", "attempts",
                     "seconds", "worker_pid")},
-                "accuracy": _accuracy_of(result),
                 "scalars": _scalars_of(result),
             }
+            rows[index]["accuracy"] = _accuracy_of(rows[index]["scalars"])
             # Cell ids are unique, so len(cell_rows) is the next cell due.
             while len(cell_rows) in rows:
                 row = rows.pop(len(cell_rows))

@@ -23,10 +23,10 @@ served) + (link queued + fluid backlog) + (link drops + fluid drops)``.
 Model sketch (elastic classes):
 
 * arrivals are Poisson at ``arrivals_per_sec`` flows/s; each arrival
-  draws a size from a log-normal-body / Pareto-tail mixture (mirroring
-  ``repro.traffic.flowsize.HeavyTailedFlowSizes`` — the constants are
-  duplicated here because ``simulator.*`` must not import the traffic
-  layer) and grants the aggregate window one initial window (IW10),
+  draws a size from the log-normal-body / Pareto-tail mixture of
+  :mod:`repro.simulator.wan_mixture` (the one the per-flow
+  ``repro.traffic.flowsize.HeavyTailedFlowSizes`` samples) and grants the
+  aggregate window one initial window (IW10),
 * the aggregate window ``W`` follows the same cubic growth law as the
   tracked :class:`~repro.cc.cubic.Cubic` flows (per-member-flow window
   ``W/n`` tracks ``C (t - K)^3 + W_max`` with the TCP-friendly Reno
@@ -58,19 +58,8 @@ from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
+from . import wan_mixture
 from .units import MSS_BYTES
-
-#: Flow-size mixture constants, mirroring the defaults of
-#: ``repro.traffic.flowsize.HeavyTailedFlowSizes`` (duplicated to keep the
-#: simulator layer free of traffic-layer imports; see that module for the
-#: CAIDA-trace rationale).
-_SHORT_FRACTION = 0.9
-_SHORT_MEDIAN_BYTES = 6.0e3
-_SHORT_SIGMA = 1.2
-_PARETO_SHAPE = 1.2
-_PARETO_SCALE_BYTES = 3.0e4
-_MIN_FLOW_BYTES = 100.0
-_MAX_FLOW_BYTES = 5.0e8
 
 #: Aggregate window granted per arriving flow: the IW10 initial window.
 _INITIAL_WINDOW_BYTES = 10.0 * MSS_BYTES
@@ -79,15 +68,6 @@ _INITIAL_WINDOW_BYTES = 10.0 * MSS_BYTES
 #: class competes fairly with the tracked Cubic flows it stands in for.
 _CUBIC_C = 0.4
 _CUBIC_BETA = 0.7
-
-
-def _mixture_mean_bytes() -> float:
-    """Analytic mean of the unscaled flow-size mixture (bytes)."""
-    lognormal_mean = _SHORT_MEDIAN_BYTES * math.exp(_SHORT_SIGMA ** 2 / 2.0)
-    pareto_mean = min(_PARETO_SHAPE * _PARETO_SCALE_BYTES
-                      / (_PARETO_SHAPE - 1.0), _MAX_FLOW_BYTES)
-    return (_SHORT_FRACTION * lognormal_mean
-            + (1.0 - _SHORT_FRACTION) * pareto_mean)
 
 
 class FluidClass:
@@ -152,11 +132,12 @@ class FluidClass:
         self.active_flows = float(flows)
         # Elastic state.
         self._track_work = kind == "elastic" and flows == 0
-        base_mean = _mixture_mean_bytes()
+        base_mean = wan_mixture.mean_bytes()
         if self._track_work:
             self._arrival_rate = (float(arrivals_per_sec)
                                   if arrivals_per_sec is not None
-                                  else self.target_rate / base_mean)
+                                  else wan_mixture.arrival_rate(
+                                      self.target_rate))
             if self._arrival_rate <= 0:
                 raise ValueError("arrivals_per_sec must be positive")
             # Rescale sampled sizes so lambda * E[size] == target rate:
@@ -321,17 +302,19 @@ class FluidClass:
     def _sample_sizes(self, count: int) -> np.ndarray:
         """Vectorized draw of ``count`` flow sizes from the mixture."""
         rng = self._rng
-        shorts = rng.random(count) < _SHORT_FRACTION
+        shorts = rng.random(count) < wan_mixture.SHORT_FRACTION
         sizes = np.empty(count)
         n_short = int(shorts.sum())
         if n_short:
             sizes[shorts] = rng.lognormal(
-                math.log(_SHORT_MEDIAN_BYTES), _SHORT_SIGMA, n_short)
+                math.log(wan_mixture.SHORT_MEDIAN_BYTES),
+                wan_mixture.SHORT_SIGMA, n_short)
         n_long = count - n_short
         if n_long:
-            sizes[~shorts] = _PARETO_SCALE_BYTES \
-                / rng.random(n_long) ** (1.0 / _PARETO_SHAPE)
-        np.clip(sizes, _MIN_FLOW_BYTES, _MAX_FLOW_BYTES, out=sizes)
+            sizes[~shorts] = wan_mixture.PARETO_SCALE_BYTES \
+                / rng.random(n_long) ** (1.0 / wan_mixture.PARETO_SHAPE)
+        np.clip(sizes, wan_mixture.MIN_FLOW_BYTES,
+                wan_mixture.MAX_FLOW_BYTES, out=sizes)
         if self._size_scale != 1.0:
             sizes *= self._size_scale
         return sizes

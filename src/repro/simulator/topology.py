@@ -494,7 +494,7 @@ class TopologyNetwork:
 
         ``link`` names any topology link; ``None`` targets the monitor
         link (the single-bottleneck default).  Class names must be unique
-        across the network — the recorder and telemetry key on them.
+        across the network — telemetry keys on them.
         Each tick the class offers bytes to that link's queue through its
         normal admission policy, shares its service budget in proportion
         to queued bytes, and participates in the conservation audit (see
@@ -511,7 +511,6 @@ class TopologyNetwork:
             state = target.fluid = FluidLinkState(target)
             self._fluid_states.append(state)
         state.classes.append(fluid_class)
-        self.recorder.register_fluid(fluid_class)
         return fluid_class
 
     def fluid_classes(self) -> List[FluidClass]:
@@ -590,10 +589,6 @@ class TopologyNetwork:
             self.step()
         if self._sink is not None:
             self._sink.flush()
-
-    def run_for(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` seconds."""
-        self.run(self.now + duration)
 
     def step(self) -> None:
         """Advance the simulation by one tick."""
@@ -1086,10 +1081,6 @@ class TopologyNetwork:
         mid-tick; callers should still check ``flow.active``.
         """
         return list(self._active)
-
-    def flows_named(self, name: str) -> List[Flow]:
-        """All flows whose label equals ``name``."""
-        return [f for f in self.flows if f.name == name]
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(topology={self.topology!r}, "

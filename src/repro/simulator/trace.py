@@ -65,34 +65,34 @@ class _FlowRecord:
         self.mode_by_bin: Dict[int, str] = {}
 
 
+#: A link's monotone byte counters, differenced per bin.
+_LINK_COUNTERS = ("total_served", "total_drops")
+
+
 class _CounterRecord:
-    """Per-bin differences of one source's monotone byte counters.
+    """Per-bin differences of one link's monotone byte counters.
 
-    One record type for links (``total_served`` / ``total_drops``) and
-    fluid classes (``total_offered`` / ``total_served`` /
-    ``total_dropped``): ``source`` is the object that owns the counters,
-    ``prev`` their readings when the current bin opened and ``by_bin`` the
-    closed bins' deltas, both keyed by counter name.  The counters are
-    read once per bin boundary (every ``bin_width / dt`` ticks) and when a
-    series is asked for, so recording every link and class of a topology
-    stays off the engine's hot path.  ``closed`` backfills zeros for bins
-    that ended before the record was made (a class attached mid-run).
+    ``source`` is the link that owns the counters (``total_served`` /
+    ``total_drops``), ``prev`` their readings when the current bin opened
+    and ``by_bin`` the closed bins' deltas, both keyed by counter name.
+    The counters are read once per bin boundary (every ``bin_width / dt``
+    ticks) and when a series is asked for, so recording every link of a
+    topology stays off the engine's hot path.
 
-    Link records also carry the queue occupancy, the one per-tick cost:
+    The record also carries the queue occupancy, the one per-tick cost:
     ``occ_acc += source.queue_bytes`` (zero for a single-link network,
     where the monitor queue-delay sum already carries the occupancy).
     """
 
     __slots__ = ("source", "prev", "by_bin", "occ_acc", "occ_by_bin")
 
-    def __init__(self, source, counters: Tuple[str, ...],
-                 closed: int = 0) -> None:
+    def __init__(self, source) -> None:
         self.source = source
         self.prev: Dict[str, float] = {
-            name: getattr(source, name) for name in counters}
+            name: getattr(source, name) for name in _LINK_COUNTERS}
         self.by_bin: Dict[str, List[float]] = {
-            name: [0.0] * closed for name in counters}
-        #: Occupancy sum of the bin currently accumulating (links only).
+            name: [] for name in _LINK_COUNTERS}
+        #: Occupancy sum of the bin currently accumulating.
         self.occ_acc = 0.0
         self.occ_by_bin: List[float] = []
 
@@ -106,11 +106,6 @@ class _CounterRecord:
             prev[name] = reading
             if gap > 0:
                 closed.extend([0.0] * gap)
-
-
-#: The monotone byte counters differenced per bin, by kind of source.
-_LINK_COUNTERS = ("total_served", "total_drops")
-_FLUID_COUNTERS = ("total_offered", "total_served", "total_dropped")
 
 
 class Recorder:
@@ -133,15 +128,11 @@ class Recorder:
         # series (every link is sampled on the same ticks).
         topology = getattr(network, "topology", None)
         links = topology.links if topology is not None else [network.link]
-        self._link_records = [_CounterRecord(link, _LINK_COUNTERS)
-                              for link in links]
+        self._link_records = [_CounterRecord(link) for link in links]
         self._link_index: Dict[str, _CounterRecord] = {
             record.source.name: record for record in self._link_records}
         #: The bin the link records are currently accumulating into.
         self._link_bin = 0
-        #: Fluid-class records, keyed by class name in attachment order
-        #: (classes register through the engine's ``attach_fluid_class``).
-        self._fluid_records: Dict[str, _CounterRecord] = {}
         #: Single-link fast path: when the only link is the monitor link,
         #: its occupancy is already captured by the per-tick queue-delay
         #: sum (``queue_delay == queue_bytes / capacity``), so the bin
@@ -160,20 +151,6 @@ class Recorder:
         if rec is None:
             rec = self._flows[flow_id] = _FlowRecord()
         return rec
-
-    def register_fluid(self, fluid_class) -> None:
-        """Start recording a fluid class's per-bin byte series.
-
-        Called by ``TopologyNetwork.attach_fluid_class``.  Classes may
-        attach mid-run: bins already closed are backfilled with zeros so
-        every fluid series aligns with :meth:`times`.
-        """
-        name = fluid_class.name
-        if name in self._fluid_records:
-            raise ValueError(f"fluid class {name!r} already registered")
-        self._fluid_records[name] = _CounterRecord(
-            fluid_class, _FLUID_COUNTERS,
-            closed=len(self._link_records[0].occ_by_bin))
 
     def on_delivery(self, flow: "Flow", chunk: "Chunk", now: float) -> None:
         b = self._bin(now)
@@ -312,28 +289,6 @@ class Recorder:
         return self._per_bin_rate(self._link_record(link_name),
                                   "total_drops")
 
-    def fluid_class_names(self) -> List[str]:
-        """Names of the recorded fluid classes, in registration order."""
-        return list(self._fluid_records)
-
-    def fluid_offered_series(self, class_name: str
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, Mbit/s) bytes the named fluid class offered per bin."""
-        return self._per_bin_rate(self._fluid_record(class_name),
-                                  "total_offered")
-
-    def fluid_served_series(self, class_name: str
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, Mbit/s) bytes served to the named fluid class per bin."""
-        return self._per_bin_rate(self._fluid_record(class_name),
-                                  "total_served")
-
-    def fluid_drop_series(self, class_name: str
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, Mbit/s) bytes dropped from the named fluid class per bin."""
-        return self._per_bin_rate(self._fluid_record(class_name),
-                                  "total_dropped")
-
     def mode_series(self, name: Optional[str] = None,
                     flow_id: Optional[int] = None
                     ) -> Tuple[np.ndarray, List[Optional[str]]]:
@@ -399,13 +354,6 @@ class Recorder:
                            f"known: {self.link_names()}")
         return record
 
-    def _fluid_record(self, class_name: str) -> _CounterRecord:
-        record = self._fluid_records.get(class_name)
-        if record is None:
-            raise KeyError(f"no recorded fluid class named {class_name!r}; "
-                           f"known: {self.fluid_class_names()}")
-        return record
-
     def _close_bins(self, b: int) -> None:
         """Close the accumulating bin of every record and advance to ``b``.
 
@@ -419,8 +367,6 @@ class Recorder:
             record.occ_acc = 0.0
             if gap > 0:
                 record.occ_by_bin.extend([0.0] * gap)
-            record.close_bin(gap)
-        for record in self._fluid_records.values():
             record.close_bin(gap)
         self._link_bin = b
 

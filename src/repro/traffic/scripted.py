@@ -135,8 +135,3 @@ class ScriptedCrossTraffic:
         if sharers <= 0:
             return available
         return available * main_flows / sharers
-
-    @property
-    def total_duration(self) -> float:
-        """Length of the whole schedule in seconds."""
-        return sum(p.duration for p in self.phases)

@@ -264,6 +264,52 @@ def test_resume_reexecutes_only_the_unsettled_cells(campkg, tmp_path):
 
 
 # ---------------------------------------------------------------------- #
+# One shape from case to row
+# ---------------------------------------------------------------------- #
+def test_case_and_front_end_rows_carry_throughput_delay_and_accuracy(
+        tmp_path):
+    """A row's ``scalars`` are the payload's ``summary`` fields plus the
+    scalar entries of its ``extra``; ``accuracy`` is their
+    ``mode_accuracy``; a front-end's row keys every field by scheme."""
+    toy = {"duration": 12.0, "dt": 0.004}
+    experiments = "repro.experiments."
+    manifest = {
+        "campaign": {"name": "shapes", "seeds": [1]},
+        "experiment": [
+            {"id": "wan", "driver": experiments + "fig09_wan:run_case",
+             "params": {"scheme": "nimbus", "duration": 4.0, "dt": 0.004}},
+            {"id": "mix",
+             "driver": experiments + "accuracy_scenarios:run_case",
+             "params": toy},
+            {"id": "row",
+             "driver": experiments + "table1_classification:classify",
+             "params": {"traffic": "constant-stream", **toy}},
+            {"id": "flap", "driver": "link_flap",
+             "params": {"schemes": ["nimbus", "cubic"], "period": 2.0,
+                        "phase_duration": 2.0, "duration": 4.0,
+                        "dt": 0.004}},
+        ],
+    }
+    runner = CampaignRunner(CampaignManifest.from_mapping(manifest),
+                            out_dir=tmp_path / "run-shapes", workers=1)
+    summary = runner.run()
+    assert summary["totals"]["ok"] == 4
+    rows = {row["experiment"]: row for row in map(
+        json.loads, runner.results_path.read_text().splitlines())}
+    for row in rows.values():
+        assert {"mean_throughput_mbps", "mean_delay_ms"} <= \
+            set(row["scalars"])
+    assert isinstance(rows["wan"]["scalars"]["queue.mean"], float)
+    for case in ("mix", "row"):
+        assert 0.0 <= rows[case]["accuracy"] \
+            == rows[case]["scalars"]["mode_accuracy"] <= 1.0
+    flap = rows["flap"]["scalars"]
+    assert set(flap["mean_throughput_mbps"]) == {"nimbus", "cubic"}
+    # Cubic reports no mode: the front-end's accuracy is Nimbus's.
+    assert rows["flap"]["accuracy"] == flap["mode_accuracy"]["nimbus"]
+
+
+# ---------------------------------------------------------------------- #
 # Summary diffing
 # ---------------------------------------------------------------------- #
 def _summary_with(cells):

@@ -43,11 +43,6 @@ class TestBasicOperation:
         network.run(8.0)
         assert flow.stats.bytes_delivered <= flow.stats.bytes_sent + 1e-6
 
-    def test_run_for(self, small_network):
-        network, _ = small_network
-        network.run_for(1.0)
-        assert network.now == pytest.approx(1.0, abs=0.01)
-
 
 class TestDynamicFlows:
     def test_delayed_start(self, small_network):
@@ -113,14 +108,6 @@ class TestDynamicFlows:
         before = network.recorder.mean_throughput("main", start=5.0, end=10.0)
         after = network.recorder.mean_throughput("main", start=15.0, end=25.0)
         assert after > before
-
-    def test_flows_named(self, small_network):
-        network, _ = small_network
-        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="a"))
-        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="a"))
-        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="b"))
-        assert len(network.flows_named("a")) == 2
-        assert len(network.flows_named("b")) == 1
 
 
 class TestSharing:

@@ -10,6 +10,16 @@ from repro.simulator.units import MSS_BYTES, mbps_to_bytes_per_sec
 MU = mbps_to_bytes_per_sec(96)
 
 
+class _Rates:
+    """A measurement whose paired (S, R) reading is given outright."""
+
+    def __init__(self, send_rate: float, delivery_rate: float) -> None:
+        self.rates = (send_rate, delivery_rate)
+
+    def paired_rates(self, now, window=None):
+        return self.rates
+
+
 class TestEquationOne:
     def test_no_cross_traffic(self):
         # R == S means the flow gets everything it sends: z = mu - S... no:
@@ -78,13 +88,14 @@ class TestCrossTrafficEstimator:
     def test_series_retention(self):
         est = CrossTrafficEstimator(MU, sample_interval=0.01, history=1.0)
         for i in range(500):
-            est.add_sample(i * 0.01, 0.5 * MU, 0.4 * MU)
+            est.maybe_sample(i * 0.01, _Rates(0.5 * MU, 0.4 * MU))
         assert len(est) <= est.maxlen
         assert est.z_series(0.5).shape[0] == 50
 
     def test_add_sample_and_latest(self):
         est = CrossTrafficEstimator(MU)
-        est.add_sample(0.0, 0.5 * MU, 0.25 * MU)
+        assert est.maybe_sample(0.0, _Rates(0.5 * MU, 0.25 * MU)) == \
+            pytest.approx(MU)
         z, s, r = est.latest()
         assert s == pytest.approx(0.5 * MU)
         assert r == pytest.approx(0.25 * MU)
@@ -104,7 +115,7 @@ class TestCrossTrafficEstimator:
     def test_series_are_aligned(self):
         est = CrossTrafficEstimator(MU)
         for i in range(20):
-            est.add_sample(i * 0.01, 0.5 * MU, 0.5 * MU)
+            est.maybe_sample(i * 0.01, _Rates(0.5 * MU, 0.5 * MU))
         assert len(est.z_series()) == len(est.s_series()) == len(est.r_series())
         assert len(est.times()) == len(est.z_series())
         assert np.all(np.diff(est.times()) > 0)
@@ -120,7 +131,8 @@ class TestSeriesTail:
         est = CrossTrafficEstimator(MU, sample_interval=self.INTERVAL,
                                     history=history)
         for i in range(samples):
-            est.add_sample(i * self.INTERVAL, (i + 1.0) * 1e3, 0.4 * MU)
+            est.maybe_sample(i * self.INTERVAL,
+                             _Rates((i + 1.0) * 1e3, 0.4 * MU))
         return est, [(i + 1.0) * 1e3 for i in range(samples)][-est.maxlen:]
 
     def test_duration_rounding_to_zero_samples_is_empty(self):

@@ -11,14 +11,17 @@ import pathlib
 import pytest
 
 import test_golden
+from repro.analysis.metrics import summarize_flow
 from repro.experiments import (
     EXPERIMENT_INDEX,
     ExperimentResult,
+    SchemeResult,
     add_main_flow,
     make_network,
     make_scheme,
 )
 from repro.experiments import (
+    accuracy_scenarios,
     fig01_motivation,
     fig06_elasticity_cdf,
     fig10_copa_drop,
@@ -27,7 +30,6 @@ from repro.experiments import (
     internet_paths,
     table1_classification,
 )
-from repro.experiments.accuracy_scenarios import CrossSpec, run_accuracy_scenario
 from repro.runtime import ScenarioSpec
 from repro.simulator import TopologyNetwork, mbps_to_bytes_per_sec
 
@@ -80,7 +82,8 @@ class TestCommonHelpers:
         add_main_flow(network, "cubic", 24)
         network.run(3.0)
         result = ExperimentResult(name="demo", parameters={})
-        result.add_scheme("cubic", network.recorder)
+        result.schemes["cubic"] = SchemeResult(
+            "cubic", summarize_flow(network.recorder, "main"))
         text = result.table()
         assert "cubic" in text and "tput" in text
 
@@ -89,7 +92,8 @@ class TestCommonHelpers:
         add_main_flow(network, "cubic", 24)
         network.run(3.0)
         result = ExperimentResult(name="demo", parameters={})
-        summary = result.add_scheme("cubic", network.recorder).summary
+        summary = summarize_flow(network.recorder, "main")
+        result.schemes["cubic"] = SchemeResult("cubic", summary)
         # Short labels print exactly as they always have: an 18-wide column.
         assert result.table().splitlines()[1:] == [
             f"{'scheme':<18}{'tput (Mbit/s)':>15}{'mean delay (ms)':>18}"
@@ -99,7 +103,7 @@ class TestCommonHelpers:
         # A long label widens the column for every row instead of
         # shearing its own.
         long_label = "nimbus@ec2-california-hostA"
-        result.add_scheme(long_label, network.recorder)
+        result.schemes[long_label] = SchemeResult(long_label, summary)
         header, short, long = result.table().splitlines()[1:]
         assert len(header) == len(short) == len(long)
         assert long.startswith(long_label + "  ")
@@ -122,14 +126,22 @@ class TestScaledDownDrivers:
         medians = result.data["median_eta"]
         assert medians[1.0] > medians[0.0]
 
-    def test_fig09_payload_rows_carry_what_fct_analysis_reads(self):
+    def test_fig09_payload_rows_carry_what_fct_analysis_reads(self,
+                                                              monkeypatch):
         from repro.analysis import FctRecord, fct_by_size
         from repro.experiments import fig09_wan
 
-        args = dict(duration=6.0, seed=3, **FAST)
-        *_, generator = fig09_wan.run_single("cubic", **args)
-        live = generator.completed_records()
-        rows = fig09_wan.run_case("cubic", **args)["data"]["fct_records"]
+        generators = []
+
+        class Kept(fig09_wan.WanTrafficGenerator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                generators.append(self)
+
+        monkeypatch.setattr(fig09_wan, "WanTrafficGenerator", Kept)
+        rows = fig09_wan.run_case("cubic", duration=6.0, seed=3,
+                                  **FAST)["data"]["fct_records"]
+        live = generators[0].completed_records()
         assert len(rows) == len(live) > 100
         assert rows == [FctRecord(r.size_bytes, r.elastic, r.start_time,
                                   r.fct) for r in live]
@@ -165,27 +177,21 @@ class TestScaledDownDrivers:
         assert f"cubic@{profile.name}" in result.schemes
 
     def test_accuracy_scenario(self):
-        spec = CrossSpec(kind="poisson", rate_fraction=0.5, elastic_flows=0)
-        scenario = run_accuracy_scenario("nimbus", spec, link_mbps=48,
-                                         duration=20, **FAST)
-        assert 0.0 <= scenario.report.accuracy <= 1.0
-        assert scenario.mean_throughput_mbps > 0
+        scenario = accuracy_scenarios.run_case(
+            "nimbus", kind="poisson", rate_fraction=0.5, elastic_flows=0,
+            link_mbps=48, duration=20, **FAST)
+        assert 0.0 <= scenario["extra"]["mode_accuracy"] <= 1.0
+        assert scenario["summary"].mean_throughput_mbps > 0
 
 
 # --------------------------------------------------------------------- #
 # One way to fan out: a front-end lists cases and reduces payloads
 # --------------------------------------------------------------------- #
-#: The drivers that simulate exactly once.  Everything else in the
-#: registry is a front-end over cached cases; a new driver that loops over
-#: ``network.run`` fails the tests below by not being in this set.
-SINGLE_SIMULATION = {"fig03", "fig12", "fig16", "fig17"}
-
 #: Toy-scale ``run(...)`` kwargs per registry id: the golden scenario
 #: wherever the golden table calls the registered front-end itself.
 TOY = {key: test_golden.SCENARIOS[key][1]
        for key, target in EXPERIMENT_INDEX.items()
-       if key not in SINGLE_SIMULATION
-       and test_golden.SCENARIOS.get(key, (None,))[0] == target}
+       if test_golden.SCENARIOS.get(key, (None,))[0] == target}
 TOY.update({
     "fig09": dict(schemes=("cubic",), duration=4.0, dt=0.004),
     "fig18": dict(profiles=internet_paths.DEFAULT_PROFILES[4:5],
@@ -200,11 +206,12 @@ TOY.update({
 })
 TOY["fig19"] = TOY["fig18"]
 
-#: The front-ends this refactor converted from in-process loops (fig05
-#: through fig04's cases), each pinned in ``benchmarks/golden.json``.
-CONVERTED = ("fig01", "fig04", "fig05", "fig06", "fig08", "fig10", "fig11",
-             "fig14", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25",
-             "fig26", "appE", "table1")
+#: The front-ends converted from simulating in ``run`` (PR 22: the
+#: in-process loops, fig05 through fig04's cases; PR 23: fig03, fig12, fig16,
+#: fig17), each pinned in ``benchmarks/golden.json``.
+CONVERTED = ("fig01", "fig03", "fig04", "fig05", "fig06", "fig08", "fig10",
+             "fig11", "fig12", "fig14", "fig16", "fig17", "fig20", "fig21",
+             "fig22", "fig23", "fig24", "fig25", "fig26", "appE", "table1")
 
 #: ``str(inspect.signature(front_end))`` of every registered front-end,
 #: recorded at the commit before the refactor (4bafda3): no caller — 26
@@ -345,8 +352,7 @@ def _count_network_runs(monkeypatch):
 
 class TestOneWayToFanOut:
     def test_toy_table_covers_the_registry(self):
-        assert sorted(TOY) == sorted(set(EXPERIMENT_INDEX)
-                                     - SINGLE_SIMULATION)
+        assert sorted(TOY) == sorted(EXPERIMENT_INDEX)
         assert set(CONVERTED) <= set(TOY)
         assert all(key in test_golden.SCENARIOS for key in CONVERTED)
 
@@ -364,6 +370,12 @@ class TestOneWayToFanOut:
             f"{key}: the second run() called TopologyNetwork.run "
             f"{len(calls) - simulated} time(s) — a front-end lists cases "
             f"for run_cases, it does not simulate")
+
+    @pytest.mark.parametrize("key", sorted(TOY))
+    def test_payloads_hold_data_not_simulator_objects(self, key):
+        """Every registered front-end, not only the golden scenarios."""
+        assert test_golden.simulator_objects(
+            _front_end(key)(**TOY[key])) == []
 
     @pytest.mark.parametrize("key", CONVERTED)
     def test_digest_is_serial_parallel_and_warm_alike(self, key, tmp_path,
@@ -402,8 +414,7 @@ class TestOneWayToFanOut:
                 offenders[path.name] = sorted(named & runtime_names)
         assert offenders == {}
 
-    @pytest.mark.parametrize("key", sorted(set(EXPERIMENT_INDEX)
-                                           - SINGLE_SIMULATION))
+    @pytest.mark.parametrize("key", sorted(EXPERIMENT_INDEX))
     def test_no_front_end_calls_network_run(self, key):
         tree = ast.parse(inspect.getsource(_front_end(key)).lstrip())
         runs = [node for node in ast.walk(tree)

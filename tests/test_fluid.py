@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import quick_network
@@ -29,21 +28,22 @@ MU_96 = mbps_to_bytes_per_sec(96.0)
 
 
 def test_hand_mirrored_constants_agree():
-    """``simulator/fluid.py`` must not import the traffic or cc layers, so
-    it spells their constants again; nothing else keeps the copies equal."""
+    """``simulator/fluid.py`` must not import the cc layer, so it spells
+    Cubic's constants again; nothing else keeps the copies equal.  (The
+    flow-size mixture has one description, ``simulator.wan_mixture``.)"""
     from repro.simulator import fluid
-    from repro.traffic import flowsize
 
-    sizes = flowsize.HeavyTailedFlowSizes()
-    assert (fluid._SHORT_FRACTION, fluid._PARETO_SHAPE) == \
-        (sizes.short_fraction, sizes.pareto_shape)
-    assert (fluid._SHORT_MEDIAN_BYTES, fluid._SHORT_SIGMA,
-            fluid._PARETO_SCALE_BYTES, fluid._MAX_FLOW_BYTES) == \
-        (flowsize.SHORT_MEDIAN_BYTES, flowsize.SHORT_SIGMA,
-         flowsize.PARETO_SCALE_BYTES, flowsize.MAX_FLOW_BYTES)
-    assert fluid._mixture_mean_bytes() == sizes.mean_bytes()
     assert (fluid._CUBIC_C, fluid._CUBIC_BETA) == (Cubic.C, Cubic.BETA)
     assert fluid._INITIAL_WINDOW_BYTES == Cubic.init_cwnd
+
+
+def test_both_tiers_size_arrivals_from_the_one_mixture():
+    """One nominal load is one flow-arrival rate, per-flow or aggregate."""
+    from repro.traffic import HeavyTailedFlowSizes
+
+    cls = FluidClass("wan", MU_96, kind="elastic", load=0.5)
+    assert cls._arrival_rate == \
+        HeavyTailedFlowSizes().arrival_rate_for_load(MU_96, 0.5)
 
 
 def _population_network(flows, link_mbps=96.0, seed=5, audit=None,
@@ -346,21 +346,6 @@ class TestTelemetry:
         _, _, sink = self._traced_run(links=("no-such-link",))
         assert not [r for r in sink.records
                     if r["event"] == "fluid_sample"]
-
-    def test_recorder_series(self):
-        network, cls, _ = self._traced_run()
-        recorder = network.recorder
-        assert recorder.fluid_class_names() == ["pop"]
-        times, served = recorder.fluid_served_series("pop")
-        assert len(times) == len(served)
-        # Mbit/s bins integrate back to the cumulative served counter.
-        if len(times) > 1:
-            bin_width = times[1] - times[0]
-            total = float(np.sum(served)) * bin_width / 8.0 * 1e6
-            assert total == pytest.approx(cls.total_served, rel=0.15)
-        for series in (recorder.fluid_offered_series("pop"),
-                       recorder.fluid_drop_series("pop")):
-            assert len(series[0]) == len(series[1])
 
     def test_trace_summary_fluid_rollup(self):
         _, cls, sink = self._traced_run()

@@ -220,9 +220,6 @@ def _walk(obj: Any, update: Callable[[bytes], None], seen: Dict[int, int],
         for key, value in obj.items():
             _walk(key, update, seen, keep)
             _walk(value, update, seen, keep)
-    elif isinstance(obj, type) or (callable(obj)
-                                   and hasattr(obj, "__qualname__")):
-        tag(f"named:{obj.__module__}.{obj.__qualname__}")
     else:
         # An arbitrary object: class name + attribute state, with shared
         # and cyclic references written as the index of their first visit.
@@ -284,8 +281,7 @@ def simulator_objects(payload: Any) -> List[str]:
     A payload is data: it is cached, shipped between processes and loaded
     by code that never ran the scenario, so an instance of anything under
     :data:`SIMULATOR_PACKAGES` (a ``Flow``, a cc algorithm, a detector) in
-    it means a driver leaked its network.  A class or function *named* in
-    a payload (``CrossSpec.cc = NewReno``) is a name, not state.
+    it means a driver leaked its network.
     """
     reached: List[Any] = []
     _walk(payload, lambda _: None, {}, reached)
@@ -369,11 +365,12 @@ if pytest is not None:
         from repro.simulator import Flow
 
         flow = Flow(cc=Cubic(), prop_rtt=0.05, name="leak")
-        found = simulator_objects({"data": [("row", flow)], "named": Cubic})
+        found = simulator_objects({"data": [("row", flow)]})
         assert "repro.simulator.endpoint.Flow" in found
         assert "repro.cc.cubic.Cubic" in found  # flow.cc, an instance
-        # Naming a class or a function is not holding an object of it.
-        assert simulator_objects({"named": Cubic, "fn": Flow.emit}) == []
+        # A class is not data either: it has no canonical form.
+        with pytest.raises(TypeError):
+            canonical_digest({"named": Cubic})
 
     def test_golden_file_covers_exactly_the_scenarios():
         assert sorted(load_golden()) == sorted(SCENARIOS)

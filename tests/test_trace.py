@@ -154,13 +154,14 @@ def test_unknown_link_raises_with_known_names(multihop_run):
 
 
 # --------------------------------------------------------------------- #
-# One counter record: differential test against the two-record recorder
+# One counter record: differential test against the hand-unrolled recorder
 # --------------------------------------------------------------------- #
-# ``_CounterRecord`` replaced ``_LinkRecord`` + ``_FluidRecord`` and
-# ``_counter_bins`` replaced ``_link_bins`` + ``_fluid_bins``.  The old
-# logic is kept here, verbatim in its arithmetic, as the oracle: both
-# recorders watch the same scripted counters and every public link/fluid
-# series must come out ``==``, mid-run reads of the open bin included.
+# ``_CounterRecord`` replaced ``_LinkRecord`` and ``_counter_bins``
+# replaced ``_link_bins``.  The old logic is kept here, verbatim in its
+# arithmetic, as the oracle: both recorders watch the same scripted
+# counters and every public link series must come out ``==``, mid-run
+# reads of the open bin included.  (The per-class fluid series the two
+# once shared went with their last reader.)
 class _ScriptedLink:
     def __init__(self, name, capacity):
         self.name, self.capacity = name, capacity
@@ -171,14 +172,6 @@ class _ScriptedLink:
     @property
     def queue_delay(self):
         return self.queue_bytes / self.capacity
-
-
-class _ScriptedFluid:
-    def __init__(self, name):
-        self.name = name
-        self.total_offered = 0.0
-        self.total_served = 0.0
-        self.total_dropped = 0.0
 
 
 class _ScriptedTopology:
@@ -200,7 +193,7 @@ class _ScriptedNetwork:
 
 
 class _TwoRecordOracle:
-    """The link/fluid half of the recorder as it was before the merge."""
+    """The link half of the recorder as it was before the merge."""
 
     class _LinkRecord:
         def __init__(self, link):
@@ -211,15 +204,6 @@ class _TwoRecordOracle:
             self.prev_served = 0.0
             self.prev_drops = 0.0
 
-    class _FluidRecord:
-        def __init__(self, source):
-            self.source = source
-            self.offered_by_bin, self.served_by_bin, self.dropped_by_bin = \
-                [], [], []
-            self.prev_offered = source.total_offered
-            self.prev_served = source.total_served
-            self.prev_dropped = source.total_dropped
-
     def __init__(self, network, bin_width):
         self.network, self.bin_width = network, bin_width
         self._link_qdelay_sum, self._link_qdelay_cnt = [], []
@@ -228,18 +212,8 @@ class _TwoRecordOracle:
                               for link in network.topology.links]
         self._link_index = {r.link.name: r for r in self._link_records}
         self._link_bin = 0
-        self._fluid_records = {}
         self._solo_record = (self._link_records[0]
                              if len(self._link_records) == 1 else None)
-
-    def register_fluid(self, fluid_class):
-        record = self._FluidRecord(fluid_class)
-        closed = len(self._link_records[0].served_by_bin)
-        if closed:
-            record.offered_by_bin = [0.0] * closed
-            record.served_by_bin = [0.0] * closed
-            record.dropped_by_bin = [0.0] * closed
-        self._fluid_records[fluid_class.name] = record
 
     def on_tick(self, now):
         b = int(now / self.bin_width)
@@ -273,21 +247,6 @@ class _TwoRecordOracle:
                 record.occ_by_bin.extend([0.0] * gap)
                 record.served_by_bin.extend([0.0] * gap)
                 record.dropped_by_bin.extend([0.0] * gap)
-        for fluid in self._fluid_records.values():
-            source = fluid.source
-            offered = source.total_offered
-            fluid.offered_by_bin.append(offered - fluid.prev_offered)
-            fluid.prev_offered = offered
-            served = source.total_served
-            fluid.served_by_bin.append(served - fluid.prev_served)
-            fluid.prev_served = served
-            dropped = source.total_dropped
-            fluid.dropped_by_bin.append(dropped - fluid.prev_dropped)
-            fluid.prev_dropped = dropped
-            if gap > 0:
-                fluid.offered_by_bin.extend([0.0] * gap)
-                fluid.served_by_bin.extend([0.0] * gap)
-                fluid.dropped_by_bin.extend([0.0] * gap)
         self._link_bin = b
 
     def _link_bins(self, record):
@@ -313,21 +272,6 @@ class _TwoRecordOracle:
                 occ[current] += record.occ_acc
         return occ, served, dropped
 
-    def _fluid_bins(self, record):
-        n = self._max_bin + 1
-        offered, served, dropped = np.zeros(n), np.zeros(n), np.zeros(n)
-        flushed = min(len(record.offered_by_bin), n)
-        offered[:flushed] = record.offered_by_bin[:flushed]
-        served[:flushed] = record.served_by_bin[:flushed]
-        dropped[:flushed] = record.dropped_by_bin[:flushed]
-        current = self._link_bin
-        if current < n:
-            source = record.source
-            offered[current] += source.total_offered - record.prev_offered
-            served[current] += source.total_served - record.prev_served
-            dropped[current] += source.total_dropped - record.prev_dropped
-        return offered, served, dropped
-
     def times(self):
         return (np.arange(self._max_bin + 1) + 0.5) * self.bin_width
 
@@ -344,7 +288,7 @@ class _TwoRecordOracle:
         return self.times(), bytes_per_sec_to_mbps(by_bin / self.bin_width)
 
     def series(self):
-        """Every public link / fluid series, keyed like ``_all_series``."""
+        """Every public link series, keyed like ``_all_series``."""
         out = {}
         for name, record in self._link_index.items():
             occ, served, dropped = self._link_bins(record)
@@ -354,11 +298,6 @@ class _TwoRecordOracle:
                 times, occupancy / record.link.capacity * 1e3)
             out["link_throughput", name] = self._per_bin_rate(served)
             out["link_drop", name] = self._per_bin_rate(dropped)
-        for name, record in self._fluid_records.items():
-            offered, served, dropped = self._fluid_bins(record)
-            out["fluid_offered", name] = self._per_bin_rate(offered)
-            out["fluid_served", name] = self._per_bin_rate(served)
-            out["fluid_drop", name] = self._per_bin_rate(dropped)
         return out
 
 
@@ -370,10 +309,6 @@ def _all_series(recorder):
             recorder.link_queue_delay_series(name)
         out["link_throughput", name] = recorder.link_throughput_series(name)
         out["link_drop", name] = recorder.link_drop_series(name)
-    for name in recorder.fluid_class_names():
-        out["fluid_offered", name] = recorder.fluid_offered_series(name)
-        out["fluid_served", name] = recorder.fluid_served_series(name)
-        out["fluid_drop", name] = recorder.fluid_drop_series(name)
     return out
 
 
@@ -390,8 +325,7 @@ def _counter_scripts(draw):
     steps = draw(st.lists(st.tuples(
         st.lists(st.tuples(_bytes, _bytes, _bytes),   # served, drops, queue
                  min_size=links, max_size=links),
-        st.tuples(_bytes, _bytes, _bytes),            # fluid offered/served/dropped
-        st.sampled_from(["", "", "", "read", "attach"])),
+        st.sampled_from(["", "", "", "read"])),
         min_size=1, max_size=60))
     return bin_width, dt, links, steps
 
@@ -405,7 +339,6 @@ def test_one_counter_record_equals_the_two_record_recorder(script):
     recorder = Recorder(network, bin_width=bin_width)
     oracle = _TwoRecordOracle(network, bin_width)
     assert (recorder._solo_record is None) == (oracle._solo_record is None)
-    fluids = []
 
     def compare():
         ours, theirs = _all_series(recorder), oracle.series()
@@ -414,22 +347,11 @@ def test_one_counter_record_equals_the_two_record_recorder(script):
             for mine, reference in zip(ours[key], theirs[key]):
                 assert np.array_equal(mine, reference), key
 
-    for tick, (per_link, fluid_step, action) in enumerate(steps):
+    for tick, (per_link, action) in enumerate(steps):
         for link, (served, drops, queued) in zip(links, per_link):
             link.total_served += served
             link.total_drops += drops
             link.queue_bytes = queued
-        for fluid in fluids:
-            fluid.total_offered += fluid_step[0]
-            fluid.total_served += fluid_step[1]
-            fluid.total_dropped += fluid_step[2]
-        if action == "attach":
-            # A class registered mid-run, its counters already running.
-            fluid = _ScriptedFluid(f"class{len(fluids)}")
-            fluid.total_offered = fluid_step[0]
-            fluids.append(fluid)
-            recorder.register_fluid(fluid)
-            oracle.register_fluid(fluid)
         recorder.on_tick(tick * dt)
         oracle.on_tick(tick * dt)
         if action == "read":

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import quick_network
-from repro.experiments.fig09_wan import run_single
+from repro.experiments import add_main_flow, make_network
 from repro.simulator import FlowMeasurement, mbps_to_bytes_per_sec
 from repro.simulator.units import MSS_BYTES
 from repro.traffic import (
@@ -21,22 +21,26 @@ from repro.traffic import (
 from repro.traffic.flowsize import FlowSizeSample
 
 
+def _samples(dist, n):
+    return [dist.sample() for _ in range(n)]
+
+
 class TestFlowSizes:
     def test_sizes_positive_and_bounded(self):
         dist = HeavyTailedFlowSizes(seed=1)
-        samples = dist.sample_many(2000)
+        samples = _samples(dist, 2000)
         assert all(100.0 <= s.size_bytes <= dist.max_bytes for s in samples)
 
     def test_heavy_tail_present(self):
         dist = HeavyTailedFlowSizes(seed=2)
-        sizes = sorted(s.size_bytes for s in dist.sample_many(5000))
+        sizes = sorted(s.size_bytes for s in _samples(dist, 5000))
         top_1pct = sizes[int(0.99 * len(sizes)):]
         # The top 1% of flows must be far larger than the median.
         assert min(top_1pct) > 20 * sizes[len(sizes) // 2]
 
     def test_most_flows_short_most_bytes_long(self):
         dist = HeavyTailedFlowSizes(seed=3)
-        samples = dist.sample_many(5000)
+        samples = _samples(dist, 5000)
         short = [s for s in samples if not s.elastic]
         elastic_bytes = sum(s.size_bytes for s in samples if s.elastic)
         total_bytes = sum(s.size_bytes for s in samples)
@@ -45,7 +49,7 @@ class TestFlowSizes:
 
     def test_elastic_flag_matches_threshold(self):
         dist = HeavyTailedFlowSizes(seed=4)
-        for sample in dist.sample_many(500):
+        for sample in _samples(dist, 500):
             assert sample.elastic == (sample.size_bytes > ELASTIC_THRESHOLD_BYTES)
 
     def test_arrival_rate_for_load(self):
@@ -55,8 +59,8 @@ class TestFlowSizes:
         assert rate * dist.mean_bytes() == pytest.approx(0.5 * mu, rel=1e-6)
 
     def test_reproducibility(self):
-        a = [s.size_bytes for s in HeavyTailedFlowSizes(seed=7).sample_many(50)]
-        b = [s.size_bytes for s in HeavyTailedFlowSizes(seed=7).sample_many(50)]
+        a = [s.size_bytes for s in _samples(HeavyTailedFlowSizes(seed=7), 50)]
+        b = [s.size_bytes for s in _samples(HeavyTailedFlowSizes(seed=7), 50)]
         assert a == b
 
     def test_invalid_parameters(self):
@@ -322,7 +326,14 @@ class TestStateFollowsLiveness:
         gc.collect()
         tracemalloc.start()
         try:
-            network, _, generator = run_single("cubic", duration=8, dt=0.004)
+            # The fig09 / e2e ``wan_churn`` scenario, kept alive.
+            network = make_network(96.0, buffer_ms=100.0, dt=0.004, seed=1)
+            add_main_flow(network, "cubic", 96.0)
+            generator = WanTrafficGenerator(network, WanWorkloadConfig(
+                link_rate=mbps_to_bytes_per_sec(96.0), load=0.5,
+                prop_rtt=0.05, seed=1))
+            generator.start()
+            network.run(8.0)
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -386,4 +397,3 @@ class TestScripted:
                                                   end=16.0)
         assert first == pytest.approx(24.0, rel=0.25)   # backlogged Cubic
         assert second == pytest.approx(6.0, rel=0.3)    # 6 Mbit/s Poisson
-        assert script.total_duration == pytest.approx(16.0)
