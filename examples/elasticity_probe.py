@@ -21,7 +21,8 @@ def main() -> None:
     print(f"{'cross traffic':<18}{'expected':<12}{'classified':<12}"
           f"{'competitive fraction':>22}")
     for traffic in ("cubic", "vegas", "constant-stream", "app-limited"):
-        row = table1_classification.classify(traffic, duration=35.0, dt=0.004)
+        row = table1_classification.classify(
+            traffic, duration=35.0, dt=0.004)["extra"]
         print(f"{traffic:<18}{row['expected']:<12}{row['classification']:<12}"
               f"{row['competitive_fraction']:>22.2f}")
     print("\nACK-clocked transports respond to the induced rate fluctuations")

@@ -28,13 +28,13 @@ from .common import (
 )
 
 
-def _simulate(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
-              buffer_ms: float = 100.0, load: float = 0.5,
-              duration: float = 60.0, dt: float = 0.002, seed: int = 1,
-              fluid: int = 0, fluid_arrivals: float = 0.0,
-              **scheme_overrides):
-    """Run one scheme against the WAN workload: the live ``(network, main
-    flow, generator)`` a case (here, or Fig. 12's) measures and discards.
+def wan_network(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
+                buffer_ms: float = 100.0, load: float = 0.5,
+                dt: float = 0.002, seed: int = 1, fluid: int = 0,
+                fluid_arrivals: float = 0.0, **scheme_overrides):
+    """Build one scheme against the WAN workload, not yet run: the
+    ``(network, main flow, generator)`` a case (here, or Fig. 12's) runs,
+    measures and discards.
 
     ``fluid=1`` replaces the per-flow cross-traffic generator with one
     fluid-aggregate elastic class at the same load (``fluid_arrivals``
@@ -55,7 +55,6 @@ def _simulate(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
             link_rate=mbps_to_bytes_per_sec(link_mbps), load=load,
             prop_rtt=prop_rtt, seed=seed))
         generator.start()
-    network.run(duration)
     return network, flow, generator
 
 
@@ -72,10 +71,11 @@ def run_case(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     :class:`~repro.analysis.fct.FctRecord` rows, never the network or a
     ``Flow``.
     """
-    network, _, generator = _simulate(
+    network, _, generator = wan_network(
         scheme, link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-        load=load, duration=duration, dt=dt, seed=seed,
+        load=load, dt=dt, seed=seed,
         fluid=fluid, fluid_arrivals=fluid_arrivals, **scheme_overrides)
+    network.run(duration)
     recorder = network.recorder
     warmup = duration / 6.0
     rate_values, rate_probs = rate_cdf_over_intervals(

@@ -68,8 +68,9 @@ def _scalars_of(result: Any) -> Dict[str, Any]:
     "extra", "data"}`` (a dict without those keys reads as a bare
     ``extra``).  An ``ExperimentResult`` is the top-level scalars of its
     ``data``, then its schemes' payloads keyed by label: ``{field: {label:
-    value}}``.  Duck-typed on purpose: the runtime layer must not import
-    the driver layer.
+    value}}``.  Anything else a ``module:fn`` driver returns has no scalars.
+    Duck-typed on purpose: the runtime layer must not import the driver
+    layer.
     """
     if isinstance(result, SpecFailure):
         return {"error": result.summary}
@@ -77,11 +78,12 @@ def _scalars_of(result: Any) -> Dict[str, Any]:
         return _payload_scalars(result.get("summary"),
                                 result.get("extra", result))
     by_field: Dict[str, Dict[str, Any]] = {}
-    for label, scheme in result.schemes.items():
+    for label, scheme in getattr(result, "schemes", {}).items():
         for key, value in _payload_scalars(scheme.summary,
                                            scheme.extra).items():
             by_field.setdefault(key, {})[label] = value
-    return {**{key: value for key, value in result.data.items()
+    return {**{key: value
+               for key, value in getattr(result, "data", {}).items()
                if isinstance(value, (int, float, str, bool))}, **by_field}
 
 

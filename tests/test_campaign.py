@@ -16,6 +16,7 @@ import pytest
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import (
     CampaignRunner,
+    _scalars_of,
     diff_summaries,
     main,
     render_diff,
@@ -284,6 +285,9 @@ def test_case_and_front_end_rows_carry_throughput_delay_and_accuracy(
             {"id": "row",
              "driver": experiments + "table1_classification:classify",
              "params": {"traffic": "constant-stream", **toy}},
+            {"id": "eta",
+             "driver": experiments + "fig12_eta_tracking:run_case",
+             "params": {"truth_window": 2.0, **toy}},
             {"id": "flap", "driver": "link_flap",
              "params": {"schemes": ["nimbus", "cubic"], "period": 2.0,
                         "phase_duration": 2.0, "duration": 4.0,
@@ -293,20 +297,27 @@ def test_case_and_front_end_rows_carry_throughput_delay_and_accuracy(
     runner = CampaignRunner(CampaignManifest.from_mapping(manifest),
                             out_dir=tmp_path / "run-shapes", workers=1)
     summary = runner.run()
-    assert summary["totals"]["ok"] == 4
+    assert summary["totals"]["ok"] == 5
     rows = {row["experiment"]: row for row in map(
         json.loads, runner.results_path.read_text().splitlines())}
     for row in rows.values():
         assert {"mean_throughput_mbps", "mean_delay_ms"} <= \
             set(row["scalars"])
     assert isinstance(rows["wan"]["scalars"]["queue.mean"], float)
-    for case in ("mix", "row"):
+    for case in ("mix", "row", "eta"):
         assert 0.0 <= rows[case]["accuracy"] \
             == rows[case]["scalars"]["mode_accuracy"] <= 1.0
     flap = rows["flap"]["scalars"]
     assert set(flap["mean_throughput_mbps"]) == {"nimbus", "cubic"}
     # Cubic reports no mode: the front-end's accuracy is Nimbus's.
     assert rows["flap"]["accuracy"] == flap["mode_accuracy"]["nimbus"]
+
+
+@pytest.mark.parametrize("result", [None, 7, [1.0, 2.0]])
+def test_a_result_of_neither_shape_has_no_scalars(result):
+    """A ``module:fn`` driver may return anything; the row is still
+    written."""
+    assert _scalars_of(result) == {}
 
 
 # ---------------------------------------------------------------------- #
