@@ -22,22 +22,18 @@ identical parameters are served from the on-disk cache (see
 ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` / ``REPRO_BENCH_WORKERS``).
 
 Observability flags: ``--metrics PATH`` appends one JSONL record per spec
-(cache hit/miss, wall seconds, worker pid — see
-:mod:`repro.runtime.metrics`); ``--trace PATH`` streams structured engine
+the moment it settles (cache hit/miss, wall seconds, worker pid — see
+:mod:`repro.runtime.metrics`), so an interrupted batch still leaves the
+records of what finished; ``--trace PATH`` streams structured engine
 events to a JSONL file (see :mod:`repro.simulator.telemetry`).  Tracing
 forces a cold, serial run: a cache hit would simulate nothing (and emit no
 events), and pool workers appending to one file would interleave lines.
 
-Robustness flags: any of ``--timeout SECONDS`` (per-spec deadline),
-``--max-retries N`` (bounded retry with exponential backoff), or
-``--resume`` switches the batch onto the hardened executor — every miss
-runs crash-isolated, a raising/hanging spec becomes a structured failure
-printed after the healthy results instead of killing the batch, and each
-spec's terminal state is journalled (``--journal PATH`` overrides the
-content-addressed default under the cache directory).  ``--resume`` keeps
-the previous journal and, with the cache enabled, re-attempts only the
-failed or never-completed specs.  Exit code 3 means the batch finished
-but some specs failed.
+A runner batch is a plain cached batch: a raising spec ends it with the
+driver's error.  A batch that must survive failing specs — per-spec
+deadlines, retries, failure rows, exit code 3 — is a campaign: write the
+grid as a manifest and run it with ``repro-campaign run`` (see
+:mod:`repro.runtime.campaign`).
 """
 
 from __future__ import annotations
@@ -49,15 +45,7 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
-from ..runtime import (
-    BatchExecutor,
-    ResultCache,
-    ScenarioSpec,
-    SpecFailure,
-    batch_id,
-    default_journal_path,
-    tally,
-)
+from ..runtime import BatchExecutor, ResultCache, ScenarioSpec, tally
 from ..runtime.spec import expand_grid
 from . import EXPERIMENT_INDEX
 from .common import ExperimentResult
@@ -120,12 +108,6 @@ def _describe(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def _describe_failure(failure: SpecFailure) -> str:
-    """Render a structured spec failure for the terminal."""
-    return (f"FAILED: {failure.label} ({failure.fn}) — {failure.outcome} "
-            f"after {failure.attempts} attempt(s)\n  {failure.summary}")
-
-
 def _print_profile(records: List[dict], wall: float) -> None:
     """Render per-scenario wall times and the batch tally for --profile."""
     print("--- profile ---")
@@ -134,13 +116,12 @@ def _print_profile(records: List[dict], wall: float) -> None:
         status = "cached" if seconds is None else f"{seconds:8.2f}s"
         print(f"{record['label']:<40} {status}")
     count = tally(records)
-    failed = f", {count['failures']} failed" if count["failures"] else ""
     corrupt = (f", {count['corrupt']} corrupt cache entr"
                f"{'y' if count['corrupt'] == 1 else 'ies'} re-executed"
                if count["corrupt"] else "")
     print(f"batch: {count['specs']} spec(s) in {wall:.2f}s — "
           f"{count['hits']} cache hit(s), {count['misses']} miss(es), "
-          f"{count['executed']} executed{failed}{corrupt}")
+          f"{count['executed']} executed{corrupt}")
 
 
 def _accepts_kwarg(fn, name: str) -> bool:
@@ -185,32 +166,15 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="After the batch, print per-scenario wall time "
                              "and the batch tally (hits / misses / corrupt "
-                             "entries re-executed, executed, failed)")
+                             "entries re-executed, executed)")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="Append one runtime-metrics JSONL record per "
-                             "scenario to PATH")
+                             "scenario to PATH as it settles")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="Stream structured engine events to a JSONL "
                              "trace at PATH (forces a cold, serial run; "
                              "filters via REPRO_TRACE_FLOWS/LINKS/EVENTS/"
                              "SAMPLE)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="Per-spec wall-clock deadline; a spec still "
-                             "running is terminated and recorded as a "
-                             "failure (enables the hardened executor)")
-    parser.add_argument("--max-retries", type=int, default=0, metavar="N",
-                        help="Retry a failed/timed-out/crashed spec up to "
-                             "N extra times with exponential backoff "
-                             "(enables the hardened executor)")
-    parser.add_argument("--resume", action="store_true",
-                        help="Keep the batch journal from a previous "
-                             "(interrupted or failed) run and re-attempt "
-                             "only failed or incomplete specs")
-    parser.add_argument("--journal", metavar="PATH", default=None,
-                        help="Batch journal location (default: derived "
-                             "from the batch content, under the cache "
-                             "directory)")
     args = parser.parse_args(argv)
 
     if args.list or not args.experiment:
@@ -257,32 +221,21 @@ def main(argv: List[str] | None = None) -> int:
     for label, path in (("--trace", args.trace), ("--metrics", args.metrics)):
         if path:
             # Fail before simulating, not after: both files are appended
-            # to at the end of (or during) a possibly long run.
+            # to during a possibly long run.
             try:
                 open(path, "a").close()
             except OSError as error:
                 print(f"{label} {path}: {error}", file=sys.stderr)
                 return 2
 
-    robust = (args.timeout is not None or args.max_retries > 0
-              or args.resume or args.journal is not None)
-    hardened: Dict[str, object] = {}
-    if robust:
-        journal_path = args.journal or default_journal_path(
-            batch_id([spec.spec_hash() for spec in specs]))
-        hardened = dict(timeout=args.timeout,
-                        max_retries=max(0, args.max_retries),
-                        on_error="record", journal_path=journal_path,
-                        resume=args.resume)
-        print(f"journal: {journal_path}")
     if args.trace:
         # A warm cache would simulate nothing (no events to trace), and
         # parallel workers appending to one JSONL file would interleave
         # partial lines — so tracing runs cold and serial.
         executor = BatchExecutor(workers=1, cache=ResultCache(enabled=False),
-                                 metrics_path=args.metrics, **hardened)
+                                 journal_path=args.metrics)
     else:
-        executor = BatchExecutor(metrics_path=args.metrics, **hardened)
+        executor = BatchExecutor(journal_path=args.metrics)
     begin = time.perf_counter()
     if args.trace:
         # The engine reads REPRO_TRACE at construction time, deep inside
@@ -307,21 +260,12 @@ def main(argv: List[str] | None = None) -> int:
     else:
         results = executor.run(specs)
     wall = time.perf_counter() - begin
-    failures: List[SpecFailure] = []
     for spec, result in zip(specs, results):
         if sweep_mode:
             print(f"--- {experiment_id} [{_sweep_row_label(spec, axes)}] ---")
-        if isinstance(result, SpecFailure):
-            failures.append(result)
-            print(_describe_failure(result))
-        else:
-            print(_describe(result))
+        print(_describe(result))
     if args.profile:
         _print_profile(executor.last_metrics, wall)
-    if failures:
-        print(f"{len(failures)} of {len(specs)} spec(s) failed; "
-              f"re-attempt them with --resume", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -2,16 +2,16 @@
 
 Not a paper artefact: a microscopic driver whose failure modes are part
 of its parameter space, so the executor's crash isolation, timeout, and
-retry machinery can be exercised from the runner command line and from
-CI without a purpose-built harness::
+retry machinery can be exercised from a campaign manifest and from CI
+without a purpose-built harness::
 
-    python -m repro.experiments.runner sweep selftest \\
-        --set crash=0,1 --set seed=1,2 --timeout 30
+    python -m repro.runtime.campaign run benchmarks/campaigns/chaos.toml \\
+        --out runs/chaos --timeout 30
 
 ``crash=1`` raises after the work, ``sleep=N`` stalls for N wall seconds
 (pair with ``--timeout``), and the default parameters complete in
-microseconds with a deterministic payload — so a chaos batch mixes
-healthy and failing specs at will, and the healthy results still land in
+microseconds with a deterministic payload — so a chaos campaign mixes
+healthy and failing cells at will, and the healthy results still land in
 the cache.
 """
 
@@ -84,9 +84,9 @@ def sleepy_run(marker: str, sleep: float = 30.0, duration: float = 0.25,
 
     The first run writes the ``marker`` file and then sleeps (timing out
     under a per-spec deadline); any later run finds the marker and
-    completes immediately.  This is the resume-after-timeout fixture: a
-    spec that timed out in a journalled batch must be *re-executed* on
-    ``--resume`` — where it now succeeds — rather than treated as done.
+    completes immediately.  This is the re-run-after-timeout fixture: a
+    spec that timed out must be *re-executed* by the next run of its
+    batch — where it now succeeds — rather than treated as done.
     Like :func:`flaky_run`, not reachable from the runner.
     """
     first = not os.path.exists(marker)

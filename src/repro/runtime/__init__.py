@@ -50,19 +50,13 @@ from .executor import (
     execute_spec,
     run_batch,
 )
-from .journal import (
-    JOURNAL_SCHEMA_VERSION,
-    BatchJournal,
-    batch_id,
-    default_journal_path,
-)
+from .journal import BatchJournal
 from .metrics import (
     METRICS_SCHEMA_VERSION,
     OUTCOMES,
     metrics_record,
     tally,
     validate_metrics_record,
-    write_metrics,
 )
 from .spec import ScenarioSpec
 
@@ -71,7 +65,6 @@ __all__ = [
     "BatchJournal",
     "DependencyGraph",
     "FluidClassSpec",
-    "JOURNAL_SCHEMA_VERSION",
     "LinkSpec",
     "METRICS_SCHEMA_VERSION",
     "OUTCOMES",
@@ -80,11 +73,9 @@ __all__ = [
     "ScenarioSpec",
     "SpecExecutionError",
     "SpecFailure",
-    "batch_id",
     "cache_enabled",
     "configured_workers",
     "default_cache_dir",
-    "default_journal_path",
     "execute_spec",
     "flap_fault_specs",
     "make_multihop_network",
@@ -96,5 +87,4 @@ __all__ = [
     "run_batch",
     "tally",
     "validate_metrics_record",
-    "write_metrics",
 ]

@@ -20,9 +20,10 @@ reader would need the simulator's classes (and their pickle layout) for.
 Corrupt entries (truncated pickles, results pickled against code that no
 longer exists) are deleted on load failure rather than left to fail again
 forever; the executor reports them as ``cache="corrupt"`` in the runtime
-metrics.  Writes go through a temp file plus atomic rename, so a crashed
-or parallel writer can at worst leave an orphan temp file, never a
-truncated entry.
+metrics (:func:`~repro.runtime.metrics.tally` is the one count of hits,
+misses and corrupt entries — the cache keeps no counters of its own).
+Writes go through a temp file plus atomic rename, so a crashed or parallel
+writer can at worst leave an orphan temp file, never a truncated entry.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Optional, Set, Tuple
+from typing import Any, Optional, Set
 
 from . import depgraph
 
@@ -120,9 +121,6 @@ class ResultCache:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.enabled = cache_enabled() if enabled is None else enabled
         self.graph = graph
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
         self._corrupt_hashes: Set[str] = set()
 
     # ------------------------------------------------------------------ #
@@ -152,73 +150,52 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def _load(self, path: Path, spec_hash: str) -> Tuple[str, Any]:
-        """(status, value): ``"hit"``, ``"absent"``, or ``"corrupt"``.
+    def get(self, spec_hash: str, fn: Optional[str] = None) -> Any:
+        """The cached result, or the module-level ``MISS`` sentinel.
 
-        A corrupt entry — truncated, garbage, or pickled against code that
-        no longer exists — is deleted so it cannot shadow the slot forever,
-        and remembered for the executor's metrics (see
-        :meth:`take_corrupt`).
+        ``fn`` is the spec's dotted target, which selects the per-module
+        directory the entry lives under.  A corrupt entry — truncated,
+        garbage, or pickled against code that no longer exists — is a miss;
+        it is deleted so it cannot shadow the slot forever, and remembered
+        for the executor's metrics (see :meth:`take_corrupt`).
         """
+        if not self.enabled:
+            return MISS
+        path = self._entry_path(spec_hash, fn)
         try:
             handle = open(path, "rb")
         except OSError:
-            return "absent", None
+            return MISS
         try:
             with handle:
-                return "hit", pickle.load(handle)
+                return pickle.load(handle)
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
             try:
                 os.unlink(path)
             except OSError:
                 pass
-            self.corrupt += 1
             self._corrupt_hashes.add(spec_hash)
-            return "corrupt", None
-
-    def get(self, spec_hash: str, fn: Optional[str] = None) -> Any:
-        """The cached result, or the module-level ``MISS`` sentinel.
-
-        ``fn`` is the spec's dotted target, which selects the per-module
-        directory the entry lives under.
-        """
-        if not self.enabled:
             return MISS
-        status, value = self._load(self._entry_path(spec_hash, fn), spec_hash)
-        if status == "hit":
-            self.hits += 1
-            return value
-        self.misses += 1
-        return MISS
 
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def put(self, spec_hash: str, result: Any, fn: Optional[str] = None,
-            *, pickled: bool = False) -> bool:
-        """Store a result; returns False when disabled or unpicklable.
+    def put(self, spec_hash: str, data: bytes,
+            fn: Optional[str] = None) -> bool:
+        """Store a result's pickle ``data`` verbatim; False when disabled
+        or the write fails.
 
-        ``pickled=True`` says ``result`` already *is* the result's pickle
-        (the executor serialises each miss once and returns what those
-        same bytes load to); it is written verbatim.
+        The executor serialises each miss once and returns what those
+        same bytes load to, so the entry is exactly what the batch saw.
         """
         if not self.enabled:
             return False
         try:
-            payload = result if pickled else pickle.dumps(
-                result, protocol=pickle.HIGHEST_PROTOCOL)
-            write_atomic(self._entry_path(spec_hash, fn), payload)
-        except (OSError, pickle.PicklingError, TypeError):
+            write_atomic(self._entry_path(spec_hash, fn), data)
+        except OSError:
             return False
         return True
-
-    # ------------------------------------------------------------------ #
-    # Accounting
-    # ------------------------------------------------------------------ #
-    def stats(self) -> Tuple[int, int]:
-        """(hits, misses) observed by this cache instance."""
-        return self.hits, self.misses
 
     def take_corrupt(self) -> Set[str]:
         """Spec hashes whose entries were corrupt since the last call.

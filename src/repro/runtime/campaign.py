@@ -5,28 +5,30 @@ batch" to a manifest-driven campaign service::
 
     repro-campaign run    benchmarks/campaigns/smoke.toml --out runs/smoke
     repro-campaign status benchmarks/campaigns/smoke.toml --out runs/smoke
-    repro-campaign resume benchmarks/campaigns/smoke.toml --out runs/smoke
     repro-campaign diff   runs/smoke/summary.json runs/other/summary.json
 
 ``run`` expands the manifest (see :mod:`repro.runtime.manifest`) and
 hands every cell to the hardened executor as a single batch — per-spec
 crash isolation, structured failures, one campaign-level journal — so no
-worker ever idles at a batch boundary.  Each cell's JSONL line reaches
-``<out>/results.jsonl`` as soon as it and every cell before it in
-manifest order have settled (the file is always a cell-order prefix of
-the finished one), and ``<out>/summary.json`` is written at the end.
-Because results are memoised per spec hash × driver-module digest,
-re-running a campaign re-executes only cells whose code or parameters
-changed; everything else resolves as cache hits.
+worker ever idles at a batch boundary.  The journal, ``<out>/journal.jsonl``,
+is the executor's metrics-record stream: one record per cell, appended and
+flushed as the cell settles, never truncated.  Each cell's row reaches
+``<out>/results.jsonl`` (rewritten by every run) as soon as it and every
+cell before it in manifest order have settled (the file is always a
+cell-order prefix of the finished one), and ``<out>/summary.json`` is
+written at the end.  Because results are memoised per spec hash ×
+driver-module digest and failures are never cached, re-running a campaign
+— after an edit, a failure or an interruption alike — re-executes exactly
+the cells whose code or parameters changed and the cells that failed or
+never settled; everything else resolves as cache hits.
 
 ``status`` reads the campaign journal without executing anything.
-``resume`` keeps the journal and re-attempts only failed or never-resolved
-cells.  ``diff`` compares two summaries cell by cell (outcome changes,
-accuracy deltas, cache behaviour) and exits non-zero when a previously-ok
-cell regressed.
+``diff`` compares two summaries cell by cell (outcome changes, accuracy
+deltas, cache behaviour) and exits non-zero when a previously-ok cell
+regressed.
 
-Exit codes mirror the experiment runner: 0 success, 2 usage/manifest
-error, 3 campaign completed but some cells failed.
+Exit codes: 0 success, 2 usage/manifest error (as the experiment runner),
+3 campaign completed but some cells failed.
 """
 
 from __future__ import annotations
@@ -138,8 +140,7 @@ class CampaignRunner:
         return self.out_dir / "journal.jsonl"
 
     # ------------------------------------------------------------------ #
-    def run(self, resume: bool = False,
-            echo: Optional[Callable[[str], None]] = None) -> dict:
+    def run(self, echo: Optional[Callable[[str], None]] = None) -> dict:
         """Execute the campaign; returns (and writes) the summary dict."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         begin = time.perf_counter()
@@ -180,10 +181,9 @@ class CampaignRunner:
         executor = BatchExecutor(
             workers=self.workers, cache=self.cache,
             timeout=self.timeout, max_retries=self.max_retries,
-            on_error="record", journal_path=str(self.journal_path),
-            resume=resume, on_settle=on_settle)
-        mode = "a" if resume and self.results_path.exists() else "w"
-        with open(self.results_path, mode, encoding="utf-8") as stream:
+            on_error="record", journal_path=self.journal_path,
+            on_settle=on_settle)
+        with open(self.results_path, "w", encoding="utf-8") as stream:
             executor.run([cell.spec for cell in self.cells])
         summary = self._build_summary(cell_rows, tally(executor.last_metrics),
                                       wall=time.perf_counter() - begin)
@@ -221,20 +221,16 @@ class CampaignRunner:
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
         """Campaign progress from the journal, without executing anything."""
-        journal = BatchJournal(self.journal_path, resume=True) \
-            if self.journal_path.exists() else None
-        cells = {}
-        for cell in self.cells:
-            outcome = journal.outcome_of(cell.spec.spec_hash()) \
-                if journal else None
-            cells[cell.cell_id] = outcome or "pending"
+        journal = BatchJournal(self.journal_path)
+        cells = {cell.cell_id: journal.outcome_of(cell.spec.spec_hash())
+                 or "pending" for cell in self.cells}
         counts: Dict[str, int] = {}
         for outcome in cells.values():
             counts[outcome] = counts.get(outcome, 0) + 1
         return {"campaign": self.manifest.name, "cells": cells,
                 "counts": counts,
                 "journal": str(self.journal_path)
-                if journal is not None else None}
+                if self.journal_path.exists() else None}
 
 
 # ---------------------------------------------------------------------- #
@@ -307,20 +303,6 @@ def _render_totals(summary: dict) -> str:
 # ---------------------------------------------------------------------- #
 # CLI
 # ---------------------------------------------------------------------- #
-def _add_exec_options(cmd) -> None:
-    cmd.add_argument("--out", metavar="DIR", default=None,
-                     help="Output directory (default: "
-                          "campaign-runs/<campaign name>)")
-    cmd.add_argument("--workers", type=int, default=None,
-                     help="Executor worker count (default: "
-                          "REPRO_BENCH_WORKERS / cpu count)")
-    cmd.add_argument("--timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="Per-cell wall-clock deadline")
-    cmd.add_argument("--max-retries", type=int, default=0, metavar="N",
-                     help="Extra attempts per failed cell")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro-campaign`` entry point; returns a process exit code."""
     import argparse
@@ -329,16 +311,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-campaign",
         description="Run, inspect, and compare scenario campaigns.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("run", "Execute a campaign manifest"),
-                      ("resume", "Re-attempt only failed/pending cells"),
+    for name, doc in (("run", "Execute a campaign manifest (a re-run "
+                              "re-attempts only failed/pending cells)"),
                       ("status", "Per-cell progress from the journal"),
                       ("dry-run", "List the expanded cells and exit")):
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("manifest", help="Path to a .toml/.json manifest")
-        if name in ("run", "resume"):
-            _add_exec_options(cmd)
-        elif name == "status":
-            cmd.add_argument("--out", metavar="DIR", default=None)
+        if name == "dry-run":
+            continue
+        cmd.add_argument("--out", metavar="DIR", default=None,
+                         help="Output directory (default: "
+                              "campaign-runs/<campaign name>)")
+        if name == "run":
+            cmd.add_argument("--workers", type=int, default=None,
+                             help="Executor worker count (default: "
+                                  "REPRO_BENCH_WORKERS / cpu count)")
+            cmd.add_argument("--timeout", type=float, default=None,
+                             metavar="SECONDS",
+                             help="Per-cell wall-clock deadline")
+            cmd.add_argument("--max-retries", type=int, default=0,
+                             metavar="N",
+                             help="Extra attempts per failed cell")
     diff_cmd = sub.add_parser(
         "diff", help="Compare two campaign summary.json files")
     diff_cmd.add_argument("old")
@@ -382,12 +375,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"campaign {status['campaign']}: {counts}")
         return 0
 
-    summary = runner.run(resume=args.command == "resume", echo=print)
+    summary = runner.run(echo=print)
     print(_render_totals(summary))
     print(f"summary: {runner.summary_path}")
     if summary["totals"]["failed"]:
-        print(f"{summary['totals']['failed']} cell(s) failed; re-attempt "
-              f"them with 'repro-campaign resume'", file=sys.stderr)
+        print(f"{summary['totals']['failed']} cell(s) failed; 'repro-campaign "
+              f"run' again re-attempts only them", file=sys.stderr)
         return 3
     return 0
 

@@ -26,13 +26,16 @@ copied arrays) collapse to the same bytes — without paying for a second
 ``dumps`` to store what was already serialised to be returned.
 
 A spec *settles* the moment its terminal state is known: its bytes go to
-the cache, then its line to the journal (``journal_path``; see
+the cache, then each of its positions' metrics record (see
+:mod:`repro.runtime.metrics`) to the journal (``journal_path``; see
 :class:`~repro.runtime.journal.BatchJournal`), then ``on_settle`` is told
 — in that order, so a journalled ``ok`` always has a cache entry behind
-it, a ``resume=True`` re-run re-executes only failed or never-settled
-specs, and a consumer (the campaign runner streams ``results.jsonl``
+it, a batch interrupted mid-run leaves a record of every position that
+settled, and a consumer (the campaign runner streams ``results.jsonl``
 from the hook) sees results as they finish, not when the batch does.
-``run`` closes the journal's append handle however the batch ends.
+``run`` closes the journal's append handle however the batch ends.  What
+a re-run executes is decided by the cache alone: a settled success is a
+hit, and a failed or never-settled spec has no entry, so it runs again.
 
 Failure handling
 ----------------
@@ -42,10 +45,11 @@ raised; the worker survives), ``"timeout"`` (still running at
 ``timeout`` seconds; the worker is terminated) or ``"crash"`` (the
 worker died without reporting).  It is retried up to ``max_retries``
 times, each after a seeded full-jitter backoff (:meth:`BatchExecutor.
-retry_delay`).  A spec out of attempts becomes a structured
-:class:`SpecFailure` — placed at the spec's result position with
-``on_error="record"``, or raised as one :class:`SpecExecutionError` after
-the rest of the batch has settled with the default ``on_error="raise"``.
+retry_delay`, over :data:`RETRY_BACKOFF` / :data:`RETRY_BACKOFF_MAX`).
+A spec out of attempts becomes a structured :class:`SpecFailure` — placed
+at the spec's result position with ``on_error="record"``, or raised as one
+:class:`SpecExecutionError` after the rest of the batch has settled with
+the default ``on_error="raise"``.
 Failed specs are *never* written to the result cache.  Setting any of
 ``timeout``, ``max_retries`` or ``on_error="record"`` makes the executor
 *hardened*: it then uses workers even for a single spec on one worker,
@@ -68,12 +72,19 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
 
 from .cache import MISS, ResultCache
 from .journal import BatchJournal
-from .metrics import metrics_record, write_metrics
+from .metrics import metrics_record
 from .spec import ScenarioSpec
 
 #: Set in worker processes (and honoured by nested executors) so a driver
 #: that itself fans out a batch cannot recursively spawn pools.
 _WORKER_ENV = "REPRO_RUNTIME_WORKER"
+
+#: Base of the exponential retry ceiling, in seconds: attempt ``n`` waits a
+#: full-jitter draw below ``min(RETRY_BACKOFF_MAX, RETRY_BACKOFF *
+#: 2**(n-1))`` (see :meth:`BatchExecutor.retry_delay`).
+RETRY_BACKOFF = 0.25
+#: Cap on that ceiling, so deep retry chains cannot back off unboundedly.
+RETRY_BACKOFF_MAX = 8.0
 
 
 def configured_workers() -> int:
@@ -228,26 +239,16 @@ class BatchExecutor:
             environment.
         cache: Result cache; ``None`` builds one from the environment.
             Pass ``ResultCache(enabled=False)`` to force cold runs.
-        metrics_path: When set, every :meth:`run` appends one JSONL record
-            per spec to this file (see :mod:`repro.runtime.metrics`).
         timeout: Per-spec wall-clock deadline in seconds; a spec still
             running at the deadline is terminated with its worker.
         max_retries: Extra attempts after a failed one — error, timeout,
             or crash alike.
-        retry_backoff: Base of the exponential retry ceiling: attempt
-            ``n`` waits a deterministic full-jitter draw from
-            ``[0, min(retry_backoff_max, retry_backoff * 2**(n-1)))``
-            seconds (see :meth:`retry_delay`).
-        retry_backoff_max: Cap on the exponential ceiling, so deep retry
-            chains cannot back off unboundedly.
         on_error: ``"raise"`` (default) raises :class:`SpecExecutionError`
             once the rest of the batch has completed; ``"record"`` places
             the :class:`SpecFailure` at the spec's result position.
-        journal_path: Append every spec's terminal state to this JSONL
-            journal (see :mod:`repro.runtime.journal`).
-        resume: Keep an existing journal instead of truncating it; with
-            the result cache enabled, previously-successful specs resolve
-            as hits and only failed/incomplete ones re-execute.
+        journal_path: Append every position's metrics record to this JSONL
+            file the moment it settles (see :mod:`repro.runtime.journal`);
+            ``runner --metrics PATH`` is this option.
         on_settle: Called as ``on_settle(index, result, record)`` for
             every spec position the moment it settles — hits first, then
             misses in completion order — with the position's result (or
@@ -256,42 +257,29 @@ class BatchExecutor:
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 cache: Optional[ResultCache] = None,
-                 metrics_path: Optional[str] = None, *,
+                 cache: Optional[ResultCache] = None, *,
                  timeout: Optional[float] = None, max_retries: int = 0,
-                 retry_backoff: float = 0.25,
-                 retry_backoff_max: float = 8.0, on_error: str = "raise",
+                 on_error: str = "raise",
                  journal_path: Union[str, os.PathLike, None] = None,
-                 resume: bool = False,
                  on_settle: Optional[Callable[[int, Any, dict], None]] = None
                  ) -> None:
         self.workers = configured_workers() if workers is None else max(1, workers)
         self.cache = ResultCache() if cache is None else cache
-        self.metrics_path = metrics_path
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, "
-                             f"got {retry_backoff}")
-        if retry_backoff_max <= 0:
-            raise ValueError(f"retry_backoff_max must be positive, "
-                             f"got {retry_backoff_max}")
         if on_error not in ("raise", "record"):
             raise ValueError(f"on_error must be 'raise' or 'record', "
                              f"got {on_error!r}")
         self.timeout = timeout
         self.max_retries = int(max_retries)
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
         self.on_error = on_error
-        self.journal_path = journal_path
-        self.resume = resume
         self.on_settle = on_settle
-        self._journal: Optional[BatchJournal] = None
+        self._journal = None if journal_path is None \
+            else BatchJournal(journal_path)
         #: Metrics records for the most recent batch, in spec order
-        #: (populated even when ``metrics_path`` is unset).
+        #: (kept whether or not they are journalled).
         self.last_metrics: List[dict] = []
 
     @property
@@ -308,15 +296,14 @@ class BatchExecutor:
         """Backoff before re-running ``spec_hash`` after attempt ``attempt``.
 
         Full jitter over a capped exponential ceiling: a uniform draw from
-        ``[0, min(retry_backoff_max, retry_backoff * 2**(attempt-1)))``.
+        ``[0, min(RETRY_BACKOFF_MAX, RETRY_BACKOFF * 2**(attempt-1)))``.
         The draw comes from a private RNG seeded on ``(spec_hash,
         attempt)``, so the same spec's same attempt always waits the same
         time — retries of a re-run batch are reproducible — while
         concurrent retries of *different* specs decorrelate instead of
         thundering back in lockstep.
         """
-        ceiling = min(self.retry_backoff_max,
-                      self.retry_backoff * (2 ** (attempt - 1)))
+        ceiling = min(RETRY_BACKOFF_MAX, RETRY_BACKOFF * (2 ** (attempt - 1)))
         return random.Random(f"{spec_hash}:{attempt}").random() * ceiling
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[Any]:
@@ -329,9 +316,6 @@ class BatchExecutor:
         raise :class:`SpecExecutionError` after every spec has settled
         (``on_error="raise"``).
         """
-        if self.journal_path is not None and self._journal is None:
-            self._journal = BatchJournal(self.journal_path,
-                                         resume=self.resume)
         try:
             return self._run(list(specs))
         finally:
@@ -356,7 +340,8 @@ class BatchExecutor:
         def settle(spec_hash: str, status: str = "ok",
                    seconds: Optional[float] = None, pid: Optional[int] = None,
                    payload: Any = None, attempts: int = 0) -> None:
-            """Terminal state of one hash: cache, journal, publish."""
+            """Terminal state of one hash: cache, then per position its
+            record to the journal and the position to ``on_settle``."""
             first = positions[spec_hash][0]
             spec = specs[first]
             failure = None if status == "ok" else SpecFailure(
@@ -367,23 +352,22 @@ class BatchExecutor:
                 failures.append(failure)
                 result, pid = failure, None
             elif missed[first]:
-                self.cache.put(spec_hash, payload, fn=spec.fn, pickled=True)
+                self.cache.put(spec_hash, payload, spec.fn)
                 result = pickle.loads(payload)
             else:
                 result = results[first]
-            if journal is not None:
-                journal.record(
-                    spec_hash=spec_hash, label=spec.label, outcome=status,
-                    attempts=attempts, seconds=seconds,
-                    error=failure.summary if failure else None)
             state = "hit" if not missed[first] else \
                 "corrupt" if spec_hash in corrupt_hashes else "miss"
             for index in positions[spec_hash]:
                 results[index] = result
                 records[index] = metrics_record(
-                    specs[index], cache=state, seconds=seconds,
-                    worker_pid=pid, dedup=missed[index] and index != first,
-                    outcome=status, attempts=attempts)
+                    specs[index], spec_hash=spec_hash, cache=state,
+                    seconds=seconds, worker_pid=pid,
+                    dedup=missed[index] and index != first, outcome=status,
+                    attempts=attempts,
+                    error=failure.summary if failure else None)
+                if journal is not None:
+                    journal.record(records[index])
                 if self.on_settle is not None:
                     self.on_settle(index, result, records[index])
 
@@ -400,8 +384,6 @@ class BatchExecutor:
                 settle(spec_hash, "ok",
                        *_timed_execute(specs[positions[spec_hash][0]]), 1)
         self.last_metrics = records
-        if self.metrics_path:
-            write_metrics(self.last_metrics, self.metrics_path)
         if failures and self.on_error == "raise":
             raise SpecExecutionError(failures)
         return results

@@ -1,93 +1,50 @@
-"""Completed-spec journal: crash-safe bookkeeping for resumable batches.
+"""Batch journal: the metrics records of a batch, streamed as specs settle.
 
-A :class:`BatchJournal` is an append-only JSONL file recording the terminal
-state of every spec of a batch — one line per resolution, flushed as soon
-as it happens, so a batch killed mid-run (crash, ^C, OOM) leaves a truthful
-record of what finished.  A subsequent run with ``resume=True`` keeps the
-journal and re-attempts only the specs that failed or never completed:
-specs journalled ``ok`` are served from the on-disk result cache (their
-results were cached before they were journalled), everything else is a
-cache miss and executes again.
-
-Journal line schema (``JOURNAL_SCHEMA_VERSION`` = 1): ``schema_version``,
-``spec_hash``, ``label``, ``outcome`` (``ok``/``error``/``timeout``/
-``crash``), ``attempts`` (0 for cache hits), ``seconds`` (wall time or
-null), ``error`` (message string or null).  A spec appearing several times
-keeps its latest line.
-
-The default journal location is derived from the batch content —
-``<cache_dir>/journals/<batch_id>.jsonl`` with :func:`batch_id` the hash
-of the sorted spec hashes — so re-running the same batch finds its own
-journal without any path plumbing.
+A :class:`BatchJournal` is an append-only JSONL file holding one
+:func:`~repro.runtime.metrics.metrics_record` per settled spec position,
+flushed the moment the position settles, so a batch killed mid-run
+(crash, ^C, OOM) leaves a truthful record of what finished.  Its lines are
+metrics records and nothing else: ``analysis.telemetry validate --kind
+metrics`` checks them and :func:`~repro.runtime.metrics.tally` counts them.
 
 An ``ok`` line promises a loadable result: the executor caches a spec's
 bytes *before* journalling it, so a batch killed between the two re-runs
-one spec instead of trusting a line with nothing behind it.  A campaign
-(:mod:`repro.runtime.campaign`) is one batch on one journal that every
-``resume`` appends to; ``repro-campaign status`` counts its cells per
+one spec instead of trusting a line with nothing behind it.  Nothing is
+ever truncated: a re-run appends, and a spec appearing several times keeps
+its latest line.  The journal decides nothing about what re-runs — the
+cache does (failures are never cached, so they miss) — it only reports.
+A campaign (:mod:`repro.runtime.campaign`) journals into
+``<out>/journal.jsonl``; ``repro-campaign status`` reads each cell's latest
 outcome through :meth:`BatchJournal.outcome_of`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
-from typing import IO, Dict, Optional, Sequence, Union
-
-from .cache import default_cache_dir
-from .metrics import OUTCOMES
-
-#: Version tag stamped into every journal line.
-JOURNAL_SCHEMA_VERSION = 1
-
-
-def batch_id(spec_hashes: Sequence[str]) -> str:
-    """Content id of a batch: hash of its sorted spec hashes.
-
-    Sorted, so the id is insensitive to batch order; two invocations that
-    run the same set of specs share a journal.
-    """
-    digest = hashlib.sha256("\n".join(sorted(spec_hashes)).encode("ascii"))
-    return digest.hexdigest()[:16]
-
-
-def default_journal_path(batch: str) -> str:
-    """Default journal location for a :func:`batch_id`."""
-    return str(Path(default_cache_dir()) / "journals" / f"{batch}.jsonl")
+from typing import IO, Dict, Optional, Union
 
 
 class BatchJournal:
-    """Append-only terminal-state journal for one batch.
+    """Append-only metrics-record stream of one batch.
 
     Args:
         path: JSONL file to append to (parent directories are created).
-        resume: Keep and load an existing journal instead of truncating
-            it.  Without ``resume`` every run starts a fresh journal —
-            stale outcomes from a previous batch must not mask new ones.
     """
 
-    def __init__(self, path: Union[str, os.PathLike],
-                 resume: bool = False) -> None:
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        #: Latest journalled record per spec hash.
-        self.entries: Dict[str, dict] = {}
-        if resume:
-            self._load()
-        elif self.path.exists():
-            self.path.unlink()
         self._handle: Optional[IO[str]] = None
+        #: Latest record per spec hash, loaded on first :meth:`outcome_of`.
+        self._latest: Optional[Dict[str, dict]] = None
 
-    def _load(self) -> None:
+    def _load(self) -> Dict[str, dict]:
+        latest: Dict[str, dict] = {}
         if not self.path.exists():
-            return
+            return latest
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
@@ -95,37 +52,26 @@ class BatchJournal:
                     # everything before it is still trustworthy.
                     continue
                 if isinstance(record, dict) and "spec_hash" in record:
-                    self.entries[record["spec_hash"]] = record
+                    latest[record["spec_hash"]] = record
+        return latest
 
-    # ------------------------------------------------------------------ #
     def outcome_of(self, spec_hash: str) -> Optional[str]:
         """Latest journalled outcome for a spec, or ``None`` if absent."""
-        entry = self.entries.get(spec_hash)
+        if self._latest is None:
+            self._latest = self._load()
+        entry = self._latest.get(spec_hash)
         return entry.get("outcome") if entry else None
 
-    def record(self, *, spec_hash: str, label: str, outcome: str,
-               attempts: int, seconds: Optional[float],
-               error: Optional[str] = None) -> dict:
-        """Append one terminal-state line (flushed immediately)."""
-        if outcome not in OUTCOMES:
-            raise ValueError(f"outcome must be one of {OUTCOMES}, "
-                             f"got {outcome!r}")
-        entry = {
-            "schema_version": JOURNAL_SCHEMA_VERSION,
-            "spec_hash": spec_hash,
-            "label": label,
-            "outcome": outcome,
-            "attempts": int(attempts),
-            "seconds": seconds,
-            "error": error,
-        }
+    def record(self, record: dict) -> None:
+        """Append one metrics record (flushed immediately)."""
         if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(entry, separators=(",", ":"),
+        self._handle.write(json.dumps(record, separators=(",", ":"),
                                       sort_keys=True) + "\n")
         self._handle.flush()
-        self.entries[spec_hash] = entry
-        return entry
+        if self._latest is not None:
+            self._latest[record["spec_hash"]] = record
 
     def close(self) -> None:
         if self._handle is not None:
@@ -133,5 +79,4 @@ class BatchJournal:
             self._handle = None
 
     def __repr__(self) -> str:
-        return (f"BatchJournal(path={str(self.path)!r}, "
-                f"entries={len(self.entries)})")
+        return f"BatchJournal(path={str(self.path)!r})"

@@ -1,11 +1,14 @@
-"""Per-spec runtime metrics for batch execution.
+"""Per-spec runtime metrics for batch execution: the one per-spec record.
 
-Every :meth:`~repro.runtime.executor.BatchExecutor.run` can stream one
-JSON-lines record per spec describing how that spec was resolved: served
-from the on-disk cache, simulated fresh, or fanned out from an in-batch
-duplicate.  The records are plain dicts, one JSON object per line, so any
-log shipper (or :mod:`repro.analysis.telemetry`) can consume them without
-a schema registry.  :func:`tally` is the one count of a batch's records.
+Every :meth:`~repro.runtime.executor.BatchExecutor.run` builds one record
+per spec position describing how that spec was resolved: served from the
+on-disk cache, simulated fresh, fanned out from an in-batch duplicate, or
+failed.  The same record is the executor's journal line (streamed as the
+spec settles; see :mod:`repro.runtime.journal`), what ``runner --metrics``
+writes, and what a campaign row copies its fields from.  The records are
+plain dicts, one JSON object per line, so any log shipper (or
+:mod:`repro.analysis.telemetry`) can consume them without a schema
+registry.  :func:`tally` is the one count of a batch's records.
 
 Record schema (``schema_version`` = :data:`METRICS_SCHEMA_VERSION`):
 
@@ -41,27 +44,30 @@ Record schema (``schema_version`` = :data:`METRICS_SCHEMA_VERSION`):
     always ``cache="miss"``.
 ``attempts``
     Execution attempts consumed, including retries; ``0`` for cache hits.
+``error``
+    ``None`` when ``outcome`` is ``"ok"``; otherwise the last line of the
+    failure's diagnostic (the exception, for a raising spec).
 
 Schema history: version 2 added ``outcome``/``attempts`` (records without
 them no longer validate); version 3 added the ``"corrupt"`` cache state
 (corrupt on-disk entries are deleted and re-executed instead of silently
-masquerading as plain misses).
+masquerading as plain misses); version 4 added ``error``, when the record
+became the journal line too.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional
 
 from .spec import ScenarioSpec
 
 #: Version tag stamped into every record.
-METRICS_SCHEMA_VERSION = 3
+METRICS_SCHEMA_VERSION = 4
 
 #: Fields every record must carry (beyond these, extras are rejected).
 _FIELDS = ("schema_version", "spec_hash", "label", "fn", "cache", "dedup",
            "seconds", "worker_pid", "ticks", "ticks_per_sec", "outcome",
-           "attempts")
+           "attempts", "error")
 
 _CACHE_STATES = ("hit", "miss", "corrupt")
 
@@ -69,12 +75,17 @@ _CACHE_STATES = ("hit", "miss", "corrupt")
 OUTCOMES = ("ok", "error", "timeout", "crash")
 
 
-def metrics_record(spec: ScenarioSpec, *, cache: str,
+def metrics_record(spec: ScenarioSpec, *, spec_hash: str, cache: str,
                    seconds: Optional[float] = None,
                    worker_pid: Optional[int] = None,
                    dedup: bool = False, outcome: str = "ok",
-                   attempts: Optional[int] = None) -> dict:
-    """Build one schema-conformant record for ``spec``."""
+                   attempts: Optional[int] = None,
+                   error: Optional[str] = None) -> dict:
+    """Build one schema-conformant record for ``spec``.
+
+    ``spec_hash`` is the spec's content hash, which every caller already
+    holds (hashing a spec canonicalises all of its parameters).
+    """
     params = spec.kwargs()
     ticks: Optional[int] = None
     duration = params.get("duration")
@@ -87,7 +98,7 @@ def metrics_record(spec: ScenarioSpec, *, cache: str,
         ticks_per_sec = ticks / seconds
     record = {
         "schema_version": METRICS_SCHEMA_VERSION,
-        "spec_hash": spec.spec_hash(),
+        "spec_hash": spec_hash,
         "label": spec.label,
         "fn": spec.fn,
         "cache": cache,
@@ -99,6 +110,7 @@ def metrics_record(spec: ScenarioSpec, *, cache: str,
         "outcome": outcome,
         "attempts": (0 if cache == "hit" else 1)
         if attempts is None else attempts,
+        "error": error,
     }
     validate_metrics_record(record)
     return record
@@ -158,6 +170,10 @@ def validate_metrics_record(record: dict) -> None:
     if record["cache"] == "hit" and (outcome != "ok" or attempts != 0):
         raise ValueError("cache hits must report outcome='ok' and "
                          "attempts=0 (failed specs are never cached)")
+    error = record["error"]
+    if (error is not None) if outcome == "ok" else not isinstance(error, str):
+        raise ValueError(f"error must be None when outcome is 'ok' and a "
+                         f"string otherwise, got {error!r} for {outcome!r}")
 
 
 def tally(records: Iterable[dict]) -> Dict[str, Optional[float]]:
@@ -187,28 +203,3 @@ def tally(records: Iterable[dict]) -> Dict[str, Optional[float]]:
         "total_seconds": sum(seconds) if seconds else 0.0,
         "mean_ticks_per_sec": (sum(rates) / len(rates)) if rates else None,
     }
-
-
-def write_metrics(records: Iterable[dict],
-                  path_or_handle: Union[str, IO[str]]) -> int:
-    """Append ``records`` to a JSONL file (or open handle); returns count.
-
-    Lines are compact, key-sorted JSON — the same framing the trace sink
-    uses — so the two files can share loaders.
-    """
-    written = 0
-    if isinstance(path_or_handle, str):
-        handle: IO[str] = open(path_or_handle, "a", encoding="utf-8")
-        owns = True
-    else:
-        handle, owns = path_or_handle, False
-    try:
-        for record in records:
-            validate_metrics_record(record)
-            handle.write(json.dumps(record, separators=(",", ":"),
-                                    sort_keys=True) + "\n")
-            written += 1
-    finally:
-        if owns:
-            handle.close()
-    return written

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.analysis.telemetry import load_metrics
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import (
     CampaignRunner,
@@ -182,15 +183,36 @@ def test_failed_cells_are_recorded_not_raised(campkg, tmp_path):
             for line in runner.results_path.read_text().splitlines()]
     failed = next(r for r in rows if r["cell"] == "fl[x=2]")
     assert "boom" in failed["scalars"]["error"]
-    # Resume re-attempts the failure; the healthy cell stays a cache hit.
-    resumed = _runner(campkg, tmp_path, "run-flaky2", manifest).run(
-        resume=True)
-    assert resumed["cells"]["fl[x=1]"]["cache"] == "hit"
-    assert resumed["cells"]["fl[x=2]"]["outcome"] == "error"
+    # A re-run re-attempts the failure; the healthy cell stays a cache hit.
+    rerun = _runner(campkg, tmp_path, "run-flaky2", manifest).run()
+    assert rerun["cells"]["fl[x=1]"]["cache"] == "hit"
+    assert rerun["cells"]["fl[x=2]"]["outcome"] == "error"
+
+
+def test_journal_is_the_metrics_record_stream(campkg, tmp_path):
+    """``journal.jsonl`` holds one schema-valid metrics record per cell —
+    the failing one carrying its error — and a re-run appends to it."""
+    manifest = {
+        "campaign": {"name": "flaky"},
+        "experiment": [{"id": "fl", "driver": "campkg.flaky:run",
+                        "axes": {"x": [1, 2]}}],
+    }
+    runner = _runner(campkg, tmp_path, "run-journal", manifest)
+    runner.run()
+    records = load_metrics(str(runner.journal_path))  # validates each line
+    by_label = {record["label"]: record for record in records}
+    assert set(by_label) == {"fl[x=1]", "fl[x=2]"}
+    assert by_label["fl[x=1]"]["error"] is None
+    assert by_label["fl[x=2]"]["outcome"] == "error"
+    assert "boom" in by_label["fl[x=2]"]["error"]
+    runner.run()
+    again = load_metrics(str(runner.journal_path))
+    assert again[:2] == records
+    assert [r["cache"] for r in again[2:]] == ["hit", "miss"]
 
 
 # ---------------------------------------------------------------------- #
-# One batch per campaign: streaming, order, resume
+# One batch per campaign: streaming, order, re-runs
 # ---------------------------------------------------------------------- #
 _SELFTEST = "repro.experiments.selftest"
 
@@ -254,14 +276,14 @@ def test_resume_reexecutes_only_the_unsettled_cells(campkg, tmp_path):
     cut = _runner(campkg, tmp_path, "run-cut")
     assert cut.status()["counts"] == {"ok": 2, "pending": 1}
     assert not cut.summary_path.exists()
-    resumed = cut.run(resume=True)
-    assert {cell: row["cache"] for cell, row in resumed["cells"].items()} \
+    rerun = cut.run()
+    assert {cell: row["cache"] for cell, row in rerun["cells"].items()} \
         == {_CELLS[0]: "hit", _CELLS[1]: "hit", _CELLS[2]: "miss"}
-    assert resumed["totals"]["ok"] == 3
-    # The stream holds the interrupted run's prefix, then the full resume.
+    assert rerun["totals"]["ok"] == 3
+    # Every run rewrites the stream: it holds the full run only.
     rows = [json.loads(line)["cell"]
             for line in cut.results_path.read_text().splitlines()]
-    assert rows == list(_CELLS[:2]) + list(_CELLS)
+    assert rows == list(_CELLS)
 
 
 # ---------------------------------------------------------------------- #

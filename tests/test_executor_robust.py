@@ -1,15 +1,13 @@
-"""Hardened-executor tests: crash isolation, timeouts, retries, resume.
+"""Hardened-executor tests: crash isolation, timeouts, retries, re-runs.
 
 Every failing spec here comes from :mod:`repro.experiments.selftest`,
 whose failure modes (raise, sleep, hard exit, fail-N-times-then-succeed)
 are part of its parameter space — so these tests drive the executor
-exactly the way the runner's ``--timeout``/``--max-retries``/``--resume``
-flags do.
+exactly the way a campaign's ``--timeout``/``--max-retries`` do.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import pickle
@@ -19,14 +17,13 @@ import pytest
 
 import repro.runtime.executor as executor_module
 
+from repro.analysis.telemetry import load_metrics
 from repro.runtime import (
     BatchExecutor,
     BatchJournal,
     ScenarioSpec,
     SpecExecutionError,
     SpecFailure,
-    batch_id,
-    default_journal_path,
 )
 from repro.runtime.cache import MISS, ResultCache
 from repro.runtime.metrics import tally, validate_metrics_record
@@ -62,6 +59,15 @@ def forked(monkeypatch):
 
     monkeypatch.setattr(executor_module, "_Worker", LoggedWorker)
     return pids
+
+
+@pytest.fixture
+def backoff(monkeypatch):
+    """Set the retry backoff constants: ``backoff(base[, cap])``."""
+    def set_backoff(base, cap=executor_module.RETRY_BACKOFF_MAX):
+        monkeypatch.setattr(executor_module, "RETRY_BACKOFF", base)
+        monkeypatch.setattr(executor_module, "RETRY_BACKOFF_MAX", cap)
+    return set_backoff
 
 
 class TestCrashIsolation:
@@ -131,11 +137,13 @@ class TestTimeout:
 
 
 class TestRetries:
-    def test_flaky_spec_retries_then_succeeds_and_caches(self, tmp_path):
+    def test_flaky_spec_retries_then_succeeds_and_caches(self, tmp_path,
+                                                         backoff):
+        backoff(0.01)
         marker = str(tmp_path / "flaky-marker")
         spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=2)
         executor = BatchExecutor(workers=1, max_retries=2,
-                                 retry_backoff=0.01, on_error="record")
+                                 on_error="record")
         result = executor.run([spec])[0]
         assert not isinstance(result, SpecFailure)
         assert result.data["attempts"] == 3
@@ -146,11 +154,13 @@ class TestRetries:
         executor2.run([spec])
         assert _outcomes(executor2) == [("hit", "ok", 0)]
 
-    def test_retries_exhausted_reports_attempt_count(self, tmp_path):
+    def test_retries_exhausted_reports_attempt_count(self, tmp_path,
+                                                     backoff):
+        backoff(0.01)
         marker = str(tmp_path / "stubborn-marker")
         spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=10)
         executor = BatchExecutor(workers=1, max_retries=1,
-                                 retry_backoff=0.01, on_error="record")
+                                 on_error="record")
         failure = executor.run([spec])[0]
         assert isinstance(failure, SpecFailure)
         assert failure.attempts == 2
@@ -159,10 +169,6 @@ class TestRetries:
     def test_invalid_retry_settings_rejected(self):
         with pytest.raises(ValueError, match="max_retries"):
             BatchExecutor(max_retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            BatchExecutor(max_retries=1, retry_backoff=-0.1)
-        with pytest.raises(ValueError, match="retry_backoff_max"):
-            BatchExecutor(max_retries=1, retry_backoff_max=0.0)
         with pytest.raises(ValueError, match="on_error"):
             BatchExecutor(on_error="ignore")
 
@@ -170,9 +176,10 @@ class TestRetries:
 class TestRetryJitter:
     """Seeded full-jitter backoff: deterministic, bounded, capped."""
 
-    def test_delay_deterministic_per_spec_and_attempt(self):
-        executor = BatchExecutor(max_retries=3, retry_backoff=0.5)
-        twin = BatchExecutor(max_retries=3, retry_backoff=0.5)
+    def test_delay_deterministic_per_spec_and_attempt(self, backoff):
+        backoff(0.5)
+        executor = BatchExecutor(max_retries=3)
+        twin = BatchExecutor(max_retries=3)
         for attempt in (1, 2, 3):
             delay = executor.retry_delay("a" * 64, attempt)
             assert delay == twin.retry_delay("a" * 64, attempt)
@@ -181,17 +188,17 @@ class TestRetryJitter:
                  for hash_ in "ab" for attempt in (1, 2, 3)}
         assert len(draws) == 6
 
-    def test_delay_bounded_by_exponential_ceiling(self):
-        executor = BatchExecutor(max_retries=8, retry_backoff=0.5,
-                                 retry_backoff_max=8.0)
+    def test_delay_bounded_by_exponential_ceiling(self, backoff):
+        backoff(0.5, 8.0)
+        executor = BatchExecutor(max_retries=8)
         for attempt in range(1, 9):
             ceiling = min(8.0, 0.5 * 2 ** (attempt - 1))
             delay = executor.retry_delay("c" * 64, attempt)
             assert 0.0 <= delay <= ceiling
 
-    def test_cap_applies_to_late_attempts(self):
-        executor = BatchExecutor(max_retries=64, retry_backoff=1.0,
-                                 retry_backoff_max=2.0)
+    def test_cap_applies_to_late_attempts(self, backoff):
+        backoff(1.0, 2.0)
+        executor = BatchExecutor(max_retries=64)
         # 2**63 seconds without the cap; with it, never above 2s.
         assert executor.retry_delay("d" * 64, 64) <= 2.0
 
@@ -345,11 +352,13 @@ class TestDeadlineAwareWait:
             [_spec(seed=1, sleep=0.5)])
         assert [timeout for count, timeout in waits if count == 2] == [None]
 
-    def test_retry_waits_out_its_backoff_without_slop(self, tmp_path, waits):
+    def test_retry_waits_out_its_backoff_without_slop(self, tmp_path, waits,
+                                                      backoff):
+        backoff(0.6)
         marker = str(tmp_path / "flaky-marker")
         spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=1)
         executor = BatchExecutor(workers=1, max_retries=1,
-                                 retry_backoff=0.6, on_error="record")
+                                 on_error="record")
         delay = executor.retry_delay(spec.spec_hash(), 1)
         begin = time.monotonic()
         executor.run([spec])
@@ -364,19 +373,38 @@ class TestDeadlineAwareWait:
 
 class TestMetricsV2:
     def test_records_validate_and_carry_outcomes(self, tmp_path):
-        metrics_path = tmp_path / "metrics.jsonl"
+        path = tmp_path / "metrics.jsonl"
         executor = BatchExecutor(workers=2, on_error="record",
-                                 metrics_path=str(metrics_path))
+                                 journal_path=str(path))
         executor.run([_spec(seed=1), _spec(seed=2, crash=1)])
-        lines = [json.loads(line) for line
-                 in metrics_path.read_text().splitlines()]
+        lines = load_metrics(str(path))  # validates every line
         assert len(lines) == 2
-        for record in lines:
-            validate_metrics_record(record)
         by_outcome = {record["outcome"]: record for record in lines}
         assert by_outcome["ok"]["worker_pid"] is not None
+        assert by_outcome["ok"]["error"] is None
         assert by_outcome["error"]["worker_pid"] is None
         assert by_outcome["error"]["attempts"] == 1
+        assert "deliberate crash" in by_outcome["error"]["error"]
+        assert sorted(lines, key=lambda r: r["label"]) == \
+            sorted(executor.last_metrics, key=lambda r: r["label"])
+
+    def test_interrupted_batch_keeps_the_settled_records(self, tmp_path):
+        """A batch cut short after its first settle still leaves that
+        spec's record on disk: records stream as specs settle, not when
+        the batch returns."""
+        path = tmp_path / "metrics.jsonl"
+        specs = [_spec(seed=seed) for seed in range(3)]
+
+        def interrupt(index, result, record):
+            raise KeyboardInterrupt
+
+        executor = BatchExecutor(workers=1, journal_path=str(path),
+                                 on_settle=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(specs)
+        (record,) = load_metrics(str(path))
+        assert record["spec_hash"] == specs[0].spec_hash()
+        assert (record["cache"], record["outcome"]) == ("miss", "ok")
 
     def test_hits_report_ok_with_zero_attempts(self):
         spec = _spec(seed=9)
@@ -389,15 +417,16 @@ class TestMetricsV2:
 
 
 class TestJournalAndResume:
+    """The journal reports; the cache decides what a re-run executes."""
+
     def test_journal_records_terminal_states(self, tmp_path):
         journal_path = tmp_path / "batch.jsonl"
         executor = BatchExecutor(workers=2, on_error="record",
                                  journal_path=journal_path)
         specs = [_spec(seed=1), _spec(seed=2, crash=1)]
         executor.run(specs)
-        entries = {record["spec_hash"]: record for record in
-                   (json.loads(line) for line
-                    in journal_path.read_text().splitlines())}
+        entries = {record["spec_hash"]: record
+                   for record in load_metrics(str(journal_path))}
         ok = entries[specs[0].spec_hash()]
         bad = entries[specs[1].spec_hash()]
         assert ok["outcome"] == "ok" and ok["attempts"] == 1
@@ -405,19 +434,20 @@ class TestJournalAndResume:
         assert "deliberate crash" in bad["error"]
 
     def test_resume_skips_successes_retries_failures(self, tmp_path):
+        """A plain re-run resumes: the success is a cache hit, the failure
+        (never cached) executes again."""
         journal_path = tmp_path / "batch.jsonl"
         specs = [_spec(seed=1), _spec(seed=2, crash=1)]
         BatchExecutor(workers=2, on_error="record",
                       journal_path=journal_path).run(specs)
 
-        resumed = BatchExecutor(workers=2, on_error="record",
-                                journal_path=journal_path, resume=True)
-        resumed.run(specs)
-        assert _outcomes(resumed) == [("hit", "ok", 0),
-                                      ("miss", "error", 1)]
+        rerun = BatchExecutor(workers=2, on_error="record",
+                              journal_path=journal_path)
+        rerun.run(specs)
+        assert _outcomes(rerun) == [("hit", "ok", 0), ("miss", "error", 1)]
         # Latest-wins: the journal now holds both runs' lines, but the
         # per-spec view reflects the most recent attempt.
-        journal = BatchJournal(journal_path, resume=True)
+        journal = BatchJournal(journal_path)
         assert journal.outcome_of(specs[0].spec_hash()) == "ok"
         assert journal.outcome_of(specs[1].spec_hash()) == "error"
         raw_lines = journal_path.read_text().splitlines()
@@ -425,7 +455,7 @@ class TestJournalAndResume:
 
     def test_resume_reexecutes_timed_out_spec(self, tmp_path):
         """A timed-out spec is unfinished work, not a terminal verdict:
-        ``--resume`` must run it again (where, the stall being first-run
+        the next run must run it again (where, the stall being first-run
         only, it now succeeds)."""
         journal_path = tmp_path / "batch.jsonl"
         marker = str(tmp_path / "sleepy-marker")
@@ -435,17 +465,16 @@ class TestJournalAndResume:
         failure = first.run([spec])[0]
         assert isinstance(failure, SpecFailure)
         assert failure.outcome == "timeout"
-        journal = BatchJournal(journal_path, resume=True)
+        journal = BatchJournal(journal_path)
         assert journal.outcome_of(spec.spec_hash()) == "timeout"
 
-        resumed = BatchExecutor(workers=1, timeout=0.4, on_error="record",
-                                journal_path=journal_path, resume=True)
-        result = resumed.run([spec])[0]
+        rerun = BatchExecutor(workers=1, timeout=0.4, on_error="record",
+                              journal_path=journal_path)
+        result = rerun.run([spec])[0]
         assert not isinstance(result, SpecFailure)
         assert result.data["slept"] is False  # genuinely re-executed
-        assert _outcomes(resumed) == [("miss", "ok", 1)]
-        assert BatchJournal(journal_path,
-                            resume=True).outcome_of(spec.spec_hash()) == "ok"
+        assert _outcomes(rerun) == [("miss", "ok", 1)]
+        assert BatchJournal(journal_path).outcome_of(spec.spec_hash()) == "ok"
 
     def test_journalled_ok_implies_a_cache_entry(self, tmp_path):
         """Interrupted right after the first reap: whatever the journal
@@ -464,30 +493,21 @@ class TestJournalAndResume:
         with pytest.raises(KeyboardInterrupt):
             executor.run(specs)
         assert len(seen) == 1
-        journalled = [json.loads(line) for line
-                      in journal_path.read_text().splitlines()]
+        journalled = load_metrics(str(journal_path))
         assert [entry["outcome"] for entry in journalled] == ["ok"]
         cache = ResultCache()
         by_hash = {spec.spec_hash(): spec for spec in specs}
         for entry in journalled:
             spec = by_hash[entry["spec_hash"]]
             assert cache.get(entry["spec_hash"], fn=spec.fn) is not MISS
-        # Resuming re-executes exactly the specs that never settled.
-        resumed = BatchExecutor(workers=2, timeout=60.0,
-                                journal_path=journal_path, resume=True)
-        resumed.run(specs)
-        assert sorted(r["cache"] for r in resumed.last_metrics) == \
+        # Running again re-executes exactly the specs that never settled,
+        # and appends to the journal.
+        rerun = BatchExecutor(workers=2, timeout=60.0,
+                              journal_path=journal_path)
+        rerun.run(specs)
+        assert sorted(r["cache"] for r in rerun.last_metrics) == \
             ["hit"] + ["miss"] * 5
-
-    def test_fresh_run_truncates_journal(self, tmp_path):
-        journal_path = tmp_path / "batch.jsonl"
-        journal_path.write_text('{"bogus": "stale line"}\n')
-        executor = BatchExecutor(workers=1, on_error="record",
-                                 journal_path=journal_path)
-        executor.run([_spec(seed=1)])
-        lines = journal_path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["outcome"] == "ok"
+        assert len(load_metrics(str(journal_path))) == 1 + 6
 
     @staticmethod
     def _open_on(path):
@@ -523,22 +543,9 @@ class TestJournalAndResume:
         executor.run([spec])
         with open(journal_path, "a", encoding="utf-8") as handle:
             handle.write('{"spec_hash": "abc", "outco')  # torn write
-        journal = BatchJournal(journal_path, resume=True)
+        journal = BatchJournal(journal_path)
         assert journal.outcome_of(spec.spec_hash()) == "ok"
         assert journal.outcome_of("abc") is None
-
-    def test_batch_id_is_order_independent(self):
-        hashes = ["b" * 64, "a" * 64]
-        assert batch_id(hashes) == batch_id(list(reversed(hashes)))
-        assert len(batch_id(hashes)) == 16
-        assert batch_id(hashes) != batch_id(["c" * 64])
-
-    def test_default_journal_path_lives_under_cache_dir(self, tmp_path,
-                                                        monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        path = str(default_journal_path("deadbeef00112233"))
-        assert path.startswith(str(tmp_path / "cache"))
-        assert path.endswith("deadbeef00112233.jsonl")
 
 
 class TestDedupUnderFailure:

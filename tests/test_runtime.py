@@ -103,15 +103,14 @@ def test_expand_grid_cross_product():
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
     assert cache.get("abc") is MISS
-    assert cache.put("abc", {"x": 1})
+    assert cache.put("abc", pickle.dumps({"x": 1}))
     assert cache.get("abc") == {"x": 1}
-    assert cache.stats() == (1, 1)
 
 
 def test_cache_disabled_via_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     cache = ResultCache(directory=tmp_path)
-    assert not cache.put("abc", 42)
+    assert not cache.put("abc", pickle.dumps(42))
     assert cache.get("abc") is MISS
     assert list(tmp_path.iterdir()) == []
 
@@ -129,7 +128,7 @@ def test_cache_env_spellings(monkeypatch):
 
 def test_cache_ignores_corrupt_entries(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
-    cache.put("abc", 42)
+    cache.put("abc", pickle.dumps(42))
     (tmp_path / source_digest() / "abc.pkl").write_bytes(b"not a pickle")
     assert cache.get("abc") is MISS
 
@@ -137,7 +136,7 @@ def test_cache_ignores_corrupt_entries(tmp_path):
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
     cache = ResultCache()
-    cache.put("abc", 1)
+    cache.put("abc", pickle.dumps(1))
     assert (tmp_path / "elsewhere" / source_digest() / "abc.pkl").exists()
 
 
@@ -146,7 +145,7 @@ def test_only_an_unresolvable_target_falls_back_to_the_package_digest(
     from repro.runtime import DependencyGraph
 
     cache = ResultCache(directory=tmp_path, enabled=True)
-    assert cache.put("abc", 1, fn="no_such_package.mod:run")
+    assert cache.put("abc", pickle.dumps(1), "no_such_package.mod:run")
     assert (tmp_path / source_digest() / "abc.pkl").exists()
 
     class BrokenGraph(DependencyGraph):
@@ -162,17 +161,16 @@ def test_only_an_unresolvable_target_falls_back_to_the_package_digest(
 
 def test_corrupt_entry_is_deleted_and_reported(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
-    cache.put("abc", 42)
+    cache.put("abc", pickle.dumps(42))
     path = tmp_path / source_digest() / "abc.pkl"
     path.write_bytes(b"not a pickle")
     assert cache.get("abc") is MISS
     # The bad entry must not shadow its slot forever.
     assert not path.exists()
-    assert cache.corrupt == 1
     assert cache.take_corrupt() == {"abc"}
     assert cache.take_corrupt() == set()
     # The slot is immediately writable again.
-    assert cache.put("abc", 43) and cache.get("abc") == 43
+    assert cache.put("abc", pickle.dumps(43)) and cache.get("abc") == 43
 
 
 # --------------------------------------------------------------------- #
@@ -214,9 +212,8 @@ def test_a_miss_is_pickled_once_and_stored_as_produced(
     cache = ResultCache(directory=tmp_path / "cache", enabled=True)
     specs = _batch(3) + _batch(1)  # the fourth repeats the first
     cold = BatchExecutor(workers=workers, cache=cache).run(specs)
-    # One hash per spec to look it up and one for its metrics record, as
-    # before the executor handed its bytes to the cache.
-    assert len(hashed) == 2 * len(specs)
+    # One hash per spec: its metrics record reuses the lookup's hash.
+    assert len(hashed) == len(specs)
     produced = payload_dumps()
     assert len(produced) == 3  # one dumps per miss, none for the duplicate
     if workers == 1:
@@ -241,7 +238,7 @@ def test_cache_disabled_still_pickles_each_miss_once(payload_dumps):
 def test_put_pickled_writes_the_bytes_verbatim(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
     data = pickle.dumps({"x": 1}, protocol=2)  # not the protocol put() uses
-    assert cache.put("abc", data, pickled=True)
+    assert cache.put("abc", data)
     assert (tmp_path / source_digest() / "abc.pkl").read_bytes() == data
     assert cache.get("abc") == {"x": 1}
 
@@ -249,9 +246,10 @@ def test_put_pickled_writes_the_bytes_verbatim(tmp_path):
 def test_pooled_run_populates_the_shared_cache(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
     pooled = BatchExecutor(workers=2, cache=cache).run(_batch(2))
-    again = BatchExecutor(workers=1, cache=cache).run(_batch(2))
+    warm = BatchExecutor(workers=1, cache=cache)
+    again = warm.run(_batch(2))
     assert pickle.dumps(pooled) == pickle.dumps(again)
-    assert cache.stats()[0] == 2  # both warm lookups hit
+    assert tally(warm.last_metrics)["hits"] == 2  # both warm lookups hit
 
 
 def test_what_a_raising_spec_surfaces_as():
@@ -392,8 +390,9 @@ def test_one_engine_one_forwarding_path():
 
 
 def test_each_decision_is_described_once():
-    """The second descriptions deleted in PRs 18 and 19 must not grow
-    back: no name of theirs anywhere under ``src/``, one cross-product
+    """The second descriptions deleted so far must not grow back (the
+    journal's own schema and batch ids among them): no name of theirs
+    anywhere under ``src/``, one cross-product
     expander for the runtime (``spec.expand_grid``) and none in the
     runner, a manifest layer that does not reach into the network
     builders, one file that transforms (``np.fft``), one definition of
@@ -408,7 +407,8 @@ def test_each_decision_is_described_once():
     banned = ("FaultSpec", "make_fault_schedule", "_parse_sweep_overrides",
               "_LinkRecord", "_FluidRecord", "_link_bins", "_fluid_bins",
               "fft_magnitude", "magnitude_at", "band_peak", "BatchStats",
-              "last_stats", "qdelay_cnt")
+              "last_stats", "qdelay_cnt", "batch_id", "default_journal_path",
+              "write_metrics", "JOURNAL_SCHEMA_VERSION")
     products, transforms, vocabularies = [], [], []
     for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")

@@ -21,13 +21,13 @@ from repro.experiments import runner
 from repro.experiments.parking_lot import run_case
 from repro.runtime import (
     BatchExecutor,
+    BatchJournal,
     LinkSpec,
     ScenarioSpec,
     make_multihop_network,
     metrics_record,
     tally,
     validate_metrics_record,
-    write_metrics,
 )
 from repro.simulator import (
     AuditError,
@@ -289,17 +289,17 @@ class TestBitIdentity:
 class TestMetricsRecords:
     def test_record_derives_ticks(self):
         spec = ScenarioSpec.make(_toy_driver.run, duration=1.0, dt=0.004)
-        record = metrics_record(spec, cache="miss", seconds=0.5,
-                                worker_pid=123)
+        record = metrics_record(spec, spec_hash=spec.spec_hash(),
+                                cache="miss", seconds=0.5, worker_pid=123)
         assert record["ticks"] == 250
         assert record["ticks_per_sec"] == pytest.approx(500.0)
-        hit = metrics_record(spec, cache="hit")
+        hit = metrics_record(spec, spec_hash=spec.spec_hash(), cache="hit")
         assert hit["seconds"] is None and hit["ticks_per_sec"] is None
 
     def test_validation_rejects_bad_records(self):
         spec = ScenarioSpec.make(_toy_driver.run, duration=1.0)
-        record = metrics_record(spec, cache="miss", seconds=0.5,
-                                worker_pid=123)
+        record = metrics_record(spec, spec_hash=spec.spec_hash(),
+                                cache="miss", seconds=0.5, worker_pid=123)
         validate_metrics_record(record)
         with pytest.raises(ValueError, match="cache"):
             validate_metrics_record({**record, "cache": "maybe"})
@@ -310,20 +310,20 @@ class TestMetricsRecords:
             validate_metrics_record({**record, "surprise": 1})
         with pytest.raises(ValueError, match="hits"):
             validate_metrics_record({**record, "cache": "hit"})
-
-    def test_write_metrics_jsonl(self, tmp_path):
-        spec = ScenarioSpec.make(_toy_driver.run, duration=1.0)
-        path = tmp_path / "metrics.jsonl"
-        n = write_metrics([metrics_record(spec, cache="hit")], str(path))
-        assert n == 1
-        assert load_metrics(str(path))[0]["cache"] == "hit"
+        # ``error`` says why a failed spec failed, and only a failed one.
+        with pytest.raises(ValueError, match="error"):
+            validate_metrics_record({**record, "error": "boom"})
+        with pytest.raises(ValueError, match="error"):
+            validate_metrics_record({**record, "outcome": "crash"})
+        validate_metrics_record({**record, "outcome": "crash",
+                                 "error": "worker died"})
 
 
 class TestExecutorMetrics:
     def test_batch_reports_miss_hit_and_dedup(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         spec = ScenarioSpec.make(_toy_driver.run, seed=7, duration=0.1)
-        executor = BatchExecutor(workers=1, metrics_path=str(path))
+        executor = BatchExecutor(workers=1, journal_path=str(path))
         executor.run([spec, spec])
         first, second = executor.last_metrics
         assert first["cache"] == "miss" and not first["dedup"]
@@ -362,6 +362,19 @@ class TestRunnerFlags:
         records = load_metrics(str(path))
         assert len(records) == 1
         assert records[0]["fn"].endswith(":run")
+
+    def test_metrics_flag_keeps_records_of_a_batch_that_raised(
+            self, tmp_path, monkeypatch):
+        """A raising spec ends a runner batch; the spec that settled before
+        it still has its record on disk."""
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")
+        path = tmp_path / "metrics.jsonl"
+        with pytest.raises(RuntimeError, match="deliberate crash"):
+            runner.main(["sweep", "selftest", "--set", "crash=0,1",
+                         "--metrics", str(path)])
+        (record,) = load_metrics(str(path))
+        assert record["label"] == "crash=0"
+        assert (record["cache"], record["outcome"]) == ("miss", "ok")
 
     def test_trace_flag_streams_events_and_restores_env(
             self, tmp_path, monkeypatch):
@@ -422,7 +435,10 @@ class TestAnalysisTelemetry:
     def test_cli_rejects_wrong_schema_kind(self, tmp_path, capsys):
         path = tmp_path / "metrics.jsonl"
         spec = ScenarioSpec.make(_toy_driver.run, duration=1.0)
-        write_metrics([metrics_record(spec, cache="hit")], str(path))
+        journal = BatchJournal(path)
+        journal.record(
+            metrics_record(spec, spec_hash=spec.spec_hash(), cache="hit"))
+        journal.close()
         assert telemetry_cli(["validate", "--kind", "metrics",
                               str(path)]) == 0
         assert telemetry_cli(["validate", "--kind", "trace",
