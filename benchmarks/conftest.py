@@ -1,31 +1,26 @@
-"""Shared helpers for the benchmark harness.
+"""Shared settings for the paper benchmarks.
 
 Every benchmark regenerates one table or figure of the paper at reduced
 scale (shorter durations, coarser tick) and asserts the *shape* of the
 paper's result — who wins, in which direction, where the crossover lies —
-rather than absolute numbers.  Each experiment is executed exactly once per
-benchmark (``rounds=1``): the interesting measurement is the experiment's
-outcome, with wall-clock time reported by pytest-benchmark as a bonus.
+rather than absolute numbers.  A benchmark calls the experiment's front-end
+directly: every front-end runs its simulations as one cached batch
+(:func:`repro.experiments.common.run_cases`), so a repeated benchmark run
+is served from the on-disk result cache (``REPRO_CACHE_DIR`` /
+``REPRO_NO_CACHE``) instead of re-simulating.  Wall time is measured by
+``benchmarks/e2e``, not here.
 
-Execution goes through :mod:`repro.runtime`: the driver call becomes a
-:class:`~repro.runtime.ScenarioSpec` and runs under the shared
-:class:`~repro.runtime.BatchExecutor`, so a repeated benchmark run is
-served from the on-disk result cache (``REPRO_CACHE_DIR`` /
-``REPRO_NO_CACHE``) instead of re-simulating.
-
-Benchmarks that fail at the seed are recorded in ``known_failures.json``
-and collected as ``xfail(strict=False)``: CI stays green on the historical
-failures while any *new* failure — or a regression in a passing benchmark —
-turns the run red.  Delete an entry once its benchmark is fixed.
+A benchmark that does not reproduce the paper yet carries
+``@pytest.mark.xfail(strict=True, reason=...)`` on its test, the reason
+stating the reading it gets today and the ROADMAP item that owns the fix.
+Strict means a fixed artefact XPASSes and turns the run red until its
+marker is deleted.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-
-import pytest
 
 # Allow running the benchmarks from a source checkout without installation.
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -33,40 +28,6 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.runtime import BatchExecutor, ScenarioSpec  # noqa: E402
-
 #: Simulation tick used across benchmarks: coarse enough to be quick, fine
 #: enough for 5 Hz pulses and 50 ms RTTs.
 BENCH_DT = 0.004
-
-#: One executor for the whole benchmark session (shared cache statistics).
-EXECUTOR = BatchExecutor()
-
-_KNOWN_FAILURES_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                    "known_failures.json")
-
-
-def run_once(benchmark, fn, **kwargs):
-    """Run an experiment driver exactly once under pytest-benchmark.
-
-    The (driver, kwargs) pair becomes a scenario spec executed by the
-    shared runtime executor, so identical re-runs hit the result cache.
-    """
-    spec = ScenarioSpec.make(fn, **kwargs)
-    return benchmark.pedantic(EXECUTOR.run_one, args=(spec,), rounds=1,
-                              iterations=1, warmup_rounds=0)
-
-
-def _load_known_failures() -> dict:
-    with open(_KNOWN_FAILURES_PATH, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def pytest_collection_modifyitems(config, items):
-    """Mark the seed's known-failing benchmarks as non-strict xfails."""
-    known = _load_known_failures()
-    for item in items:
-        key = f"{os.path.basename(str(item.fspath))}::{item.name}"
-        reason = known.get(key)
-        if reason is not None:
-            item.add_marker(pytest.mark.xfail(reason=reason, strict=False))

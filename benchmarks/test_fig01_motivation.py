@@ -1,15 +1,15 @@
 """Figure 1: Nimbus matches Cubic's throughput against elastic cross traffic
 and achieves much lower delay against inelastic cross traffic."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig01_motivation
 
 
-def test_fig01_motivation(benchmark):
-    result = run_once(benchmark, fig01_motivation.run,
-                      schemes=("cubic", "basicdelay", "nimbus"),
-                      phase_duration=25.0, dt=BENCH_DT)
+def test_fig01_motivation():
+    result = fig01_motivation.run(
+        schemes=("cubic", "basicdelay", "nimbus"),
+        phase_duration=25.0, dt=BENCH_DT)
     cubic = result.schemes["cubic"].extra
     delay_cc = result.schemes["basicdelay"].extra
     nimbus = result.schemes["nimbus"].extra

@@ -1,14 +1,13 @@
 """Figure 3: self-inflicted delay is the same for elastic and inelastic cross
 traffic and therefore cannot be used as an elasticity signal."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig03_self_inflicted
 
 
-def test_fig03_self_inflicted(benchmark):
-    result = run_once(benchmark, fig03_self_inflicted.run,
-                      phase_duration=25.0, dt=BENCH_DT)
+def test_fig03_self_inflicted():
+    result = fig03_self_inflicted.run(phase_duration=25.0, dt=BENCH_DT)
     data = result.data
     self_elastic = data["self_inflicted_elastic_mean"]
     self_inelastic = data["self_inflicted_inelastic_mean"]

@@ -1,13 +1,13 @@
 """Figure 5: the cross-traffic FFT has a pronounced peak at fp only when the
 cross traffic is elastic."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig05_fft
 
 
-def test_fig05_fft(benchmark):
-    result = run_once(benchmark, fig05_fft.run, duration=25.0, dt=BENCH_DT)
+def test_fig05_fft():
+    result = fig05_fft.run(duration=25.0, dt=BENCH_DT)
     elastic = result.data["elastic"]
     inelastic = result.data["inelastic"]
     # Elastic: the fp peak dominates its neighbourhood (eta above threshold).

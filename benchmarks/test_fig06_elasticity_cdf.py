@@ -2,15 +2,14 @@
 traffic; purely inelastic traffic sits near eta=1, purely elastic well above
 the threshold of 2."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig06_elasticity_cdf
 
 
-def test_fig06_elasticity_cdf(benchmark):
-    result = run_once(benchmark, fig06_elasticity_cdf.run,
-                      elastic_fractions=(0.0, 0.5, 1.0), duration=30.0,
-                      dt=BENCH_DT)
+def test_fig06_elasticity_cdf():
+    result = fig06_elasticity_cdf.run(
+        elastic_fractions=(0.0, 0.5, 1.0), duration=30.0, dt=BENCH_DT)
     medians = result.data["median_eta"]
     # Monotone direction: fully elastic >> fully inelastic.
     assert medians[1.0] > medians[0.0]

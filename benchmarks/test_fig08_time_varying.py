@@ -1,18 +1,18 @@
 """Figure 8: under time-varying cross traffic Nimbus tracks its fair share
 with low delay during inelastic periods, unlike Cubic (always high delay)."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig08_time_varying
 
 
-def test_fig08_time_varying(benchmark):
+def test_fig08_time_varying():
     # A compressed version of the paper's schedule: inelastic+elastic mix,
     # purely elastic, purely inelastic.
     schedule = ((16, 1), (0, 2), (32, 0), (16, 0))
-    result = run_once(benchmark, fig08_time_varying.run,
-                      schemes=("nimbus", "cubic"), schedule=schedule,
-                      phase_duration=20.0, dt=BENCH_DT)
+    result = fig08_time_varying.run(
+        schemes=("nimbus", "cubic"), schedule=schedule,
+        phase_duration=20.0, dt=BENCH_DT)
     nimbus = result.schemes["nimbus"]
     cubic = result.schemes["cubic"]
     # Both schemes deliver broadly comparable throughput overall (the

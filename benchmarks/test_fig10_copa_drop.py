@@ -1,14 +1,14 @@
 """Figure 10: Copa's throughput collapses for long periods against an elastic
 flow; Nimbus keeps a fair share."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig10_copa_drop
 
 
-def test_fig10_copa_drop(benchmark):
-    result = run_once(benchmark, fig10_copa_drop.run, duration=50.0,
-                      elastic_start=10.0, cross_rtt_ratio=1.0, dt=BENCH_DT)
+def test_fig10_copa_drop():
+    result = fig10_copa_drop.run(duration=50.0, elastic_start=10.0,
+                                 cross_rtt_ratio=1.0, dt=BENCH_DT)
     nimbus = result.schemes["nimbus"].extra
     copa = result.schemes["copa"].extra
     # Nimbus sustains more throughput than Copa while the elastic flow is

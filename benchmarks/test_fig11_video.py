@@ -2,15 +2,15 @@
 Cubic's throughput at lower delay; with 4K (elastic) video Vegas collapses
 while Nimbus stays competitive."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig11_video
 
 
-def test_fig11_video(benchmark):
-    result = run_once(benchmark, fig11_video.run,
-                      schemes=("nimbus", "cubic", "vegas"),
-                      video_kinds=("4k", "1080p"), duration=45.0, dt=BENCH_DT)
+def test_fig11_video():
+    result = fig11_video.run(
+        schemes=("nimbus", "cubic", "vegas"),
+        video_kinds=("4k", "1080p"), duration=45.0, dt=BENCH_DT)
     s = result.schemes
     # 1080p (app-limited, inelastic): similar throughput, lower delay.
     assert s["nimbus@1080p"].summary.mean_throughput_mbps > \

@@ -2,16 +2,16 @@
 traffic occupies most of the link and when elastic cross traffic has a much
 larger RTT."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig14_accuracy_vs_copa
 
 
-def test_fig14_accuracy_vs_copa(benchmark):
-    result = run_once(benchmark, fig14_accuracy_vs_copa.run,
-                      inelastic_shares=(0.5, 0.85),
-                      inelastic_kinds=("poisson",),
-                      rtt_ratios=(1.0, 4.0), duration=45.0, dt=BENCH_DT)
+def test_fig14_accuracy_vs_copa():
+    result = fig14_accuracy_vs_copa.run(
+        inelastic_shares=(0.5, 0.85),
+        inelastic_kinds=("poisson",),
+        rtt_ratios=(1.0, 4.0), duration=45.0, dt=BENCH_DT)
     inelastic = result.data["inelastic"]
     rtt = result.data["rtt"]
     # High inelastic load: Nimbus stays reasonably accurate, Copa degrades.

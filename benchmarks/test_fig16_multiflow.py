@@ -1,14 +1,14 @@
 """Figure 16: multiple Nimbus flows share the link fairly, elect at most a
 handful of pulsers, and keep delays low."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig16_multiflow
 
 
-def test_fig16_multiflow(benchmark):
-    result = run_once(benchmark, fig16_multiflow.run, n_flows=3, stagger=15.0,
-                      flow_duration=50.0, dt=BENCH_DT)
+def test_fig16_multiflow():
+    result = fig16_multiflow.run(n_flows=3, stagger=15.0,
+                                 flow_duration=50.0, dt=BENCH_DT)
     data = result.data
     assert data["jain_fairness"] > 0.7
     # Decentralised election keeps concurrent pulsers low (paper: ~1).

@@ -3,16 +3,16 @@ throughput comparable to Cubic/BBR with lower delay."""
 
 import numpy as np
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import internet_paths
 
 
-def test_fig18_internet_paths(benchmark):
+def test_fig18_internet_paths():
     profiles = internet_paths.DEFAULT_PROFILES[:3]
-    result = run_once(benchmark, internet_paths.run, profiles=profiles,
-                      schemes=("nimbus", "cubic", "bbr", "vegas"),
-                      duration=30.0, dt=BENCH_DT)
+    result = internet_paths.run(profiles=profiles,
+                                schemes=("nimbus", "cubic", "bbr", "vegas"),
+                                duration=30.0, dt=BENCH_DT)
     per_path = result.data["per_path"]
     tput_ratio = []
     delay_gap = []

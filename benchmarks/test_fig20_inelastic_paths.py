@@ -2,14 +2,13 @@
 delay-control algorithm alone achieves Cubic-like throughput at much lower
 delay."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import internet_paths
 
 
-def test_fig20_inelastic_paths(benchmark):
-    result = run_once(benchmark, internet_paths.run_appendix_a,
-                      duration=30.0, dt=BENCH_DT)
+def test_fig20_inelastic_paths():
+    result = internet_paths.run_appendix_a(duration=30.0, dt=BENCH_DT)
     cubic = result.schemes["cubic"]
     delay = result.schemes["nimbus-delay"]
     assert delay.summary.mean_throughput_mbps > \

@@ -2,15 +2,14 @@
 Nimbus than under Cubic for short flows, and Vegas (which cedes bandwidth)
 gives the best cross-flow FCTs."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig21_fct
 
 
-def test_fig21_fct(benchmark):
-    result = run_once(benchmark, fig21_fct.run,
-                      schemes=("nimbus", "cubic", "vegas"), duration=50.0,
-                      dt=BENCH_DT)
+def test_fig21_fct():
+    result = fig21_fct.run(schemes=("nimbus", "cubic", "vegas"),
+                           duration=50.0, dt=BENCH_DT)
     normalized = result.data["normalized_p95"]
     # Short-flow bins: Cubic's p95 FCT is at least as large as Nimbus's.
     short_bins = [label for label in ("15KB", "150KB")

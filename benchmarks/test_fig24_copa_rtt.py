@@ -2,14 +2,14 @@
 compete; with a 4x-RTT competitor Copa stays in default mode and loses
 throughput while Nimbus keeps its share."""
 
-from conftest import BENCH_DT, run_once
+from conftest import BENCH_DT
 
 from repro.experiments import fig24_copa_rtt
 
 
-def test_fig24_copa_rtt(benchmark):
-    result = run_once(benchmark, fig24_copa_rtt.run, rtt_ratios=(1.0, 4.0),
-                      duration=50.0, dt=BENCH_DT)
+def test_fig24_copa_rtt():
+    result = fig24_copa_rtt.run(rtt_ratios=(1.0, 4.0),
+                                duration=50.0, dt=BENCH_DT)
     tput = result.data["throughput"]
     fair = result.data["fair_share_mbps"]
     # Equal RTT: both get a meaningful share.

@@ -12,12 +12,13 @@ mid-run.  The question, as in Figure 8 but under injected faults, is
 whether mode-switching schemes (Nimbus, Copa) still classify the cross
 traffic correctly while the path misbehaves.
 
-All sweep axes are plain numerics, so the chaos grid batches and caches
-like any other experiment::
+All sweep axes are plain numerics, so the chaos grid is a campaign
+manifest's ``[experiment.axes]`` (``period = [4, 8, 16]``, ``depth =
+[0.5, 1]``; ``benchmarks/campaigns/smoke.toml`` has one) and batches and
+caches like any other experiment::
 
     python -m repro.experiments.runner link_flap --duration 60
-    python -m repro.experiments.runner sweep link_flap \\
-        --set period=4,8,16 --set depth=0.5,1 --set duty=0.25 --duration 60
+    repro-campaign run benchmarks/campaigns/smoke.toml --out runs/smoke
 """
 
 from __future__ import annotations

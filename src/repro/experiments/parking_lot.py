@@ -9,12 +9,11 @@ share as N grows; the interesting question for Nimbus is whether the
 elasticity detector still tracks cross traffic it only shares one hop with.
 
 Every case runs through the scenario runtime (cached, batched); the hop
-count, cross-flow count, rates, and delays are all plain numeric sweep
-axes::
+count, cross-flow count, rates, and delays are all plain numerics, so a
+campaign manifest's ``[experiment.axes]`` (``hops = [2, 3, 5]``,
+``cross_flows = [2, 4]``) sweeps them::
 
     python -m repro.experiments.runner parking_lot --duration 5
-    python -m repro.experiments.runner sweep parking_lot --set hops=2,3,5 \\
-        --set cross_flows=2,4 --duration 20
 """
 
 from __future__ import annotations

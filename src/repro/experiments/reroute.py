@@ -22,11 +22,11 @@ Every payload also carries the ordered control-plane event sequence
 deterministic for a given spec and seed across serial, pooled, and
 isolated-process execution (see ``tests/test_routing.py``).
 
-Sweep axes are plain numerics::
+Sweep axes are plain numerics; ``benchmarks/campaigns/reroute.toml``
+sweeps ``period`` × ``convergence_ms`` as a campaign manifest::
 
     python -m repro.experiments.runner reroute --duration 60
-    python -m repro.experiments.runner sweep reroute \\
-        --set period=4,8,16 --set convergence_ms=10,50,250 --duration 60
+    repro-campaign run benchmarks/campaigns/reroute.toml --out runs/reroute
 """
 
 from __future__ import annotations

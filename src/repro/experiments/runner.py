@@ -8,14 +8,9 @@ code::
     python -m repro.experiments.runner --list
 
 Arbitrary numeric keyword overrides can be passed as ``--set name=value``;
-they are forwarded to the driver's ``run`` function.  ``sweep`` mode
-expands comma-separated ``--set`` values into the cross product — through
-:func:`repro.runtime.spec.expand_grid`, the expander campaign manifests
-use — and runs the whole grid as one scenario batch (parallel workers +
-result cache)::
-
-    python -m repro.experiments.runner sweep fig09 --set seed=1,2,3 \\
-        --set load=0.5,0.9 --duration 30
+they are forwarded to the driver's ``run`` function.  A grid of runs is a
+campaign manifest with ``[experiment.axes]``, run by ``repro-campaign run``
+(see :mod:`repro.runtime.campaign`).
 
 Execution goes through :mod:`repro.runtime`, so repeated invocations with
 identical parameters are served from the on-disk cache (see
@@ -43,58 +38,29 @@ import inspect
 import os
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..runtime import BatchExecutor, ResultCache, ScenarioSpec, tally
-from ..runtime.spec import expand_grid
 from . import EXPERIMENT_INDEX
 from .common import ExperimentResult
 
 
-def _parse_overrides(
-        pairs: List[str]) -> Tuple[Dict[str, float], Dict[str, List[float]]]:
-    """Split ``--set`` pairs into fixed overrides and sweep axes.
-
-    The one ``--set`` parser (numbers only): ``name=a,b,c`` becomes a sweep
-    axis with values ``[a, b, c]``; single-valued pairs are plain keyword
-    overrides.  A plain run accepts no axes; ``main`` says so.
-    """
-    fixed: Dict[str, float] = {}
-    axes: Dict[str, List[float]] = {}
+def _parse_overrides(pairs: List[str]) -> Dict[str, float]:
+    """Parse ``--set name=value`` pairs (numbers only) into overrides."""
+    overrides: Dict[str, float] = {}
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"--set expects name=value[,value...], "
-                             f"got {pair!r}")
+            raise ValueError(f"--set expects name=value, got {pair!r}")
         name, raw = pair.split("=", 1)
-        name = name.strip()
-        try:
-            values = [float(v) for v in raw.split(",") if v.strip() != ""]
-        except ValueError:
+        if "," in raw:
             raise ValueError(
-                f"--set expects numeric values, got {pair!r}")
-        if not values:
-            raise ValueError(f"--set got no values in {pair!r}")
-        if len(values) == 1:
-            fixed[name] = values[0]
-        else:
-            axes[name] = values
-    return fixed, axes
-
-
-def _sweep_row_label(spec: ScenarioSpec, axes: Dict[str, List[float]]) -> str:
-    """The full parameter tuple of one sweep row.
-
-    The grid label only names the swept axes, which is ambiguous once
-    several axes (and fixed ``--set`` overrides) are in play: two rows can
-    print identically while differing in a fixed parameter, and the axis
-    order is whatever the label generator chose.  Here every parameter of
-    the spec is shown — swept axes first, in the order they were declared
-    on the command line, then the fixed parameters, sorted by name.
-    """
-    params = spec.kwargs()
-    names = [name for name in axes if name in params]
-    names += sorted(name for name in params if name not in axes)
-    return ", ".join(f"{name}={params[name]}" for name in names)
+                f"--set {pair}: a list of values is a grid; write it as a "
+                f"manifest's [experiment.axes] and run 'repro-campaign run'")
+        try:
+            overrides[name.strip()] = float(raw)
+        except ValueError:
+            raise ValueError(f"--set expects a numeric value, got {pair!r}")
+    return overrides
 
 
 def _describe(result: ExperimentResult) -> str:
@@ -148,10 +114,7 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Regenerate a table or figure of the Nimbus paper.")
     parser.add_argument("experiment", nargs="?",
-                        help="Experiment id (e.g. fig09, fig14, table1), or "
-                             "the literal 'sweep' followed by an id")
-    parser.add_argument("target", nargs="?",
-                        help="Experiment id to sweep (with 'sweep')")
+                        help="Experiment id (e.g. fig09, fig14, table1)")
     parser.add_argument("--list", action="store_true",
                         help="List available experiment ids and exit")
     parser.add_argument("--duration", type=float, default=None,
@@ -160,9 +123,7 @@ def main(argv: List[str] | None = None) -> int:
                         help="Simulation tick in seconds (default 2 ms)")
     parser.add_argument("--set", dest="overrides", action="append",
                         default=[], metavar="NAME=VALUE",
-                        help="Additional numeric keyword override; in sweep "
-                             "mode NAME=V1,V2,... adds a sweep axis "
-                             "(repeatable)")
+                        help="Numeric keyword override (repeatable)")
     parser.add_argument("--profile", action="store_true",
                         help="After the batch, print per-scenario wall time "
                              "and the batch tally (hits / misses / corrupt "
@@ -181,12 +142,7 @@ def main(argv: List[str] | None = None) -> int:
         _print_listing()
         return 0
 
-    sweep_mode = args.experiment == "sweep"
-    experiment_id = args.target if sweep_mode else args.experiment
-    if sweep_mode and not experiment_id:
-        print("sweep mode needs an experiment id, e.g. "
-              "'runner sweep fig09 --set seed=1,2,3'", file=sys.stderr)
-        return 2
+    experiment_id = args.experiment
     fn = EXPERIMENT_INDEX.get(experiment_id)
     if fn is None:
         print(f"unknown experiment {experiment_id!r}; "
@@ -199,24 +155,16 @@ def main(argv: List[str] | None = None) -> int:
     takes_duration = _accepts_kwarg(ScenarioSpec.make(fn).resolve(),
                                     "duration")
     try:
-        base, axes = _parse_overrides(args.overrides)
-        if axes and not sweep_mode:
-            raise ValueError(
-                f"--set {next(iter(axes))}=V1,V2,... is a sweep axis; run "
-                f"'runner sweep {experiment_id} ...' to expand it")
-        base.setdefault("dt", args.dt)
-        if args.duration is not None:
-            base["duration"] = args.duration
-        if not takes_duration:
-            if "duration" in axes:
-                raise ValueError(f"{experiment_id} does not take a duration; "
-                                 f"it cannot be a sweep axis")
-            base.pop("duration", None)
-        specs = list(expand_grid(fn, base, axes)) if sweep_mode else [
-            ScenarioSpec.make(fn, label=experiment_id, **base)]
+        overrides = _parse_overrides(args.overrides)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
+    overrides.setdefault("dt", args.dt)
+    if args.duration is not None:
+        overrides["duration"] = args.duration
+    if not takes_duration:
+        overrides.pop("duration", None)
+    spec = ScenarioSpec.make(fn, label=experiment_id, **overrides)
 
     for label, path in (("--trace", args.trace), ("--metrics", args.metrics)):
         if path:
@@ -236,34 +184,28 @@ def main(argv: List[str] | None = None) -> int:
                                  journal_path=args.metrics)
     else:
         executor = BatchExecutor(journal_path=args.metrics)
+    # The engine reads REPRO_TRACE at construction time, deep inside the
+    # driver, and drivers run their own nested batches — the environment
+    # is the only channel that reaches all of them.  REPRO_NO_CACHE keeps
+    # those nested batches from serving cached results (a cache hit
+    # simulates nothing, so it traces nothing) and REPRO_BENCH_WORKERS=1
+    # keeps pool workers from interleaving partial lines in the one JSONL
+    # file.
+    forced = {"REPRO_TRACE": args.trace, "REPRO_NO_CACHE": "1",
+              "REPRO_BENCH_WORKERS": "1"} if args.trace else {}
+    saved = {key: os.environ.get(key) for key in forced}
+    os.environ.update(forced)
     begin = time.perf_counter()
-    if args.trace:
-        # The engine reads REPRO_TRACE at construction time, deep inside
-        # the driver, and drivers run their own nested batches — the
-        # environment is the only channel that reaches all of them.
-        # REPRO_NO_CACHE keeps those nested batches from serving cached
-        # results (a cache hit simulates nothing, so it traces nothing)
-        # and REPRO_BENCH_WORKERS=1 keeps pool workers from interleaving
-        # partial lines in the one JSONL file.
-        forced = {"REPRO_TRACE": args.trace, "REPRO_NO_CACHE": "1",
-                  "REPRO_BENCH_WORKERS": "1"}
-        saved = {key: os.environ.get(key) for key in forced}
-        os.environ.update(forced)
-        try:
-            results = executor.run(specs)
-        finally:
-            for key, value in saved.items():
-                if value is None:
-                    os.environ.pop(key, None)
-                else:
-                    os.environ[key] = value
-    else:
-        results = executor.run(specs)
+    try:
+        (result,) = executor.run([spec])
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
     wall = time.perf_counter() - begin
-    for spec, result in zip(specs, results):
-        if sweep_mode:
-            print(f"--- {experiment_id} [{_sweep_row_label(spec, axes)}] ---")
-        print(_describe(result))
+    print(_describe(result))
     if args.profile:
         _print_profile(executor.last_metrics, wall)
     return 0

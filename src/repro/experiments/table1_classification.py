@@ -22,6 +22,7 @@ Const. stream   no       no           inelastic
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
@@ -82,12 +83,14 @@ def classify(traffic: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
              dt: float = 0.002, seed: int = 0) -> dict:
     """Run Nimbus against one traffic class and report the majority decision
     (``mode_accuracy``: the share of scored bins spent in the mode the
-    paper's table expects)."""
+    paper's table expects).  ``seed`` also draws the cross flow's start,
+    uniform over [0, 1) s (five pulse periods), from a private stream."""
     spec = TRAFFIC_CLASSES[traffic]
     network = make_network(link_mbps, buffer_ms=buffer_ms, dt=dt, seed=seed)
     mu = mbps_to_bytes_per_sec(link_mbps)
     add_main_flow(network, "nimbus", link_mbps, prop_rtt=prop_rtt)
-    network.add_flow(spec.make_flow(mu, prop_rtt, seed + 5))
+    network.add_flow(spec.make_flow(mu, prop_rtt, seed + 5),
+                     start=random.Random(seed).random())
     network.run(duration)
     recorder, warmup = network.recorder, 10.0
     times, modes = recorder.mode_series(MAIN_FLOW)

@@ -388,10 +388,6 @@ class BatchExecutor:
             raise SpecExecutionError(failures)
         return results
 
-    def run_one(self, spec: ScenarioSpec) -> Any:
-        """Single-spec convenience wrapper around :meth:`run`."""
-        return self.run([spec])[0]
-
     def _run_on_workers(
             self, specs: Sequence[ScenarioSpec], hashes: Sequence[str],
             settle: Callable[[str, str, float, Optional[int], Any, int], None]

@@ -33,8 +33,8 @@ Schema (TOML spelling)::
     depth = 0.5
 
 Each block's grid is expanded by :func:`repro.runtime.spec.expand_grid`
-— the one cross-product expander, shared with ``runner sweep`` — and a
-cell id is ``<experiment id>[<grid label>]``, i.e. ``axis=value,...`` with
+— the one cross-product expander; a manifest is how a grid of runs is
+written — and a cell id is ``<experiment id>[<grid label>]``, i.e. ``axis=value,...`` with
 values in canonical spelling (``2.0`` prints as ``2``), so the same
 manifest always produces the same ids — they are the join key for
 ``repro-campaign diff``.  Fault windows are not a manifest concept: the

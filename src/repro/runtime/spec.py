@@ -171,9 +171,9 @@ def expand_grid(fn: Callable | str, base: Mapping[str, Any],
                 axes: Mapping[str, Any]) -> Tuple[ScenarioSpec, ...]:
     """Cross-product expansion of sweep axes into a batch of specs.
 
-    The one grid expander: ``runner sweep`` and campaign manifests
-    (:meth:`repro.runtime.manifest.CampaignManifest.expand`) both call it.
-    ``axes`` maps parameter name -> iterable of values; ``base`` holds the
+    The one grid expander, called by campaign manifests
+    (:meth:`repro.runtime.manifest.CampaignManifest.expand`): a manifest
+    with ``[experiment.axes]`` is the sweep.  ``axes`` maps parameter name -> iterable of values; ``base`` holds the
     parameters common to every point.  Returns one spec per point of the
     cross product, in row-major order of the axes as given, labelled
     ``axis=value,...`` with values in canonical spelling (``2.0`` prints as

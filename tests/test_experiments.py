@@ -427,3 +427,68 @@ class TestOneWayToFanOut:
         """(d) No caller had to change."""
         assert {key: str(inspect.signature(_front_end(key)))
                 for key in EXPERIMENT_INDEX} == SIGNATURES
+
+
+
+# --------------------------------------------------------------------- #
+# The paper suite is plain pytest over the cached front-ends
+# --------------------------------------------------------------------- #
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+#: Every ``benchmarks/`` file but the end-to-end benchmark's own.
+PAPER_SUITE = sorted(path for path in BENCHMARKS.rglob("*.py")
+                     if "e2e" not in path.relative_to(BENCHMARKS).parts)
+
+
+def _strict_with_reason(call: ast.Call) -> bool:
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    strict, reason = keywords.get("strict"), keywords.get("reason")
+    return (isinstance(strict, ast.Constant) and strict.value is True
+            and isinstance(reason, ast.Constant)
+            and bool(str(reason.value).strip()))
+
+
+class TestPaperSuite:
+    def test_benchmarks_call_front_ends_not_the_batch_runtime(self):
+        """No second executor and no timing plugin: a benchmark names no
+        runtime class and takes no ``benchmark`` fixture."""
+        banned = {"ScenarioSpec", "BatchExecutor", "run_batch", "benchmark"}
+        offenders = {}
+        for path in PAPER_SUITE:
+            named = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.alias):
+                    named.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.arg):
+                    named.add(node.arg)
+            if named & banned:
+                offenders[path.name] = sorted(named & banned)
+        assert any(path.name == "test_table1_classification.py"
+                   for path in PAPER_SUITE)
+        assert offenders == {}
+
+    def test_xfails_are_in_file_strict_and_explained(self):
+        """No side file: an artefact that does not reproduce carries a
+        strict marker with a written cause, so a fix XPASSes loudly."""
+        assert not (BENCHMARKS / "known_failures.json").exists()
+        loose = []
+        for path in PAPER_SUITE:
+            tree = ast.parse(path.read_text())
+            explained = {id(node.func) for node in ast.walk(tree)
+                         if isinstance(node, ast.Call)
+                         and _strict_with_reason(node)}
+            loose += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "xfail" and id(node) not in explained]
+        assert loose == []
+
+    def test_table1_seed_moves_the_cross_flow_phase(self):
+        """``classify``'s seed draws the cross flow's start, so two seeds
+        of a backlogged class are two samples, not one sample twice."""
+        payloads = [table1_classification.classify(
+            "cubic", duration=12.0, seed=seed, **FAST) for seed in (0, 1)]
+        assert test_golden.canonical_digest(payloads[0]) != \
+            test_golden.canonical_digest(payloads[1])

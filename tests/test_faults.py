@@ -299,7 +299,7 @@ class TestFlapHelper:
 
 class TestNoFaultIdentity:
     def test_empty_schedule_is_bit_identical(self):
-        def run_once(faults):
+        def link_bytes(faults):
             network = _two_hop(faults=faults)
             network.run(4.0)
             link = _link(network, "bottleneck")
@@ -307,7 +307,7 @@ class TestNoFaultIdentity:
                                  link.total_drops, link.queue_bytes,
                                  network.engine_stats()["ticks"]))
 
-        assert run_once(()) == run_once(None or ())
+        assert link_bytes(()) == link_bytes(None or ())
 
 
 class TestAuditTier1:

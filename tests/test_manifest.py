@@ -203,8 +203,9 @@ _SHARED_GRIDS = [
 
 @pytest.mark.parametrize("axes, points", _SHARED_GRIDS)
 def test_expand_grid_and_manifest_cell_ids_agree(axes, points):
-    """``runner sweep`` and manifests share one expander: same points, in
-    the same order, spelled the same way, carrying the same specs."""
+    """A manifest's cells are ``expand_grid``'s points — the one
+    expander: same points, in the same order, spelled the same way,
+    carrying the same specs."""
     base = {"dt": 0.004}
     specs = expand_grid("_toy_driver:run", base, axes)
     block = {"id": "toy", "driver": "_toy_driver:run", "params": base}

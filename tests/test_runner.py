@@ -46,12 +46,14 @@ def test_unknown_experiment():
 
 
 def test_parse_overrides():
-    assert runner._parse_overrides(["load=0.9", "seed=3"]) == (
-        {"load": 0.9, "seed": 3.0}, {})
+    assert runner._parse_overrides(["load=0.9", "seed=3"]) == {
+        "load": 0.9, "seed": 3.0}
     with pytest.raises(ValueError):
         runner._parse_overrides(["oops"])
     with pytest.raises(ValueError):
         runner._parse_overrides(["seed=banana"])
+    with pytest.raises(ValueError):
+        runner._parse_overrides(["seed=1,2"])
 
 
 def test_bad_override_exits_with_error(toy_index, capsys):
@@ -59,9 +61,9 @@ def test_bad_override_exits_with_error(toy_index, capsys):
     assert "name=value" in capsys.readouterr().err
     assert runner.main(["toy", "--set", "seed=banana"]) == 2
     assert "numeric" in capsys.readouterr().err
-    # An axis outside sweep mode is refused, not silently expanded.
+    # A list of values is a grid: a campaign manifest's axes, not a run.
     assert runner.main(["toy", "--set", "seed=1,2"]) == 2
-    assert "runner sweep toy" in capsys.readouterr().err
+    assert "repro-campaign run" in capsys.readouterr().err
 
 
 def test_single_run_via_runtime(toy_index, capsys):
@@ -77,68 +79,10 @@ def test_duration_dropped_for_drivers_without_duration(monkeypatch, capsys):
     assert "== toy ==" in capsys.readouterr().out
 
 
-def test_duration_sweep_axis_rejected_without_duration(monkeypatch, capsys):
-    monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2:run")
-    assert runner.main(["sweep", "toy2", "--set", "duration=1,2"]) == 2
-    assert "cannot be a sweep axis" in capsys.readouterr().err
-    # A sweep over a parameter the driver does accept still works.
-    assert runner.main(["sweep", "toy2", "--set", "seed=1,2"]) == 0
-    assert capsys.readouterr().out.count("--- toy2 [") == 2
-
-
-def test_parse_sweep_overrides():
-    """The same parser: comma lists become sweep axes."""
-    fixed, axes = runner._parse_overrides(
-        ["seed=1,2,3", "load=0.9", "scale=1,2"])
-    assert fixed == {"load": 0.9}
-    assert axes == {"seed": [1.0, 2.0, 3.0], "scale": [1.0, 2.0]}
-    with pytest.raises(ValueError):
-        runner._parse_overrides(["oops"])
-    with pytest.raises(ValueError):
-        runner._parse_overrides(["seed=1,banana"])
-    with pytest.raises(ValueError):
-        runner._parse_overrides(["seed=,"])
-
-
-def test_sweep_mode_expands_the_grid(toy_index, capsys):
-    code = runner.main(["sweep", "toy", "--duration", "0.5",
-                        "--set", "seed=1,2,3", "--set", "scale=2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.count("--- toy [") == 3
-    for seed in (1, 2, 3):
-        assert f"seed={seed}" in out
-    # Every row shows the *full* parameter tuple: the fixed --set override
-    # and the duration ride along with the swept axis.
-    assert out.count("scale=2") == 3
-    assert out.count("duration=0.5") == 3
-
-
-def test_sweep_rows_disambiguate_multi_axis_combinations(toy_index, capsys):
-    """With several axes every row names every (axis, value) pair, swept
-    axes first in command-line order, so no two rows print identically."""
-    code = runner.main(["sweep", "toy", "--duration", "0.5",
-                        "--set", "scale=1,2", "--set", "seed=3,4"])
-    assert code == 0
-    out = capsys.readouterr().out
-    rows = [line for line in out.splitlines()
-            if line.startswith("--- toy [")]
-    assert len(rows) == 4
-    assert len(set(rows)) == 4
-    for scale in (1, 2):
-        for seed in (3, 4):
-            assert any(f"[scale={scale}, seed={seed}," in row
-                       for row in rows), rows
-
-
-def test_sweep_mode_requires_target(capsys):
-    assert runner.main(["sweep"]) == 2
-    assert "experiment id" in capsys.readouterr().err
-
-
 def test_sweep_unknown_experiment(capsys):
-    assert runner.main(["sweep", "figXX"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    """``sweep`` is not a mode any more: a grid is a campaign manifest."""
+    assert runner.main(["sweep"]) == 2
+    assert "unknown experiment 'sweep'" in capsys.readouterr().err
 
 
 @pytest.mark.slow

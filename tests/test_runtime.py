@@ -408,7 +408,8 @@ def test_each_decision_is_described_once():
               "_LinkRecord", "_FluidRecord", "_link_bins", "_fluid_bins",
               "fft_magnitude", "magnitude_at", "band_peak", "BatchStats",
               "last_stats", "qdelay_cnt", "batch_id", "default_journal_path",
-              "write_metrics", "JOURNAL_SCHEMA_VERSION")
+              "write_metrics", "JOURNAL_SCHEMA_VERSION", "run_one",
+              "_sweep_row_label")
     products, transforms, vocabularies = [], [], []
     for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")

@@ -363,19 +363,6 @@ class TestRunnerFlags:
         assert len(records) == 1
         assert records[0]["fn"].endswith(":run")
 
-    def test_metrics_flag_keeps_records_of_a_batch_that_raised(
-            self, tmp_path, monkeypatch):
-        """A raising spec ends a runner batch; the spec that settled before
-        it still has its record on disk."""
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")
-        path = tmp_path / "metrics.jsonl"
-        with pytest.raises(RuntimeError, match="deliberate crash"):
-            runner.main(["sweep", "selftest", "--set", "crash=0,1",
-                         "--metrics", str(path)])
-        (record,) = load_metrics(str(path))
-        assert record["label"] == "crash=0"
-        assert (record["cache"], record["outcome"]) == ("miss", "ok")
-
     def test_trace_flag_streams_events_and_restores_env(
             self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
