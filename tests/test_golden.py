@@ -309,19 +309,30 @@ def changes_line_added(root: str = _ROOT) -> bool:
 
 def rebless(path: str = GOLDEN_PATH,
             explained: Optional[Callable[[], bool]] = None) -> int:
-    """Re-record every digest; 2 (file untouched) without a CHANGES line."""
+    """Re-record every digest and print one line per digest that moved (or
+    is new) plus the count that did not; 2 (file untouched) without a
+    CHANGES line."""
     explained = changes_line_added if explained is None else explained
     if not explained():
         print("refusing to rebless: add a CHANGES.md line explaining the "
               "numeric change first (none found relative to HEAD)",
               file=sys.stderr)
         return 2
+    try:
+        with open(path, encoding="utf-8") as handle:
+            before = json.load(handle)["digests"]
+    except (OSError, ValueError, KeyError):
+        before = {}
     digests = {name: compute(name) for name in SCENARIOS}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"schema": 1, "env": GOLDEN_ENV, "digests": digests},
                   handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"blessed {len(digests)} digests -> {path}")
+    moved = [name for name in digests if before.get(name) != digests[name]]
+    for name in moved:
+        print(f"{'moved' if name in before else 'added'} {name}")
+    print(f"{len(digests) - len(moved)} unchanged; blessed {len(digests)} "
+          f"digests -> {path}")
     return 0
 
 
@@ -381,6 +392,19 @@ if pytest is not None:
         assert rebless(str(target), explained=lambda: False) == 2
         assert target.read_text() == "untouched"
         assert "CHANGES.md" in capsys.readouterr().err
+
+    def test_rebless_names_what_moved(tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "SCENARIOS", {
+            "rebless-toy": (lambda: {"x": 1}, {})})
+        target = tmp_path / "golden.json"
+        target.write_text(json.dumps({"digests": {"rebless-toy": "stale"}}))
+        assert rebless(str(target), explained=lambda: True) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "moved rebless-toy"
+        assert out[1].startswith("0 unchanged; blessed 1 digests")
+        assert rebless(str(target), explained=lambda: True) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("1 unchanged;")
 
     def test_changes_line_check_reads_git(tmp_path):
         """No repository (or a clean CHANGES.md) is "not explained"."""
