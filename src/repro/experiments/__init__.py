@@ -1,6 +1,6 @@
 """Experiment drivers: one module per table/figure of the paper.
 
-Each module exposes a ``run(**params)`` front-end returning an
+Each module exposes a ``run(axes..., **params)`` front-end returning an
 :class:`~repro.experiments.common.ExperimentResult`.  Default parameters
 mirror the paper's setups; benchmarks pass scaled-down durations.
 
@@ -8,7 +8,10 @@ Every driver follows one recipe: a module-level ``run_case(**scalars)``
 builds, runs and measures one network and returns the payload — a
 ``{"scheme", "summary", "extra", "data"}`` dict, data only; ``run`` lists its
 cases for :func:`.common.run_cases` (one cached batch) and reduces the
-payloads.  Cases echo numeric parameters through ``float()``.
+payloads.  ``run_case``'s signature holds every default: ``run`` names its
+sweep axes, plus only a case parameter its reduction reads or defaults
+differently, and passes the rest through ``**params``.  Cases echo numeric
+parameters through ``float()``.
 """
 
 from .common import (

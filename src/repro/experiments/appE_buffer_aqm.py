@@ -19,16 +19,9 @@ def run(buffer_bdp_multipliers: Iterable[float] = (1.0, 2.0),
         prop_rtts: Iterable[float] = (0.05,),
         categories: Iterable[str] = ("elastic", "poisson", "mix"),
         pie_targets_bdp: Optional[Iterable[float]] = None,
-        link_mbps: float = 96.0, duration: float = 40.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+        duration: float = 40.0, **params) -> ExperimentResult:
     """Sweep buffer depth and RTT (and optionally PIE) for each traffic mix."""
-    result = ExperimentResult(
-        name="appE_buffer_aqm",
-        parameters=dict(buffer_bdp_multipliers=list(buffer_bdp_multipliers),
-                        prop_rtts=list(prop_rtts),
-                        categories=list(categories), link_mbps=link_mbps,
-                        duration=duration))
-
+    result = ExperimentResult(name="appE_buffer_aqm")
     keys, cases = [], []
     for category in categories:
         cross = cross_traffic(category)
@@ -42,8 +35,7 @@ def run(buffer_bdp_multipliers: Iterable[float] = (1.0, 2.0),
                 cases.append(dict(cross, prop_rtt=rtt,
                                   buffer_ms=rtt * 1e3 * 4,
                                   aqm_target_ms=rtt * 1e3 * target))
-    scenarios = run_cases(run_case, cases, link_mbps=link_mbps,
-                          duration=duration, dt=dt, seed=seed)
+    scenarios = run_cases(run_case, cases, duration=duration, **params)
     accuracy: Dict[Tuple, float] = {
         key: scenario["extra"]["mode_accuracy"]
         for key, scenario in zip(keys, scenarios)}

@@ -10,9 +10,12 @@ The one recipe every driver follows lives here too.  A *case* (a
 module-level ``run_case(**scalars)``) builds, runs and measures one network
 and returns the payload — the ``{"scheme", "summary", "extra", "data"}``
 dict, data only; a *front-end* (``run``) lists its cases, hands them to
-:func:`run_cases` and reduces the payloads.  A spec spells ``4.0`` as
-``4``, so a case echoes a numeric parameter into a label or an ``extra``
-through ``float()``.  :func:`link_byte_table` and
+:func:`run_cases` and reduces the payloads.  The case's signature holds
+every default: the front-end names its sweep axes (and a case parameter
+only when its reduction reads it or it defaults it differently) and
+passes everything else through ``**params``, so a spec carries only what
+its caller passed.  A spec spells ``4.0`` as ``4``, so a case echoes a
+numeric parameter into a label or an ``extra`` through ``float()``.  :func:`link_byte_table` and
 :func:`scripted_case_payload` are the measurement half of the chaos cases.
 """
 
@@ -79,10 +82,10 @@ class SchemeResult:
 
 @dataclass
 class ExperimentResult:
-    """Container returned by every experiment driver's ``run`` function."""
+    """Container returned by every experiment driver's ``run`` function:
+    what the cases computed, per scheme and as reduced ``data``."""
 
     name: str
-    parameters: dict
     schemes: Dict[str, SchemeResult] = field(default_factory=dict)
     data: dict = field(default_factory=dict)
 

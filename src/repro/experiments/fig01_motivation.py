@@ -73,17 +73,11 @@ def run_case(scheme: str, link_mbps: float = 48.0, prop_rtt: float = 0.05,
 
 
 def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
-        link_mbps: float = 48.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, phase_duration: float = 60.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        phase_duration: float = 60.0, **params) -> ExperimentResult:
     """Run the Fig. 1 scenario for each scheme and summarise per phase."""
-    result = ExperimentResult(
-        name="fig01_motivation",
-        parameters=dict(link_mbps=link_mbps, prop_rtt=prop_rtt,
-                        buffer_ms=buffer_ms, phase_duration=phase_duration))
+    result = ExperimentResult(name="fig01_motivation")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-              phase_duration=phase_duration, dt=dt, seed=seed)
+              phase_duration=phase_duration, **params)
     warmup = phase_duration / 2.0
     result.data["windows"] = {
         "elastic": (warmup + 5.0, warmup + phase_duration),
@@ -91,4 +85,3 @@ def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
                       warmup + 2 * phase_duration),
     }
     return result
-

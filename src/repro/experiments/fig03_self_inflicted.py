@@ -73,18 +73,10 @@ def run_case(link_mbps: float = 48.0, prop_rtt: float = 0.05,
     }
 
 
-def run(link_mbps: float = 48.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, phase_duration: float = 40.0,
-        sample_interval: float = 0.1, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(**params) -> ExperimentResult:
     """Run the Cubic flow of Fig. 1a and record self-inflicted vs total delay."""
-    result = ExperimentResult(
-        name="fig03_self_inflicted",
-        parameters=dict(link_mbps=link_mbps, phase_duration=phase_duration))
-    payload, = run_cases(run_case, [{}], link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-                         phase_duration=phase_duration,
-                         sample_interval=sample_interval, dt=dt, seed=seed)
+    result = ExperimentResult(name="fig03_self_inflicted")
+    payload, = run_cases(run_case, [{}], **params)
     result.schemes["cubic"] = SchemeResult("cubic", payload["summary"])
     result.data = {**payload["data"], **payload["extra"]}
     return result

@@ -77,20 +77,12 @@ def run_case(cross_kind: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     }}
 
 
-def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 30.0,
-        pulse_frequency: float = 5.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(**params) -> ExperimentResult:
     """Run the elastic and inelastic variants and return both datasets."""
-    result = ExperimentResult(
-        name="fig04_fig05_pulse_response",
-        parameters=dict(link_mbps=link_mbps, duration=duration,
-                        pulse_frequency=pulse_frequency))
+    result = ExperimentResult(name="fig04_fig05_pulse_response")
     kinds = ("elastic", "inelastic")
     payloads = run_cases(
-        run_case, [dict(cross_kind=kind) for kind in kinds], result,
-        link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-        duration=duration, pulse_frequency=pulse_frequency, dt=dt, seed=seed)
+        run_case, [dict(cross_kind=kind) for kind in kinds], result, **params)
     result.data = {kind: payload["data"]
                    for kind, payload in zip(kinds, payloads)}
     return result

@@ -55,10 +55,7 @@ def run_case(fraction: float, link_mbps: float = 96.0, prop_rtt: float = 0.05,
 
 
 def run(elastic_fractions: Iterable[float] = DEFAULT_FRACTIONS,
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 40.0,
-        cross_share: float = 0.5, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """For each elastic fraction, collect the distribution of eta.
 
     ``cross_share`` is the approximate share of the link given to cross
@@ -68,15 +65,11 @@ def run(elastic_fractions: Iterable[float] = DEFAULT_FRACTIONS,
     small; in practice what matters is only whether an elastic flow exists
     and how much of the bytes it carries.
     """
-    result = ExperimentResult(
-        name="fig06_elasticity_cdf",
-        parameters=dict(link_mbps=link_mbps, duration=duration,
-                        cross_share=cross_share))
+    result = ExperimentResult(name="fig06_elasticity_cdf")
     fractions = list(elastic_fractions)
     payloads = run_cases(
         run_case, [dict(fraction=fraction) for fraction in fractions], result,
-        link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-        duration=duration, cross_share=cross_share, dt=dt, seed=seed)
+        **params)
     result.data = {
         "etas": {f: p["data"] for f, p in zip(fractions, payloads)},
         "median_eta": {f: p["extra"]["median_eta"]

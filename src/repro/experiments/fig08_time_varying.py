@@ -95,17 +95,9 @@ def run_case(scheme: str,
 
 def run(schemes: Iterable[str] = ("nimbus", "cubic", "copa"),
         schedule: Iterable[Tuple[float, int]] = PAPER_SCHEDULE,
-        phase_duration: float = 20.0, link_mbps: float = 96.0,
-        prop_rtt: float = 0.05, buffer_ms: float = 100.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run the schedule for each scheme and summarise tracking quality."""
-    schedule = tuple(schedule)
-    result = ExperimentResult(
-        name="fig08_time_varying",
-        parameters=dict(schemes=list(schemes), schedule=schedule,
-                        phase_duration=phase_duration, link_mbps=link_mbps))
+    result = ExperimentResult(name="fig08_time_varying")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              schedule=schedule, phase_duration=phase_duration,
-              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-              dt=dt, seed=seed)
+              schedule=tuple(schedule), **params)
     return result

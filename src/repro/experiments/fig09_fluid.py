@@ -20,19 +20,9 @@ from .fig09_wan import run_case
 
 
 def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, load: float = 0.5, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 1,
-        fluid_arrivals: float = 0.0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run the fluid-aggregate WAN workload for each scheme."""
-    schemes = list(schemes)
-    result = ExperimentResult(
-        name="fig09_fluid",
-        parameters=dict(schemes=schemes, link_mbps=link_mbps,
-                        load=load, duration=duration,
-                        fluid_arrivals=fluid_arrivals))
+    result = ExperimentResult(name="fig09_fluid")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-              load=load, duration=duration, dt=dt, seed=seed, fluid=1,
-              fluid_arrivals=fluid_arrivals)
+              fluid=1, **params)
     return result

@@ -118,16 +118,9 @@ def run_case(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
 
 
 def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, load: float = 0.5, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 1) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run the WAN workload for each scheme and collect rate/RTT CDFs."""
-    schemes = list(schemes)
-    result = ExperimentResult(
-        name="fig09_wan",
-        parameters=dict(schemes=schemes, link_mbps=link_mbps,
-                        load=load, duration=duration))
+    result = ExperimentResult(name="fig09_wan")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-              load=load, duration=duration, dt=dt, seed=seed)
+              **params)
     return result

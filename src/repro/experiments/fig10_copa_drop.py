@@ -46,22 +46,13 @@ def run_case(scheme: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
 
 
 def run(schemes: Iterable[str] = ("nimbus", "copa"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, elastic_start: float = 15.0,
-        duration: float = 60.0, cross_rtt_ratio: float = 2.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Compare Nimbus and Copa throughput while an elastic flow is active.
 
     The cross flow uses a larger RTT (2x by default), the regime in which
     Copa's queue-draining heuristic is most easily fooled (§8.2).
     """
-    result = ExperimentResult(
-        name="fig10_copa_drop",
-        parameters=dict(link_mbps=link_mbps, duration=duration,
-                        elastic_start=elastic_start,
-                        cross_rtt_ratio=cross_rtt_ratio))
+    result = ExperimentResult(name="fig10_copa_drop")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-              elastic_start=elastic_start, duration=duration,
-              cross_rtt_ratio=cross_rtt_ratio, dt=dt, seed=seed)
+              **params)
     return result

@@ -44,16 +44,10 @@ def run_case(scheme: str, video_kind: str, link_mbps: float = 48.0,
 
 def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
         video_kinds: Iterable[str] = ("4k", "1080p"),
-        link_mbps: float = 48.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run each scheme against each video type."""
-    result = ExperimentResult(
-        name="fig11_video",
-        parameters=dict(schemes=list(schemes), video_kinds=list(video_kinds),
-                        link_mbps=link_mbps, duration=duration))
+    result = ExperimentResult(name="fig11_video")
     run_cases(run_case, [dict(scheme=scheme, video_kind=kind)
                          for kind in video_kinds for scheme in schemes],
-              result, link_mbps=link_mbps, prop_rtt=prop_rtt,
-              buffer_ms=buffer_ms, duration=duration, dt=dt, seed=seed)
+              result, **params)
     return result

@@ -62,19 +62,10 @@ def run_case(link_mbps: float = 96.0, prop_rtt: float = 0.05,
     }
 
 
-def run(link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, load: float = 0.5, duration: float = 80.0,
-        truth_window: float = 5.0, truth_threshold: float = 0.3,
-        dt: float = 0.002, seed: int = 1) -> ExperimentResult:
+def run(**params) -> ExperimentResult:
     """Run Nimbus on the WAN workload and score eta against ground truth."""
-    result = ExperimentResult(
-        name="fig12_eta_tracking",
-        parameters=dict(link_mbps=link_mbps, load=load, duration=duration,
-                        truth_window=truth_window))
-    payload, = run_cases(run_case, [{}], link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, buffer_ms=buffer_ms, load=load,
-                         duration=duration, truth_window=truth_window,
-                         truth_threshold=truth_threshold, dt=dt, seed=seed)
+    result = ExperimentResult(name="fig12_eta_tracking")
+    payload, = run_cases(run_case, [{}], **params)
     # The front-end keeps the key its ``extra`` and ``data`` always had.
     extra = {"accuracy" if key == "mode_accuracy" else key: value
              for key, value in payload["extra"].items()}

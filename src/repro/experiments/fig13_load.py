@@ -19,20 +19,19 @@ from .fig09_wan import run_case
 def run(loads: Iterable[float] = (0.5, 0.9),
         pulse_sizes: Iterable[float] = (0.125, 0.25),
         baselines: Iterable[str] = ("cubic", "vegas"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 1) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Sweep load x pulse size for Nimbus, plus the fixed baselines.
 
     Each (load, scheme) point is an independent scenario, so the whole
-    sweep is one batch: points run in parallel when workers are available
-    and cached points (e.g. the Fig. 9 baselines at 50 % load) are reused
-    across figures instead of being re-simulated.
+    sweep is one batch: points run in parallel when workers are available,
+    and a cached point is reused across figures instead of being
+    re-simulated.  A case spec carries only the parameters its caller
+    passed, so Fig. 9's baselines at 50 % load are reused only when both
+    front-ends get the same explicit parameters (``duration``, ``seed``,
+    ...); a parameter left to its default in one and spelled out in the
+    other makes two specs.
     """
-    result = ExperimentResult(
-        name="fig13_load",
-        parameters=dict(loads=list(loads), pulse_sizes=list(pulse_sizes),
-                        link_mbps=link_mbps, duration=duration))
+    result = ExperimentResult(name="fig13_load")
     points = []
     for load in loads:
         for scheme in baselines:
@@ -43,8 +42,7 @@ def run(loads: Iterable[float] = (0.5, 0.9),
                            dict(load=load, pulse_fraction=pulse)))
     payloads = run_cases(
         run_case, [dict(scheme=s, **point) for _, s, point in points],
-        link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-        duration=duration, dt=dt, seed=seed)
+        **params)
     for (label, _, point), payload in zip(points, payloads):
         extra = dict(payload["extra"])
         extra.update(point)

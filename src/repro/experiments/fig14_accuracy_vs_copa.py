@@ -26,17 +26,9 @@ def run(schemes: Iterable[str] = ("nimbus", "copa"),
         inelastic_shares: Iterable[float] = DEFAULT_SHARES,
         inelastic_kinds: Iterable[str] = ("poisson", "cbr"),
         rtt_ratios: Iterable[float] = DEFAULT_RTT_RATIOS,
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 50.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        duration: float = 50.0, **params) -> ExperimentResult:
     """Run both sweeps for both schemes."""
-    result = ExperimentResult(
-        name="fig14_accuracy_vs_copa",
-        parameters=dict(schemes=list(schemes),
-                        inelastic_shares=list(inelastic_shares),
-                        inelastic_kinds=list(inelastic_kinds),
-                        rtt_ratios=list(rtt_ratios), link_mbps=link_mbps,
-                        duration=duration))
+    result = ExperimentResult(name="fig14_accuracy_vs_copa")
     inelastic_accuracy: Dict[str, Dict] = {s: {} for s in schemes}
     rtt_accuracy: Dict[str, Dict] = {s: {} for s in schemes}
 
@@ -51,9 +43,7 @@ def run(schemes: Iterable[str] = ("nimbus", "copa"),
             slots.append((rtt_accuracy[scheme], ratio))
             cases.append(dict(scheme=scheme, kind="elastic",
                               rate_fraction=0.0, rtt_ratio=ratio))
-    scenarios = run_cases(run_case, cases, link_mbps=link_mbps,
-                          prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-                          duration=duration, dt=dt, seed=seed)
+    scenarios = run_cases(run_case, cases, duration=duration, **params)
     for (table, key), scenario in zip(slots, scenarios):
         table[key] = scenario
 

@@ -21,9 +21,7 @@ DEFAULT_CATEGORIES = ("elastic", "mix", "poisson")
 def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
         categories: Iterable[str] = DEFAULT_CATEGORIES,
         mixed_rtts: Sequence[float] | None = None,
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 50.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        duration: float = 50.0, **params) -> ExperimentResult:
     """Sweep cross-traffic RTT ratio for each traffic category.
 
     The (category, ratio) grid is executed as one scenario batch (two
@@ -33,10 +31,7 @@ def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
     """
     rtt_ratios = list(rtt_ratios)
     categories = list(categories)
-    result = ExperimentResult(
-        name="fig15_rtt_sweep",
-        parameters=dict(rtt_ratios=rtt_ratios, categories=categories,
-                        link_mbps=link_mbps, duration=duration))
+    result = ExperimentResult(name="fig15_rtt_sweep")
     grid = [(category, ratio)
             for category in categories for ratio in rtt_ratios]
     cases = [dict(cross_traffic(category, elastic_flows=2), rtt_ratio=ratio)
@@ -45,9 +40,7 @@ def run(rtt_ratios: Iterable[float] = (0.5, 1.0, 2.0),
         cases.append(dict(
             cross_traffic("elastic", elastic_flows=len(mixed_rtts)),
             elastic_rtts=tuple(mixed_rtts)))
-    payloads = run_cases(run_case, cases, link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-                         duration=duration, dt=dt, seed=seed)
+    payloads = run_cases(run_case, cases, duration=duration, **params)
 
     accuracy: Dict[str, Dict[float, float]] = {c: {} for c in categories}
     scenarios: Dict[str, Dict[float, dict]] = {c: {} for c in categories}

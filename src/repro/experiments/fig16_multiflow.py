@@ -79,19 +79,10 @@ def run_case(n_flows: int = 4, stagger: float = 20.0,
     }
 
 
-def run(n_flows: int = 4, stagger: float = 20.0, flow_duration: float = 80.0,
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(**params) -> ExperimentResult:
     """Run staggered Nimbus flows and measure fairness, delay, and roles."""
-    result = ExperimentResult(
-        name="fig16_multiflow",
-        parameters=dict(n_flows=n_flows, stagger=stagger,
-                        flow_duration=flow_duration, link_mbps=link_mbps))
-    payload, = run_cases(run_case, [{}], n_flows=n_flows, stagger=stagger,
-                         flow_duration=flow_duration, link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, buffer_ms=buffer_ms, dt=dt,
-                         seed=seed)
+    result = ExperimentResult(name="fig16_multiflow")
+    payload, = run_cases(run_case, [{}], **params)
     extra, data = payload["extra"], payload["data"]
     for name, summary in data["flows"].items():
         result.schemes[name] = SchemeResult(name, summary)

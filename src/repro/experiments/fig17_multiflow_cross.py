@@ -80,19 +80,10 @@ def run_case(n_flows: int = 3, link_mbps: float = 192.0,
     }
 
 
-def run(n_flows: int = 3, link_mbps: float = 192.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, phase_duration: float = 60.0,
-        warmup: float = 30.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(**params) -> ExperimentResult:
     """Run the two-phase multi-flow scenario."""
-    result = ExperimentResult(
-        name="fig17_multiflow_cross",
-        parameters=dict(n_flows=n_flows, link_mbps=link_mbps,
-                        phase_duration=phase_duration))
-    payload, = run_cases(run_case, [{}], n_flows=n_flows,
-                         link_mbps=link_mbps, prop_rtt=prop_rtt,
-                         buffer_ms=buffer_ms, phase_duration=phase_duration,
-                         warmup=warmup, dt=dt, seed=seed)
+    result = ExperimentResult(name="fig17_multiflow_cross")
+    payload, = run_cases(run_case, [{}], **params)
     series = dict(payload["data"])
     for name, summary in series.pop("flows").items():
         result.schemes[name] = SchemeResult(name, summary)

@@ -17,22 +17,15 @@ from .fig09_wan import run_case
 
 
 def run(schemes: Iterable[str] = ("nimbus", "cubic", "vegas"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, load: float = 0.5, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 1) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Collect per-scheme cross-flow FCT distributions and normalise by Nimbus."""
     schemes = list(schemes)
     if "nimbus" not in schemes:
         schemes = ["nimbus"] + schemes
-    result = ExperimentResult(
-        name="fig21_fct",
-        parameters=dict(schemes=schemes, link_mbps=link_mbps, load=load,
-                        duration=duration))
+    result = ExperimentResult(name="fig21_fct")
     fcts = {}
     for payload in run_cases(
-            run_case, [dict(scheme=scheme) for scheme in schemes],
-            link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-            load=load, duration=duration, dt=dt, seed=seed):
+            run_case, [dict(scheme=scheme) for scheme in schemes], **params):
         scheme, records = payload["scheme"], payload["data"]["fct_records"]
         fcts[scheme] = fct_by_size(records)
         result.schemes[scheme] = SchemeResult(

@@ -39,20 +39,12 @@ def run_case(scheme: str, buffer_bdp: float, link_mbps: float = 96.0,
 
 def run(buffer_bdp_multipliers: Iterable[float] = (0.5, 2.0),
         schemes: Iterable[str] = ("nimbus", "cubic"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        duration: float = 50.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run each scheme against one BBR flow for each buffer size."""
-    result = ExperimentResult(
-        name="fig22_bbr_compete",
-        parameters=dict(buffer_bdp_multipliers=list(buffer_bdp_multipliers),
-                        schemes=list(schemes), link_mbps=link_mbps,
-                        duration=duration))
+    result = ExperimentResult(name="fig22_bbr_compete")
     cases = [dict(scheme=scheme, buffer_bdp=multiplier)
              for multiplier in buffer_bdp_multipliers for scheme in schemes]
-    payloads = run_cases(run_case, cases, result, link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, duration=duration, dt=dt,
-                         seed=seed)
+    payloads = run_cases(run_case, cases, result, **params)
     throughput: Dict[float, Dict[str, float]] = {}
     for case, payload in zip(cases, payloads):
         throughput.setdefault(case["buffer_bdp"], {})[case["scheme"]] = (

@@ -54,20 +54,12 @@ def run_case(scheme: str, cbr_fraction: float, link_mbps: float = 96.0,
 
 def run(cbr_fractions: Iterable[float] = (0.25, 0.83),
         schemes: Iterable[str] = ("copa", "nimbus"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 50.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run each scheme against CBR streams of the given rates."""
-    result = ExperimentResult(
-        name="fig23_copa_cbr",
-        parameters=dict(cbr_fractions=list(cbr_fractions),
-                        schemes=list(schemes), link_mbps=link_mbps,
-                        duration=duration))
+    result = ExperimentResult(name="fig23_copa_cbr")
     cases = [dict(scheme=scheme, cbr_fraction=fraction)
              for fraction in cbr_fractions for scheme in schemes]
-    payloads = run_cases(run_case, cases, result, link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-                         duration=duration, dt=dt, seed=seed)
+    payloads = run_cases(run_case, cases, result, **params)
     delays: Dict[str, Dict[float, float]] = {s: {} for s in schemes}
     for case, payload in zip(cases, payloads):
         delays[case["scheme"]][case["cbr_fraction"]] = (

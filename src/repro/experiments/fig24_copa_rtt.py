@@ -42,19 +42,13 @@ def run_case(scheme: str, rtt_ratio: float, link_mbps: float = 96.0,
 
 def run(rtt_ratios: Iterable[float] = (1.0, 4.0),
         schemes: Iterable[str] = ("copa", "nimbus"),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        link_mbps: float = 96.0, **params) -> ExperimentResult:
     """Run each scheme against a NewReno flow at each RTT ratio."""
-    result = ExperimentResult(
-        name="fig24_copa_rtt",
-        parameters=dict(rtt_ratios=list(rtt_ratios), schemes=list(schemes),
-                        link_mbps=link_mbps, duration=duration))
+    result = ExperimentResult(name="fig24_copa_rtt")
     cases = [dict(scheme=scheme, rtt_ratio=ratio)
              for ratio in rtt_ratios for scheme in schemes]
     payloads = run_cases(run_case, cases, result, link_mbps=link_mbps,
-                         prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-                         duration=duration, dt=dt, seed=seed)
+                         **params)
     throughput: Dict[str, Dict[float, float]] = {s: {} for s in schemes}
     for case, payload in zip(cases, payloads):
         throughput[case["scheme"]][case["rtt_ratio"]] = (

@@ -17,22 +17,15 @@ from .common import ExperimentResult, run_cases
 def run(pulse_sizes: Iterable[float] = (0.125, 0.25),
         link_rates_mbps: Iterable[float] = (96.0,),
         nimbus_shares: Iterable[float] = (0.25, 0.5),
-        traffic_kind: str = "mix",
-        prop_rtt: float = 0.05, buffer_ms: float = 100.0,
-        duration: float = 40.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+        traffic_kind: str = "mix", duration: float = 40.0,
+        **params) -> ExperimentResult:
     """Sweep pulse size x link rate x Nimbus share and report accuracy.
 
     ``nimbus_shares`` controls the share of the link *not* taken by the
     inelastic cross traffic: a share of 0.25 means inelastic traffic offers
     75 % of the link (minus the elastic flow for the mixed workload).
     """
-    result = ExperimentResult(
-        name="fig25_multifactor",
-        parameters=dict(pulse_sizes=list(pulse_sizes),
-                        link_rates_mbps=list(link_rates_mbps),
-                        nimbus_shares=list(nimbus_shares),
-                        traffic_kind=traffic_kind, duration=duration))
+    result = ExperimentResult(name="fig25_multifactor")
     keys, cases = [], []
     for link_rate in link_rates_mbps:
         for share in nimbus_shares:
@@ -42,9 +35,7 @@ def run(pulse_sizes: Iterable[float] = (0.125, 0.25),
                 keys.append((pulse, link_rate, share))
                 cases.append(dict(cross, link_mbps=link_rate,
                                   pulse_fraction=pulse))
-    scenarios = run_cases(run_case, cases, prop_rtt=prop_rtt,
-                          buffer_ms=buffer_ms, duration=duration, dt=dt,
-                          seed=seed)
+    scenarios = run_cases(run_case, cases, duration=duration, **params)
     accuracy: Dict[Tuple[float, float, float], float] = {
         key: scenario["extra"]["mode_accuracy"]
         for key, scenario in zip(keys, scenarios)}

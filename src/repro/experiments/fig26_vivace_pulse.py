@@ -44,18 +44,12 @@ def run_case(pulse_frequency: float, link_mbps: float = 96.0,
 
 
 def run(pulse_frequencies: Iterable[float] = (5.0, 2.0),
-        link_mbps: float = 96.0, prop_rtt: float = 0.05,
-        buffer_ms: float = 100.0, duration: float = 60.0,
-        dt: float = 0.002, seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run Nimbus against a Vivace cross flow at each pulse frequency."""
-    result = ExperimentResult(
-        name="fig26_vivace_pulse",
-        parameters=dict(pulse_frequencies=list(pulse_frequencies),
-                        link_mbps=link_mbps, duration=duration))
+    result = ExperimentResult(name="fig26_vivace_pulse")
     payloads = run_cases(
         run_case, [dict(pulse_frequency=fp) for fp in pulse_frequencies],
-        result, link_mbps=link_mbps, prop_rtt=prop_rtt, buffer_ms=buffer_ms,
-        duration=duration, dt=dt, seed=seed)
+        result, **params)
     result.data = {"eta_distributions": {
         fp: p["data"] for fp, p in zip(pulse_frequencies, payloads)}}
     return result

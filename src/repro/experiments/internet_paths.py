@@ -147,18 +147,13 @@ def run_case(scheme: str, profile: PathProfile, duration: float = 40.0,
 
 def run(profiles: Optional[Iterable[PathProfile]] = None,
         schemes: Iterable[str] = ("nimbus", "cubic", "bbr", "vegas"),
-        duration: float = 40.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Run every scheme over every path profile (Figs. 18 and 19)."""
     profiles = list(profiles) if profiles is not None else DEFAULT_PROFILES
-    result = ExperimentResult(
-        name="fig18_internet_paths",
-        parameters=dict(paths=[p.name for p in profiles],
-                        schemes=list(schemes), duration=duration))
+    result = ExperimentResult(name="fig18_internet_paths")
     cases = [dict(scheme=scheme, profile=profile)
              for profile in profiles for scheme in schemes]
-    payloads = run_cases(run_case, cases, result, duration=duration, dt=dt,
-                         seed=seed)
+    payloads = run_cases(run_case, cases, result, **params)
     per_path: Dict[str, Dict[str, dict]] = {p.name: {} for p in profiles}
     for case, payload in zip(cases, payloads):
         per_path[case["profile"].name][case["scheme"]] = {
@@ -171,16 +166,13 @@ def run(profiles: Optional[Iterable[PathProfile]] = None,
 
 
 def run_appendix_a(profile: Optional[PathProfile] = None,
-                   duration: float = 40.0, dt: float = 0.002,
-                   seed: int = 0) -> ExperimentResult:
+                   **params) -> ExperimentResult:
     """Appendix A / Fig. 20: Cubic vs. the delay-control algorithm alone."""
     profile = profile if profile is not None else DEFAULT_PROFILES[0]
-    result = ExperimentResult(
-        name="fig20_inelastic_paths",
-        parameters=dict(path=profile.name, duration=duration))
+    result = ExperimentResult(name="fig20_inelastic_paths")
     schemes = ("cubic", "nimbus-delay")
     payloads = run_cases(run_case, [dict(scheme=s) for s in schemes],
-                         profile=profile, duration=duration, dt=dt, seed=seed)
+                         profile=profile, **params)
     for scheme, payload in zip(schemes, payloads):
         result.schemes[scheme] = SchemeResult(
             scheme, replace(payload["summary"], scheme=scheme),

@@ -105,25 +105,10 @@ def run_case(scheme: str = "nimbus", period: float = 8.0, depth: float = 1.0,
                                  if duration else 0.0)})
 
 
-def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
-        depth: float = 1.0, duty: float = 0.25, drop_queued: int = 0,
-        link_mbps: float = 48.0, wan_mbps: float = 96.0,
-        hop_delay_ms: float = 10.0, buffer_ms: float = 100.0,
-        prop_rtt: float = 0.05, phase_duration: float = 15.0,
-        duration: float = 60.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
+        **params) -> ExperimentResult:
     """Run every scheme over the same flapping chain as one cached batch."""
-    schemes = list(schemes)
-    result = ExperimentResult(
-        name="link_flap",
-        parameters=dict(schemes=schemes, period=period, depth=depth,
-                        duty=duty, drop_queued=int(drop_queued),
-                        link_mbps=link_mbps, wan_mbps=wan_mbps,
-                        duration=duration))
-    run_cases(
-        run_case, [dict(scheme=scheme) for scheme in schemes], result,
-        period=period, depth=depth, duty=duty, drop_queued=int(drop_queued),
-        link_mbps=link_mbps, wan_mbps=wan_mbps, hop_delay_ms=hop_delay_ms,
-        buffer_ms=buffer_ms, prop_rtt=prop_rtt, phase_duration=phase_duration,
-        duration=duration, dt=dt, seed=seed)
+    result = ExperimentResult(name="link_flap")
+    run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
+              **params)
     return result

@@ -143,21 +143,10 @@ def run_case(scheme: str = "nimbus", hops: int = 3, cross_flows: int = 2,
     }
 
 
-def run(schemes: Iterable[str] = DEFAULT_SCHEMES, hops: int = 3,
-        cross_flows: int = 2, link_mbps: float = 48.0,
-        hop_delay_ms: float = 10.0, buffer_ms: float = 100.0,
-        prop_rtt: float = 0.05, duration: float = 30.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
+        **params) -> ExperimentResult:
     """Run every scheme through the same parking lot as one cached batch."""
-    schemes = list(schemes)
-    result = ExperimentResult(
-        name="parking_lot",
-        parameters=dict(schemes=schemes, hops=int(hops),
-                        cross_flows=int(cross_flows), link_mbps=link_mbps,
-                        duration=duration))
+    result = ExperimentResult(name="parking_lot")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              hops=int(hops), cross_flows=int(cross_flows),
-              link_mbps=link_mbps, hop_delay_ms=hop_delay_ms,
-              buffer_ms=buffer_ms, prop_rtt=prop_rtt, duration=duration, dt=dt,
-              seed=seed)
+              **params)
     return result

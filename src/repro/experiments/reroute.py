@@ -147,26 +147,10 @@ def run_case(scheme: str = "nimbus", period: float = 8.0,
         data={"route_events": route_events})
 
 
-def run(schemes: Iterable[str] = DEFAULT_SCHEMES, period: float = 8.0,
-        convergence_ms: float = 50.0, duty: float = 0.25,
-        drop_queued: int = 1, link_mbps: float = 48.0,
-        primary_mbps: float = 96.0, backup_mbps: float = 64.0,
-        prop_rtt: float = 0.05, phase_duration: float = 15.0,
-        duration: float = 60.0, dt: float = 0.002,
-        seed: int = 0) -> ExperimentResult:
+def run(schemes: Iterable[str] = DEFAULT_SCHEMES,
+        **params) -> ExperimentResult:
     """Run every scheme over the same failing-over topology as one batch."""
-    schemes = list(schemes)
-    result = ExperimentResult(
-        name="reroute",
-        parameters=dict(schemes=schemes, period=period,
-                        convergence_ms=convergence_ms, duty=duty,
-                        drop_queued=int(drop_queued), link_mbps=link_mbps,
-                        primary_mbps=primary_mbps, backup_mbps=backup_mbps,
-                        duration=duration))
+    result = ExperimentResult(name="reroute")
     run_cases(run_case, [dict(scheme=scheme) for scheme in schemes], result,
-              period=period, convergence_ms=convergence_ms, duty=duty,
-              drop_queued=int(drop_queued), link_mbps=link_mbps,
-              primary_mbps=primary_mbps, backup_mbps=backup_mbps,
-              prop_rtt=prop_rtt, phase_duration=phase_duration,
-              duration=duration, dt=dt, seed=seed)
+              **params)
     return result

@@ -8,9 +8,13 @@ code::
     python -m repro.experiments.runner --list
 
 Arbitrary numeric keyword overrides can be passed as ``--set name=value``;
-they are forwarded to the driver's ``run`` function.  A grid of runs is a
-campaign manifest with ``[experiment.axes]``, run by ``repro-campaign run``
-(see :mod:`repro.runtime.campaign`).
+they are forwarded to the driver's ``run`` function.  ``--duration S`` is
+one such override, ``duration=S``: a driver that takes no ``duration``
+(fig01, fig03, fig08 and fig17 run on ``phase_duration``, fig16 on
+``flow_duration``) fails with its own ``TypeError``, as any override it
+does not take does.  A grid of runs is a campaign manifest
+with ``[experiment.axes]``, run by ``repro-campaign run`` (see
+:mod:`repro.runtime.campaign`).
 
 Execution goes through :mod:`repro.runtime`, so repeated invocations with
 identical parameters are served from the on-disk cache (see
@@ -34,7 +38,6 @@ grid as a manifest and run it with ``repro-campaign run`` (see
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import sys
 import time
@@ -90,15 +93,6 @@ def _print_profile(records: List[dict], wall: float) -> None:
           f"{count['executed']} executed{corrupt}")
 
 
-def _accepts_kwarg(fn, name: str) -> bool:
-    """Whether calling ``fn(name=...)`` is legal (named param or **kwargs)."""
-    parameters = inspect.signature(fn).parameters
-    if name in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in parameters.values())
-
-
 def _print_listing() -> None:
     for key in sorted(EXPERIMENT_INDEX):
         target = ScenarioSpec.make(EXPERIMENT_INDEX[key]).resolve()
@@ -118,7 +112,8 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--list", action="store_true",
                         help="List available experiment ids and exit")
     parser.add_argument("--duration", type=float, default=None,
-                        help="Override the experiment duration in seconds")
+                        help="Override the experiment duration in seconds "
+                             "(the same as --set duration=SECONDS)")
     parser.add_argument("--dt", type=float, default=0.002,
                         help="Simulation tick in seconds (default 2 ms)")
     parser.add_argument("--set", dest="overrides", action="append",
@@ -149,11 +144,6 @@ def main(argv: List[str] | None = None) -> int:
               f"try --list", file=sys.stderr)
         return 2
 
-    # Some drivers do not take a duration (they use phase_duration etc.);
-    # decide up front instead of re-running a whole batch on TypeError.
-    # The registry holds names: this imports the one driver needed.
-    takes_duration = _accepts_kwarg(ScenarioSpec.make(fn).resolve(),
-                                    "duration")
     try:
         overrides = _parse_overrides(args.overrides)
     except ValueError as error:
@@ -162,8 +152,6 @@ def main(argv: List[str] | None = None) -> int:
     overrides.setdefault("dt", args.dt)
     if args.duration is not None:
         overrides["duration"] = args.duration
-    if not takes_duration:
-        overrides.pop("duration", None)
     spec = ScenarioSpec.make(fn, label=experiment_id, **overrides)
 
     for label, path in (("--trace", args.trace), ("--metrics", args.metrics)):

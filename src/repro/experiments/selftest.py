@@ -45,10 +45,7 @@ def run(duration: float = 0.25, dt: float = 0.004, seed: int = 0,
     if crash:
         raise RuntimeError(
             f"selftest: deliberate crash (crash={crash}, seed={seed})")
-    result = ExperimentResult(
-        name="selftest", parameters=dict(duration=duration, dt=dt,
-                                         seed=seed, crash=int(crash),
-                                         sleep=sleep, scale=scale))
+    result = ExperimentResult(name="selftest")
     result.data["mean"] = sum(samples) / len(samples)
     result.data["n"] = len(samples)
     return result

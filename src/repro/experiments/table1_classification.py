@@ -117,15 +117,13 @@ def classify(traffic: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
 
 
 def run(traffic_classes: Optional[Iterable[str]] = None,
-        **kwargs) -> ExperimentResult:
+        **params) -> ExperimentResult:
     """Classify each requested traffic class (all of Table 1 by default)."""
     names = (list(traffic_classes) if traffic_classes is not None
              else list(TRAFFIC_CLASSES))
-    result = ExperimentResult(name="table1_classification",
-                              parameters=dict(traffic_classes=names,
-                                              **kwargs))
+    result = ExperimentResult(name="table1_classification")
     payloads = run_cases(classify, [dict(traffic=name) for name in names],
-                         result, **kwargs)
+                         result, **params)
     rows = {name: payload["extra"] for name, payload in zip(names, payloads)}
     result.data["rows"] = rows
     result.data["all_correct"] = all(r["correct"] for r in rows.values())

@@ -7,6 +7,7 @@ a heavily reduced duration just to validate its plumbing and result shape.
 import ast
 import inspect
 import pathlib
+import sys
 
 import pytest
 
@@ -81,7 +82,7 @@ class TestCommonHelpers:
         network = make_network(24, dt=0.004)
         add_main_flow(network, "cubic", 24)
         network.run(3.0)
-        result = ExperimentResult(name="demo", parameters={})
+        result = ExperimentResult(name="demo")
         result.schemes["cubic"] = SchemeResult(
             "cubic", summarize_flow(network.recorder, "main"))
         text = result.table()
@@ -91,7 +92,7 @@ class TestCommonHelpers:
         network = make_network(24, dt=0.004)
         add_main_flow(network, "cubic", 24)
         network.run(3.0)
-        result = ExperimentResult(name="demo", parameters={})
+        result = ExperimentResult(name="demo")
         summary = summarize_flow(network.recorder, "main")
         result.schemes["cubic"] = SchemeResult("cubic", summary)
         # Short labels print exactly as they always have: an 18-wide column.
@@ -213,123 +214,19 @@ CONVERTED = ("fig01", "fig03", "fig04", "fig05", "fig06", "fig08", "fig10",
              "fig11", "fig12", "fig14", "fig16", "fig17", "fig20", "fig21",
              "fig22", "fig23", "fig24", "fig25", "fig26", "appE", "table1")
 
-#: ``str(inspect.signature(front_end))`` of every registered front-end,
-#: recorded at the commit before the refactor (4bafda3): no caller — 26
-#: benchmark files, 2 campaign manifests, 5 e2e workloads, 5 examples,
-#: CI's runner calls — had to change.
-_WAN = ("(schemes: 'Iterable[str]' = ('nimbus', 'cubic', 'vegas'), "
-        "link_mbps: 'float' = 96.0, prop_rtt: 'float' = 0.05, "
-        "buffer_ms: 'float' = 100.0, load: 'float' = 0.5, "
-        "duration: 'float' = 60.0, dt: 'float' = 0.002, seed: 'int' = 1")
-_LINK = ("link_mbps: 'float' = 96.0, prop_rtt: 'float' = 0.05, "
-         "buffer_ms: 'float' = 100.0, ")
-_TAIL = "dt: 'float' = 0.002, seed: 'int' = 0) -> 'ExperimentResult'"
-_PATHS = ("(profiles: 'Optional[Iterable[PathProfile]]' = None, schemes: "
-          "'Iterable[str]' = ('nimbus', 'cubic', 'bbr', 'vegas'), "
-          "duration: 'float' = 40.0, " + _TAIL)
-SIGNATURES = {
-    "appE": "(buffer_bdp_multipliers: 'Iterable[float]' = (1.0, 2.0), "
-            "prop_rtts: 'Iterable[float]' = (0.05,), categories: "
-            "'Iterable[str]' = ('elastic', 'poisson', 'mix'), "
-            "pie_targets_bdp: 'Optional[Iterable[float]]' = None, "
-            "link_mbps: 'float' = 96.0, duration: 'float' = 40.0, " + _TAIL,
-    "fig01": "(schemes: 'Iterable[str]' = ('cubic', 'basicdelay', 'nimbus'),"
-             " link_mbps: 'float' = 48.0, prop_rtt: 'float' = 0.05, "
-             "buffer_ms: 'float' = 100.0, phase_duration: 'float' = 60.0, "
-             + _TAIL,
-    "fig03": "(link_mbps: 'float' = 48.0, prop_rtt: 'float' = 0.05, "
-             "buffer_ms: 'float' = 100.0, phase_duration: 'float' = 40.0, "
-             "sample_interval: 'float' = 0.1, " + _TAIL,
-    "fig04": "(" + _LINK + "duration: 'float' = 30.0, "
-             "pulse_frequency: 'float' = 5.0, " + _TAIL,
-    "fig05": "(**kwargs) -> 'ExperimentResult'",
-    "fig06": "(elastic_fractions: 'Iterable[float]' = "
-             "(0.0, 0.25, 0.5, 0.75, 1.0), " + _LINK
-             + "duration: 'float' = 40.0, cross_share: 'float' = 0.5, "
-             + _TAIL,
-    "fig08": "(schemes: 'Iterable[str]' = ('nimbus', 'cubic', 'copa'), "
-             "schedule: 'Iterable[Tuple[float, int]]' = ((16, 1), (32, 2), "
-             "(0, 4), (0, 3), (0, 1), (16, 0), (32, 0), (48, 0), (16, 0)), "
-             "phase_duration: 'float' = 20.0, " + _LINK + _TAIL,
-    "fig09": _WAN + ") -> 'ExperimentResult'",
-    "fig09_fluid": _WAN + ", fluid_arrivals: 'float' = 0.0) -> "
-                   "'ExperimentResult'",
-    "fig10": "(schemes: 'Iterable[str]' = ('nimbus', 'copa'), " + _LINK
-             + "elastic_start: 'float' = 15.0, duration: 'float' = 60.0, "
-             "cross_rtt_ratio: 'float' = 2.0, " + _TAIL,
-    "fig11": "(schemes: 'Iterable[str]' = ('nimbus', 'cubic', 'vegas'), "
-             "video_kinds: 'Iterable[str]' = ('4k', '1080p'), "
-             "link_mbps: 'float' = 48.0, prop_rtt: 'float' = 0.05, "
-             "buffer_ms: 'float' = 100.0, duration: 'float' = 60.0, "
-             + _TAIL,
-    "fig12": "(" + _LINK + "load: 'float' = 0.5, duration: 'float' = 80.0, "
-             "truth_window: 'float' = 5.0, truth_threshold: 'float' = 0.3, "
-             "dt: 'float' = 0.002, seed: 'int' = 1) -> 'ExperimentResult'",
-    "fig13": "(loads: 'Iterable[float]' = (0.5, 0.9), pulse_sizes: "
-             "'Iterable[float]' = (0.125, 0.25), baselines: 'Iterable[str]' "
-             "= ('cubic', 'vegas'), " + _LINK + "duration: 'float' = 60.0, "
-             "dt: 'float' = 0.002, seed: 'int' = 1) -> 'ExperimentResult'",
-    "fig14": "(schemes: 'Iterable[str]' = ('nimbus', 'copa'), "
-             "inelastic_shares: 'Iterable[float]' = (0.3, 0.5, 0.7, 0.85), "
-             "inelastic_kinds: 'Iterable[str]' = ('poisson', 'cbr'), "
-             "rtt_ratios: 'Iterable[float]' = (1.0, 2.0, 4.0), " + _LINK
-             + "duration: 'float' = 50.0, " + _TAIL,
-    "fig15": "(rtt_ratios: 'Iterable[float]' = (0.5, 1.0, 2.0), categories: "
-             "'Iterable[str]' = ('elastic', 'mix', 'poisson'), mixed_rtts: "
-             "'Sequence[float] | None' = None, " + _LINK
-             + "duration: 'float' = 50.0, " + _TAIL,
-    "fig16": "(n_flows: 'int' = 4, stagger: 'float' = 20.0, "
-             "flow_duration: 'float' = 80.0, " + _LINK + _TAIL,
-    "fig17": "(n_flows: 'int' = 3, link_mbps: 'float' = 192.0, "
-             "prop_rtt: 'float' = 0.05, buffer_ms: 'float' = 100.0, "
-             "phase_duration: 'float' = 60.0, warmup: 'float' = 30.0, "
-             + _TAIL,
-    "fig18": _PATHS,
-    "fig19": _PATHS,
-    "fig20": "(profile: 'Optional[PathProfile]' = None, "
-             "duration: 'float' = 40.0, " + _TAIL,
-    "fig21": _WAN + ") -> 'ExperimentResult'",
-    "fig22": "(buffer_bdp_multipliers: 'Iterable[float]' = (0.5, 2.0), "
-             "schemes: 'Iterable[str]' = ('nimbus', 'cubic'), "
-             "link_mbps: 'float' = 96.0, prop_rtt: 'float' = 0.05, "
-             "duration: 'float' = 50.0, " + _TAIL,
-    "fig23": "(cbr_fractions: 'Iterable[float]' = (0.25, 0.83), schemes: "
-             "'Iterable[str]' = ('copa', 'nimbus'), " + _LINK
-             + "duration: 'float' = 50.0, " + _TAIL,
-    "fig24": "(rtt_ratios: 'Iterable[float]' = (1.0, 4.0), schemes: "
-             "'Iterable[str]' = ('copa', 'nimbus'), " + _LINK
-             + "duration: 'float' = 60.0, " + _TAIL,
-    "fig25": "(pulse_sizes: 'Iterable[float]' = (0.125, 0.25), "
-             "link_rates_mbps: 'Iterable[float]' = (96.0,), nimbus_shares: "
-             "'Iterable[float]' = (0.25, 0.5), traffic_kind: 'str' = 'mix', "
-             "prop_rtt: 'float' = 0.05, buffer_ms: 'float' = 100.0, "
-             "duration: 'float' = 40.0, " + _TAIL,
-    "fig26": "(pulse_frequencies: 'Iterable[float]' = (5.0, 2.0), " + _LINK
-             + "duration: 'float' = 60.0, " + _TAIL,
-    "link_flap": "(schemes: 'Iterable[str]' = ('nimbus', 'copa', 'cubic'), "
-                 "period: 'float' = 8.0, depth: 'float' = 1.0, "
-                 "duty: 'float' = 0.25, drop_queued: 'int' = 0, "
-                 "link_mbps: 'float' = 48.0, wan_mbps: 'float' = 96.0, "
-                 "hop_delay_ms: 'float' = 10.0, buffer_ms: 'float' = 100.0, "
-                 "prop_rtt: 'float' = 0.05, phase_duration: 'float' = 15.0, "
-                 "duration: 'float' = 60.0, " + _TAIL,
-    "parking_lot": "(schemes: 'Iterable[str]' = ('nimbus', 'cubic', 'vegas')"
-                   ", hops: 'int' = 3, cross_flows: 'int' = 2, "
-                   "link_mbps: 'float' = 48.0, hop_delay_ms: 'float' = 10.0,"
-                   " buffer_ms: 'float' = 100.0, prop_rtt: 'float' = 0.05, "
-                   "duration: 'float' = 30.0, " + _TAIL,
-    "reroute": "(schemes: 'Iterable[str]' = ('nimbus', 'copa', 'cubic'), "
-               "period: 'float' = 8.0, convergence_ms: 'float' = 50.0, "
-               "duty: 'float' = 0.25, drop_queued: 'int' = 1, "
-               "link_mbps: 'float' = 48.0, primary_mbps: 'float' = 96.0, "
-               "backup_mbps: 'float' = 64.0, prop_rtt: 'float' = 0.05, "
-               "phase_duration: 'float' = 15.0, duration: 'float' = 60.0, "
-               + _TAIL,
-    "selftest": "(duration: 'float' = 0.25, dt: 'float' = 0.004, "
-                "seed: 'int' = 0, crash: 'int' = 0, sleep: 'float' = 0.0, "
-                "scale: 'float' = 1.0) -> 'ExperimentResult'",
-    "table1": "(traffic_classes: 'Optional[Iterable[str]]' = None, "
-              "**kwargs) -> 'ExperimentResult'",
+#: The only parameters a front-end names that its case also takes, each
+#: with the reason it is named; every other case parameter passes through
+#: the front-end's ``**params`` to ``run_cases``, so the case's signature
+#: holds its one default.
+NAMED_CASE_PARAMETERS = {
+    "fig01": {"phase_duration": "the reduction reads it: the phase windows"},
+    "fig08": {"schedule": "an iterable, made a tuple before the spec"},
+    "fig14": {"duration": "50 s, where the case's default is 60 s"},
+    "fig15": {"duration": "50 s, where the case's default is 60 s"},
+    "fig20": {"profile": "the case has no default; DEFAULT_PROFILES[0]"},
+    "fig24": {"link_mbps": "the reduction reads it: fair_share_mbps"},
+    "fig25": {"duration": "40 s, where the case's default is 60 s"},
+    "appE": {"duration": "40 s, where the case's default is 60 s"},
 }
 
 
@@ -423,10 +320,29 @@ class TestOneWayToFanOut:
                 and node.func.attr == "run"]
         assert runs == []
 
-    def test_front_end_signatures_are_the_parents(self):
-        """(d) No caller had to change."""
-        assert {key: str(inspect.signature(_front_end(key)))
-                for key in EXPERIMENT_INDEX} == SIGNATURES
+    def test_front_ends_name_only_axes_and_listed_case_parameters(self):
+        """(d) A driver states each parameter once: a front-end names its
+        sweep axes and :data:`NAMED_CASE_PARAMETERS`, and passes the rest
+        through ``**params`` to the case that holds the default."""
+        named, without_case = {}, set()
+        for key in EXPERIMENT_INDEX:
+            front = inspect.signature(_front_end(key)).parameters
+            module = sys.modules[_front_end(key).__module__]
+            case = getattr(module, "run_case", getattr(module, "classify",
+                                                       None))
+            if case is None:
+                without_case.add(key)
+                continue
+            assert any(p.kind is p.VAR_KEYWORD for p in front.values()), key
+            shared = set(front) & set(inspect.signature(case).parameters)
+            if shared:
+                named[key] = shared
+            for name in shared & {"duration"}:
+                assert front[name].default != \
+                    inspect.signature(case).parameters[name].default, key
+        assert without_case == {"fig05", "selftest"}
+        assert named == {key: set(reasons) for key, reasons
+                         in NAMED_CASE_PARAMETERS.items()}
 
 
 

@@ -73,10 +73,15 @@ def test_single_run_via_runtime(toy_index, capsys):
     assert "mean:" in out and "n:" in out
 
 
-def test_duration_dropped_for_drivers_without_duration(monkeypatch, capsys):
+def test_duration_reaches_drivers_without_duration(monkeypatch):
+    """``--duration`` is the override ``duration=``: a driver that takes
+    none fails with its own error, as ``--set bogus=1`` does, instead of
+    the flag being dropped."""
     monkeypatch.setitem(EXPERIMENT_INDEX, "toy2", "_toy_driver2:run")
-    assert runner.main(["toy2", "--duration", "9.0"]) == 0
-    assert "== toy ==" in capsys.readouterr().out
+    with pytest.raises(TypeError, match="duration"):
+        runner.main(["toy2", "--duration", "9.0"])
+    with pytest.raises(TypeError, match="bogus"):
+        runner.main(["toy2", "--set", "bogus=1"])
 
 
 def test_sweep_unknown_experiment(capsys):

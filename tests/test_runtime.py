@@ -299,7 +299,7 @@ def test_partial_cache_hits_fill_only_the_misses(tmp_path):
     before = _toy_driver.CALLS["run"]
     results = executor.run(_batch(4))
     assert _toy_driver.CALLS["run"] == before + 2  # seeds 2, 3 only
-    assert [r.parameters["seed"] for r in results] == [0, 1, 2, 3]
+    assert [r.data["seed"] for r in results] == [0, 1, 2, 3]
 
 
 def test_workers_env_is_honoured(monkeypatch):
@@ -317,7 +317,7 @@ def test_workers_env_is_honoured(monkeypatch):
 def test_run_batch_preserves_order(tmp_path):
     specs = list(reversed(_batch(3)))
     results = run_batch(specs, workers=1, cache=ResultCache(enabled=False))
-    assert [r.parameters["seed"] for r in results] == [2, 1, 0]
+    assert [r.data["seed"] for r in results] == [2, 1, 0]
 
 
 # --------------------------------------------------------------------- #
@@ -486,7 +486,7 @@ def test_executor_reports_corrupt_entries_in_metrics(tmp_path):
     entry.write_bytes(b"\x80")  # truncated pickle
     executor = BatchExecutor(workers=1, cache=cache)
     results = executor.run([spec])
-    assert results[0].parameters["seed"] == 0  # re-executed fine
+    assert results[0].data["seed"] == 0  # re-executed fine
     # The three cache states are disjoint: a corrupt entry is re-executed
     # but is not also a miss (runner --profile, telemetry summary and
     # campaign totals all read this one tally).
