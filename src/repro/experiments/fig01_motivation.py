@@ -50,7 +50,7 @@ def run_case(scheme: str, link_mbps: float = 48.0, prop_rtt: float = 0.05,
     add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
     ScriptedCrossTraffic(
         network=network, phases=build_schedule(phase_duration, link_mbps),
-        prop_rtt=prop_rtt).install()
+        prop_rtt=prop_rtt, seed=seed + 7).install()
     network.run(warmup + 2 * phase_duration)
 
     recorder = network.recorder

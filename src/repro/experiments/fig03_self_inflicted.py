@@ -31,7 +31,7 @@ def run_case(link_mbps: float = 48.0, prop_rtt: float = 0.05,
     flow = add_main_flow(network, "cubic", link_mbps, prop_rtt=prop_rtt)
     cross = ScriptedCrossTraffic(
         network=network, phases=build_schedule(phase_duration, link_mbps),
-        prop_rtt=prop_rtt)
+        prop_rtt=prop_rtt, seed=seed + 7)
     cross.install()
 
     mu = mbps_to_bytes_per_sec(link_mbps)

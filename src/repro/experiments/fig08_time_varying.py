@@ -55,7 +55,7 @@ def run_case(scheme: str,
     cross = ScriptedCrossTraffic(network=network,
                                  phases=build_phases(schedule,
                                                      phase_duration),
-                                 prop_rtt=prop_rtt)
+                                 prop_rtt=prop_rtt, seed=seed + 7)
     cross.install()
     network.run(phase_duration * len(schedule))
 

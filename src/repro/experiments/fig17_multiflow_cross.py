@@ -37,7 +37,8 @@ def run_case(n_flows: int = 3, link_mbps: float = 192.0,
         Phase(duration=phase_duration, inelastic_rate=0.5 * mu),
     ]
     cross = ScriptedCrossTraffic(network=network, phases=phases,
-                                 prop_rtt=prop_rtt, start=warmup)
+                                 prop_rtt=prop_rtt, start=warmup,
+                                 seed=seed + 7)
     cross.install()
     total = warmup + 2 * phase_duration
     network.run(total)
