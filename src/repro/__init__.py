@@ -83,8 +83,7 @@ __all__ = [
 
 
 def quick_network(link_mbps: float = 96.0, buffer_ms: float = 100.0,
-                  dt: float = 0.002, seed: int = 0,
-                  aqm: Optional[object] = None
+                  dt: float = 0.002, aqm: Optional[object] = None
                   ) -> Tuple[TopologyNetwork, BottleneckLink]:
     """Build a single-bottleneck network with a drop-tail buffer.
 
@@ -92,7 +91,6 @@ def quick_network(link_mbps: float = 96.0, buffer_ms: float = 100.0,
         link_mbps: Bottleneck rate in Mbit/s.
         buffer_ms: Buffer depth expressed in milliseconds at the link rate.
         dt: Simulation tick in seconds.
-        seed: Seed for the network's random number generator.
         aqm: Optional queue policy instance overriding the drop-tail buffer.
 
     Returns:
@@ -103,4 +101,4 @@ def quick_network(link_mbps: float = 96.0, buffer_ms: float = 100.0,
     link = BottleneckLink(capacity=mu, policy=policy)
     topology = Topology()
     topology.attach(link)
-    return TopologyNetwork(topology, dt=dt, seed=seed), link
+    return TopologyNetwork(topology, dt=dt), link

@@ -212,8 +212,11 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
 
     Flows may traverse any route over the named nodes and links.  Any
     ``faults`` are armed and ``fluid`` classes attached on the fresh
-    network (seeded from ``seed``); empty sequences leave the engine
-    untouched — bit-identical to a build without the parameters.
+    network; empty sequences leave the engine untouched — bit-identical
+    to a build without the parameters.  ``seed`` reaches the random
+    draws the build makes: each hop's AQM (``seed + position``) and the
+    fault schedule; a fluid class carries its own ``seed``, and the
+    engine draws nothing.
     ``faults`` are :class:`~repro.simulator.faults.FaultEvent` windows as
     they are (frozen scalar dataclasses, so they canonicalise into a
     :class:`~repro.runtime.spec.ScenarioSpec` like a :class:`LinkSpec`):
@@ -226,7 +229,7 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
     """
     network = TopologyNetwork(
         make_topology(links, monitor=monitor, seed=seed, routes=routes),
-        dt=dt, seed=seed,
+        dt=dt,
         convergence_delay=(None if convergence_ms is None
                            else convergence_ms / 1e3))
     if faults:

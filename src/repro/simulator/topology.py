@@ -59,7 +59,6 @@ and is still sampled by the recorder every tick.
 from __future__ import annotations
 
 import os
-import random
 from array import array
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
@@ -313,8 +312,6 @@ class TopologyNetwork:
     Args:
         topology: The wired node/link graph with its forwarding tables.
         dt: Simulation tick in seconds.
-        seed: Seed for the network-level random number generator (exposed to
-            traffic generators for reproducibility).
         trace: Optional :class:`~repro.simulator.telemetry.TraceSink` the
             engine narrates structured events to.  ``None`` (the default)
             falls back to the environment (``REPRO_TRACE``); with no sink
@@ -344,7 +341,7 @@ class TopologyNetwork:
     _HOP = 5
 
     def __init__(self, topology: Topology, dt: float = 0.001,
-                 seed: int = 0, trace: Optional[TraceSink] = None,
+                 trace: Optional[TraceSink] = None,
                  convergence_delay: Optional[float] = None) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -360,7 +357,6 @@ class TopologyNetwork:
         self._links = topology.links
         self.dt = dt
         self.now = 0.0
-        self.rng = random.Random(seed)
         self.flows: List[Flow] = []
         #: Per-flow endpoints (node ids), indexed by flow id.
         self._flow_src: List[int] = []

@@ -16,7 +16,7 @@ MU = mbps_to_bytes_per_sec(LINK_MBPS)
 
 def build(main_cc, cross: str, duration=35.0, seed=0):
     network, link = quick_network(link_mbps=LINK_MBPS, buffer_ms=100,
-                                  dt=0.004, seed=seed)
+                                  dt=0.004)
     network.add_flow(Flow(cc=main_cc, prop_rtt=0.05, name="main"))
     if cross == "elastic":
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cross"))

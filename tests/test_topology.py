@@ -26,14 +26,13 @@ from repro.simulator.source import PacedSource
 MU = mbps_to_bytes_per_sec(24.0)
 
 
-def _chain(hops=3, capacity=MU, buffer_bytes=None, delay=0.01, dt=0.002,
-           seed=0):
+def _chain(hops=3, capacity=MU, buffer_bytes=None, delay=0.01, dt=0.002):
     topology = Topology("chain")
     for index in range(hops):
         policy = DropTail(buffer_bytes) if buffer_bytes else None
         topology.add_link(f"hop{index + 1}", capacity, delay=delay,
                           policy=policy)
-    return TopologyNetwork(topology, dt=dt, seed=seed)
+    return TopologyNetwork(topology, dt=dt)
 
 
 # --------------------------------------------------------------------- #
@@ -258,7 +257,7 @@ class TestLegacyEquivalence:
         built = make_network(24.0, buffer_ms=100.0, dt=0.002, seed=0)
         topology = Topology()
         topology.attach(BottleneckLink(MU, policy=DropTail(MU * 0.1)))
-        general = TopologyNetwork(topology, dt=0.002, seed=0)
+        general = TopologyNetwork(topology, dt=0.002)
         assert _cruise_fingerprint(built) == _cruise_fingerprint(general)
 
     def test_network_is_a_one_hop_topology(self):

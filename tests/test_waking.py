@@ -78,7 +78,7 @@ def build(engine, scenario):
     # table has no survivor, so every flow is blackholed until it returns.
     network = engine(make_topology(links, monitor="bottleneck",
                                    seed=scenario["seed"]),
-                     dt=DT, seed=scenario["seed"], convergence_delay=0.05)
+                     dt=DT, convergence_delay=0.05)
     if scenario["flap_at"] is not None:
         FaultSchedule((FaultEvent("link_flap", "bottleneck",
                                   scenario["flap_at"], 0.3,
