@@ -1,6 +1,8 @@
 """Elasticity detection: the FFT metric (Eq. 3), detectors, and the
 cross-correlation strawman."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -202,6 +204,34 @@ class TestElasticityMetric:
         strong = elasticity_metric(noise + 3.0 * sine_at(FP, seed=1),
                                    SAMPLE_INTERVAL, FP)
         assert strong > weak
+
+
+def test_white_noise_false_alarms_follow_the_closed_form():
+    """On white noise every bin's squared magnitude is an independent
+    exponential, so eta exceeds theta with probability
+    K! Gamma(theta^2 + 1) / Gamma(K + theta^2 + 1) over K competitor bins
+    (1/24 at theta = 1; 1/17,550 at the paper's theta = 2)."""
+    windows, samples = 50_000, 500
+    spectrum = Spectrum(np.zeros(samples), SAMPLE_INTERVAL)
+    resolution = spectrum.freqs[1] - spectrum.freqs[0]
+    band = ((spectrum.freqs > FP + 1.5 * resolution)
+            & (spectrum.freqs < 2.0 * FP - 0.5 * resolution))
+    k = int(band.sum())
+    assert k == 23
+
+    def exceed(theta):
+        t2 = theta * theta
+        return math.exp(math.lgamma(k + 1) + math.lgamma(t2 + 1)
+                        - math.lgamma(k + t2 + 1))
+
+    assert 1.0 / exceed(2.0) == pytest.approx(17_550)
+    rng = np.random.default_rng(2022)
+    etas = np.array([Spectrum(rng.normal(size=samples), SAMPLE_INTERVAL)
+                     .eta(FP) for _ in range(windows)])
+    for theta in (1.0, 1.5):
+        p = exceed(theta)
+        sigma = math.sqrt(windows * p * (1.0 - p))
+        assert abs(int((etas >= theta).sum()) - windows * p) < 5 * sigma
 
 
 class TestElasticityDetector:

@@ -347,6 +347,48 @@ class TestOneWayToFanOut:
 
 
 # --------------------------------------------------------------------- #
+# Seed census: which toy payloads a seed moves
+# --------------------------------------------------------------------- #
+#: Registry ids whose toy payload (:data:`TOY`) is the same at seeds 0 and
+#: 1, each with the reason nothing in it draws from the seed.
+SEED_INERT = {
+    "fig10": "one backlogged Cubic cross flow",
+    "fig11": "DASH video cross traffic: a fixed bitrate ladder",
+    "fig14": "the toy runs the paced CBR and backlogged NewReno sweeps "
+             "only (the Poisson sweep draws from the seed)",
+    "fig22": "one backlogged BBR cross flow",
+    "fig24": "one backlogged NewReno cross flow",
+    "fig26": "one backlogged Vivace cross flow",
+    "parking_lot": "backlogged Cubic cross flows over drop-tail hops: no "
+                   "AQM and no fault schedule to seed",
+}
+
+
+def _toy_payload(key, seed):
+    """The toy payload of ``key`` at ``seed``, computed as the golden
+    scenarios are; the golden payload itself where it is that call."""
+    toy, target = TOY[key], EXPERIMENT_INDEX[key]
+    if test_golden.SCENARIOS.get(key, (None,))[0] == target \
+            and toy.get("seed", 0) == seed:
+        return test_golden.payload_of(key)
+    return test_golden.run_under_golden_env(target, {**toy, "seed": seed})
+
+
+def test_seed_census():
+    """Two seeds give two payloads, except where :data:`SEED_INERT` says
+    why not: an inert seed cannot pass unnoticed."""
+    digests, inert = {}, set()
+    for key in sorted(EXPERIMENT_INDEX):
+        call = (EXPERIMENT_INDEX[key], id(TOY[key]))  # fig19 is fig18's
+        if call not in digests:
+            digests[call] = {test_golden.canonical_digest(
+                _toy_payload(key, seed)) for seed in (0, 1)}
+        if len(digests[call]) == 1:
+            inert.add(key)
+    assert inert == set(SEED_INERT)
+
+
+# --------------------------------------------------------------------- #
 # The paper suite is plain pytest over the cached front-ends
 # --------------------------------------------------------------------- #
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"

@@ -254,7 +254,12 @@ def canonical_digest(payload: Any) -> str:
 @functools.lru_cache(maxsize=None)
 def payload_of(name: str) -> Any:
     """Run one golden scenario under :data:`GOLDEN_ENV`, once per process."""
-    target, kwargs = SCENARIOS[name]
+    return run_under_golden_env(*SCENARIOS[name])
+
+
+def run_under_golden_env(target: Any, kwargs: dict) -> Any:
+    """``target(**kwargs)`` (a callable or ``"module:function"``) with the
+    cache off and the audit on, as every golden scenario runs."""
     saved = {key: os.environ.get(key) for key in GOLDEN_ENV}
     os.environ.update(GOLDEN_ENV)
     try:
