@@ -326,21 +326,20 @@ class TestOneWayToFanOut:
         through ``**params`` to the case that holds the default."""
         named, without_case = {}, set()
         for key in EXPERIMENT_INDEX:
-            front = inspect.signature(_front_end(key)).parameters
             module = sys.modules[_front_end(key).__module__]
             case = getattr(module, "run_case", getattr(module, "classify",
                                                        None))
             if case is None:
                 without_case.add(key)
                 continue
+            front = inspect.signature(_front_end(key)).parameters
+            own = inspect.signature(case).parameters
             assert any(p.kind is p.VAR_KEYWORD for p in front.values()), key
-            shared = set(front) & set(inspect.signature(case).parameters)
-            if shared:
-                named[key] = shared
-            for name in shared & {"duration"}:
-                assert front[name].default != \
-                    inspect.signature(case).parameters[name].default, key
+            named[key] = set(front) & set(own)
+            if "duration" in named[key]:
+                assert front["duration"].default != own["duration"].default
         assert without_case == {"fig05", "selftest"}
+        named = {key: names for key, names in named.items() if names}
         assert named == {key: set(reasons) for key, reasons
                          in NAMED_CASE_PARAMETERS.items()}
 
