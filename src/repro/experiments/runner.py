@@ -9,12 +9,11 @@ code::
 
 Arbitrary numeric keyword overrides can be passed as ``--set name=value``;
 they are forwarded to the driver's ``run`` function.  ``--duration S`` is
-one such override, ``duration=S``: a driver that takes no ``duration``
-(fig01, fig03, fig08 and fig17 run on ``phase_duration``, fig16 on
-``flow_duration``) fails with its own ``TypeError``, as any override it
-does not take does.  A grid of runs is a campaign manifest
-with ``[experiment.axes]``, run by ``repro-campaign run`` (see
-:mod:`repro.runtime.campaign`).
+one such override, ``duration=S``: a driver that runs on
+``phase_duration`` or ``flow_duration`` instead fails with its own
+``TypeError``, as any override it does not take does.  A grid of runs is
+a campaign manifest with ``[experiment.axes]``, run by ``repro-campaign
+run`` (see :mod:`repro.runtime.campaign`).
 
 Execution goes through :mod:`repro.runtime`, so repeated invocations with
 identical parameters are served from the on-disk cache (see
