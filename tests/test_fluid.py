@@ -22,6 +22,7 @@ from repro.core.nimbus import Nimbus
 from repro.runtime import FluidClassSpec, make_network
 from repro.runtime.spec import ScenarioSpec
 from repro.simulator import Flow, FluidClass, mbps_to_bytes_per_sec
+from repro.simulator.fluid import FluidLinkState
 from repro.simulator.telemetry import ListTraceSink, validate_trace_record
 
 MU_96 = mbps_to_bytes_per_sec(96.0)
@@ -288,6 +289,56 @@ class TestEquivalence:
         # Elastic cross traffic must read as competitive in both worlds.
         assert results["truth"] > 0.5
         assert results["hybrid"] > 0.5
+
+
+class TestCost:
+    """The cost contract: a class standing for 40x more flows does the
+    same work per tick, counted in calls so host speed cannot move it."""
+
+    #: What the engine calls on a fluid class or a link's fluid state each
+    #: tick, plus the flow-size draw ``offer`` makes for the tick's arrivals.
+    PER_TICK = {FluidClass: ("offer", "_take_sizes_sum", "commit",
+                             "sample_overflow_transfer"),
+                FluidLinkState: ("take_service", "shed", "drain_leftover")}
+
+    def _ticks_per_call(self, arrivals_per_sec):
+        """Figure 9's fluid regime for 4 s: Nimbus against one elastic
+        class at load 0.5; the tick of every counted call, by name."""
+        network = make_network(96.0, buffer_ms=100.0, dt=0.002, seed=1)
+        network.add_flow(Flow(cc=Nimbus(mu=MU_96), prop_rtt=0.05,
+                              name="nimbus"))
+        cls = FluidClass("wan", MU_96, kind="elastic", load=0.5, rtt=0.05,
+                         arrivals_per_sec=arrivals_per_sec, seed=1)
+        network.attach_fluid_class(cls)
+        calls = {}
+        targets = dict(self.PER_TICK)
+        targets[FluidClass] += ("_sample_sizes",)
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, names in targets.items():
+                for name in names:
+                    def counted(*args, _method=getattr(owner, name),
+                                _ticks=calls.setdefault(name, []), **kwargs):
+                        _ticks.append(network._tick)
+                        return _method(*args, **kwargs)
+                    patch.setattr(owner, name, counted)
+            network.run(4.0)
+        return network, cls, calls
+
+    def test_per_tick_work_does_not_grow_with_the_crowd(self):
+        created = {}
+        for crowd in (2535.0, 100000.0):
+            network, cls, calls = self._ticks_per_call(crowd / 15.0)
+            assert len(calls["offer"]) == network.engine_stats()["ticks"]
+            for names in self.PER_TICK.values():
+                for name in names:
+                    ticks = calls[name]
+                    assert len(ticks) == len(set(ticks)), (crowd, name)
+            # Sizes come in blocks of 4096: a refill per block, not a
+            # draw per arriving flow.
+            assert len(calls["_sample_sizes"]) <= \
+                1 + cls.flows_created / 4096
+            created[crowd] = cls.flows_created
+        assert created[100000.0] > 30 * created[2535.0]
 
 
 class TestSpecWiring:
