@@ -29,6 +29,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..cc.base import MODE_COMPETITIVE, MODE_DELAY
+from .pulses import PulseShape
 
 #: Default pulse frequency (Hz).
 DEFAULT_PULSE_FREQUENCY = 5.0
@@ -102,6 +103,26 @@ def elasticity_metric(samples: Sequence[float], sample_interval: float,
                       ) -> float:
     """Compute eta (Eq. 3) from a z(t) sample series."""
     return Spectrum(samples, sample_interval).eta(pulse_frequency)
+
+
+def pulse_sent(times: Sequence[float], send_rates: Sequence[float],
+               pulse: PulseShape, mu: float) -> Tuple[float, float]:
+    """How much of its scheduled pulse a sender actually sent.
+
+    Returns ``(magnitude, ratio)``: ``magnitude`` is |S(fp)|, the send-rate
+    series' spectrum at the pulse frequency, read at the median spacing of
+    ``times``; ``ratio`` divides it by the same reading of the scheduled
+    offset ``pulse.offset(t, mu)`` at the same times, so 1.0 means the
+    pulse left unclipped.  ``ratio`` is 0.0 when the scheduled reading is
+    0, as it is for fewer than four samples.  ``send_rates`` and ``mu``
+    share one unit.
+    """
+    times = np.asarray(times, dtype=float)
+    spacing = float(np.median(np.diff(times))) if times.size > 1 else 0.0
+    magnitude = Spectrum(send_rates, spacing).at(pulse.frequency)
+    scheduled = Spectrum([pulse.offset(t, mu) for t in times],
+                         spacing).at(pulse.frequency)
+    return magnitude, (magnitude / scheduled if scheduled > 0.0 else 0.0)
 
 
 @dataclass

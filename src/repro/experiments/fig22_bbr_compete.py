@@ -14,6 +14,7 @@ from typing import Dict, Iterable
 
 from ..analysis.metrics import summarize_flow
 from ..cc import Bbr
+from ..core.elasticity import pulse_sent
 from ..simulator import Flow
 from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
                      run_cases)
@@ -26,14 +27,25 @@ def run_case(scheme: str, buffer_bdp: float, link_mbps: float = 96.0,
     multiplier, warmup = float(buffer_bdp), duration / 4.0
     network = make_network(link_mbps, buffer_ms=prop_rtt * 1e3 * multiplier,
                            dt=dt, seed=seed)
-    add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
+    main = add_main_flow(network, scheme, link_mbps, prop_rtt=prop_rtt)
     network.add_flow(Flow(cc=Bbr(), prop_rtt=prop_rtt, name="bbr"))
     network.run(duration)
     recorder = network.recorder
     label = f"{scheme}@{multiplier}bdp"
     summary = summarize_flow(recorder, MAIN_FLOW, scheme=label, start=warmup)
     extra = dict(buffer_bdp=multiplier,
-                 bbr_throughput=recorder.mean_throughput("bbr", start=warmup))
+                 bbr_throughput=recorder.mean_throughput("bbr", start=warmup),
+                 pulse_sent_mbps=None, pulse_sent_ratio=None)
+    if scheme == "nimbus":
+        # The pulse that left the sender, against the one it scheduled.
+        nimbus = main.cc
+        times = nimbus.estimator.times()
+        after = times >= warmup
+        magnitude, ratio = pulse_sent(
+            times[after], nimbus.estimator.s_series()[after],
+            nimbus.current_pulse, nimbus.mu)
+        extra.update(pulse_sent_mbps=magnitude * 8 / 1e6,
+                     pulse_sent_ratio=ratio)
     return {"scheme": label, "summary": summary, "extra": extra, "data": None}
 
 

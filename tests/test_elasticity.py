@@ -14,7 +14,9 @@ from repro.core.elasticity import (
     Spectrum,
     cross_correlation_detector,
     elasticity_metric,
+    pulse_sent,
 )
+from repro.core.pulses import AsymmetricSinusoidPulse
 
 SAMPLE_INTERVAL = 0.01
 FP = 5.0
@@ -233,6 +235,21 @@ def test_white_noise_false_alarms_follow_the_closed_form():
         sigma = math.sqrt(windows * p * (1.0 - p))
         assert abs(int((etas >= theta).sum()) - windows * p) < 5 * sigma
 
+
+
+def test_pulse_sent_is_the_share_of_the_scheduled_pulse():
+    """An unclipped ``base + offset`` series carries the whole pulse; a
+    pacing floor that cuts the down-pulse carries less; three samples
+    cannot be read."""
+    pulse, mu, base = AsymmetricSinusoidPulse(FP), 96.0, 4.0
+    times = np.arange(0.0, 10.0, SAMPLE_INTERVAL)
+    rates = base + np.array([pulse.offset(t, mu) for t in times])
+    magnitude, ratio = pulse_sent(times, rates, pulse, mu)
+    assert magnitude > 0.0
+    assert ratio == pytest.approx(1.0, abs=1e-9)
+    clipped = np.maximum(rates, 0.02 * mu)
+    assert 0.0 < pulse_sent(times, clipped, pulse, mu)[1] < 1.0
+    assert pulse_sent(times[:3], rates[:3], pulse, mu) == (0.0, 0.0)
 
 class TestElasticityDetector:
     def test_classifies_elastic(self):
