@@ -226,3 +226,41 @@ class TestCalendarQueue:
         assert network.now == expected
         # ...with the consumed prefix trimmed instead of growing forever.
         assert len(network._future_times) < 4200
+
+    @staticmethod
+    def _readings(ticks, dt=0.002):
+        """The clock readings of ticks ``1..ticks``, read off a twin."""
+        twin, _ = quick_network(link_mbps=24, buffer_ms=100, dt=dt)
+        readings = []
+        for _ in range(ticks):
+            twin.step()
+            readings.append(twin.now)
+        return readings
+
+    def _fire(self, times, until):
+        """Schedule one named callback per ``(name, time)`` in that order
+        and return ``(name, clock reading)`` in the order they fired."""
+        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.002)
+        fired = []
+        for name, time in times:
+            network.schedule_call(
+                time, lambda now, name=name: fired.append((name, now)))
+        network.run(until)
+        return fired
+
+    def test_event_within_the_slack_of_a_reading_fires_on_that_tick(self):
+        readings = self._readings(38)
+        fired = self._fire([("slack", readings[36] + 0.5e-12)], readings[37])
+        assert fired == [("slack", readings[36])]
+
+    def test_event_past_the_slack_fires_on_the_next_tick(self):
+        readings = self._readings(38)
+        fired = self._fire([("late", readings[36] + 1e-9)], readings[37])
+        assert fired == [("late", readings[37])]
+
+    def test_same_tick_callbacks_run_in_time_order(self):
+        readings = self._readings(38)
+        # Both fall due on tick 37: the later time is pushed first.
+        fired = self._fire([("later", readings[36]),
+                            ("earlier", readings[36] - 0.001)], readings[37])
+        assert fired == [("earlier", readings[36]), ("later", readings[36])]
