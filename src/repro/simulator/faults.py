@@ -3,7 +3,7 @@
 A :class:`FaultSchedule` is a validated, seeded list of
 :class:`FaultEvent` windows that a :class:`~repro.simulator.topology.
 TopologyNetwork` replays via its existing ``schedule_call`` mechanism —
-no engine changes, no new event kinds in the calendar queue.  Four fault
+no engine changes, no new event kinds in the event heap.  Four fault
 kinds are supported:
 
 ``capacity_dip``

@@ -31,7 +31,7 @@ Failure model (all deterministic — no RNG anywhere):
 * A chunk already in flight toward a node that has lost its next hop is
   dropped at that node and reported to the sender the same way.
 
-Convergence passes are scheduled and executed inside the calendar queue,
+Convergence passes are scheduled and executed inside the event heap,
 so with identical seeds and specs the ``route_change`` event sequence is
 bit-identical across serial, pooled, and isolated-process execution.
 """

@@ -37,15 +37,12 @@ Timing model:
 With a single link no ``_HOP`` event ever fires: every chunk goes straight
 from the bottleneck to its receiver.
 
-Event storage is a *calendar queue*: because every event dispatches on a
-tick boundary anyway, events are filed under the integer tick at which they
-fire instead of being kept in one global heap.  Pushing is O(1), a tick's
-dispatch sorts just that tick's handful of events, and the tick an event
-fires on is computed against the engine's own future clock readings — the
-exact floats ``now += dt`` will produce — so dispatch grouping is
-bit-identical to the historical heap implementation, including the
-``1e-12`` boundary tolerance.  Workloads with thousands of short cross
-flows additionally benefit from the engine keeping an explicit roster of
+Events wait in one global heap of ``(time, counter, kind, payload)``
+entries.  Each tick the clock advances by ``now += dt`` and every event
+with ``time <= now + 1e-12`` is popped in ``(time, counter)`` order — so
+events due at one time fire in push order, and an event a handler pushes
+for a time already due fires in the same tick.  Workloads with thousands of
+short cross flows benefit from the engine keeping an explicit roster of
 *active* flows: finished flows cost nothing per tick instead of being
 re-scanned forever.  Of the roster, ``_emit_all`` asks only the flows that
 time alone could unblock; one that found no budget and is clocked purely by
@@ -59,7 +56,6 @@ and is still sampled by the recorder every tick.
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from typing import (
@@ -82,15 +78,10 @@ from .packet import Ack, Chunk
 from .telemetry import TraceSink, sink_from_env
 from .trace import Recorder
 
-#: Slack applied to every "has this event's time arrived?" comparison, kept
-#: identical to the historical heap-based engine so dispatch grouping (and
-#: therefore every downstream number) is unchanged.
+#: Slack applied to every "has this event's time arrived?" comparison: an
+#: event up to this far past the clock reading still fires on that tick, so
+#: float residue in ``now += dt`` never pushes it to the next one.
 _EPS = 1e-12
-
-#: Events further ahead than this many ticks bypass the calendar and wait in
-#: a small spill-over heap, so one far-future ``schedule_call`` cannot force
-#: the future-clock array to materialise millions of entries up front.
-_SPILL_TICKS = 1 << 20
 
 #: Tick period of the ``REPRO_AUDIT=1`` conservation re-check (``REPRO_AUDIT``
 #: set to an integer > 1 overrides the period directly).
@@ -104,24 +95,6 @@ _FLUID_TRACE_TICKS = 50
 
 class AuditError(AssertionError):
     """A ``REPRO_AUDIT`` invariant re-check failed mid-run."""
-
-
-class _EngineStats:
-    """The :meth:`TopologyNetwork.engine_stats` counters, in one slot.
-
-    A single slotted holder instead of four instance attributes: CPython
-    caps shared-key instance dicts at 30 entries, and spilling the network
-    past that line materializes a per-instance table that slows every
-    ``self.<attr>`` load on the hot path.
-    """
-
-    __slots__ = ("executed", "spill_peak", "roster_peak", "buckets_created")
-
-    def __init__(self) -> None:
-        self.executed = 0
-        self.spill_peak = 0
-        self.roster_peak = 0
-        self.buckets_created = 0
 
 
 def _audit_period_from_env(environ=None) -> int:
@@ -366,28 +339,12 @@ class TopologyNetwork:
         #: is the *blackhole* state: no surviving route to the destination.
         self._entry_links: List[Optional[BottleneckLink]] = []
         self.recorder = Recorder(self)
-        #: Calendar: tick index -> [(time, counter, kind, payload), ...].
-        self._calendar: dict = {}
-        #: Clock readings the engine will produce: entry ``k - _times_base``
-        #: is exactly the value ``self.now`` takes at tick ``k`` (generated
-        #: by the same repeated ``+ dt``), so bucket placement can reproduce
-        #: the heap engine's boundary behaviour bit for bit.  The consumed
-        #: prefix is trimmed periodically, keeping memory proportional to
-        #: the scheduling lookahead rather than the total ticks simulated.
-        self._future_times = array("d", (0.0,))
-        self._times_base = 0
-        self._tick = 0
+        #: Min-heap of pending ``(time, counter, kind, payload)`` events;
+        #: ``_counter`` breaks time ties in push order and doubles as the
+        #: number of events ever scheduled.
+        self._events: list = []
         self._counter = 0
-        #: Heap of events beyond the calendar horizon; migrated into the
-        #: calendar long before they are due.
-        self._spill: list = []
-        self._spill_span = _SPILL_TICKS * dt
-        self._migrate_span = (_SPILL_TICKS // 2) * dt
-        #: Min-heap holding the tick currently being dispatched; events
-        #: pushed *during* dispatch that are already due join it so they run
-        #: this tick, exactly as they would have popped from a global heap.
-        self._live: list = []
-        self._dispatching = False
+        self._tick = 0
         #: Sorted flow ids (== positions in ``flows``) of started,
         #: unfinished flows.  Per-tick work scales with this roster, not
         #: with every flow ever created.
@@ -405,8 +362,8 @@ class TopologyNetwork:
         #: Empty for every network without fluid classes, in which case
         #: the main loop's only extra cost is one truthiness check.
         self._fluid_states: List[FluidLinkState] = []
-        # engine_stats() counters; _counter above doubles as "scheduled".
-        self._stats = _EngineStats()
+        #: Largest roster seen (``engine_stats()["roster_peak"]``).
+        self._roster_peak = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -453,8 +410,8 @@ class TopologyNetwork:
             flow.start(self.now)
             if flow.active:
                 insort(self._active, flow.flow_id)
-                if len(self._active) > self._stats.roster_peak:
-                    self._stats.roster_peak = len(self._active)
+                if len(self._active) > self._roster_peak:
+                    self._roster_peak = len(self._active)
         else:
             self._push(start_time, self._START, flow)
         sink = self._sink
@@ -589,30 +546,7 @@ class TopologyNetwork:
     def step(self) -> None:
         """Advance the simulation by one tick."""
         self._tick += 1
-        times = self._future_times
-        index = self._tick - self._times_base
-        if len(times) <= index:
-            times.append(times[-1] + self.dt)
-        if index >= 4096:
-            # Nothing ever reads clock entries behind the current tick:
-            # drop the consumed prefix (values ahead are untouched, so the
-            # repeated-``+ dt`` chain — and every number — is unchanged).
-            del times[:index]
-            self._times_base = self._tick
-            index = 0
-        self.now = now = times[index]
-        spill = self._spill
-        if spill and spill[0][0] <= now + self._migrate_span:
-            calendar = self._calendar
-            while spill and spill[0][0] <= now + self._migrate_span:
-                entry = heappop(spill)
-                bucket = self._bucket_of(entry[0])
-                events = calendar.get(bucket)
-                if events is None:
-                    calendar[bucket] = [entry]
-                    self._stats.buckets_created += 1
-                else:
-                    events.append(entry)
+        self.now = now = self.now + self.dt
         self._dispatch_events(now)
         self._emit_all(now)
         if self._fluid_states:
@@ -629,118 +563,53 @@ class TopologyNetwork:
     # ------------------------------------------------------------------ #
     def _push(self, time: float, kind: int, payload) -> None:
         self._counter += 1
-        entry = (time, self._counter, kind, payload)
-        if self._dispatching and time <= self.now + _EPS:
-            # Due while this very tick is dispatching: join the live heap.
-            # Counted as executed up front; the dispatch loop drains the
-            # heap, and its finally block subtracts anything left behind.
-            heappush(self._live, entry)
-            self._stats.executed += 1
-            return
-        if time - self.now > self._spill_span:
-            heappush(self._spill, entry)
-            if len(self._spill) > self._stats.spill_peak:
-                self._stats.spill_peak = len(self._spill)
-            return
-        bucket = self._bucket_of(time)
-        events = self._calendar.get(bucket)
-        if events is None:
-            self._calendar[bucket] = [entry]
-            self._stats.buckets_created += 1
-        else:
-            events.append(entry)
-
-    def _bucket_of(self, time: float) -> int:
-        """First future tick whose clock reading satisfies ``time <= now + eps``.
-
-        Evaluated against :attr:`_future_times`, i.e. against the exact
-        floats the main loop will assign to ``self.now``, so the answer
-        matches what a global heap would have done at every boundary.
-        """
-        times = self._future_times
-        dt = self.dt
-        base = self._times_base
-        floor = self._tick + 1
-        k = self._tick + int((time - self.now) / dt)
-        if k < floor:
-            k = floor
-        while len(times) <= k - base:
-            times.append(times[-1] + dt)
-        while times[k - base] < time - _EPS:
-            k += 1
-            if len(times) <= k - base:
-                times.append(times[-1] + dt)
-        while k > floor and times[k - 1 - base] >= time - _EPS:
-            k -= 1
-        return k
+        heappush(self._events, (time, self._counter, kind, payload))
 
     def _dispatch_events(self, now: float) -> None:
-        bucket = self._calendar.pop(self._tick, None)
-        if bucket is None:
-            return
-        # Entries sort by (time, counter): the order a global heap would
-        # pop them in.  A sorted list is a valid min-heap, so same-tick
-        # pushes made by handlers can be merged in without re-sorting.
-        bucket.sort()
-        live = self._live = bucket
-        entered = len(live)
-        self._dispatching = True
-        try:
-            flows = self.flows
-            sink = self._sink
-            due = now + _EPS
-            while live and live[0][0] <= due:
-                _, _, kind, payload = heappop(live)
-                if kind == self._DELIVER:
-                    self._deliver(payload, now)
-                elif kind == self._ACK:
-                    flow = flows[payload.flow_id]
-                    if not flow.finished:
-                        flow.handle_ack(payload, now)
-                        if sink is not None:
-                            sink.emit({
-                                "time": now, "event": "ack",
-                                "flow_id": payload.flow_id,
-                                "flow": flow.name,
-                                "bytes": payload.acked_bytes,
-                                "rtt": now - payload.sent_time,
-                                "queue_delay": payload.queue_delay})
-                        if flow.finished:
-                            self._deactivate(flow.flow_id)
-                elif kind == self._LOSS:
-                    flow = flows[payload.flow_id]
-                    if not flow.finished:
-                        flow.handle_loss(payload.lost_bytes, now)
-                        if sink is not None:
-                            sink.emit({
-                                "time": now, "event": "loss",
-                                "flow_id": payload.flow_id,
-                                "flow": flow.name,
-                                "bytes": payload.lost_bytes})
-                elif kind == self._CALL:
-                    payload(now)
-                elif kind == self._START:
-                    payload.start(now)
-                    if payload.active:
-                        insort(self._active, payload.flow_id)
-                        if len(self._active) > self._stats.roster_peak:
-                            self._stats.roster_peak = len(self._active)
-                elif kind == self._HOP:
-                    self._forward(payload, now)
-        finally:
-            # Popped count, without a per-event increment: everything that
-            # entered the heap (same-tick joins were pre-counted in
-            # ``_push``) minus whatever an exception left behind.
-            self._dispatching = False
-            if live:
-                # A handler raised mid-tick.  The old global heap kept the
-                # undispatched remainder queued; refile it for the next
-                # tick so a caller that catches the error and resumes does
-                # not silently lose in-flight deliveries and ACKs.
-                self._calendar.setdefault(self._tick + 1, []).extend(live)
-                entered -= len(live)
-            self._stats.executed += entered
-            self._live = []
+        # A handler's push that is already due joins this same loop; one
+        # that raises leaves the undispatched rest in the heap.
+        events = self._events
+        flows = self.flows
+        sink = self._sink
+        due = now + _EPS
+        while events and events[0][0] <= due:
+            _, _, kind, payload = heappop(events)
+            if kind == self._DELIVER:
+                self._deliver(payload, now)
+            elif kind == self._ACK:
+                flow = flows[payload.flow_id]
+                if not flow.finished:
+                    flow.handle_ack(payload, now)
+                    if sink is not None:
+                        sink.emit({
+                            "time": now, "event": "ack",
+                            "flow_id": payload.flow_id,
+                            "flow": flow.name,
+                            "bytes": payload.acked_bytes,
+                            "rtt": now - payload.sent_time,
+                            "queue_delay": payload.queue_delay})
+                    if flow.finished:
+                        self._deactivate(flow.flow_id)
+            elif kind == self._LOSS:
+                flow = flows[payload.flow_id]
+                if not flow.finished:
+                    flow.handle_loss(payload.lost_bytes, now)
+                    if sink is not None:
+                        sink.emit({
+                            "time": now, "event": "loss",
+                            "flow_id": payload.flow_id,
+                            "flow": flow.name,
+                            "bytes": payload.lost_bytes})
+            elif kind == self._CALL:
+                payload(now)
+            elif kind == self._START:
+                payload.start(now)
+                if payload.active:
+                    insort(self._active, payload.flow_id)
+                    if len(self._active) > self._roster_peak:
+                        self._roster_peak = len(self._active)
+            elif kind == self._HOP:
+                self._forward(payload, now)
 
     def _deactivate(self, flow_id: int) -> None:
         index = bisect_left(self._active, flow_id)
@@ -1004,28 +873,25 @@ class TopologyNetwork:
                     "mode": mode, "from_mode": previous})
 
     def engine_stats(self) -> Dict[str, float]:
-        """Counters exposing the calendar-queue engine's internals.
+        """Counters exposing the engine's internals.
 
-        The bundle satisfies the event conservation law
-        ``events_scheduled == events_executed + events_pending`` at any
-        point between ticks: every scheduled event is either already
-        dispatched or still filed in the calendar, the spill heap, or the
-        live heap of an interrupted tick.
+        ``events_executed`` is ``events_scheduled - events_pending``: every
+        event ever pushed has either popped off the heap or is still on it,
+        so the conservation law holds by construction.
         """
-        pending = sum(map(len, self._calendar.values())) \
-            + len(self._spill) + len(self._live)
+        pending = len(self._events)
         return {
             "ticks": self._tick,
             "now": self.now,
             "events_scheduled": self._counter,
-            "events_executed": self._stats.executed,
+            "events_executed": self._counter - pending,
             "events_pending": pending,
-            "calendar_buckets": len(self._calendar),
-            "calendar_buckets_created": self._stats.buckets_created,
-            "spill_pending": len(self._spill),
-            "spill_peak": self._stats.spill_peak,
+            # Always 0: the engine has no calendar buckets or spill heap,
+            # but benchmarks/e2e/spans.py still sums and peaks these keys.
+            "calendar_buckets_created": 0,
+            "spill_peak": 0,
             "roster_size": len(self._active),
-            "roster_peak": self._stats.roster_peak,
+            "roster_peak": self._roster_peak,
             "flows": len(self.flows),
             "fluid_classes": sum(len(state.classes)
                                  for state in self._fluid_states),

@@ -136,7 +136,7 @@ class TestSharing:
 
 
 class TestCalendarQueue:
-    """Regression coverage for the calendar/bucket event store."""
+    """Regression coverage for the engine's event heap."""
 
     def test_same_tick_callbacks_run_in_push_order(self, small_network):
         network, _ = small_network
@@ -163,19 +163,6 @@ class TestCalendarQueue:
         # The chained callback fired at the same clock reading, exactly as
         # it would have popped from a single global heap.
         assert seen[0][1] == seen[1][1]
-
-    def test_far_future_event_spills_without_growing_the_clock(
-            self, small_network):
-        network, _ = small_network
-        horizon = network._spill_span
-        network.schedule_call(network.now + horizon + 1.0,
-                              lambda now: None)
-        assert len(network._spill) == 1
-        assert not network._calendar
-        # The future-clock array must not have materialised a million ticks.
-        assert len(network._future_times) < 1000
-        network.run(0.1)
-        assert len(network._spill) == 1  # still parked, still cheap
 
     def test_finished_flow_leaves_the_active_roster(self, small_network):
         network, _ = small_network
@@ -212,9 +199,7 @@ class TestCalendarQueue:
         network.run(0.2)
         assert fired
 
-    def test_clock_trimming_preserves_repeated_dt_chain(self):
-        from repro import quick_network
-
+    def test_clock_is_the_repeated_dt_chain(self):
         dt = 0.002
         network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=dt)
         ticks = 3 * 4096 + 37
@@ -222,10 +207,8 @@ class TestCalendarQueue:
         for _ in range(ticks):
             network.step()
             expected += dt
-        # Bit-identical to the historical `now += dt` accumulation...
+        # Bit-identical to the historical `now += dt` accumulation.
         assert network.now == expected
-        # ...with the consumed prefix trimmed instead of growing forever.
-        assert len(network._future_times) < 4200
 
     @staticmethod
     def _readings(ticks, dt=0.002):
