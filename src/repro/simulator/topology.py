@@ -235,9 +235,6 @@ class Topology:
     def link(self, name: str) -> BottleneckLink:
         return self.links[self.index_of(name)]
 
-    def delay_of(self, name: str) -> float:
-        return self.delays[self.index_of(name)]
-
     def set_monitor(self, name: str) -> None:
         self._monitor = self.index_of(name)
 
@@ -433,9 +430,6 @@ class TopologyNetwork:
         route = routing.walk_route(self.topology, self._flow_src[flow_id],
                                    self._flow_dst[flow_id])
         return tuple(self._links[position] for position in route or ())
-
-    def is_blackholed(self, flow_id: int) -> bool:
-        return self._entry_links[flow_id] is None
 
     def schedule_call(self, time: float, fn: Callable[[float], None]) -> None:
         """Run ``fn(now)`` at the given simulation time (>= now)."""

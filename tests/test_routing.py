@@ -160,9 +160,9 @@ class TestRoutedNetworkConstruction:
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05))
         assert _route_names(network) == ("a", "b")
         network.run(0.8)
-        assert network.is_blackholed(0) and _route_names(network) == ()
+        assert network._entry_links[0] is None and _route_names(network) == ()
         network.run(1.2)
-        assert not network.is_blackholed(0)
+        assert network._entry_links[0] is not None
         assert _route_names(network) == ("a", "b")
 
     def test_negative_convergence_rejected(self):
@@ -250,7 +250,7 @@ class TestFailover:
         served_at_converge = _link(network, "backup").total_served
         network.run(1.9)
         assert _link(network, "backup").total_served > served_at_converge
-        assert not network.is_blackholed(0)
+        assert network._entry_links[0] is not None
 
     def test_route_change_events_validate_and_pair(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
@@ -306,10 +306,10 @@ class TestFluidOnTheBackup:
         network.run(1.2)
         assert backup.total_served > 0.0  # chunks rode the fluid's link
         network.run(2.0)
-        assert network.is_blackholed(0)
+        assert network._entry_links[0] is None
         network.audit_conservation()  # mid-window: must not raise
         network.run(3.0)
-        assert not network.is_blackholed(0)
+        assert network._entry_links[0] is not None
         network.audit_conservation()
         (fluid,) = network.fluid_classes()
         assert fluid.total_served > 0.0
@@ -325,10 +325,10 @@ class TestBlackhole:
                                      "route_change"))
         network.set_trace_sink(sink)
         network.run(1.1)
-        assert network.is_blackholed(0)
+        assert network._entry_links[0] is None
         assert _route_names(network) == ()
         network.run(2.2)
-        assert not network.is_blackholed(0)
+        assert network._entry_links[0] is not None
         assert _route_names(network) == ("primary", "bottleneck")
         kinds = [r["event"] for r in sink.records]
         assert kinds.count("blackhole_start") == 1
@@ -361,7 +361,7 @@ class TestBlackhole:
         mu = mbps_to_bytes_per_sec(48.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
                               name=MAIN_FLOW), src="S", dst="X")
-        assert network.is_blackholed(0)
+        assert network._entry_links[0] is None
         assert sink.records[0]["path"] == []
         assert sink.records[1]["event"] == "blackhole_start"
 
@@ -371,7 +371,7 @@ class TestBlackhole:
         monkeypatch.setenv("REPRO_AUDIT", "16")
         network = _network(convergence_ms=50.0, faults=self.FLAP)
         network.run(1.5)
-        assert network.is_blackholed(0)
+        assert network._entry_links[0] is None
         network.audit_conservation()  # mid-window: must not raise
         network.run(3.0)
         network.audit_conservation()

@@ -54,7 +54,7 @@ class TestTopologyModel:
         link = topology.add_link("a", MU, delay=0.005)
         assert topology.link("a") is link
         assert topology.index_of("a") == 0
-        assert topology.delay_of("a") == 0.005
+        assert topology.delays[topology.index_of("a")] == 0.005
         with pytest.raises(KeyError):
             topology.link("missing")
 
@@ -278,7 +278,7 @@ class TestFactories:
         topology = make_topology((LinkSpec("wan", 96.0, delay_ms=20.0),
                                   LinkSpec("access", 24.0)))
         assert topology.monitor_link.name == "access"
-        assert topology.delay_of("wan") == pytest.approx(0.020)
+        assert topology.delays[topology.index_of("wan")] == pytest.approx(0.020)
 
     def test_make_topology_explicit_monitor_and_aqm(self):
         topology = make_topology(
