@@ -1,17 +1,22 @@
 """The repository's own checkers under ``benchmarks/``: the exact-valued
-per-layer count gate (``check_layer_counts.py``) and the constructor
-option census (``check_option_census.py``)."""
+per-layer count gate (``check_layer_counts.py``), the benchmark's view of
+the engine (``e2e/spans.py``) and the constructor option census
+(``check_option_census.py``)."""
 
 import importlib.util
 import json
 import pathlib
+
+from repro.cc import Cubic
+from repro.runtime import make_network
+from repro.simulator import Flow
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _load_benchmark_script(name):
     spec = importlib.util.spec_from_file_location(
-        name, _ROOT / "benchmarks" / f"{name}.py")
+        name.replace("/", "_"), _ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -50,6 +55,20 @@ class TestLayerCounts:
                    for line in lines)
         assert any("fluid_crowd: sim.seconds = None" in line
                    for line in lines)
+
+    def test_engine_stats_has_every_key_the_benchmark_reads(self):
+        """``e2e/spans.py`` sums, peaks and checks these ``engine_stats()``
+        keys around every ``TopologyNetwork.run``; without this test a
+        missing key would surface only in CI's traced perf-smoke job."""
+        spans = _load_benchmark_script("e2e/spans")
+        network = make_network(24.0, buffer_ms=100.0, dt=0.002)
+        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05))
+        network.run(0.5)
+        stats = network.engine_stats()
+        read = spans._ENGINE_SUMS + spans._ENGINE_PEAKS + (
+            "events_scheduled", "events_executed", "events_pending", "now")
+        assert not [key for key in read if key not in stats]
+        assert stats["events_executed"] > 0
 
 
 class TestOptionCensus:
