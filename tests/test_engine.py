@@ -160,8 +160,7 @@ class TestCalendarQueue:
         network.schedule_call(0.1, outer)
         network.run(0.2)
         assert len(seen) == 2
-        # The chained callback fired at the same clock reading, exactly as
-        # it would have popped from a single global heap.
+        # The chained callback fired at the same clock reading.
         assert seen[0][1] == seen[1][1]
 
     def test_finished_flow_leaves_the_active_roster(self, small_network):
@@ -194,26 +193,25 @@ class TestCalendarQueue:
         network.schedule_call(0.1, lambda now: fired.append(now))
         with pytest.raises(RuntimeError):
             network.run(0.2)
-        # The old global heap kept the second callback queued; resuming
-        # after catching the error must still deliver it.
+        # The heap keeps the second callback queued; resuming after
+        # catching the error must still deliver it.
         network.run(0.2)
         assert fired
 
     def test_clock_is_the_repeated_dt_chain(self):
         dt = 0.002
         network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=dt)
-        ticks = 3 * 4096 + 37
+        ticks = 10_000
         expected = 0.0
         for _ in range(ticks):
             network.step()
             expected += dt
-        # Bit-identical to the historical `now += dt` accumulation.
         assert network.now == expected
 
     @staticmethod
-    def _readings(ticks, dt=0.002):
+    def _readings(ticks):
         """The clock readings of ticks ``1..ticks``, read off a twin."""
-        twin, _ = quick_network(link_mbps=24, buffer_ms=100, dt=dt)
+        twin, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.002)
         readings = []
         for _ in range(ticks):
             twin.step()
