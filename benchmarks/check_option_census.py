@@ -24,9 +24,10 @@ ROOTS = ("src", "benchmarks", "examples")
 ALLOW_LIST = ROOT / "benchmarks" / "option_census.json"
 
 
-def _trees(directory: pathlib.Path):
+def sources(directory: pathlib.Path):
+    """``(path, module tree)`` for every ``.py`` file under ``directory``."""
     for path in sorted(directory.rglob("*.py")):
-        yield ast.parse(path.read_text(encoding="utf-8"), str(path))
+        yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def _base_names(cls: ast.ClassDef) -> list:
@@ -39,7 +40,7 @@ def declared_options() -> tuple:
     name, ...]}``."""
     options, bases = {}, {}
     trees = [tree for package in PACKAGES
-             for tree in _trees(ROOT / "src" / "repro" / package)]
+             for _, tree in sources(ROOT / "src" / "repro" / package)]
     # A dataclass field the engine assigns after construction
     # (``flow.stats.bytes_sent += ...``) is state, not an option.
     state = {node.attr for tree in trees for node in ast.walk(tree)
@@ -92,7 +93,7 @@ def unset_options(roots=ROOTS) -> list:
     set_here = {name: set() for name in options}
     forwarded, spelled = set(), set()
     for root in roots:
-        for tree in _trees(ROOT / root):
+        for _, tree in sources(ROOT / root):
             for node in ast.walk(tree):
                 if isinstance(node, ast.Dict):
                     spelled.update(k.value for k in node.keys

@@ -53,14 +53,6 @@ class ThroughputDelaySummary:
     median_delay_ms: float
     p95_delay_ms: float
 
-    def dominates(self, other: "ThroughputDelaySummary",
-                  throughput_slack: float = 0.0,
-                  delay_slack_ms: float = 0.0) -> bool:
-        """True if this scheme is at least as good on both axes (with slack)."""
-        return (self.mean_throughput_mbps >= other.mean_throughput_mbps
-                - throughput_slack
-                and self.mean_delay_ms <= other.mean_delay_ms + delay_slack_ms)
-
 
 def summarize_flow(recorder, name: str, scheme: str | None = None,
                    start: float = 0.0,

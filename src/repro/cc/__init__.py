@@ -11,18 +11,16 @@ from .bbr import Bbr
 from .compound import Compound
 from .copa import Copa
 from .cubic import Cubic
-from .misc import AppLimited, ConstantRate, FixedWindow
-from .reno import NewReno, Reno
+from .misc import FixedWindow
+from .reno import NewReno
 from .vegas import Vegas
 from .vivace import Vivace
 
 __all__ = [
-    "AppLimited",
     "BasicDelay",
     "Bbr",
     "Compound",
     "CongestionControl",
-    "ConstantRate",
     "Copa",
     "Cubic",
     "FixedWindow",
@@ -30,7 +28,6 @@ __all__ = [
     "MODE_DELAY",
     "NewReno",
     "NullCC",
-    "Reno",
     "Vegas",
     "Vivace",
 ]

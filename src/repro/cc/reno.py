@@ -49,9 +49,3 @@ class NewReno(CongestionControl):
         """Carry on in congestion avoidance from the handed-over window."""
         super().take_over(rate, rtt)
         self.ssthresh = self.cwnd
-
-
-class Reno(NewReno):
-    """Alias with the historical name; behaviour identical to NewReno here."""
-
-    name = "reno"

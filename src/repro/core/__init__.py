@@ -23,7 +23,6 @@ from .pulses import (
     AsymmetricSinusoidPulse,
     NoPulse,
     PulseShape,
-    SquareWavePulse,
     SymmetricSinusoidPulse,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "ROLE_PULSER",
     "ROLE_WATCHER",
     "Spectrum",
-    "SquareWavePulse",
     "SymmetricSinusoidPulse",
     "WatcherRateFilter",
     "cross_correlation_detector",

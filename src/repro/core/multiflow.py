@@ -75,14 +75,6 @@ class PulserElection:
         """Whether a pulser that detected a conflict steps down."""
         return self.rng.random() < self.demotion_probability
 
-    def expected_pulsers_per_window(self, total_share: float = 1.0) -> float:
-        """Expected number of pulser elections over one FFT window.
-
-        ``total_share`` is the fraction of the link carried by all Nimbus
-        flows; with the whole link (1.0) the expectation equals ``kappa``.
-        """
-        return self.kappa * min(max(total_share, 0.0), 1.0)
-
 
 class WatcherRateFilter:
     """Low-pass (EWMA) filter applied to a watcher's transmission rate.

@@ -80,17 +80,6 @@ class SymmetricSinusoidPulse(PulseShape):
         return self.pulse_fraction
 
 
-class SquareWavePulse(PulseShape):
-    """A square wave: the paper's first (rejected) time-domain design used
-    square pulses; kept for the cross-correlation ablation."""
-
-    def offset_fraction(self, t: float) -> float:
-        phase = math.fmod(t, self.period)
-        if phase < 0:
-            phase += self.period
-        return self.pulse_fraction if phase < self.period / 2 else -self.pulse_fraction
-
-
 class NoPulse(PulseShape):
     """No modulation at all (watcher flows, and ablation baselines)."""
 

@@ -33,7 +33,6 @@ drivers import the runtime, not the reverse.
 from .build import (
     FluidClassSpec,
     LinkSpec,
-    RouteSpec,
     flap_fault_specs,
     make_multihop_network,
     make_network,
@@ -41,7 +40,7 @@ from .build import (
     make_topology,
 )
 from .cache import ResultCache, cache_enabled, default_cache_dir
-from .depgraph import DependencyGraph, module_digest
+from .depgraph import DependencyGraph
 from .executor import (
     BatchExecutor,
     SpecExecutionError,
@@ -69,7 +68,6 @@ __all__ = [
     "METRICS_SCHEMA_VERSION",
     "OUTCOMES",
     "ResultCache",
-    "RouteSpec",
     "ScenarioSpec",
     "SpecExecutionError",
     "SpecFailure",
@@ -83,7 +81,6 @@ __all__ = [
     "make_scheme",
     "make_topology",
     "metrics_record",
-    "module_digest",
     "run_batch",
     "tally",
     "validate_metrics_record",

@@ -5,9 +5,9 @@ else below the driver layer) can build networks and schemes without
 importing the experiments package.
 
 One builder, :func:`make_multihop_network`, takes everything a network
-is described by — links, routes, fault windows, fluid classes — and
+is described by — links, fault windows, fluid classes — and
 :func:`make_network` is its one-link shorthand.  Each description exists
-once: links, routes and fluid classes are the frozen ``*Spec``
+once: links and fluid classes are the frozen ``*Spec``
 dataclasses below (driver units: Mbit/s, milliseconds); a fault window is
 the simulator's own :class:`~repro.simulator.faults.FaultEvent` (engine
 units: seconds), which is already a frozen dataclass of scalars and so
@@ -17,7 +17,7 @@ canonicalises into a :class:`~repro.runtime.spec.ScenarioSpec` as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from ..cc import (
     BasicDelay,
@@ -116,16 +116,6 @@ class FluidClassSpec:
     seed: int = 1
 
 
-@dataclass(frozen=True)
-class RouteSpec:
-    """One explicit routing-table entry: ``node`` reaches ``dst`` through
-    ``links`` (primary first, then backups in failover order)."""
-
-    node: str
-    dst: str
-    links: Tuple[str, ...]
-
-
 def flap_fault_specs(link: str, period: float, duty: float, until: float,
                      depth: float = 1.0, start: Optional[float] = None,
                      drop_queued: bool = False) -> tuple:
@@ -168,12 +158,11 @@ def _policy_for(mu: float, buffer_ms: float,
 
 
 def make_topology(links: Sequence[LinkSpec], monitor: Optional[str] = None,
-                  seed: int = 0, routes: Sequence[RouteSpec] = ()
-                  ) -> Topology:
+                  seed: int = 0) -> Topology:
     """Wire :class:`LinkSpec` descriptions into a :class:`Topology`.
 
     Forwarding tables come from shortest paths, so backups fall out of the
-    graph automatically; ``routes`` pins explicit entries on top.  The
+    graph automatically.  The
     monitor link (what ``network.link`` and the recorder observe) defaults
     to the narrowest link — the natural bottleneck — with ties going to
     the earliest one.
@@ -193,8 +182,6 @@ def make_topology(links: Sequence[LinkSpec], monitor: Optional[str] = None,
                                              spec.aqm_target_ms,
                                              seed + position),
                           src=spec.src, dst=spec.dst)
-    for route in routes:
-        topology.set_route(route.node, route.dst, tuple(route.links))
     if monitor is None:
         monitor = min(links, key=lambda spec: spec.mbps).name
     topology.set_monitor(monitor)
@@ -205,7 +192,6 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
                           seed: int = 0, monitor: Optional[str] = None,
                           faults: Sequence[FaultEvent] = (),
                           fluid: Sequence[FluidClassSpec] = (),
-                          routes: Sequence[RouteSpec] = (),
                           convergence_ms: Optional[float] = None
                           ) -> TopologyNetwork:
     """A :class:`TopologyNetwork` over the described links.
@@ -213,27 +199,27 @@ def make_multihop_network(links: Sequence[LinkSpec], dt: float = 0.002,
     Flows may traverse any route over the named nodes and links.  Any
     ``faults`` are armed and ``fluid`` classes attached on the fresh
     network; empty sequences leave the engine untouched — bit-identical
-    to a build without the parameters.  ``seed`` reaches the random
-    draws the build makes: each hop's AQM (``seed + position``) and the
-    fault schedule; a fluid class carries its own ``seed``, and the
-    engine draws nothing.
+    to a build without the parameters.  ``seed`` reaches the one random
+    draw the build makes, each hop's AQM (``seed + position``); a fluid
+    class carries its own ``seed``, and neither the engine nor a fault
+    draws anything.
     ``faults`` are :class:`~repro.simulator.faults.FaultEvent` windows as
     they are (frozen scalar dataclasses, so they canonicalise into a
     :class:`~repro.runtime.spec.ScenarioSpec` like a :class:`LinkSpec`):
-    engine units, so ``delay_jitter``'s ``delay`` is in *seconds* where
-    every ``*_ms`` field of this module is in milliseconds.
+    engine units, so their times are in *seconds* where every ``*_ms``
+    field of this module is in milliseconds.
     ``convergence_ms`` is the reroute convergence delay in milliseconds —
     the lag between a link-state change and the tables re-resolving, so
     an armed ``link_flap`` triggers failover onto the backups; the default
     ``None`` freezes the routes and a flap is a dead end.
     """
     network = TopologyNetwork(
-        make_topology(links, monitor=monitor, seed=seed, routes=routes),
+        make_topology(links, monitor=monitor, seed=seed),
         dt=dt,
         convergence_delay=(None if convergence_ms is None
                            else convergence_ms / 1e3))
     if faults:
-        FaultSchedule(faults, seed=seed).apply(network)
+        FaultSchedule(faults).apply(network)
     for spec in fluid:
         link = (network.topology.link(spec.link)
                 if spec.link is not None else network.link)

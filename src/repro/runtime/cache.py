@@ -67,7 +67,7 @@ def source_digest() -> str:
 
     The coarse whole-package key, used only for targets the dependency
     graph cannot resolve; everything else is keyed per driver module via
-    :func:`repro.runtime.depgraph.module_digest`.
+    :meth:`repro.runtime.depgraph.DependencyGraph.digest_for`.
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:

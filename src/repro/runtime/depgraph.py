@@ -136,12 +136,6 @@ class DependencyGraph:
     # ------------------------------------------------------------------ #
     # Root management
     # ------------------------------------------------------------------ #
-    def register(self, top: str, root: Union[str, Path]) -> None:
-        """Track an additional top-level package (or single-file module)."""
-        self._roots[top] = Path(root).resolve()
-        self._unresolvable_tops.discard(top)
-        self.invalidate()
-
     def _ensure_root(self, top: str) -> Optional[Path]:
         """Auto-register the entry point's top-level package if possible."""
         if top in self._roots:
@@ -364,18 +358,6 @@ class DependencyGraph:
             self._save_index()
         return self._digest_memo[module]
 
-    def invalidate(self) -> None:
-        """Forget memoised files/imports/digests (after an on-disk edit).
-
-        The stored stat index stays: its entries are re-checked against
-        the files' stat on next use, which is what catches the edit; files
-        this process hashed itself are hashed again.
-        """
-        self._file_memo.clear()
-        self._scan_memo.clear()
-        self._imports_memo.clear()
-        self._digest_memo.clear()
-
 
 #: The fields through which a statement holds other statements, in
 #: ``_fields`` order; imports are statements, so expressions are not visited.
@@ -462,17 +444,6 @@ def default_graph() -> DependencyGraph:
     if _DEFAULT is None:
         _DEFAULT = DependencyGraph()
     return _DEFAULT
-
-
-def module_digest(module: str) -> str:
-    """Dependency-aware digest of ``module`` via the default graph."""
-    return default_graph().digest_for(module)
-
-
-def invalidate() -> None:
-    """Reset the default graph (tests/tools that edit sources mid-process)."""
-    global _DEFAULT
-    _DEFAULT = None
 
 
 def combined_key(modules: Iterable[str]) -> str:

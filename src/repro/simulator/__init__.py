@@ -10,14 +10,13 @@ from .aqm import DropTail, Pie, QueuePolicy
 from .endpoint import Flow
 from .faults import (
     FAULT_EVENT_KINDS,
-    BurstLossPolicy,
     FaultEvent,
     FaultSchedule,
 )
 from .fluid import FluidClass, FluidLinkState
 from .link import BottleneckLink
 from .measurement import FlowMeasurement, WindowedCounter
-from .packet import Ack, Chunk, FlowStats, LossEvent
+from .packet import Ack, Chunk, FlowStats
 from .source import BackloggedSource, FiniteSource, PacedSource, Source
 from .telemetry import (
     EVENT_KINDS,
@@ -33,11 +32,8 @@ from .trace import Recorder
 from .units import (
     BITS_PER_BYTE,
     MSS_BYTES,
-    bdp_bytes,
     bytes_per_sec_to_mbps,
     mbps_to_bytes_per_sec,
-    ms_to_s,
-    s_to_ms,
 )
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "BackloggedSource",
     "BITS_PER_BYTE",
     "BottleneckLink",
-    "BurstLossPolicy",
     "Chunk",
     "DropTail",
     "EVENT_KINDS",
@@ -61,7 +56,6 @@ __all__ = [
     "FiniteSource",
     "JsonlTraceSink",
     "ListTraceSink",
-    "LossEvent",
     "MSS_BYTES",
     "PacedSource",
     "Pie",
@@ -75,9 +69,6 @@ __all__ = [
     "WindowedCounter",
     "sink_from_env",
     "validate_trace_record",
-    "bdp_bytes",
     "bytes_per_sec_to_mbps",
     "mbps_to_bytes_per_sec",
-    "ms_to_s",
-    "s_to_ms",
 ]

@@ -188,8 +188,6 @@ class Flow:
         rtt = now - ack.sent_time
         self.measurement.on_ack(now, ack.acked_bytes, rtt, ack.queue_delay)
         self.stats.bytes_delivered += ack.acked_bytes
-        self.stats.rtt_sum += rtt
-        self.stats.rtt_samples += 1
         self.source.on_delivered(ack.acked_bytes, now)
         self.cc.on_ack(ack, now)
         self._maybe_finish(now)

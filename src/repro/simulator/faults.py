@@ -1,10 +1,9 @@
 """Deterministic link-fault injection: the chaos layer.
 
-A :class:`FaultSchedule` is a validated, seeded list of
-:class:`FaultEvent` windows that a :class:`~repro.simulator.topology.
-TopologyNetwork` replays via its existing ``schedule_call`` mechanism —
-no engine changes, no new event kinds in the event heap.  Four fault
-kinds are supported:
+A :class:`FaultSchedule` is a validated list of :class:`FaultEvent`
+windows that a :class:`~repro.simulator.topology.TopologyNetwork` replays
+via its existing ``schedule_call`` mechanism — no engine changes, no new
+event kinds in the event heap.  Two fault kinds are supported:
 
 ``capacity_dip``
     Scale the link's drain rate by ``factor`` for the window, then restore
@@ -15,39 +14,25 @@ kinds are supported:
     the queue freezes and arrivals keep queueing under the normal
     admission policy; with ``drop_queued=True`` (drop policy) the queue is
     flushed into per-flow loss feedback and arrivals blackhole while down.
-``delay_jitter``
-    Add ``delay`` seconds to the link's propagation delay for the window.
-    Only affects packets that cross the hop during the window.
-``burst_loss``
-    Wrap the link's admission policy so each offered chunk is dropped
-    whole with probability ``loss_rate``, using a private
-    ``random.Random`` stream derived from the schedule seed — the
-    engine's own RNG is never consumed, so runs with and without faults
-    stay comparable tick for tick outside the fault windows.
 
 Every transition emits a ``fault_start``/``fault_end`` record through the
 network's trace sink (when one is attached), and every kind preserves the
 per-hop conservation law ``offered == served + queued + drops`` — flushed
 bytes move to the drop counter, blackholed arrivals are counted as
-offered-and-dropped, and the capacity/delay kinds touch no byte counter
-at all.  ``REPRO_AUDIT`` therefore passes mid-flap.
-
-Determinism: the schedule is a pure function of its events and seed.
-Same events + same seed + same engine inputs → bit-identical results.
+offered-and-dropped, and a capacity dip touches no byte counter at all.
+``REPRO_AUDIT`` therefore passes mid-flap.  Neither kind draws a random
+number, so the same events and engine inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .aqm import QueuePolicy
 from .topology import TopologyNetwork
 
 #: Every fault kind a :class:`FaultEvent` may carry.
-FAULT_EVENT_KINDS = ("capacity_dip", "link_flap", "delay_jitter",
-                     "burst_loss")
+FAULT_EVENT_KINDS = ("capacity_dip", "link_flap")
 
 
 @dataclass(frozen=True)
@@ -63,8 +48,6 @@ class FaultEvent:
         factor: Capacity multiplier during a ``capacity_dip`` (> 0).
         drop_queued: ``link_flap`` queue policy — drop (flush + blackhole)
             instead of drain (freeze + keep admitting).
-        delay: Extra propagation delay in seconds for ``delay_jitter``.
-        loss_rate: Per-chunk drop probability for ``burst_loss`` (0..1).
     """
 
     kind: str
@@ -73,8 +56,6 @@ class FaultEvent:
     duration: float
     factor: float = 0.5
     drop_queued: bool = False
-    delay: float = 0.0
-    loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_EVENT_KINDS:
@@ -88,12 +69,6 @@ class FaultEvent:
         if self.kind == "capacity_dip" and self.factor <= 0:
             raise ValueError(f"capacity_dip factor must be positive, "
                              f"got {self.factor}")
-        if self.kind == "delay_jitter" and self.delay < 0:
-            raise ValueError(f"delay_jitter delay must be >= 0, "
-                             f"got {self.delay}")
-        if self.kind == "burst_loss" and not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"burst_loss loss_rate must be in [0, 1], "
-                             f"got {self.loss_rate}")
 
     @property
     def end(self) -> float:
@@ -101,50 +76,17 @@ class FaultEvent:
         return self.start + self.duration
 
 
-class BurstLossPolicy(QueuePolicy):
-    """Admission-policy wrapper that drops whole chunks at random.
-
-    Decorates the link's real policy during a ``burst_loss`` window: each
-    offered chunk is refused outright with probability ``loss_rate``,
-    otherwise delegated to the wrapped policy.  Draws come from a private
-    RNG so the engine's randomness is untouched.
-    """
-
-    def __init__(self, inner: QueuePolicy, loss_rate: float,
-                 rng: random.Random) -> None:
-        self.inner = inner
-        self.loss_rate = loss_rate
-        self._rng = rng
-
-    def admit(self, chunk_bytes: float, queue_bytes: float,
-              queue_delay: float, now: float) -> float:
-        if self._rng.random() < self.loss_rate:
-            return 0.0
-        return self.inner.admit(chunk_bytes, queue_bytes, queue_delay, now)
-
-    def on_dequeue(self, chunk_bytes: float, queue_delay: float,
-                   now: float) -> None:
-        self.inner.on_dequeue(chunk_bytes, queue_delay, now)
-
-    def __repr__(self) -> str:
-        return (f"BurstLossPolicy(loss_rate={self.loss_rate}, "
-                f"inner={self.inner!r})")
-
-
 @dataclass
 class _ActiveFault:
     """Mutable bookkeeping for one scheduled event: what to restore."""
 
     event: FaultEvent
-    index: int
     saved_capacity: float = 0.0
-    saved_delay: float = 0.0
-    saved_policy: Optional[QueuePolicy] = None
     detail: Dict[str, object] = field(default_factory=dict)
 
 
 class FaultSchedule:
-    """A validated, seeded set of fault windows for one network run.
+    """A validated set of fault windows for one network run.
 
     The constructor checks every event and rejects overlapping windows on
     the same link (the restore logic would otherwise clobber saved state).
@@ -164,12 +106,9 @@ class FaultSchedule:
 
     Args:
         events: The fault windows; order does not matter.
-        seed: Root seed for the randomised kinds (``burst_loss``).  Each
-            event derives its own stream from ``(seed, event index)``, so
-            adding an event never perturbs the draws of another.
     """
 
-    def __init__(self, events: Sequence[FaultEvent], seed: int = 0) -> None:
+    def __init__(self, events: Sequence[FaultEvent]) -> None:
         events = tuple(events)
         for event in events:
             if not isinstance(event, FaultEvent):
@@ -188,14 +127,12 @@ class FaultSchedule:
                         f"[{current.start}, {current.end})")
         self.events: Tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.start, e.link, e.kind)))
-        self.seed = int(seed)
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __repr__(self) -> str:
-        return (f"FaultSchedule({len(self.events)} event(s), "
-                f"seed={self.seed})")
+        return f"FaultSchedule({len(self.events)} event(s))"
 
     # ------------------------------------------------------------------ #
     def apply(self, network: TopologyNetwork) -> None:
@@ -209,8 +146,8 @@ class FaultSchedule:
         topology = network.topology
         for event in self.events:
             topology.index_of(event.link)  # raises on unknown link names
-        for index, event in enumerate(self.events):
-            active = _ActiveFault(event, index)
+        for event in self.events:
+            active = _ActiveFault(event)
             network.schedule_call(
                 event.start,
                 lambda now, a=active, n=network: self._start(n, a, now))
@@ -219,15 +156,10 @@ class FaultSchedule:
                 lambda now, a=active, n=network: self._end(n, a, now))
 
     # ------------------------------------------------------------------ #
-    def _rng_for(self, active: _ActiveFault) -> random.Random:
-        return random.Random(
-            f"{self.seed}:{active.index}:{active.event.link}")
-
     def _start(self, network: TopologyNetwork, active: _ActiveFault,
                now: float) -> None:
         event = active.event
-        position = network.topology.index_of(event.link)
-        link = network.topology.links[position]
+        link = network.topology.link(event.link)
         detail = active.detail
         if event.kind == "capacity_dip":
             active.saved_capacity = link.capacity
@@ -240,32 +172,17 @@ class FaultSchedule:
                     network.flush_link_queue(event.link)
             link.take_down(refuse_arrivals=event.drop_queued)
             network.on_link_down(event.link)
-        elif event.kind == "delay_jitter":
-            delays = network.topology.delays
-            active.saved_delay = delays[position]
-            delays[position] = active.saved_delay + event.delay
-            detail["delay"] = event.delay
-        elif event.kind == "burst_loss":
-            active.saved_policy = link.policy
-            link.policy = BurstLossPolicy(link.policy, event.loss_rate,
-                                          self._rng_for(active))
-            detail["loss_rate"] = event.loss_rate
         self._emit(network, "fault_start", event, now, detail)
 
     def _end(self, network: TopologyNetwork, active: _ActiveFault,
              now: float) -> None:
         event = active.event
-        position = network.topology.index_of(event.link)
-        link = network.topology.links[position]
+        link = network.topology.link(event.link)
         if event.kind == "capacity_dip":
             link.set_capacity(active.saved_capacity)
         elif event.kind == "link_flap":
             link.bring_up()
             network.on_link_up(event.link)
-        elif event.kind == "delay_jitter":
-            network.topology.delays[position] = active.saved_delay
-        elif event.kind == "burst_loss":
-            link.policy = active.saved_policy
         self._emit(network, "fault_end", event, now, {})
 
     @staticmethod

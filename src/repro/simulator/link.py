@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable
+from typing import Deque
 
 from .aqm import DropTail, QueuePolicy
 from .packet import Chunk
@@ -275,10 +275,6 @@ class BottleneckLink:
         self._flow_chunks.clear()
         self._service_credit = 0.0
         return drops
-
-    def iter_queue(self) -> Iterable[Chunk]:
-        """Iterate over queued chunks from head to tail (read-only)."""
-        return iter(self._queue)
 
     def __repr__(self) -> str:
         return (f"BottleneckLink(name={self.name!r}, "

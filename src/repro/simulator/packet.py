@@ -91,19 +91,6 @@ class Ack:
     delivered_time: float
 
 
-@dataclass(slots=True)
-class LossEvent:
-    """Notification that bytes were dropped at the bottleneck.
-
-    Delivered to the sender roughly one feedback delay after the drop, which
-    is when a real TCP sender would learn of the loss through duplicate ACKs.
-    """
-
-    flow_id: int
-    lost_bytes: float
-    drop_time: float
-
-
 @dataclass
 class FlowStats:
     """Aggregate per-flow accounting maintained by the engine."""
@@ -113,12 +100,3 @@ class FlowStats:
     bytes_lost: float = 0.0
     start_time: float = 0.0
     end_time: float | None = None
-    rtt_samples: int = 0
-    rtt_sum: float = 0.0
-
-    @property
-    def mean_rtt(self) -> float:
-        """Mean of all RTT samples observed by the flow (seconds)."""
-        if self.rtt_samples == 0:
-            return 0.0
-        return self.rtt_sum / self.rtt_samples

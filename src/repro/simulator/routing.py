@@ -1,11 +1,11 @@
-"""Forwarding-table maths: shortest-path routes, pinned routes, reroute.
+"""Forwarding-table maths: shortest-path routes, route walks, reroute.
 
 A :class:`~repro.simulator.topology.Topology` keeps two tables indexed
 ``[node][destination]``: ``candidates`` — the ordered link positions a node
 may use toward a destination (primary first, then backups in failover
 order) — and ``next_hop`` — the *active* choice every chunk follows.  This
-module owns how those tables are filled (:func:`compute_routes`,
-:func:`set_route`), how they are read along a whole route
+module owns how those tables are filled (:func:`compute_routes`), how
+they are read along a whole route
 (:func:`walk_route`, :func:`residual_delay`), and how they react to link
 failure (:func:`convergence_pass`).
 
@@ -38,18 +38,10 @@ bit-identical across serial, pooled, and isolated-process execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .topology import Topology, TopologyNetwork
-
-
-def _install(topology: "Topology", node: int, destination: int,
-             positions: Tuple[int, ...]) -> None:
-    topology.candidates[node][destination] = positions
-    # Links are up when routes are laid down; faults only strike later
-    # (they arm through schedule_call), so the primary starts active.
-    topology.next_hop[node][destination] = positions[0] if positions else None
 
 
 def compute_routes(topology: "Topology") -> None:
@@ -58,8 +50,7 @@ def compute_routes(topology: "Topology") -> None:
     For each destination, every node that can reach it gets all of its
     usable outgoing links as candidates, ordered by (hop count through
     that link, link position) — so the primary is a shortest-path next
-    hop and ties break on attachment order.  Entries pinned with
-    :func:`set_route` override the computed ones.
+    hop and ties break on attachment order.
     """
     link_src, link_dst = topology.link_src, topology.link_dst
     count = len(topology.nodes)
@@ -87,34 +78,12 @@ def compute_routes(topology: "Topology") -> None:
                 (position for position in outgoing[node]
                  if link_dst[position] in dist),
                 key=lambda p: (dist[link_dst[p]] + 1, p)))
-            _install(topology, node, destination, usable)
-    for (node, destination), positions in topology.explicit_routes.items():
-        _install(topology, node, destination, positions)
-
-
-def set_route(topology: "Topology", node: str, destination: str,
-              links: Sequence[str]) -> None:
-    """Route ``destination`` at ``node`` through the named links.
-
-    The first link is the primary next hop, the rest are backups in
-    failover order.  Every link must originate at ``node``.
-    """
-    owner = topology.node_index(node)
-    target = topology.node_index(destination)
-    if owner == target:
-        raise ValueError(f"node {node!r} cannot route to itself")
-    positions = tuple(topology.index_of(name) for name in links)
-    if not positions:
-        raise ValueError(f"route to {destination!r} needs at least one "
-                         f"candidate link")
-    for position in positions:
-        if topology.link_src[position] != owner:
-            raise ValueError(
-                f"link {topology.links[position].name!r} does not originate "
-                f"at node {node!r} (it leaves "
-                f"{topology.nodes[topology.link_src[position]]!r})")
-    topology.explicit_routes[owner, target] = positions
-    _install(topology, owner, target, positions)
+            topology.candidates[node][destination] = usable
+            # Links are up when routes are laid down; faults only strike
+            # later (they arm through schedule_call), so the primary
+            # starts active.
+            topology.next_hop[node][destination] = \
+                usable[0] if usable else None
 
 
 def walk_route(topology: "Topology", source: int,

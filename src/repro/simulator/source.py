@@ -99,17 +99,14 @@ class PacedSource(Source):
     application only produces ``rate`` bytes per second.
     """
 
-    def __init__(self, rate: float, max_backlog: float | None = None) -> None:
+    def __init__(self, rate: float) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate
-        self.max_backlog = max_backlog
         self._backlog = 0.0
 
     def advance(self, now: float, dt: float) -> None:
         self._backlog += self.rate * dt
-        if self.max_backlog is not None:
-            self._backlog = min(self._backlog, self.max_backlog)
 
     def available(self, now: float) -> float:
         return self._backlog

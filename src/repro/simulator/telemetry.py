@@ -48,10 +48,9 @@ Per-kind payload fields:
     Flow completed: ``fct`` (flow completion time in seconds, or null).
 ``fault_start`` / ``fault_end``
     A scheduled fault toggled on a link (see
-    :mod:`repro.simulator.faults`): ``link``, ``fault`` (one of
-    ``capacity_dip``, ``link_flap``, ``delay_jitter``, ``burst_loss``),
-    plus kind-specific detail on ``fault_start`` (``factor``, ``delay``,
-    ``loss_rate``, ``drop_queued``, ``flushed_bytes``).  Fault events are
+    :mod:`repro.simulator.faults`): ``link``, ``fault`` (``capacity_dip``
+    or ``link_flap``), plus kind-specific detail on ``fault_start``
+    (``factor``, ``drop_queued``, ``flushed_bytes``).  Fault events are
     control-plane and carry no ``flow_id``/``flow`` — they describe the
     network, not a flow.
 ``route_change``
@@ -191,7 +190,7 @@ def validate_trace_record(record: dict) -> None:
             raise ValueError(f"{kind} record is missing field {name!r}: "
                              f"{record}")
     for name in ("bytes", "seq", "queue_delay", "rtt", "start",
-                 "factor", "delay", "loss_rate", "flushed_bytes",
+                 "factor", "flushed_bytes",
                  "offered", "served", "dropped", "backlog", "rate", "flows"):
         if name in record and (not isinstance(record[name], _NUMBER)
                                or isinstance(record[name], bool)):

@@ -123,12 +123,12 @@ class Topology:
     the node the previous link ended at (a fresh first node when there is
     none) and ends at a fresh node.  Forwarding tables are recomputed from
     shortest paths on every attachment (ties break on attachment order, so
-    a chain's only route is the chain); :meth:`set_route` pins an entry to
-    an explicit primary-plus-backups list.
+    a chain's only route is the chain).
 
     One link is the *monitor* link — the queue the
     :class:`~repro.simulator.trace.Recorder` tracks and the one exposed as
-    ``network.link``; it defaults to the first link attached.
+    ``network.link``; it is the first link attached until
+    :meth:`set_monitor` names another.
     """
 
     def __init__(self, name: str = "topology") -> None:
@@ -147,8 +147,6 @@ class Topology:
         #: when no candidate survives).
         self.candidates: List[List[Tuple[int, ...]]] = []
         self.next_hop: List[List[Optional[int]]] = []
-        #: Entries pinned by :meth:`set_route`, re-applied on recompute.
-        self.explicit_routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._index: Dict[str, int] = {}
         self._node_index: Dict[str, int] = {}
         self._monitor = 0
@@ -170,7 +168,7 @@ class Topology:
         return index
 
     def attach(self, link: BottleneckLink, delay: float = 0.0,
-               monitor: bool = False, src: Optional[str] = None,
+               src: Optional[str] = None,
                dst: Optional[str] = None) -> BottleneckLink:
         """Wire an existing link from node ``src`` to node ``dst``.
 
@@ -200,20 +198,16 @@ class Topology:
         self.delays.append(delay)
         self.link_src.append(source)
         self.link_dst.append(target)
-        if monitor:
-            self._monitor = len(self.links) - 1
         routing.compute_routes(self)
         return link
 
     def add_link(self, name: str, capacity: float, delay: float = 0.0,
-                 policy: Optional[QueuePolicy] = None, monitor: bool = False,
+                 policy: Optional[QueuePolicy] = None,
                  src: Optional[str] = None,
                  dst: Optional[str] = None) -> BottleneckLink:
         """Create and attach a link: per-hop capacity, delay, queue policy."""
         return self.attach(BottleneckLink(capacity, policy=policy, name=name),
-                           delay=delay, monitor=monitor, src=src, dst=dst)
-
-    set_route = routing.set_route
+                           delay=delay, src=src, dst=dst)
 
     # ------------------------------------------------------------------ #
     # Lookup

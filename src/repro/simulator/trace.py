@@ -271,12 +271,6 @@ class Recorder:
         """Names of the links this recorder samples, in attachment order."""
         return [record.source.name for record in self._link_records]
 
-    def link_occupancy_series(self, link_name: str
-                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, bytes) mean queued bytes per bin at the named link."""
-        return self._per_tick_mean(
-            self._occupancy_sums(self._link_record(link_name)))
-
     def link_throughput_series(self, link_name: str
                                ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, Mbit/s) bytes served per bin by the named link."""

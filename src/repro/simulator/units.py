@@ -24,18 +24,3 @@ def mbps_to_bytes_per_sec(mbps: float) -> float:
 def bytes_per_sec_to_mbps(rate: float) -> float:
     """Convert a rate in bytes per second to megabits per second."""
     return rate * BITS_PER_BYTE / 1e6
-
-
-def ms_to_s(ms: float) -> float:
-    """Convert milliseconds to seconds."""
-    return ms / 1e3
-
-
-def s_to_ms(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds * 1e3
-
-
-def bdp_bytes(rate_bytes_per_sec: float, rtt_s: float) -> float:
-    """Bandwidth-delay product in bytes for a rate (bytes/s) and RTT (s)."""
-    return rate_bytes_per_sec * rtt_s

@@ -26,20 +26,17 @@ MIN_FLOW_BYTES = 100.0
 MAX_FLOW_BYTES = 5.0e8
 
 
-def mean_bytes(short_fraction: float = SHORT_FRACTION,
-               pareto_shape: float = PARETO_SHAPE) -> float:
+def mean_bytes() -> float:
     """Approximate analytic mean flow size of the mixture (bytes)."""
     lognormal_mean = SHORT_MEDIAN_BYTES * math.exp(SHORT_SIGMA ** 2 / 2.0)
     # The Pareto mean is truncated at the cap; correct roughly for it.
-    pareto_mean = min(pareto_shape * PARETO_SCALE_BYTES
-                      / (pareto_shape - 1.0), MAX_FLOW_BYTES)
-    return (short_fraction * lognormal_mean
-            + (1.0 - short_fraction) * pareto_mean)
+    pareto_mean = min(PARETO_SHAPE * PARETO_SCALE_BYTES
+                      / (PARETO_SHAPE - 1.0), MAX_FLOW_BYTES)
+    return (SHORT_FRACTION * lognormal_mean
+            + (1.0 - SHORT_FRACTION) * pareto_mean)
 
 
-def arrival_rate(offered_rate: float,
-                 short_fraction: float = SHORT_FRACTION,
-                 pareto_shape: float = PARETO_SHAPE) -> float:
+def arrival_rate(offered_rate: float) -> float:
     """Poisson flow-arrival rate (flows/s) at which the mixture offers
     ``offered_rate`` bytes/s."""
-    return offered_rate / mean_bytes(short_fraction, pareto_shape)
+    return offered_rate / mean_bytes()

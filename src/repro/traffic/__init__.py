@@ -5,7 +5,7 @@ from .flowsize import (
     FlowSizeSample,
     HeavyTailedFlowSizes,
 )
-from .poisson import CbrSource, PoissonSource
+from .poisson import PoissonSource
 from .scripted import Phase, ScriptedCrossTraffic
 from .video import (
     LADDER_1080P_MBPS,
@@ -18,7 +18,6 @@ from .video import (
 from .wan import CrossFlowRecord, WanTrafficGenerator, WanWorkloadConfig
 
 __all__ = [
-    "CbrSource",
     "CrossFlowRecord",
     "DashVideoSource",
     "ELASTIC_THRESHOLD_BYTES",

@@ -37,7 +37,7 @@ class FlowSizeSample:
 class HeavyTailedFlowSizes:
     """Synthetic CAIDA-like flow-size distribution.
 
-    A fraction ``short_fraction`` of flows are short, drawn from a
+    A fraction ``wan_mixture.SHORT_FRACTION`` of flows are short, drawn from a
     log-normal distribution centred on a few kilobytes; the remainder are
     drawn from a Pareto distribution whose shape < 2 gives the heavy tail.
     The constants are :mod:`repro.simulator.wan_mixture`'s, which the fluid
@@ -47,15 +47,7 @@ class HeavyTailedFlowSizes:
     #: Every sampled size lies in ``[100, max_bytes]``.
     max_bytes = wan_mixture.MAX_FLOW_BYTES
 
-    def __init__(self, seed: int = 0,
-                 short_fraction: float = wan_mixture.SHORT_FRACTION,
-                 pareto_shape: float = wan_mixture.PARETO_SHAPE) -> None:
-        if not 0.0 < short_fraction < 1.0:
-            raise ValueError("short_fraction must be in (0, 1)")
-        if pareto_shape <= 1.0:
-            raise ValueError("pareto_shape must exceed 1 for a finite mean")
-        self.short_fraction = short_fraction
-        self.pareto_shape = pareto_shape
+    def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
     # ------------------------------------------------------------------ #
@@ -63,14 +55,14 @@ class HeavyTailedFlowSizes:
     # ------------------------------------------------------------------ #
     def sample(self) -> FlowSizeSample:
         """Draw one flow size."""
-        if self._rng.random() < self.short_fraction:
+        if self._rng.random() < wan_mixture.SHORT_FRACTION:
             size = self._rng.lognormvariate(
                 math.log(wan_mixture.SHORT_MEDIAN_BYTES),
                 wan_mixture.SHORT_SIGMA)
         else:
             u = self._rng.random()
             size = wan_mixture.PARETO_SCALE_BYTES \
-                / (u ** (1.0 / self.pareto_shape))
+                / (u ** (1.0 / wan_mixture.PARETO_SHAPE))
         size = min(max(size, wan_mixture.MIN_FLOW_BYTES),
                    wan_mixture.MAX_FLOW_BYTES)
         return FlowSizeSample(size_bytes=size,
@@ -81,11 +73,10 @@ class HeavyTailedFlowSizes:
     # ------------------------------------------------------------------ #
     def mean_bytes(self) -> float:
         """Approximate mean flow size of the mixture (bytes)."""
-        return wan_mixture.mean_bytes(self.short_fraction, self.pareto_shape)
+        return wan_mixture.mean_bytes()
 
     def arrival_rate_for_load(self, link_rate: float, load: float) -> float:
         """Poisson flow-arrival rate (flows/s) offering ``load * link_rate``."""
         if not 0.0 < load:
             raise ValueError("load must be positive")
-        return wan_mixture.arrival_rate(load * link_rate, self.short_fraction,
-                                        self.pareto_shape)
+        return wan_mixture.arrival_rate(load * link_rate)

@@ -1,16 +1,17 @@
-"""Inelastic traffic sources: Poisson packet arrivals and constant bit rate.
+"""Inelastic traffic source: Poisson packet arrivals.
 
-The paper's inelastic cross traffic is either a constant-bit-rate stream or
-"Poisson packet arrivals at the specified mean rate" (§5).  Both are
-application-limited: the transport sends whatever the application produces,
-so the sending rate never reacts to the network.
+The paper's inelastic cross traffic is either a constant-bit-rate stream
+(:class:`~repro.simulator.source.PacedSource`) or "Poisson packet arrivals
+at the specified mean rate" (§5).  Both are application-limited: the
+transport sends whatever the application produces, so the sending rate
+never reacts to the network.
 """
 
 from __future__ import annotations
 
 import random
 
-from ..simulator.source import PacedSource, Source
+from ..simulator.source import Source
 from ..simulator.units import MSS_BYTES
 
 
@@ -53,18 +54,3 @@ class PoissonSource(Source):
 
     def __repr__(self) -> str:
         return f"PoissonSource(rate={self.rate:.0f} B/s)"
-
-
-class CbrSource(PacedSource):
-    """Constant-bit-rate stream (alias of PacedSource with a bounded backlog).
-
-    The bounded backlog means that if the network briefly cannot carry the
-    stream, the excess is discarded rather than accumulated — matching how a
-    real-time CBR stream behaves.
-    """
-
-    def __init__(self, rate: float, max_backlog_packets: float = 64.0) -> None:
-        super().__init__(rate, max_backlog=max_backlog_packets * MSS_BYTES)
-
-    def __repr__(self) -> str:
-        return f"CbrSource(rate={self.rate:.0f} B/s)"

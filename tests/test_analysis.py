@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     MODE_COMPETITIVE,
     MODE_DELAY,
-    ThroughputDelaySummary,
     bin_label,
     cdf,
     classification_accuracy,
@@ -48,12 +47,6 @@ class TestMetrics:
 
     def test_jain_empty(self):
         assert jain_fairness([]) == 0.0
-
-    def test_summary_dominates(self):
-        good = ThroughputDelaySummary("a", 50, 50, 20, 20, 30)
-        bad = ThroughputDelaySummary("b", 40, 40, 80, 80, 120)
-        assert good.dominates(bad)
-        assert not bad.dominates(good)
 
 
 class TestClassificationAccuracy:

@@ -3,9 +3,8 @@
 import pytest
 
 from repro import quick_network
-from repro.cc import Bbr, ConstantRate, FixedWindow, NullCC, Vivace
+from repro.cc import Bbr, Cubic, FixedWindow, NullCC, Vivace
 from repro.cc.bbr import PROBE_BW, STARTUP
-from repro.cc.misc import AppLimited
 from repro.simulator import Flow, mbps_to_bytes_per_sec
 from repro.simulator.source import PacedSource
 from repro.simulator.units import MSS_BYTES
@@ -94,11 +93,18 @@ class TestVivace:
 
 class TestReferenceSenders:
     def test_constant_rate_is_inelastic(self):
-        assert ConstantRate(1e6).elastic is False
+        # A constant-rate sender is a NullCC whose rate is set: paced, no
+        # window, and inelastic.
+        constant = NullCC()
+        constant.rate = 1e6
+        assert constant.elastic is False
+        assert constant.pacing_rate == 1e6
+        assert constant.cwnd_bytes is None
 
     def test_constant_rate_invalid(self):
-        with pytest.raises(ValueError):
-            ConstantRate(0)
+        # The drivers' constant-rate stream is a PacedSource.
+        with pytest.raises(ValueError, match="rate must be positive"):
+            PacedSource(0)
 
     def test_fixed_window_is_elastic(self):
         fw = FixedWindow(window_segments=50)
@@ -111,15 +117,11 @@ class TestReferenceSenders:
         assert null.pacing_rate is None
         assert null.elastic is False
 
-    def test_app_limited_delegates(self):
-        inner_limits = AppLimited()
-        assert inner_limits.elastic is False
-        assert inner_limits.cwnd_bytes == inner_limits.inner.cwnd_bytes
-
     def test_app_limited_flow_stays_below_fair_share(self):
+        """Table 1's app-limited row: Cubic behind a paced application."""
         network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
         mu = mbps_to_bytes_per_sec(24)
-        network.add_flow(Flow(cc=AppLimited(), prop_rtt=0.05,
+        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05,
                               source=PacedSource(0.2 * mu), name="applim"))
         network.run(10.0)
         assert network.recorder.mean_throughput("applim", start=3.0) == \

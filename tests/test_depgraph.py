@@ -204,14 +204,14 @@ def test_transitive_edits_propagate(toy_root, toy_graph):
         toy_graph.digest_for("toypkg.driver_b")
 
 
-def test_on_disk_edit_after_invalidate(toy_root, toy_graph):
+def test_on_disk_edit_reaches_the_next_graph(toy_root, toy_graph):
     before = toy_graph.digest_for("toypkg.driver_a")
     keep = toy_graph.digest_for("toypkg.driver_b")
     with open(toy_root / "driver_a.py", "a", encoding="utf-8") as handle:
         handle.write("\n# on-disk edit\n")
-    toy_graph.invalidate()
-    assert toy_graph.digest_for("toypkg.driver_a") != before
-    assert toy_graph.digest_for("toypkg.driver_b") == keep
+    fresh = DependencyGraph(packages={"toypkg": toy_root})
+    assert fresh.digest_for("toypkg.driver_a") != before
+    assert fresh.digest_for("toypkg.driver_b") == keep
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc import AppLimited, Bbr, Compound, Copa, NewReno, Vegas
+from repro.cc import Bbr, Compound, Copa, NewReno, Vegas
 from repro.cc.base import CongestionControl, NullCC
 from repro.cc.cubic import Cubic
 from repro.core.nimbus import Nimbus
@@ -186,8 +186,6 @@ class TestWaiting:
 
     @pytest.mark.parametrize("make_cc, make_source", [
         (lambda: Nimbus(mu=6e6), BackloggedSource),   # on_control_tick: wraps
-        (AppLimited, lambda: PacedSource(1e5)),       # wraps, time-fed
-        (AppLimited, BackloggedSource),
         (Bbr, BackloggedSource),                      # on_control_tick
         (Copa, BackloggedSource),
         (NullCC, lambda: PoissonSource(1e5)),         # advance: time-fed

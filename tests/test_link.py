@@ -98,7 +98,7 @@ class TestService:
 def occupancy_invariants(link):
     """The per-flow counters must agree with the queue they summarise."""
     scanned = {}
-    for c in link.iter_queue():
+    for c in link._queue:
         scanned[c.flow_id] = scanned.get(c.flow_id, 0.0) + c.size
     for flow_id, nbytes in scanned.items():
         assert link.occupancy_of(flow_id) == pytest.approx(nbytes, abs=1e-6)
@@ -166,7 +166,7 @@ class TestServiceCreditEdges:
         served = link.service(now=0.001, dt=0.001)
         assert len(served) == 1
         assert served[0].size == pytest.approx(1000, abs=1e-6)
-        assert not list(link.iter_queue())
+        assert not link._queue
 
     def test_credit_resets_when_queue_idles(self):
         link = make_link(capacity=1e6)

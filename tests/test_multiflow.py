@@ -23,9 +23,15 @@ class TestPulserElection:
         assert election.election_probability(1.0, 0.0) == 0.0
 
     def test_expected_pulsers_equals_kappa(self):
+        """Flows carrying ``share`` of the link, each rolling once per
+        decision interval, elect ``kappa * share`` pulsers per FFT window."""
         election = PulserElection(kappa=0.8)
-        assert election.expected_pulsers_per_window(1.0) == pytest.approx(0.8)
-        assert election.expected_pulsers_per_window(0.5) == pytest.approx(0.4)
+        mu = 100.0
+        for share in (1.0, 0.5):
+            per_window = (election.election_probability(share * mu, mu)
+                          * election.fft_duration
+                          / election.decision_interval)
+            assert per_window == pytest.approx(election.kappa * share)
 
     def test_decision_interval_rate_limits(self):
         election = PulserElection(kappa=1.0, decision_interval=0.01,

@@ -84,15 +84,6 @@ class TestSlotted:
 
 
 class TestFlowStats:
-    def test_mean_rtt_empty(self):
-        assert FlowStats().mean_rtt == 0.0
-
-    def test_mean_rtt(self):
-        stats = FlowStats()
-        stats.rtt_sum = 0.3
-        stats.rtt_samples = 3
-        assert stats.mean_rtt == pytest.approx(0.1)
-
     def test_defaults(self):
         stats = FlowStats()
         assert stats.bytes_sent == 0.0

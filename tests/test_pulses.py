@@ -8,11 +8,10 @@ import pytest
 from repro.core.pulses import (
     AsymmetricSinusoidPulse,
     NoPulse,
-    SquareWavePulse,
     SymmetricSinusoidPulse,
 )
 
-SHAPES = [AsymmetricSinusoidPulse, SymmetricSinusoidPulse, SquareWavePulse]
+SHAPES = [AsymmetricSinusoidPulse, SymmetricSinusoidPulse]
 
 
 def integrate(pulse, cycles=1, samples_per_cycle=10_000):
@@ -80,11 +79,6 @@ class TestOtherShapes:
     def test_symmetric_requires_full_amplitude_base(self):
         pulse = SymmetricSinusoidPulse(frequency=5.0, pulse_fraction=0.25)
         assert pulse.min_base_fraction() == pytest.approx(0.25)
-
-    def test_square_wave_levels(self):
-        pulse = SquareWavePulse(frequency=5.0, pulse_fraction=0.25)
-        assert pulse.offset_fraction(0.01) == pytest.approx(0.25)
-        assert pulse.offset_fraction(0.15) == pytest.approx(-0.25)
 
     def test_no_pulse_is_flat(self):
         pulse = NoPulse()

@@ -1,17 +1,23 @@
 """The repository's own checkers under ``benchmarks/``: the exact-valued
 per-layer count gate (``check_layer_counts.py``), the benchmark's view of
-the engine (``e2e/spans.py``) and the constructor option census
-(``check_option_census.py``)."""
+the engine (``e2e/spans.py``), the constructor option census
+(``check_option_census.py``) and the tier-1 trajectory's output parser
+(``tier1_trajectory.py``); and the reach check, which fails on a public
+name under ``src/repro`` that only tests call."""
 
+import ast
 import importlib.util
 import json
 import pathlib
+import re
+import tomllib
 
 from repro.cc import Cubic
 from repro.runtime import make_network
 from repro.simulator import Flow
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
+_CALLABLE = re.compile(r"[\w.]+:(\w+)")
 
 
 def _load_benchmark_script(name):
@@ -23,6 +29,7 @@ def _load_benchmark_script(name):
 
 
 layer_counts = _load_benchmark_script("check_layer_counts")
+census = _load_benchmark_script("check_option_census")
 
 
 class TestLayerCounts:
@@ -75,36 +82,164 @@ class TestOptionCensus:
     """``benchmarks/check_option_census.py``: every constructor option is
     set by some caller or explained in ``option_census.json``."""
 
-    census = _load_benchmark_script("check_option_census")
-
     def test_the_tree_is_clean(self, capsys):
-        assert self.census.main() == 0
+        assert census.main() == 0
         assert "UNEXPLAINED" not in capsys.readouterr().out
 
     def test_sees_keyword_position_forwarding_and_inheritance(self):
-        unset = self.census.unset_options()
-        # Set by keyword (build.py), by position in super().__init__
-        # (CbrSource -> PacedSource), through a subclass's **filters
+        unset = census.unset_options()
+        # Set by keyword (build.py), through a subclass's **filters
         # (JsonlTraceSink -> TraceSink) and through make_scheme's
         # **overrides (fig26 spells pulse_frequency=); the last is a
         # dataclass field the endpoint assigns, so state, not an option.
-        for option in ("Pie.seed", "PacedSource.max_backlog",
-                       "TraceSink.sample", "Nimbus.pulse_frequency",
-                       "FlowStats.bytes_sent"):
+        for option in ("Pie.seed", "TraceSink.sample",
+                       "Nimbus.pulse_frequency", "FlowStats.bytes_sent"):
             assert option not in unset
+        # Set by keyword in super().__init__ (NoPulse -> PulseShape): under
+        # src/ that call is the only one to set it.
+        assert "PulseShape.pulse_fraction" not in census.unset_options(
+            roots=("src",))
         # Set by tests only, so unset as far as the census looks.
         assert "Cubic.fast_convergence" in unset
 
     def test_an_unexplained_or_stale_entry_fails(self, tmp_path, monkeypatch,
                                                  capsys):
-        allowed = json.loads(self.census.ALLOW_LIST.read_text())
+        allowed = json.loads(census.ALLOW_LIST.read_text())
         dropped = dict(allowed)
         del dropped["Cubic.fast_convergence"]
         dropped["Cubic.init_cwnd_segments"] = "an option that is gone"
         target = tmp_path / "option_census.json"
         target.write_text(json.dumps(dropped))
-        monkeypatch.setattr(self.census, "ALLOW_LIST", target)
-        assert self.census.main() == 1
+        monkeypatch.setattr(census, "ALLOW_LIST", target)
+        assert census.main() == 1
         out = capsys.readouterr().out
         assert "Cubic.fast_convergence: UNEXPLAINED" in out
         assert "Cubic.init_cwnd_segments: listed in" in out
+
+
+
+def _defined(root: pathlib.Path) -> set:
+    """Dotted names of the public functions and classes under
+    ``root/src/repro`` and the public methods of the public classes."""
+    names = set()
+    for path, tree in census.sources(root / "src" / "repro"):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            names.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                names.update(f"{module}.{node.name}.{method.name}"
+                             for method in node.body
+                             if isinstance(method, ast.FunctionDef)
+                             and not method.name.startswith("_"))
+    return names
+
+
+def _reached(root: pathlib.Path) -> set:
+    """Every identifier outside the tests, and every ``callable`` of a
+    ``"module:callable"`` string there or in ``pyproject.toml``'s scripts."""
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    strings = list(pyproject["project"]["scripts"].values())
+    seen = set()
+    for top in census.ROOTS:
+        for path, tree in census.sources(root / top):
+            if top == "src" and path.name == "__init__.py":
+                continue  # re-exports
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    seen.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    seen.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    seen.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str):
+                    strings.append(node.value)
+    seen.update(match[1] for match in map(_CALLABLE.fullmatch, strings)
+                if match)
+    return seen
+
+
+def unreached(root: pathlib.Path = _ROOT) -> list:
+    seen = _reached(root)
+    return sorted(name for name in _defined(root)
+                  if name.rpartition(".")[2] not in seen)
+
+
+class TestReach:
+    """Every public function and class under ``src/repro``, and every public
+    method of a public class, is reached from outside the tests: its name
+    appears in ``src/`` (package ``__init__`` re-exports excluded),
+    ``benchmarks/``, ``examples/`` or ``pyproject.toml``'s scripts, as an
+    identifier (a ``Name``, an ``Attribute`` attr, an import alias) or as
+    the callable of a ``"module:callable"`` string.  ``ALLOWED`` gives each
+    exception its reason.
+
+    The check matches names, not bindings, so it cannot see a definition
+    whose name another reached definition shares: that is how
+    ``DependencyGraph.register`` (named like the CC hook ``register``) and
+    the module-level ``depgraph.invalidate`` (named like the graph method)
+    hid until they were deleted by hand."""
+
+    ALLOWED = {
+        f"repro.experiments.selftest.{name}":
+            "executor test fixture, resolved by dotted path in "
+            "tests/test_executor_robust.py"
+        for name in ("flaky_run", "sleepy_run", "hard_exit")}
+
+    def test_every_public_name_is_reached_or_explained(self):
+        assert unreached() == sorted(self.ALLOWED)
+
+    def test_sees_identifiers_imports_and_callable_strings(self, tmp_path):
+        files = {
+            "pyproject.toml": '[project.scripts]\ntool = "repro.m:script"\n',
+            "src/repro/__init__.py": "from .m import reexported\n",
+            "src/repro/m.py": (
+                "def script(): pass\n"
+                "def reexported(): pass\n"
+                "def by_string(): pass\n"
+                "def _private(): pass\n"
+                "class Used:\n"
+                "    def by_attribute(self): pass\n"
+                "    def by_test_only(self): pass\n"
+                "    def _hook(self): pass\n"),
+            "benchmarks/b.py": "from repro.m import Used\nUsed().by_attribute()\n",
+            "examples/e.py": 'TARGET = "repro.m:by_string"\n',
+            "tests/test_m.py": "from repro.m import Used\nUsed().by_test_only()\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert unreached(tmp_path) == ["repro.m.Used.by_test_only",
+                                       "repro.m.reexported"]
+
+
+class TestTier1Trajectory:
+    """``benchmarks/tier1_trajectory.py``: its reading of pytest's output
+    (the runs themselves take minutes and are not repeated here)."""
+
+    trajectory = _load_benchmark_script("tier1_trajectory")
+
+    def test_parses_the_summary_line_and_the_durations_table(self):
+        output = (
+            "....x.....                                      [100%]\n"
+            "===================== slowest 20 durations =====================\n"
+            "44.02s call     benchmarks/test_table1_classification.py::"
+            "test_table1_classification\n"
+            "0.51s setup    tests/test_trace.py::test_rtt_samples_positive\n"
+            "981 passed, 6 xfailed, 2 warnings in 367.12s (0:06:07)\n")
+        parsed = self.trajectory.parse_summary(output)
+        assert parsed["passed"] == 981 and parsed["xfailed"] == 6
+        assert "xpassed" not in parsed and "failed" not in parsed
+        assert parsed["slowest"] == [
+            {"s": 44.02, "when": "call",
+             "test": "benchmarks/test_table1_classification.py::"
+                     "test_table1_classification"},
+            {"s": 0.51, "when": "setup",
+             "test": "tests/test_trace.py::test_rtt_samples_positive"}]
+        failed = self.trajectory.parse_summary(
+            "1 failed, 40 passed, 1 xpassed in 3.20s\n")
+        assert failed == {"failed": 1, "passed": 40, "xpassed": 1,
+                          "slowest": []}

@@ -24,7 +24,6 @@ from repro.runtime import (
     BatchExecutor,
     FluidClassSpec,
     LinkSpec,
-    RouteSpec,
     ScenarioSpec,
     make_multihop_network,
     make_topology,
@@ -50,8 +49,8 @@ LINKS = (LinkSpec("primary", 96.0, delay_ms=10.0, src="S", dst="M"),
          LinkSpec("bottleneck", 48.0, src="M", dst="D"))
 
 
-def _topology(routes=()) -> Topology:
-    return make_topology(LINKS, monitor="bottleneck", routes=routes)
+def _topology() -> Topology:
+    return make_topology(LINKS, monitor="bottleneck")
 
 
 def _network(convergence_ms: float = 50.0, faults=(), dt: float = 0.002,
@@ -123,29 +122,6 @@ class TestRoutedTopology:
         # D is a sink: nothing routes back, and D's own table is empty.
         assert set(topology.candidates[topology.node_index("D")]) == {()}
         assert _table(topology, "candidates", "M", "S") == ()
-
-    def test_set_route_validates_origin(self):
-        topology = _topology()
-        with pytest.raises(ValueError, match="does not originate"):
-            topology.set_route("M", "D", ["primary"])
-
-    def test_set_route_to_self_rejected(self):
-        topology = _topology()
-        with pytest.raises(ValueError, match="cannot route to itself"):
-            topology.set_route("S", "S", ["primary"])
-
-    def test_explicit_route_overrides_computed(self):
-        topology = _topology(routes=(RouteSpec("S", "D",
-                                               ("backup", "primary")),))
-        assert _table(topology, "next_hop", "S", "D") == \
-            topology.index_of("backup")
-        # A pinned entry survives the recompute a later attachment runs.
-        topology.add_link("tail", 1e6)
-        assert _table(topology, "candidates", "S", "D") == (1, 0)
-
-    def test_empty_candidate_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            _topology().set_route("S", "D", [])
 
 
 class TestRoutedNetworkConstruction:
@@ -419,7 +395,7 @@ class TestRoutedTelemetry:
 
 class TestSpecPlumbing:
     def test_routing_spec_canonicalises(self):
-        frozen = canonicalize((LINKS, (RouteSpec("S", "D", ("backup",)),)))
+        frozen = canonicalize(LINKS)
         assert pickle.loads(pickle.dumps(frozen)) == frozen
 
     def test_convergence_delay_in_cache_key(self):

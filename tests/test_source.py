@@ -1,11 +1,11 @@
-"""Application sources: backlogged, finite, paced, Poisson, CBR, video."""
+"""Application sources: backlogged, finite, paced, Poisson, video."""
 
 import math
 
 import pytest
 
 from repro.simulator.source import BackloggedSource, FiniteSource, PacedSource
-from repro.traffic.poisson import CbrSource, PoissonSource
+from repro.traffic.poisson import PoissonSource
 from repro.traffic.video import video_1080p, video_4k
 
 
@@ -59,11 +59,6 @@ class TestPaced:
         src.advance(0.0, 0.5)
         assert src.available(0.5) == pytest.approx(5e5)
 
-    def test_backlog_cap(self):
-        src = PacedSource(rate=1e6, max_backlog=1000)
-        src.advance(0.0, 10.0)
-        assert src.available(10.0) == pytest.approx(1000)
-
     def test_consume(self):
         src = PacedSource(rate=1e6)
         src.advance(0.0, 1.0)
@@ -95,13 +90,6 @@ class TestPoisson:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             PoissonSource(rate=0)
-
-
-class TestCbr:
-    def test_bounded_backlog(self):
-        src = CbrSource(rate=1e6, max_backlog_packets=2)
-        src.advance(0.0, 10.0)
-        assert src.available(10.0) <= 2 * 1500 + 1e-6
 
 
 class TestVideo:

@@ -246,7 +246,7 @@ def _cruise_fingerprint(network):
     return pickle.dumps((
         times.tobytes(), tput.tobytes(), qtimes.tobytes(), qdelay.tobytes(),
         flow.stats.bytes_sent, flow.stats.bytes_delivered,
-        flow.stats.rtt_sum, flow.stats.rtt_samples, flow.inflight,
+        recorder.rtt_samples("cubic").tobytes(), flow.inflight,
         network.link.total_served, network.link.total_drops,
         network.link.queue_bytes, network.now, network._counter,
     ))

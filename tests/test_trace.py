@@ -130,10 +130,16 @@ def test_upstream_hop_sees_at_least_bottleneck_rate(multihop_run):
     assert float(np.mean(up[settled])) >= float(np.mean(down[settled])) - 1.0
 
 
+def _occupancy_series(recorder, name):
+    """(times, bytes) mean queued bytes per bin at the named link."""
+    return recorder._per_tick_mean(
+        recorder._occupancy_sums(recorder._link_record(name)))
+
+
 def test_link_occupancy_and_drops_nonnegative(multihop_run):
     rec = multihop_run.recorder
     for name in rec.link_names():
-        _, occ = rec.link_occupancy_series(name)
+        _, occ = _occupancy_series(rec, name)
         _, drops = rec.link_drop_series(name)
         assert np.all(occ >= 0)
         assert np.all(drops >= 0)
@@ -304,7 +310,7 @@ class _TwoRecordOracle:
 def _all_series(recorder):
     out = {}
     for name in recorder.link_names():
-        out["link_occupancy", name] = recorder.link_occupancy_series(name)
+        out["link_occupancy", name] = _occupancy_series(recorder, name)
         out["link_queue_delay", name] = \
             recorder.link_queue_delay_series(name)
         out["link_throughput", name] = recorder.link_throughput_series(name)

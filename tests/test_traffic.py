@@ -63,12 +63,6 @@ class TestFlowSizes:
         b = [s.size_bytes for s in _samples(HeavyTailedFlowSizes(seed=7), 50)]
         assert a == b
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            HeavyTailedFlowSizes(short_fraction=1.5)
-        with pytest.raises(ValueError):
-            HeavyTailedFlowSizes(pareto_shape=0.9)
-
 
 class TestWanGenerator:
     @pytest.fixture(scope="class")

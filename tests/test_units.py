@@ -4,11 +4,8 @@ import pytest
 
 from repro.simulator.units import (
     MSS_BYTES,
-    bdp_bytes,
     bytes_per_sec_to_mbps,
     mbps_to_bytes_per_sec,
-    ms_to_s,
-    s_to_ms,
 )
 
 
@@ -19,15 +16,6 @@ def test_mbps_roundtrip():
 def test_mbps_to_bytes_value():
     # 8 Mbit/s is exactly 1e6 bytes per second.
     assert mbps_to_bytes_per_sec(8.0) == pytest.approx(1e6)
-
-
-def test_ms_roundtrip():
-    assert s_to_ms(ms_to_s(123.0)) == pytest.approx(123.0)
-
-
-def test_bdp():
-    # 96 Mbit/s * 50 ms = 600 kB.
-    assert bdp_bytes(mbps_to_bytes_per_sec(96), 0.05) == pytest.approx(600e3)
 
 
 def test_mss_is_ethernet_sized():

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc import Compound, ConstantRate, Cubic, NewReno, NullCC, Vegas
+from repro.cc import Compound, Cubic, NewReno, NullCC, Vegas
 from repro.runtime import LinkSpec, make_topology
 from repro.simulator import (
     FaultEvent,
@@ -82,8 +82,7 @@ def build(engine, scenario):
     if scenario["flap_at"] is not None:
         FaultSchedule((FaultEvent("link_flap", "bottleneck",
                                   scenario["flap_at"], 0.3,
-                                  drop_queued=True),),
-                      seed=scenario["seed"]).apply(network)
+                                  drop_queued=True),)).apply(network)
     mu = mbps_to_bytes_per_sec(scenario["mbps"])
     bulk = network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="bulk"))
     network.schedule_call(scenario["stop_at"], bulk.stop)
@@ -93,9 +92,10 @@ def build(engine, scenario):
                               name=f"finite{index}"))
     paced_window = Cubic()
     paced_window.rate = 0.3 * mu    # window-limited at times, but paced
+    constant_rate = NullCC()
+    constant_rate.rate = 0.1 * mu   # paced, no window
     never_marked = [
-        network.add_flow(Flow(cc=ConstantRate(0.1 * mu), prop_rtt=0.05,
-                              name="cbr")),
+        network.add_flow(Flow(cc=constant_rate, prop_rtt=0.05, name="cbr")),
         network.add_flow(Flow(cc=paced_window, prop_rtt=0.05,
                               name="paced-cubic")),
         network.add_flow(Flow(cc=NullCC(), prop_rtt=0.05, name="poisson",
