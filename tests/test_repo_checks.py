@@ -117,7 +117,6 @@ class TestOptionCensus:
         assert "Cubic.init_cwnd_segments: listed in" in out
 
 
-
 def _defined(root: pathlib.Path) -> set:
     """Dotted names of the public functions and classes under
     ``root/src/repro`` and the public methods of the public classes."""
