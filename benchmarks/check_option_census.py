@@ -1,14 +1,16 @@
 """Option census: which constructor options does anything actually set?
 
 For every constructor parameter and dataclass field with a default under
-``src/repro/{cc,core,simulator,traffic}``, look for a call site under
-``src/``, ``benchmarks/`` or ``examples/`` (tests do not count) that sets it
-— by keyword, by position, or through a ``**kwargs`` the class is called
-with, in which case the option counts as set when some call or dict literal
-in the scanned trees spells its name.  Options nobody sets are printed; exit
-1 if one of them is missing from ``benchmarks/option_census.json``, the
-allow-list giving each kept option its one reason, or if the list names an
-option that is set or gone.  Pure ``ast``: nothing under ``src/`` is imported.
+``src/repro/{analysis,cc,core,runtime,simulator,traffic}``, look for a
+call site under ``src/``, ``benchmarks/`` or ``examples/`` (tests do not
+count) that sets it — by keyword, by position, or through a ``**kwargs``
+the class is called with, in which case the option counts as set when
+some call or dict literal in the scanned trees spells its name; a
+classmethod's ``cls(...)`` is a call of its class.  Options nobody sets
+are printed; exit 1 if one of them is missing from
+``benchmarks/option_census.json``, the allow-list giving each kept option
+its one reason, or if the list names an option that is set or gone.  Pure
+``ast``: nothing under ``src/`` is imported.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PACKAGES = ("cc", "core", "simulator", "traffic")
+PACKAGES = ("analysis", "cc", "core", "runtime", "simulator", "traffic")
 ROOTS = ("src", "benchmarks", "examples")
 ALLOW_LIST = ROOT / "benchmarks" / "option_census.json"
 
@@ -74,17 +76,22 @@ def declared_options() -> tuple:
 
 def _calls(tree):
     """``(callee name, call)`` pairs; ``super().__init__(...)`` is a call of
-    each base of the enclosing class."""
+    each base of the enclosing class, and ``cls(...)`` (a classmethod
+    building an instance) a call of the class itself."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield getattr(node.func, "id",
                           getattr(node.func, "attr", None)), node
         elif isinstance(node, ast.ClassDef):
             for call in ast.walk(node):
-                if isinstance(call, ast.Call) and ast.unparse(
-                        call.func) == "super().__init__":
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = ast.unparse(call.func)
+                if callee == "super().__init__":
                     for base in _base_names(node):
                         yield base, call
+                elif callee == "cls":
+                    yield node.name, call
 
 
 def unset_options(roots=ROOTS) -> list:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 import numpy as np
 
@@ -107,12 +107,6 @@ class CrossTrafficEstimator:
     def times(self, duration: Optional[float] = None) -> np.ndarray:
         """Timestamps of the retained samples."""
         return self._tail(self._times, duration)
-
-    def latest(self) -> Tuple[float, float, float]:
-        """Most recent (z, S, R) sample, or zeros if nothing sampled yet."""
-        if not self._z:
-            return 0.0, 0.0, 0.0
-        return self._z[-1], self._s[-1], self._r[-1]
 
     def sample_count(self, duration: float) -> int:
         """Number of samples spanning ``duration`` seconds."""

@@ -35,7 +35,7 @@ from ..runtime.build import (
     make_network,
     make_scheme,
 )
-from ..runtime.executor import run_batch
+from ..runtime.executor import BatchExecutor
 from ..runtime.spec import ScenarioSpec
 from ..simulator import Flow, TopologyNetwork, mbps_to_bytes_per_sec
 
@@ -129,7 +129,7 @@ def run_cases(run_case: Callable, cases: Iterable[dict],
     Given ``result``, each ``{"scheme", "summary", "extra", "data"}`` payload
     is also filed there under its scheme (``data`` unless it is ``None``).
     A spec's label is its case's values (an object's ``name``) joined by @."""
-    payloads = run_batch([ScenarioSpec.make(
+    payloads = BatchExecutor().run([ScenarioSpec.make(
         run_case, label="@".join(str(getattr(value, "name", value))
                                  for value in case.values()),
         **shared, **case) for case in cases])

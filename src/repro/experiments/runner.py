@@ -8,8 +8,10 @@ code::
     python -m repro.experiments.runner --list
 
 Arbitrary numeric keyword overrides can be passed as ``--set name=value``;
-they are forwarded to the driver's ``run`` function.  ``--duration S`` is
-one such override, ``duration=S``: a driver that runs on
+they are forwarded to the driver's ``run`` function, and a spec carries
+only the overrides given (the tick is ``--set dt=SECONDS``; without it the
+driver's own default holds).  ``--duration S`` is one such override,
+``duration=S``: a driver that runs on
 ``phase_duration`` or ``flow_duration`` instead fails with its own
 ``TypeError``, as any override it does not take does.  A grid of runs is
 a campaign manifest with ``[experiment.axes]``, run by ``repro-campaign
@@ -29,7 +31,7 @@ events), and pool workers appending to one file would interleave lines.
 
 A runner batch is a plain cached batch: a raising spec ends it with the
 driver's error.  A batch that must survive failing specs — per-spec
-deadlines, retries, failure rows, exit code 3 — is a campaign: write the
+deadlines, failure rows, exit code 3 — is a campaign: write the
 grid as a manifest and run it with ``repro-campaign run`` (see
 :mod:`repro.runtime.campaign`).
 """
@@ -113,8 +115,6 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--duration", type=float, default=None,
                         help="Override the experiment duration in seconds "
                              "(the same as --set duration=SECONDS)")
-    parser.add_argument("--dt", type=float, default=0.002,
-                        help="Simulation tick in seconds (default 2 ms)")
     parser.add_argument("--set", dest="overrides", action="append",
                         default=[], metavar="NAME=VALUE",
                         help="Numeric keyword override (repeatable)")
@@ -148,7 +148,6 @@ def main(argv: List[str] | None = None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    overrides.setdefault("dt", args.dt)
     if args.duration is not None:
         overrides["duration"] = args.duration
     spec = ScenarioSpec.make(fn, label=experiment_id, **overrides)

@@ -1,8 +1,8 @@
 """Deliberate-failure driver exercising the hardened batch executor.
 
 Not a paper artefact: a microscopic driver whose failure modes are part
-of its parameter space, so the executor's crash isolation, timeout, and
-retry machinery can be exercised from a campaign manifest and from CI
+of its parameter space, so the executor's crash isolation and timeout
+machinery can be exercised from a campaign manifest and from CI
 without a purpose-built harness::
 
     python -m repro.runtime.campaign run benchmarks/campaigns/chaos.toml \\
@@ -51,30 +51,6 @@ def run(duration: float = 0.25, dt: float = 0.004, seed: int = 0,
     return result
 
 
-def flaky_run(marker: str, fail_times: int = 1, duration: float = 0.25,
-              dt: float = 0.004, seed: int = 0) -> ExperimentResult:
-    """Fail the first ``fail_times`` executions, then succeed.
-
-    The attempt counter lives in the ``marker`` file, so it survives
-    process boundaries — exactly what a retry-then-succeed test of the
-    hardened executor needs.  Not reachable from the runner (the marker
-    is a string); tests and API users build specs against it directly.
-    """
-    attempts = 0
-    if os.path.exists(marker):
-        with open(marker, "r", encoding="ascii") as handle:
-            attempts = int(handle.read().strip() or 0)
-    attempts += 1
-    with open(marker, "w", encoding="ascii") as handle:
-        handle.write(str(attempts))
-    if attempts <= fail_times:
-        raise RuntimeError(f"selftest: transient failure "
-                           f"{attempts}/{fail_times}")
-    result = run(duration=duration, dt=dt, seed=seed)
-    result.data["attempts"] = attempts
-    return result
-
-
 def sleepy_run(marker: str, sleep: float = 30.0, duration: float = 0.25,
                dt: float = 0.004, seed: int = 0) -> ExperimentResult:
     """Stall for ``sleep`` seconds on the first execution only.
@@ -84,7 +60,8 @@ def sleepy_run(marker: str, sleep: float = 30.0, duration: float = 0.25,
     completes immediately.  This is the re-run-after-timeout fixture: a
     spec that timed out must be *re-executed* by the next run of its
     batch — where it now succeeds — rather than treated as done.
-    Like :func:`flaky_run`, not reachable from the runner.
+    Not reachable from the runner (the marker is a string); tests and API
+    users build specs against it directly.
     """
     first = not os.path.exists(marker)
     if first:

@@ -5,7 +5,7 @@ scratch on each invocation": a :class:`ScenarioSpec` fully describes one
 simulation (target function plus canonicalised parameters), a
 :class:`BatchExecutor` fans a batch of specs across persistent isolated
 worker processes and memoises each result in an on-disk cache keyed by
-spec hash + the dependency-aware digest of the spec's driver module
+spec hash under the dependency-aware digest of the spec's driver module
 (:mod:`repro.runtime.depgraph`), and :mod:`repro.runtime.build` houses the
 network/scheme factories shared by every driver.
 
@@ -47,7 +47,6 @@ from .executor import (
     SpecFailure,
     configured_workers,
     execute_spec,
-    run_batch,
 )
 from .journal import BatchJournal
 from .metrics import (
@@ -81,7 +80,6 @@ __all__ = [
     "make_scheme",
     "make_topology",
     "metrics_record",
-    "run_batch",
     "tally",
     "validate_metrics_record",
 ]

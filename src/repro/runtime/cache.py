@@ -8,9 +8,9 @@ experiment driver therefore invalidates only that driver's entries, while
 editing something everyone imports (``simulator/topology.py``) invalidates
 everything — stale results from older code can never be served, but
 unrelated edits keep the cache warm.  A target the dependency graph cannot
-resolve is keyed by the whole-package :func:`source_digest` instead.  The
-graph keeps its per-file stat index, ``depgraph-index.json``, beside the
-``mod-*`` directories.
+resolve has no key, so it is never cached: :meth:`ResultCache.get` misses
+and :meth:`ResultCache.put` stores nothing.  The graph keeps its per-file
+stat index, ``depgraph-index.json``, beside the ``mod-*`` directories.
 
 Entries are data: the executor pickles each miss once and hands the bytes
 to :meth:`ResultCache.put` as they are, and drivers return summaries,
@@ -28,7 +28,6 @@ writer can at worst leave an orphan temp file, never a truncated entry.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import tempfile
@@ -39,8 +38,6 @@ from . import depgraph
 
 #: Sentinel distinguishing "no cached entry" from a cached ``None``.
 MISS = object()
-
-_SOURCE_DIGEST: Optional[str] = None
 
 
 def cache_enabled() -> bool:
@@ -60,28 +57,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override).expanduser()
     return Path.home() / ".cache" / "repro-runtime"
-
-
-def source_digest() -> str:
-    """Hash of all ``repro`` package sources, memoised per process.
-
-    The coarse whole-package key, used only for targets the dependency
-    graph cannot resolve; everything else is keyed per driver module via
-    :meth:`repro.runtime.depgraph.DependencyGraph.digest_for`.
-    """
-    global _SOURCE_DIGEST
-    if _SOURCE_DIGEST is None:
-        import repro
-
-        digest = hashlib.sha256()
-        root = Path(repro.__file__).resolve().parent
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _SOURCE_DIGEST = digest.hexdigest()[:16]
-    return _SOURCE_DIGEST
 
 
 def write_atomic(path: Path, payload: bytes) -> None:
@@ -105,7 +80,7 @@ def write_atomic(path: Path, payload: bytes) -> None:
 
 
 class ResultCache:
-    """Pickle-per-entry result store, keyed by spec hash + module digest.
+    """Pickle-per-entry result store, keyed by spec hash under module digest.
 
     Args:
         directory: Cache root; defaults to :func:`default_cache_dir`.
@@ -126,31 +101,25 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Key layout
     # ------------------------------------------------------------------ #
-    def _module_dir(self, fn: Optional[str]) -> str:
-        """Directory name for a spec target's dependency digest.
-
-        ``fn`` is the spec's dotted target (``"module:callable"`` or a
-        bare module name); ``None`` — or a module the dependency graph
-        cannot resolve — falls back to the whole-package digest, which is
-        always a valid (if coarse) key.
-        """
-        if fn is not None:
-            module = fn.partition(":")[0]
-            graph = self.graph if self.graph is not None \
-                else depgraph.default_graph()
-            try:
-                return f"mod-{graph.digest_for(module)}"
-            except depgraph.DigestError:
-                pass
-        return source_digest()
-
-    def _entry_path(self, spec_hash: str, fn: Optional[str] = None) -> Path:
-        return self.directory / self._module_dir(fn) / f"{spec_hash}.pkl"
+    def _entry_path(self, spec_hash: str, fn: str) -> Optional[Path]:
+        """Where the entry of ``spec_hash`` lives; ``None`` when the cache
+        is disabled or the dependency graph cannot resolve the module of
+        ``fn`` (the spec's dotted ``"module:callable"`` target), which
+        leaves the target without a key."""
+        if not self.enabled:
+            return None
+        graph = self.graph if self.graph is not None \
+            else depgraph.default_graph()
+        try:
+            digest = graph.digest_for(fn.partition(":")[0])
+        except depgraph.DigestError:
+            return None
+        return self.directory / f"mod-{digest}" / f"{spec_hash}.pkl"
 
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def get(self, spec_hash: str, fn: Optional[str] = None) -> Any:
+    def get(self, spec_hash: str, fn: str) -> Any:
         """The cached result, or the module-level ``MISS`` sentinel.
 
         ``fn`` is the spec's dotted target, which selects the per-module
@@ -159,9 +128,9 @@ class ResultCache:
         it is deleted so it cannot shadow the slot forever, and remembered
         for the executor's metrics (see :meth:`take_corrupt`).
         """
-        if not self.enabled:
-            return MISS
         path = self._entry_path(spec_hash, fn)
+        if path is None:
+            return MISS
         try:
             handle = open(path, "rb")
         except OSError:
@@ -181,18 +150,18 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Writes
     # ------------------------------------------------------------------ #
-    def put(self, spec_hash: str, data: bytes,
-            fn: Optional[str] = None) -> bool:
-        """Store a result's pickle ``data`` verbatim; False when disabled
-        or the write fails.
+    def put(self, spec_hash: str, data: bytes, fn: str) -> bool:
+        """Store a result's pickle ``data`` verbatim; False when disabled,
+        the target has no key or the write fails.
 
         The executor serialises each miss once and returns what those
         same bytes load to, so the entry is exactly what the batch saw.
         """
-        if not self.enabled:
+        path = self._entry_path(spec_hash, fn)
+        if path is None:
             return False
         try:
-            write_atomic(self._entry_path(spec_hash, fn), data)
+            write_atomic(path, data)
         except OSError:
             return False
         return True

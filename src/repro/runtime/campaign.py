@@ -16,11 +16,12 @@ flushed as the cell settles, never truncated.  Each cell's row reaches
 ``<out>/results.jsonl`` (rewritten by every run) as soon as it and every
 cell before it in manifest order have settled (the file is always a
 cell-order prefix of the finished one), and ``<out>/summary.json`` is
-written at the end.  Because results are memoised per spec hash ×
-driver-module digest and failures are never cached, re-running a campaign
-— after an edit, a failure or an interruption alike — re-executes exactly
-the cells whose code or parameters changed and the cells that failed or
-never settled; everything else resolves as cache hits.
+written at the end.  Each cell gets one execution per run.  Because
+results are memoised per spec hash × driver-module digest and failures are
+never cached, re-running a campaign — after an edit, a failure or an
+interruption alike — re-executes exactly the cells whose code or
+parameters changed and the cells that failed or never settled; everything
+else resolves as cache hits.
 
 ``status`` reads the campaign journal without executing anything.
 ``diff`` compares two summaries cell by cell (outcome changes, accuracy
@@ -108,7 +109,6 @@ class CampaignRunner:
         workers: Executor worker count (``None`` reads the environment).
         cache: Result cache override (tests inject toy-package graphs).
         timeout: Per-cell wall-clock deadline in seconds.
-        max_retries: Extra attempts per failed cell.
         resolver: Bare-driver-name resolver override (tests).
     """
 
@@ -116,7 +116,7 @@ class CampaignRunner:
                  out_dir: Union[str, Path, None] = None,
                  workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 timeout: Optional[float] = None, max_retries: int = 0,
+                 timeout: Optional[float] = None,
                  resolver: Optional[Callable[[str], str]] = None) -> None:
         self.manifest = manifest
         self.out_dir = Path(out_dir) if out_dir is not None \
@@ -124,7 +124,6 @@ class CampaignRunner:
         self.workers = workers
         self.cache = cache
         self.timeout = timeout
-        self.max_retries = max_retries
         self.cells: List[CampaignCell] = manifest.expand(resolver)
 
     @property
@@ -179,8 +178,7 @@ class CampaignRunner:
                          f"{row['outcome']:<7} {timing}")
 
         executor = BatchExecutor(
-            workers=self.workers, cache=self.cache,
-            timeout=self.timeout, max_retries=self.max_retries,
+            workers=self.workers, cache=self.cache, timeout=self.timeout,
             on_error="record", journal_path=self.journal_path,
             on_settle=on_settle)
         with open(self.results_path, "w", encoding="utf-8") as stream:
@@ -236,12 +234,11 @@ class CampaignRunner:
 # ---------------------------------------------------------------------- #
 # Summary diffing
 # ---------------------------------------------------------------------- #
-def diff_summaries(old: dict, new: dict,
-                   accuracy_tolerance: float = 1e-9) -> dict:
+def diff_summaries(old: dict, new: dict) -> dict:
     """Cell-by-cell comparison of two campaign summaries.
 
     Returns added/removed cell ids, outcome changes, accuracy deltas
-    beyond ``accuracy_tolerance``, and the list of *regressed* cells
+    beyond ``1e-9``, and the list of *regressed* cells
     (previously ``ok``, now not) that drives the CLI exit code.
     """
     old_cells = old.get("cells", {})
@@ -260,7 +257,7 @@ def diff_summaries(old: dict, new: dict,
         acc_before, acc_after = before.get("accuracy"), after.get("accuracy")
         if isinstance(acc_before, (int, float)) \
                 and isinstance(acc_after, (int, float)) \
-                and abs(acc_after - acc_before) > accuracy_tolerance:
+                and abs(acc_after - acc_before) > 1e-9:
             accuracy_deltas[cell] = (acc_before, acc_after)
     return {
         "added": added,
@@ -316,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                       ("status", "Per-cell progress from the journal"),
                       ("dry-run", "List the expanded cells and exit")):
         cmd = sub.add_parser(name, help=doc)
-        cmd.add_argument("manifest", help="Path to a .toml/.json manifest")
+        cmd.add_argument("manifest", help="Path to a .toml manifest")
         if name == "dry-run":
             continue
         cmd.add_argument("--out", metavar="DIR", default=None,
@@ -329,9 +326,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cmd.add_argument("--timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="Per-cell wall-clock deadline")
-            cmd.add_argument("--max-retries", type=int, default=0,
-                             metavar="N",
-                             help="Extra attempts per failed cell")
     diff_cmd = sub.add_parser(
         "diff", help="Compare two campaign summary.json files")
     diff_cmd.add_argument("old")
@@ -355,8 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             manifest,
             out_dir=getattr(args, "out", None),
             workers=getattr(args, "workers", None),
-            timeout=getattr(args, "timeout", None),
-            max_retries=getattr(args, "max_retries", 0))
+            timeout=getattr(args, "timeout", None))
     except ManifestError as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -74,8 +74,8 @@ import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
-#: Length of the hex digests this module hands out (same as the legacy
-#: whole-package digest, so directory names stay uniform).
+#: Length of the hex digests this module hands out (a cache entry lives
+#: under ``mod-<digest>``).
 DIGEST_LEN = 16
 
 #: File name of the stat index inside the cache directory.

@@ -40,32 +40,30 @@ hit, and a failed or never-settled spec has no entry, so it runs again.
 Failure handling
 ----------------
 
-On the worker path a failed attempt is one of ``"error"`` (the spec
-raised; the worker survives), ``"timeout"`` (still running at
-``timeout`` seconds; the worker is terminated) or ``"crash"`` (the
-worker died without reporting).  It is retried up to ``max_retries``
-times, each after a seeded full-jitter backoff (:meth:`BatchExecutor.
-retry_delay`, over :data:`RETRY_BACKOFF` / :data:`RETRY_BACKOFF_MAX`).
-A spec out of attempts becomes a structured :class:`SpecFailure` — placed
-at the spec's result position with ``on_error="record"``, or raised as one
-:class:`SpecExecutionError` after the rest of the batch has settled with
-the default ``on_error="raise"``.
-Failed specs are *never* written to the result cache.  Setting any of
-``timeout``, ``max_retries`` or ``on_error="record"`` makes the executor
-*hardened*: it then uses workers even for a single spec on one worker,
-because in-process execution could honour none of the three.
+On the worker path a spec gets one attempt, which fails as one of
+``"error"`` (the spec raised; the worker survives), ``"timeout"`` (still
+running at ``timeout`` seconds; the worker is terminated) or ``"crash"``
+(the worker died without reporting).  A failed spec becomes a structured
+:class:`SpecFailure` — placed at the spec's result position with
+``on_error="record"``, or raised as one :class:`SpecExecutionError` after
+the rest of the batch has settled with the default ``on_error="raise"``.
+Failed specs are *never* written to the result cache, so the next run of
+the batch re-executes them; a spec is deterministic, so re-running it
+within the batch could only raise again.  Setting ``timeout`` or
+``on_error="record"`` makes the executor *hardened*: it then uses workers
+even for a single spec on one worker, because in-process execution could
+honour neither.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
-import random
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, \
     Union
@@ -78,13 +76,6 @@ from .spec import ScenarioSpec
 #: Set in worker processes (and honoured by nested executors) so a driver
 #: that itself fans out a batch cannot recursively spawn pools.
 _WORKER_ENV = "REPRO_RUNTIME_WORKER"
-
-#: Base of the exponential retry ceiling, in seconds: attempt ``n`` waits a
-#: full-jitter draw below ``min(RETRY_BACKOFF_MAX, RETRY_BACKOFF *
-#: 2**(n-1))`` (see :meth:`BatchExecutor.retry_delay`).
-RETRY_BACKOFF = 0.25
-#: Cap on that ceiling, so deep retry chains cannot back off unboundedly.
-RETRY_BACKOFF_MAX = 8.0
 
 
 def configured_workers() -> int:
@@ -190,16 +181,14 @@ class SpecFailure:
         outcome: ``"error"`` (the spec raised), ``"timeout"`` (deadline
             exceeded, worker terminated), or ``"crash"`` (worker died
             without reporting).
-        attempts: Execution attempts consumed, including retries.
-        error: Full traceback or diagnostic message of the last attempt.
-        seconds: Wall time of the last attempt (the timeout for timeouts).
+        error: Full traceback or diagnostic message.
+        seconds: Wall time of the execution (the timeout for timeouts).
     """
 
     spec_hash: str
     label: str
     fn: str
     outcome: str
-    attempts: int
     error: str
     seconds: float = 0.0
 
@@ -209,16 +198,15 @@ class SpecFailure:
         return self.error.strip().splitlines()[-1] if self.error else ""
 
     def __str__(self) -> str:
-        return (f"{self.label} [{self.outcome} after {self.attempts} "
-                f"attempt(s)]: {self.summary}")
+        return f"{self.label} [{self.outcome}]: {self.summary}"
 
 
 class SpecExecutionError(RuntimeError):
     """Raised after a hardened batch when ``on_error="raise"``.
 
     Carries every :class:`SpecFailure` of the batch; the message shows the
-    first one in full so the offending spec, outcome, attempt count, and
-    traceback are readable without unpacking.
+    first one in full so the offending spec, outcome and traceback are
+    readable without unpacking.
     """
 
     def __init__(self, failures: Sequence[SpecFailure]) -> None:
@@ -227,8 +215,8 @@ class SpecExecutionError(RuntimeError):
         extra = (f" (+{len(self.failures) - 1} more failed spec(s))"
                  if len(self.failures) > 1 else "")
         super().__init__(
-            f"spec {first.label!r} ({first.fn}) {first.outcome} after "
-            f"{first.attempts} attempt(s){extra}:\n{first.error}")
+            f"spec {first.label!r} ({first.fn}) {first.outcome}{extra}:\n"
+            f"{first.error}")
 
 
 class BatchExecutor:
@@ -241,8 +229,6 @@ class BatchExecutor:
             Pass ``ResultCache(enabled=False)`` to force cold runs.
         timeout: Per-spec wall-clock deadline in seconds; a spec still
             running at the deadline is terminated with its worker.
-        max_retries: Extra attempts after a failed one — error, timeout,
-            or crash alike.
         on_error: ``"raise"`` (default) raises :class:`SpecExecutionError`
             once the rest of the batch has completed; ``"record"`` places
             the :class:`SpecFailure` at the spec's result position.
@@ -258,8 +244,7 @@ class BatchExecutor:
 
     def __init__(self, workers: Optional[int] = None,
                  cache: Optional[ResultCache] = None, *,
-                 timeout: Optional[float] = None, max_retries: int = 0,
-                 on_error: str = "raise",
+                 timeout: Optional[float] = None, on_error: str = "raise",
                  journal_path: Union[str, os.PathLike, None] = None,
                  on_settle: Optional[Callable[[int, Any, dict], None]] = None
                  ) -> None:
@@ -267,13 +252,10 @@ class BatchExecutor:
         self.cache = ResultCache() if cache is None else cache
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if on_error not in ("raise", "record"):
             raise ValueError(f"on_error must be 'raise' or 'record', "
                              f"got {on_error!r}")
         self.timeout = timeout
-        self.max_retries = int(max_retries)
         self.on_error = on_error
         self.on_settle = on_settle
         self._journal = None if journal_path is None \
@@ -284,27 +266,12 @@ class BatchExecutor:
 
     @property
     def hardened(self) -> bool:
-        """Whether a timeout, retries or failure records were asked for.
+        """Whether a timeout or failure records were asked for.
 
         A hardened executor never executes in-process (outside a worker),
-        where it could honour none of them; see the module docstring.
+        where it could honour neither; see the module docstring.
         """
-        return (self.timeout is not None or self.max_retries > 0
-                or self.on_error == "record")
-
-    def retry_delay(self, spec_hash: str, attempt: int) -> float:
-        """Backoff before re-running ``spec_hash`` after attempt ``attempt``.
-
-        Full jitter over a capped exponential ceiling: a uniform draw from
-        ``[0, min(RETRY_BACKOFF_MAX, RETRY_BACKOFF * 2**(attempt-1)))``.
-        The draw comes from a private RNG seeded on ``(spec_hash,
-        attempt)``, so the same spec's same attempt always waits the same
-        time — retries of a re-run batch are reproducible — while
-        concurrent retries of *different* specs decorrelate instead of
-        thundering back in lockstep.
-        """
-        ceiling = min(RETRY_BACKOFF_MAX, RETRY_BACKOFF * (2 ** (attempt - 1)))
-        return random.Random(f"{spec_hash}:{attempt}").random() * ceiling
+        return self.timeout is not None or self.on_error == "record"
 
     def run(self, specs: Sequence[ScenarioSpec]) -> List[Any]:
         """Execute a batch; results come back in spec order.
@@ -339,14 +306,14 @@ class BatchExecutor:
 
         def settle(spec_hash: str, status: str = "ok",
                    seconds: Optional[float] = None, pid: Optional[int] = None,
-                   payload: Any = None, attempts: int = 0) -> None:
+                   payload: Any = None) -> None:
             """Terminal state of one hash: cache, then per position its
             record to the journal and the position to ``on_settle``."""
             first = positions[spec_hash][0]
             spec = specs[first]
             failure = None if status == "ok" else SpecFailure(
                 spec_hash=spec_hash, label=spec.label, fn=spec.fn,
-                outcome=status, attempts=attempts, error=str(payload),
+                outcome=status, error=str(payload),
                 seconds=seconds)
             if failure is not None:
                 failures.append(failure)
@@ -364,7 +331,6 @@ class BatchExecutor:
                     specs[index], spec_hash=spec_hash, cache=state,
                     seconds=seconds, worker_pid=pid,
                     dedup=missed[index] and index != first, outcome=status,
-                    attempts=attempts,
                     error=failure.summary if failure else None)
                 if journal is not None:
                     journal.record(records[index])
@@ -382,7 +348,7 @@ class BatchExecutor:
         else:
             for spec_hash in unique:
                 settle(spec_hash, "ok",
-                       *_timed_execute(specs[positions[spec_hash][0]]), 1)
+                       *_timed_execute(specs[positions[spec_hash][0]]))
         self.last_metrics = records
         if failures and self.on_error == "raise":
             raise SpecExecutionError(failures)
@@ -390,51 +356,41 @@ class BatchExecutor:
 
     def _run_on_workers(
             self, specs: Sequence[ScenarioSpec], hashes: Sequence[str],
-            settle: Callable[[str, str, float, Optional[int], Any, int], None]
+            settle: Callable[[str, str, float, Optional[int], Any], None]
     ) -> None:
         """Execute ``specs`` on at most ``workers`` isolated workers.
 
-        ``settle(spec hash, status, seconds, pid, payload, attempts)`` is
-        called once per spec, the moment its terminal state is known:
-        ``"ok"`` with the worker's bytes, untouched, or the last failed
-        attempt's status and diagnostic.  A failed attempt (raise,
-        timeout, worker death) is retried after a seeded full-jitter
-        backoff (:meth:`retry_delay`) while attempts remain; sibling specs
-        keep running throughout.  A worker is forked when a spec is due
-        and none is idle, reused for as long as it keeps reporting, and
-        replaced only after a timeout or its death; none outlives this
-        call, however it ends.
+        ``settle(spec hash, status, seconds, pid, payload)`` is called once
+        per spec, the moment its terminal state is known: ``"ok"`` with the
+        worker's bytes, untouched, or the failure's status and diagnostic.
+        Specs are dispatched in batch order.  A worker is forked when a
+        spec is due and none is idle, reused for as long as it keeps
+        reporting, and replaced only after a timeout or its death; none
+        outlives this call, however it ends.
         """
         ctx = multiprocessing.get_context()
         width = min(self.workers, len(specs))
-        #: Heap of (not-before monotonic time, spec index, attempt number);
-        #: born sorted, so specs are first dispatched in batch order.
-        pending: List[Tuple[float, int, int]] = \
-            [(0.0, index, 1) for index in range(len(specs))]
+        pending = deque(range(len(specs)))
         idle: List[_Worker] = []
-        #: spec index -> (worker, deadline, attempt number)
-        busy: Dict[int, Tuple[_Worker, Optional[float], int]] = {}
+        #: spec index -> (worker, deadline)
+        busy: Dict[int, Tuple[_Worker, Optional[float]]] = {}
         try:
             while pending or busy:
-                while pending and len(busy) < width \
-                        and pending[0][0] <= time.monotonic():
-                    _, index, attempt = heapq.heappop(pending)
+                while pending and len(busy) < width:
+                    index = pending.popleft()
                     worker = idle.pop() if idle else _Worker(ctx)
-                    deadline = None if self.timeout is None \
-                        else time.monotonic() + self.timeout
-                    busy[index] = (worker, deadline, attempt)
+                    busy[index] = (worker, None if self.timeout is None
+                                   else time.monotonic() + self.timeout)
                     worker.conn.send(specs[index])
                 # Sleep until a worker reports or dies, or the nearest
-                # deadline or retry not-before comes due.
-                due = [deadline for _, deadline, _ in busy.values()
+                # deadline comes due.
+                due = [deadline for _, deadline in busy.values()
                        if deadline is not None]
-                if pending and len(busy) < width:
-                    due.append(pending[0][0])
                 multiprocessing.connection.wait(
-                    [waitable for worker, _, _ in busy.values() for waitable
+                    [waitable for worker, _ in busy.values() for waitable
                      in (worker.conn, worker.process.sentinel)],
                     max(0.0, min(due) - time.monotonic()) if due else None)
-                for index, (worker, deadline, attempt) in list(busy.items()):
+                for index, (worker, deadline) in list(busy.items()):
                     if worker.conn.poll():
                         try:
                             status, seconds, pid, payload = worker.conn.recv()
@@ -460,23 +416,9 @@ class BatchExecutor:
                             f"terminated")
                     else:
                         idle.append(worker)
-                    if status != "ok" and attempt <= self.max_retries:
-                        delay = self.retry_delay(hashes[index], attempt)
-                        heapq.heappush(pending, (time.monotonic() + delay,
-                                                 index, attempt + 1))
-                    else:
-                        settle(hashes[index], status, seconds, pid, payload,
-                               attempt)
+                    settle(hashes[index], status, seconds, pid, payload)
         finally:
             for worker in idle:
                 worker.close(stop=True)
-            for worker, _, _ in busy.values():
+            for worker, _ in busy.values():
                 worker.close(stop=False)
-
-
-def run_batch(specs: Sequence[ScenarioSpec],
-              workers: Optional[int] = None,
-              cache: Optional[ResultCache] = None) -> List[Any]:
-    """Execute a batch of specs with a throwaway executor."""
-    return BatchExecutor(workers=workers, cache=cache).run(specs)
-

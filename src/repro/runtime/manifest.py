@@ -1,6 +1,6 @@
 """Declarative campaign manifests: experiments × grids × seeds.
 
-A campaign manifest is a TOML (or JSON) file describing a grid of
+A campaign manifest is a TOML file describing a grid of
 scenarios across one or more experiment drivers.  It expands into a list
 of :class:`CampaignCell` — a stable cell id plus a canonical
 :class:`~repro.runtime.spec.ScenarioSpec` — which the campaign runner
@@ -10,12 +10,11 @@ Schema (TOML spelling)::
 
     [campaign]
     name = "smoke"          # required; names the output directory
-    seeds = [0, 1]          # optional: default seed axis for experiments
+    seeds = [0, 1]          # optional: a seed axis for every experiment
 
     [[experiment]]
     id = "flap"             # required, unique per manifest
     driver = "link_flap"    # experiment id, or a dotted "module:callable"
-    seeds = [0]             # optional: overrides the campaign seeds
 
     [experiment.params]     # fixed parameters, passed to every cell
     duration = 4
@@ -25,11 +24,8 @@ Schema (TOML spelling)::
     period = [2, 4]         # are the cross product, in declared order
     depth = [0.5, 1.0]
 
-    [[experiment.include]]  # optional: keep only cells matching at least
-    depth = 1.0             # one include row (all listed params equal)
-
-    [[experiment.exclude]]  # optional: drop cells matching any row;
-    period = 2              # applied after include
+    [[experiment.exclude]]  # optional: drop cells matching any row
+    period = 2              # (all listed params equal)
     depth = 0.5
 
 Each block's grid is expanded by :func:`repro.runtime.spec.expand_grid`
@@ -51,8 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -61,8 +56,7 @@ from .spec import ScenarioSpec, canonicalize, expand_grid
 #: Keys accepted at each level; anything else is a spelling mistake and
 #: rejected loudly rather than silently ignored.
 _CAMPAIGN_KEYS = frozenset({"name", "seeds"})
-_EXPERIMENT_KEYS = frozenset({"id", "driver", "params", "axes", "seeds",
-                              "include", "exclude"})
+_EXPERIMENT_KEYS = frozenset({"id", "driver", "params", "axes", "exclude"})
 _TOP_KEYS = frozenset({"campaign", "experiment"})
 
 
@@ -104,8 +98,7 @@ def _scalar_list(value: Any, where: str) -> Tuple[Any, ...]:
 
 
 def _matches(params: Mapping[str, Any], row: Mapping[str, Any]) -> bool:
-    """Whether a cell's (canonical) parameters satisfy one include/exclude
-    row."""
+    """Whether a cell's (canonical) parameters satisfy one exclude row."""
     return all(name in params and params[name] == canonicalize(value)
                for name, value in row.items())
 
@@ -118,8 +111,6 @@ class ExperimentBlock:
     driver: str
     params: Tuple[Tuple[str, Any], ...] = ()
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
-    seeds: Optional[Tuple[int, ...]] = None
-    include: Tuple[Tuple[Tuple[str, Any], ...], ...] = ()
     exclude: Tuple[Tuple[Tuple[str, Any], ...], ...] = ()
 
 
@@ -138,7 +129,7 @@ class CampaignManifest:
 
     Attributes:
         name: Campaign name (output directory / journal naming).
-        seeds: Campaign-level default seed axis (may be ``None``).
+        seeds: Campaign-level seed axis of every block (may be ``None``).
         experiments: The validated experiment blocks, in file order.
         path: Source file, when loaded from disk.
         digest: Content hash of the manifest source (summary provenance).
@@ -149,35 +140,24 @@ class CampaignManifest:
     seeds: Optional[Tuple[int, ...]] = None
     path: Optional[Path] = None
     digest: str = ""
-    _raw: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
     # Parsing
     # ------------------------------------------------------------------ #
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignManifest":
-        """Parse a ``.toml`` or ``.json`` manifest file."""
+        """Parse a TOML manifest file."""
         path = Path(path)
         try:
             raw = path.read_bytes()
         except OSError as error:
             raise ManifestError(f"cannot read manifest {path}: {error}")
-        suffix = path.suffix.lower()
-        if suffix == ".toml":
-            import tomllib
+        import tomllib
 
-            try:
-                data = tomllib.loads(raw.decode("utf-8"))
-            except tomllib.TOMLDecodeError as error:
-                raise ManifestError(f"{path}: invalid TOML: {error}")
-        elif suffix == ".json":
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise ManifestError(f"{path}: invalid JSON: {error}")
-        else:
-            raise ManifestError(
-                f"manifest must be .toml or .json, got {path.name!r}")
+        try:
+            data = tomllib.loads(raw.decode("utf-8"))
+        except tomllib.TOMLDecodeError as error:
+            raise ManifestError(f"{path}: invalid TOML: {error}")
         manifest = cls.from_mapping(data)
         manifest.path = path
         manifest.digest = hashlib.sha256(raw).hexdigest()[:16]
@@ -235,24 +215,16 @@ class CampaignManifest:
                          f"axis")
                 axes.append((axis, _scalar_list(
                     values, f"{where}: axes.{axis}")))
-            block_seeds = block.get("seeds")
-            if block_seeds is not None:
-                block_seeds = tuple(int(s) for s in _scalar_list(
-                    block_seeds, f"{where}: seeds"))
-            include = block.get("include", [])
             exclude = block.get("exclude", [])
-            for label, rows in (("include", include), ("exclude", exclude)):
-                _require(isinstance(rows, list) and all(
-                    isinstance(row, Mapping) for row in rows),
-                    f"{where}: {label} must be a list of tables")
+            _require(isinstance(exclude, list) and all(
+                isinstance(row, Mapping) for row in exclude),
+                f"{where}: exclude must be a list of tables")
             blocks.append(ExperimentBlock(
                 id=block_id, driver=driver,
                 params=tuple(sorted(params.items())),
-                axes=tuple(axes), seeds=block_seeds,
-                include=tuple(tuple(sorted(r.items())) for r in include),
+                axes=tuple(axes),
                 exclude=tuple(tuple(sorted(r.items())) for r in exclude)))
-        return cls(name=name, experiments=blocks, seeds=seeds,
-                   _raw=dict(data))
+        return cls(name=name, experiments=blocks, seeds=seeds)
 
     # ------------------------------------------------------------------ #
     # Expansion
@@ -272,17 +244,13 @@ class CampaignManifest:
                 else resolve(block.driver)
             base: Dict[str, Any] = dict(block.params)
             axes: Dict[str, Tuple[Any, ...]] = dict(block.axes)
-            seeds = block.seeds if block.seeds is not None else self.seeds
-            if seeds is not None:
+            if self.seeds is not None:
                 _require("seed" not in axes and "seed" not in base,
                          f"experiment {block.id!r}: seeds given while "
                          f"'seed' is already a param or axis")
-                axes["seed"] = seeds
+                axes["seed"] = self.seeds
             for spec in expand_grid(fn, base, axes):
                 params = dict(spec.params)
-                if block.include and not any(
-                        _matches(params, dict(row)) for row in block.include):
-                    continue
                 if any(_matches(params, dict(row)) for row in block.exclude):
                     continue
                 cell_id = f"{block.id}[{spec.label}]" if axes else block.id

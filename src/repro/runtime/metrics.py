@@ -43,7 +43,8 @@ Record schema (``schema_version`` = :data:`METRICS_SCHEMA_VERSION`):
     without reporting).  Failures are never cached, so a failed spec is
     always ``cache="miss"``.
 ``attempts``
-    Execution attempts consumed, including retries; ``0`` for cache hits.
+    ``0`` for cache hits and ``1`` otherwise: a spec gets one execution
+    per batch.
 ``error``
     ``None`` when ``outcome`` is ``"ok"``; otherwise the last line of the
     failure's diagnostic (the exception, for a raising spec).
@@ -79,7 +80,6 @@ def metrics_record(spec: ScenarioSpec, *, spec_hash: str, cache: str,
                    seconds: Optional[float] = None,
                    worker_pid: Optional[int] = None,
                    dedup: bool = False, outcome: str = "ok",
-                   attempts: Optional[int] = None,
                    error: Optional[str] = None) -> dict:
     """Build one schema-conformant record for ``spec``.
 
@@ -108,8 +108,7 @@ def metrics_record(spec: ScenarioSpec, *, spec_hash: str, cache: str,
         "ticks": ticks,
         "ticks_per_sec": ticks_per_sec,
         "outcome": outcome,
-        "attempts": (0 if cache == "hit" else 1)
-        if attempts is None else attempts,
+        "attempts": 0 if cache == "hit" else 1,
         "error": error,
     }
     validate_metrics_record(record)
@@ -198,7 +197,6 @@ def tally(records: Iterable[dict]) -> Dict[str, Optional[float]]:
         "executed": len(executed),
         "deduped": sum(r["dedup"] for r in records),
         "failures": sum(r["outcome"] != "ok" for r in records),
-        "retried": sum(r["attempts"] > 1 for r in records),
         "workers": len(workers),
         "total_seconds": sum(seconds) if seconds else 0.0,
         "mean_ticks_per_sec": (sum(rates) / len(rates)) if rates else None,

@@ -460,7 +460,7 @@ class FluidLinkState:
         self.loss_debt = 0.0
 
     # ------------------------------------------------------------------ #
-    # Aggregate counters (the audit's fluid terms)
+    # Aggregate backlog (what the link's queue delay counts)
     # ------------------------------------------------------------------ #
     @property
     def backlog(self) -> float:
@@ -468,18 +468,6 @@ class FluidLinkState:
         for cls in self.classes:
             total += cls.backlog
         return total
-
-    @property
-    def total_offered(self) -> float:
-        return sum(cls.total_offered for cls in self.classes)
-
-    @property
-    def total_served(self) -> float:
-        return sum(cls.total_served for cls in self.classes)
-
-    @property
-    def total_dropped(self) -> float:
-        return sum(cls.total_dropped for cls in self.classes)
 
     # ------------------------------------------------------------------ #
     # Service sharing (called by BottleneckLink.service)

@@ -78,11 +78,6 @@ class FiniteSource(Source):
         self._unsent += nbytes
 
     @property
-    def delivered(self) -> float:
-        """Bytes delivered so far."""
-        return self._delivered
-
-    @property
     def finished(self) -> bool:
         # Under one byte the sender cannot emit (``Flow.emit``'s floor).
         return self._unsent < 1.0 and self._delivered >= self.size_bytes - 1.0

@@ -61,7 +61,6 @@ from heapq import heappop, heappush
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -919,11 +918,6 @@ class TopologyNetwork:
     # ------------------------------------------------------------------ #
     # Queries used by experiments
     # ------------------------------------------------------------------ #
-    def active_flows(self) -> Iterable[Flow]:
-        """Flows that have started and not yet completed."""
-        flows = self.flows
-        return (flows[i] for i in self._active if flows[i].active)
-
     def active_flow_ids(self) -> List[int]:
         """Sorted ids of started, unfinished flows (a fresh list).
 

@@ -12,10 +12,9 @@ series — mean queueing delay, served throughput, drop rate, and queue
 occupancy — sampled from the links' own byte counters, so a parking-lot
 experiment can ask *which* hop queued or dropped, not just whether the
 monitor hop did (``link_queue_delay_series("hop2")`` and friends).
-Fluid classes get offered / served / dropped series the same way, and by
-the same code: one :class:`_CounterRecord` per source differences that
-source's monotone byte counters at bin boundaries, whatever the source
-is, and :meth:`Recorder._counter_bins` reads any of them back.
+One :class:`_CounterRecord` per link differences that link's monotone
+byte counters at bin boundaries, and :meth:`Recorder._counter_bins` reads
+any of them back.  Fluid classes get no series of their own.
 
 Bins are stored as growable lists indexed by bin number rather than
 dict-of-bin mappings: simulation time only moves forward, so the bin index

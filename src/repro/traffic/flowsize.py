@@ -71,10 +71,6 @@ class HeavyTailedFlowSizes:
     # ------------------------------------------------------------------ #
     # Moments (analytical, used to size the arrival rate for a target load)
     # ------------------------------------------------------------------ #
-    def mean_bytes(self) -> float:
-        """Approximate mean flow size of the mixture (bytes)."""
-        return wan_mixture.mean_bytes()
-
     def arrival_rate_for_load(self, link_rate: float, load: float) -> float:
         """Poisson flow-arrival rate (flows/s) offering ``load * link_rate``."""
         if not 0.0 < load:

@@ -75,7 +75,6 @@ class WanTrafficGenerator:
         self._rng = random.Random(config.seed)
         self._arrival_rate = self.flow_sizes.arrival_rate_for_load(
             config.link_rate, config.load)
-        self._stopped = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -84,16 +83,10 @@ class WanTrafficGenerator:
         """Schedule the first arrival."""
         self.network.schedule_call(at + self._next_gap(), self._on_arrival)
 
-    def stop(self) -> None:
-        """Stop creating new flows (existing ones run to completion)."""
-        self._stopped = True
-
     # ------------------------------------------------------------------ #
     # Arrival handling
     # ------------------------------------------------------------------ #
     def _on_arrival(self, now: float) -> None:
-        if self._stopped:
-            return
         live = self._live = [flow for flow in self._live
                              if not flow._finished]
         active = sum(1 for flow in live if flow._started)

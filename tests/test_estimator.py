@@ -96,7 +96,8 @@ class TestCrossTrafficEstimator:
         est = CrossTrafficEstimator(MU)
         assert est.maybe_sample(0.0, _Rates(0.5 * MU, 0.25 * MU)) == \
             pytest.approx(MU)
-        z, s, r = est.latest()
+        z, s, r = (est.z_series()[-1], est.s_series()[-1],
+                   est.r_series()[-1])
         assert s == pytest.approx(0.5 * MU)
         assert r == pytest.approx(0.25 * MU)
         # The raw Eq. (1) value (1.5 mu) exceeds the link rate, so the
@@ -104,7 +105,10 @@ class TestCrossTrafficEstimator:
         assert z == pytest.approx(MU)
 
     def test_latest_empty(self):
-        assert CrossTrafficEstimator(MU).latest() == (0.0, 0.0, 0.0)
+        est = CrossTrafficEstimator(MU)
+        assert len(est) == 0
+        for series in (est.z_series(), est.s_series(), est.r_series()):
+            assert series.shape == (0,)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""Hardened-executor tests: crash isolation, timeouts, retries, re-runs.
+"""Hardened-executor tests: crash isolation, timeouts, re-runs.
 
 Every failing spec here comes from :mod:`repro.experiments.selftest`,
-whose failure modes (raise, sleep, hard exit, fail-N-times-then-succeed)
-are part of its parameter space — so these tests drive the executor
-exactly the way a campaign's ``--timeout``/``--max-retries`` do.
+whose failure modes (raise, sleep, hard exit, stall-on-first-run) are part
+of its parameter space — so these tests drive the executor exactly the
+way a campaign's ``--timeout`` and failure rows do.  A spec gets one
+attempt per batch; the next run of the batch is what re-executes it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
 
 import pytest
 
@@ -29,7 +29,6 @@ from repro.runtime.cache import MISS, ResultCache
 from repro.runtime.metrics import tally, validate_metrics_record
 
 RUN = "repro.experiments.selftest:run"
-FLAKY = "repro.experiments.selftest:flaky_run"
 SLEEPY = "repro.experiments.selftest:sleepy_run"
 HARD_EXIT = "repro.experiments.selftest:hard_exit"
 
@@ -61,15 +60,6 @@ def forked(monkeypatch):
     return pids
 
 
-@pytest.fixture
-def backoff(monkeypatch):
-    """Set the retry backoff constants: ``backoff(base[, cap])``."""
-    def set_backoff(base, cap=executor_module.RETRY_BACKOFF_MAX):
-        monkeypatch.setattr(executor_module, "RETRY_BACKOFF", base)
-        monkeypatch.setattr(executor_module, "RETRY_BACKOFF_MAX", cap)
-    return set_backoff
-
-
 class TestCrashIsolation:
     def test_raising_spec_recorded_siblings_complete(self):
         executor = BatchExecutor(workers=2, on_error="record")
@@ -80,7 +70,6 @@ class TestCrashIsolation:
         failure = results[1]
         assert isinstance(failure, SpecFailure)
         assert failure.outcome == "error"
-        assert failure.attempts == 1
         assert "deliberate crash" in failure.error
         assert "RuntimeError" in failure.error  # full traceback
         assert failure.fn == RUN
@@ -117,6 +106,10 @@ class TestCrashIsolation:
         executor2.run([spec])
         assert _outcomes(executor2) == [("miss", "error", 1)]
 
+    def test_invalid_on_error_rejected(self):
+        with pytest.raises(ValueError, match="on_error"):
+            BatchExecutor(on_error="ignore")
+
 
 class TestTimeout:
     def test_hung_spec_terminated_and_recorded(self):
@@ -134,73 +127,6 @@ class TestTimeout:
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
             BatchExecutor(timeout=0.0)
-
-
-class TestRetries:
-    def test_flaky_spec_retries_then_succeeds_and_caches(self, tmp_path,
-                                                         backoff):
-        backoff(0.01)
-        marker = str(tmp_path / "flaky-marker")
-        spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=2)
-        executor = BatchExecutor(workers=1, max_retries=2,
-                                 on_error="record")
-        result = executor.run([spec])[0]
-        assert not isinstance(result, SpecFailure)
-        assert result.data["attempts"] == 3
-        assert _outcomes(executor) == [("miss", "ok", 3)]
-        # The eventual success landed in the cache.
-        executor2 = BatchExecutor(workers=1, max_retries=2,
-                                  on_error="record")
-        executor2.run([spec])
-        assert _outcomes(executor2) == [("hit", "ok", 0)]
-
-    def test_retries_exhausted_reports_attempt_count(self, tmp_path,
-                                                     backoff):
-        backoff(0.01)
-        marker = str(tmp_path / "stubborn-marker")
-        spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=10)
-        executor = BatchExecutor(workers=1, max_retries=1,
-                                 on_error="record")
-        failure = executor.run([spec])[0]
-        assert isinstance(failure, SpecFailure)
-        assert failure.attempts == 2
-        assert "transient failure 2/10" in failure.summary
-
-    def test_invalid_retry_settings_rejected(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            BatchExecutor(max_retries=-1)
-        with pytest.raises(ValueError, match="on_error"):
-            BatchExecutor(on_error="ignore")
-
-
-class TestRetryJitter:
-    """Seeded full-jitter backoff: deterministic, bounded, capped."""
-
-    def test_delay_deterministic_per_spec_and_attempt(self, backoff):
-        backoff(0.5)
-        executor = BatchExecutor(max_retries=3)
-        twin = BatchExecutor(max_retries=3)
-        for attempt in (1, 2, 3):
-            delay = executor.retry_delay("a" * 64, attempt)
-            assert delay == twin.retry_delay("a" * 64, attempt)
-        # Different specs and attempts draw different jitter.
-        draws = {executor.retry_delay(hash_ * 64, attempt)
-                 for hash_ in "ab" for attempt in (1, 2, 3)}
-        assert len(draws) == 6
-
-    def test_delay_bounded_by_exponential_ceiling(self, backoff):
-        backoff(0.5, 8.0)
-        executor = BatchExecutor(max_retries=8)
-        for attempt in range(1, 9):
-            ceiling = min(8.0, 0.5 * 2 ** (attempt - 1))
-            delay = executor.retry_delay("c" * 64, attempt)
-            assert 0.0 <= delay <= ceiling
-
-    def test_cap_applies_to_late_attempts(self, backoff):
-        backoff(1.0, 2.0)
-        executor = BatchExecutor(max_retries=64)
-        # 2**63 seconds without the cap; with it, never above 2s.
-        assert executor.retry_delay("d" * 64, 64) <= 2.0
 
 
 class TestBitIdentity:
@@ -243,7 +169,6 @@ class TestBitIdentity:
         executor = BatchExecutor(workers=1)
         assert not executor.hardened
         assert BatchExecutor(workers=1, timeout=1.0).hardened
-        assert BatchExecutor(workers=1, max_retries=1).hardened
         assert BatchExecutor(workers=1, on_error="record").hardened
 
 
@@ -333,7 +258,7 @@ class TestDeadlineAwareWait:
         """``(objects waited on, timeout)`` of every ``connection.wait``.
 
         ``poll`` and ``join`` wait on one object; the scheduler waits on a
-        pipe and a sentinel per busy worker — or on nothing, to back off.
+        pipe and a sentinel per busy worker.
         """
         calls = []
         real_wait = multiprocessing.connection.wait
@@ -351,24 +276,6 @@ class TestDeadlineAwareWait:
         BatchExecutor(workers=1, on_error="record").run(
             [_spec(seed=1, sleep=0.5)])
         assert [timeout for count, timeout in waits if count == 2] == [None]
-
-    def test_retry_waits_out_its_backoff_without_slop(self, tmp_path, waits,
-                                                      backoff):
-        backoff(0.6)
-        marker = str(tmp_path / "flaky-marker")
-        spec = ScenarioSpec.make(FLAKY, marker=marker, fail_times=1)
-        executor = BatchExecutor(workers=1, max_retries=1,
-                                 on_error="record")
-        delay = executor.retry_delay(spec.spec_hash(), 1)
-        begin = time.monotonic()
-        executor.run([spec])
-        elapsed = time.monotonic() - begin
-        assert _outcomes(executor) == [("miss", "ok", 2)]
-        assert elapsed >= delay
-        # The back-off is one sleep on no worker, sized to the not-before.
-        backoffs = [timeout for count, timeout in waits if count == 0]
-        assert len(backoffs) == 1
-        assert backoffs[0] == pytest.approx(delay, abs=0.02)
 
 
 class TestMetricsV2:

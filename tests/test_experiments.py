@@ -293,7 +293,7 @@ class TestOneWayToFanOut:
         """(c) An ``ast`` walk, as ``check_option_census.py`` does."""
         import repro.experiments
 
-        runtime_names = {"ScenarioSpec", "run_batch", "BatchExecutor"}
+        runtime_names = {"ScenarioSpec", "BatchExecutor"}
         package = pathlib.Path(repro.experiments.__file__).parent
         offenders = {}
         for path in sorted(package.glob("*.py")):
@@ -408,7 +408,7 @@ class TestPaperSuite:
     def test_benchmarks_call_front_ends_not_the_batch_runtime(self):
         """No second executor and no timing plugin: a benchmark names no
         runtime class and takes no ``benchmark`` fixture."""
-        banned = {"ScenarioSpec", "BatchExecutor", "run_batch", "benchmark"}
+        banned = {"ScenarioSpec", "BatchExecutor", "benchmark"}
         offenders = {}
         for path in PAPER_SUITE:
             named = set()

@@ -102,6 +102,14 @@ class TestOptionCensus:
         # Set by tests only, so unset as far as the census looks.
         assert "Cubic.fast_convergence" in unset
 
+    def test_a_classmethod_calling_cls_sets_the_class_options(self):
+        """``ScenarioSpec.make`` and ``CampaignManifest.from_mapping`` build
+        their instance as ``cls(...)``: the only call that sets these."""
+        unset = census.unset_options()
+        for option in ("ScenarioSpec.label", "ScenarioSpec.params",
+                       "CampaignManifest.seeds"):
+            assert option not in unset
+
     def test_an_unexplained_or_stale_entry_fails(self, tmp_path, monkeypatch,
                                                  capsys):
         allowed = json.loads(census.ALLOW_LIST.read_text())
@@ -186,7 +194,7 @@ class TestReach:
         f"repro.experiments.selftest.{name}":
             "executor test fixture, resolved by dotted path in "
             "tests/test_executor_robust.py"
-        for name in ("flaky_run", "sleepy_run", "hard_exit")}
+        for name in ("sleepy_run", "hard_exit")}
 
     def test_every_public_name_is_reached_or_explained(self):
         assert unreached() == sorted(self.ALLOWED)

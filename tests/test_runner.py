@@ -35,7 +35,7 @@ def test_list_describes_an_id_that_shares_a_module_by_its_function(capsys):
 def test_fig20_runs_appendix_a_not_fig18(capsys):
     """The registry names the function: ``fig20`` used to resolve to
     ``internet_paths:run`` and print Fig. 18's table."""
-    assert runner.main(["fig20", "--duration", "4", "--dt", "0.004"]) == 0
+    assert runner.main(["fig20", "--duration", "4", "--set", "dt=0.004"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("== fig20_inelastic_paths ==")
     assert "nimbus-delay" in out and "fig18" not in out
@@ -43,6 +43,14 @@ def test_fig20_runs_appendix_a_not_fig18(capsys):
 
 def test_unknown_experiment():
     assert runner.main(["figXX"]) == 2
+
+
+def test_the_tick_is_a_set_override(toy_index):
+    """``--set dt=`` is the one spelling of the tick; ``--dt`` is a usage
+    error."""
+    with pytest.raises(SystemExit) as exit_info:
+        runner.main(["toy", "--dt", "0.004"])
+    assert exit_info.value.code == 2
 
 
 def test_parse_overrides():
@@ -92,7 +100,7 @@ def test_sweep_unknown_experiment(capsys):
 
 @pytest.mark.slow
 def test_runs_a_small_experiment(capsys):
-    code = runner.main(["fig23", "--dt", "0.004", "--duration", "15",
+    code = runner.main(["fig23", "--set", "dt=0.004", "--duration", "15",
                         "--set", "seed=1"])
     assert code == 0
     out = capsys.readouterr().out

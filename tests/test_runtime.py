@@ -14,11 +14,20 @@ from repro.runtime import (
     BatchExecutor,
     ResultCache,
     ScenarioSpec,
-    run_batch,
     tally,
 )
-from repro.runtime.cache import MISS, source_digest
+from repro.runtime import depgraph
+from repro.runtime.cache import MISS
 from repro.runtime.spec import canonicalize, expand_grid
+
+#: A real target: the cache keys an entry by its module's digest.
+FN = "repro.experiments.selftest:run"
+
+
+def _module_dir(root):
+    """Where ``FN``'s entries live under the cache root ``root``."""
+    digest = depgraph.default_graph().digest_for(FN.partition(":")[0])
+    return root / f"mod-{digest}"
 
 
 # --------------------------------------------------------------------- #
@@ -102,16 +111,16 @@ def test_expand_grid_cross_product():
 # --------------------------------------------------------------------- #
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
-    assert cache.get("abc") is MISS
-    assert cache.put("abc", pickle.dumps({"x": 1}))
-    assert cache.get("abc") == {"x": 1}
+    assert cache.get("abc", FN) is MISS
+    assert cache.put("abc", pickle.dumps({"x": 1}), FN)
+    assert cache.get("abc", FN) == {"x": 1}
 
 
 def test_cache_disabled_via_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     cache = ResultCache(directory=tmp_path)
-    assert not cache.put("abc", pickle.dumps(42))
-    assert cache.get("abc") is MISS
+    assert not cache.put("abc", pickle.dumps(42), FN)
+    assert cache.get("abc", FN) is MISS
     assert list(tmp_path.iterdir()) == []
 
 
@@ -128,25 +137,25 @@ def test_cache_env_spellings(monkeypatch):
 
 def test_cache_ignores_corrupt_entries(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
-    cache.put("abc", pickle.dumps(42))
-    (tmp_path / source_digest() / "abc.pkl").write_bytes(b"not a pickle")
-    assert cache.get("abc") is MISS
+    cache.put("abc", pickle.dumps(42), FN)
+    (_module_dir(tmp_path) / "abc.pkl").write_bytes(b"not a pickle")
+    assert cache.get("abc", FN) is MISS
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
     cache = ResultCache()
-    cache.put("abc", pickle.dumps(1))
-    assert (tmp_path / "elsewhere" / source_digest() / "abc.pkl").exists()
+    cache.put("abc", pickle.dumps(1), FN)
+    assert (_module_dir(tmp_path / "elsewhere") / "abc.pkl").exists()
 
 
-def test_only_an_unresolvable_target_falls_back_to_the_package_digest(
-        tmp_path):
+def test_an_unresolvable_target_is_never_cached(tmp_path):
     from repro.runtime import DependencyGraph
 
     cache = ResultCache(directory=tmp_path, enabled=True)
-    assert cache.put("abc", pickle.dumps(1), "no_such_package.mod:run")
-    assert (tmp_path / source_digest() / "abc.pkl").exists()
+    assert not cache.put("abc", pickle.dumps(1), "no_such_package.mod:run")
+    assert cache.get("abc", "no_such_package.mod:run") is MISS
+    assert list(tmp_path.iterdir()) == []
 
     class BrokenGraph(DependencyGraph):
         def digest_for(self, module):
@@ -161,16 +170,17 @@ def test_only_an_unresolvable_target_falls_back_to_the_package_digest(
 
 def test_corrupt_entry_is_deleted_and_reported(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
-    cache.put("abc", pickle.dumps(42))
-    path = tmp_path / source_digest() / "abc.pkl"
+    cache.put("abc", pickle.dumps(42), FN)
+    path = _module_dir(tmp_path) / "abc.pkl"
     path.write_bytes(b"not a pickle")
-    assert cache.get("abc") is MISS
+    assert cache.get("abc", FN) is MISS
     # The bad entry must not shadow its slot forever.
     assert not path.exists()
     assert cache.take_corrupt() == {"abc"}
     assert cache.take_corrupt() == set()
     # The slot is immediately writable again.
-    assert cache.put("abc", pickle.dumps(43)) and cache.get("abc") == 43
+    assert cache.put("abc", pickle.dumps(43), FN)
+    assert cache.get("abc", FN) == 43
 
 
 # --------------------------------------------------------------------- #
@@ -238,9 +248,9 @@ def test_cache_disabled_still_pickles_each_miss_once(payload_dumps):
 def test_put_pickled_writes_the_bytes_verbatim(tmp_path):
     cache = ResultCache(directory=tmp_path, enabled=True)
     data = pickle.dumps({"x": 1}, protocol=2)  # not the protocol put() uses
-    assert cache.put("abc", data)
-    assert (tmp_path / source_digest() / "abc.pkl").read_bytes() == data
-    assert cache.get("abc") == {"x": 1}
+    assert cache.put("abc", data, FN)
+    assert (_module_dir(tmp_path) / "abc.pkl").read_bytes() == data
+    assert cache.get("abc", FN) == {"x": 1}
 
 
 def test_pooled_run_populates_the_shared_cache(tmp_path):
@@ -316,8 +326,31 @@ def test_workers_env_is_honoured(monkeypatch):
 
 def test_run_batch_preserves_order(tmp_path):
     specs = list(reversed(_batch(3)))
-    results = run_batch(specs, workers=1, cache=ResultCache(enabled=False))
+    results = BatchExecutor(workers=1,
+                            cache=ResultCache(enabled=False)).run(specs)
     assert [r.data["seed"] for r in results] == [2, 1, 0]
+
+
+def test_an_unresolvable_target_reruns_after_an_edit(tmp_path, monkeypatch):
+    """A module the dependency graph cannot resolve (here a namespace
+    package: no ``__init__.py``) has no cache key, so an edit to it is
+    never hidden behind a stale entry: each run executes it afresh."""
+    package = tmp_path / "nspkg_probe"
+    package.mkdir()
+    module = package / "mod.py"
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    cache_dir = tmp_path / "cache"
+    spec = ScenarioSpec.make("nspkg_probe.mod:run")
+    seen = []
+    for version in ("v1", "version two"):
+        module.write_text(f"def run():\n    return {version!r}\n")
+        for name in ("nspkg_probe.mod", "nspkg_probe"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        cache = ResultCache(directory=cache_dir, enabled=True)
+        seen += BatchExecutor(workers=1, cache=cache).run([spec])
+    assert seen == ["v1", "version two"]
+    assert not cache_dir.exists() or list(cache_dir.rglob("*")) == []
 
 
 # --------------------------------------------------------------------- #
