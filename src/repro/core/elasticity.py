@@ -18,12 +18,17 @@ pulser is active, and at which of the two agreed frequencies it is pulsing,
 by examining the FFT of their own receive rate.
 
 One window is transformed once: :class:`Spectrum` is the only caller of
-``np.fft`` in the package, and every reading comes off the one built.
+``np.fft.rfft`` in the package, and every reading comes off the one built.
+What depends only on the window's size and spacing — the frequency axis,
+the bin nearest a frequency, the bins inside a band — is a pure function of
+those numbers, computed once per process and shared read-only by every
+spectrum of that shape, so a reading costs an index, not a scan of the axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +44,42 @@ DEFAULT_FFT_DURATION = 5.0
 DEFAULT_THRESHOLD = 2.0
 
 
+#: Frequency plans kept per process: the (size, spacing) shapes and the
+#: frequencies read at them.  A run reads a handful of each; the bound only
+#: keeps a sweep over many spacings from growing the caches without end.
+_PLAN_CACHE = 1024
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _frequencies(size: int, spacing: float) -> np.ndarray:
+    """``rfftfreq(size, spacing)``, read-only: every spectrum of this shape
+    shares the one array."""
+    freqs = np.fft.rfftfreq(size, d=spacing)
+    freqs.flags.writeable = False
+    return freqs
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _nearest_bin(size: int, spacing: float, frequency: float) -> int:
+    """Index of the bin closest to ``frequency`` (the first of a tie)."""
+    freqs = _frequencies(size, spacing)
+    return int(np.argmin(np.abs(freqs - frequency)))
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _band(size: int, spacing: float, low: float,
+          high: float) -> Optional[slice]:
+    """The bins with frequency strictly inside (low, high), or None.
+
+    The axis is monotone, so those bins are one contiguous run.
+    """
+    freqs = _frequencies(size, spacing)
+    inside = np.flatnonzero((freqs > low) & (freqs < high))
+    if inside.size == 0:
+        return None
+    return slice(int(inside[0]), int(inside[-1]) + 1)
+
+
 class Spectrum:
     """One-sided magnitude spectrum (``freqs``, ``mags``) of one window.
 
@@ -47,7 +88,8 @@ class Spectrum:
     sinusoid of amplitude ``a`` appears with magnitude ``~a/2`` regardless
     of window length (the absolute scale cancels in the elasticity ratio
     anyway).  Fewer than four samples make an empty spectrum, which reads
-    0.0 everywhere.
+    0.0 everywhere.  A non-empty ``freqs`` is shared by every spectrum of
+    the same size and spacing, and is read-only.
     """
 
     def __init__(self, samples: Sequence[float],
@@ -59,21 +101,24 @@ class Spectrum:
             self.freqs = self.mags = np.array([])
             return
         x = x - x.mean()
-        self.freqs = np.fft.rfftfreq(x.size, d=sample_interval)
+        self.freqs = _frequencies(x.size, sample_interval)
         self.mags = np.abs(np.fft.rfft(x)) / x.size
 
     def at(self, frequency: float) -> float:
         """Magnitude of the bin closest to ``frequency``."""
         if self.freqs.size == 0:
             return 0.0
-        return float(self.mags[int(np.argmin(np.abs(self.freqs - frequency)))])
+        return float(self.mags[_nearest_bin(self.size, self.sample_interval,
+                                             frequency)])
 
     def peak_between(self, low: float, high: float) -> float:
         """Largest magnitude with frequency strictly inside (low, high)."""
-        mask = (self.freqs > low) & (self.freqs < high)
-        if not mask.any():
+        if self.freqs.size == 0:
             return 0.0
-        return float(self.mags[mask].max())
+        band = _band(self.size, self.sample_interval, low, high)
+        if band is None:
+            return 0.0
+        return float(self.mags[band].max())
 
     def eta(self, pulse_frequency: float) -> float:
         """The elasticity metric (Eq. 3) for pulses at ``pulse_frequency``.
@@ -125,6 +170,14 @@ def pulse_sent(times: Sequence[float], send_rates: Sequence[float],
     return magnitude, (magnitude / scheduled if scheduled > 0.0 else 0.0)
 
 
+def _trailing(samples: Sequence[float], count: int) -> np.ndarray:
+    """The last ``count`` samples; none at all when ``count`` is 0 (a
+    window shorter than one sample), where ``x[-0:]`` would read every
+    sample."""
+    x = np.asarray(samples, dtype=float)
+    return x[max(x.size - count, 0):]
+
+
 @dataclass
 class DetectionResult:
     """Outcome of one elasticity evaluation."""
@@ -161,7 +214,7 @@ class ElasticityDetector:
 
     def evaluate(self, z_samples: Sequence[float]) -> DetectionResult:
         """Classify the given z series (uses the trailing FFT window)."""
-        x = np.asarray(z_samples, dtype=float)[-self.window_samples:]
+        x = _trailing(z_samples, self.window_samples)
         eta = Spectrum(x, self.sample_interval).eta(self.pulse_frequency)
         return DetectionResult(eta=eta, elastic=eta >= self.threshold)
 
@@ -201,7 +254,7 @@ class PulserDetector:
         ``mode`` is :data:`MODE_COMPETITIVE` or :data:`MODE_DELAY` when a
         pulser is detected, and None otherwise.
         """
-        x = np.asarray(rate_samples, dtype=float)[-self.window_samples:]
+        x = _trailing(rate_samples, self.window_samples)
         spectrum = Spectrum(x, self.sample_interval)
         eta_c = spectrum.eta(self.competitive_frequency)
         eta_d = spectrum.eta(self.delay_frequency)

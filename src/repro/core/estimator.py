@@ -13,14 +13,14 @@ arriving traffic, which is what the formula inverts.
 :class:`CrossTrafficEstimator` additionally keeps a regularly sampled time
 series of the estimates — the signal whose FFT the elasticity detector
 inspects — together with the matched samples of ``S`` and ``R`` needed by
-the pulser-conflict check of §6.
+the pulser-conflict check of §6.  The four series are the rows of one
+preallocated array, so reading the trailing FFT window at every sample is a
+slice copy, not a walk over Python floats.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
-from typing import Deque, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,10 +62,12 @@ class CrossTrafficEstimator:
         self.mu = mu
         self.sample_interval = sample_interval
         self.maxlen = max(2, int(round(history / sample_interval)))
-        self._z: Deque[float] = deque(maxlen=self.maxlen)
-        self._s: Deque[float] = deque(maxlen=self.maxlen)
-        self._r: Deque[float] = deque(maxlen=self.maxlen)
-        self._times: Deque[float] = deque(maxlen=self.maxlen)
+        #: Rows z, S, R, t; columns ``_start:_end`` hold the newest
+        #: ``maxlen`` samples, oldest first.  Twice ``maxlen`` wide, so the
+        #: retained samples are moved to the front only once per ``maxlen``
+        #: appends.
+        self._rows = np.empty((4, 2 * self.maxlen))
+        self._start = self._end = 0
         self._last_sample = -float("inf")
 
     # ------------------------------------------------------------------ #
@@ -83,10 +85,17 @@ class CrossTrafficEstimator:
         self._last_sample = now
         s, r = measurement.paired_rates(now, window)
         z = estimate_cross_traffic(self.mu, s, r)
-        self._z.append(z)
-        self._s.append(s)
-        self._r.append(r)
-        self._times.append(now)
+        rows, end = self._rows, self._end
+        if end == rows.shape[1]:
+            rows[:, :self.maxlen] = rows[:, self.maxlen:]
+            self._start, end = 0, self.maxlen
+        rows[0, end] = z
+        rows[1, end] = s
+        rows[2, end] = r
+        rows[3, end] = now
+        self._end = end = end + 1
+        if end - self._start > self.maxlen:
+            self._start = end - self.maxlen
         return z
 
     # ------------------------------------------------------------------ #
@@ -94,34 +103,30 @@ class CrossTrafficEstimator:
     # ------------------------------------------------------------------ #
     def z_series(self, duration: Optional[float] = None) -> np.ndarray:
         """The most recent ``duration`` seconds of z samples (all if None)."""
-        return self._tail(self._z, duration)
+        return self._tail(0, duration)
 
     def s_series(self, duration: Optional[float] = None) -> np.ndarray:
         """The matched send-rate samples."""
-        return self._tail(self._s, duration)
+        return self._tail(1, duration)
 
     def r_series(self, duration: Optional[float] = None) -> np.ndarray:
         """The matched delivery-rate samples."""
-        return self._tail(self._r, duration)
+        return self._tail(2, duration)
 
     def times(self, duration: Optional[float] = None) -> np.ndarray:
         """Timestamps of the retained samples."""
-        return self._tail(self._times, duration)
+        return self._tail(3, duration)
 
     def sample_count(self, duration: float) -> int:
         """Number of samples spanning ``duration`` seconds."""
         return int(round(duration / self.sample_interval))
 
     def __len__(self) -> int:
-        return len(self._z)
+        return self._end - self._start
 
-    def _tail(self, series: Deque[float],
-              duration: Optional[float]) -> np.ndarray:
-        n = len(series)
+    def _tail(self, row: int, duration: Optional[float]) -> np.ndarray:
+        n = self._end - self._start
         if duration is not None:
             n = min(n, self.sample_count(duration))
-        # Only the tail is read off the deque, newest first, so a 5 s
-        # window does not pay for copying the 30 s history.
-        newest_first = np.fromiter(islice(reversed(series), n), dtype=float,
-                                   count=n)
-        return newest_first[::-1].copy()
+        # An owned copy of the newest n columns: callers may write to it.
+        return self._rows[row, self._end - n:self._end].copy()

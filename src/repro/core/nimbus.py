@@ -257,7 +257,14 @@ class Nimbus(CongestionControl):
             _SPACING_SAMPLES * self.estimator.sample_interval)
         if len(times) < 3:
             return self.sample_interval
-        spacing = float(np.median(np.diff(times)))
+        # np.median(np.diff(times)), bit for bit: the middle gap, or the
+        # mean of the middle two, of the sorted gaps.
+        gaps = np.sort(times[1:] - times[:-1])
+        middle = gaps.size // 2
+        if gaps.size % 2:
+            spacing = float(gaps[middle])
+        else:
+            spacing = float((gaps[middle - 1] + gaps[middle]) / 2)
         return spacing if spacing > 0 else self.sample_interval
 
     def _single_flow_logic(self, now: float) -> None:

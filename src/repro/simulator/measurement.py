@@ -5,30 +5,36 @@ rate ``R``, the RTT, and losses to the user-space algorithm every 10 ms,
 measured over one window (RTT) of packets (§3.1, §4.2).  This module
 provides the equivalent measurement machinery for simulated flows:
 timestamped byte counters that can be queried over an arbitrary trailing
-window.
+window.  Samples are appended in time order, so a window is a suffix of its
+store, found by bisection on the timestamps.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
-from typing import Deque, List, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import Deque, List, Sequence, Tuple
+
+_TIME = itemgetter(0)
+_BYTES = itemgetter(1)
+_ACKED_BYTES = itemgetter(2)
 
 
-def _newer_than(samples: Deque[tuple], cutoff: float) -> List[tuple]:
+def _newer_than(samples: Sequence[tuple], cutoff: float) -> List[tuple]:
     """The samples whose timestamp (field 0) is ``> cutoff``, oldest first.
 
     Timestamps are appended in non-decreasing order, so those samples are a
-    suffix of the deque: walking back from the newest one costs what the
-    window holds, not what the horizon retains.  The suffix is handed back
-    in its original order so that callers reduce it exactly as a full scan
-    would — a running sum would drift from that in the last ulp.
+    suffix of the store, found by bisection and copied from the newest end:
+    a query costs what the window holds, not what the horizon retains.  The
+    suffix is handed back in its original order so that callers reduce it
+    exactly as a full scan would — a running sum would drift from that in
+    the last ulp.
     """
-    newest_first = []
-    for sample in reversed(samples):
-        if not sample[0] > cutoff:
-            break
-        newest_first.append(sample)
+    count = len(samples) - bisect_right(samples, cutoff, key=_TIME)
+    newest_first = list(islice(reversed(samples), count))
     newest_first.reverse()
     return newest_first
 
@@ -60,7 +66,7 @@ class WindowedCounter:
     def sum_over(self, now: float, window: float) -> float:
         """Total bytes recorded in the trailing ``window`` seconds."""
         self._prune(now)
-        return sum(b for _, b in _newer_than(self._samples, now - window))
+        return sum(map(_BYTES, _newer_than(self._samples, now - window)))
 
     def rate_over(self, now: float, window: float) -> float:
         """Average rate (bytes/s) over the trailing ``window`` seconds."""
@@ -184,7 +190,7 @@ class FlowMeasurement:
         records = _newer_than(self._acked, now - window)
         if len(records) < 3:
             return self.send_rate(now, window), self.delivery_rate(now, window)
-        total = sum(nbytes for _, _, nbytes in records)
+        total = sum(map(_ACKED_BYTES, records))
         # Exclude the first record's bytes: n packets span n-1 gaps.
         total_gap = total - records[0][2]
         ack_span = records[-1][0] - records[0][0]

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.elasticity import (
+    DetectionResult,
     ElasticityDetector,
     PulserDetector,
     Spectrum,
@@ -176,6 +177,81 @@ def test_detectors_read_one_spectrum_like_the_old_two(x, dt, fp):
                     "competitive" if eta_c >= eta_d else "delay")
 
 
+# --------------------------------------------------------------------- #
+# Differential: the cached frequency plan against the axis rebuilt and
+# scanned per reading, as every spectrum used to.
+# --------------------------------------------------------------------- #
+@st.composite
+def realised_spacings(draw):
+    """A spacing as the simulator realises one: the gap between two tick
+    times, each a running sum of ``dt``, so it carries float noise
+    (0.012000000000000455 where 0.012 was meant)."""
+    dt = draw(st.sampled_from((0.001, 0.002, 0.004, 0.01)))
+    ticks = draw(st.integers(1, 6))
+    start = draw(st.integers(0, 2000))
+    clock = [0.0]
+    for _ in range(start + ticks):
+        clock.append(clock[-1] + dt)
+    return clock[-1] - clock[-1 - ticks]
+
+
+def _scan_readings(mags, size, dt, fp, band):
+    """``at(fp)``, ``peak_between(*band)`` and ``eta(fp)`` read off an
+    axis rebuilt for the one reading: ``rfftfreq``, ``argmin`` and a
+    boolean mask."""
+    if size < 4:
+        return 0.0, 0.0, 0.0
+    freqs = np.fft.rfftfreq(size, d=dt)
+
+    def at(f):
+        return float(mags[int(np.argmin(np.abs(freqs - f)))])
+
+    def peak(low, high):
+        mask = (freqs > low) & (freqs < high)
+        return float(mags[mask].max()) if mask.any() else 0.0
+
+    eta = 0.0
+    if size >= max(8, int(round(2.0 / (fp * dt)))):
+        resolution = freqs[1] - freqs[0]
+        competitor = peak(fp + 1.5 * resolution, 2.0 * fp - 0.5 * resolution)
+        if competitor > 0.0:
+            eta = at(fp) / competitor
+        elif at(fp) > 0:
+            eta = float("inf")
+    return at(fp), peak(*band), eta
+
+
+@given(size=st.one_of(st.integers(0, 8), st.integers(0, 600)),
+       dt=realised_spacings(), fp=st.sampled_from((2.0, 5.0, 6.0)),
+       band=st.one_of(
+           st.tuples(st.floats(0, 60), st.floats(0, 60)),
+           # empty: inverted, or narrower than one bin
+           st.tuples(st.just(5.0), st.just(5.0)),
+           st.tuples(st.just(30.0), st.just(10.0))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_cached_frequency_plan_reads_what_a_scan_reads(size, dt, fp,
+                                                          band, seed):
+    rng = np.random.default_rng(seed)
+    # Two windows of one shape: the second reads the plan the first filled.
+    for _ in range(2):
+        spectrum = Spectrum(rng.normal(0.0, 1.0, size), dt)
+        assert (spectrum.at(fp), spectrum.peak_between(*band),
+                spectrum.eta(fp)) == \
+            _scan_readings(spectrum.mags, size, dt, fp, band)
+        if size >= 4:
+            assert spectrum.freqs.tolist() == \
+                np.fft.rfftfreq(size, d=dt).tolist()
+
+
+def test_the_shared_frequency_axis_is_read_only():
+    first = Spectrum(sine_at(FP), SAMPLE_INTERVAL)
+    second = Spectrum(sine_at(6.0), SAMPLE_INTERVAL)
+    assert first.freqs is second.freqs
+    with pytest.raises(ValueError):
+        first.freqs[1] = 1.0
+    assert first.freqs[1] == pytest.approx(1.0 / 5.0)
+
+
 class TestElasticityMetric:
     def test_high_for_oscillation_at_fp(self):
         eta = elasticity_metric(sine_at(FP, noise=0.05), SAMPLE_INTERVAL, FP)
@@ -280,6 +356,16 @@ class TestElasticityDetector:
         with pytest.raises(ValueError):
             ElasticityDetector(threshold=0.5)
 
+    def test_a_window_shorter_than_one_sample_reads_nothing(self):
+        # Regression: ``x[-0:]`` used to read the whole series, so a 4 ms
+        # window over 10 ms samples classified 6 s of a 5 Hz sine as
+        # elastic with eta ~ 1.6e15.
+        detector = ElasticityDetector(sample_interval=SAMPLE_INTERVAL,
+                                      fft_duration=0.004)
+        assert detector.window_samples == 0
+        assert detector.evaluate(sine_at(FP, duration=6.0)) == \
+            DetectionResult(eta=0.0, elastic=False)
+
 
 class TestPulserDetector:
     def test_detects_competitive_frequency(self):
@@ -296,6 +382,13 @@ class TestPulserDetector:
         detector = PulserDetector()
         present, mode, _, _ = detector.evaluate(RNG.normal(0, 1.0, size=500))
         assert not present and mode is None
+
+    def test_a_window_shorter_than_one_sample_reads_nothing(self):
+        detector = PulserDetector(sample_interval=SAMPLE_INTERVAL,
+                                  fft_duration=0.004)
+        assert detector.window_samples == 0
+        assert detector.evaluate(sine_at(FP, duration=6.0)) == \
+            (False, None, 0.0, 0.0)
 
 
 class TestCrossCorrelationStrawman:

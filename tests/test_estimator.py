@@ -1,9 +1,14 @@
 """Cross-traffic rate estimator (Eq. 1) and its sampled time series."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.estimator import CrossTrafficEstimator, estimate_cross_traffic
+from repro.core.nimbus import Nimbus
 from repro.simulator.measurement import FlowMeasurement
 from repro.simulator.units import MSS_BYTES, mbps_to_bytes_per_sec
 
@@ -180,3 +185,73 @@ class TestSeriesTail:
         assert tail.flags["C_CONTIGUOUS"] and tail.flags["OWNDATA"]
         tail[:] = 0.0
         assert est.s_series(0.1).tolist() == sent[-10:]
+
+
+class TestRowStore:
+    """The four series against ``deque(maxlen)`` oracles kept here, read
+    after every sample across several compactions of the row store.  Every
+    array read is then overwritten, so a read that handed out a view of the
+    store would corrupt the next one."""
+
+    DURATIONS = (None, 0.0, 0.07, 5.0, 60.0)
+
+    @pytest.mark.parametrize("history", [0.02, 0.05, 1.0])
+    def test_series_equal_bounded_deques(self, history):
+        est = CrossTrafficEstimator(MU, sample_interval=0.01,
+                                    history=history)
+        oracle = {name: deque(maxlen=est.maxlen)
+                  for name in ("z", "s", "r", "t")}
+        # The store holds 2 * maxlen columns, so 4 * maxlen + 17 samples
+        # fill it and move the retained samples to the front at least twice.
+        now = 0.0
+        for i in range(4 * est.maxlen + 17):
+            s, r = (i + 1.0) * 1e3, (i % 7 + 1.0) * 0.1 * MU
+            z = est.maybe_sample(now, _Rates(s, r))
+            for name, value in zip("zsrt", (z, s, r, now)):
+                oracle[name].append(value)
+            assert len(est) == len(oracle["z"])
+            for duration in self.DURATIONS:
+                count = (len(oracle["z"]) if duration is None
+                         else est.sample_count(duration))
+                for name, series in (("z", est.z_series),
+                                     ("s", est.s_series),
+                                     ("r", est.r_series),
+                                     ("t", est.times)):
+                    expected = list(oracle[name])[-count:] if count else []
+                    read = series(duration)
+                    assert read.tolist() == expected
+                    read[:] = -1.0
+            now += 0.01
+
+
+#: Gaps between samples as the tick grid realises them: repeats, exact
+#: multiples of a tick, and arbitrary reals; zero gaps make a zero median.
+gaps = st.lists(st.one_of(st.sampled_from([0.0, 0.004, 0.008, 0.012, 0.01]),
+                          st.floats(min_value=0.0, max_value=0.05)),
+                max_size=230)
+
+
+@given(gaps=gaps)
+@example(gaps=[])                       # one sample: the nominal interval
+@example(gaps=[0.01])                   # two samples: still too few
+@example(gaps=[0.01, 0.012, 0.012])     # three gaps: the middle one
+@example(gaps=[0.01, 0.012, 0.004, 0.008])  # four: mean of the middle two
+@example(gaps=[0.0] * 5)                # zero median: the nominal interval
+@example(gaps=[0.012, 0.008] * 125)     # past 200 samples: the newest 200
+def test_realised_spacing_is_the_median_gap(gaps):
+    nimbus = Nimbus(mu=MU, sample_interval=0.01)
+    # An estimator that samples whenever asked, so any gap, 0 included,
+    # reaches the series.
+    nimbus.estimator = CrossTrafficEstimator(MU, sample_interval=1e-13,
+                                             history=300e-13)
+    now = 0.0
+    for gap in [0.0] + gaps:
+        now += gap
+        nimbus.estimator.maybe_sample(now, _Rates(0.5 * MU, 0.4 * MU))
+    # The newest 200 timestamps: 199 gaps once full, any count before.
+    times = nimbus.estimator.times()[-200:]
+    expected = 0.01
+    if len(times) >= 3:
+        median = float(np.median(np.diff(times)))
+        expected = median if median > 0 else 0.01
+    assert nimbus.actual_sample_interval() == expected

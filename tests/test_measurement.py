@@ -1,6 +1,7 @@
 """Windowed counters and per-flow measurement (S, R, RTT, paired rates)."""
 
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -298,3 +299,61 @@ class TestWindowEdges:
         # Records acked after 2.75 - 0.75 = 2.0: t = 2.25, 2.5, 2.75.
         assert m.paired_rates(2.75, 0.75) == (4000.0, 4000.0)
         assert m.max_delivery_rate == 4000.0
+
+
+class TestBisectionAgainstFullScan:
+    """The bisected suffix against the full-scan oracles above, at the
+    cut points a bisection can get wrong."""
+
+    def test_cutoff_on_duplicated_timestamps(self):
+        new, ref = WindowedCounter(), FullScanCounter()
+        stamps = (1.0, 1.5, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5)
+        for i, t in enumerate(stamps):
+            new.add(t, 0.1 * (i + 1))
+            ref.add(t, 0.1 * (i + 1))
+        # Cutoffs on every run of duplicates, between them, and outside.
+        for cutoff in (0.5, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0):
+            assert new.sum_over(2.5, 2.5 - cutoff) == \
+                ref.sum_over(2.5, 2.5 - cutoff)
+        # Cutoff 1.5: the three samples stamped 1.5 are out, 2.0 onwards in.
+        assert new.sum_over(2.5, 1.0) == sum(0.1 * (i + 1) for i in range(4, 8))
+
+    def test_paired_rates_cutoff_on_duplicated_ack_times(self):
+        new, ref = FlowMeasurement(), FullScanMeasurement()
+        for i, t in enumerate((1.0, 1.25, 1.25, 1.5, 1.5, 1.5, 1.75, 2.0)):
+            for m in (new, ref):
+                m.on_ack(t, 1000.0 + i, rtt=0.1 * (i + 1), queue_delay=0.0)
+        for window in (0.0, 0.25, 0.5, 0.625, 0.75, 1.0, 2.0):
+            assert new.paired_rates(2.0, window) == \
+                ref.paired_rates(2.0, window)
+            assert new.max_delivery_rate == ref.max_delivery_rate
+
+    def test_dropped_windows_read_zero(self):
+        new, ref = FlowMeasurement(), FullScanMeasurement()
+        for i in range(10):
+            for m in (new, ref):
+                m.on_send(i * 0.1, 1500)
+                m.on_ack(i * 0.1 + 0.05, 1500, rtt=0.05, queue_delay=0.0)
+        new.drop_windows()
+        ref.drop_windows()
+        for window in (None, 0.0, 0.5, 100.0):
+            for query in ("paired_rates", "send_rate", "delivery_rate",
+                          "loss_rate"):
+                assert getattr(new, query)(1.0, window) == \
+                    getattr(ref, query)(1.0, window)
+        assert new.paired_rates(1.0, 0.5) == (0.0, 0.0)
+        assert new.sent.total == ref.sent.total == 15000
+
+    def test_horizon_of_many_thousand_samples(self):
+        new, ref = WindowedCounter(horizon=10.0), FullScanCounter(10.0)
+        rng = np.random.default_rng(7)
+        clock = 0.0
+        for step, size in zip(rng.choice([0.0, 0.001, 0.0015], 7000),
+                              rng.uniform(1.0, 1e7, 7000)):
+            clock += float(step)
+            new.add(clock, float(size))
+            ref.add(clock, float(size))
+        assert len(new._samples) > 5000
+        for window in (0.0, 1e-3, 0.05, 1.0, 5.0, 9.999, 10.0, 20.0):
+            assert new.sum_over(clock, window) == ref.sum_over(clock, window)
+        assert new._samples == ref._samples
