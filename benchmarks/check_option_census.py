@@ -5,8 +5,9 @@ For every constructor parameter and dataclass field with a default under
 call site under ``src/``, ``benchmarks/`` or ``examples/`` (tests do not
 count) that sets it — by keyword, by position, or through a ``**kwargs``
 the class is called with, in which case the option counts as set when
-some call or dict literal in the scanned trees spells its name; a
-classmethod's ``cls(...)`` is a call of its class.  Options nobody sets
+some call or dict literal in the scanned trees spells its name outside the
+class's own body (the keywords a class passes to its parts do not set its
+own options); a classmethod's ``cls(...)`` is a call of its class.  Options nobody sets
 are printed; exit 1 if one of them is missing from
 ``benchmarks/option_census.json``, the allow-list giving each kept option
 its one reason, or if the list names an option that is set or gone.  Pure
@@ -74,6 +75,19 @@ def declared_options() -> tuple:
     return options, bases
 
 
+def _owners(tree) -> dict:
+    """``{node: names of the classes whose body holds it}`` for every node
+    of ``tree``."""
+    owners, stack = {}, [(tree, frozenset())]
+    while stack:
+        node, held_by = stack.pop()
+        owners[node] = held_by
+        if isinstance(node, ast.ClassDef):
+            held_by = held_by | {node.name}
+        stack.extend((child, held_by) for child in ast.iter_child_nodes(node))
+    return owners
+
+
 def _calls(tree):
     """``(callee name, call)`` pairs; ``super().__init__(...)`` is a call of
     each base of the enclosing class, and ``cls(...)`` (a classmethod
@@ -98,16 +112,22 @@ def unset_options(roots=ROOTS) -> list:
     """``["Class.option", ...]`` that no call site under ``roots`` sets."""
     options, bases = declared_options()
     set_here = {name: set() for name in options}
-    forwarded, spelled = set(), set()
+    # name -> the sets of classes whose body holds a spelling of it
+    forwarded, spelled = set(), {}
     for root in roots:
         for _, tree in sources(ROOT / root):
-            for node in ast.walk(tree):
+            for node, held_by in _owners(tree).items():
                 if isinstance(node, ast.Dict):
-                    spelled.update(k.value for k in node.keys
-                                   if isinstance(k, ast.Constant))
+                    names = [k.value for k in node.keys
+                             if isinstance(k, ast.Constant)]
+                elif isinstance(node, ast.Call):
+                    names = [k.arg for k in node.keywords if k.arg]
+                else:
+                    continue
+                for name in names:
+                    spelled.setdefault(name, set()).add(held_by)
             for callee, call in _calls(tree):
                 keywords = {k.arg for k in call.keywords}
-                spelled.update(keywords - {None})
                 if callee in options:
                     set_here[callee].update(options[callee][:len(call.args)])
                 # A keyword given to a subclass may be meant for a base.
@@ -118,10 +138,13 @@ def unset_options(roots=ROOTS) -> list:
                         set_here[cls].update(keywords)
                         if None in keywords:
                             forwarded.add(cls)
+    def spelled_outside(name: str, cls: str) -> bool:
+        return any(cls not in held_by for held_by in spelled.get(name, ()))
+
     return sorted(
         f"{cls}.{name}" for cls, names in options.items() for name in names
         if name and name not in set_here[cls]
-        and not (cls in forwarded and name in spelled))
+        and not (cls in forwarded and spelled_outside(name, cls)))
 
 
 def main() -> int:

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import Cubic, Flow, Nimbus, quick_network
 from repro.cc import NullCC
+from repro.core.elasticity import THRESHOLD
 from repro.simulator import mbps_to_bytes_per_sec
 from repro.traffic import PoissonSource
 
@@ -50,7 +51,7 @@ def run_scenario(cross_traffic: str) -> None:
 
     print(f"--- cross traffic: {cross_traffic} ---")
     print(f"  elasticity metric (median eta) : {np.median(etas):6.2f}  "
-          f"(threshold {nimbus.threshold})")
+          f"(threshold {THRESHOLD})")
     print(f"  final mode                     : {nimbus.mode}")
     print(f"  nimbus throughput              : "
           f"{recorder.mean_throughput('nimbus', start=15.0):6.1f} Mbit/s")

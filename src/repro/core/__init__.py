@@ -4,7 +4,7 @@ and the Nimbus mode-switching congestion controller.
 
 from ..cc.base import MODE_COMPETITIVE, MODE_DELAY
 from .elasticity import (
-    DetectionResult,
+    DetectorSample,
     ElasticityDetector,
     PulserDetector,
     Spectrum,
@@ -29,7 +29,7 @@ from .pulses import (
 __all__ = [
     "AsymmetricSinusoidPulse",
     "CrossTrafficEstimator",
-    "DetectionResult",
+    "DetectorSample",
     "ElasticityDetector",
     "MODE_COMPETITIVE",
     "MODE_DELAY",

@@ -1,8 +1,8 @@
 """Elasticity detection from the frequency response of cross traffic
 (§3.2–§3.4 of the paper).
 
-The detector takes the sampled cross-traffic rate estimate ``z(t)`` over the
-last FFT window (5 seconds by default), computes its discrete Fourier
+The detector takes the sampled cross-traffic rate estimate ``z(t)`` over
+one FFT window (:data:`FFT_DURATION`, 5 s), computes its discrete Fourier
 transform, and forms the elasticity metric::
 
     eta = |FFT_z(fp)| / max_{f in (fp, 2*fp)} |FFT_z(f)|        (Eq. 3)
@@ -11,11 +11,16 @@ Elastic (ACK-clocked) cross traffic oscillates at the pulse frequency
 ``fp``, producing a pronounced peak at ``fp`` relative to the neighbouring
 band, so ``eta`` is large; inelastic traffic spreads its energy across
 frequencies and ``eta`` stays near 1.  Traffic is classified elastic when
-``eta >= eta_thresh`` (2 by default).
+``eta >= eta_thresh`` (:data:`THRESHOLD`, 2).
 
 The same machinery is reused by watcher flows (§6) to detect whether a
 pulser is active, and at which of the two agreed frequencies it is pulsing,
 by examining the FFT of their own receive rate.
+
+The two readings are :meth:`ElasticityDetector.evaluate` (eta and |FFT(fp)|
+of one window) and :meth:`PulserDetector.evaluate` (the pulser's mode, or
+None).  Both are stateless: the caller cuts the window and passes its
+realised sample spacing, and the paper's constants live in this module.
 
 One window is transformed once: :class:`Spectrum` is the only caller of
 ``np.fft.rfft`` in the package, and every reading comes off the one built.
@@ -36,12 +41,16 @@ import numpy as np
 from ..cc.base import MODE_COMPETITIVE, MODE_DELAY
 from .pulses import PulseShape
 
-#: Default pulse frequency (Hz).
+#: Default pulse frequency fp (Hz).
 DEFAULT_PULSE_FREQUENCY = 5.0
-#: Default FFT window (seconds).
-DEFAULT_FFT_DURATION = 5.0
-#: Default elasticity threshold.
-DEFAULT_THRESHOLD = 2.0
+#: The FFT window (seconds).
+FFT_DURATION = 5.0
+#: eta_thresh: eta at or above it means elastic cross traffic.
+THRESHOLD = 2.0
+#: The two agreed pulse frequencies of multi-flow operation (§6): fpc marks
+#: a pulser in TCP-competitive mode, fpd one in delay-control mode (Hz).
+COMPETITIVE_FREQUENCY = 5.0
+DELAY_FREQUENCY = 6.0
 
 
 #: Frequency plans kept per process: the (size, spacing) shapes and the
@@ -170,98 +179,48 @@ def pulse_sent(times: Sequence[float], send_rates: Sequence[float],
     return magnitude, (magnitude / scheduled if scheduled > 0.0 else 0.0)
 
 
-def _trailing(samples: Sequence[float], count: int) -> np.ndarray:
-    """The last ``count`` samples; none at all when ``count`` is 0 (a
-    window shorter than one sample), where ``x[-0:]`` would read every
-    sample."""
-    x = np.asarray(samples, dtype=float)
-    return x[max(x.size - count, 0):]
-
-
-@dataclass
-class DetectionResult:
-    """Outcome of one elasticity evaluation."""
+@dataclass(frozen=True)
+class DetectorSample:
+    """One window read at one frequency: eta (Eq. 3) and the magnitude
+    |FFT(f)| of the bin it divides."""
 
     eta: float
-    elastic: bool
+    magnitude: float
 
 
 class ElasticityDetector:
-    """Stateful wrapper: classify a z(t) series as elastic or inelastic.
+    """Eq. 3 read off one window.  No state: the class is a name for the
+    reading, which a profiler can time as one entry point."""
 
-    Args:
-        sample_interval: Spacing of the z samples in seconds.
-        pulse_frequency: The frequency fp at which the sender pulses.
-        fft_duration: Length of the analysis window in seconds.
-        threshold: eta threshold; >= threshold means elastic.
-    """
-
-    def __init__(self, sample_interval: float = 0.01,
-                 pulse_frequency: float = DEFAULT_PULSE_FREQUENCY,
-                 fft_duration: float = DEFAULT_FFT_DURATION,
-                 threshold: float = DEFAULT_THRESHOLD) -> None:
-        if threshold < 1.0:
-            raise ValueError("threshold must be >= 1 (eta is a ratio)")
-        self.sample_interval = sample_interval
-        self.pulse_frequency = pulse_frequency
-        self.fft_duration = fft_duration
-        self.threshold = threshold
-
-    @property
-    def window_samples(self) -> int:
-        """Number of samples spanning one FFT window."""
-        return int(round(self.fft_duration / self.sample_interval))
-
-    def evaluate(self, z_samples: Sequence[float]) -> DetectionResult:
-        """Classify the given z series (uses the trailing FFT window)."""
-        x = _trailing(z_samples, self.window_samples)
-        eta = Spectrum(x, self.sample_interval).eta(self.pulse_frequency)
-        return DetectionResult(eta=eta, elastic=eta >= self.threshold)
-
-    def has_full_window(self, z_samples: Sequence[float]) -> bool:
-        """True when at least one full FFT window of samples is available."""
-        return len(z_samples) >= self.window_samples
+    @staticmethod
+    def evaluate(window: Sequence[float], spacing: float,
+                 frequency: float) -> DetectorSample:
+        """eta and |FFT(frequency)| of ``window``, samples ``spacing`` apart."""
+        spectrum = Spectrum(window, spacing)
+        return DetectorSample(spectrum.eta(frequency), spectrum.at(frequency))
 
 
 class PulserDetector:
-    """Detects whether (and at which frequency) a Nimbus pulser is active.
+    """Whether, and in which mode, a Nimbus pulser is active (§6).
 
-    Watcher flows feed the FFT of their own receive rate to this detector:
-    a peak at ``fpc`` means a pulser in TCP-competitive mode, a peak at
-    ``fpd`` means a pulser in delay-control mode, and no peak at either
-    frequency means there is currently no pulser (§6).
+    Watcher flows read the FFT of their own receive rate: a peak at
+    :data:`COMPETITIVE_FREQUENCY` means a pulser in TCP-competitive mode, a
+    peak at :data:`DELAY_FREQUENCY` one in delay-control mode, and no peak
+    at either means there is currently no pulser.  No state, like
+    :class:`ElasticityDetector`.
     """
 
-    def __init__(self, sample_interval: float = 0.01,
-                 competitive_frequency: float = 5.0,
-                 delay_frequency: float = 6.0,
-                 fft_duration: float = DEFAULT_FFT_DURATION,
-                 threshold: float = DEFAULT_THRESHOLD) -> None:
-        self.sample_interval = sample_interval
-        self.competitive_frequency = competitive_frequency
-        self.delay_frequency = delay_frequency
-        self.fft_duration = fft_duration
-        self.threshold = threshold
-
-    @property
-    def window_samples(self) -> int:
-        return int(round(self.fft_duration / self.sample_interval))
-
-    def evaluate(self, rate_samples: Sequence[float]
-                 ) -> Tuple[bool, Optional[str], float, float]:
-        """Return (pulser_present, mode, eta_competitive, eta_delay).
-
-        ``mode`` is :data:`MODE_COMPETITIVE` or :data:`MODE_DELAY` when a
-        pulser is detected, and None otherwise.
-        """
-        x = _trailing(rate_samples, self.window_samples)
-        spectrum = Spectrum(x, self.sample_interval)
-        eta_c = spectrum.eta(self.competitive_frequency)
-        eta_d = spectrum.eta(self.delay_frequency)
-        if max(eta_c, eta_d) < self.threshold:
-            return False, None, eta_c, eta_d
-        mode = MODE_COMPETITIVE if eta_c >= eta_d else MODE_DELAY
-        return True, mode, eta_c, eta_d
+    @staticmethod
+    def evaluate(window: Sequence[float], spacing: float) -> Optional[str]:
+        """:data:`MODE_COMPETITIVE` or :data:`MODE_DELAY` for the pulser
+        ``window`` shows, or None when eta stays below :data:`THRESHOLD` at
+        both frequencies."""
+        spectrum = Spectrum(window, spacing)
+        eta_c = spectrum.eta(COMPETITIVE_FREQUENCY)
+        eta_d = spectrum.eta(DELAY_FREQUENCY)
+        if max(eta_c, eta_d) < THRESHOLD:
+            return None
+        return MODE_COMPETITIVE if eta_c >= eta_d else MODE_DELAY
 
 
 def cross_correlation_detector(s_samples: Sequence[float],

@@ -23,9 +23,13 @@ rate, and copy the mode signalled by the pulser's choice of frequency
 
 The inner algorithms are building blocks: Nimbus drives them through the
 :class:`~repro.cc.base.CongestionControl` hooks alone and hands the flow
-over with ``take_over(rate, rtt)``.  Each detection interval builds one
-:class:`~repro.core.elasticity.Spectrum` per window it reads (z for a
-single flow; r for a watcher; z and r for a pulser).
+over with ``take_over(rate, rtt)``.  Every FFT it reads goes through the
+stateless :class:`~repro.core.elasticity.ElasticityDetector` or
+:class:`~repro.core.elasticity.PulserDetector`, one window per reading (z
+for a single flow; r for a watcher; z and r for a pulser), cut by
+:func:`_window`.  The paper's constants — the 5 s window, ``eta_thresh``,
+``fpc`` and ``fpd`` — are :mod:`~repro.core.elasticity`'s, and the control
+interval is the endpoint's :data:`~repro.simulator.endpoint.CONTROL_INTERVAL`.
 """
 
 from __future__ import annotations
@@ -33,15 +37,18 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cc.base import MODE_COMPETITIVE, MODE_DELAY, CongestionControl
 from ..cc.basic_delay import BasicDelay
 from ..cc.cubic import Cubic
+from ..simulator.endpoint import CONTROL_INTERVAL
 from ..simulator.units import MSS_BYTES
-from .elasticity import ElasticityDetector, PulserDetector, Spectrum
+from .elasticity import (COMPETITIVE_FREQUENCY, DEFAULT_PULSE_FREQUENCY,
+                         DELAY_FREQUENCY, FFT_DURATION, THRESHOLD,
+                         ElasticityDetector, PulserDetector)
 from .estimator import CrossTrafficEstimator
 from .multiflow import ROLE_PULSER, ROLE_WATCHER, PulserElection, WatcherRateFilter
 from .pulses import AsymmetricSinusoidPulse, NoPulse, PulseShape
@@ -49,6 +56,34 @@ from .pulses import AsymmetricSinusoidPulse, NoPulse, PulseShape
 #: How many of the newest z-sample timestamps the realised sample spacing is
 #: taken over (see :meth:`Nimbus.actual_sample_interval`).
 _SPACING_SAMPLES = 200
+
+#: Samples in one FFT window at the nominal control interval (500): what
+#: ``z_series(FFT_DURATION)`` holds once full.
+_FULL_WINDOW = int(round(FFT_DURATION / CONTROL_INTERVAL))
+
+#: How long (seconds) eta must stay below the threshold before Nimbus leaves
+#: TCP-competitive mode.  Switching into competitive mode is immediate
+#: (protecting throughput); switching back to delay mode is deliberately
+#: sticky so that noise around the threshold does not flap the mode and
+#: repeatedly give up bandwidth.
+SWITCH_TO_DELAY_PERSISTENCE = 1.0
+
+
+def _window(series: Sequence[float], spacing: float,
+            whole: bool = False) -> Optional[Sequence[float]]:
+    """One detection path's FFT window of ``series``, or None while
+    ``series`` holds fewer samples than that window.
+
+    ``series`` is an estimator row over ``FFT_DURATION`` at the nominal
+    control interval, :data:`_FULL_WINDOW` samples once full.  The pulser
+    reads it ``whole``: 500 samples, 6.0 s at the 12 ms spacing a 4 ms tick
+    realises.  The single-flow and watcher paths read its trailing
+    ``FFT_DURATION`` at the realised ``spacing``: 417 samples at 12 ms.
+    """
+    count = _FULL_WINDOW if whole else int(round(FFT_DURATION / spacing))
+    if len(series) < count:
+        return None
+    return series[len(series) - count:]
 
 
 class Nimbus(CongestionControl):
@@ -62,19 +97,10 @@ class Nimbus(CongestionControl):
         delay: Delay-controlling inner algorithm (default: BasicDelay wired
             to Nimbus's cross-traffic estimator).
         pulse_fraction: Peak pulse amplitude as a fraction of ``mu`` (0.25).
-        pulse_frequency: Pulse frequency in Hz for single-flow operation.
-        fft_duration: Elasticity FFT window in seconds (5 s).
-        threshold: Elasticity threshold ``eta_thresh`` (2).
-        sample_interval: Spacing of z samples and control decisions (10 ms).
+        pulse_frequency: Pulse frequency in Hz for single-flow operation
+            (multi-flow operation pulses at ``fpc`` or ``fpd``).
         multi_flow: Enable the pulser/watcher protocol of §6.
-        competitive_frequency / delay_frequency: The two agreed pulse
-            frequencies ``fpc`` and ``fpd`` used in multi-flow operation.
-        kappa: Expected number of pulser elections per FFT window.
         pulse_shape_factory: Alternative pulse shape (ablations).
-        switch_to_delay_persistence: Seconds eta must stay below the
-            threshold before switching back from TCP-competitive to
-            delay-control mode (switching into competitive mode is always
-            immediate).
         seed: Seed for the election randomness.
     """
 
@@ -85,40 +111,22 @@ class Nimbus(CongestionControl):
                  competitive: Optional[CongestionControl] = None,
                  delay: Optional[CongestionControl] = None,
                  pulse_fraction: float = 0.25,
-                 pulse_frequency: float = 5.0,
-                 fft_duration: float = 5.0,
-                 threshold: float = 2.0,
-                 sample_interval: float = 0.01,
+                 pulse_frequency: float = DEFAULT_PULSE_FREQUENCY,
                  multi_flow: bool = False,
-                 competitive_frequency: float = 5.0,
-                 delay_frequency: float = 6.0,
-                 kappa: float = 1.0,
                  pulse_shape_factory: Optional[
                      Callable[[float, float], PulseShape]] = None,
-                 switch_to_delay_persistence: float = 1.0,
                  seed: int = 0) -> None:
         super().__init__()
         self.mu_configured = mu
         self._mu_estimate = mu if mu is not None else 0.0
         self.pulse_fraction = pulse_fraction
         self.pulse_frequency = pulse_frequency
-        self.fft_duration = fft_duration
-        self.threshold = threshold
-        self.sample_interval = sample_interval
         self.multi_flow = multi_flow
-        self.competitive_frequency = competitive_frequency
-        self.delay_frequency = delay_frequency
-        #: How long eta must stay below the threshold before leaving
-        #: TCP-competitive mode.  Switching into competitive mode is
-        #: immediate (protecting throughput); switching back to delay mode
-        #: is deliberately sticky so that noise around the threshold does
-        #: not flap the mode and repeatedly give up bandwidth.
-        self.switch_to_delay_persistence = switch_to_delay_persistence
 
         shape_factory = (pulse_shape_factory if pulse_shape_factory is not None
                          else AsymmetricSinusoidPulse)
         #: The pulser's shape per mode (one frequency unless multi-flow).
-        fpc, fpd = ((competitive_frequency, delay_frequency) if multi_flow
+        fpc, fpd = ((COMPETITIVE_FREQUENCY, DELAY_FREQUENCY) if multi_flow
                     else (pulse_frequency, pulse_frequency))
         self._pulses = {MODE_COMPETITIVE: shape_factory(fpc, pulse_fraction),
                         MODE_DELAY: shape_factory(fpd, pulse_fraction)}
@@ -133,24 +141,13 @@ class Nimbus(CongestionControl):
 
         self.estimator = CrossTrafficEstimator(
             mu if mu is not None and mu > 0 else 1.0,
-            sample_interval=sample_interval)
-        self.detector = ElasticityDetector(sample_interval=sample_interval,
-                                           pulse_frequency=pulse_frequency,
-                                           fft_duration=fft_duration,
-                                           threshold=threshold)
-        self.pulser_detector = PulserDetector(
-            sample_interval=sample_interval,
-            competitive_frequency=competitive_frequency,
-            delay_frequency=delay_frequency,
-            fft_duration=fft_duration,
-            threshold=threshold)
-        self.election = PulserElection(kappa=kappa,
-                                       decision_interval=sample_interval,
-                                       fft_duration=fft_duration,
+            sample_interval=CONTROL_INTERVAL)
+        self.election = PulserElection(decision_interval=CONTROL_INTERVAL,
+                                       fft_duration=FFT_DURATION,
                                        rng=random.Random(seed))
         self.watcher_filter = WatcherRateFilter(
-            min(competitive_frequency, delay_frequency),
-            update_interval=sample_interval)
+            min(COMPETITIVE_FREQUENCY, DELAY_FREQUENCY),
+            update_interval=CONTROL_INTERVAL)
 
         self.mode = MODE_DELAY
         self.role = ROLE_WATCHER if multi_flow else ROLE_PULSER
@@ -162,7 +159,6 @@ class Nimbus(CongestionControl):
         self.cwnd = None
         self.rate = None
         self._rate_history: Deque[Tuple[float, float]] = deque()
-        self._last_sample = -math.inf
         self._last_eta_above_threshold = -math.inf
 
     # ------------------------------------------------------------------ #
@@ -204,7 +200,7 @@ class Nimbus(CongestionControl):
         self.active_inner.on_loss(lost_bytes, now)
 
     # ------------------------------------------------------------------ #
-    # Main control loop (every control interval, default 10 ms)
+    # Main control loop (the endpoint calls it every CONTROL_INTERVAL)
     # ------------------------------------------------------------------ #
     def on_control_tick(self, now: float, dt: float) -> None:
         m = self.measurement
@@ -215,13 +211,11 @@ class Nimbus(CongestionControl):
             self._apply_rate(now, initial=True)
             return
 
-        if now - self._last_sample >= self.sample_interval - 1e-12:
-            self._last_sample = now
-            self._take_sample(now)
-            if self.multi_flow:
-                self._multi_flow_logic(now)
-            else:
-                self._single_flow_logic(now)
+        self._take_sample(now)
+        if self.multi_flow:
+            self._multi_flow_logic(now)
+        else:
+            self._single_flow_logic(now)
 
         self._apply_rate(now)
 
@@ -248,15 +242,15 @@ class Nimbus(CongestionControl):
         """Observed spacing of the z samples.
 
         The control loop runs on the simulator's tick grid, so the realised
-        sample spacing can differ from the nominal ``sample_interval`` (e.g.
-        a 10 ms target on a 4 ms grid yields 12 ms samples).  The FFT's
+        sample spacing can differ from the nominal ``CONTROL_INTERVAL``
+        (e.g. a 10 ms target on a 4 ms grid yields 12 ms samples).  The FFT's
         frequency axis must use the realised spacing or the pulse peak lands
         in the wrong bin.
         """
         times = self.estimator.times(
             _SPACING_SAMPLES * self.estimator.sample_interval)
         if len(times) < 3:
-            return self.sample_interval
+            return CONTROL_INTERVAL
         # np.median(np.diff(times)), bit for bit: the middle gap, or the
         # mean of the middle two, of the sorted gaps.
         gaps = np.sort(times[1:] - times[:-1])
@@ -265,85 +259,86 @@ class Nimbus(CongestionControl):
             spacing = float(gaps[middle])
         else:
             spacing = float((gaps[middle - 1] + gaps[middle]) / 2)
-        return spacing if spacing > 0 else self.sample_interval
+        return spacing if spacing > 0 else CONTROL_INTERVAL
 
     def _single_flow_logic(self, now: float) -> None:
-        z = self.estimator.z_series(self.fft_duration)
-        if not self.detector.has_full_window(z):
+        z = self.estimator.z_series(FFT_DURATION)
+        # The first reading waits for a full nominal window, although it
+        # reads only the trailing realised one.
+        if len(z) < _FULL_WINDOW:
             return
-        self.detector.sample_interval = self.actual_sample_interval()
-        result = self.detector.evaluate(z)
-        self.last_eta = result.eta
-        self.eta_history.append((now, result.eta))
-        target_mode = self._decide_mode(result.eta, now)
-        if target_mode != self.mode:
-            self._switch_mode(target_mode, now)
+        spacing = self.actual_sample_interval()
+        sample = ElasticityDetector.evaluate(_window(z, spacing), spacing,
+                                             self.pulse_frequency)
+        self._follow(sample.eta, now)
 
     def _multi_flow_logic(self, now: float) -> None:
-        r_series = self.estimator.r_series(self.fft_duration)
-        sample_interval = self.actual_sample_interval()
-        self.pulser_detector.sample_interval = sample_interval
+        r_series = self.estimator.r_series(FFT_DURATION)
+        spacing = self.actual_sample_interval()
         if self.role == ROLE_WATCHER:
-            if len(r_series) < self.pulser_detector.window_samples:
+            window = _window(r_series, spacing)
+            if window is None:
                 return
-            present, mode, _, _ = self.pulser_detector.evaluate(r_series)
-            if present and mode is not None:
-                if mode != self.mode:
-                    self._switch_mode(mode, now)
-            else:
+            mode = PulserDetector.evaluate(window, spacing)
+            if mode is None:
                 # No pulser seen: maybe volunteer (Eq. 5).
                 receive_rate = self.measurement.delivery_rate(now)
                 if self.election.should_become_pulser(now, receive_rate,
                                                       self.mu):
                     self.role = ROLE_PULSER
                     self.watcher_filter.reset()
+            elif mode != self.mode:
+                self._switch_mode(mode, now)
             return
 
         # Pulser: ordinary elasticity detection on z, plus conflict check.
-        z_series = self.estimator.z_series(self.fft_duration)
-        if not self.detector.has_full_window(z_series):
+        z = _window(self.estimator.z_series(FFT_DURATION), spacing, whole=True)
+        if z is None:
             return
         fp = self.current_pulse.frequency
-        z_spectrum = Spectrum(z_series, sample_interval)
-        eta = z_spectrum.eta(fp)
-        self.last_eta = eta
-        self.eta_history.append((now, eta))
-        target_mode = self._decide_mode(eta, now)
-        if target_mode != self.mode:
-            self._switch_mode(target_mode, now)
-        self._check_pulser_conflict(z_spectrum, r_series, fp)
+        sample = ElasticityDetector.evaluate(z, spacing, fp)
+        self._follow(sample.eta, now)
+        self._check_pulser_conflict(sample.magnitude, r_series, spacing, fp)
 
-    def _check_pulser_conflict(self, z_spectrum: Spectrum, r_series,
-                               fp: float) -> None:
-        """Demote to watcher if the cross traffic pulses harder than we do."""
-        if len(r_series) < self.pulser_detector.window_samples:
-            return
-        r_peak = Spectrum(r_series, z_spectrum.sample_interval).at(fp)
-        if z_spectrum.at(fp) > r_peak * 1.2 and self.election.should_demote():
+    def _check_pulser_conflict(self, z_magnitude: float, r_series,
+                               spacing: float, fp: float) -> None:
+        """Demote to watcher if the cross traffic pulses harder than we do.
+
+        ``r_series`` is read whole, like z: the two are rows of one
+        estimator store, so R holds as many samples as the z window.
+        """
+        r_magnitude = ElasticityDetector.evaluate(r_series, spacing,
+                                                  fp).magnitude
+        if z_magnitude > r_magnitude * 1.2 and self.election.should_demote():
             self.role = ROLE_WATCHER
             self.watcher_filter.reset()
 
     # ------------------------------------------------------------------ #
     # Mode switching
     # ------------------------------------------------------------------ #
-    def _decide_mode(self, eta: float, now: float) -> str:
-        """Hard decision on eta, with a persistence guard on leaving
-        competitive mode (see ``switch_to_delay_persistence``)."""
-        if eta >= self.threshold:
+    def _follow(self, eta: float, now: float) -> None:
+        """Record one eta reading and switch to the mode it calls for:
+        competitive at once when ``eta >= THRESHOLD``, delay only once eta
+        has stayed below it for :data:`SWITCH_TO_DELAY_PERSISTENCE`."""
+        self.last_eta = eta
+        self.eta_history.append((now, eta))
+        if eta >= THRESHOLD:
             self._last_eta_above_threshold = now
-            return MODE_COMPETITIVE
-        if (self.mode == MODE_COMPETITIVE
-                and now - self._last_eta_above_threshold
-                < self.switch_to_delay_persistence):
-            return MODE_COMPETITIVE
-        return MODE_DELAY
+            target_mode = MODE_COMPETITIVE
+        elif (now - self._last_eta_above_threshold
+              >= SWITCH_TO_DELAY_PERSISTENCE):
+            target_mode = MODE_DELAY
+        else:
+            return
+        if target_mode != self.mode:
+            self._switch_mode(target_mode, now)
 
     def _switch_mode(self, target_mode: str, now: float) -> None:
         rate = self._current_base_rate(now)  # of the inner we are leaving
         if target_mode == MODE_COMPETITIVE:
             # Reset to the rate from one FFT window ago: the elastic cross
             # traffic has been stealing bandwidth while we detected it.
-            rate = max(self._rate_at(now - self.fft_duration), rate)
+            rate = max(self._rate_at(now - FFT_DURATION), rate)
         self.mode = target_mode
         self.active_inner.take_over(
             rate, max(self.measurement.rtt, self.measurement.base_rtt()))
@@ -381,7 +376,7 @@ class Nimbus(CongestionControl):
 
     def _record_rate(self, now: float, rate: float) -> None:
         self._rate_history.append((now, rate))
-        horizon = self.fft_duration + 2.0
+        horizon = FFT_DURATION + 2.0
         while self._rate_history and self._rate_history[0][0] < now - horizon:
             self._rate_history.popleft()
 

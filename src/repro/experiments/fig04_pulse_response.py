@@ -14,7 +14,7 @@ import numpy as np
 
 from ..analysis.metrics import summarize_flow
 from ..cc import Cubic, NullCC
-from ..core.elasticity import Spectrum
+from ..core.elasticity import FFT_DURATION, Spectrum
 from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import PoissonSource
 from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
@@ -45,7 +45,8 @@ def run_case(cross_kind: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     z = nimbus.estimator.z_series()
     s = nimbus.estimator.s_series()
     times = nimbus.estimator.times()
-    spectrum = Spectrum(z[-nimbus.detector.window_samples:], sample_interval)
+    window = int(round(FFT_DURATION / sample_interval))
+    spectrum = Spectrum(z[-window:], sample_interval)
 
     # Time-domain correlation between the pulses in S and the response in z,
     # evaluated at a one-RTT lag (the elastic response arrives an RTT later).

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..analysis.metrics import summarize_flow
 from ..cc import Vivace
+from ..core.elasticity import THRESHOLD
 from ..simulator import Flow
 from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
                      run_cases)
@@ -38,7 +39,7 @@ def run_case(pulse_frequency: float, link_mbps: float = 96.0,
     extra = dict(
         pulse_frequency=fp,
         median_eta=float(np.median(etas)) if etas.size else 0.0,
-        elastic_fraction=float(np.mean(etas >= flow.cc.threshold))
+        elastic_fraction=float(np.mean(etas >= THRESHOLD))
         if etas.size else 0.0)
     return {"scheme": label, "summary": summary, "extra": extra, "data": etas}
 

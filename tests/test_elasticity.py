@@ -9,7 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.elasticity import (
-    DetectionResult,
+    COMPETITIVE_FREQUENCY,
+    DELAY_FREQUENCY,
+    THRESHOLD,
+    DetectorSample,
     ElasticityDetector,
     PulserDetector,
     Spectrum,
@@ -17,6 +20,7 @@ from repro.core.elasticity import (
     elasticity_metric,
     pulse_sent,
 )
+from repro.core.nimbus import _window
 from repro.core.pulses import AsymmetricSinusoidPulse
 
 SAMPLE_INTERVAL = 0.01
@@ -160,21 +164,16 @@ def test_spectrum_reads_what_the_free_functions_read(x, dt, fp, band, bins):
 
 @given(x=windows(), dt=spacings, fp=frequencies)
 def test_detectors_read_one_spectrum_like_the_old_two(x, dt, fp):
-    """Both detectors evaluate the trailing FFT window exactly as the
+    """Both detectors read the window they are given exactly as the
     per-frequency ``elasticity_metric`` calls they used to make."""
-    detector = ElasticityDetector(sample_interval=dt, pulse_frequency=fp)
-    tail = x[-detector.window_samples:]
-    result = detector.evaluate(x)
-    assert result.eta == _ref_elasticity_metric(tail, dt, fp)
-    assert result.elastic == (result.eta >= detector.threshold)
-    pulser = PulserDetector(sample_interval=dt)
-    eta_c = _ref_elasticity_metric(tail, dt, pulser.competitive_frequency)
-    eta_d = _ref_elasticity_metric(tail, dt, pulser.delay_frequency)
-    present, mode, got_c, got_d = pulser.evaluate(x)
-    assert (got_c, got_d) == (eta_c, eta_d)
-    assert present == (max(eta_c, eta_d) >= pulser.threshold)
-    assert mode == (None if not present else
-                    "competitive" if eta_c >= eta_d else "delay")
+    assert ElasticityDetector.evaluate(x, dt, fp) == DetectorSample(
+        _ref_elasticity_metric(x, dt, fp),
+        _ref_magnitude_at(*_ref_fft_magnitude(x, dt), fp))
+    eta_c = _ref_elasticity_metric(x, dt, COMPETITIVE_FREQUENCY)
+    eta_d = _ref_elasticity_metric(x, dt, DELAY_FREQUENCY)
+    assert PulserDetector.evaluate(x, dt) == (
+        None if max(eta_c, eta_d) < THRESHOLD else
+        "competitive" if eta_c >= eta_d else "delay")
 
 
 # --------------------------------------------------------------------- #
@@ -329,66 +328,60 @@ def test_pulse_sent_is_the_share_of_the_scheduled_pulse():
 
 class TestElasticityDetector:
     def test_classifies_elastic(self):
-        detector = ElasticityDetector()
-        result = detector.evaluate(sine_at(FP, noise=0.1))
-        assert result.elastic
-        assert result.eta >= detector.threshold
+        sample = ElasticityDetector.evaluate(sine_at(FP, noise=0.1),
+                                             SAMPLE_INTERVAL, FP)
+        assert sample.eta >= THRESHOLD
+        assert sample.magnitude == pytest.approx(0.5, rel=0.1)
 
     def test_classifies_inelastic(self):
-        detector = ElasticityDetector()
-        result = detector.evaluate(RNG.normal(0, 1.0, size=500))
-        assert not result.elastic
+        sample = ElasticityDetector.evaluate(RNG.normal(0, 1.0, size=500),
+                                             SAMPLE_INTERVAL, FP)
+        assert sample.eta < THRESHOLD
 
+    # Nimbus cuts the window the detector reads: the trailing FFT window at
+    # the realised spacing, or the pulser's whole series.
     def test_uses_trailing_window_only(self):
-        detector = ElasticityDetector(fft_duration=5.0)
         old = RNG.normal(0, 1.0, size=1000)
         recent = sine_at(FP, noise=0.05)
-        result = detector.evaluate(np.concatenate([old, recent]))
-        assert result.elastic
+        window = _window(np.concatenate([old, recent]), SAMPLE_INTERVAL)
+        assert window.tolist() == recent.tolist()
+        assert ElasticityDetector.evaluate(window, SAMPLE_INTERVAL,
+                                           FP).eta >= THRESHOLD
 
     def test_window_samples(self):
-        detector = ElasticityDetector(sample_interval=0.01, fft_duration=5.0)
-        assert detector.window_samples == 500
-        assert detector.has_full_window(np.zeros(500))
-        assert not detector.has_full_window(np.zeros(499))
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ElasticityDetector(threshold=0.5)
+        assert len(_window(np.zeros(500), 0.01)) == 500
+        assert _window(np.zeros(499), 0.01) is None
+        assert len(_window(np.zeros(500), 0.012)) == 417
+        assert len(_window(np.zeros(500), 0.012, whole=True)) == 500
+        assert _window(np.zeros(499), 0.012, whole=True) is None
 
     def test_a_window_shorter_than_one_sample_reads_nothing(self):
-        # Regression: ``x[-0:]`` used to read the whole series, so a 4 ms
-        # window over 10 ms samples classified 6 s of a 5 Hz sine as
-        # elastic with eta ~ 1.6e15.
-        detector = ElasticityDetector(sample_interval=SAMPLE_INTERVAL,
-                                      fft_duration=0.004)
-        assert detector.window_samples == 0
-        assert detector.evaluate(sine_at(FP, duration=6.0)) == \
-            DetectionResult(eta=0.0, elastic=False)
+        # Regression: ``x[-0:]`` used to read the whole series, so a window
+        # shorter than one sample classified 6 s of a 5 Hz sine as elastic
+        # with eta ~ 1.6e15.
+        window = _window(sine_at(FP, duration=6.0), 12.0)
+        assert len(window) == 0
+        assert ElasticityDetector.evaluate(window, 12.0, FP) == \
+            DetectorSample(eta=0.0, magnitude=0.0)
 
 
 class TestPulserDetector:
     def test_detects_competitive_frequency(self):
-        detector = PulserDetector()
-        present, mode, _, _ = detector.evaluate(sine_at(5.0, noise=0.05))
-        assert present and mode == "competitive"
+        assert PulserDetector.evaluate(sine_at(5.0, noise=0.05),
+                                       SAMPLE_INTERVAL) == "competitive"
 
     def test_detects_delay_frequency(self):
-        detector = PulserDetector()
-        present, mode, _, _ = detector.evaluate(sine_at(6.0, noise=0.05))
-        assert present and mode == "delay"
+        assert PulserDetector.evaluate(sine_at(6.0, noise=0.05),
+                                       SAMPLE_INTERVAL) == "delay"
 
     def test_no_pulser(self):
-        detector = PulserDetector()
-        present, mode, _, _ = detector.evaluate(RNG.normal(0, 1.0, size=500))
-        assert not present and mode is None
+        assert PulserDetector.evaluate(RNG.normal(0, 1.0, size=500),
+                                       SAMPLE_INTERVAL) is None
 
     def test_a_window_shorter_than_one_sample_reads_nothing(self):
-        detector = PulserDetector(sample_interval=SAMPLE_INTERVAL,
-                                  fft_duration=0.004)
-        assert detector.window_samples == 0
-        assert detector.evaluate(sine_at(FP, duration=6.0)) == \
-            (False, None, 0.0, 0.0)
+        window = _window(sine_at(FP, duration=6.0), 12.0)
+        assert len(window) == 0
+        assert PulserDetector.evaluate(window, 12.0) is None
 
 
 class TestCrossCorrelationStrawman:

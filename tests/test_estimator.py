@@ -239,7 +239,7 @@ gaps = st.lists(st.one_of(st.sampled_from([0.0, 0.004, 0.008, 0.012, 0.01]),
 @example(gaps=[0.0] * 5)                # zero median: the nominal interval
 @example(gaps=[0.012, 0.008] * 125)     # past 200 samples: the newest 200
 def test_realised_spacing_is_the_median_gap(gaps):
-    nimbus = Nimbus(mu=MU, sample_interval=0.01)
+    nimbus = Nimbus(mu=MU)
     # An estimator that samples whenever asked, so any gap, 0 included,
     # reaches the series.
     nimbus.estimator = CrossTrafficEstimator(MU, sample_interval=1e-13,

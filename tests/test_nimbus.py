@@ -18,6 +18,7 @@ from repro.cc import (
     Vegas,
     Vivace,
 )
+from repro.core.elasticity import THRESHOLD
 from repro.core.multiflow import ROLE_PULSER, ROLE_WATCHER
 from repro.core.nimbus import MODE_COMPETITIVE, MODE_DELAY, Nimbus
 from repro.core.pulses import SymmetricSinusoidPulse
@@ -50,7 +51,6 @@ class TestConstruction:
         nimbus = Nimbus(mu=MU_24)
         assert nimbus.mode == MODE_DELAY
         assert isinstance(nimbus.competitive_cc, Cubic)
-        assert nimbus.threshold == pytest.approx(2.0)
 
     def test_custom_inner_algorithms(self):
         nimbus = Nimbus(mu=MU_24, delay=Vegas())
@@ -82,7 +82,7 @@ class TestDetectionIntegration:
 
     def test_inelastic_cross_traffic_detected(self):
         _, nimbus = run_nimbus("inelastic")
-        assert nimbus.last_eta < nimbus.threshold
+        assert nimbus.last_eta < THRESHOLD
         assert nimbus.mode == MODE_DELAY
 
     def test_low_delay_against_inelastic(self):
@@ -254,25 +254,26 @@ class TestTakeOver:
 # One spectrum per window
 # --------------------------------------------------------------------- #
 def _ffts_per_detection(monkeypatch, flows, duration):
-    """Run ``flows`` (name -> Nimbus) together and return, per name, the
-    set of ``np.fft.rfft`` call counts seen in one detection interval,
-    keyed by the role the flow held when the interval began."""
-    calls = [0]
+    """Run ``flows`` (name -> Nimbus) together at ``dt=0.004`` and return,
+    per name and per the role the flow held when the interval began, one
+    ``(samples held, sizes of the np.fft.rfft calls)`` pair per detection
+    interval."""
+    sizes = []
     real_rfft = np.fft.rfft
 
-    def counting_rfft(*args, **kwargs):
-        calls[0] += 1
-        return real_rfft(*args, **kwargs)
+    def counting_rfft(a, *args, **kwargs):
+        sizes.append(len(a))
+        return real_rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    seen = {name: {ROLE_PULSER: set(), ROLE_WATCHER: set()}
-            for name in flows}
+    seen = {name: {ROLE_PULSER: [], ROLE_WATCHER: []} for name in flows}
 
     def counted(name, nimbus, logic):
         def wrapper(now):
-            before, role = calls[0], nimbus.role
+            before, role = len(sizes), nimbus.role
             logic(now)
-            seen[name][role].add(calls[0] - before)
+            seen[name][role].append((len(nimbus.estimator),
+                                     tuple(sizes[before:])))
         return wrapper
 
     network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
@@ -285,11 +286,22 @@ def _ffts_per_detection(monkeypatch, flows, duration):
     return seen
 
 
+def _first_read(intervals):
+    """Samples held at the first interval that transformed anything."""
+    return min(held for held, ffts in intervals if ffts)
+
+
 class TestOneSpectrumPerWindow:
+    """One FFT per window read, and the window each path reads: at 4 ms
+    ticks the 10 ms samples land 12 ms apart, so 5 s is 417 samples and
+    ``z_series(5 s)`` holds 500."""
+
     def test_single_flow_interval_costs_one_fft(self, monkeypatch):
         seen = _ffts_per_detection(monkeypatch, {"n": Nimbus(mu=MU_24)}, 7.0)
-        # Nothing before the first full window, then exactly one each.
-        assert seen["n"][ROLE_PULSER] == {0, 1}
+        # Nothing before a full 500-sample series, then the trailing 417.
+        intervals = seen["n"][ROLE_PULSER]
+        assert {ffts for _, ffts in intervals} == {(), (417,)}
+        assert _first_read(intervals) == 500
 
     def test_pulser_costs_two_and_watcher_one(self, monkeypatch):
         pulser = Nimbus(mu=MU_24, multi_flow=True, seed=0)
@@ -297,10 +309,15 @@ class TestOneSpectrumPerWindow:
         watcher = Nimbus(mu=MU_24, multi_flow=True, seed=1)
         seen = _ffts_per_detection(
             monkeypatch, {"pulser": pulser, "watcher": watcher}, 7.0)
-        # z and r of the pulser (eta + the conflict check read one z
-        # spectrum); the watcher's r, read at both agreed frequencies.
-        assert max(seen["pulser"][ROLE_PULSER]) == 2
-        assert seen["watcher"][ROLE_WATCHER] == {0, 1}
+        # The pulser's whole z and r (eta and the conflict check read one
+        # z spectrum), once 500 samples are held; the watcher's trailing r,
+        # read at both agreed frequencies, as soon as it holds 417.
+        pulsing = seen["pulser"][ROLE_PULSER]
+        assert {ffts for _, ffts in pulsing} == {(), (500, 500)}
+        assert _first_read(pulsing) == 500
+        watching = seen["watcher"][ROLE_WATCHER]
+        assert {ffts for _, ffts in watching} == {(), (417,)}
+        assert _first_read(watching) == 417
         assert len(pulser.eta_history) > 10
 
 

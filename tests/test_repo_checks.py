@@ -110,6 +110,33 @@ class TestOptionCensus:
                        "CampaignManifest.seeds"):
             assert option not in unset
 
+    def test_a_class_body_does_not_set_its_own_options(self, tmp_path,
+                                                       monkeypatch):
+        """The keywords a class passes to its parts set *their* options,
+        not its own, even when some caller forwards ``**kwargs`` to it (as
+        ``make_scheme`` does to ``Nimbus``)."""
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "toy.py").write_text(
+            "class Part:\n"
+            "    def __init__(self, width=1.0, depth=1.0):\n"
+            "        self.width, self.depth = width, depth\n"
+            "\n"
+            "class Whole:\n"
+            "    def __init__(self, width=1.0, depth=1.0):\n"
+            "        self.part = Part(width=width, depth=depth)\n"
+            "\n"
+            "def build(**overrides):\n"
+            "    return Whole(**overrides)\n"
+            "\n"
+            "def deep():\n"
+            "    return build(depth=2.0)\n")
+        monkeypatch.setattr(census, "ROOT", tmp_path)
+        unset = census.unset_options(roots=("src",))
+        assert "Whole.width" in unset
+        assert "Whole.depth" not in unset  # spelled by deep(), outside
+        assert "Part.width" not in unset and "Part.depth" not in unset
+
     def test_an_unexplained_or_stale_entry_fails(self, tmp_path, monkeypatch,
                                                  capsys):
         allowed = json.loads(census.ALLOW_LIST.read_text())
