@@ -7,8 +7,11 @@ The package is organised as:
   Linux-datapath substitute): bottleneck link, queueing policies, transport
   endpoints, measurement, tracing.
 * :mod:`repro.cc` — the congestion-control algorithm zoo the paper runs and
-  competes against (Cubic, NewReno, Vegas, Copa, BBR, PCC-Vivace, Compound,
-  BasicDelay, and inelastic reference senders).
+  competes against (Cubic, NewReno, Vegas, Copa, BBR, PCC-Vivace,
+  BasicDelay, and inelastic reference senders).  Drivers name a scheme by
+  one of :func:`repro.runtime.make_scheme`'s six strings (``nimbus``,
+  ``basicdelay``, ``cubic``, ``vegas``, ``copa``, ``bbr``); anything else
+  is built from its class.
 * :mod:`repro.core` — the paper's contribution: the cross-traffic rate
   estimator, sinusoidal pulse shapes, the FFT elasticity detector, the
   Nimbus mode-switching controller, and multi-flow pulser/watcher
@@ -38,7 +41,6 @@ from typing import Optional, Tuple
 from .cc import (
     BasicDelay,
     Bbr,
-    Compound,
     Copa,
     Cubic,
     NewReno,
@@ -62,7 +64,6 @@ __all__ = [
     "BasicDelay",
     "Bbr",
     "BottleneckLink",
-    "Compound",
     "Copa",
     "Cubic",
     "DropTail",

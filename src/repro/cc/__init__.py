@@ -8,7 +8,6 @@ can mix and match them freely.
 from .base import MODE_COMPETITIVE, MODE_DELAY, CongestionControl, NullCC
 from .basic_delay import BasicDelay
 from .bbr import Bbr
-from .compound import Compound
 from .copa import Copa
 from .cubic import Cubic
 from .misc import FixedWindow
@@ -19,7 +18,6 @@ from .vivace import Vivace
 __all__ = [
     "BasicDelay",
     "Bbr",
-    "Compound",
     "CongestionControl",
     "Copa",
     "Cubic",

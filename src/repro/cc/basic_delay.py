@@ -52,11 +52,16 @@ class BasicDelay(CongestionControl):
         self.beta = beta
         self.target_delay = target_delay
         self.z_provider = z_provider
-        self.min_rate = self.MIN_RATE_FRACTION * mu
         self.rate = 0.1 * mu
         # A generous window cap so the flow stays rate-limited, not
         # window-limited, while still bounding the data in flight.
         self.cwnd = None
+
+    @property
+    def min_rate(self) -> float:
+        """The rate floor, read off ``mu`` so that it follows a ``mu``
+        Nimbus raises as it estimates the link rate."""
+        return self.MIN_RATE_FRACTION * self.mu
 
     def cross_traffic_estimate(self, now: float) -> float:
         """z(t) from Eq. (1), or the injected provider's value."""

@@ -170,7 +170,7 @@ def run_appendix_a(profile: Optional[PathProfile] = None,
     """Appendix A / Fig. 20: Cubic vs. the delay-control algorithm alone."""
     profile = profile if profile is not None else DEFAULT_PROFILES[0]
     result = ExperimentResult(name="fig20_inelastic_paths")
-    schemes = ("cubic", "nimbus-delay")
+    schemes = ("cubic", "basicdelay")
     payloads = run_cases(run_case, [dict(scheme=s) for s in schemes],
                          profile=profile, **params)
     for scheme, payload in zip(schemes, payloads):

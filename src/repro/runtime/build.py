@@ -19,16 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
-from ..cc import (
-    BasicDelay,
-    Bbr,
-    Compound,
-    Copa,
-    Cubic,
-    NewReno,
-    Vegas,
-    Vivace,
-)
+from ..cc import BasicDelay, Bbr, Copa, Cubic, Vegas
 from ..cc.base import CongestionControl
 from ..core.nimbus import Nimbus
 from ..simulator import (
@@ -254,28 +245,19 @@ def make_network(link_mbps: float, buffer_ms: float = 100.0,
 def make_scheme(name: str, mu: float, **overrides) -> CongestionControl:
     """Instantiate a congestion-control scheme by name.
 
-    Supported names: ``nimbus`` (Cubic + BasicDelay), ``nimbus-copa``
-    (Cubic + Copa default mode), ``nimbus-vegas``, ``nimbus-delay`` (the
-    delay algorithm alone, no mode switching), ``cubic``, ``newreno``,
-    ``vegas``, ``copa``, ``copa-default``, ``bbr``, ``pcc-vivace``,
-    ``compound``, ``basicdelay``.
+    The names are the ones a driver, manifest or CI step passes as a
+    scheme: ``nimbus`` (Cubic + BasicDelay), ``basicdelay`` (the delay
+    algorithm alone, no mode switching), ``cubic``, ``vegas``, ``copa`` and
+    ``bbr``.  Any other composition — Nimbus over another delay algorithm,
+    a scheme only a test runs — is built from its classes directly.
     """
     factories: Dict[str, Callable[[], CongestionControl]] = {
         "nimbus": lambda: Nimbus(mu=mu, **overrides),
-        "nimbus-copa": lambda: Nimbus(
-            mu=mu, delay=Copa(mode_switching=False), **overrides),
-        "nimbus-vegas": lambda: Nimbus(mu=mu, delay=Vegas(), **overrides),
-        "nimbus-delay": lambda: BasicDelay(mu, **overrides),
         "basicdelay": lambda: BasicDelay(mu, **overrides),
         "cubic": lambda: Cubic(**overrides),
-        "newreno": lambda: NewReno(**overrides),
-        "reno": lambda: NewReno(**overrides),
         "vegas": lambda: Vegas(**overrides),
         "copa": lambda: Copa(**overrides),
-        "copa-default": lambda: Copa(mode_switching=False, **overrides),
         "bbr": lambda: Bbr(**overrides),
-        "pcc-vivace": lambda: Vivace(**overrides),
-        "compound": lambda: Compound(**overrides),
     }
     try:
         return factories[name]()

@@ -172,6 +172,17 @@ class TestBasicDelay:
         bd.take_over(0.0, 0.05)
         assert bd.rate >= bd.min_rate
 
+    def test_rate_floor_follows_a_raised_mu(self):
+        """Nimbus without a configured rate builds ``BasicDelay(1.0)`` and
+        raises ``mu`` as it estimates the link: the floor must follow."""
+        bd = BasicDelay(1.0)
+        attach(bd)
+        bd.mu = self.MU
+        bd.take_over(0.0, 0.05)
+        assert bd.rate == BasicDelay.MIN_RATE_FRACTION * self.MU
+        bd.on_loss(MSS_BYTES, 1.0)
+        assert bd.rate == BasicDelay.MIN_RATE_FRACTION * self.MU
+
     def test_external_z_provider_used(self):
         calls = []
 

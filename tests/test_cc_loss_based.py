@@ -1,10 +1,9 @@
-"""Loss-based algorithms: NewReno, Cubic, Compound."""
+"""Loss-based algorithms: NewReno, Cubic."""
 
 
 import pytest
 
-from repro.cc import Compound, Cubic, NewReno
-from repro.runtime import make_scheme
+from repro.cc import Cubic, NewReno
 from repro.simulator.endpoint import Flow
 from repro.simulator.packet import Ack
 from repro.simulator.units import MSS_BYTES
@@ -76,9 +75,6 @@ class TestNewReno:
             reno.on_loss(MSS_BYTES, i * 1.0)
         assert reno.cwnd >= 2 * MSS_BYTES
 
-    def test_reno_alias(self):
-        assert type(make_scheme("reno", 1e6)) is NewReno
-
 
 class TestCubic:
     def test_slow_start(self):
@@ -135,39 +131,3 @@ class TestCubic:
         cubic.on_loss(MSS_BYTES, 1.02)
         assert cubic.cwnd == pytest.approx(after)
 
-
-class TestCompound:
-    def test_delay_window_grows_when_uncongested(self):
-        compound = Compound()
-        attach(compound)
-        compound.ssthresh = compound.cwnd
-        feed_acks(compound, 100, qdelay=0.0)
-        assert compound.dwnd > 0
-
-    def test_delay_window_shrinks_with_queueing(self):
-        compound = Compound()
-        attach(compound)
-        compound.ssthresh = compound.cwnd
-        feed_acks(compound, 100, qdelay=0.0)
-        # Grow the loss window so the queueing estimate (diff) can exceed
-        # gamma = 30 segments, then present heavy queueing.
-        compound.lwnd = 120 * MSS_BYTES
-        feed_acks(compound, 50, qdelay=0.0, start=2.0)
-        grown = compound.dwnd
-        feed_acks(compound, 200, qdelay=0.08, start=4.0)
-        assert compound.dwnd < grown
-
-    def test_cwnd_is_sum_of_windows(self):
-        compound = Compound()
-        attach(compound)
-        feed_acks(compound, 50)
-        assert compound.cwnd == pytest.approx(
-            max(compound.lwnd + compound.dwnd, compound.min_cwnd))
-
-    def test_loss_reduces_total_window(self):
-        compound = Compound()
-        attach(compound)
-        feed_acks(compound, 60)
-        before = compound.cwnd
-        compound.on_loss(MSS_BYTES, 1.0)
-        assert compound.cwnd < before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cc import Bbr, Compound, Copa, NewReno, Vegas
+from repro.cc import Bbr, Copa, NewReno, Vegas
 from repro.cc.base import CongestionControl, NullCC
 from repro.cc.cubic import Cubic
 from repro.core.nimbus import Nimbus
@@ -177,7 +177,7 @@ class TestWaiting:
         assert flow.emit(0.01, 0.002) is None
         return flow
 
-    @pytest.mark.parametrize("make_cc", [Cubic, NewReno, Vegas, Compound])
+    @pytest.mark.parametrize("make_cc", [Cubic, NewReno, Vegas])
     @pytest.mark.parametrize("make_source",
                              [BackloggedSource, lambda: FiniteSource(9000)])
     def test_window_clocked_over_untimed_source_waits(self, make_cc,

@@ -57,11 +57,9 @@ class TestRegistry:
 class TestCommonHelpers:
     def test_make_scheme_known_names(self):
         mu = mbps_to_bytes_per_sec(96)
-        for name in ("nimbus", "cubic", "vegas", "copa", "bbr", "pcc-vivace",
-                     "compound", "basicdelay", "newreno", "copa-default",
-                     "nimbus-copa", "nimbus-vegas"):
-            cc = make_scheme(name, mu)
-            assert cc is not None
+        for name in ("nimbus", "basicdelay", "cubic", "vegas", "copa",
+                     "bbr"):
+            assert make_scheme(name, mu).name == name  # one name per scheme
 
     def test_make_scheme_unknown(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro import quick_network
 from repro.cc import (
     BasicDelay,
     Bbr,
-    Compound,
     Copa,
     Cubic,
     FixedWindow,
@@ -115,6 +114,8 @@ class TestDetectionIntegration:
         network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name="nimbus"))
         network.run(20.0)
         assert nimbus.mu == pytest.approx(MU_24, rel=0.25)
+        assert nimbus.delay_cc.min_rate == \
+            BasicDelay.MIN_RATE_FRACTION * nimbus.mu
 
 
 class TestRateAndPulsing:
@@ -178,7 +179,7 @@ def _old_hand_off_to_delay(cc, rate, rtt):
         cc.cwnd = max(rate * rtt, 4 * MSS_BYTES)
 
 
-WINDOW_BASED = [Cubic, NewReno, Compound, Vegas, Copa, Bbr, FixedWindow]
+WINDOW_BASED = [Cubic, NewReno, Vegas, Copa, Bbr, FixedWindow]
 #: What callers pass as ``delay=``, plus the rate-based algorithms.
 DELAY_CAPABLE = [Vegas, Copa, lambda: Copa(mode_switching=False), Bbr,
                  FixedWindow, lambda: BasicDelay(MU_24), Vivace]

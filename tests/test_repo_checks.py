@@ -2,8 +2,9 @@
 per-layer count gate (``check_layer_counts.py``), the benchmark's view of
 the engine (``e2e/spans.py``), the constructor option census
 (``check_option_census.py``) and the tier-1 trajectory's output parser
-(``tier1_trajectory.py``); and the reach check, which fails on a public
-name under ``src/repro`` that only tests call."""
+(``tier1_trajectory.py``); and the reach checks, which fail on a public
+name under ``src/repro`` that only tests call and on a ``make_scheme`` key
+that only tests pass."""
 
 import ast
 import importlib.util
@@ -18,6 +19,9 @@ from repro.simulator import Flow
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _CALLABLE = re.compile(r"[\w.]+:(\w+)")
+_SCHEME_TABLE = pathlib.Path("src", "repro", "runtime", "build.py")
+_YAML_KEY = re.compile(r"[\w-]+:(\s|$)")
+_WORD = re.compile(r"[\w-]+")
 
 
 def _load_benchmark_script(name):
@@ -202,6 +206,66 @@ def unreached(root: pathlib.Path = _ROOT) -> list:
                   if name.rpartition(".")[2] not in seen)
 
 
+def scheme_keys(root: pathlib.Path = _ROOT) -> list:
+    """The keys of ``make_scheme``'s factory table, read off its source."""
+    tree = ast.parse((root / _SCHEME_TABLE).read_text())
+    function = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "make_scheme")
+    table = next(node for node in ast.walk(function)
+                 if isinstance(node, ast.Dict))
+    return sorted(key.value for key in table.keys)
+
+
+def _labels(tree: ast.Module) -> set:
+    """The ``name = "..."`` constants of class bodies: what a scheme calls
+    itself, not a caller asking for it."""
+    return {id(statement.value)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for statement in node.body
+            if isinstance(statement, ast.Assign)
+            and [ast.unparse(t) for t in statement.targets] == ["name"]}
+
+
+def _spelled_strings(root: pathlib.Path) -> set:
+    """Every string constant of the Python outside the tests (the scheme
+    table's own file and class labels excluded), every string value of a
+    campaign manifest and every word of a CI workflow's values."""
+    spelled = set()
+    for top in census.ROOTS:
+        for path, tree in census.sources(root / top):
+            if path.relative_to(root) == _SCHEME_TABLE:
+                continue
+            labels = _labels(tree)
+            spelled.update(node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant)
+                           and isinstance(node.value, str)
+                           and id(node) not in labels)
+    for path in sorted((root / "benchmarks" / "campaigns").glob("*.toml")):
+        values = [tomllib.loads(path.read_text())]
+        while values:
+            value = values.pop()
+            if isinstance(value, dict):
+                values.extend(value.values())
+            elif isinstance(value, list):
+                values.extend(value)
+            elif isinstance(value, str):
+                spelled.add(value)
+    for path in sorted((root / ".github" / "workflows").glob("*.yml")):
+        for line in path.read_text().splitlines():
+            line = line.strip().removeprefix("- ")
+            if line.startswith("#"):
+                continue
+            key = _YAML_KEY.match(line)
+            spelled.update(_WORD.findall(line[key.end():] if key else line))
+    return spelled
+
+
+def unreached_scheme_keys(root: pathlib.Path = _ROOT) -> list:
+    spelled = _spelled_strings(root)
+    return [key for key in scheme_keys(root) if key not in spelled]
+
+
 class TestReach:
     """Every public function and class under ``src/repro``, and every public
     method of a public class, is reached from outside the tests: its name
@@ -215,7 +279,22 @@ class TestReach:
     whose name another reached definition shares: that is how
     ``DependencyGraph.register`` (named like the CC hook ``register``) and
     the module-level ``depgraph.invalidate`` (named like the graph method)
-    hid until they were deleted by hand."""
+    hid until they were deleted by hand.
+
+    String registries are reached by key, not by identifier: every key of
+    ``make_scheme``'s table must be a scheme something outside the tests
+    runs — a whole string constant in ``src/`` (the table's own
+    ``runtime/build.py`` excluded), ``benchmarks/`` or ``examples/``, a
+    string value of a ``benchmarks/campaigns/*.toml`` manifest, or a word
+    of a ``.github/workflows/*.yml`` value.  Only Python is read under
+    ``benchmarks/``, so the recorded ``benchmarks/e2e/results/`` never
+    count, and a class's own ``name = "..."`` label does not count: it is
+    what the key builds, not a caller asking for it.  Spellings collide
+    here too: Table 1's traffic-class keys ``"reno"`` and ``"pcc-vivace"``
+    made two scheme names that no driver passed look reached.
+    ``EXPERIMENT_INDEX`` stays out of this check: every key there is a
+    paper artefact's runner id by design, reached through the CLI rather
+    than by a string elsewhere."""
 
     ALLOWED = {
         f"repro.experiments.selftest.{name}":
@@ -248,6 +327,35 @@ class TestReach:
             (tmp_path / name).write_text(text)
         assert unreached(tmp_path) == ["repro.m.Used.by_test_only",
                                        "repro.m.reexported"]
+
+    def test_every_scheme_key_is_passed_outside_the_tests(self):
+        assert unreached_scheme_keys() == []
+
+    def test_sees_manifests_ci_steps_and_driver_defaults(self, tmp_path):
+        keys = ("manifest", "ci-step", "driver-default", "labelled",
+                "test-only")
+        files = {
+            "src/repro/runtime/build.py": (
+                "def make_scheme(name, mu):\n"
+                "    factories = {"
+                + "".join(f"{key!r}: None, " for key in keys) + "}\n"
+                "    return factories[name]\n"),
+            "src/repro/cc/toy.py": "class Toy:\n    name = 'labelled'\n",
+            "src/repro/experiments/d.py": "SCHEMES = ('driver-default',)\n",
+            "benchmarks/campaigns/m.toml": (
+                '[[experiment]]\n[experiment.axes]\nschemes = ["manifest"]\n'),
+            ".github/workflows/ci.yml": (
+                "jobs:\n  smoke:\n    steps:\n"
+                "      # scheme=test-only is a comment, not a step\n"
+                "      - run: |\n"
+                "          runner fig01 --set scheme=ci-step\n"),
+            "tests/test_toy.py": "SCHEMES = ('test-only', 'labelled')\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert scheme_keys(tmp_path) == sorted(keys)
+        assert unreached_scheme_keys(tmp_path) == ["labelled", "test-only"]
 
 
 class TestTier1Trajectory:

@@ -38,7 +38,7 @@ def test_fig20_runs_appendix_a_not_fig18(capsys):
     assert runner.main(["fig20", "--duration", "4", "--set", "dt=0.004"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("== fig20_inelastic_paths ==")
-    assert "nimbus-delay" in out and "fig18" not in out
+    assert "basicdelay" in out and "fig18" not in out
 
 
 def test_unknown_experiment():

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cc import Compound, Cubic, NewReno, NullCC, Vegas
+from repro.cc import Cubic, NewReno, NullCC, Vegas
 from repro.runtime import LinkSpec, make_topology
 from repro.simulator import (
     FaultEvent,
@@ -41,8 +41,7 @@ class PollEverything(TopologyNetwork):
         return super().add_flow(flow, *args, **kwargs)
 
 
-_WINDOWED = {"cubic": Cubic, "newreno": NewReno, "vegas": Vegas,
-             "compound": Compound}
+_WINDOWED = {"cubic": Cubic, "newreno": NewReno, "vegas": Vegas}
 
 #: Finite sizes: inside one segment, whole segments, and whole segments plus
 #: half a byte (the remainder no emission can carry).
@@ -165,7 +164,7 @@ def test_every_finite_flow_of_a_clean_run_finishes():
                 "finite": [("cubic", 700.5, 0.05, 0.0),
                            ("vegas", 10 * MSS_BYTES + 0.5, 0.01, 0.1),
                            ("newreno", 37 * MSS_BYTES + 0.5, 0.12, 0.2),
-                           ("compound", 200 * MSS_BYTES, 0.05, 0.3)]}
+                           ("cubic", 200 * MSS_BYTES, 0.05, 0.3)]}
     network, never_marked = build(TopologyNetwork, scenario)
     network.run(UNTIL)
     finite = [flow for flow in network.flows
