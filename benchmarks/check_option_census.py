@@ -7,7 +7,10 @@ count) that sets it — by keyword, by position, or through a ``**kwargs``
 the class is called with, in which case the option counts as set when
 some call or dict literal in the scanned trees spells its name outside the
 class's own body (the keywords a class passes to its parts do not set its
-own options); a classmethod's ``cls(...)`` is a call of its class.  Options nobody sets
+own options) and the callee does not declare that parameter itself (a
+keyword the callee declares is used up at that call:
+``add_link(delay=)`` does not set ``Nimbus.delay``); a classmethod's
+``cls(...)`` is a call of its class.  Options nobody sets
 are printed; exit 1 if one of them is missing from
 ``benchmarks/option_census.json``, the allow-list giving each kept option
 its one reason, or if the list names an option that is set or gone.  Pure
@@ -88,6 +91,28 @@ def _owners(tree) -> dict:
     return owners
 
 
+def _parameters(trees) -> dict:
+    """``{name: [parameter names of each function, method or class
+    ``__init__`` so named, ...]}`` over ``trees``."""
+    declared = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                function = next((n for n in node.body
+                                 if isinstance(n, ast.FunctionDef)
+                                 and n.name == "__init__"), None)
+                if function is None:
+                    continue
+            elif isinstance(node, ast.FunctionDef):
+                function = node
+            else:
+                continue
+            args = function.args
+            declared.setdefault(node.name, []).append(
+                {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs})
+    return declared
+
+
 def _calls(tree):
     """``(callee name, call)`` pairs; ``super().__init__(...)`` is a call of
     each base of the enclosing class, and ``cls(...)`` (a classmethod
@@ -114,30 +139,37 @@ def unset_options(roots=ROOTS) -> list:
     set_here = {name: set() for name in options}
     # name -> the sets of classes whose body holds a spelling of it
     forwarded, spelled = set(), {}
-    for root in roots:
-        for _, tree in sources(ROOT / root):
-            for node, held_by in _owners(tree).items():
-                if isinstance(node, ast.Dict):
-                    names = [k.value for k in node.keys
-                             if isinstance(k, ast.Constant)]
-                elif isinstance(node, ast.Call):
-                    names = [k.arg for k in node.keywords if k.arg]
-                else:
-                    continue
-                for name in names:
-                    spelled.setdefault(name, set()).add(held_by)
-            for callee, call in _calls(tree):
-                keywords = {k.arg for k in call.keywords}
-                if callee in options:
-                    set_here[callee].update(options[callee][:len(call.args)])
-                # A keyword given to a subclass may be meant for a base.
-                lineage = [callee]
-                for cls in lineage:
-                    lineage.extend(bases.get(cls, ()))
-                    if cls in options:
-                        set_here[cls].update(keywords)
-                        if None in keywords:
-                            forwarded.add(cls)
+    trees = [tree for root in roots for _, tree in sources(ROOT / root)]
+    declared = _parameters(trees)
+    for tree in trees:
+        for node, held_by in _owners(tree).items():
+            if isinstance(node, ast.Dict):
+                names = [k.value for k in node.keys
+                         if isinstance(k, ast.Constant)]
+            elif isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                # A keyword that every definition so named declares is
+                # used up at this call, not forwarded.
+                names = [k.arg for k in node.keywords if k.arg and not (
+                    callee in declared
+                    and all(k.arg in params for params in declared[callee]))]
+            else:
+                continue
+            for name in names:
+                spelled.setdefault(name, set()).add(held_by)
+        for callee, call in _calls(tree):
+            keywords = {k.arg for k in call.keywords}
+            if callee in options:
+                set_here[callee].update(options[callee][:len(call.args)])
+            # A keyword given to a subclass may be meant for a base.
+            lineage = [callee]
+            for cls in lineage:
+                lineage.extend(bases.get(cls, ()))
+                if cls in options:
+                    set_here[cls].update(keywords)
+                    if None in keywords:
+                        forwarded.add(cls)
     def spelled_outside(name: str, cls: str) -> bool:
         return any(cls not in held_by for held_by in spelled.get(name, ()))
 

@@ -21,7 +21,6 @@ from .multiflow import (
 from .nimbus import Nimbus
 from .pulses import (
     AsymmetricSinusoidPulse,
-    NoPulse,
     PulseShape,
     SymmetricSinusoidPulse,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "MODE_COMPETITIVE",
     "MODE_DELAY",
     "Nimbus",
-    "NoPulse",
     "PulseShape",
     "PulserDetector",
     "PulserElection",

@@ -50,7 +50,8 @@ class CrossTrafficEstimator:
         sample_interval: Spacing of the recorded time series (10 ms default,
             matching the paper's CCP reporting interval).
         history: How many seconds of samples to retain (at least the FFT
-            duration; the default keeps 30 s for rate-reset bookkeeping).
+            duration).  Detection reads the last 5 s; the 30 s default is
+            for the whole-series payloads of Figs. 4 and 22.
     """
 
     def __init__(self, mu: float, sample_interval: float = 0.01,
@@ -73,17 +74,17 @@ class CrossTrafficEstimator:
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def maybe_sample(self, now: float, measurement: FlowMeasurement,
-                     window: Optional[float] = None) -> Optional[float]:
+    def maybe_sample(self, now: float,
+                     measurement: FlowMeasurement) -> Optional[float]:
         """Record a sample if at least one sample interval has elapsed.
 
         Returns the new z estimate, or None if it is not yet time to sample.
-        ``window`` overrides the measurement window (defaults to one RTT).
+        S and R are measured over the measurement's own window (one RTT).
         """
         if now - self._last_sample < self.sample_interval - 1e-12:
             return None
         self._last_sample = now
-        s, r = measurement.paired_rates(now, window)
+        s, r = measurement.paired_rates(now)
         z = estimate_cross_traffic(self.mu, s, r)
         rows, end = self._rows, self._end
         if end == rows.shape[1]:

@@ -23,13 +23,17 @@ rate, and copy the mode signalled by the pulser's choice of frequency
 
 The inner algorithms are building blocks: Nimbus drives them through the
 :class:`~repro.cc.base.CongestionControl` hooks alone and hands the flow
-over with ``take_over(rate, rtt)``.  Every FFT it reads goes through the
-stateless :class:`~repro.core.elasticity.ElasticityDetector` or
-:class:`~repro.core.elasticity.PulserDetector`, one window per reading (z
-for a single flow; r for a watcher; z and r for a pulser), cut by
-:func:`_window`.  The paper's constants — the 5 s window, ``eta_thresh``,
-``fpc`` and ``fpd`` — are :mod:`~repro.core.elasticity`'s, and the control
-interval is the endpoint's :data:`~repro.simulator.endpoint.CONTROL_INTERVAL`.
+over with ``take_over(rate, rtt)``.  Detection is one path,
+:meth:`Nimbus._detect`, under one window rule: nothing is read until the
+estimator row holds a full nominal window (500 samples), and then every
+reading is the trailing 5 s of its row at the realised sample spacing, cut
+by :func:`_window`.  A pulser — a single flow is one — reads z, plus R for
+the multi-flow conflict check; a watcher reads R.  Every FFT goes through
+the stateless :class:`~repro.core.elasticity.ElasticityDetector` or
+:class:`~repro.core.elasticity.PulserDetector`.  The paper's constants —
+the 5 s window, ``eta_thresh``, ``fpc`` and ``fpd`` — are
+:mod:`~repro.core.elasticity`'s, and the control interval is the
+endpoint's :data:`~repro.simulator.endpoint.CONTROL_INTERVAL`.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .elasticity import (COMPETITIVE_FREQUENCY, DEFAULT_PULSE_FREQUENCY,
                          ElasticityDetector, PulserDetector)
 from .estimator import CrossTrafficEstimator
 from .multiflow import ROLE_PULSER, ROLE_WATCHER, PulserElection, WatcherRateFilter
-from .pulses import AsymmetricSinusoidPulse, NoPulse, PulseShape
+from .pulses import AsymmetricSinusoidPulse, PulseShape
 
 #: How many of the newest z-sample timestamps the realised sample spacing is
 #: taken over (see :meth:`Nimbus.actual_sample_interval`).
@@ -69,21 +73,15 @@ _FULL_WINDOW = int(round(FFT_DURATION / CONTROL_INTERVAL))
 SWITCH_TO_DELAY_PERSISTENCE = 1.0
 
 
-def _window(series: Sequence[float], spacing: float,
-            whole: bool = False) -> Optional[Sequence[float]]:
-    """One detection path's FFT window of ``series``, or None while
-    ``series`` holds fewer samples than that window.
+def _window(series: Sequence[float], spacing: float) -> Sequence[float]:
+    """The trailing ``FFT_DURATION`` of ``series`` at the realised sample
+    ``spacing`` (417 samples at 12 ms), or all of it if it spans less.
 
     ``series`` is an estimator row over ``FFT_DURATION`` at the nominal
-    control interval, :data:`_FULL_WINDOW` samples once full.  The pulser
-    reads it ``whole``: 500 samples, 6.0 s at the 12 ms spacing a 4 ms tick
-    realises.  The single-flow and watcher paths read its trailing
-    ``FFT_DURATION`` at the realised ``spacing``: 417 samples at 12 ms.
+    control interval, :data:`_FULL_WINDOW` samples once full.
     """
-    count = _FULL_WINDOW if whole else int(round(FFT_DURATION / spacing))
-    if len(series) < count:
-        return None
-    return series[len(series) - count:]
+    count = int(round(FFT_DURATION / spacing))
+    return series[max(len(series) - count, 0):]
 
 
 class Nimbus(CongestionControl):
@@ -120,7 +118,6 @@ class Nimbus(CongestionControl):
         self.mu_configured = mu
         self._mu_estimate = mu if mu is not None else 0.0
         self.pulse_fraction = pulse_fraction
-        self.pulse_frequency = pulse_frequency
         self.multi_flow = multi_flow
 
         shape_factory = (pulse_shape_factory if pulse_shape_factory is not None
@@ -179,9 +176,7 @@ class Nimbus(CongestionControl):
 
     @property
     def current_pulse(self) -> PulseShape:
-        """The pulse shape in use, given the role and mode."""
-        if self.role == ROLE_WATCHER:
-            return NoPulse()
+        """The pulse shape of the current mode (a watcher sends none)."""
         return self._pulses[self.mode]
 
     # ------------------------------------------------------------------ #
@@ -212,11 +207,7 @@ class Nimbus(CongestionControl):
             return
 
         self._take_sample(now)
-        if self.multi_flow:
-            self._multi_flow_logic(now)
-        else:
-            self._single_flow_logic(now)
-
+        self._detect(now)
         self._apply_rate(now)
 
     # ------------------------------------------------------------------ #
@@ -261,24 +252,19 @@ class Nimbus(CongestionControl):
             spacing = float((gaps[middle - 1] + gaps[middle]) / 2)
         return spacing if spacing > 0 else CONTROL_INTERVAL
 
-    def _single_flow_logic(self, now: float) -> None:
-        z = self.estimator.z_series(FFT_DURATION)
-        # The first reading waits for a full nominal window, although it
-        # reads only the trailing realised one.
-        if len(z) < _FULL_WINDOW:
+    def _detect(self, now: float) -> None:
+        """One detection interval: a pulser follows eta (Eq. 3) on z, and
+        with ``multi_flow`` demotes itself if the cross traffic pulses
+        harder than it does; a watcher copies the mode a pulser signals in
+        R."""
+        watching = self.role == ROLE_WATCHER
+        row = (self.estimator.r_series if watching
+               else self.estimator.z_series)(FFT_DURATION)
+        if len(row) < _FULL_WINDOW:
             return
         spacing = self.actual_sample_interval()
-        sample = ElasticityDetector.evaluate(_window(z, spacing), spacing,
-                                             self.pulse_frequency)
-        self._follow(sample.eta, now)
-
-    def _multi_flow_logic(self, now: float) -> None:
-        r_series = self.estimator.r_series(FFT_DURATION)
-        spacing = self.actual_sample_interval()
-        if self.role == ROLE_WATCHER:
-            window = _window(r_series, spacing)
-            if window is None:
-                return
+        window = _window(row, spacing)
+        if watching:
             mode = PulserDetector.evaluate(window, spacing)
             if mode is None:
                 # No pulser seen: maybe volunteer (Eq. 5).
@@ -291,27 +277,17 @@ class Nimbus(CongestionControl):
                 self._switch_mode(mode, now)
             return
 
-        # Pulser: ordinary elasticity detection on z, plus conflict check.
-        z = _window(self.estimator.z_series(FFT_DURATION), spacing, whole=True)
-        if z is None:
-            return
         fp = self.current_pulse.frequency
-        sample = ElasticityDetector.evaluate(z, spacing, fp)
-        self._follow(sample.eta, now)
-        self._check_pulser_conflict(sample.magnitude, r_series, spacing, fp)
-
-    def _check_pulser_conflict(self, z_magnitude: float, r_series,
-                               spacing: float, fp: float) -> None:
-        """Demote to watcher if the cross traffic pulses harder than we do.
-
-        ``r_series`` is read whole, like z: the two are rows of one
-        estimator store, so R holds as many samples as the z window.
-        """
-        r_magnitude = ElasticityDetector.evaluate(r_series, spacing,
-                                                  fp).magnitude
-        if z_magnitude > r_magnitude * 1.2 and self.election.should_demote():
-            self.role = ROLE_WATCHER
-            self.watcher_filter.reset()
+        z = ElasticityDetector.evaluate(window, spacing, fp)
+        self._follow(z.eta, now)
+        if self.multi_flow:
+            r = ElasticityDetector.evaluate(
+                _window(self.estimator.r_series(FFT_DURATION), spacing),
+                spacing, fp)
+            if z.magnitude > r.magnitude * 1.2 \
+                    and self.election.should_demote():
+                self.role = ROLE_WATCHER
+                self.watcher_filter.reset()
 
     # ------------------------------------------------------------------ #
     # Mode switching

@@ -78,18 +78,3 @@ class SymmetricSinusoidPulse(PulseShape):
 
     def min_base_fraction(self) -> float:
         return self.pulse_fraction
-
-
-class NoPulse(PulseShape):
-    """No modulation at all (watcher flows, and ablation baselines)."""
-
-    def __init__(self) -> None:
-        # Placeholder values that pass PulseShape's validation; neither
-        # is read, because the offset is identically zero.
-        super().__init__(frequency=1.0, pulse_fraction=1e-9)
-
-    def offset_fraction(self, t: float) -> float:
-        return 0.0
-
-    def min_base_fraction(self) -> float:
-        return 0.0

@@ -339,7 +339,7 @@ class TestElasticityDetector:
         assert sample.eta < THRESHOLD
 
     # Nimbus cuts the window the detector reads: the trailing FFT window at
-    # the realised spacing, or the pulser's whole series.
+    # the realised spacing.
     def test_uses_trailing_window_only(self):
         old = RNG.normal(0, 1.0, size=1000)
         recent = sine_at(FP, noise=0.05)
@@ -350,10 +350,9 @@ class TestElasticityDetector:
 
     def test_window_samples(self):
         assert len(_window(np.zeros(500), 0.01)) == 500
-        assert _window(np.zeros(499), 0.01) is None
         assert len(_window(np.zeros(500), 0.012)) == 417
-        assert len(_window(np.zeros(500), 0.012, whole=True)) == 500
-        assert _window(np.zeros(499), 0.012, whole=True) is None
+        # A series spanning less than the window is read whole.
+        assert len(_window(np.zeros(400), 0.012)) == 400
 
     def test_a_window_shorter_than_one_sample_reads_nothing(self):
         # Regression: ``x[-0:]`` used to read the whole series, so a window

@@ -269,19 +269,19 @@ def _ffts_per_detection(monkeypatch, flows, duration):
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
     seen = {name: {ROLE_PULSER: [], ROLE_WATCHER: []} for name in flows}
 
-    def counted(name, nimbus, logic):
+    def counted(name, nimbus):
+        detect = nimbus._detect
+
         def wrapper(now):
             before, role = len(sizes), nimbus.role
-            logic(now)
+            detect(now)
             seen[name][role].append((len(nimbus.estimator),
                                      tuple(sizes[before:])))
         return wrapper
 
     network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
     for name, nimbus in flows.items():
-        attr = "_multi_flow_logic" if nimbus.multi_flow \
-            else "_single_flow_logic"
-        setattr(nimbus, attr, counted(name, nimbus, getattr(nimbus, attr)))
+        nimbus._detect = counted(name, nimbus)
         network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name=name))
     network.run(duration)
     return seen
@@ -293,13 +293,13 @@ def _first_read(intervals):
 
 
 class TestOneSpectrumPerWindow:
-    """One FFT per window read, and the window each path reads: at 4 ms
-    ticks the 10 ms samples land 12 ms apart, so 5 s is 417 samples and
-    ``z_series(5 s)`` holds 500."""
+    """One FFT per window read, and one window rule for every path: at 4 ms
+    ticks the 10 ms samples land 12 ms apart, so nothing is read before
+    ``z_series(5 s)`` holds its full 500 samples, and then each reading is
+    the trailing 5 s, 417 samples."""
 
     def test_single_flow_interval_costs_one_fft(self, monkeypatch):
         seen = _ffts_per_detection(monkeypatch, {"n": Nimbus(mu=MU_24)}, 7.0)
-        # Nothing before a full 500-sample series, then the trailing 417.
         intervals = seen["n"][ROLE_PULSER]
         assert {ffts for _, ffts in intervals} == {(), (417,)}
         assert _first_read(intervals) == 500
@@ -310,15 +310,14 @@ class TestOneSpectrumPerWindow:
         watcher = Nimbus(mu=MU_24, multi_flow=True, seed=1)
         seen = _ffts_per_detection(
             monkeypatch, {"pulser": pulser, "watcher": watcher}, 7.0)
-        # The pulser's whole z and r (eta and the conflict check read one
-        # z spectrum), once 500 samples are held; the watcher's trailing r,
-        # read at both agreed frequencies, as soon as it holds 417.
+        # The pulser's z and r (eta and the conflict check read one z
+        # spectrum); the watcher's r, read at both agreed frequencies.
         pulsing = seen["pulser"][ROLE_PULSER]
-        assert {ffts for _, ffts in pulsing} == {(), (500, 500)}
+        assert {ffts for _, ffts in pulsing} == {(), (417, 417)}
         assert _first_read(pulsing) == 500
         watching = seen["watcher"][ROLE_WATCHER]
         assert {ffts for _, ffts in watching} == {(), (417,)}
-        assert _first_read(watching) == 417
+        assert _first_read(watching) == 500
         assert len(pulser.eta_history) > 10
 
 

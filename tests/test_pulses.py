@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.pulses import (
     AsymmetricSinusoidPulse,
-    NoPulse,
     SymmetricSinusoidPulse,
 )
 
@@ -79,12 +78,6 @@ class TestOtherShapes:
     def test_symmetric_requires_full_amplitude_base(self):
         pulse = SymmetricSinusoidPulse(frequency=5.0, pulse_fraction=0.25)
         assert pulse.min_base_fraction() == pytest.approx(0.25)
-
-    def test_no_pulse_is_flat(self):
-        pulse = NoPulse()
-        values, _ = integrate(pulse)
-        assert np.all(values == 0.0)
-        assert pulse.min_base_fraction() == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
