@@ -27,7 +27,6 @@ class BasicDelay(CongestionControl):
         mu: Bottleneck link rate in bytes per second.
         alpha: Gain on the spare-capacity term (0.8 in the paper's §8.1).
         beta: Gain on the queue-regulation term (0.5 in the paper).
-        target_delay: Target queueing delay ``d_t`` in seconds (12.5 ms).
         z_provider: Optional callable returning the current cross-traffic
             rate estimate in bytes/s.  When Nimbus embeds BasicDelay it wires
             its own estimator here; standalone, the estimate is computed
@@ -39,9 +38,10 @@ class BasicDelay(CongestionControl):
 
     #: The rate never falls below this fraction of ``mu``.
     MIN_RATE_FRACTION = 0.02
+    #: Target queueing delay ``d_t`` in seconds (12.5 ms, §4.1).
+    TARGET_DELAY = 0.0125
 
     def __init__(self, mu: float, alpha: float = 0.8, beta: float = 0.5,
-                 target_delay: float = 0.0125,
                  z_provider: Optional[Callable[[float], float]] = None
                  ) -> None:
         super().__init__()
@@ -50,7 +50,6 @@ class BasicDelay(CongestionControl):
         self.mu = mu
         self.alpha = alpha
         self.beta = beta
-        self.target_delay = target_delay
         self.z_provider = z_provider
         self.rate = 0.1 * mu
         # A generous window cap so the flow stays rate-limited, not
@@ -84,7 +83,7 @@ class BasicDelay(CongestionControl):
         z = self.cross_traffic_estimate(now)
 
         spare = self.mu - s - z
-        queue_term = (self.beta * self.mu / x) * (x_min + self.target_delay - x)
+        queue_term = (self.beta * self.mu / x) * (x_min + self.TARGET_DELAY - x)
         rate = s + self.alpha * spare + queue_term
         self.rate = float(min(max(rate, self.min_rate), 1.2 * self.mu))
 

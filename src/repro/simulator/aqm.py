@@ -48,7 +48,8 @@ class DropTail(QueuePolicy):
         space = self.buffer_bytes - queue_bytes
         if space <= 0:
             return 0.0
-        return min(chunk_bytes, space)
+        # ``min(chunk_bytes, space)``, without the builtin's call overhead.
+        return space if space < chunk_bytes else chunk_bytes
 
     def __repr__(self) -> str:
         return f"DropTail(buffer_bytes={self.buffer_bytes:.0f})"

@@ -58,7 +58,17 @@ class Flow:
         name: Optional label for traces; defaults to the algorithm name.
         max_burst_bytes: Cap on bytes emitted in a single tick, to bound the
             burstiness of unpaced window-based senders.
+
+    Slotted: a run keeps every flow it ever created (thousands in the WAN
+    workloads), so the access delays, stored rather than computed, must
+    not grow a per-instance ``__dict__``.
     """
+
+    __slots__ = ("cc", "prop_rtt", "delay_to_receiver", "delay_ack",
+                 "source", "start_time", "name", "max_burst_bytes",
+                 "flow_id", "measurement", "stats", "inflight", "next_seq",
+                 "_pace_credit", "_last_control", "_started", "_finished",
+                 "_feedback_clocked", "_waiting")
 
     def __init__(self, cc: "CongestionControl", prop_rtt: float,
                  source: Optional[Source] = None, start_time: float = 0.0,
@@ -68,6 +78,10 @@ class Flow:
             raise ValueError("prop_rtt must be positive")
         self.cc = cc
         self.prop_rtt = prop_rtt
+        #: Access delays, last link's output -> receiver -> sender; each is
+        #: half of ``prop_rtt``.  The intermediate hops of a multi-link
+        #: path add their own per-link delays in the engine.
+        self.delay_to_receiver = self.delay_ack = prop_rtt / 2.0
         self.source: Source = source if source is not None else BackloggedSource()
         self.start_time = start_time
         self.name = name if name is not None else cc.name
@@ -95,20 +109,6 @@ class Flow:
         self._waiting = False
 
         cc.register(self)
-
-    # ------------------------------------------------------------------ #
-    # Access delays: last hop -> receiver -> sender.  Intermediate hops of
-    # a multi-link path add their own per-link delays in the engine.
-    # ------------------------------------------------------------------ #
-    @property
-    def delay_to_receiver(self) -> float:
-        """One-way delay from the last link's output to the receiver."""
-        return self.prop_rtt / 2.0
-
-    @property
-    def delay_ack(self) -> float:
-        """Delay of the acknowledgement from the receiver back to the sender."""
-        return self.prop_rtt / 2.0
 
     # ------------------------------------------------------------------ #
     # State
@@ -140,40 +140,52 @@ class Flow:
     # ------------------------------------------------------------------ #
     def emit(self, now: float, dt: float) -> Optional[Chunk]:
         """Return the chunk to transmit during this tick, if any."""
+        # Each ``x if x < y else y`` below is ``min(y, x)`` and each
+        # ``x if x > y else y`` is ``max(y, x)``, bit for bit: the builtins
+        # return their first argument unless the second compares past it.
         if not self._started or self._finished:
             return None
-        self.source.advance(now, dt)
-        self._run_control(now, dt)
+        source = self.source
+        cc = self.cc
+        source.advance(now, dt)
+        if now - self._last_control >= CONTROL_INTERVAL - 1e-12:
+            cc.on_control_tick(now, dt)
+            self._last_control = now
 
         budget = math.inf
 
-        cwnd = self.cc.cwnd_bytes
+        cwnd = cc.cwnd_bytes
         if cwnd is not None:
-            budget = min(budget, max(0.0, cwnd - self.inflight))
+            room = cwnd - self.inflight
+            budget = room if room > 0.0 else 0.0
 
-        rate = self.cc.pacing_rate
+        rate = cc.pacing_rate
         if rate is not None:
             # Token-bucket pacing with a small burst allowance so that a
             # paced flow can catch up after a tick in which it was limited.
-            self._pace_credit = min(self._pace_credit + rate * dt,
-                                    max(2 * MSS_BYTES, rate * dt * 4))
-            budget = min(budget, self._pace_credit)
+            allowance = rate * dt
+            burst = allowance * 4
+            burst = burst if burst > 2 * MSS_BYTES else 2 * MSS_BYTES
+            credit = self._pace_credit + allowance
+            self._pace_credit = credit = burst if burst < credit else credit
+            budget = credit if credit < budget else budget
 
-        budget = min(budget, self.source.available(now))
-        if self.max_burst_bytes is not None:
-            budget = min(budget, self.max_burst_bytes)
+        available = source.available(now)
+        budget = available if available < budget else budget
+        cap = self.max_burst_bytes
+        if cap is not None:
+            budget = cap if cap < budget else budget
 
         if budget < 1.0 or not math.isfinite(budget):
             self._waiting = self._feedback_clocked and rate is None
             return None
 
-        chunk = Chunk(flow_id=self.flow_id, size=budget, seq=self.next_seq,
-                      sent_time=now)
+        chunk = Chunk(self.flow_id, budget, self.next_seq, now)
         self.next_seq += budget
         self.inflight += budget
         if rate is not None:
             self._pace_credit -= budget
-        self.source.consume(budget, now)
+        source.consume(budget, now)
         self.measurement.on_send(now, budget)
         self.stats.bytes_sent += budget
         return chunk
@@ -184,34 +196,27 @@ class Flow:
     def handle_ack(self, ack: Ack, now: float) -> None:
         """Process an acknowledgement arriving back at the sender."""
         self._waiting = False
-        self.inflight = max(0.0, self.inflight - ack.acked_bytes)
-        rtt = now - ack.sent_time
-        self.measurement.on_ack(now, ack.acked_bytes, rtt, ack.queue_delay)
-        self.stats.bytes_delivered += ack.acked_bytes
-        self.source.on_delivered(ack.acked_bytes, now)
+        acked = ack.acked_bytes
+        inflight = self.inflight - acked
+        self.inflight = inflight if inflight > 0.0 else 0.0
+        self.measurement.on_ack(now, acked, now - ack.sent_time,
+                                ack.queue_delay)
+        self.stats.bytes_delivered += acked
+        source = self.source
+        source.on_delivered(acked, now)
         self.cc.on_ack(ack, now)
-        self._maybe_finish(now)
+        if source.finished and self.inflight <= 1.0:
+            self.stop(now)
 
     def handle_loss(self, lost_bytes: float, now: float) -> None:
         """Process a loss notification (bytes dropped at the bottleneck)."""
         self._waiting = False
-        self.inflight = max(0.0, self.inflight - lost_bytes)
+        inflight = self.inflight - lost_bytes
+        self.inflight = inflight if inflight > 0.0 else 0.0
         self.measurement.on_loss(now, lost_bytes)
         self.stats.bytes_lost += lost_bytes
         self.source.on_lost(lost_bytes, now)
         self.cc.on_loss(lost_bytes, now)
-
-    # ------------------------------------------------------------------ #
-    # Internal helpers
-    # ------------------------------------------------------------------ #
-    def _run_control(self, now: float, dt: float) -> None:
-        if now - self._last_control >= CONTROL_INTERVAL - 1e-12:
-            self.cc.on_control_tick(now, dt)
-            self._last_control = now
-
-    def _maybe_finish(self, now: float) -> None:
-        if self.source.finished and self.inflight <= 1.0:
-            self.stop(now)
 
     # ------------------------------------------------------------------ #
     # Convenience accessors used by experiments and traces

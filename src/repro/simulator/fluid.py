@@ -175,6 +175,9 @@ class FluidClass:
         #: class occupies, which counts against the window exactly like
         #: a real flow's unacked in-flight bytes.
         self._wire_flight = 0.0
+        #: ``(dt, exp(-dt / rtt))`` of the last tick: the wire decay factor
+        #: is recomputed only when the engine's tick changes.
+        self._decay = (None, 1.0)
         #: Fixed populations slow-start toward their share; arrival-mode
         #: classes ramp per flow via the IW grant instead.
         self._slow_start = kind == "elastic" and flows > 0
@@ -205,7 +208,11 @@ class FluidClass:
         n = self.active_flows
         n_eff = n if n > 1.0 else 1.0
         srtt = self.rtt + queue_delay
-        self._wire_flight *= math.exp(-dt / self.rtt)
+        decay_dt, decay = self._decay
+        if dt != decay_dt:
+            decay = math.exp(-dt / self.rtt)
+            self._decay = (dt, decay)
+        self._wire_flight *= decay
         pipe = self._loss_pipe
         while pipe and pipe[0][0] <= now:
             self._pending_loss += pipe.popleft()[1]

@@ -133,12 +133,15 @@ class BottleneckLink:
                 if cut >= chunk.size - 1e-9:
                     return drops
                 chunk.size -= cut
-        queued = self.queue_bytes if self.fluid is None \
-            else self.queue_bytes + self.fluid.backlog
-        admitted = self.policy.admit(chunk.size, queued,
-                                     self.queue_delay, now)
-        admitted = max(0.0, min(chunk.size, admitted))
-        lost = chunk.size - admitted
+        size = chunk.size
+        queued = self.queue_bytes if fluid is None \
+            else self.queue_bytes + fluid.backlog
+        # ``queued / capacity`` is :attr:`queue_delay`, with or without fluid.
+        admitted = self.policy.admit(size, queued, queued / self.capacity,
+                                     now)
+        admitted = admitted if admitted < size else size
+        admitted = admitted if admitted > 0.0 else 0.0
+        lost = size - admitted
         if lost > 1e-9 and fluid is not None:
             fluid_backlog = fluid.backlog
             if fluid_backlog > 1e-9:
@@ -154,7 +157,7 @@ class BottleneckLink:
                 if extra > 1e-9:
                     fluid.shed(extra, now)
                     admitted += extra
-                    lost = chunk.size - admitted
+                    lost = size - admitted
         if lost > 1e-9:
             drops.append(DropRecord(chunk.flow_id, lost, now))
             self.total_drops += lost
@@ -164,12 +167,12 @@ class BottleneckLink:
             self._queue.append(chunk)
             self.queue_bytes += admitted
             flow_id = chunk.flow_id
-            self._flow_bytes[flow_id] = \
-                self._flow_bytes.get(flow_id, 0.0) + admitted
-            self._flow_chunks[flow_id] = \
-                self._flow_chunks.get(flow_id, 0) + 1
-            if self.fluid is not None:
-                self.fluid.tick_admitted += admitted
+            flow_bytes = self._flow_bytes
+            flow_bytes[flow_id] = flow_bytes.get(flow_id, 0.0) + admitted
+            flow_chunks = self._flow_chunks
+            flow_chunks[flow_id] = flow_chunks.get(flow_id, 0) + 1
+            if fluid is not None:
+                fluid.tick_admitted += admitted
         return drops
 
     def service(self, now: float, dt: float) -> list[Chunk]:
@@ -193,35 +196,56 @@ class BottleneckLink:
             # fairness between the packet queue and the fluid backlog).
             budget = fluid.take_service(budget, now)
         served: list[Chunk] = []
-        while self._queue and budget > 1e-9:
-            head = self._queue[0]
-            if head.size <= budget + 1e-9:
-                self._queue.popleft()
-                take = head
-                budget -= head.size
-                remaining = self._flow_chunks[head.flow_id] - 1
-                if remaining:
-                    self._flow_chunks[head.flow_id] = remaining
-                    self._flow_bytes[head.flow_id] -= head.size
+        queue = self._queue
+        if queue and budget > 1e-9:
+            flow_bytes = self._flow_bytes
+            flow_chunks = self._flow_chunks
+            policy = self.policy
+            # Only a policy that overrides the base no-op hears of dequeues;
+            # the queue delay it is told is then computed for it alone.
+            on_dequeue = (policy.on_dequeue
+                          if type(policy).on_dequeue
+                          is not QueuePolicy.on_dequeue else None)
+            queue_bytes = self.queue_bytes
+            total_served = self.total_served
+            while queue and budget > 1e-9:
+                head = queue[0]
+                size = head.size
+                flow_id = head.flow_id
+                if size <= budget + 1e-9:
+                    queue.popleft()
+                    take = head
+                    budget -= size
+                    remaining = flow_chunks[flow_id] - 1
+                    if remaining:
+                        flow_chunks[flow_id] = remaining
+                        flow_bytes[flow_id] -= size
+                    else:
+                        del flow_chunks[flow_id]
+                        del flow_bytes[flow_id]
                 else:
-                    del self._flow_chunks[head.flow_id]
-                    del self._flow_bytes[head.flow_id]
-            else:
-                take = head.split(budget)
-                budget = 0.0
-                self._flow_bytes[head.flow_id] -= take.size
-            take.queue_delay += max(0.0, now - take.enqueue_time)
-            self.queue_bytes -= take.size
-            self.total_served += take.size
-            self.policy.on_dequeue(take.size, self.queue_delay, now)
-            served.append(take)
+                    take = head.split(budget)
+                    size = take.size
+                    budget = 0.0
+                    flow_bytes[flow_id] -= size
+                wait = now - take.enqueue_time
+                take.queue_delay += wait if wait > 0.0 else 0.0
+                queue_bytes -= size
+                total_served += size
+                if on_dequeue is not None:
+                    self.queue_bytes = queue_bytes
+                    self.total_served = total_served
+                    on_dequeue(size, self.queue_delay, now)
+                served.append(take)
+            self.queue_bytes = queue_bytes
+            self.total_served = total_served
         if fluid is not None and budget > 1e-9:
             # Budget survives the loop only when the packet queue drained
             # dry: hand the leftover to the fluid backlog so the link
             # stays work-conserving across both halves of the queue.
             budget -= fluid.drain_leftover(budget, now)
         # A work-conserving link does not bank credit while idle.
-        self._service_credit = budget if self._queue else 0.0
+        self._service_credit = budget if queue else 0.0
         if self.queue_bytes < 1e-9:
             self.queue_bytes = 0.0
         return served

@@ -59,9 +59,12 @@ class WindowedCounter:
         """Record ``nbytes`` at time ``now``."""
         if nbytes <= 0:
             return
-        self._samples.append((now, nbytes))
+        samples = self._samples
+        samples.append((now, nbytes))
         self._total += nbytes
-        self._prune(now)
+        cutoff = now - self.horizon
+        while samples and samples[0][0] < cutoff:
+            samples.popleft()
 
     def sum_over(self, now: float, window: float) -> float:
         """Total bytes recorded in the trailing ``window`` seconds."""
@@ -124,12 +127,13 @@ class FlowMeasurement:
         self.delivered.add(now, nbytes)
         self.rtt = rtt
         self.queue_delay = queue_delay
-        if rtt > 0:
-            self.min_rtt = min(self.min_rtt, rtt)
-        self._acked.append((now, now - rtt, nbytes))
+        if rtt > 0 and rtt < self.min_rtt:
+            self.min_rtt = rtt
+        acked = self._acked
+        acked.append((now, now - rtt, nbytes))
         cutoff = now - self._acked_horizon
-        while self._acked and self._acked[0][0] < cutoff:
-            self._acked.popleft()
+        while acked and acked[0][0] < cutoff:
+            acked.popleft()
 
     def on_loss(self, now: float, nbytes: float) -> None:
         self.lost.add(now, nbytes)
@@ -176,17 +180,16 @@ class FlowMeasurement:
             return 0.0
         return min(1.0, self.lost.sum_over(now, window) / sent)
 
-    def paired_rates(self, now: float,
-                     window: float | None = None) -> tuple[float, float]:
+    def paired_rates(self, now: float) -> tuple[float, float]:
         """(S, R) measured over the *same* packets, per Eq. (2) of the paper.
 
         The packets considered are those acknowledged within the trailing
-        ``window`` (one RTT by default).  S divides their total size by the
-        span of their send times; R divides it by the span of their ACK
+        :meth:`measurement_window` (one RTT).  S divides their total size by
+        the span of their send times; R divides it by the span of their ACK
         arrival times.  Measuring both over one packet set is what makes the
         cross-traffic estimate insensitive to the sender's own pulses.
         """
-        window = window if window is not None else self.measurement_window()
+        window = self.measurement_window()
         records = _newer_than(self._acked, now - window)
         if len(records) < 3:
             return self.send_rate(now, window), self.delivery_rate(now, window)

@@ -54,15 +54,9 @@ class Chunk:
             raise ValueError(
                 f"split size {first_bytes} must be in (0, {self.size})"
             )
-        head = Chunk(
-            flow_id=self.flow_id,
-            size=first_bytes,
-            seq=self.seq,
-            sent_time=self.sent_time,
-            enqueue_time=self.enqueue_time,
-            queue_delay=self.queue_delay,
-            hop=self.hop,
-        )
+        # Positional: keywords double the cost of a per-chunk construction.
+        head = Chunk(self.flow_id, first_bytes, self.seq, self.sent_time,
+                     self.enqueue_time, self.queue_delay, self.hop)
         self.seq += first_bytes
         self.size -= first_bytes
         return head

@@ -86,6 +86,15 @@ _EPS = 1e-12
 #: set to an integer > 1 overrides the period directly).
 _AUDIT_DEFAULT_TICKS = 256
 
+#: Event kinds of the engine heap's ``(time, counter, kind, payload)``
+#: entries (module constants: the dispatch loop compares one per event).
+_DELIVER = 0
+_ACK = 1
+_LOSS = 2
+_CALL = 3
+_START = 4
+_HOP = 5
+
 #: Tick period of the ``fluid_sample`` telemetry emission (trace-enabled
 #: runs with fluid classes only): 0.1 s at the standard 2 ms tick, the same
 #: cadence as the recorder's bins.
@@ -295,14 +304,6 @@ class TopologyNetwork:
     holds the index of the *node* it is at.
     """
 
-    #: Event kinds handled by the engine loop.
-    _DELIVER = 0
-    _ACK = 1
-    _LOSS = 2
-    _CALL = 3
-    _START = 4
-    _HOP = 5
-
     def __init__(self, topology: Topology, dt: float = 0.001,
                  trace: Optional[TraceSink] = None,
                  convergence_delay: Optional[float] = None) -> None:
@@ -403,7 +404,7 @@ class TopologyNetwork:
                 if len(self._active) > self._roster_peak:
                     self._roster_peak = len(self._active)
         else:
-            self._push(start_time, self._START, flow)
+            self._push(start_time, _START, flow)
         sink = self._sink
         if sink is not None:
             sink.emit({
@@ -426,7 +427,7 @@ class TopologyNetwork:
 
     def schedule_call(self, time: float, fn: Callable[[float], None]) -> None:
         """Run ``fn(now)`` at the given simulation time (>= now)."""
-        self._push(max(time, self.now), self._CALL, fn)
+        self._push(max(time, self.now), _CALL, fn)
 
     def attach_fluid_class(self, fluid_class: FluidClass,
                            link: Optional[str] = None) -> FluidClass:
@@ -557,15 +558,29 @@ class TopologyNetwork:
         # that raises leaves the undispatched rest in the heap.
         events = self._events
         flows = self.flows
+        recorder = self.recorder
         sink = self._sink
         due = now + _EPS
         while events and events[0][0] <= due:
             _, _, kind, payload = heappop(events)
-            if kind == self._DELIVER:
-                self._deliver(payload, now)
-            elif kind == self._ACK:
+            if kind == _DELIVER:
+                # The chunk reaches its receiver: record it, acknowledge it.
                 flow = flows[payload.flow_id]
-                if not flow.finished:
+                recorder.on_delivery(flow, payload, now)
+                if sink is not None:
+                    sink.emit({
+                        "time": now, "event": "delivery",
+                        "flow_id": payload.flow_id, "flow": flow.name,
+                        "bytes": payload.size, "seq": payload.seq,
+                        "queue_delay": payload.queue_delay})
+                self._counter += 1
+                heappush(events, (
+                    now + flow.delay_ack, self._counter, _ACK,
+                    Ack(payload.flow_id, payload.size, payload.sent_time,
+                        payload.queue_delay, now)))
+            elif kind == _ACK:
+                flow = flows[payload.flow_id]
+                if not flow._finished:
                     flow.handle_ack(payload, now)
                     if sink is not None:
                         sink.emit({
@@ -575,11 +590,13 @@ class TopologyNetwork:
                             "bytes": payload.acked_bytes,
                             "rtt": now - payload.sent_time,
                             "queue_delay": payload.queue_delay})
-                    if flow.finished:
+                    if flow._finished:
                         self._deactivate(flow.flow_id)
-            elif kind == self._LOSS:
+            elif kind == _HOP:
+                self._forward(payload, now)
+            elif kind == _LOSS:
                 flow = flows[payload.flow_id]
-                if not flow.finished:
+                if not flow._finished:
                     flow.handle_loss(payload.lost_bytes, now)
                     if sink is not None:
                         sink.emit({
@@ -587,16 +604,14 @@ class TopologyNetwork:
                             "flow_id": payload.flow_id,
                             "flow": flow.name,
                             "bytes": payload.lost_bytes})
-            elif kind == self._CALL:
+            elif kind == _CALL:
                 payload(now)
-            elif kind == self._START:
+            elif kind == _START:
                 payload.start(now)
                 if payload.active:
                     insort(self._active, payload.flow_id)
                     if len(self._active) > self._roster_peak:
                         self._roster_peak = len(self._active)
-            elif kind == self._HOP:
-                self._forward(payload, now)
 
     def _deactivate(self, flow_id: int) -> None:
         index = bisect_left(self._active, flow_id)
@@ -609,21 +624,6 @@ class TopologyNetwork:
                     "flow_id": flow_id, "flow": flow.name,
                     "fct": flow.fct})
 
-    def _deliver(self, chunk: Chunk, now: float) -> None:
-        """Chunk reaches the receiver; generate the acknowledgement."""
-        flow = self.flows[chunk.flow_id]
-        ack = Ack(flow_id=chunk.flow_id, acked_bytes=chunk.size,
-                  sent_time=chunk.sent_time, queue_delay=chunk.queue_delay,
-                  delivered_time=now)
-        self.recorder.on_delivery(flow, chunk, now)
-        if self._sink is not None:
-            self._sink.emit({
-                "time": now, "event": "delivery",
-                "flow_id": chunk.flow_id, "flow": flow.name,
-                "bytes": chunk.size, "seq": chunk.seq,
-                "queue_delay": chunk.queue_delay})
-        self._push(now + flow.delay_ack, self._ACK, ack)
-
     def _forward(self, chunk: Chunk, now: float) -> None:
         """Chunk arrives at node ``chunk.hop``: forward by table lookup.
 
@@ -633,19 +633,20 @@ class TopologyNetwork:
         ``queue_delay`` keeps accumulating across hops because every link
         adds its own waiting time to the same chunk field.
         """
-        flow = self.flows[chunk.flow_id]
+        flow_id = chunk.flow_id
+        flow = self.flows[flow_id]
         node = chunk.hop
-        position = self.topology.next_hop[node][self._flow_dst[chunk.flow_id]]
+        position = self.topology.next_hop[node][self._flow_dst[flow_id]]
         if position is None:
-            self._push(now + flow.delay_to_receiver + flow.delay_ack,
-                       self._LOSS,
-                       DropRecord(chunk.flow_id, chunk.size, now))
+            self._push(now + flow.delay_to_receiver + flow.delay_ack, _LOSS,
+                       DropRecord(flow_id, chunk.size, now))
             return
         link = self._links[position]
-        if self._sink is not None:
-            self._sink.emit({
+        sink = self._sink
+        if sink is not None:
+            sink.emit({
                 "time": now, "event": "hop",
-                "flow_id": chunk.flow_id, "flow": flow.name,
+                "flow_id": flow_id, "flow": flow.name,
                 "link": link.name, "hop": node,
                 "bytes": chunk.size, "seq": chunk.seq})
         drops = link.enqueue(chunk, now)
@@ -665,7 +666,7 @@ class TopologyNetwork:
                                         self._flow_dst[flow.flow_id])
                  + flow.delay_to_receiver + flow.delay_ack)
         for drop in drops:
-            self._push(now + delay, self._LOSS, drop)
+            self._push(now + delay, _LOSS, drop)
         sink = self._sink
         if sink is not None:
             link = self._links[position]
@@ -687,23 +688,25 @@ class TopologyNetwork:
         active = self._active
         if not active:
             return
+        flows = self.flows
+        dt = self.dt
         entry_links = self._entry_links
         sink = self._sink
-        start = int(round(now / self.dt)) % len(self.flows)
+        start = int(round(now / dt)) % len(flows)
         pivot = bisect_left(active, start)
         stale = None
         for flow_id in active[pivot:] + active[:pivot]:
-            flow = self.flows[flow_id]
+            flow = flows[flow_id]
             if flow._waiting:
                 continue  # only feedback can give it budget (endpoint.py)
-            if not flow.active:
+            if not flow._started or flow._finished:
                 # Stopped from a callback; drop it from the roster lazily.
                 if stale is None:
                     stale = [flow_id]
                 else:
                     stale.append(flow_id)
                 continue
-            chunk = flow.emit(now, self.dt)
+            chunk = flow.emit(now, dt)
             if chunk is None:
                 continue
             link = entry_links[flow_id]
@@ -712,8 +715,7 @@ class TopologyNetwork:
                 # sender learns via loss feedback one receiver-plus-ACK
                 # delay later.  No queue is touched, so conservation holds.
                 self._push(now + flow.delay_to_receiver + flow.delay_ack,
-                           self._LOSS,
-                           DropRecord(flow_id, chunk.size, now))
+                           _LOSS, DropRecord(flow_id, chunk.size, now))
                 continue
             if sink is not None:
                 # Before admission: ``enqueue`` records the offered bytes
@@ -769,7 +771,8 @@ class TopologyNetwork:
                     queued = queued_base + state.backlog
                     admitted = policy.admit(offered, queued,
                                             queued / capacity, now)
-                    admitted = max(0.0, min(offered, admitted))
+                    admitted = admitted if admitted < offered else offered
+                    admitted = admitted if admitted > 0.0 else 0.0
                     lost = offered - admitted
                     if lost > 1e-9 and chunk_arrivals > 0.0:
                         # In an interleaved FIFO each dropped packet of
@@ -806,6 +809,9 @@ class TopologyNetwork:
                         "flows": cls.active_flows})
 
     def _serve_links(self, now: float) -> None:
+        # ``service`` schedules nothing, so the event counter is carried in
+        # a local and stored once per served link.
+        events = self._events
         flows = self.flows
         flow_dst = self._flow_dst
         link_dst = self.topology.link_dst
@@ -816,15 +822,18 @@ class TopologyNetwork:
             if not served:
                 continue
             arrival = link_dst[position]
-            delay = delays[position]
+            hop_time = now + delays[position]
+            counter = self._counter
             for chunk in served:
                 flow_id = chunk.flow_id
+                counter += 1
                 if arrival == flow_dst[flow_id]:
-                    self._push(now + flows[flow_id].delay_to_receiver,
-                               self._DELIVER, chunk)
+                    heappush(events, (now + flows[flow_id].delay_to_receiver,
+                                      counter, _DELIVER, chunk))
                 else:
                     chunk.hop = arrival
-                    self._push(now + delay, self._HOP, chunk)
+                    heappush(events, (hop_time, counter, _HOP, chunk))
+            self._counter = counter
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -145,40 +145,44 @@ class Recorder:
     # ------------------------------------------------------------------ #
     # Hooks called by the engine
     # ------------------------------------------------------------------ #
-    def _flow_record(self, flow_id: int) -> _FlowRecord:
+    def on_delivery(self, flow: "Flow", chunk: "Chunk", now: float) -> None:
+        # int() truncation == floor for the engine's non-negative clock.
+        b = int(now / self.bin_width)
+        flow_id = flow.flow_id
         rec = self._flows.get(flow_id)
         if rec is None:
             rec = self._flows[flow_id] = _FlowRecord()
-        return rec
-
-    def on_delivery(self, flow: "Flow", chunk: "Chunk", now: float) -> None:
-        b = self._bin(now)
-        rec = self._flow_record(flow.flow_id)
-        self._names[flow.flow_id] = flow.name
-        if not rec.bytes_by_bin:
+        self._names[flow_id] = flow.name
+        bytes_by_bin = rec.bytes_by_bin
+        if not bytes_by_bin:
             rec.first_bin = b
         i = b - rec.first_bin
-        if i >= len(rec.bytes_by_bin):
-            _grow(rec.bytes_by_bin, i, 0.0)
-            _grow(rec.qdelay_sum, i, 0.0)
-        rec.bytes_by_bin[i] += chunk.size
-        rec.qdelay_sum[i] += chunk.queue_delay * chunk.size
-        rec.qdelay_samples.append(chunk.queue_delay)
+        qdelay_sum = rec.qdelay_sum
+        if i >= len(bytes_by_bin):
+            _grow(bytes_by_bin, i, 0.0)
+            _grow(qdelay_sum, i, 0.0)
+        size = chunk.size
+        queue_delay = chunk.queue_delay
+        bytes_by_bin[i] += size
+        qdelay_sum[i] += queue_delay * size
+        rec.qdelay_samples.append(queue_delay)
         if b > self._max_bin:
             self._max_bin = b
 
     def on_tick(self, now: float) -> None:
-        b = self._bin(now)
-        if b >= len(self._link_qdelay_sum):
+        b = int(now / self.bin_width)
+        qdelay_sum = self._link_qdelay_sum
+        if b >= len(qdelay_sum):
             # Ticks advance monotonically and only this hook grows the
             # per-tick bins, so this branch fires exactly on the first
             # tick of every new bin — the one moment the link records
             # need their accumulating bin closed.
-            _grow(self._link_qdelay_sum, b, 0.0)
+            _grow(qdelay_sum, b, 0.0)
             _grow(self._ticks_by_bin, b, 0)
             if b != self._link_bin:
                 self._close_bins(b)
-        self._link_qdelay_sum[b] += self.network.link.queue_delay
+        network = self.network
+        qdelay_sum[b] += network.link.queue_delay
         self._ticks_by_bin[b] += 1
         if b > self._max_bin:
             self._max_bin = b
@@ -187,19 +191,25 @@ class Recorder:
                 record.occ_acc += record.source.queue_bytes
         # The engine's roster lists active flows in flow-id order — the
         # same order a scan over every flow ever created would visit them.
-        flows = self.network.flows
-        for flow_id in self.network.active_flow_ids():
+        # A flow's record is created on its first mode or RTT reading.
+        flows = network.flows
+        records = self._flows
+        for flow_id in network.active_flow_ids():
             flow = flows[flow_id]
             if not flow.active:
                 continue
             mode = flow.cc.mode
+            rtt = flow.measurement.rtt
+            if mode is None and not rtt > 0:
+                continue
+            rec = records.get(flow_id)
+            if rec is None:
+                rec = records[flow_id] = _FlowRecord()
             if mode is not None:
-                rec = self._flow_record(flow_id)
                 self._names[flow_id] = flow.name
                 rec.mode_by_bin[b] = mode
-            rtt = flow.measurement.rtt
             if rtt > 0:
-                self._flow_record(flow_id).rtt_samples.append(rtt)
+                rec.rtt_samples.append(rtt)
 
     # ------------------------------------------------------------------ #
     # Series extraction
@@ -336,10 +346,6 @@ class Recorder:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _bin(self, now: float) -> int:
-        # int() truncation == floor for the engine's non-negative clock.
-        return int(now / self.bin_width)
-
     def _link_record(self, link_name: str) -> _CounterRecord:
         record = self._link_index.get(link_name)
         if record is None:

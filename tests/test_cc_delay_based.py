@@ -137,7 +137,7 @@ class TestBasicDelay:
             BasicDelay(0)
 
     def test_rate_increases_with_spare_capacity(self):
-        bd = BasicDelay(self.MU, target_delay=0.0125)
+        bd = BasicDelay(self.MU)
         attach(bd)
         bd.measurement.on_ack(0.0, MSS_BYTES, 0.05, 0.0)
         before = bd.rate
@@ -150,7 +150,7 @@ class TestBasicDelay:
         assert bd.rate > before
 
     def test_rate_decreases_when_delay_exceeds_target(self):
-        bd = BasicDelay(self.MU, target_delay=0.0125)
+        bd = BasicDelay(self.MU)
         attach(bd)
         bd.measurement.on_ack(0.0, MSS_BYTES, 0.05, 0.0)
         bd.rate = 0.9 * self.MU

@@ -84,6 +84,14 @@ class TestEmission:
         assert chunk.size <= 2 * MSS_BYTES
 
 
+class TestAccessDelays:
+    @pytest.mark.parametrize("prop_rtt", [0.05, 0.03, 0.1, 0.007])
+    def test_each_leg_is_half_the_prop_rtt(self, prop_rtt):
+        flow = Flow(cc=NullCC(), prop_rtt=prop_rtt)
+        assert flow.delay_to_receiver == prop_rtt / 2.0
+        assert flow.delay_ack == prop_rtt / 2.0
+
+
 class TestFeedback:
     def test_ack_frees_window(self):
         flow = started_flow(WindowOnly(10 * MSS_BYTES))
@@ -153,6 +161,37 @@ class TestLifecycle:
                             sent_time=chunk.sent_time, queue_delay=0.0,
                             delivered_time=0.05), 0.06)
         assert flow.finished and flow.fct == pytest.approx(0.06)
+
+    def test_sized_flow_stops_on_the_ack_that_leaves_a_byte_in_flight(self):
+        flow = started_flow(WindowOnly(100 * MSS_BYTES),
+                            source=FiniteSource(3000))
+        chunk = flow.emit(0.01, 0.01)
+        for acked, now in ((1500.0, 0.06), (1499.0, 0.07)):
+            assert not flow.finished
+            flow.handle_ack(Ack(flow_id=0, acked_bytes=acked,
+                                sent_time=chunk.sent_time, queue_delay=0.0,
+                                delivered_time=now), now)
+        # 1 byte is still in flight and the source is done within it.
+        assert flow.inflight == 1.0
+        assert flow.finished and flow.stats.end_time == 0.07
+
+    def test_a_finished_source_waits_for_its_bytes_in_flight(self):
+        class Drained(FiniteSource):
+            """Counts as finished from the start: only the bytes in
+            flight decide when the flow stops."""
+
+            finished = True
+
+        flow = started_flow(WindowOnly(100 * MSS_BYTES),
+                            source=Drained(3000))
+        chunk = flow.emit(0.01, 0.01)
+        for acked, in_flight in ((2998.0, 2.0), (0.5, 1.5), (0.5, 1.0)):
+            assert not flow.finished
+            flow.handle_ack(Ack(flow_id=0, acked_bytes=acked,
+                                sent_time=chunk.sent_time, queue_delay=0.0,
+                                delivered_time=0.06), 0.06)
+            assert flow.inflight == in_flight
+        assert flow.finished
 
     def test_fct_none_while_running(self):
         flow = started_flow(WindowOnly(10 * MSS_BYTES))

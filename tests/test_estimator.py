@@ -21,7 +21,7 @@ class _Rates:
     def __init__(self, send_rate: float, delivery_rate: float) -> None:
         self.rates = (send_rate, delivery_rate)
 
-    def paired_rates(self, now, window=None):
+    def paired_rates(self, now):
         return self.rates
 
 

@@ -1,5 +1,7 @@
 """Bottleneck link: FIFO ordering, service rate, drops, and accounting."""
 
+import random
+
 import pytest
 
 from repro.simulator.aqm import DropTail
@@ -93,6 +95,58 @@ class TestService:
             link.service(now=(i + 1) * 0.001, dt=0.001)
         assert total_in == pytest.approx(
             link.total_served + link.queue_bytes + total_dropped)
+
+
+class RecordingDropTail(DropTail):
+    """Drop-tail that overrides the dequeue hook to record its calls."""
+
+    def __init__(self, buffer_bytes):
+        super().__init__(buffer_bytes)
+        self.dequeues = []
+
+    def on_dequeue(self, chunk_bytes, queue_delay, now):
+        self.dequeues.append((chunk_bytes, queue_delay, now))
+
+
+class TestDequeueHook:
+    def test_an_overriding_policy_hears_every_served_chunk(self):
+        policy = RecordingDropTail(1e6)
+        link = BottleneckLink(capacity=1e6, policy=policy)
+        for flow_id, size in ((0, 600.0), (1, 300.0), (0, 700.0)):
+            link.enqueue(chunk(flow_id=flow_id, size=size), now=0.0)
+        # A 1000-byte budget: two whole chunks, then 100 bytes split off
+        # the third; each call sees the queue delay after its removal.
+        served = link.service(now=0.001, dt=0.001)
+        assert [c.size for c in served] == [600.0, 300.0, 100.0]
+        assert policy.dequeues == [(600.0, 1000.0 / 1e6, 0.001),
+                                   (300.0, 700.0 / 1e6, 0.001),
+                                   (100.0, 600.0 / 1e6, 0.001)]
+        served += link.service(now=0.002, dt=0.001)
+        assert len(policy.dequeues) == len(served) == 4
+        assert policy.dequeues[-1] == (600.0, 0.0, 0.002)
+
+    def test_drop_tail_drains_as_an_overriding_policy_does(self):
+        """The base no-op is skipped, and nothing else changes."""
+        rng = random.Random(7)
+        plain = BottleneckLink(capacity=1e6, policy=DropTail(8000))
+        hooked = BottleneckLink(capacity=1e6, policy=RecordingDropTail(8000))
+        drained = {id(plain): [], id(hooked): []}
+        for tick in range(1, 400):
+            now = tick * 0.001
+            arrivals = [(rng.randrange(3), rng.uniform(1.0, 2500.0))
+                        for _ in range(rng.randrange(3))]
+            for link in (plain, hooked):
+                for flow_id, size in arrivals:
+                    link.enqueue(chunk(flow_id=flow_id, size=size), now)
+                drained[id(link)] += [
+                    (c.flow_id, c.size, c.seq, c.queue_delay)
+                    for c in link.service(now, 0.001)]
+        assert drained[id(plain)] == drained[id(hooked)]
+        assert len(hooked.policy.dequeues) == len(drained[id(hooked)]) > 0
+        for name in ("queue_bytes", "total_served", "total_drops",
+                     "total_offered", "_service_credit", "_flow_bytes",
+                     "_flow_chunks"):
+            assert getattr(plain, name) == getattr(hooked, name), name
 
 
 def occupancy_invariants(link):

@@ -89,7 +89,8 @@ class TestPairedRates:
             send_t = i * 0.01
             m.on_send(send_t, 1500)
             m.on_ack(send_t + 0.05, 1500, rtt=0.05, queue_delay=0.0)
-        s, r = m.paired_rates(30 * 0.01 + 0.05, window=0.1)
+        m.rtt = 0.1  # the window is one RTT
+        s, r = m.paired_rates(30 * 0.01 + 0.05)
         assert s == pytest.approx(r, rel=1e-6)
         assert s == pytest.approx(150_000, rel=0.1)
 
@@ -100,7 +101,8 @@ class TestPairedRates:
             send_t = i * 0.01
             m.on_ack(1.0 + i * 0.001, 1500, rtt=1.0 + i * 0.001 - send_t,
                      queue_delay=0.0)
-        s, r = m.paired_rates(1.02, window=0.5)
+        m.rtt = 0.5  # the window is one RTT
+        s, r = m.paired_rates(1.02)
         assert r > 5 * s
 
     def test_few_samples_fall_back(self):
@@ -116,7 +118,8 @@ class TestPairedRates:
             send_t = i * 0.01
             m.on_send(send_t, 1500)
             m.on_ack(send_t + 0.05, 1500, rtt=0.05, queue_delay=0.0)
-        m.paired_rates(0.35, window=0.1)
+        m.rtt = 0.1
+        m.paired_rates(0.35)
         assert m.max_delivery_rate > 0
 
 
@@ -156,8 +159,8 @@ class FullScanMeasurement(FlowMeasurement):
         self.delivered = FullScanCounter(horizon)
         self.lost = FullScanCounter(horizon)
 
-    def paired_rates(self, now, window=None):
-        window = window if window is not None else self.measurement_window()
+    def paired_rates(self, now):
+        window = self.measurement_window()
         cutoff = now - window
         records = [rec for rec in self._acked if rec[0] > cutoff]
         if len(records) < 3:
@@ -238,6 +241,14 @@ def test_paired_rates_equal_full_scan(ops):
                 args.append(0.0)  # queue delay: stored, never summed
             getattr(new, op)(clock, *args)
             getattr(ref, op)(clock, *args)
+        elif op == "paired_rates":
+            # Its window is one RTT: a drawn window becomes the RTT reading
+            # (0 falls back to the minimum RTT).
+            window, = args
+            if window is not None:
+                new.rtt = ref.rtt = window
+            assert new.paired_rates(clock + step) == \
+                ref.paired_rates(clock + step)
         else:
             assert getattr(new, op)(clock + step, *args) == \
                 getattr(ref, op)(clock + step, *args)
@@ -280,24 +291,26 @@ class TestWindowEdges:
         assert counter.sum_over(3.0, window=10.0) == sum([1e16, 1.0, 1.0])
 
     def test_paired_rates_fallbacks_match_windowed_rates(self):
+        # The window is one RTT: 0.5 s.
         m = FlowMeasurement()
         m.on_send(0.9, 3000)
-        m.on_ack(1.0, 1500, rtt=0.1, queue_delay=0.0)
-        m.on_ack(1.0, 1500, rtt=0.1, queue_delay=0.0)
+        m.on_ack(1.0, 1500, rtt=0.5, queue_delay=0.0)
+        m.on_ack(1.0, 1500, rtt=0.5, queue_delay=0.0)
         # Two records: too few to span a gap.
-        assert m.paired_rates(1.0, 0.5) == (m.send_rate(1.0, 0.5),
-                                            m.delivery_rate(1.0, 0.5))
-        m.on_ack(1.0, 1500, rtt=0.1, queue_delay=0.0)
+        assert m.paired_rates(1.0) == (m.send_rate(1.0, 0.5),
+                                       m.delivery_rate(1.0, 0.5))
+        m.on_ack(1.0, 1500, rtt=0.5, queue_delay=0.0)
         # Three records with one ACK time: zero span.
-        assert m.paired_rates(1.0, 0.5) == (6000.0, 9000.0)
+        assert m.paired_rates(1.0) == (6000.0, 9000.0)
         assert m.max_delivery_rate == 9000.0
 
     def test_paired_rates_reads_only_the_window(self):
         m = FlowMeasurement()
         for i in range(8):
-            m.on_ack(1.0 + 0.25 * i, 1000, rtt=0.25, queue_delay=0.0)
-        # Records acked after 2.75 - 0.75 = 2.0: t = 2.25, 2.5, 2.75.
-        assert m.paired_rates(2.75, 0.75) == (4000.0, 4000.0)
+            m.on_ack(1.0 + 0.25 * i, 1000, rtt=0.75, queue_delay=0.0)
+        # Records acked after 2.75 - 0.75 (one RTT) = 2.0: t = 2.25, 2.5,
+        # 2.75.
+        assert m.paired_rates(2.75) == (4000.0, 4000.0)
         assert m.max_delivery_rate == 4000.0
 
 
@@ -323,9 +336,10 @@ class TestBisectionAgainstFullScan:
         for i, t in enumerate((1.0, 1.25, 1.25, 1.5, 1.5, 1.5, 1.75, 2.0)):
             for m in (new, ref):
                 m.on_ack(t, 1000.0 + i, rtt=0.1 * (i + 1), queue_delay=0.0)
+        # The window is one RTT; an RTT of 0 falls back to the minimum.
         for window in (0.0, 0.25, 0.5, 0.625, 0.75, 1.0, 2.0):
-            assert new.paired_rates(2.0, window) == \
-                ref.paired_rates(2.0, window)
+            new.rtt = ref.rtt = window
+            assert new.paired_rates(2.0) == ref.paired_rates(2.0)
             assert new.max_delivery_rate == ref.max_delivery_rate
 
     def test_dropped_windows_read_zero(self):
@@ -337,11 +351,13 @@ class TestBisectionAgainstFullScan:
         new.drop_windows()
         ref.drop_windows()
         for window in (None, 0.0, 0.5, 100.0):
-            for query in ("paired_rates", "send_rate", "delivery_rate",
-                          "loss_rate"):
+            for query in ("send_rate", "delivery_rate", "loss_rate"):
                 assert getattr(new, query)(1.0, window) == \
                     getattr(ref, query)(1.0, window)
-        assert new.paired_rates(1.0, 0.5) == (0.0, 0.0)
+        for rtt in (0.0, 0.5, 100.0):
+            new.rtt = ref.rtt = rtt
+            assert new.paired_rates(1.0) == ref.paired_rates(1.0) == \
+                (0.0, 0.0)
         assert new.sent.total == ref.sent.total == 15000
 
     def test_horizon_of_many_thousand_samples(self):

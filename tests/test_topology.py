@@ -171,18 +171,19 @@ class TestPerHopInvariants:
         """Deliveries of each flow arrive in strictly increasing sequence
         order: store-and-forward hops never reorder a flow's bytes."""
         deliveries = {}
-
-        class Probe(TopologyNetwork):
-            def _deliver(self, chunk, now):
-                deliveries.setdefault(chunk.flow_id, []).append(
-                    (chunk.seq, chunk.size))
-                super()._deliver(chunk, now)
-
         topology = Topology("chain")
         for index in range(3):
             topology.add_link(f"hop{index + 1}", MU, delay=0.005,
                               policy=DropTail(MU * 0.04))
-        network = Probe(topology, dt=0.002)
+        network = TopologyNetwork(topology, dt=0.002)
+        record = network.recorder.on_delivery
+
+        def probe(flow, chunk, now):
+            deliveries.setdefault(chunk.flow_id, []).append(
+                (chunk.seq, chunk.size))
+            record(flow, chunk, now)
+
+        network.recorder.on_delivery = probe
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.03, name="cross"),
                          path=("hop2",))
