@@ -24,12 +24,13 @@ def run(loads: Iterable[float] = (0.5, 0.9),
 
     Each (load, scheme) point is an independent scenario, so the whole
     sweep is one batch: points run in parallel when workers are available,
-    and a cached point is reused across figures instead of being
-    re-simulated.  A case spec carries only the parameters its caller
-    passed, so Fig. 9's baselines at 50 % load are reused only when both
-    front-ends get the same explicit parameters (``duration``, ``seed``,
-    ...); a parameter left to its default in one and spelled out in the
-    other makes two specs.
+    and, called directly, a cached point is reused across figures instead
+    of being re-simulated (run as a spec — ``runner``, a campaign cell —
+    the batch is part of that spec and skips the cache).  A case spec
+    carries only the parameters its caller passed, so Fig. 9's baselines
+    at 50 % load are reused only when both front-ends get the same
+    explicit parameters (``duration``, ``seed``, ...); a parameter left
+    to its default in one and spelled out in the other makes two specs.
     """
     result = ExperimentResult(name="fig13_load")
     points = []

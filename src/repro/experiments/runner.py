@@ -26,8 +26,10 @@ the moment it settles (cache hit/miss, wall seconds, worker pid — see
 :mod:`repro.runtime.metrics`), so an interrupted batch still leaves the
 records of what finished; ``--trace PATH`` streams structured engine
 events to a JSONL file (see :mod:`repro.simulator.telemetry`).  Tracing
-forces a cold, serial run: a cache hit would simulate nothing (and emit no
-events), and pool workers appending to one file would interleave lines.
+forces a cold, serial run: the spec itself skips the cache, since a hit
+would simulate nothing (and emit no events); the driver's own batches
+never read it (a batch opened while a spec executes is part of that
+spec); and pool workers appending to one file would interleave lines.
 
 A runner batch is a plain cached batch: a raising spec ends it with the
 driver's error.  A batch that must survive failing specs — per-spec
@@ -172,12 +174,10 @@ def main(argv: List[str] | None = None) -> int:
         executor = BatchExecutor(journal_path=args.metrics)
     # The engine reads REPRO_TRACE at construction time, deep inside the
     # driver, and drivers run their own nested batches — the environment
-    # is the only channel that reaches all of them.  REPRO_NO_CACHE keeps
-    # those nested batches from serving cached results (a cache hit
-    # simulates nothing, so it traces nothing) and REPRO_BENCH_WORKERS=1
+    # is the only channel that reaches all of them.  REPRO_BENCH_WORKERS=1
     # keeps pool workers from interleaving partial lines in the one JSONL
     # file.
-    forced = {"REPRO_TRACE": args.trace, "REPRO_NO_CACHE": "1",
+    forced = {"REPRO_TRACE": args.trace,
               "REPRO_BENCH_WORKERS": "1"} if args.trace else {}
     saved = {key: os.environ.get(key) for key in forced}
     os.environ.update(forced)

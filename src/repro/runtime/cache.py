@@ -17,6 +17,13 @@ to :meth:`ResultCache.put` as they are, and drivers return summaries,
 arrays and plain rows — never a network, a ``Flow`` or anything else a
 reader would need the simulator's classes (and their pickle layout) for.
 
+One entry per result: a result is stored by the batch it was asked of.
+A batch opened while a spec executes is part of that spec, so the
+executor gives it a disabled cache (see :mod:`repro.runtime.executor`): a
+front-end run as a spec — a ``runner`` call, a campaign cell — leaves its
+own entry and none for its cases, while a front-end called directly is
+the outermost batch and leaves one entry per case.
+
 Corrupt entries (truncated pickles, results pickled against code that no
 longer exists) are deleted on load failure rather than left to fail again
 forever; the executor reports them as ``cache="corrupt"`` in the runtime

@@ -6,7 +6,8 @@ executes the misses one of two ways:
 * **in-process**, one after the other, when forking would buy nothing or
   is impossible: a non-hardened executor with one worker or a single
   miss, and any batch opened *inside* a worker (a driver fanning out its
-  own cases — daemonic workers cannot have children);
+  own cases — daemonic workers cannot have children), which is part of
+  the worker's spec and so runs without the cache (see below);
 * **on isolated workers** otherwise: at most ``workers``
   (``REPRO_BENCH_WORKERS``, default ``os.cpu_count()``) forked processes,
   each on a duplex pipe running a ``recv spec -> execute -> send result``
@@ -15,6 +16,14 @@ executes the misses one of two ways:
   killed and replaced.  A spec that raises, hangs, or kills its
   interpreter therefore cannot take the batch or its siblings with it,
   and a healthy batch pays for ``workers`` forks, not one per spec.
+
+A result is stored by the batch it was asked of.  A batch opened while a
+spec executes (:func:`_timed_execute`, on either path) is part of that
+spec — a front-end's cases under ``runner``, a campaign cell's cases on a
+worker — so its default cache is off: it neither reads nor writes
+entries, and the outer spec's entry is the one entry of the result.  An
+explicit ``cache=`` still wins.  A front-end called directly opens the
+outermost batch, so its cases keep their own entries.
 
 Every miss is serialised exactly once, in the process that computed it
 (:func:`_timed_execute`): those bytes are what the cache entry holds, and
@@ -98,14 +107,24 @@ def execute_spec(spec: ScenarioSpec) -> Any:
     return target(**spec.kwargs())
 
 
+#: Specs executing in this process; a batch opened while one does is part
+#: of it, so its default cache is off (see the module docstring).
+_executing = 0
+
+
 def _timed_execute(spec: ScenarioSpec) -> Tuple[float, int, bytes]:
     """Execute one spec: ``(driver wall seconds, pid, pickled result)``.
 
     This ``dumps`` is the one serialisation of a miss: its bytes are
     shipped, stored and loaded as they are.
     """
+    global _executing
     begin = time.perf_counter()
-    result = execute_spec(spec)
+    _executing += 1
+    try:
+        result = execute_spec(spec)
+    finally:
+        _executing -= 1
     return (time.perf_counter() - begin, os.getpid(),
             pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
@@ -225,8 +244,9 @@ class BatchExecutor:
     Args:
         workers: Most worker processes alive at once; ``None`` reads the
             environment.
-        cache: Result cache; ``None`` builds one from the environment.
-            Pass ``ResultCache(enabled=False)`` to force cold runs.
+        cache: Result cache; ``None`` builds one from the environment,
+            disabled in a batch opened while a spec executes.  Pass
+            ``ResultCache(enabled=False)`` to force cold runs.
         timeout: Per-spec wall-clock deadline in seconds; a spec still
             running at the deadline is terminated with its worker.
         on_error: ``"raise"`` (default) raises :class:`SpecExecutionError`
@@ -249,7 +269,9 @@ class BatchExecutor:
                  on_settle: Optional[Callable[[int, Any, dict], None]] = None
                  ) -> None:
         self.workers = configured_workers() if workers is None else max(1, workers)
-        self.cache = ResultCache() if cache is None else cache
+        if cache is None:
+            cache = ResultCache(enabled=False) if _executing else ResultCache()
+        self.cache = cache
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if on_error not in ("raise", "record"):

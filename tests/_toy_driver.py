@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, run_cases
 
 #: Incremented on every real execution; cache hits leave it untouched.
 #: (Only meaningful for in-process serial execution.)
@@ -34,3 +34,10 @@ def run(duration: float = 1.0, dt: float = 0.004, seed: int = 0,
 def run_no_duration(dt: float = 0.004, seed: int = 0) -> ExperimentResult:
     """Driver variant that rejects ``duration`` (the runner's error path)."""
     return run(duration=0.5, dt=dt, seed=seed)
+
+
+def run_nested(seeds: tuple = (0, 1, 2), duration: float = 0.1) -> list:
+    """Front-end variant: one :func:`run` case per seed, as one batch of
+    its own (a nested batch when a spec executes this)."""
+    return run_cases(run, [{"seed": seed} for seed in seeds],
+                     duration=duration)

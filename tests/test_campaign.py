@@ -9,6 +9,7 @@ source only that driver's cells re-execute.
 from __future__ import annotations
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -102,6 +103,23 @@ def test_driver_edit_reexecutes_only_that_drivers_cells(campkg, tmp_path):
         assert edited["cells"][cell]["outcome"] == "ok"
         assert edited["cells"][cell]["spec_hash"] == \
             warm["cells"][cell]["spec_hash"]
+
+
+def test_a_cold_smoke_campaign_leaves_one_entry_per_cell(tmp_path,
+                                                         monkeypatch):
+    """A result is stored by the batch it was asked of: each cell's
+    front-end runs its cases in a batch of the cell's own, which writes
+    no entries, so five cells leave five and their seven cases none."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    cache_dir = tmp_path / "empty-cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    manifest = CampaignManifest.load(pathlib.Path(__file__).resolve()
+                                     .parent.parent / "benchmarks"
+                                     / "campaigns" / "smoke.toml")
+    summary = CampaignRunner(manifest, out_dir=tmp_path / "out",
+                             workers=2).run()
+    assert summary["totals"]["ok"] == summary["totals"]["misses"] == 5
+    assert len(list(cache_dir.glob("mod-*/*.pkl"))) == 5
 
 
 def test_engine_edit_invalidates_every_driver(campkg, tmp_path):

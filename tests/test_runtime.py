@@ -312,6 +312,41 @@ def test_partial_cache_hits_fill_only_the_misses(tmp_path):
     assert [r.data["seed"] for r in results] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("options", [{}, {"on_error": "record"}],
+                         ids=["in-process", "worker"])
+def test_a_nested_batch_leaves_the_one_entry_to_its_spec(
+        tmp_path, monkeypatch, options):
+    """A result is stored by the batch it was asked of: the batch a spec
+    opens while it executes is part of that spec, so it writes no entry of
+    its own: the spec's entry is the one entry of the result."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    spec = ScenarioSpec.make(_toy_driver.run_nested, seeds=(0, 1, 2))
+    cold = BatchExecutor(workers=1, **options).run([spec])
+    assert len(list((tmp_path / "repro-cache").rglob("*.pkl"))) == 1
+    before = _toy_driver.CALLS["run"]
+    warm = BatchExecutor(workers=1, **options)
+    assert pickle.dumps(warm.run([spec])) == pickle.dumps(cold)
+    assert _toy_driver.CALLS["run"] == before
+    assert [record["cache"] for record in warm.last_metrics] == ["hit"]
+    assert tally(warm.last_metrics)["executed"] == 0
+
+
+def test_a_nested_batch_reads_no_entry(tmp_path, monkeypatch):
+    """...nor reads one: a front-end called directly is the outermost
+    batch and keeps its case entries, which the same front-end run as a
+    spec does not share."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")  # CALLS counts here
+    cache_dir = tmp_path / "repro-cache"
+    _toy_driver.run_nested(seeds=(0, 1))
+    assert len(list(cache_dir.rglob("*.pkl"))) == 2
+    before = _toy_driver.CALLS["run"]
+    BatchExecutor(workers=1).run(
+        [ScenarioSpec.make(_toy_driver.run_nested, seeds=(0, 1))])
+    assert _toy_driver.CALLS["run"] == before + 2
+    assert len(list(cache_dir.rglob("*.pkl"))) == 3
+
+
 def test_workers_env_is_honoured(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_WORKERS", "7")
     assert BatchExecutor().workers == 7

@@ -380,9 +380,10 @@ class TestRunnerFlags:
             assert record["cache"] == "miss"  # tracing forces a cold run
 
     def test_trace_retraces_over_warm_cache(self, tmp_path, monkeypatch):
-        # Drivers run nested batches: without REPRO_NO_CACHE forced, a
-        # second traced invocation would serve every scenario from the
-        # cache, simulate nothing, and silently write no trace at all.
+        # Drivers run nested batches: if they read the cache, a second
+        # traced invocation would serve every scenario from it, simulate
+        # nothing, and silently write no trace at all.  A batch opened
+        # while a spec executes bypasses the cache, so the retrace holds.
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         assert runner.main(["parking_lot", "--duration", "2"]) == 0
         trace = tmp_path / "warm.jsonl"
