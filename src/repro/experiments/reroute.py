@@ -18,9 +18,11 @@ its path — and therefore its arrival pattern at the bottleneck — keeps
 moving under them, as a function of flap ``period`` × ``convergence_ms``.
 
 Every payload also carries the ordered control-plane event sequence
-(``route_change`` / ``blackhole_start`` / ``blackhole_end``), which is
-deterministic for a given spec and seed across serial, pooled, and
-isolated-process execution (see ``tests/test_routing.py``).
+(``route_change`` / ``blackhole_start`` / ``blackhole_end``), read from
+the engine's ``route_events`` log — no trace sink is attached, so a traced
+and an untraced run give the same payload.  The sequence is deterministic
+for a given spec and seed across serial, pooled, and isolated-process
+execution (see ``tests/test_routing.py``).
 
 Sweep axes are plain numerics; ``benchmarks/campaigns/reroute.toml``
 sweeps ``period`` × ``convergence_ms`` as a campaign manifest::
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from ..runtime import flap_fault_specs
-from ..simulator import Flow, ListTraceSink, TraceSink, mbps_to_bytes_per_sec
+from ..simulator import Flow, mbps_to_bytes_per_sec
 from ..traffic import ScriptedCrossTraffic
 from .common import (
     MAIN_FLOW,
@@ -48,28 +50,6 @@ from .common import (
 from .link_flap import build_phases
 
 DEFAULT_SCHEMES = ("nimbus", "copa", "cubic")
-
-#: The control-plane kinds each payload records in order.
-ROUTE_EVENT_KINDS = ("route_change", "blackhole_start", "blackhole_end")
-
-
-class _RouteEventTee(ListTraceSink):
-    """Collects routing control-plane events while forwarding *everything*
-    to whatever sink the network already had (e.g. the runner's ``--trace``
-    JSONL sink), so observability and the recorded payload coexist."""
-
-    def __init__(self, inner: Optional[TraceSink]) -> None:
-        super().__init__(events=ROUTE_EVENT_KINDS)
-        self._inner = inner
-
-    def emit(self, record: dict) -> None:
-        if self._inner is not None:
-            self._inner.emit(record)
-        super().emit(record)
-
-    def flush(self) -> None:
-        if self._inner is not None:
-            self._inner.flush()
 
 
 def two_path_links(link_mbps: float = 48.0, primary_mbps: float = 96.0,
@@ -122,8 +102,6 @@ def run_case(scheme: str = "nimbus", period: float = 8.0,
     network = make_multihop_network(links, dt=dt, seed=seed,
                                     monitor="bottleneck", faults=faults,
                                     convergence_ms=convergence_ms)
-    tee = _RouteEventTee(network.trace_sink)
-    network.set_trace_sink(tee)
     mu = mbps_to_bytes_per_sec(link_mbps)
     network.add_flow(Flow(cc=make_scheme(scheme, mu), prop_rtt=prop_rtt,
                           name=MAIN_FLOW), src="S", dst="D")
@@ -135,7 +113,7 @@ def run_case(scheme: str = "nimbus", period: float = 8.0,
     cross.install()
     network.run(duration)
 
-    route_events = tee.records
+    route_events = network.route_events
     route_changes = sum(1 for record in route_events
                         if record["event"] == "route_change")
     return scripted_case_payload(

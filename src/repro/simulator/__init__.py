@@ -22,7 +22,6 @@ from .telemetry import (
     EVENT_KINDS,
     TRACE_SCHEMA_VERSION,
     JsonlTraceSink,
-    ListTraceSink,
     TraceSink,
     sink_from_env,
     validate_trace_record,
@@ -55,7 +54,6 @@ __all__ = [
     "FluidLinkState",
     "FiniteSource",
     "JsonlTraceSink",
-    "ListTraceSink",
     "MSS_BYTES",
     "PacedSource",
     "Pie",

@@ -16,8 +16,9 @@ Failure model (all deterministic — no RNG anywhere):
   ``convergence_delay`` — schedules one *convergence pass* that many
   seconds later via the engine's own ``schedule_call``, modelling the
   detection/update lag of a real routing protocol.  The pass re-resolves
-  every table entry to its first candidate whose link is up, emitting one
-  ``route_change`` trace record per entry that actually moved.
+  every table entry to its first candidate whose link is up, logging one
+  ``route_change`` record per entry that actually moved (the engine's
+  ``route_event``: its ``route_events`` list, and the trace sink if any).
 * Until convergence, traffic keeps hitting the dead link and is handled
   by the *existing* queue policy: a drain-flap freezes the queue, a
   drop-flap blackholes arrivals into loss feedback (both preserve the
@@ -143,7 +144,6 @@ def convergence_pass(network: "TopologyNetwork") -> Callable[[float], None]:
     """
     def converge(now: float) -> None:
         topology = network.topology
-        sink = network.trace_sink
         links, names = topology.links, topology.nodes
         by_name = sorted(range(len(names)), key=names.__getitem__)
         for node, (candidates, active) in enumerate(
@@ -155,14 +155,13 @@ def convergence_pass(network: "TopologyNetwork") -> Callable[[float], None]:
                 previous = active[destination]
                 if resolved != previous:
                     active[destination] = resolved
-                    if sink is not None:
-                        sink.emit({
-                            "time": now, "event": "route_change",
-                            "node": names[node],
-                            "destination": names[destination],
-                            "from_link": None if previous is None
-                            else links[previous].name,
-                            "to_link": None if resolved is None
-                            else links[resolved].name})
+                    network.route_event({
+                        "time": now, "event": "route_change",
+                        "node": names[node],
+                        "destination": names[destination],
+                        "from_link": None if previous is None
+                        else links[previous].name,
+                        "to_link": None if resolved is None
+                        else links[resolved].name})
         network.reroute_flows()
     return converge

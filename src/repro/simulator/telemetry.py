@@ -3,9 +3,12 @@
 The :class:`~repro.simulator.topology.TopologyNetwork` engine can narrate a
 run as a stream of structured events — every enqueue, drop, hop forward,
 delivery, ACK, loss feedback, and estimator mode change — through a *trace
-sink*.  The sink is ``None`` by default, and every emission site is guarded
-by a single ``is not None`` check, so a run without tracing executes the
-exact event sequence (and produces the exact bytes) it always did.
+sink*, its ``trace_sink`` attribute.  The sink is ``None`` by default, and
+every emission site is guarded by a single ``is not None`` check, so a run
+without tracing executes the exact event sequence (and produces the exact
+bytes) it always did.  The trace only observes: no result is read back
+from it (the routing records a driver reports come from the engine's own
+``route_events`` log, kept whether or not a sink is attached).
 
 Trace record schema (``TRACE_SCHEMA_VERSION`` = 1).  Every record is one
 JSON object per line with at least:
@@ -74,12 +77,14 @@ Per-kind payload fields:
     like the fault kinds: no ``flow_id``/``flow`` envelope (a class
     stands for a crowd, not a flow), but subject to the link filter.
 
-Sinks support three orthogonal reductions, applied in ``emit``:
+Sinks support four orthogonal reductions, applied in ``emit``:
 
 * **per-flow filter** — keep only events whose ``flow`` label (or
   ``flow_id``) is in a given set,
-* **per-link filter** — keep only link-located events (enqueue / hop /
-  drop) on the named links, plus all non-link events,
+* **per-link filter** — keep only link-located events (every kind in
+  :data:`LINK_KINDS`: enqueue, hop, drop, the fault kinds and
+  ``fluid_sample``) on the named links, plus all non-link events,
+* **per-kind filter** — keep only the named event kinds,
 * **1-in-N sampling** — keep every Nth *data-plane* event (enqueue, hop,
   delivery, ack); control-plane events (drops, losses, mode changes, flow
   lifecycle) are always precious and never sampled away.
@@ -88,6 +93,8 @@ Sinks support three orthogonal reductions, applied in ``emit``:
 built afterwards (the runner's ``--trace`` flag sets it for one
 invocation); ``REPRO_TRACE_SAMPLE``, ``REPRO_TRACE_FLOWS``,
 ``REPRO_TRACE_LINKS``, and ``REPRO_TRACE_EVENTS`` configure the filters.
+In Python, assign a sink to an engine's attribute
+(``network.trace_sink = sink``; ``None`` detaches it).
 """
 
 from __future__ import annotations
@@ -222,14 +229,14 @@ class TraceSink:
 
     Subclasses implement :meth:`write`; :meth:`emit` applies the flow/link
     filters and the 1-in-N sample before forwarding.  The engine only ever
-    calls :meth:`emit` (and :meth:`close` when it owns the sink).
+    calls :meth:`emit`, and :meth:`flush` at the end of each ``run``.
 
     Args:
         flows: Keep only events of these flows, matched against the flow
             *label* (str entries) or *id* (int entries).  ``None`` keeps all.
-        links: Keep only link-located events (enqueue/hop/drop) on these
-            link names; events without a link are unaffected.  ``None``
-            keeps all.
+        links: Keep only link-located events (every kind in
+            :data:`LINK_KINDS`) on these link names; events without a link
+            are unaffected.  ``None`` keeps all.
         events: Keep only these event kinds.  ``None`` keeps all.
         sample: Keep every ``sample``-th data-plane event (see
             :data:`SAMPLED_KINDS`); control-plane events are always kept.
@@ -288,31 +295,20 @@ class TraceSink:
     def flush(self) -> None:
         """Push buffered records to stable storage (default: nothing)."""
 
-    def close(self) -> None:
-        """Release any underlying resources (default: nothing to do)."""
-
-
-class ListTraceSink(TraceSink):
-    """Collects records in memory — the test and notebook sink."""
-
-    def __init__(self, **filters) -> None:
-        super().__init__(**filters)
-        self.records: List[dict] = []
-
-    def write(self, record: dict) -> None:
-        self.records.append(record)
-
 
 class JsonlTraceSink(TraceSink):
     """Serialises one JSON object per line to a file (append mode).
 
     Append mode lets several sequentially-built networks of one batch (or
     one process) share a trace file; each record is written as a single
-    ``write`` call so lines stay whole.
+    ``write`` call so lines stay whole.  A sink given a path opens the file
+    on its first write and closes it in :meth:`flush` (which ends every
+    engine ``run``), so it never holds a handle between runs; a later
+    write reopens it.
 
     Args:
         target: Path to append to, or an already-open text handle (which
-            the caller keeps ownership of).
+            the caller keeps ownership of: the sink only flushes it).
         **filters: See :class:`TraceSink`.
     """
 
@@ -320,23 +316,25 @@ class JsonlTraceSink(TraceSink):
                  **filters) -> None:
         super().__init__(**filters)
         if hasattr(target, "write"):
-            self._handle: IO[str] = target  # type: ignore[assignment]
-            self._owns_handle = False
+            self._path = None
+            self._handle: Optional[IO[str]] = target  # type: ignore
         else:
-            self._handle = open(target, "a", encoding="utf-8")
-            self._owns_handle = True
+            self._path = target
+            self._handle = None
 
     def write(self, record: dict) -> None:
+        if self._handle is None:
+            self._handle = open(self._path, "a", encoding="utf-8")
         self._handle.write(json.dumps(record, separators=(",", ":"),
                                       sort_keys=True) + "\n")
 
     def flush(self) -> None:
+        if self._handle is None:
+            return
         self._handle.flush()
-
-    def close(self) -> None:
-        self._handle.flush()
-        if self._owns_handle:
+        if self._path is not None:
             self._handle.close()
+            self._handle = None
 
 
 def _split_env_list(raw: str) -> Optional[List[str]]:

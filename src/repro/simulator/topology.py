@@ -284,11 +284,6 @@ class TopologyNetwork:
     Args:
         topology: The wired node/link graph with its forwarding tables.
         dt: Simulation tick in seconds.
-        trace: Optional :class:`~repro.simulator.telemetry.TraceSink` the
-            engine narrates structured events to.  ``None`` (the default)
-            falls back to the environment (``REPRO_TRACE``); with no sink
-            configured every emission site reduces to one pointer check and
-            the run is numerically identical to an untraced engine.
         convergence_delay: Seconds between a link-state change
             (:meth:`on_link_down` / :meth:`on_link_up`) and the convergence
             pass that re-resolves the tables — the modelled routing-protocol
@@ -302,10 +297,17 @@ class TopologyNetwork:
     chance to emit one chunk into the first link of its route, and serves
     every link up to ``capacity * dt`` bytes.  A chunk's ``hop`` field
     holds the index of the *node* it is at.
+
+    ``trace_sink`` is the :class:`~repro.simulator.telemetry.TraceSink` the
+    engine narrates structured events to: built from the environment
+    (``REPRO_TRACE``) at construction, assigned directly otherwise.  With
+    ``None`` every emission site reduces to one pointer check and the run
+    is numerically identical to an untraced engine.  ``route_events`` logs
+    every ``route_change`` / ``blackhole_start`` / ``blackhole_end`` record
+    in order, sink or no sink (see :meth:`route_event`).
     """
 
     def __init__(self, topology: Topology, dt: float = 0.001,
-                 trace: Optional[TraceSink] = None,
                  convergence_delay: Optional[float] = None) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -346,8 +348,9 @@ class TopologyNetwork:
         self._next_flow_id = 0
         #: Flight recorder: ``None`` keeps every emission site to a single
         #: pointer check, so an untraced run is numerically unchanged.
-        self._sink: Optional[TraceSink] = (trace if trace is not None
-                                           else sink_from_env())
+        self.trace_sink: Optional[TraceSink] = sink_from_env()
+        #: Every routing control-plane record, in order (rare events).
+        self.route_events: List[dict] = []
         #: Last mode observed per mode-switching flow (trace-only state).
         self._last_modes: Dict[int, str] = {}
         #: ``REPRO_AUDIT`` conservation re-check period in ticks (0 = off).
@@ -408,7 +411,7 @@ class TopologyNetwork:
                     self._roster_peak = len(self.roster)
         else:
             self._push(start_time, _START, flow)
-        sink = self._sink
+        sink = self.trace_sink
         if sink is not None:
             sink.emit({
                 "time": self.now, "event": "flow_start",
@@ -416,9 +419,9 @@ class TopologyNetwork:
                 "cc": flow.cc.name,
                 "path": [link.name for link in route],
                 "start": start_time})
-            if not route:
-                sink.emit(self._blackhole_record("blackhole_start",
-                                                 flow.flow_id))
+        if not route:
+            self.route_event(self._blackhole_record("blackhole_start",
+                                                    flow.flow_id))
         return flow
 
     def route_of(self, flow_id: int) -> Tuple[BottleneckLink, ...]:
@@ -502,7 +505,6 @@ class TopologyNetwork:
         """Re-derive every live flow's entry link and blackhole state from
         the tables (the flow half of a convergence pass), in flow-id order.
         """
-        sink = self._sink
         entry_links = self._entry_links
         for flow_id, flow in enumerate(self.flows):
             if flow.finished:
@@ -511,10 +513,16 @@ class TopologyNetwork:
             entry = route[0] if route else None
             was_blackholed = entry_links[flow_id] is None
             entry_links[flow_id] = entry
-            if (entry is None) != was_blackholed and sink is not None:
-                sink.emit(self._blackhole_record(
+            if (entry is None) != was_blackholed:
+                self.route_event(self._blackhole_record(
                     "blackhole_end" if was_blackholed else "blackhole_start",
                     flow_id))
+
+    def route_event(self, record: dict) -> None:
+        """Log a routing control-plane record and narrate it to the sink."""
+        self.route_events.append(record)
+        if self.trace_sink is not None:
+            self.trace_sink.emit(record)
 
     def _blackhole_record(self, kind: str, flow_id: int) -> dict:
         nodes = self.topology.nodes
@@ -531,8 +539,8 @@ class TopologyNetwork:
         """Advance the simulation until the given absolute time."""
         while self.now < until - _EPS:
             self.step()
-        if self._sink is not None:
-            self._sink.flush()
+        if self.trace_sink is not None:
+            self.trace_sink.flush()
 
     def step(self) -> None:
         """Advance the simulation by one tick."""
@@ -544,7 +552,7 @@ class TopologyNetwork:
             self._fluid_tick(now)
         self._serve_links(now)
         self.recorder.on_tick(now)
-        if self._sink is not None:
+        if self.trace_sink is not None:
             self._trace_modes(now)
         if self._audit_every and not self._tick % self._audit_every:
             self.audit_conservation()
@@ -562,7 +570,7 @@ class TopologyNetwork:
         events = self._events
         flows = self.flows
         recorder = self.recorder
-        sink = self._sink
+        sink = self.trace_sink
         due = now + _EPS
         while events and events[0][0] <= due:
             _, _, kind, payload = heappop(events)
@@ -620,9 +628,9 @@ class TopologyNetwork:
         index = bisect_left(self.roster, flow_id)
         if index < len(self.roster) and self.roster[index] == flow_id:
             del self.roster[index]
-            if self._sink is not None:
+            if self.trace_sink is not None:
                 flow = self.flows[flow_id]
-                self._sink.emit({
+                self.trace_sink.emit({
                     "time": self.now, "event": "flow_finish",
                     "flow_id": flow_id, "flow": flow.name,
                     "fct": flow.fct})
@@ -645,7 +653,7 @@ class TopologyNetwork:
                        DropRecord(flow_id, chunk.size, now))
             return
         link = self._links[position]
-        sink = self._sink
+        sink = self.trace_sink
         if sink is not None:
             sink.emit({
                 "time": now, "event": "hop",
@@ -670,7 +678,7 @@ class TopologyNetwork:
                  + flow.delay_to_receiver + flow.delay_ack)
         for drop in drops:
             self._push(now + delay, _LOSS, drop)
-        sink = self._sink
+        sink = self.trace_sink
         if sink is not None:
             link = self._links[position]
             for drop in drops:
@@ -694,7 +702,7 @@ class TopologyNetwork:
         flows = self.flows
         dt = self.dt
         entry_links = self._entry_links
-        sink = self._sink
+        sink = self.trace_sink
         start = int(round(now / dt)) % len(flows)
         pivot = bisect_left(active, start)
         stale = None
@@ -795,7 +803,7 @@ class TopologyNetwork:
                             state.loss_debt += transfer
                             admitted += transfer
                 cls.commit(offered, admitted, now)
-        sink = self._sink
+        sink = self.trace_sink
         if sink is not None and not self._tick % _FLUID_TRACE_TICKS:
             for state in self._fluid_states:
                 link_name = state.link.name
@@ -841,15 +849,6 @@ class TopologyNetwork:
     # ------------------------------------------------------------------ #
     # Telemetry
     # ------------------------------------------------------------------ #
-    @property
-    def trace_sink(self) -> Optional[TraceSink]:
-        """The attached trace sink, if any."""
-        return self._sink
-
-    def set_trace_sink(self, sink: Optional[TraceSink]) -> None:
-        """Attach (or with ``None`` detach) a structured-event trace sink."""
-        self._sink = sink
-
     def _trace_modes(self, now: float) -> None:
         """Emit ``mode_change`` events for mode-switching flows.
 
@@ -858,7 +857,7 @@ class TopologyNetwork:
         observation of a flow's mode is emitted with ``from_mode: null``,
         recording the starting mode.
         """
-        sink = self._sink
+        sink = self.trace_sink
         flows = self.flows
         modes = self._last_modes
         for flow_id in self.roster:

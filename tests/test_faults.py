@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from _list_trace_sink import ListTraceSink
 from repro.experiments import link_flap, parking_lot
 from repro.experiments.common import MAIN_FLOW
 from repro.runtime import flap_fault_specs
@@ -21,7 +22,6 @@ from repro.simulator import (
     Flow,
     FaultEvent,
     FaultSchedule,
-    ListTraceSink,
     mbps_to_bytes_per_sec,
     validate_trace_record,
 )
@@ -172,7 +172,7 @@ class TestLinkFlap:
             FaultEvent("link_flap", "bottleneck", 1.0, 0.5,
                        drop_queued=True),))
         sink = ListTraceSink(events=("drop", "loss"))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(2.5)
         drops = [r for r in sink.records if r["event"] == "drop"]
         losses = [r for r in sink.records if r["event"] == "loss"]
@@ -186,7 +186,7 @@ class TestFaultTelemetry:
             FaultEvent("link_flap", "bottleneck", 1.5, 0.5,
                        drop_queued=True),))
         sink = ListTraceSink()
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(4.0)
         faults = [r for r in sink.records
                   if r["event"] in ("fault_start", "fault_end")]
@@ -203,7 +203,7 @@ class TestFaultTelemetry:
         network = _two_hop(faults=(
             FaultEvent("link_flap", "bottleneck", 0.5, 0.5),))
         sink = ListTraceSink(flows=("no-such-flow",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.5)
         kinds = {r["event"] for r in sink.records}
         assert kinds == {"fault_start", "fault_end"}
@@ -213,7 +213,7 @@ class TestFaultTelemetry:
             FaultEvent("link_flap", "bottleneck", 0.5, 0.5),))
         sink = ListTraceSink(links=("wan",), events=("fault_start",
                                                      "fault_end"))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.5)
         assert sink.records == []  # the fault is on the other link
 

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from _list_trace_sink import ListTraceSink
 from repro import quick_network
 from repro.analysis.telemetry import render_trace_summary, trace_summary
 from repro.cc import Cubic
@@ -23,7 +24,7 @@ from repro.runtime import FluidClassSpec, make_network
 from repro.runtime.spec import ScenarioSpec
 from repro.simulator import Flow, FluidClass, mbps_to_bytes_per_sec
 from repro.simulator.fluid import FluidLinkState
-from repro.simulator.telemetry import ListTraceSink, validate_trace_record
+from repro.simulator.telemetry import validate_trace_record
 
 MU_96 = mbps_to_bytes_per_sec(96.0)
 
@@ -378,7 +379,7 @@ class TestTelemetry:
     def _traced_run(self, duration=4.0, **sink_kwargs):
         network, _, cls = _population_network(8)
         sink = ListTraceSink(**sink_kwargs)
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(duration)
         return network, cls, sink
 

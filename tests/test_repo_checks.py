@@ -99,13 +99,30 @@ class TestOptionCensus:
         for option in ("Pie.seed", "TraceSink.sample",
                        "Nimbus.pulse_frequency", "FlowStats.bytes_sent"):
             assert option not in unset
-        # Set by keyword in super().__init__ (reroute's _RouteEventTee ->
-        # ListTraceSink -> TraceSink): among the drivers that call is the
-        # only one to set it.
-        assert "TraceSink.events" not in census.unset_options(
-            roots=("src/repro/experiments",))
         # Set by tests only, so unset as far as the census looks.
         assert "Cubic.fast_convergence" in unset
+
+    def test_a_keyword_passed_to_super_init_sets_the_base_option(
+            self, tmp_path, monkeypatch):
+        """A subclass that passes a keyword up through ``super().__init__``
+        sets that option of its base class."""
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "toy.py").write_text(
+            "class Base:\n"
+            "    def __init__(self, width=1.0, depth=1.0):\n"
+            "        self.width, self.depth = width, depth\n"
+            "\n"
+            "class Narrow(Base):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(width=0.5)\n"
+            "\n"
+            "def build():\n"
+            "    return Narrow()\n")
+        monkeypatch.setattr(census, "ROOT", tmp_path)
+        unset = census.unset_options(roots=("src",))
+        assert "Base.width" not in unset
+        assert "Base.depth" in unset
 
     def test_a_keyword_the_callee_declares_is_not_forwarded(self):
         """``make_scheme`` forwards ``**overrides`` to ``Nimbus``, but

@@ -17,7 +17,9 @@ import pickle
 
 import pytest
 
+from _list_trace_sink import ListTraceSink
 from repro.analysis import telemetry as telemetry_cli
+from repro.analysis.telemetry import load_trace
 from repro.experiments import EXPERIMENT_INDEX, reroute
 from repro.experiments.common import MAIN_FLOW, make_scheme
 from repro.runtime import (
@@ -33,9 +35,9 @@ from repro.runtime.spec import canonicalize
 from repro.simulator import (
     FaultEvent,
     Flow,
-    ListTraceSink,
     Topology,
     TopologyNetwork,
+    TraceSink,
     mbps_to_bytes_per_sec,
     validate_trace_record,
 )
@@ -170,7 +172,7 @@ class TestRoutedNetworkConstruction:
     def test_flow_start_reports_current_path(self):
         network = _network(flow=False)
         sink = ListTraceSink(events=("flow_start",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         mu = mbps_to_bytes_per_sec(48.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
                               name=MAIN_FLOW), src="S", dst="D")
@@ -181,7 +183,7 @@ class TestRoutedNetworkConstruction:
         flow entering at M shares only the bottleneck with the main flow."""
         network = _network()
         sink = ListTraceSink(events=("enqueue",), flows=("cross",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         cross = network.add_flow(
             Flow(cc=make_scheme("cubic", mbps_to_bytes_per_sec(48.0)),
                  prop_rtt=0.05, name="cross"), path=("bottleneck",))
@@ -231,7 +233,7 @@ class TestFailover:
     def test_route_change_events_validate_and_pair(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
         sink = ListTraceSink(events=("route_change",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(3.0)
         records = sink.records
         # Node S re-resolves both destinations (M and D) at failover and
@@ -247,7 +249,7 @@ class TestFailover:
     def test_convergence_pass_is_idempotent(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
         sink = ListTraceSink(events=("route_change",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.2)
         seen = len(sink.records)
         convergence_pass(network)(network.now)  # nothing changed since
@@ -299,7 +301,7 @@ class TestBlackhole:
         network = _network(convergence_ms=50.0, faults=self.FLAP)
         sink = ListTraceSink(events=("blackhole_start", "blackhole_end",
                                      "route_change"))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.1)
         assert network._entry_links[0] is None
         assert _route_names(network) == ()
@@ -319,11 +321,17 @@ class TestBlackhole:
         dead = next(r for r in sink.records if r["event"] == "route_change"
                     and r["node"] == "M")
         assert dead["to_link"] is None
+        # The engine logs the same records in order, sink or no sink.
+        assert network.route_events == sink.records
+        untraced = _network(convergence_ms=50.0, faults=self.FLAP)
+        assert untraced.trace_sink is None
+        untraced.run(2.2)
+        assert untraced.route_events == sink.records
 
     def test_blackholed_emissions_surface_as_loss(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
         sink = ListTraceSink(events=("loss",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.05)
         before = len(sink.records)
         network.run(1.6)  # mid-blackhole: every emission becomes a loss
@@ -333,7 +341,7 @@ class TestBlackhole:
         network = _network(flow=False)
         network.topology.add_node("X")  # an island: no links touch it
         sink = ListTraceSink(events=("flow_start", "blackhole_start"))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         mu = mbps_to_bytes_per_sec(48.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
                               name=MAIN_FLOW), src="S", dst="X")
@@ -358,7 +366,7 @@ class TestRoutedTelemetry:
         network = _network(faults=(FaultEvent("link_flap", "primary",
                                               0.5, 0.5),))
         sink = ListTraceSink(flows=("no-such-flow",))
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.5)
         kinds = {r["event"] for r in sink.records}
         # route_change has no flow envelope and survives the flow filter,
@@ -375,7 +383,7 @@ class TestRoutedTelemetry:
         network = _network(faults=(FaultEvent("link_flap", "primary",
                                               0.5, 0.5),))
         sink = ListTraceSink()
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.run(1.5)
         path = tmp_path / "trace.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
@@ -426,6 +434,39 @@ class TestRerouteDriver:
             {"primary", "backup", "bottleneck"}
         for record in payload["data"]["route_events"]:
             validate_trace_record(record)
+
+    def test_an_untraced_case_calls_no_sink(self, monkeypatch):
+        """Observation only: the payload's route events come from the
+        engine's ``route_events`` log, so an untraced case emits nothing."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        emitted = []
+        emit = TraceSink.emit
+
+        def counting(sink, record):
+            emitted.append(record)
+            emit(sink, record)
+
+        monkeypatch.setattr(TraceSink, "emit", counting)
+        payload = reroute.run_case(**self.CASE)
+        assert emitted == []
+        assert [record["event"] for record in payload["data"]["route_events"]
+                ].count("route_change") >= 2
+
+    def test_a_traced_case_gives_the_untraced_payload(self, tmp_path,
+                                                      monkeypatch):
+        """Tracing a case through ``REPRO_TRACE`` changes no byte of its
+        payload, and the trace holds the payload's route events in order."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        untraced = reroute.run_case(**self.CASE)
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        traced = reroute.run_case(**self.CASE)
+        assert pickle.dumps(traced) == pickle.dumps(untraced)
+        records = load_trace(str(path))
+        routed = [record for record in records if record["event"] in (
+            "route_change", "blackhole_start", "blackhole_end")]
+        assert routed == traced["data"]["route_events"]
+        assert len(records) > len(routed)  # the data plane was traced too
 
     def test_route_events_bit_identical_across_executors(self):
         """Acceptance: the reroute payload — control-plane event sequence

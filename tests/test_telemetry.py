@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import os
 import pickle
+import warnings
 
 import pytest
 
 import _toy_driver
+from _list_trace_sink import ListTraceSink
 from repro.analysis.telemetry import (
     load_metrics,
     load_trace,
@@ -34,7 +38,6 @@ from repro.simulator import (
     FiniteSource,
     Flow,
     JsonlTraceSink,
-    ListTraceSink,
     mbps_to_bytes_per_sec,
     sink_from_env,
     validate_trace_record,
@@ -52,7 +55,7 @@ def _two_hop_network(dt=0.002, seed=0, buffer_ms=100.0):
 def _traced_two_hop_run(duration=5.0, **sink_kwargs):
     network = _two_hop_network()
     sink = ListTraceSink(**sink_kwargs)
-    network.set_trace_sink(sink)
+    network.trace_sink = sink
     network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
     network.run(duration)
     return network, sink
@@ -140,7 +143,7 @@ class TestJsonlSink:
         sink = JsonlTraceSink(str(path))
         sink.emit(_fake("ack"))
         sink.emit(_fake("loss"))
-        sink.close()
+        sink.flush()
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         for line in lines:
@@ -151,8 +154,38 @@ class TestJsonlSink:
         for _ in range(2):
             sink = JsonlTraceSink(str(path))
             sink.emit(_fake("loss"))
-            sink.close()
+            sink.flush()
         assert len(path.read_text().splitlines()) == 2
+
+    def test_a_caller_handle_is_flushed_not_closed(self):
+        handle = io.StringIO()
+        sink = JsonlTraceSink(handle)
+        sink.emit(_fake("loss"))
+        sink.flush()
+        assert not handle.closed
+        assert len(handle.getvalue().splitlines()) == 1
+
+    def test_an_environment_trace_file_is_closed_after_each_run(
+            self, tmp_path, monkeypatch):
+        """A sink built from ``REPRO_TRACE`` holds no handle between runs:
+        the collector finds no open file, and a second run appends its
+        records after the first run's."""
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            network = _two_hop_network()
+            network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
+            network.run(0.2)
+            first = len(path.read_text().splitlines())
+            network.run(0.4)
+            del network
+            gc.collect()
+        assert not [warning for warning in caught
+                    if issubclass(warning.category, ResourceWarning)]
+        times = [record["time"] for record in load_trace(str(path))]
+        assert 0 < first < len(times)
+        assert times == sorted(times) and times[-1] > 0.2
 
     def test_sink_from_env(self, tmp_path):
         assert sink_from_env({}) is None
@@ -162,13 +195,10 @@ class TestJsonlSink:
                "REPRO_TRACE_LINKS": "hop1",
                "REPRO_TRACE_EVENTS": "drop,loss"}
         sink = sink_from_env(env)
-        try:
-            assert sink.sample == 4
-            assert sink.flows == {"main", 3}
-            assert sink.links == {"hop1"}
-            assert sink.events == {"drop", "loss"}
-        finally:
-            sink.close()
+        assert sink.sample == 4
+        assert sink.flows == {"main", 3}
+        assert sink.links == {"hop1"}
+        assert sink.events == {"drop", "loss"}
         with pytest.raises(ValueError, match="REPRO_TRACE_SAMPLE"):
             sink_from_env({"REPRO_TRACE": "x", "REPRO_TRACE_SAMPLE": "lots"})
 
@@ -197,7 +227,7 @@ class TestEngineEvents:
         # A starved buffer forces drops (and loss feedback) quickly.
         network = _two_hop_network(buffer_ms=4.0)
         sink = ListTraceSink()
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
         network.run(8.0)
         kinds = {r["event"] for r in sink.records}
@@ -208,7 +238,7 @@ class TestEngineEvents:
     def test_mode_change_emitted_for_nimbus(self, small_network):
         network, _link = small_network
         sink = ListTraceSink()
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         mu = mbps_to_bytes_per_sec(24)
         network.add_flow(Flow(cc=Nimbus(mu=mu), prop_rtt=0.05,
                               name="nimbus"))
@@ -223,7 +253,7 @@ class TestEngineEvents:
     def test_flow_finish_carries_fct(self, small_network):
         network, _link = small_network
         sink = ListTraceSink()
-        network.set_trace_sink(sink)
+        network.trace_sink = sink
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="short",
                               source=FiniteSource(200_000)))
         network.run(20.0)
@@ -405,7 +435,7 @@ class TestAnalysisTelemetry:
         path = tmp_path / "trace.jsonl"
         sink = JsonlTraceSink(str(path))
         sink.emit(_fake("loss"))
-        sink.close()
+        sink.flush()
         assert telemetry_cli(["validate", "--kind", "trace",
                               str(path)]) == 0
         assert "1 valid trace record" in capsys.readouterr().out
