@@ -5,71 +5,91 @@ rate ``R``, the RTT, and losses to the user-space algorithm every 10 ms,
 measured over one window (RTT) of packets (§3.1, §4.2).  This module
 provides the equivalent measurement machinery for simulated flows:
 timestamped byte counters that can be queried over an arbitrary trailing
-window.  Samples are appended in time order, so a window is a suffix of its
-store, found by bisection on the timestamps.
+window.
+
+Every per-sample series is a set of flat ``array('d')`` columns, one per
+field, plus a head index: the samples from the head on are the ones
+retained.  A sample costs 8 bytes per field, not a boxed tuple of boxed
+floats.  Samples are appended in time order, so pruning moves the head by
+bisection on the timestamp column, and a window is the suffix from a
+second bisection.  Appending prunes only every :data:`_PRUNE_EVERY`
+samples; a query first prunes up to what pruning at every append would
+have dropped, so every reading is the one an eagerly pruned store gives.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import deque
-from itertools import islice
-from operator import itemgetter
-from typing import Deque, List, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
 
-_TIME = itemgetter(0)
-_BYTES = itemgetter(1)
-_ACKED_BYTES = itemgetter(2)
+#: Appending prunes a store once per this many samples (a bisection per
+#: append would cost more than the append), so between prunes a store
+#: holds at most this many samples more than its last prune left.
+_PRUNE_EVERY = 64
 
 
-def _newer_than(samples: Sequence[tuple], cutoff: float) -> List[tuple]:
-    """The samples whose timestamp (field 0) is ``> cutoff``, oldest first.
+def _pruned(columns: tuple, head: int, cutoff: float) -> int:
+    """The head past every sample stamped before ``cutoff``.
 
-    Timestamps are appended in non-decreasing order, so those samples are a
-    suffix of the store, found by bisection and copied from the newest end:
-    a query costs what the window holds, not what the horizon retains.  The
-    suffix is handed back in its original order so that callers reduce it
-    exactly as a full scan would — a running sum would drift from that in
-    the last ulp.
+    ``columns[0]`` holds the timestamps.  Once the head passes half their
+    length the columns are compacted in place and the head is 0 again, so
+    a column holds at most twice what it retains.
     """
-    count = len(samples) - bisect_right(samples, cutoff, key=_TIME)
-    newest_first = list(islice(reversed(samples), count))
-    newest_first.reverse()
-    return newest_first
+    times = columns[0]
+    head = bisect_left(times, cutoff, head)
+    if head > len(times) >> 1:
+        for column in columns:
+            del column[:head]
+        head = 0
+    return head
 
 
 class WindowedCounter:
     """Accumulates (timestamp, bytes) samples and sums them over a window.
 
-    Slotted: every flow owns three of these and ``add`` runs on every send,
-    delivery, and loss, so the per-instance ``__dict__`` was measurable
-    overhead.
+    The samples are two columns, ``_times`` and ``_bytes``, of which the
+    entries from ``_head`` on are retained.  Slotted: every flow owns three
+    of these and ``add`` runs on every send, delivery, and loss.
     """
 
-    __slots__ = ("horizon", "_samples", "_total")
+    __slots__ = ("horizon", "_times", "_bytes", "_head", "_total")
 
     def __init__(self, horizon: float = 10.0) -> None:
         #: Oldest age (seconds) of samples retained; anything older is pruned.
         self.horizon = horizon
-        self._samples: Deque[Tuple[float, float]] = deque()
+        self._times = array("d")
+        self._bytes = array("d")
+        self._head = 0
         self._total = 0.0
 
     def add(self, now: float, nbytes: float) -> None:
         """Record ``nbytes`` at time ``now``."""
         if nbytes <= 0:
             return
-        samples = self._samples
-        samples.append((now, nbytes))
+        times = self._times
+        times.append(now)
+        self._bytes.append(nbytes)
         self._total += nbytes
-        cutoff = now - self.horizon
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
+        if not len(times) % _PRUNE_EVERY:
+            self._head = _pruned((times, self._bytes), self._head,
+                                 now - self.horizon)
 
     def sum_over(self, now: float, window: float) -> float:
         """Total bytes recorded in the trailing ``window`` seconds."""
-        self._prune(now)
-        return sum(map(_BYTES, _newer_than(self._samples, now - window)))
+        times = self._times
+        if times:
+            # Drop what pruning at every query and every append would
+            # have: the samples older than the horizon of the later of
+            # ``now`` and the newest sample.
+            newest = times[-1]
+            self._head = _pruned((times, self._bytes), self._head,
+                                 (now if now > newest else newest)
+                                 - self.horizon)
+        start = bisect_right(times, now - window, self._head)
+        # Summed oldest first, as a scan of every sample would: a running
+        # total would drift from that in the last ulp.
+        return sum(self._bytes[start:])
 
     def rate_over(self, now: float, window: float) -> float:
         """Average rate (bytes/s) over the trailing ``window`` seconds."""
@@ -81,12 +101,6 @@ class WindowedCounter:
     def total(self) -> float:
         """All bytes ever recorded (not pruned)."""
         return self._total
-
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.horizon
-        samples = self._samples
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
 
 
 class FlowMeasurement:
@@ -101,7 +115,9 @@ class FlowMeasurement:
     """
 
     __slots__ = ("sent", "delivered", "lost", "rtt", "min_rtt",
-                 "queue_delay", "max_delivery_rate", "_acked", "_acked_horizon")
+                 "queue_delay", "max_delivery_rate", "_ack_times",
+                 "_sent_times", "_acked_bytes", "_acked_head",
+                 "_acked_horizon")
 
     def __init__(self, horizon: float = 10.0) -> None:
         self.sent = WindowedCounter(horizon)
@@ -111,9 +127,13 @@ class FlowMeasurement:
         self.min_rtt: float = math.inf
         self.queue_delay: float = 0.0
         self.max_delivery_rate: float = 0.0
-        #: Acked-packet records (ack_time, sent_time, bytes) used to measure
-        #: S and R over the *same* packets, as Eq. (2) of the paper requires.
-        self._acked: Deque[Tuple[float, float, float]] = deque()
+        #: Acked-packet records used to measure S and R over the *same*
+        #: packets, as Eq. (2) of the paper requires: three columns (ACK
+        #: time, send time, bytes), retained from ``_acked_head`` on.
+        self._ack_times = array("d")
+        self._sent_times = array("d")
+        self._acked_bytes = array("d")
+        self._acked_head = 0
         self._acked_horizon = 2.0
 
     # ------------------------------------------------------------------ #
@@ -129,24 +149,28 @@ class FlowMeasurement:
         self.queue_delay = queue_delay
         if rtt > 0 and rtt < self.min_rtt:
             self.min_rtt = rtt
-        acked = self._acked
-        acked.append((now, now - rtt, nbytes))
-        cutoff = now - self._acked_horizon
-        while acked and acked[0][0] < cutoff:
-            acked.popleft()
+        ack_times = self._ack_times
+        ack_times.append(now)
+        self._sent_times.append(now - rtt)
+        self._acked_bytes.append(nbytes)
+        if not len(ack_times) % _PRUNE_EVERY:
+            self._prune_acked()
 
     def on_loss(self, now: float, nbytes: float) -> None:
         self.lost.add(now, nbytes)
 
     def drop_windows(self) -> None:
-        """Release the sample stores of a flow that has finished.
+        """Release the sample columns of a flow that has finished.
 
         Totals and the scalar readings stay, and every windowed query still
-        answers (with zero); an empty deque alone holds ~0.6 KB, so the four
-        stores are swapped for the shared empty tuple, not cleared.
+        answers (with zero): each column is swapped for the shared empty
+        tuple and its head reset, so a finished flow holds no buffers.
         """
-        self.sent._samples = self.delivered._samples = ()
-        self.lost._samples = self._acked = ()
+        for counter in (self.sent, self.delivered, self.lost):
+            counter._times = counter._bytes = ()
+            counter._head = 0
+        self._ack_times = self._sent_times = self._acked_bytes = ()
+        self._acked_head = 0
 
     # ------------------------------------------------------------------ #
     # Derived quantities
@@ -190,14 +214,18 @@ class FlowMeasurement:
         cross-traffic estimate insensitive to the sender's own pulses.
         """
         window = self.measurement_window()
-        records = _newer_than(self._acked, now - window)
-        if len(records) < 3:
+        ack_times = self._ack_times
+        if ack_times:
+            self._prune_acked()
+        first = bisect_right(ack_times, now - window, self._acked_head)
+        if len(ack_times) - first < 3:
             return self.send_rate(now, window), self.delivery_rate(now, window)
-        total = sum(map(_ACKED_BYTES, records))
+        nbytes = self._acked_bytes[first:]
         # Exclude the first record's bytes: n packets span n-1 gaps.
-        total_gap = total - records[0][2]
-        ack_span = records[-1][0] - records[0][0]
-        sent_span = records[-1][1] - records[0][1]
+        total_gap = sum(nbytes) - nbytes[0]
+        ack_span = ack_times[-1] - ack_times[first]
+        sent_times = self._sent_times
+        sent_span = sent_times[-1] - sent_times[first]
         if ack_span <= 0 or sent_span <= 0 or total_gap <= 0:
             return self.send_rate(now, window), self.delivery_rate(now, window)
         send_rate = total_gap / sent_span
@@ -211,3 +239,11 @@ class FlowMeasurement:
         if math.isfinite(self.min_rtt):
             return self.min_rtt
         return self.rtt if self.rtt > 0 else 0.05
+
+    def _prune_acked(self) -> None:
+        """Drop the records acked more than ``_acked_horizon`` before the
+        newest one, as pruning at every ACK would have."""
+        ack_times = self._ack_times
+        self._acked_head = _pruned(
+            (ack_times, self._sent_times, self._acked_bytes),
+            self._acked_head, ack_times[-1] - self._acked_horizon)

@@ -101,6 +101,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from typing import IO, Iterable, List, Optional, Union
 
 #: Version stamp carried by documentation and validated goldens; bump when
@@ -304,7 +305,9 @@ class JsonlTraceSink(TraceSink):
     ``write`` call so lines stay whole.  A sink given a path opens the file
     on its first write and closes it in :meth:`flush` (which ends every
     engine ``run``), so it never holds a handle between runs; a later
-    write reopens it.
+    write reopens it.  A write after the last run (``add_flow`` on a
+    finished network) is closed, and so written out, when the sink is
+    collected or the interpreter exits.
 
     Args:
         target: Path to append to, or an already-open text handle (which
@@ -325,15 +328,17 @@ class JsonlTraceSink(TraceSink):
     def write(self, record: dict) -> None:
         if self._handle is None:
             self._handle = open(self._path, "a", encoding="utf-8")
+            self._close = weakref.finalize(self, self._handle.close)
         self._handle.write(json.dumps(record, separators=(",", ":"),
                                       sort_keys=True) + "\n")
 
     def flush(self) -> None:
         if self._handle is None:
             return
-        self._handle.flush()
-        if self._path is not None:
-            self._handle.close()
+        if self._path is None:
+            self._handle.flush()
+        else:
+            self._close()
             self._handle = None
 
 

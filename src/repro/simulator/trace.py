@@ -24,10 +24,15 @@ the bin of its first delivery (``_FlowRecord.first_bin``), so a late flow
 stores no zeros back to t = 0; series extraction adds each record at that
 offset, in the same flow order as the historical dict implementation — the
 omitted zeros added nothing, so the produced arrays are bit-identical.
+
+The per-sample series — one queueing delay per delivered chunk and one RTT
+per flow per tick — are flat ``array('d')`` columns (8 bytes a sample,
+not a list slot and a boxed float), copied into one numpy array when read.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,8 +63,8 @@ class _FlowRecord:
         self.first_bin = 0
         self.bytes_by_bin: List[float] = []
         self.qdelay_sum: List[float] = []
-        self.qdelay_samples: List[float] = []
-        self.rtt_samples: List[float] = []
+        self.qdelay_samples = array("d")
+        self.rtt_samples = array("d")
         #: Sparse: only mode-switching algorithms report a mode at all.
         self.mode_by_bin: Dict[int, str] = {}
 
@@ -311,23 +316,23 @@ class Recorder:
                             flow_id: Optional[int] = None) -> np.ndarray:
         """All per-chunk queueing delay samples (seconds) for matching flows."""
         ids = self._select(name, flow_id)
-        samples: List[float] = []
+        samples = array("d")
         for fid in ids:
             rec = self._flows.get(fid)
             if rec is not None:
                 samples.extend(rec.qdelay_samples)
-        return np.asarray(samples)
+        return np.array(samples)
 
     def rtt_samples(self, name: Optional[str] = None,
                     flow_id: Optional[int] = None) -> np.ndarray:
         """All RTT samples (seconds) observed by matching flows."""
         ids = self._select(name, flow_id)
-        samples: List[float] = []
+        samples = array("d")
         for fid in ids:
             rec = self._flows.get(fid)
             if rec is not None:
                 samples.extend(rec.rtt_samples)
-        return np.asarray(samples)
+        return np.array(samples)
 
     def mean_throughput(self, name: Optional[str] = None,
                         flow_id: Optional[int] = None,

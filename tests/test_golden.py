@@ -33,6 +33,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
@@ -226,6 +227,9 @@ def _walk(obj: Any, update: Callable[[bytes], None], seen: Dict[int, int],
         else:
             tag(f"ndarray:{obj.dtype.str}:{obj.shape}")
             update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, array):
+        tag(f"array:{obj.typecode}[{len(obj)}]")
+        update(obj.tobytes())
     elif obj is None or isinstance(obj, (bool, int, float, str)):
         tag(f"{type(obj).__name__}:{obj!r}")
     elif isinstance(obj, (list, tuple, deque)):

@@ -1,12 +1,19 @@
 """Windowed counters and per-flow measurement (S, R, RTT, paired rates)."""
 
+import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulator.measurement import FlowMeasurement, WindowedCounter
+from repro.simulator.measurement import (
+    _PRUNE_EVERY,
+    FlowMeasurement,
+    WindowedCounter,
+)
 
 
 class TestWindowedCounter:
@@ -135,34 +142,103 @@ class TestPickleStability:
 
 
 # ---------------------------------------------------------------------- #
-# Differential tests: the suffix walk against a full scan
+# Differential tests: the column stores against a full scan
 # ---------------------------------------------------------------------- #
-class FullScanCounter(WindowedCounter):
-    """Reference oracle: ``sum_over`` filters every retained sample."""
+class FullScanCounter:
+    """Reference oracle: a deque of ``(time, bytes)`` tuples, pruned at
+    every add and query, whose ``sum_over`` filters every retained sample."""
 
-    __slots__ = ()
+    def __init__(self, horizon=10.0):
+        self.horizon = horizon
+        self.samples = deque()
+        self.total = 0.0
+
+    def add(self, now, nbytes):
+        if nbytes <= 0:
+            return
+        self.samples.append((now, nbytes))
+        self.total += nbytes
+        self._prune(now)
 
     def sum_over(self, now, window):
         self._prune(now)
         cutoff = now - window
-        return sum(b for t, b in self._samples if t > cutoff)
+        return sum(b for t, b in self.samples if t > cutoff)
+
+    def rate_over(self, now, window):
+        if window <= 0:
+            return 0.0
+        return self.sum_over(now, window) / window
+
+    def _prune(self, now):
+        cutoff = now - self.horizon
+        while self.samples and self.samples[0][0] < cutoff:
+            self.samples.popleft()
 
 
-class FullScanMeasurement(FlowMeasurement):
-    """Reference oracle: ``paired_rates`` filters every retained record."""
-
-    __slots__ = ()
+class FullScanMeasurement:
+    """Reference oracle for :class:`FlowMeasurement`: three full-scan
+    counters and a deque of ``(ack_time, sent_time, bytes)`` records,
+    pruned at every ACK, that ``paired_rates`` filters in full."""
 
     def __init__(self, horizon=10.0):
-        super().__init__(horizon)
         self.sent = FullScanCounter(horizon)
         self.delivered = FullScanCounter(horizon)
         self.lost = FullScanCounter(horizon)
+        self.rtt = 0.0
+        self.min_rtt = math.inf
+        self.max_delivery_rate = 0.0
+        self.acked = deque()
+
+    def on_send(self, now, nbytes):
+        self.sent.add(now, nbytes)
+
+    def on_ack(self, now, nbytes, rtt, queue_delay):
+        self.delivered.add(now, nbytes)
+        self.rtt = rtt
+        if rtt > 0 and rtt < self.min_rtt:
+            self.min_rtt = rtt
+        self.acked.append((now, now - rtt, nbytes))
+        while self.acked and self.acked[0][0] < now - 2.0:
+            self.acked.popleft()
+
+    def on_loss(self, now, nbytes):
+        self.lost.add(now, nbytes)
+
+    def drop_windows(self):
+        for counter in (self.sent, self.delivered, self.lost):
+            counter.samples.clear()
+        self.acked.clear()
+
+    def measurement_window(self):
+        if self.rtt > 0:
+            return self.rtt
+        if math.isfinite(self.min_rtt) and self.min_rtt > 0:
+            return self.min_rtt
+        return 0.05
+
+    def send_rate(self, now, window=None):
+        window = window if window is not None else self.measurement_window()
+        return self.sent.rate_over(now, window)
+
+    def delivery_rate(self, now, window=None):
+        window = window if window is not None else self.measurement_window()
+        rate = self.delivered.rate_over(now, window)
+        if rate > self.max_delivery_rate:
+            self.max_delivery_rate = rate
+        return rate
+
+    def loss_rate(self, now, window=None):
+        window = window if window is not None else self.measurement_window()
+        sent = self.sent.sum_over(now, window)
+        if sent <= 0:
+            return 0.0
+        return min(1.0, self.lost.sum_over(now, window) / sent)
 
     def paired_rates(self, now):
         window = self.measurement_window()
         cutoff = now - window
-        records = [rec for rec in self._acked if rec[0] > cutoff]
+        records = [rec for rec in self.acked if rec[0] > cutoff]
         if len(records) < 3:
             return self.send_rate(now, window), self.delivery_rate(now, window)
         total = sum(nbytes for _, _, nbytes in records)
@@ -176,6 +252,33 @@ class FullScanMeasurement(FlowMeasurement):
         if delivery_rate > self.max_delivery_rate:
             self.max_delivery_rate = delivery_rate
         return send_rate, delivery_rate
+
+
+def retained(store):
+    """The samples a store holds, oldest first, as tuples: ``(time,
+    bytes)`` for a counter, ``(ack_time, sent_time, bytes)`` for a flow's
+    acked records; an oracle's deque as it is, a column store's columns
+    from the head on."""
+    if isinstance(store, FullScanCounter):
+        return list(store.samples)
+    if isinstance(store, FullScanMeasurement):
+        return list(store.acked)
+    if isinstance(store, WindowedCounter):
+        head, columns = store._head, (store._times, store._bytes)
+    else:
+        head, columns = store._acked_head, (
+            store._ack_times, store._sent_times, store._acked_bytes)
+    return list(zip(*(column[head:] for column in columns)))
+
+
+def assert_holds_what_oracle_holds(store, oracle, exact):
+    """``store`` holds the oracle's samples; unless ``exact``, it may also
+    hold fewer than ``_PRUNE_EVERY`` older ones that an append has not
+    pruned yet (a query prunes them)."""
+    mine, theirs = retained(store), retained(oracle)
+    extra = len(mine) - len(theirs)
+    assert 0 <= extra < (1 if exact else _PRUNE_EVERY)
+    assert mine[extra:] == theirs
 
 
 #: Quarter-second steps are exact in binary, so timestamps repeat (step 0)
@@ -213,7 +316,7 @@ def test_sum_over_equals_full_scan(ops):
         else:
             assert new.sum_over(clock + step, value) == \
                 ref.sum_over(clock + step, value)
-        assert new._samples == ref._samples
+        assert_holds_what_oracle_holds(new, ref, exact=op == "sum_over")
     assert new.total == ref.total
 
 
@@ -253,9 +356,10 @@ def test_paired_rates_equal_full_scan(ops):
             assert getattr(new, op)(clock + step, *args) == \
                 getattr(ref, op)(clock + step, *args)
         assert new.max_delivery_rate == ref.max_delivery_rate
-    assert new._acked == ref._acked
+    assert_holds_what_oracle_holds(new, ref, exact=False)
     for name in ("sent", "delivered", "lost"):
-        assert getattr(new, name)._samples == getattr(ref, name)._samples
+        assert_holds_what_oracle_holds(getattr(new, name), getattr(ref, name),
+                                       exact=False)
 
 
 class TestWindowEdges:
@@ -275,7 +379,16 @@ class TestWindowEdges:
             counter.add(t, 100)
         # t == now - horizon is retained (pruning drops strictly older).
         assert counter.sum_over(2.0, window=5.0) == 200
-        assert [t for t, _ in counter._samples] == [1.0, 2.0]
+        assert [t for t, _ in retained(counter)] == [1.0, 2.0]
+
+    def test_a_lagging_query_reads_what_the_newest_sample_left(self):
+        counter = WindowedCounter(horizon=1.0)
+        counter.add(1.2, 100)
+        counter.add(2.5, 50)
+        # Adding at 2.5 prunes what is older than 1.5; a query at 2.0 that
+        # reaches back past both horizons must not read 1.2 back.
+        assert counter.sum_over(2.0, window=5.0) == 50
+        assert retained(counter) == [(2.5, 50)]
 
     def test_query_older_than_newest_sample_still_counts_it(self):
         counter = WindowedCounter()
@@ -369,7 +482,57 @@ class TestBisectionAgainstFullScan:
             clock += float(step)
             new.add(clock, float(size))
             ref.add(clock, float(size))
-        assert len(new._samples) > 5000
+        assert len(retained(new)) > 5000
         for window in (0.0, 1e-3, 0.05, 1.0, 5.0, 9.999, 10.0, 20.0):
             assert new.sum_over(clock, window) == ref.sum_over(clock, window)
-        assert new._samples == ref._samples
+        assert_holds_what_oracle_holds(new, ref, exact=True)
+
+    def test_pruning_at_appends_holds_what_the_oracle_holds(self):
+        # Thousands of appends, so appends prune and compact the columns
+        # between queries; windows longer than both horizons read exactly
+        # what pruning at every append keeps.
+        new, ref = FlowMeasurement(horizon=1.0), FullScanMeasurement(1.0)
+        clock = 0.0
+        for i in range(6000):
+            clock += (0.0, 0.001, 0.0035)[i % 3]
+            for m in (new, ref):
+                m.on_send(clock, 100.0 + i)
+                m.on_ack(clock, 100.0 + i, rtt=0.01 + (i % 7) * 1e-3,
+                         queue_delay=0.0)
+            if i % 997 == 0:
+                new.rtt = ref.rtt = 5.0
+                assert new.paired_rates(clock) == ref.paired_rates(clock)
+                assert_holds_what_oracle_holds(new, ref, exact=True)
+                assert new.send_rate(clock, 5.0) == ref.send_rate(clock, 5.0)
+                assert_holds_what_oracle_holds(new.sent, ref.sent,
+                                               exact=True)
+            assert_holds_what_oracle_holds(new, ref, exact=False)
+            assert_holds_what_oracle_holds(new.delivered, ref.delivered,
+                                           exact=False)
+        # A column holds at most twice what it retains, plus what the
+        # appends since the last prune added.
+        assert len(new.sent._times) <= 2 * len(retained(ref.sent)) \
+            + _PRUNE_EVERY
+
+
+class TestBytesPerSample:
+    def test_a_send_and_its_ack_keep_under_100_bytes(self):
+        """20,000 ``on_send`` + ``on_ack`` pairs, all inside both horizons
+        (10 s for the counters, 2 s for the acked records), are retained.
+        Stored as deques of boxed tuples of boxed floats they kept 272-296
+        bytes a pair; as flat float columns (two per counter, three for the
+        acked records: 56 bytes of doubles) they keep about 59."""
+        n = 20_000
+        m = FlowMeasurement()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                t = i * 5e-5
+                m.on_send(t, 1500.0)
+                m.on_ack(t + 0.05, 1500.0, rtt=0.05, queue_delay=0.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / n <= 100
+        assert len(retained(m)) == len(retained(m.sent)) == n

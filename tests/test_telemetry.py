@@ -187,6 +187,27 @@ class TestJsonlSink:
         assert 0 < first < len(times)
         assert times == sorted(times) and times[-1] > 0.2
 
+    def test_a_record_written_after_the_last_run_reaches_the_file(
+            self, tmp_path, monkeypatch):
+        """``add_flow`` on a network whose last run has ended emits
+        ``flow_start`` after the run's flush: that record is written out
+        and its handle closed when the network goes, not left for the
+        collector to find open."""
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            network = _two_hop_network()
+            network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
+            network.run(0.2)
+            network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="late"))
+            del network
+            gc.collect()
+        assert not [warning for warning in caught
+                    if issubclass(warning.category, ResourceWarning)]
+        assert [record["flow"] for record in load_trace(str(path))
+                if record["event"] == "flow_start"] == ["main", "late"]
+
     def test_sink_from_env(self, tmp_path):
         assert sink_from_env({}) is None
         env = {"REPRO_TRACE": str(tmp_path / "t.jsonl"),

@@ -1,5 +1,6 @@
 """Recorder: throughput/delay/mode series extraction."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -517,3 +518,26 @@ def test_offset_flow_records_equal_the_zero_padded_records(script):
             recorder._max_bin + 1
         assert len(record.bytes_by_bin) == len(record.qdelay_sum) <= \
             len(oracle._bytes[fid])
+
+
+def test_a_delivery_keeps_under_16_bytes():
+    """20,000 deliveries of one flow inside two bins are retained, each
+    with its own queueing delay.  Kept in a list of boxed floats, a sample
+    cost a list slot and a float, 32.7 bytes; in a float column it costs
+    its 8-byte double (8.4 with the column's growth slack)."""
+    n = 20_000
+    network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    flow = network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cubic"))
+    recorder = network.recorder
+    chunk = Chunk(flow.flow_id, 1500.0, 0, 0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            chunk.queue_delay = i * 1e-6
+            recorder.on_delivery(flow, chunk, 0.05 + i * 1e-5)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / n <= 16
+    assert len(recorder.queue_delay_samples("cubic")) == n

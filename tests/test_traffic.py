@@ -249,10 +249,16 @@ class TestWanGeneratorRoster:
 
 
 def _windows(measurement):
-    """The four sample stores of a flow's measurement, as plain lists."""
-    return [list(store) for store in (
-        measurement.sent._samples, measurement.delivered._samples,
-        measurement.lost._samples, measurement._acked)]
+    """The four sample stores of a flow's measurement, as lists of the
+    tuples their columns retain (from the head on)."""
+    stores = [(counter._head, (counter._times, counter._bytes))
+              for counter in (measurement.sent, measurement.delivered,
+                              measurement.lost)]
+    stores.append((measurement._acked_head, (
+        measurement._ack_times, measurement._sent_times,
+        measurement._acked_bytes)))
+    return [list(zip(*(column[head:] for column in columns)))
+            for head, columns in stores]
 
 
 class TestStateFollowsLiveness:
