@@ -11,10 +11,13 @@ own options) and the callee does not declare that parameter itself (a
 keyword the callee declares is used up at that call:
 ``add_link(delay=)`` does not set ``Nimbus.delay``); a classmethod's
 ``cls(...)`` is a call of its class.  Options nobody sets
-are printed; exit 1 if one of them is missing from
+are printed, and so is every environment variable ``src/`` reads (each
+string constant under ``src/`` that is a whole ``REPRO_[A-Z_]+`` name,
+listed as ``env:REPRO_...``); exit 1 if one of them is missing from
 ``benchmarks/option_census.json``, the allow-list giving each kept option
-its one reason, or if the list names an option that is set or gone.  Pure
-``ast``: nothing under ``src/`` is imported.
+or variable its one reason, or if the list names an option that is set or
+gone or a variable nothing reads any more.  Pure ``ast``: nothing under
+``src/`` is imported.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGES = ("analysis", "cc", "core", "runtime", "simulator", "traffic")
 ROOTS = ("src", "benchmarks", "examples")
 ALLOW_LIST = ROOT / "benchmarks" / "option_census.json"
+ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
 
 
 def sources(directory: pathlib.Path):
@@ -179,14 +184,27 @@ def unset_options(roots=ROOTS) -> list:
         and not (cls in forwarded and spelled_outside(name, cls)))
 
 
+def environment_variables() -> list:
+    """``["env:REPRO_...", ...]`` for every string constant under ``src/``
+    that is a whole environment-variable name: the knobs ``src/`` reads."""
+    return sorted({f"env:{node.value}"
+                   for _, tree in sources(ROOT / "src")
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   and ENV_NAME.fullmatch(node.value)})
+
+
 def main() -> int:
     allowed = json.loads(ALLOW_LIST.read_text(encoding="utf-8"))
-    unset = unset_options()
+    unset = unset_options() + environment_variables()
     for option in unset:
         print(f"{option}: {allowed.get(option, 'UNEXPLAINED')}")
     stale = sorted(set(allowed) - set(unset))
     for option in stale:
-        print(f"{option}: listed in {ALLOW_LIST.name} but set or gone")
+        print(f"{option}: listed in {ALLOW_LIST.name} but set or gone"
+              if not option.startswith("env:") else
+              f"{option}: listed in {ALLOW_LIST.name} but no longer read")
     return 1 if stale or not set(unset) <= set(allowed) else 0
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Cubic, Flow, Nimbus, quick_network
+from repro import Cubic, Flow, Nimbus
 from repro.cc import NullCC
 from repro.core.elasticity import THRESHOLD
+from repro.runtime import make_network
 from repro.simulator import mbps_to_bytes_per_sec
 from repro.traffic import PoissonSource
 
@@ -26,8 +27,7 @@ DURATION = 40.0      # seconds of simulated time per scenario
 
 def run_scenario(cross_traffic: str) -> None:
     """Run Nimbus against one kind of cross traffic and print a summary."""
-    network, link = quick_network(link_mbps=LINK_MBPS, buffer_ms=100,
-                                  dt=0.002)
+    network = make_network(link_mbps=LINK_MBPS, buffer_ms=100, dt=0.002)
     mu = mbps_to_bytes_per_sec(LINK_MBPS)
 
     nimbus = Nimbus(mu=mu)

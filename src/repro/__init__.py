@@ -24,19 +24,18 @@ The package is organised as:
 
 Quickstart::
 
-    from repro import quick_network, Nimbus, Flow
+    from repro import Nimbus, Flow
+    from repro.runtime import make_network
     from repro.simulator import mbps_to_bytes_per_sec
 
     mu = mbps_to_bytes_per_sec(48)
-    net, link = quick_network(link_mbps=48, buffer_ms=100)
+    net = make_network(link_mbps=48, buffer_ms=100)
     net.add_flow(Flow(cc=Nimbus(mu=mu), prop_rtt=0.05, name="nimbus"))
     net.run(30.0)
     print(net.recorder.mean_throughput("nimbus"))
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 from .cc import (
     BasicDelay,
@@ -78,28 +77,6 @@ __all__ = [
     "Vivace",
     "elasticity_metric",
     "mbps_to_bytes_per_sec",
-    "quick_network",
     "__version__",
 ]
 
-
-def quick_network(link_mbps: float = 96.0, buffer_ms: float = 100.0,
-                  dt: float = 0.002, aqm: Optional[object] = None
-                  ) -> Tuple[TopologyNetwork, BottleneckLink]:
-    """Build a single-bottleneck network with a drop-tail buffer.
-
-    Args:
-        link_mbps: Bottleneck rate in Mbit/s.
-        buffer_ms: Buffer depth expressed in milliseconds at the link rate.
-        dt: Simulation tick in seconds.
-        aqm: Optional queue policy instance overriding the drop-tail buffer.
-
-    Returns:
-        (network, link) ready to have flows added.
-    """
-    mu = mbps_to_bytes_per_sec(link_mbps)
-    policy = aqm if aqm is not None else DropTail(mu * buffer_ms / 1e3)
-    link = BottleneckLink(capacity=mu, policy=policy)
-    topology = Topology()
-    topology.attach(link)
-    return TopologyNetwork(topology, dt=dt), link

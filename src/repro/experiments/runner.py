@@ -128,10 +128,9 @@ def main(argv: List[str] | None = None) -> int:
                         help="Append one runtime-metrics JSONL record per "
                              "scenario to PATH as it settles")
     parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="Stream structured engine events to a JSONL "
-                             "trace at PATH (forces a cold, serial run; "
-                             "filters via REPRO_TRACE_FLOWS/LINKS/EVENTS/"
-                             "SAMPLE)")
+                        help="Stream every structured engine event to a "
+                             "JSONL trace at PATH (forces a cold, serial "
+                             "run; select kinds by grepping the file)")
     args = parser.parse_args(argv)
 
     if args.list or not args.experiment:

@@ -22,7 +22,6 @@ from .telemetry import (
     EVENT_KINDS,
     TRACE_SCHEMA_VERSION,
     JsonlTraceSink,
-    TraceSink,
     sink_from_env,
     validate_trace_record,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "Source",
     "Topology",
     "TopologyNetwork",
-    "TraceSink",
     "TRACE_SCHEMA_VERSION",
     "WindowedCounter",
     "sink_from_env",

@@ -75,26 +75,15 @@ Per-kind payload fields:
     current queue ``backlog`` in bytes, the instantaneous send ``rate``
     in bytes/s, and the estimated live ``flows`` count.  Control-plane
     like the fault kinds: no ``flow_id``/``flow`` envelope (a class
-    stands for a crowd, not a flow), but subject to the link filter.
-
-Sinks support four orthogonal reductions, applied in ``emit``:
-
-* **per-flow filter** — keep only events whose ``flow`` label (or
-  ``flow_id``) is in a given set,
-* **per-link filter** — keep only link-located events (every kind in
-  :data:`LINK_KINDS`: enqueue, hop, drop, the fault kinds and
-  ``fluid_sample``) on the named links, plus all non-link events,
-* **per-kind filter** — keep only the named event kinds,
-* **1-in-N sampling** — keep every Nth *data-plane* event (enqueue, hop,
-  delivery, ack); control-plane events (drops, losses, mode changes, flow
-  lifecycle) are always precious and never sampled away.
+    stands for a crowd, not a flow), but located on a ``link``.
 
 ``REPRO_TRACE=<path>`` wires a :class:`JsonlTraceSink` into every engine
 built afterwards (the runner's ``--trace`` flag sets it for one
-invocation); ``REPRO_TRACE_SAMPLE``, ``REPRO_TRACE_FLOWS``,
-``REPRO_TRACE_LINKS``, and ``REPRO_TRACE_EVENTS`` configure the filters.
-In Python, assign a sink to an engine's attribute
-(``network.trace_sink = sink``; ``None`` detaches it).
+invocation).  The sink writes every record; a subset is selected when the
+file is read (``grep -E '"event":"(drop|loss)"' trace.jsonl``).  In
+Python, assign any object with ``emit(record)`` and ``flush()`` methods
+to an engine's attribute (``network.trace_sink = sink``; ``None``
+detaches it).
 """
 
 from __future__ import annotations
@@ -102,7 +91,7 @@ from __future__ import annotations
 import json
 import os
 import weakref
-from typing import IO, Iterable, List, Optional, Union
+from typing import IO, Optional, Union
 
 #: Version stamp carried by documentation and validated goldens; bump when
 #: a field is renamed or removed (additions are compatible).
@@ -132,14 +121,10 @@ FAULT_KINDS = frozenset({"fault_start", "fault_end"})
 
 #: Control-plane kinds without a flow envelope: they describe the network
 #: (a fault window, a routing-table entry, a fluid traffic class), not any
-#: one flow, so per-flow filters never discard them.
+#: one flow, so a record of these kinds carries no ``flow_id``/``flow``.
 CONTROL_KINDS = FAULT_KINDS | {"route_change", "fluid_sample"}
 
-#: High-volume data-plane kinds that 1-in-N sampling applies to.  Everything
-#: else (drops, losses, mode changes, flow lifecycle) is rare and always kept.
-SAMPLED_KINDS = frozenset({"enqueue", "hop", "delivery", "ack"})
-
-#: Kinds that carry a ``link`` field (and are subject to the link filter).
+#: Kinds that carry a ``link`` field.
 LINK_KINDS = frozenset({"enqueue", "hop", "drop", "fault_start", "fault_end",
                         "fluid_sample"})
 
@@ -225,107 +210,26 @@ def validate_trace_record(record: dict) -> None:
                                  f"{name!r}, got {record.get(name)!r}")
 
 
-class TraceSink:
-    """Base trace sink: filtering and sampling, with storage left abstract.
+class JsonlTraceSink:
+    """Writes every record as one JSON object per line, appending to a file.
 
-    Subclasses implement :meth:`write`; :meth:`emit` applies the flow/link
-    filters and the 1-in-N sample before forwarding.  The engine only ever
-    calls :meth:`emit`, and :meth:`flush` at the end of each ``run``.
-
-    Args:
-        flows: Keep only events of these flows, matched against the flow
-            *label* (str entries) or *id* (int entries).  ``None`` keeps all.
-        links: Keep only link-located events (every kind in
-            :data:`LINK_KINDS`) on these link names; events without a link
-            are unaffected.  ``None`` keeps all.
-        events: Keep only these event kinds.  ``None`` keeps all.
-        sample: Keep every ``sample``-th data-plane event (see
-            :data:`SAMPLED_KINDS`); control-plane events are always kept.
-    """
-
-    def __init__(self, flows: Optional[Iterable[Union[str, int]]] = None,
-                 links: Optional[Iterable[str]] = None,
-                 events: Optional[Iterable[str]] = None,
-                 sample: int = 1) -> None:
-        if sample < 1:
-            raise ValueError("sample must be >= 1 (1 keeps every event)")
-        self.flows = frozenset(flows) if flows is not None else None
-        self.links = frozenset(links) if links is not None else None
-        if events is not None:
-            events = frozenset(events)
-            unknown = events - EVENT_KINDS
-            if unknown:
-                raise ValueError(f"unknown event kinds {sorted(unknown)}; "
-                                 f"known: {sorted(EVENT_KINDS)}")
-        self.events = events
-        self.sample = int(sample)
-        self._seen = 0
-        #: Records actually written (post-filter, post-sample).
-        self.emitted = 0
-
-    # ------------------------------------------------------------------ #
-    def admit(self, record: dict) -> bool:
-        """Whether ``record`` survives the filters and the sampler."""
-        kind = record["event"]
-        if self.events is not None and kind not in self.events:
-            return False
-        if self.flows is not None and kind not in CONTROL_KINDS and \
-                record["flow"] not in self.flows and \
-                record["flow_id"] not in self.flows:
-            # Control-plane events (faults, route changes) have no flow
-            # envelope: a flow filter never discards them (they are
-            # context for whichever flows remain).
-            return False
-        if self.links is not None and kind in LINK_KINDS and \
-                record["link"] not in self.links:
-            return False
-        if self.sample > 1 and kind in SAMPLED_KINDS:
-            self._seen += 1
-            if self._seen % self.sample:
-                return False
-        return True
-
-    def emit(self, record: dict) -> None:
-        if self.admit(record):
-            self.emitted += 1
-            self.write(record)
-
-    def write(self, record: dict) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        """Push buffered records to stable storage (default: nothing)."""
-
-
-class JsonlTraceSink(TraceSink):
-    """Serialises one JSON object per line to a file (append mode).
-
+    Records are serialised with sorted keys and compact separators, so a
+    kind is selected when the file is read: ``grep '"event":"drop"'``.
     Append mode lets several sequentially-built networks of one batch (or
     one process) share a trace file; each record is written as a single
-    ``write`` call so lines stay whole.  A sink given a path opens the file
-    on its first write and closes it in :meth:`flush` (which ends every
-    engine ``run``), so it never holds a handle between runs; a later
-    write reopens it.  A write after the last run (``add_flow`` on a
-    finished network) is closed, and so written out, when the sink is
-    collected or the interpreter exits.
-
-    Args:
-        target: Path to append to, or an already-open text handle (which
-            the caller keeps ownership of: the sink only flushes it).
-        **filters: See :class:`TraceSink`.
+    ``write`` call so lines stay whole.  The sink opens the file on its
+    first write and closes it in :meth:`flush` (which ends every engine
+    ``run``), so it never holds a handle between runs; a later write
+    reopens it.  A write after the last run (``add_flow`` on a finished
+    network) is closed, and so written out, when the sink is collected or
+    the interpreter exits.
     """
 
-    def __init__(self, target: Union[str, os.PathLike, IO[str]],
-                 **filters) -> None:
-        super().__init__(**filters)
-        if hasattr(target, "write"):
-            self._path = None
-            self._handle: Optional[IO[str]] = target  # type: ignore
-        else:
-            self._path = target
-            self._handle = None
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
+        self._path = path
+        self._handle: Optional[IO[str]] = None
 
-    def write(self, record: dict) -> None:
+    def emit(self, record: dict) -> None:
         if self._handle is None:
             self._handle = open(self._path, "a", encoding="utf-8")
             self._close = weakref.finalize(self, self._handle.close)
@@ -333,46 +237,13 @@ class JsonlTraceSink(TraceSink):
                                       sort_keys=True) + "\n")
 
     def flush(self) -> None:
-        if self._handle is None:
-            return
-        if self._path is None:
-            self._handle.flush()
-        else:
+        if self._handle is not None:
             self._close()
             self._handle = None
 
 
-def _split_env_list(raw: str) -> Optional[List[str]]:
-    values = [item.strip() for item in raw.split(",") if item.strip()]
-    return values or None
-
-
 def sink_from_env(environ=None) -> Optional[JsonlTraceSink]:
-    """Build the environment-configured trace sink, or ``None``.
-
-    ``REPRO_TRACE=<path>`` enables tracing; ``REPRO_TRACE_SAMPLE=<N>``,
-    ``REPRO_TRACE_FLOWS=a,b``, ``REPRO_TRACE_LINKS=hop1,hop2``, and
-    ``REPRO_TRACE_EVENTS=drop,loss`` configure the sink's filters.  Flow
-    entries that parse as integers match flow ids.
-    """
+    """The sink ``REPRO_TRACE=<path>`` asks for, or ``None`` when unset."""
     environ = os.environ if environ is None else environ
     path = environ.get("REPRO_TRACE", "").strip()
-    if not path:
-        return None
-    sample = 1
-    raw_sample = environ.get("REPRO_TRACE_SAMPLE", "").strip()
-    if raw_sample:
-        try:
-            sample = max(1, int(raw_sample))
-        except ValueError:
-            raise ValueError(f"REPRO_TRACE_SAMPLE must be an integer, "
-                             f"got {raw_sample!r}")
-    flows: Optional[List[Union[str, int]]] = None
-    raw_flows = _split_env_list(environ.get("REPRO_TRACE_FLOWS", ""))
-    if raw_flows is not None:
-        flows = [int(item) if item.lstrip("-").isdigit() else item
-                 for item in raw_flows]
-    links = _split_env_list(environ.get("REPRO_TRACE_LINKS", ""))
-    events = _split_env_list(environ.get("REPRO_TRACE_EVENTS", ""))
-    return JsonlTraceSink(path, flows=flows, links=links, events=events,
-                          sample=sample)
+    return JsonlTraceSink(path) if path else None

@@ -74,7 +74,7 @@ from .endpoint import Flow
 from .fluid import FluidClass, FluidLinkState
 from .link import BottleneckLink, DropRecord
 from .packet import Ack, Chunk
-from .telemetry import TraceSink, sink_from_env
+from .telemetry import JsonlTraceSink, sink_from_env
 from .trace import Recorder
 
 #: Slack applied to every "has this event's time arrived?" comparison: an
@@ -298,13 +298,16 @@ class TopologyNetwork:
     every link up to ``capacity * dt`` bytes.  A chunk's ``hop`` field
     holds the index of the *node* it is at.
 
-    ``trace_sink`` is the :class:`~repro.simulator.telemetry.TraceSink` the
-    engine narrates structured events to: built from the environment
-    (``REPRO_TRACE``) at construction, assigned directly otherwise.  With
-    ``None`` every emission site reduces to one pointer check and the run
-    is numerically identical to an untraced engine.  ``route_events`` logs
-    every ``route_change`` / ``blackhole_start`` / ``blackhole_end`` record
-    in order, sink or no sink (see :meth:`route_event`).
+    ``trace_sink`` is the sink the engine narrates structured events to: a
+    :class:`~repro.simulator.telemetry.JsonlTraceSink` built from the
+    environment (``REPRO_TRACE``) at construction, assigned directly
+    otherwise.  The engine calls only ``emit(record)`` and ``flush()`` (at
+    the end of every ``run``), so any object with those two methods can
+    stand in.  With ``None`` every emission site reduces to one pointer
+    check and the run is numerically identical to an untraced engine.
+    ``route_events`` logs every ``route_change`` / ``blackhole_start`` /
+    ``blackhole_end`` record in order, sink or no sink (see
+    :meth:`route_event`).
     """
 
     def __init__(self, topology: Topology, dt: float = 0.001,
@@ -348,7 +351,7 @@ class TopologyNetwork:
         self._next_flow_id = 0
         #: Flight recorder: ``None`` keeps every emission site to a single
         #: pointer check, so an untraced run is numerically unchanged.
-        self.trace_sink: Optional[TraceSink] = sink_from_env()
+        self.trace_sink: Optional[JsonlTraceSink] = sink_from_env()
         #: Every routing control-plane record, in order (rare events).
         self.route_events: List[dict] = []
         #: Last mode observed per mode-switching flow (trace-only state).

@@ -1,19 +1,23 @@
 """An in-memory trace sink for tests: attach it with
-``network.trace_sink = ListTraceSink(...)`` and read ``records``."""
+``network.trace_sink = ListTraceSink()`` and read ``records``."""
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.simulator import TraceSink
 
+class ListTraceSink:
+    """Collects every record the engine emits, in order."""
 
-class ListTraceSink(TraceSink):
-    """Collects the records that pass the filters, in order."""
-
-    def __init__(self, **filters) -> None:
-        super().__init__(**filters)
+    def __init__(self) -> None:
         self.records: List[dict] = []
 
-    def write(self, record: dict) -> None:
+    def emit(self, record: dict) -> None:
         self.records.append(record)
+
+    def flush(self) -> None:
+        pass
+
+    def of(self, *kinds: str) -> List[dict]:
+        """The records of ``kinds``, in emission order."""
+        return [record for record in self.records if record["event"] in kinds]

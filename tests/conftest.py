@@ -16,7 +16,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro import quick_network  # noqa: E402
+from repro.runtime import make_network  # noqa: E402
 from repro.simulator import Flow, mbps_to_bytes_per_sec  # noqa: E402
 from repro.cc import Cubic, NullCC  # noqa: E402
 from repro.traffic import PoissonSource  # noqa: E402
@@ -127,8 +127,8 @@ def payload_dumps(tmp_path, monkeypatch):
 @pytest.fixture
 def small_network():
     """A 24 Mbit/s, 100 ms-buffer network with a coarse tick for fast tests."""
-    network, link = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
-    return network, link
+    network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    return network, network.link
 
 
 @pytest.fixture

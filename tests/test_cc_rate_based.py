@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import quick_network
 from repro.cc import Bbr, Cubic, FixedWindow, NullCC, Vivace
 from repro.cc.bbr import PROBE_BW, STARTUP
+from repro.runtime import make_network
 from repro.simulator import Flow, mbps_to_bytes_per_sec
 from repro.simulator.source import PacedSource
 from repro.simulator.units import MSS_BYTES
@@ -33,7 +33,7 @@ class TestBbrUnit:
 class TestBbrIntegration:
     @pytest.fixture(scope="class")
     def bbr_run(self):
-        network, link = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         flow = Flow(cc=Bbr(), prop_rtt=0.05, name="bbr")
         network.add_flow(flow)
         network.run(25.0)
@@ -63,7 +63,7 @@ class TestBbrIntegration:
 
 class TestVivace:
     def test_rate_grows_on_empty_link(self):
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         flow = Flow(cc=Vivace(), prop_rtt=0.05, name="vivace")
         network.add_flow(flow)
         network.run(20.0)
@@ -119,7 +119,7 @@ class TestReferenceSenders:
 
     def test_app_limited_flow_stays_below_fair_share(self):
         """Table 1's app-limited row: Cubic behind a paced application."""
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         mu = mbps_to_bytes_per_sec(24)
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05,
                               source=PacedSource(0.2 * mu), name="applim"))

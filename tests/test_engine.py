@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import quick_network
 from repro.cc import Cubic, NullCC
 from repro.runtime import make_network
 from repro.simulator import Flow, FiniteSource
@@ -112,7 +111,7 @@ class TestDynamicFlows:
 
 class TestSharing:
     def test_two_identical_flows_split_fairly(self):
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="a"))
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="b"))
         network.run(40.0)
@@ -122,7 +121,8 @@ class TestSharing:
         assert min(a, b) / max(a, b) > 0.3
 
     def test_losses_occur_with_small_buffer(self):
-        network, link = quick_network(link_mbps=24, buffer_ms=20, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=20, dt=0.004)
+        link = network.link
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cubic"))
         network.run(15.0)
         assert link.total_drops > 0
@@ -199,7 +199,7 @@ class TestCalendarQueue:
 
     def test_clock_is_the_repeated_dt_chain(self):
         dt = 0.002
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=dt)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=dt)
         ticks = 10_000
         expected = 0.0
         for _ in range(ticks):
@@ -210,7 +210,7 @@ class TestCalendarQueue:
     @staticmethod
     def _readings(ticks):
         """The clock readings of ticks ``1..ticks``, read off a twin."""
-        twin, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.002)
+        twin = make_network(link_mbps=24, buffer_ms=100, dt=0.002)
         readings = []
         for _ in range(ticks):
             twin.step()
@@ -220,7 +220,7 @@ class TestCalendarQueue:
     def _fire(self, times, until):
         """Schedule one named callback per ``(name, time)`` in that order
         and return ``(name, clock reading)`` in the order they fired."""
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.002)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.002)
         fired = []
         for name, time in times:
             network.schedule_call(

@@ -16,7 +16,6 @@ import json
 import pytest
 
 from _list_trace_sink import ListTraceSink
-from repro import quick_network
 from repro.analysis.telemetry import render_trace_summary, trace_summary
 from repro.cc import Cubic
 from repro.core.nimbus import Nimbus
@@ -53,8 +52,8 @@ def _population_network(flows, link_mbps=96.0, seed=5, audit=None,
     """Main Cubic flow vs a fluid population of ``flows`` Cubic-alikes."""
     if monkeypatch is not None and audit is not None:
         monkeypatch.setenv("REPRO_AUDIT", str(audit))
-    network, link = quick_network(link_mbps=link_mbps, buffer_ms=100,
-                                  dt=0.002)
+    network = make_network(link_mbps=link_mbps, buffer_ms=100, dt=0.002)
+    link = network.link
     network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
     cls = FluidClass("pop", mbps_to_bytes_per_sec(link_mbps),
                      kind="elastic", flows=flows, rtt=0.05, seed=seed)
@@ -64,8 +63,8 @@ def _population_network(flows, link_mbps=96.0, seed=5, audit=None,
 
 def _truth_network(flows, link_mbps=96.0):
     """Main Cubic flow vs ``flows`` real per-flow Cubic competitors."""
-    network, link = quick_network(link_mbps=link_mbps, buffer_ms=100,
-                                  dt=0.002)
+    network = make_network(link_mbps=link_mbps, buffer_ms=100, dt=0.002)
+    link = network.link
     network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
     for index in range(flows):
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name=f"x{index}"))
@@ -168,7 +167,7 @@ class TestConservation:
 
     def test_inelastic_overload_audit(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        network, link = quick_network(link_mbps=24, buffer_ms=50, dt=0.002)
+        network = make_network(link_mbps=24, buffer_ms=50, dt=0.002)
         cls = FluidClass("cbr", mbps_to_bytes_per_sec(24),
                          kind="inelastic", load=1.4, seed=2)
         network.attach_fluid_class(cls)
@@ -179,7 +178,7 @@ class TestConservation:
 
     def test_arrival_mode_audit(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        network, link = quick_network(link_mbps=96, buffer_ms=100, dt=0.002)
+        network = make_network(link_mbps=96, buffer_ms=100, dt=0.002)
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
         cls = FluidClass("wan", MU_96, kind="elastic", load=0.5,
                          arrivals_per_sec=2000.0, seed=4)
@@ -205,7 +204,7 @@ class TestConservation:
 
     def test_multiple_classes_share_one_link(self, monkeypatch):
         monkeypatch.setenv("REPRO_AUDIT", "1")
-        network, link = quick_network(link_mbps=96, buffer_ms=100, dt=0.002)
+        network = make_network(link_mbps=96, buffer_ms=100, dt=0.002)
         elastic = FluidClass("pop", MU_96, flows=8, rtt=0.05, seed=1)
         cbr = FluidClass("cbr", MU_96, kind="inelastic", load=0.3, seed=2)
         network.attach_fluid_class(elastic)
@@ -268,8 +267,7 @@ class TestEquivalence:
     def test_nimbus_classifies_fluid_crowd_as_elastic(self):
         results = {}
         for label in ("truth", "hybrid"):
-            network, _ = quick_network(link_mbps=96, buffer_ms=100,
-                                       dt=0.002)
+            network = make_network(link_mbps=96, buffer_ms=100, dt=0.002)
             network.add_flow(Flow(cc=Nimbus(mu=MU_96), prop_rtt=0.05,
                                   name="main"))
             if label == "truth":
@@ -376,9 +374,9 @@ def _spec_probe_target(**kwargs):  # pragma: no cover - hashed, never run
 
 
 class TestTelemetry:
-    def _traced_run(self, duration=4.0, **sink_kwargs):
+    def _traced_run(self, duration=4.0):
         network, _, cls = _population_network(8)
-        sink = ListTraceSink(**sink_kwargs)
+        sink = ListTraceSink()
         network.trace_sink = sink
         network.run(duration)
         return network, cls, sink
@@ -393,11 +391,6 @@ class TestTelemetry:
         assert last["class"] == "pop"
         assert last["kind"] == "elastic"
         assert last["offered"] == pytest.approx(cls.total_offered, rel=0.05)
-
-    def test_fluid_sample_respects_link_filter(self):
-        _, _, sink = self._traced_run(links=("no-such-link",))
-        assert not [r for r in sink.records
-                    if r["event"] == "fluid_sample"]
 
     def test_trace_summary_fluid_rollup(self):
         _, cls, sink = self._traced_run()

@@ -4,9 +4,9 @@ reduced scale (fast enough for the unit-test suite)."""
 import numpy as np
 import pytest
 
-from repro import quick_network
 from repro.cc import Copa, Cubic, NullCC, Vegas
 from repro.core.nimbus import Nimbus
+from repro.runtime import make_network
 from repro.simulator import Flow, mbps_to_bytes_per_sec
 from repro.traffic import PoissonSource
 
@@ -15,8 +15,7 @@ MU = mbps_to_bytes_per_sec(LINK_MBPS)
 
 
 def build(main_cc, cross: str, duration=35.0, seed=0):
-    network, link = quick_network(link_mbps=LINK_MBPS, buffer_ms=100,
-                                  dt=0.004)
+    network = make_network(link_mbps=LINK_MBPS, buffer_ms=100, dt=0.004)
     network.add_flow(Flow(cc=main_cc, prop_rtt=0.05, name="main"))
     if cross == "elastic":
         network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cross"))
@@ -77,8 +76,7 @@ class TestHeadlineClaims:
         assert mean_queue_delay(nimbus_net) < 0.7 * mean_queue_delay(cubic_net)
 
     def test_copa_low_delay_against_light_inelastic(self):
-        network, _ = quick_network(link_mbps=LINK_MBPS, buffer_ms=100,
-                                   dt=0.004)
+        network = make_network(link_mbps=LINK_MBPS, buffer_ms=100, dt=0.004)
         network.add_flow(Flow(cc=Copa(), prop_rtt=0.05, name="main"))
         network.add_flow(Flow(cc=NullCC(), prop_rtt=0.05,
                               source=PoissonSource(0.25 * MU, seed=5),
@@ -87,8 +85,7 @@ class TestHeadlineClaims:
         assert mean_queue_delay(network) < 25.0
 
     def test_mode_switch_back_to_delay_after_elastic_leaves(self):
-        network, _ = quick_network(link_mbps=LINK_MBPS, buffer_ms=100,
-                                   dt=0.004)
+        network = make_network(link_mbps=LINK_MBPS, buffer_ms=100, dt=0.004)
         nimbus = Nimbus(mu=MU)
         network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name="main"))
         cross = Flow(cc=Cubic(), prop_rtt=0.05, start_time=5.0, name="cross")

@@ -5,7 +5,6 @@ import copy
 import numpy as np
 import pytest
 
-from repro import quick_network
 from repro.cc import (
     BasicDelay,
     Bbr,
@@ -21,6 +20,7 @@ from repro.core.elasticity import THRESHOLD
 from repro.core.multiflow import ROLE_PULSER, ROLE_WATCHER
 from repro.core.nimbus import MODE_COMPETITIVE, MODE_DELAY, Nimbus
 from repro.core.pulses import SymmetricSinusoidPulse
+from repro.runtime import make_network
 from repro.simulator import MSS_BYTES, Flow, mbps_to_bytes_per_sec
 from repro.traffic import PoissonSource
 
@@ -30,7 +30,7 @@ MU_24 = mbps_to_bytes_per_sec(24)
 def run_nimbus(cross: str, duration: float = 35.0, link_mbps: float = 24,
                **nimbus_kwargs):
     """Run one Nimbus flow against the given cross traffic kind."""
-    network, link = quick_network(link_mbps=link_mbps, buffer_ms=100, dt=0.004)
+    network = make_network(link_mbps=link_mbps, buffer_ms=100, dt=0.004)
     mu = mbps_to_bytes_per_sec(link_mbps)
     nimbus = Nimbus(mu=mu, **nimbus_kwargs)
     flow = Flow(cc=nimbus, prop_rtt=0.05, name="nimbus")
@@ -109,7 +109,7 @@ class TestDetectionIntegration:
         assert times == sorted(times)
 
     def test_mu_estimation_without_configuration(self):
-        network, link = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         nimbus = Nimbus(mu=None)
         network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name="nimbus"))
         network.run(20.0)
@@ -279,7 +279,7 @@ def _ffts_per_detection(monkeypatch, flows, duration):
                                      tuple(sizes[before:])))
         return wrapper
 
-    network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
     for name, nimbus in flows.items():
         nimbus._detect = counted(name, nimbus)
         network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name=name))
@@ -324,7 +324,7 @@ class TestOneSpectrumPerWindow:
 @pytest.mark.slow
 class TestMultiFlow:
     def test_roles_and_fair_share(self):
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         flows = []
         for i in range(2):
             nimbus = Nimbus(mu=MU_24, multi_flow=True, seed=i)
@@ -341,7 +341,7 @@ class TestMultiFlow:
         assert roles  # non-empty sanity
 
     def test_watchers_stay_in_delay_mode_without_cross_traffic(self):
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         for i in range(2):
             nimbus = Nimbus(mu=MU_24, multi_flow=True, seed=10 + i)
             network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name=f"n{i}"))

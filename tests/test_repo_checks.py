@@ -90,17 +90,36 @@ class TestOptionCensus:
         assert census.main() == 0
         assert "UNEXPLAINED" not in capsys.readouterr().out
 
-    def test_sees_keyword_position_forwarding_and_inheritance(self):
+    def test_sees_keyword_position_forwarding_and_inheritance(
+            self, tmp_path, monkeypatch):
         unset = census.unset_options()
-        # Set by keyword (build.py), through a subclass's **filters
-        # (JsonlTraceSink -> TraceSink) and through make_scheme's
-        # **overrides (fig26 spells pulse_frequency=); the last is a
-        # dataclass field the endpoint assigns, so state, not an option.
-        for option in ("Pie.seed", "TraceSink.sample",
-                       "Nimbus.pulse_frequency", "FlowStats.bytes_sent"):
+        # Set by keyword (build.py) and through make_scheme's **overrides
+        # (fig26 spells pulse_frequency=); the last is a dataclass field
+        # the endpoint assigns, so state, not an option.
+        for option in ("Pie.seed", "Nimbus.pulse_frequency",
+                       "FlowStats.bytes_sent"):
             assert option not in unset
         # Set by tests only, so unset as far as the census looks.
         assert "Cubic.fast_convergence" in unset
+        # A keyword given to a subclass that forwards **options to its
+        # base sets the base's option (no class under src/ does this).
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "toy.py").write_text(
+            "class Base:\n"
+            "    def __init__(self, width=1.0, depth=1.0):\n"
+            "        self.width, self.depth = width, depth\n"
+            "\n"
+            "class Wide(Base):\n"
+            "    def __init__(self, **options):\n"
+            "        super().__init__(**options)\n"
+            "\n"
+            "def build():\n"
+            "    return Wide(width=2.0)\n")
+        monkeypatch.setattr(census, "ROOT", tmp_path)
+        toy = census.unset_options(roots=("src",))
+        assert "Base.width" not in toy
+        assert "Base.depth" in toy
 
     def test_a_keyword_passed_to_super_init_sets_the_base_option(
             self, tmp_path, monkeypatch):
@@ -178,6 +197,33 @@ class TestOptionCensus:
         out = capsys.readouterr().out
         assert "Cubic.fast_convergence: UNEXPLAINED" in out
         assert "Cubic.init_cwnd_segments: listed in" in out
+
+    def test_every_environment_variable_src_reads_is_listed(
+            self, tmp_path, monkeypatch, capsys):
+        """A ``REPRO_*`` name spelled as a string under ``src/`` is a knob:
+        an unlisted one fails the census, and so does an entry for a
+        variable nothing reads any more."""
+        assert "env:REPRO_TRACE" in census.environment_variables()
+        package = tmp_path / "src" / "repro" / "core"
+        package.mkdir(parents=True)
+        (package / "toy.py").write_text(
+            'import os\n'
+            '\n'
+            'def depth():\n'
+            '    """Reads REPRO_DEPTH (prose does not count)."""\n'
+            '    return os.environ.get("REPRO_DEPTH", "")\n')
+        target = tmp_path / "option_census.json"
+        target.write_text(json.dumps({"env:REPRO_WIDTH": "gone"}))
+        monkeypatch.setattr(census, "ROOT", tmp_path)
+        monkeypatch.setattr(census, "ALLOW_LIST", target)
+        assert census.environment_variables() == ["env:REPRO_DEPTH"]
+        assert census.main() == 1
+        out = capsys.readouterr().out
+        assert "env:REPRO_DEPTH: UNEXPLAINED" in out
+        assert "env:REPRO_WIDTH: listed in option_census.json but no " \
+            "longer read" in out
+        target.write_text(json.dumps({"env:REPRO_DEPTH": "toy knob"}))
+        assert census.main() == 0
 
 
 def _defined(root: pathlib.Path) -> set:

@@ -35,9 +35,9 @@ from repro.runtime.spec import canonicalize
 from repro.simulator import (
     FaultEvent,
     Flow,
+    JsonlTraceSink,
     Topology,
     TopologyNetwork,
-    TraceSink,
     mbps_to_bytes_per_sec,
     validate_trace_record,
 )
@@ -171,18 +171,18 @@ class TestRoutedNetworkConstruction:
 
     def test_flow_start_reports_current_path(self):
         network = _network(flow=False)
-        sink = ListTraceSink(events=("flow_start",))
+        sink = ListTraceSink()
         network.trace_sink = sink
         mu = mbps_to_bytes_per_sec(48.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
                               name=MAIN_FLOW), src="S", dst="D")
-        assert sink.records[0]["path"] == ["primary", "bottleneck"]
+        assert sink.of("flow_start")[0]["path"] == ["primary", "bottleneck"]
 
     def test_path_cross_flow_on_a_graph_is_delivered(self):
         """``path=`` is spelling for endpoints on any topology: a cross
         flow entering at M shares only the bottleneck with the main flow."""
         network = _network()
-        sink = ListTraceSink(events=("enqueue",), flows=("cross",))
+        sink = ListTraceSink()
         network.trace_sink = sink
         cross = network.add_flow(
             Flow(cc=make_scheme("cubic", mbps_to_bytes_per_sec(48.0)),
@@ -192,9 +192,10 @@ class TestRoutedNetworkConstruction:
         assert network.recorder.mean_throughput("cross") > 0.0
         assert cross.stats.bytes_delivered > 0.0
         # It reports its real position: node M, not the head of the graph.
-        assert {r["hop"] for r in sink.records} == \
+        enqueues = [r for r in sink.of("enqueue") if r["flow"] == "cross"]
+        assert {r["hop"] for r in enqueues} == \
             {network.topology.node_index("M")}
-        assert {r["link"] for r in sink.records} == {"bottleneck"}
+        assert {r["link"] for r in enqueues} == {"bottleneck"}
 
 
 class TestFailover:
@@ -232,10 +233,10 @@ class TestFailover:
 
     def test_route_change_events_validate_and_pair(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
-        sink = ListTraceSink(events=("route_change",))
+        sink = ListTraceSink()
         network.trace_sink = sink
         network.run(3.0)
-        records = sink.records
+        records = sink.of("route_change")
         # Node S re-resolves both destinations (M and D) at failover and
         # again at failback; M's bottleneck entry never moves.
         assert len(records) == 4
@@ -248,12 +249,12 @@ class TestFailover:
 
     def test_convergence_pass_is_idempotent(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
-        sink = ListTraceSink(events=("route_change",))
+        sink = ListTraceSink()
         network.trace_sink = sink
         network.run(1.2)
-        seen = len(sink.records)
+        seen = len(sink.of("route_change"))
         convergence_pass(network)(network.now)  # nothing changed since
-        assert len(sink.records) == seen
+        assert len(sink.of("route_change")) == seen
 
     def test_audit_clean_through_reroute(self, monkeypatch):
         """Tier-1: the conservation audit re-checks every few ticks while
@@ -299,8 +300,7 @@ class TestBlackhole:
 
     def test_no_survivor_blackholes_then_recovers(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
-        sink = ListTraceSink(events=("blackhole_start", "blackhole_end",
-                                     "route_change"))
+        sink = ListTraceSink()
         network.trace_sink = sink
         network.run(1.1)
         assert network._entry_links[0] is None
@@ -308,46 +308,47 @@ class TestBlackhole:
         network.run(2.2)
         assert network._entry_links[0] is not None
         assert _route_names(network) == ("primary", "bottleneck")
-        kinds = [r["event"] for r in sink.records]
+        records = sink.of("blackhole_start", "blackhole_end", "route_change")
+        kinds = [r["event"] for r in records]
         assert kinds.count("blackhole_start") == 1
         assert kinds.count("blackhole_end") == 1
-        for record in sink.records:
+        for record in records:
             validate_trace_record(record)
-        start = next(r for r in sink.records
-                     if r["event"] == "blackhole_start")
+        start = next(r for r in records if r["event"] == "blackhole_start")
         assert start["flow"] == MAIN_FLOW
         assert start["node"] == "S" and start["destination"] == "D"
         # M's table entry for D lost its only candidate: to_link is None.
-        dead = next(r for r in sink.records if r["event"] == "route_change"
+        dead = next(r for r in records if r["event"] == "route_change"
                     and r["node"] == "M")
         assert dead["to_link"] is None
         # The engine logs the same records in order, sink or no sink.
-        assert network.route_events == sink.records
+        assert network.route_events == records
         untraced = _network(convergence_ms=50.0, faults=self.FLAP)
         assert untraced.trace_sink is None
         untraced.run(2.2)
-        assert untraced.route_events == sink.records
+        assert untraced.route_events == records
 
     def test_blackholed_emissions_surface_as_loss(self):
         network = _network(convergence_ms=50.0, faults=self.FLAP)
-        sink = ListTraceSink(events=("loss",))
+        sink = ListTraceSink()
         network.trace_sink = sink
         network.run(1.05)
-        before = len(sink.records)
+        before = len(sink.of("loss"))
         network.run(1.6)  # mid-blackhole: every emission becomes a loss
-        assert len(sink.records) > before
+        assert len(sink.of("loss")) > before
 
     def test_unreachable_destination_accepted_blackholed(self):
         network = _network(flow=False)
         network.topology.add_node("X")  # an island: no links touch it
-        sink = ListTraceSink(events=("flow_start", "blackhole_start"))
+        sink = ListTraceSink()
         network.trace_sink = sink
         mu = mbps_to_bytes_per_sec(48.0)
         network.add_flow(Flow(cc=make_scheme("cubic", mu), prop_rtt=0.05,
                               name=MAIN_FLOW), src="S", dst="X")
         assert network._entry_links[0] is None
-        assert sink.records[0]["path"] == []
-        assert sink.records[1]["event"] == "blackhole_start"
+        records = sink.of("flow_start", "blackhole_start")
+        assert records[0]["path"] == []
+        assert records[1]["event"] == "blackhole_start"
 
     def test_audit_clean_through_blackhole_window(self, monkeypatch):
         """Tier-1: conservation holds while the only route is down, its
@@ -362,17 +363,6 @@ class TestBlackhole:
 
 
 class TestRoutedTelemetry:
-    def test_flow_filter_keeps_control_plane_kinds(self):
-        network = _network(faults=(FaultEvent("link_flap", "primary",
-                                              0.5, 0.5),))
-        sink = ListTraceSink(flows=("no-such-flow",))
-        network.trace_sink = sink
-        network.run(1.5)
-        kinds = {r["event"] for r in sink.records}
-        # route_change has no flow envelope and survives the flow filter,
-        # like fault events; blackhole records carry a flow and drop out.
-        assert kinds == {"fault_start", "fault_end", "route_change"}
-
     def test_validator_rejects_malformed_route_change(self):
         with pytest.raises(ValueError, match="route_change"):
             validate_trace_record({"time": 0.0, "event": "route_change",
@@ -440,13 +430,13 @@ class TestRerouteDriver:
         engine's ``route_events`` log, so an untraced case emits nothing."""
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         emitted = []
-        emit = TraceSink.emit
+        emit = JsonlTraceSink.emit
 
         def counting(sink, record):
             emitted.append(record)
             emit(sink, record)
 
-        monkeypatch.setattr(TraceSink, "emit", counting)
+        monkeypatch.setattr(JsonlTraceSink, "emit", counting)
         payload = reroute.run_case(**self.CASE)
         assert emitted == []
         assert [record["event"] for record in payload["data"]["route_events"]

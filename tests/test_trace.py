@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import quick_network
 from repro.cc import Cubic
 from repro.core.nimbus import Nimbus
+from repro.runtime import make_network
 from repro.simulator import Flow, mbps_to_bytes_per_sec
 from repro.simulator.packet import Chunk
 from repro.simulator.trace import Recorder
@@ -19,7 +19,7 @@ from repro.simulator.units import bytes_per_sec_to_mbps
 
 @pytest.fixture(scope="module")
 def recorded_run():
-    network, link = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
     mu = mbps_to_bytes_per_sec(24)
     network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cubic"))
     network.add_flow(Flow(cc=Nimbus(mu=mu), prop_rtt=0.05, name="nimbus"))
@@ -526,7 +526,7 @@ def test_a_delivery_keeps_under_16_bytes():
     cost a list slot and a float, 32.7 bytes; in a float column it costs
     its 8-byte double (8.4 with the column's growth slack)."""
     n = 20_000
-    network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
     flow = network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cubic"))
     recorder = network.recorder
     chunk = Chunk(flow.flow_id, 1500.0, 0, 0.0)

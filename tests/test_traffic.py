@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import quick_network
 from repro.experiments import add_main_flow, make_network
 from repro.simulator import FlowMeasurement, mbps_to_bytes_per_sec
 from repro.simulator import wan_mixture
@@ -69,7 +68,7 @@ class TestFlowSizes:
 class TestWanGenerator:
     @pytest.fixture(scope="class")
     def wan_run(self):
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         config = WanWorkloadConfig(link_rate=mbps_to_bytes_per_sec(24),
                                    load=0.5, prop_rtt=0.05, seed=3)
         generator = WanTrafficGenerator(network, config)
@@ -153,7 +152,7 @@ class TestWanGeneratorRoster:
         arrival.  ``stop_at_arrival`` ends one running cross flow through
         ``Flow.stop`` just before that arrival is handled.
         """
-        network, _ = quick_network(link_mbps=12, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=12, buffer_ms=100, dt=0.004)
         config = WanWorkloadConfig(
             link_rate=mbps_to_bytes_per_sec(12), load=0.95, prop_rtt=0.05,
             seed=5, max_concurrent=self.MAX_CONCURRENT)
@@ -209,7 +208,7 @@ class TestWanGeneratorRoster:
         assert stopped[0] not in generator._live
 
     def test_flows_not_yet_started_are_kept_but_not_counted(self):
-        network, _ = quick_network(link_mbps=12, dt=0.004)
+        network = make_network(link_mbps=12, dt=0.004)
         config = WanWorkloadConfig(link_rate=mbps_to_bytes_per_sec(12),
                                    seed=5, max_concurrent=2)
         generator = WanTrafficGenerator(network, config)
@@ -267,7 +266,7 @@ class TestStateFollowsLiveness:
 
     @staticmethod
     def capped_run():
-        network, _ = quick_network(link_mbps=12, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=12, buffer_ms=100, dt=0.004)
         generator = WanTrafficGenerator(network, WanWorkloadConfig(
             link_rate=mbps_to_bytes_per_sec(12), load=0.95, prop_rtt=0.05,
             seed=5, max_concurrent=6))
@@ -334,7 +333,7 @@ class TestStateFollowsLiveness:
     def test_sub_byte_remainder_produces_an_fct_row(self):
         """A size no whole emission carries still completes and is reported,
         instead of holding one of the ``max_concurrent`` slots for ever."""
-        network, _ = quick_network(link_mbps=48, buffer_ms=100, dt=0.002)
+        network = make_network(link_mbps=48, buffer_ms=100, dt=0.002)
         generator = WanTrafficGenerator(network, WanWorkloadConfig(
             link_rate=mbps_to_bytes_per_sec(48), load=0.3, seed=2))
         generator.flow_sizes.sample = lambda: FlowSizeSample(
@@ -352,7 +351,7 @@ class TestScripted:
     def test_phase_lookup(self):
         phases = [Phase(duration=10.0, elastic_flows=1),
                   Phase(duration=10.0, inelastic_rate=1e6)]
-        network, _ = quick_network(link_mbps=24, dt=0.004)
+        network = make_network(link_mbps=24, dt=0.004)
         script = ScriptedCrossTraffic(network=network, phases=phases)
         assert script.phase_at(5.0).has_elastic
         assert not script.phase_at(15.0).has_elastic
@@ -360,7 +359,7 @@ class TestScripted:
 
     def test_elastic_present_ground_truth(self):
         phases = [Phase(duration=10.0), Phase(duration=10.0, elastic_flows=2)]
-        network, _ = quick_network(link_mbps=24, dt=0.004)
+        network = make_network(link_mbps=24, dt=0.004)
         script = ScriptedCrossTraffic(network=network, phases=phases)
         assert not script.elastic_present(5.0)
         assert script.elastic_present(15.0)
@@ -369,13 +368,13 @@ class TestScripted:
         mu = mbps_to_bytes_per_sec(96)
         phases = [Phase(duration=10.0, elastic_flows=1),
                   Phase(duration=10.0, inelastic_rate=0.5 * mu)]
-        network, _ = quick_network(link_mbps=96, dt=0.004)
+        network = make_network(link_mbps=96, dt=0.004)
         script = ScriptedCrossTraffic(network=network, phases=phases)
         assert script.fair_share(5.0, mu) == pytest.approx(mu / 2)
         assert script.fair_share(15.0, mu) == pytest.approx(mu / 2)
 
     def test_flows_start_and_stop(self):
-        network, _ = quick_network(link_mbps=24, buffer_ms=100, dt=0.004)
+        network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
         phases = [Phase(duration=8.0, elastic_flows=1),
                   Phase(duration=8.0, inelastic_rate=mbps_to_bytes_per_sec(6))]
         script = ScriptedCrossTraffic(network=network, phases=phases,
