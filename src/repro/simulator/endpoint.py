@@ -61,7 +61,11 @@ class Flow:
 
     Slotted: a run keeps every flow it ever created (thousands in the WAN
     workloads), so the access delays, stored rather than computed, must
-    not grow a per-instance ``__dict__``.
+    not grow a per-instance ``__dict__``.  For the same reason
+    :meth:`stop` releases what only a running flow uses: a finished flow
+    keeps ``stats`` (its byte totals, start and end), ``fct``,
+    ``next_seq``, ``inflight`` and its measurement's last readings, while
+    ``cc`` and ``source`` become ``None``.
     """
 
     __slots__ = ("cc", "prop_rtt", "delay_to_receiver", "delay_ack",
@@ -82,7 +86,8 @@ class Flow:
         #: half of ``prop_rtt``.  The intermediate hops of a multi-link
         #: path add their own per-link delays in the engine.
         self.delay_to_receiver = self.delay_ack = prop_rtt / 2.0
-        self.source: Source = source if source is not None else BackloggedSource()
+        self.source: Optional[Source] = (source if source is not None
+                                         else BackloggedSource())
         self.start_time = start_time
         self.name = name if name is not None else cc.name
         self.max_burst_bytes = max_burst_bytes
@@ -128,12 +133,14 @@ class Flow:
         self.stats.start_time = now
 
     def stop(self, now: float) -> None:
-        """Terminate the flow (used by scripted workloads to end cross flows)."""
+        """Terminate the flow (used by scripted workloads to end cross
+        flows) and release its controller, its source and its windows."""
         if not self._finished:
             self._finished = True
             self._waiting = False
             self.stats.end_time = now
             self.measurement.drop_windows()
+            self.cc = self.source = None
 
     # ------------------------------------------------------------------ #
     # Emission (called once per tick by the engine)
@@ -229,5 +236,7 @@ class Flow:
         return self.stats.end_time - self.stats.start_time
 
     def __repr__(self) -> str:
-        return (f"Flow(name={self.name!r}, cc={self.cc.name!r}, "
+        # A finished flow has released its controller.
+        cc = self.cc.name if self.cc is not None else None
+        return (f"Flow(name={self.name!r}, cc={cc!r}, "
                 f"prop_rtt={self.prop_rtt}, id={self.flow_id})")

@@ -160,16 +160,16 @@ class FlowMeasurement:
         self.lost.add(now, nbytes)
 
     def drop_windows(self) -> None:
-        """Release the sample columns of a flow that has finished.
+        """Release the windows of a flow that has finished.
 
-        Totals and the scalar readings stay, and every windowed query still
-        answers (with zero): each column is swapped for the shared empty
-        tuple and its head reset, so a finished flow holds no buffers.
+        The three counters and the acked records go; the scalar readings
+        (``rtt``, ``min_rtt``, ``queue_delay``, ``max_delivery_rate``)
+        stay.  The byte totals the counters kept are the flow's ``stats``
+        (the same sums, bit for bit), so a finished flow holds no windowed
+        state and answers no windowed query.
         """
-        for counter in (self.sent, self.delivered, self.lost):
-            counter._times = counter._bytes = ()
-            counter._head = 0
-        self._ack_times = self._sent_times = self._acked_bytes = ()
+        self.sent = self.delivered = self.lost = None
+        self._ack_times = self._sent_times = self._acked_bytes = None
         self._acked_head = 0
 
     # ------------------------------------------------------------------ #

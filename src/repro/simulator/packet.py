@@ -85,9 +85,13 @@ class Ack:
     delivered_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
-    """Aggregate per-flow accounting maintained by the engine."""
+    """Aggregate per-flow accounting maintained by the engine.
+
+    Slotted: a run keeps one per flow it ever created, and these totals
+    are what a finished flow is still read for.
+    """
 
     bytes_sent: float = 0.0
     bytes_delivered: float = 0.0

@@ -50,7 +50,10 @@ feedback (a window-limited or drained Cubic flow — the flow works that out
 from what its algorithm and source *are*, see
 :mod:`repro.simulator.endpoint`) is passed over until an ACK, a loss or
 ``stop`` wakes it.  It stays in the roster, keeps its place in the rotation
-and is still sampled by the recorder every tick.
+and, if the recorder samples it, is still sampled every tick.  The engine
+tells the recorder when a flow joins or leaves the roster; the recorder
+keeps its own list of the flows it samples per tick (see
+:mod:`repro.simulator.trace`).
 """
 
 from __future__ import annotations
@@ -343,10 +346,10 @@ class TopologyNetwork:
         self._tick = 0
         #: Sorted flow ids (== positions in ``flows``) of started,
         #: unfinished flows.  Per-tick work scales with this roster, not
-        #: with every flow ever created.  The engine is its only writer;
-        #: the recorder iterates it in place every tick, so it is never
-        #: copied.  It can momentarily hold a flow whose callback stopped
-        #: it mid-tick: readers still check ``flow.active``.
+        #: with every flow ever created.  The engine is its only writer,
+        #: and tells the recorder of every flow it adds or removes.  It
+        #: can momentarily hold a flow whose callback stopped it mid-tick:
+        #: readers still check ``flow.active``.
         self.roster: List[int] = []
         self._next_flow_id = 0
         #: Flight recorder: ``None`` keeps every emission site to a single
@@ -409,9 +412,7 @@ class TopologyNetwork:
         if start_time <= self.now:
             flow.start(self.now)
             if flow.active:
-                insort(self.roster, flow.flow_id)
-                if len(self.roster) > self._roster_peak:
-                    self._roster_peak = len(self.roster)
+                self._enroll(flow)
         else:
             self._push(start_time, _START, flow)
         sink = self.trace_sink
@@ -623,16 +624,23 @@ class TopologyNetwork:
             elif kind == _START:
                 payload.start(now)
                 if payload.active:
-                    insort(self.roster, payload.flow_id)
-                    if len(self.roster) > self._roster_peak:
-                        self._roster_peak = len(self.roster)
+                    self._enroll(payload)
+
+    def _enroll(self, flow: Flow) -> None:
+        """Put a flow that has just started on the roster."""
+        insort(self.roster, flow.flow_id)
+        if len(self.roster) > self._roster_peak:
+            self._roster_peak = len(self.roster)
+        self.recorder.on_start(flow)
 
     def _deactivate(self, flow_id: int) -> None:
+        """Take a finished flow off the roster and tell the recorder."""
         index = bisect_left(self.roster, flow_id)
         if index < len(self.roster) and self.roster[index] == flow_id:
             del self.roster[index]
+            flow = self.flows[flow_id]
+            self.recorder.on_finish(flow)
             if self.trace_sink is not None:
-                flow = self.flows[flow_id]
                 self.trace_sink.emit({
                     "time": self.now, "event": "flow_finish",
                     "flow_id": flow_id, "flow": flow.name,
@@ -864,13 +872,16 @@ class TopologyNetwork:
         flows = self.flows
         modes = self._last_modes
         for flow_id in self.roster:
-            mode = flows[flow_id].cc.mode
+            flow = flows[flow_id]
+            if flow._finished:
+                continue  # stopped from a callback: its controller is gone
+            mode = flow.cc.mode
             if mode is not None and mode != modes.get(flow_id):
                 previous = modes.get(flow_id)
                 modes[flow_id] = mode
                 sink.emit({
                     "time": now, "event": "mode_change",
-                    "flow_id": flow_id, "flow": flows[flow_id].name,
+                    "flow_id": flow_id, "flow": flow.name,
                     "mode": mode, "from_mode": previous})
 
     def engine_stats(self) -> Dict[str, float]:

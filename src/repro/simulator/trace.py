@@ -25,18 +25,29 @@ stores no zeros back to t = 0; series extraction adds each record at that
 offset, in the same flow order as the historical dict implementation — the
 omitted zeros added nothing, so the produced arrays are bit-identical.
 
-The per-sample series — one queueing delay per delivered chunk and one RTT
-per flow per tick — are flat ``array('d')`` columns (8 bytes a sample,
-not a list slot and a boxed float), copied into one numpy array when read.
+The per-sample series — one queueing delay per delivered chunk, one RTT
+per flow per tick and the mode per bin — are flat ``array('d')`` columns
+(8 bytes a sample, not a list slot and a boxed float), copied into one
+numpy array when read.  Only long-lived flows keep them: a flow whose
+source never completes by itself (the main flow, the named Nimbus flows
+of the multi-flow experiments, scripted cross traffic), because those are
+the only flows any reader asks for.  A sized flow — every WAN cross flow
+— keeps its bins alone.  The engine tells the recorder when a flow joins
+and leaves its roster, so the per-tick scan visits the recorder's own list
+of sampled flows and a cross flow costs nothing per tick; when a flow
+finishes, its record is compacted (bins become float columns, empty series
+are dropped).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from bisect import insort
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .source import Source
 from .units import bytes_per_sec_to_mbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,20 +64,40 @@ def _grow(values: list, upto: int, fill) -> None:
 
 
 class _FlowRecord:
-    """Per-flow accumulation buckets (dense, indexed from ``first_bin``)."""
+    """Per-flow accumulation buckets (dense, indexed from ``first_bin``).
+
+    ``qdelay_samples``, ``rtt_samples`` and ``mode_by_bin`` are the
+    per-sample series; they are ``None`` for a flow that keeps none (see
+    the module docstring).
+    """
 
     __slots__ = ("first_bin", "bytes_by_bin", "qdelay_sum", "qdelay_samples",
                  "rtt_samples", "mode_by_bin")
 
-    def __init__(self) -> None:
+    def __init__(self, series: bool) -> None:
         #: Bin of the first delivery: what index 0 of the two lists means.
         self.first_bin = 0
         self.bytes_by_bin: List[float] = []
         self.qdelay_sum: List[float] = []
-        self.qdelay_samples = array("d")
-        self.rtt_samples = array("d")
+        self.qdelay_samples = array("d") if series else None
+        self.rtt_samples = array("d") if series else None
         #: Sparse: only mode-switching algorithms report a mode at all.
-        self.mode_by_bin: Dict[int, str] = {}
+        self.mode_by_bin: Optional[Dict[int, str]] = {} if series else None
+
+    def compact(self) -> None:
+        """Shrink the record of a flow that has finished.
+
+        The per-bin lists become float columns: a chunk still in flight
+        may land in them later, which a column takes as a list does.  Only
+        ``on_tick`` writes RTTs and modes, and only while the flow runs,
+        so empty ones are dropped.
+        """
+        self.bytes_by_bin = array("d", self.bytes_by_bin)
+        self.qdelay_sum = array("d", self.qdelay_sum)
+        if not self.rtt_samples:
+            self.rtt_samples = None
+        if not self.mode_by_bin:
+            self.mode_by_bin = None
 
 
 #: A link's monotone byte counters, differenced per bin.
@@ -122,6 +153,11 @@ class Recorder:
         #: keep cross-flow accumulation order identical run to run.
         self._flows: Dict[int, _FlowRecord] = {}
         self._names: Dict[int, str] = {}
+        #: Ids of the running flows that keep per-sample series, sorted:
+        #: what ``on_tick`` visits (flow-id order, like the engine's
+        #: roster).  ``_series_ids`` holds every such flow ever started.
+        self._sampled: List[int] = []
+        self._series_ids: Set[int] = set()
         self._link_qdelay_sum: List[float] = []
         self._ticks_by_bin: List[int] = []
         self._max_bin = 0
@@ -150,13 +186,31 @@ class Recorder:
     # ------------------------------------------------------------------ #
     # Hooks called by the engine
     # ------------------------------------------------------------------ #
+    def on_start(self, flow: "Flow") -> None:
+        """A flow joined the engine's roster.  Unless its source completes
+        by itself, it keeps per-sample series and is sampled every tick."""
+        if type(flow.source).finished is Source.finished:
+            insort(self._sampled, flow.flow_id)
+            self._series_ids.add(flow.flow_id)
+
+    def on_finish(self, flow: "Flow") -> None:
+        """A flow left the engine's roster: stop sampling it and compact
+        its record."""
+        flow_id = flow.flow_id
+        if flow_id in self._series_ids:
+            self._sampled.remove(flow_id)
+        rec = self._flows.get(flow_id)
+        if rec is not None:
+            rec.compact()
+
     def on_delivery(self, flow: "Flow", chunk: "Chunk", now: float) -> None:
         # int() truncation == floor for the engine's non-negative clock.
         b = int(now / self.bin_width)
         flow_id = flow.flow_id
         rec = self._flows.get(flow_id)
         if rec is None:
-            rec = self._flows[flow_id] = _FlowRecord()
+            rec = self._flows[flow_id] = _FlowRecord(
+                flow_id in self._series_ids)
         self._names[flow_id] = flow.name
         bytes_by_bin = rec.bytes_by_bin
         if not bytes_by_bin:
@@ -170,7 +224,9 @@ class Recorder:
         queue_delay = chunk.queue_delay
         bytes_by_bin[i] += size
         qdelay_sum[i] += queue_delay * size
-        rec.qdelay_samples.append(queue_delay)
+        samples = rec.qdelay_samples
+        if samples is not None:
+            samples.append(queue_delay)
         if b > self._max_bin:
             self._max_bin = b
 
@@ -194,12 +250,13 @@ class Recorder:
         if self._solo_record is None:
             for record in self._link_records:
                 record.occ_acc += record.source.queue_bytes
-        # The engine's roster lists active flows in flow-id order — the
-        # same order a scan over every flow ever created would visit them.
-        # A flow's record is created on its first mode or RTT reading.
+        # In flow-id order, as a scan over every flow ever created would
+        # visit them.  A flow stopped from a callback this tick is still
+        # listed until the engine drops it from its roster.  A flow's
+        # record is created on its first mode or RTT reading.
         flows = network.flows
         records = self._flows
-        for flow_id in network.roster:
+        for flow_id in self._sampled:
             flow = flows[flow_id]
             if not flow.active:
                 continue
@@ -209,7 +266,7 @@ class Recorder:
                 continue
             rec = records.get(flow_id)
             if rec is None:
-                rec = records[flow_id] = _FlowRecord()
+                rec = records[flow_id] = _FlowRecord(True)
             if mode is not None:
                 self._names[flow_id] = flow.name
                 rec.mode_by_bin[b] = mode
@@ -306,7 +363,7 @@ class Recorder:
         modes: List[Optional[str]] = [None] * nbins
         for fid in ids:
             rec = self._flows.get(fid)
-            if rec is None:
+            if rec is None or rec.mode_by_bin is None:
                 continue
             for b, mode in rec.mode_by_bin.items():
                 modes[b] = mode
@@ -319,7 +376,7 @@ class Recorder:
         samples = array("d")
         for fid in ids:
             rec = self._flows.get(fid)
-            if rec is not None:
+            if rec is not None and rec.qdelay_samples is not None:
                 samples.extend(rec.qdelay_samples)
         return np.array(samples)
 
@@ -330,7 +387,7 @@ class Recorder:
         samples = array("d")
         for fid in ids:
             rec = self._flows.get(fid)
-            if rec is not None:
+            if rec is not None and rec.rtt_samples is not None:
                 samples.extend(rec.rtt_samples)
         return np.array(samples)
 

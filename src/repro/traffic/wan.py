@@ -32,9 +32,10 @@ from .flowsize import HeavyTailedFlowSizes
 from .scripted import CROSS_FLOW
 
 
-@dataclass
+@dataclass(slots=True)
 class CrossFlowRecord:
-    """Bookkeeping for one generated cross flow."""
+    """Bookkeeping for one generated cross flow (slotted: the generator
+    keeps one per flow it ever made)."""
 
     flow: Flow
     size_bytes: float

@@ -146,6 +146,17 @@ class TestLifecycle:
         assert not flow.active
         assert flow.stats.end_time == pytest.approx(5.0)
 
+    def test_a_finished_flow_releases_its_controller_and_source(self):
+        flow = started_flow(Cubic(), source=FiniteSource(3000))
+        flow.flow_id = 7
+        assert repr(flow) == ("Flow(name='cubic', cc='cubic', "
+                              "prop_rtt=0.05, id=7)")
+        flow.stop(1.0)
+        assert flow.cc is None and flow.source is None
+        assert flow.emit(1.1, 0.01) is None
+        # The label survives; the released controller reads as None.
+        assert repr(flow) == "Flow(name='cubic', cc=None, prop_rtt=0.05, id=7)"
+
     def test_invalid_rtt(self):
         with pytest.raises(ValueError):
             Flow(cc=NullCC(), prop_rtt=0.0)

@@ -214,6 +214,27 @@ class TestEngineEvents:
         for before, after in zip(changes, changes[1:]):
             assert after["from_mode"] == before["mode"]
 
+    def test_a_flow_stopped_from_a_callback_is_not_polled_for_its_mode(
+            self, small_network):
+        """A callback's ``stop`` leaves the flow on the roster until the
+        next emission pass, with its controller already released."""
+        network, _link = small_network
+        sink = ListTraceSink()
+        network.trace_sink = sink
+        mu = mbps_to_bytes_per_sec(24)
+        flows = [network.add_flow(Flow(cc=Nimbus(mu=mu), prop_rtt=0.05,
+                                       name=f"nimbus{i}")) for i in range(2)]
+        network.schedule_call(2.0, flows[0].stop)
+        network.run(4.0)
+        assert flows[0].finished and flows[0].cc is None
+        assert network.roster == [flows[1].flow_id]
+        changes = sink.of("mode_change")
+        assert {r["flow"] for r in changes} == {"nimbus0", "nimbus1"}
+        assert all(r["time"] < 2.0 for r in changes
+                   if r["flow"] == "nimbus0")
+        finish, = sink.of("flow_finish")
+        assert finish["flow"] == "nimbus0"
+
     def test_flow_finish_carries_fct(self, small_network):
         network, _link = small_network
         sink = ListTraceSink()

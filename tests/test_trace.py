@@ -1,6 +1,7 @@
 """Recorder: throughput/delay/mode series extraction."""
 
 import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from repro.cc import Cubic
 from repro.core.nimbus import Nimbus
 from repro.runtime import make_network
-from repro.simulator import Flow, mbps_to_bytes_per_sec
+from repro.simulator import (BackloggedSource, FiniteSource, Flow,
+                             mbps_to_bytes_per_sec)
 from repro.simulator.packet import Chunk
 from repro.simulator.trace import Recorder
 from repro.simulator.units import bytes_per_sec_to_mbps
@@ -374,6 +376,7 @@ def test_one_counter_record_equals_the_two_record_recorder(script):
 # same scripted deliveries and every per-flow series must come out ``==``.
 class _ScriptedFlow:
     active = True
+    source = BackloggedSource()  # long-lived: the recorder samples it
 
     def __init__(self, flow_id, name, rtt):
         self.flow_id, self.name = flow_id, name
@@ -472,8 +475,9 @@ def test_offset_flow_records_equal_the_zero_padded_records(script):
     flows += [silent, last]
     network = _ScriptedNetwork([_ScriptedLink("hop0", 1e6)])
     network.flows = flows
-    network.roster = list(range(len(flows)))
     recorder = Recorder(network, bin_width=bin_width)
+    for flow in flows:
+        recorder.on_start(flow)
     oracle = _PaddedFlowOracle(bin_width)
 
     def deliver(flow, size, queue_delay, now):
@@ -518,6 +522,30 @@ def test_offset_flow_records_equal_the_zero_padded_records(script):
             recorder._max_bin + 1
         assert len(record.bytes_by_bin) == len(record.qdelay_sum) <= \
             len(oracle._bytes[fid])
+
+
+def test_a_finite_flow_adds_nothing_to_the_per_tick_scan():
+    """Only flows whose source never completes by itself are sampled per
+    tick; a sized flow keeps its bins, and its record is compacted when it
+    finishes."""
+    network = make_network(link_mbps=24, buffer_ms=100, dt=0.004)
+    main = network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="main"))
+    sized = network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="sized",
+                                  source=FiniteSource(3_000_000)))
+    recorder = network.recorder
+    network.run(0.3)
+    assert sized.active and sized.measurement.rtt > 0
+    assert recorder._sampled == [main.flow_id]
+    network.run(20.0)
+    assert sized.finished and recorder._sampled == [main.flow_id]
+    assert recorder.rtt_samples("sized").size == 0
+    assert recorder.queue_delay_samples("sized").size == 0
+    assert recorder.rtt_samples("main").size > 0
+    assert recorder.throughput_series("sized")[1].sum() > 0
+    record = recorder._flows[sized.flow_id]
+    assert isinstance(record.bytes_by_bin, array)
+    assert (record.qdelay_samples, record.rtt_samples,
+            record.mode_by_bin) == (None, None, None)
 
 
 def test_a_delivery_keeps_under_16_bytes():

@@ -202,8 +202,9 @@ class TestWanGeneratorRoster:
         network, generator, log = self.checked_generator(stop_at_arrival=40)
         network.run(8.0)
         assert len(log) > 41
-        stopped = [r.flow for r in generator.records
-                   if r.flow.finished and not r.flow.source.finished]
+        # Stopped, not completed: a finished flow keeps its totals.
+        stopped = [r.flow for r in generator.records if r.flow.finished
+                   and r.flow.stats.bytes_delivered < r.size_bytes - 1.0]
         assert len(stopped) == 1
         assert stopped[0] not in generator._live
 
@@ -288,24 +289,27 @@ class TestStateFollowsLiveness:
             assert flow.finished == kept.finished
             if flow.finished:
                 finished += 1
-                assert _windows(mine) == [[], [], [], []]
+                # No windows, no controller, no source: only readings.
+                assert (mine.sent, mine.delivered, mine.lost,
+                        mine._ack_times) == (None,) * 4
+                assert flow.cc is None and flow.source is None
                 assert sum(map(len, _windows(theirs))) > 0
             else:
                 live += 1
                 assert _windows(mine) == _windows(theirs)
-            # What a finished flow is read for afterwards is all there.
-            assert (mine.sent.total, mine.delivered.total, mine.lost.total,
-                    mine.rtt, mine.min_rtt, mine.queue_delay,
+                # ...and a windowed query reads the same window.
+                assert (mine.paired_rates(12.0), mine.loss_rate(12.0, 1.0)) \
+                    == (theirs.paired_rates(12.0), theirs.loss_rate(12.0, 1.0))
+            # What a finished flow is read for afterwards is all there: the
+            # counters' totals are the flow's stats, bit for bit.
+            assert (flow.stats.bytes_sent, flow.stats.bytes_delivered,
+                    flow.stats.bytes_lost) == (
+                theirs.sent.total, theirs.delivered.total, theirs.lost.total)
+            assert (mine.rtt, mine.min_rtt, mine.queue_delay,
                     mine.max_delivery_rate) == (
-                theirs.sent.total, theirs.delivered.total, theirs.lost.total,
                 theirs.rtt, theirs.min_rtt, theirs.queue_delay,
                 theirs.max_delivery_rate)
             assert flow.stats == kept.stats and flow.fct == kept.fct
-            # ...and a windowed query still answers: from the same window
-            # while the flow lives, with zero once it has finished.
-            rates = (mine.paired_rates(12.0), mine.loss_rate(12.0, 1.0))
-            assert rates == (((0.0, 0.0), 0.0) if flow.finished else (
-                theirs.paired_rates(12.0), theirs.loss_rate(12.0, 1.0)))
         assert finished > 100 and live > 0
 
     def test_retained_memory_per_flow_ever_created(self):
@@ -329,6 +333,33 @@ class TestStateFollowsLiveness:
             tracemalloc.stop()
         assert len(generator.records) > 1000
         assert retained / len(network.flows) < 5 * 1024
+
+    def test_retained_memory_per_finished_cross_flow(self):
+        """What the run keeps for each cross flow that finished between
+        4 s and 8 s: 2.2 KB while a finished flow kept its controller,
+        source, counters and per-sample series, about 1.15 KB once it
+        keeps only its totals, readings and bins."""
+        network = make_network(96.0, buffer_ms=100.0, dt=0.004, seed=1)
+        add_main_flow(network, "cubic", 96.0)
+        generator = WanTrafficGenerator(network, WanWorkloadConfig(
+            link_rate=mbps_to_bytes_per_sec(96.0), load=0.5,
+            prop_rtt=0.05, seed=1))
+        generator.start()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            network.run(4.0)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            finished = sum(flow.finished for flow in network.flows)
+            network.run(8.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        finished = sum(flow.finished for flow in network.flows) - finished
+        assert finished > 400
+        assert retained / finished < 1.4 * 1024
 
     def test_sub_byte_remainder_produces_an_fct_row(self):
         """A size no whole emission carries still completes and is reported,

@@ -108,7 +108,7 @@ def outcome(network):
     """Everything the two engines must agree on."""
     recorder = network.recorder
     per_flow = [(flow.next_seq, flow.stats.bytes_delivered,
-                 flow.stats.bytes_lost, flow.stats.end_time)
+                 flow.stats.bytes_lost, flow.stats.end_time, flow.fct)
                 for flow in network.flows]
     series = {"link_queue_delay": recorder.link_queue_delay_series()}
     for name in recorder.link_names():
@@ -155,6 +155,12 @@ def test_waking_equals_polling_and_nothing_waits_for_ever(scenario):
     for key in series:
         for mine, reference in zip(series[key], oracle_series[key]):
             assert np.array_equal(mine, reference), key
+    # A finite flow keeps no per-sample series, so what is compared for it
+    # is its bins and its FCT: a flow that delivered has non-empty bins.
+    for flow in flows:
+        if flow.name.startswith("finite") and flow.stats.bytes_delivered:
+            assert series["throughput", flow.flow_id][1].any()
+            assert not series["rtt", flow.flow_id][0].size
 
 
 def test_every_finite_flow_of_a_clean_run_finishes():
