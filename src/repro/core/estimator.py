@@ -47,8 +47,10 @@ class CrossTrafficEstimator:
 
     Args:
         mu: Bottleneck link rate in bytes per second.
-        sample_interval: Spacing of the recorded time series (10 ms default,
-            matching the paper's CCP reporting interval).
+        sample_interval: Nominal spacing of the recorded time series (10 ms
+            default, matching the paper's CCP reporting interval): it sizes
+            the history and turns a duration into a sample count.  The
+            caller spaces the samples.
         history: How many seconds of samples to retain (at least the FFT
             duration).  Detection reads the last 5 s; the 30 s default is
             for the whole-series payloads of Figs. 4 and 22.
@@ -69,21 +71,18 @@ class CrossTrafficEstimator:
         #: appends.
         self._rows = np.empty((4, 2 * self.maxlen))
         self._start = self._end = 0
-        self._last_sample = -float("inf")
 
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
-    def maybe_sample(self, now: float,
-                     measurement: FlowMeasurement) -> Optional[float]:
-        """Record a sample if at least one sample interval has elapsed.
+    def maybe_sample(self, now: float, measurement: FlowMeasurement) -> float:
+        """Record one sample at ``now`` and return its z estimate.
 
-        Returns the new z estimate, or None if it is not yet time to sample.
+        The caller spaces the calls: Nimbus samples once per control tick,
+        and the endpoint's gate holds those at least ``sample_interval``
+        apart.
         S and R are measured over the measurement's own window (one RTT).
         """
-        if now - self._last_sample < self.sample_interval - 1e-12:
-            return None
-        self._last_sample = now
         s, r = measurement.paired_rates(now)
         z = estimate_cross_traffic(self.mu, s, r)
         rows, end = self._rows, self._end

@@ -53,7 +53,6 @@ class PulserElection:
         self.fft_duration = fft_duration
         self.demotion_probability = demotion_probability
         self.rng = rng if rng is not None else random.Random(0)
-        self._last_decision = -math.inf
 
     def election_probability(self, receive_rate: float, mu: float) -> float:
         """Probability of becoming a pulser at one decision point."""
@@ -63,12 +62,10 @@ class PulserElection:
         return min(1.0, self.kappa * self.decision_interval
                    / self.fft_duration * share)
 
-    def should_become_pulser(self, now: float, receive_rate: float,
-                             mu: float) -> bool:
-        """Roll the election dice, at most once per decision interval."""
-        if now - self._last_decision < self.decision_interval - 1e-12:
-            return False
-        self._last_decision = now
+    def should_become_pulser(self, receive_rate: float, mu: float) -> bool:
+        """Roll the election dice once.  The caller makes one decision per
+        decision interval: a Nimbus watcher rolls at most once per control
+        tick."""
         return self.rng.random() < self.election_probability(receive_rate, mu)
 
     def should_demote(self) -> bool:

@@ -27,7 +27,9 @@ over with ``take_over(rate, rtt)``.  Detection is one path,
 :meth:`Nimbus._detect`, under one window rule: nothing is read until the
 estimator row holds a full nominal window (500 samples), and then every
 reading is the trailing 5 s of its row at the realised sample spacing, cut
-by :func:`_window`.  A pulser — a single flow is one — reads z, plus R for
+by :func:`_window`.  The estimator samples once per control tick, so that
+spacing is the endpoint's :func:`~repro.simulator.endpoint.control_period`
+of the tick (12 ms on a 4 ms grid).  A pulser — a single flow is one — reads z, plus R for
 the multi-flow conflict check; a watcher reads R.  Every FFT goes through
 the stateless :class:`~repro.core.elasticity.ElasticityDetector` or
 :class:`~repro.core.elasticity.PulserDetector`.  The paper's constants —
@@ -43,12 +45,10 @@ import random
 from collections import deque
 from typing import Callable, Deque, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..cc.base import MODE_COMPETITIVE, MODE_DELAY, CongestionControl
 from ..cc.basic_delay import BasicDelay
 from ..cc.cubic import Cubic
-from ..simulator.endpoint import CONTROL_INTERVAL
+from ..simulator.endpoint import CONTROL_INTERVAL, control_period
 from ..simulator.units import MSS_BYTES
 from .elasticity import (COMPETITIVE_FREQUENCY, DEFAULT_PULSE_FREQUENCY,
                          DELAY_FREQUENCY, FFT_DURATION, THRESHOLD,
@@ -56,10 +56,6 @@ from .elasticity import (COMPETITIVE_FREQUENCY, DEFAULT_PULSE_FREQUENCY,
 from .estimator import CrossTrafficEstimator
 from .multiflow import ROLE_PULSER, ROLE_WATCHER, PulserElection, WatcherRateFilter
 from .pulses import AsymmetricSinusoidPulse, PulseShape
-
-#: How many of the newest z-sample timestamps the realised sample spacing is
-#: taken over (see :meth:`Nimbus.actual_sample_interval`).
-_SPACING_SAMPLES = 200
 
 #: Samples in one FFT window at the nominal control interval (500): what
 #: ``z_series(FFT_DURATION)`` holds once full.
@@ -207,7 +203,7 @@ class Nimbus(CongestionControl):
             return
 
         self._take_sample(now)
-        self._detect(now)
+        self._detect(now, control_period(dt))
         self._apply_rate(now)
 
     # ------------------------------------------------------------------ #
@@ -225,52 +221,25 @@ class Nimbus(CongestionControl):
 
     def _take_sample(self, now: float) -> None:
         self.estimator.mu = self.mu
-        z = self.estimator.maybe_sample(now, self.measurement)
-        if z is not None:
-            self.latest_z = z
+        self.latest_z = self.estimator.maybe_sample(now, self.measurement)
 
-    def actual_sample_interval(self) -> float:
-        """Observed spacing of the z samples.
-
-        The control loop runs on the simulator's tick grid, so the realised
-        sample spacing can differ from the nominal ``CONTROL_INTERVAL``
-        (e.g. a 10 ms target on a 4 ms grid yields 12 ms samples).  The FFT's
-        frequency axis must use the realised spacing or the pulse peak lands
-        in the wrong bin.
-        """
-        times = self.estimator.times(
-            _SPACING_SAMPLES * self.estimator.sample_interval)
-        if len(times) < 3:
-            return CONTROL_INTERVAL
-        # np.median(np.diff(times)), bit for bit: the middle gap, or the
-        # mean of the middle two, of the sorted gaps.
-        gaps = np.sort(times[1:] - times[:-1])
-        middle = gaps.size // 2
-        if gaps.size % 2:
-            spacing = float(gaps[middle])
-        else:
-            spacing = float((gaps[middle - 1] + gaps[middle]) / 2)
-        return spacing if spacing > 0 else CONTROL_INTERVAL
-
-    def _detect(self, now: float) -> None:
-        """One detection interval: a pulser follows eta (Eq. 3) on z, and
-        with ``multi_flow`` demotes itself if the cross traffic pulses
-        harder than it does; a watcher copies the mode a pulser signals in
-        R."""
+    def _detect(self, now: float, spacing: float) -> None:
+        """One detection interval on rows sampled every ``spacing`` seconds:
+        a pulser follows eta (Eq. 3) on z, and with ``multi_flow`` demotes
+        itself if the cross traffic pulses harder than it does; a watcher
+        copies the mode a pulser signals in R."""
         watching = self.role == ROLE_WATCHER
         row = (self.estimator.r_series if watching
                else self.estimator.z_series)(FFT_DURATION)
         if len(row) < _FULL_WINDOW:
             return
-        spacing = self.actual_sample_interval()
         window = _window(row, spacing)
         if watching:
             mode = PulserDetector.evaluate(window, spacing)
             if mode is None:
                 # No pulser seen: maybe volunteer (Eq. 5).
                 receive_rate = self.measurement.delivery_rate(now)
-                if self.election.should_become_pulser(now, receive_rate,
-                                                      self.mu):
+                if self.election.should_become_pulser(receive_rate, self.mu):
                     self.role = ROLE_PULSER
                     self.watcher_filter.reset()
             elif mode != self.mode:

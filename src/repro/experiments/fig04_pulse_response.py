@@ -16,6 +16,7 @@ from ..analysis.metrics import summarize_flow
 from ..cc import Cubic, NullCC
 from ..core.elasticity import FFT_DURATION, Spectrum
 from ..simulator import Flow, mbps_to_bytes_per_sec
+from ..simulator.endpoint import control_period
 from ..traffic import PoissonSource
 from .common import (MAIN_FLOW, ExperimentResult, add_main_flow, make_network,
                      run_cases)
@@ -39,9 +40,9 @@ def run_case(cross_kind: str, link_mbps: float = 96.0, prop_rtt: float = 0.05,
     network.run(duration)
 
     nimbus = main.cc
-    # Use the realised sample spacing (the control loop runs on the simulator
-    # tick grid), otherwise the FFT frequency axis is distorted.
-    sample_interval = nimbus.actual_sample_interval()
+    # z is sampled once per control tick, on the simulator's tick grid: the
+    # FFT frequency axis needs that realised spacing, not the nominal 10 ms.
+    sample_interval = control_period(dt)
     z = nimbus.estimator.z_series()
     s = nimbus.estimator.s_series()
     times = nimbus.estimator.times()

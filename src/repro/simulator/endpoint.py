@@ -42,6 +42,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CONTROL_INTERVAL = 0.01
 
 
+def control_period(dt: float) -> float:
+    """The spacing of the control ticks that :meth:`Flow.emit`'s gate
+    realises on a ``dt`` tick grid: the fewest whole ticks that reach
+    ``CONTROL_INTERVAL`` (less the gate's 1e-12 s slack), e.g. 12 ms on a
+    4 ms grid.  A control-tick reader's FFT frequency axis needs this
+    spacing, not the nominal interval."""
+    return max(1, math.ceil((CONTROL_INTERVAL - 1e-12) / dt)) * dt
+
+
 class Flow:
     """A unidirectional transport flow through the bottleneck.
 
@@ -155,6 +164,8 @@ class Flow:
         source = self.source
         cc = self.cc
         source.advance(now, dt)
+        # Fires every control_period(dt): the same rule, kept a float
+        # comparison here so the per-tick path does no division.
         if now - self._last_control >= CONTROL_INTERVAL - 1e-12:
             cc.on_control_tick(now, dt)
             self._last_control = now

@@ -6,9 +6,9 @@ for the same series the paper plots: per-flow throughput over time,
 per-packet queueing delay, the bottleneck queue delay, and the operating
 mode of mode-switching algorithms (Nimbus, Copa).
 
-Beyond the monitor link's legacy series, every link of a multi-hop
-:class:`~repro.simulator.topology.Topology` gets its own per-bin time
-series — mean queueing delay, served throughput, drop rate, and queue
+Beyond the monitor link's per-tick queue-delay series, every link of a
+multi-hop :class:`~repro.simulator.topology.Topology` gets its own per-bin
+time series — mean queueing delay, served throughput, drop rate, and queue
 occupancy — sampled from the links' own byte counters, so a parking-lot
 experiment can ask *which* hop queued or dropped, not just whether the
 monitor hop did (``link_queue_delay_series("hop2")`` and friends).
@@ -163,12 +163,10 @@ class Recorder:
         self._max_bin = 0
         # One record per topology link, in attachment order.  The engine
         # constructs its recorder after wiring the topology, so the link
-        # set is fixed here; a bare single-link network records its one
-        # bottleneck.  Tick counts per bin are shared with the monitor
-        # series (every link is sampled on the same ticks).
-        topology = getattr(network, "topology", None)
-        links = topology.links if topology is not None else [network.link]
-        self._link_records = [_CounterRecord(link) for link in links]
+        # set is fixed here.  Tick counts per bin are shared with the
+        # monitor series (every link is sampled on the same ticks).
+        self._link_records = [_CounterRecord(link)
+                              for link in network.topology.links]
         self._link_index: Dict[str, _CounterRecord] = {
             record.source.name: record for record in self._link_records}
         #: The bin the link records are currently accumulating into.
@@ -181,7 +179,7 @@ class Recorder:
         self._solo_record = (self._link_records[0]
                              if len(self._link_records) == 1
                              and self._link_records[0].source
-                             is getattr(network, "link", None) else None)
+                             is network.link else None)
 
     # ------------------------------------------------------------------ #
     # Hooks called by the engine
@@ -319,10 +317,9 @@ class Recorder:
                                 ) -> Tuple[np.ndarray, np.ndarray]:
         """(times, ms) average queueing delay per bin of one link.
 
-        With no argument this is the monitor link's legacy series (sampled
-        from ``queue_delay`` directly — numerically identical to the
-        historical recorder); naming any topology link answers from that
-        link's occupancy record instead.
+        With no argument this is the monitor link's series, sampled from
+        its ``queue_delay`` every tick; naming any topology link answers
+        from that link's occupancy record instead.
         """
         if link_name is None:
             nbins = self._max_bin + 1

@@ -4,11 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from repro.core.estimator import CrossTrafficEstimator, estimate_cross_traffic
-from repro.core.nimbus import Nimbus
 from repro.simulator.measurement import FlowMeasurement
 from repro.simulator.units import MSS_BYTES, mbps_to_bytes_per_sec
 
@@ -73,14 +70,6 @@ class TestCrossTrafficEstimator:
             m.on_send(send_t, MSS_BYTES)
             m.on_ack(send_t + 0.05, MSS_BYTES, 0.05, 0.0)
         return m
-
-    def test_sampling_interval_respected(self):
-        est = CrossTrafficEstimator(MU, sample_interval=0.01)
-        m = self._measurement_at_half_link()
-        now = 200 * MSS_BYTES / (0.5 * MU)
-        assert est.maybe_sample(now, m) is not None
-        assert est.maybe_sample(now + 0.005, m) is None
-        assert est.maybe_sample(now + 0.011, m) is not None
 
     def test_estimates_cross_share(self):
         est = CrossTrafficEstimator(MU, sample_interval=0.01)
@@ -222,36 +211,3 @@ class TestRowStore:
                     assert read.tolist() == expected
                     read[:] = -1.0
             now += 0.01
-
-
-#: Gaps between samples as the tick grid realises them: repeats, exact
-#: multiples of a tick, and arbitrary reals; zero gaps make a zero median.
-gaps = st.lists(st.one_of(st.sampled_from([0.0, 0.004, 0.008, 0.012, 0.01]),
-                          st.floats(min_value=0.0, max_value=0.05)),
-                max_size=230)
-
-
-@given(gaps=gaps)
-@example(gaps=[])                       # one sample: the nominal interval
-@example(gaps=[0.01])                   # two samples: still too few
-@example(gaps=[0.01, 0.012, 0.012])     # three gaps: the middle one
-@example(gaps=[0.01, 0.012, 0.004, 0.008])  # four: mean of the middle two
-@example(gaps=[0.0] * 5)                # zero median: the nominal interval
-@example(gaps=[0.012, 0.008] * 125)     # past 200 samples: the newest 200
-def test_realised_spacing_is_the_median_gap(gaps):
-    nimbus = Nimbus(mu=MU)
-    # An estimator that samples whenever asked, so any gap, 0 included,
-    # reaches the series.
-    nimbus.estimator = CrossTrafficEstimator(MU, sample_interval=1e-13,
-                                             history=300e-13)
-    now = 0.0
-    for gap in [0.0] + gaps:
-        now += gap
-        nimbus.estimator.maybe_sample(now, _Rates(0.5 * MU, 0.4 * MU))
-    # The newest 200 timestamps: 199 gaps once full, any count before.
-    times = nimbus.estimator.times()[-200:]
-    expected = 0.01
-    if len(times) >= 3:
-        median = float(np.median(np.diff(times)))
-        expected = median if median > 0 else 0.01
-    assert nimbus.actual_sample_interval() == expected

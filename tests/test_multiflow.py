@@ -33,20 +33,26 @@ class TestPulserElection:
                           / election.decision_interval)
             assert per_window == pytest.approx(election.kappa * share)
 
-    def test_decision_interval_rate_limits(self):
-        election = PulserElection(kappa=1.0, decision_interval=0.01,
-                                  rng=random.Random(0))
-        election.should_become_pulser(0.0, 50.0, 100.0)
-        # A second roll within the same decision interval never fires.
-        assert election.should_become_pulser(0.005, 1e12, 100.0) is False
+    def test_one_roll_per_call_at_election_probability(self):
+        """Each call draws once from the RNG and elects when the draw falls
+        below ``election_probability``; the caller spaces the calls."""
+        election = PulserElection(kappa=250.0, decision_interval=0.01,
+                                  fft_duration=5.0, rng=random.Random(3))
+        p = election.election_probability(80.0, 100.0)
+        assert p == pytest.approx(0.4)
+        twin = random.Random(3)
+        rolls = [election.should_become_pulser(80.0, 100.0)
+                 for _ in range(1000)]
+        assert rolls == [twin.random() < p for _ in range(1000)]
+        assert election.rng.getstate() == twin.getstate()
 
     def test_empirical_election_rate(self):
         election = PulserElection(kappa=1.0, decision_interval=0.01,
                                   fft_duration=5.0, rng=random.Random(1))
         elections = 0
         trials = 50_000
-        for i in range(trials):
-            if election.should_become_pulser(i * 0.01, 100.0, 100.0):
+        for _ in range(trials):
+            if election.should_become_pulser(100.0, 100.0):
                 elections += 1
         # Expected once per FFT window (500 decisions) => ~100 over 50k.
         assert elections == pytest.approx(trials / 500, rel=0.35)

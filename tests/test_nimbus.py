@@ -16,12 +16,13 @@ from repro.cc import (
     Vegas,
     Vivace,
 )
-from repro.core.elasticity import THRESHOLD
+from repro.core.elasticity import FFT_DURATION, THRESHOLD
 from repro.core.multiflow import ROLE_PULSER, ROLE_WATCHER
-from repro.core.nimbus import MODE_COMPETITIVE, MODE_DELAY, Nimbus
+from repro.core.nimbus import MODE_COMPETITIVE, MODE_DELAY, Nimbus, _window
 from repro.core.pulses import SymmetricSinusoidPulse
 from repro.runtime import make_network
 from repro.simulator import MSS_BYTES, Flow, mbps_to_bytes_per_sec
+from repro.simulator.endpoint import control_period
 from repro.traffic import PoissonSource
 
 MU_24 = mbps_to_bytes_per_sec(24)
@@ -272,9 +273,9 @@ def _ffts_per_detection(monkeypatch, flows, duration):
     def counted(name, nimbus):
         detect = nimbus._detect
 
-        def wrapper(now):
+        def wrapper(now, spacing):
             before, role = len(sizes), nimbus.role
-            detect(now)
+            detect(now, spacing)
             seen[name][role].append((len(nimbus.estimator),
                                      tuple(sizes[before:])))
         return wrapper
@@ -319,6 +320,30 @@ class TestOneSpectrumPerWindow:
         assert {ffts for _, ffts in watching} == {(), (417,)}
         assert _first_read(watching) == 500
         assert len(pulser.eta_history) > 10
+
+
+class TestOneControlClock:
+    """z is sampled once per control tick, so the spacing every reading
+    uses is the endpoint's ``control_period(dt)``, whatever the tick: the
+    10 ms gate lands every 10 ms on a 1, 2 or 5 ms grid and every 12 ms on
+    a 3 or 4 ms one, where the trailing 5 s is 417 of the row's 500."""
+
+    @pytest.mark.parametrize("dt, window", [
+        (0.001, 500), (0.002, 500), (0.003, 417), (0.004, 417),
+        (0.005, 500)])
+    def test_samples_are_one_control_period_apart(self, dt, window):
+        network = make_network(link_mbps=24, buffer_ms=100, dt=dt)
+        nimbus = Nimbus(mu=MU_24)
+        network.add_flow(Flow(cc=nimbus, prop_rtt=0.05, name="nimbus"))
+        network.add_flow(Flow(cc=Cubic(), prop_rtt=0.05, name="cross"))
+        network.run(6.5)
+        period = control_period(dt)
+        gaps = np.diff(nimbus.estimator.times())
+        assert gaps.size > 500
+        assert np.all(np.abs(gaps - period) <= 1e-9)
+        row = nimbus.estimator.z_series(FFT_DURATION)
+        assert len(row) == 500
+        assert len(_window(row, period)) == window
 
 
 @pytest.mark.slow
