@@ -1,16 +1,20 @@
 """Congestion-control algorithm interface.
 
 Every algorithm in :mod:`repro.cc` (and the Nimbus controller in
-:mod:`repro.core.nimbus`) implements :class:`CongestionControl`.  The
-transport endpoint consults the algorithm for two limits each tick:
+:mod:`repro.core.nimbus`) implements :class:`CongestionControl`, in the
+shape the paper's CCP implementation gives an algorithm: measurement in,
+two limits out.  The flow hands the algorithm its
+:class:`~repro.simulator.measurement.FlowMeasurement` once, through
+:meth:`CongestionControl.register`, and reads two attributes each tick:
 
-* ``cwnd_bytes`` — a window limit; the endpoint will not allow more than
+* ``cwnd`` — a window limit; the endpoint will not allow more than
   this many bytes in flight (``None`` means unlimited).
-* ``pacing_rate`` — a rate limit in bytes per second (``None`` means the
+* ``rate`` — a pacing rate in bytes per second (``None`` means the
   flow is purely window/ACK clocked).
 
-and feeds back acknowledgements, loss notifications, and a periodic tick at
+It feeds back acknowledgements, loss notifications, and a periodic tick at
 the control interval (10 ms, matching the paper's CCP reporting cadence).
+The algorithm holds no reference to its flow.
 
 What makes an algorithm a building block of a mode-switching controller
 (:class:`~repro.core.nimbus.Nimbus`) also lives here: the mode vocabulary
@@ -25,7 +29,6 @@ from typing import TYPE_CHECKING, Optional
 from ..simulator.units import MSS_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..simulator.endpoint import Flow
     from ..simulator.measurement import FlowMeasurement
     from ..simulator.packet import Ack
 
@@ -38,9 +41,9 @@ class CongestionControl(ABC):
     """Base class for all congestion-control algorithms.
 
     Subclasses override the ``on_*`` hooks they care about and maintain
-    ``self.cwnd`` and/or ``self.rate``.  The flow the algorithm is attached
-    to is available as ``self.flow`` after :meth:`register` is called, and
-    its measurement state as ``self.measurement``.
+    ``self.cwnd`` and/or ``self.rate``.  The measurement state of the flow
+    the algorithm governs is ``self.measurement`` once :meth:`register`
+    has been called.
     """
 
     #: Human-readable algorithm name (used in traces and plots).
@@ -56,36 +59,17 @@ class CongestionControl(ABC):
     min_cwnd: float = 2 * MSS_BYTES
 
     def __init__(self) -> None:
-        self.flow: Optional["Flow"] = None
+        self.measurement: Optional["FlowMeasurement"] = None
         self.cwnd: Optional[float] = self.init_cwnd
         self.rate: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def register(self, flow: "Flow") -> None:
-        """Attach the algorithm to its flow.  Called once by the flow."""
-        self.flow = flow
-
-    @property
-    def measurement(self) -> "FlowMeasurement":
-        """Measurement state of the attached flow."""
-        if self.flow is None:
-            raise RuntimeError(f"{self.name} is not attached to a flow yet")
-        return self.flow.measurement
-
-    # ------------------------------------------------------------------ #
-    # Limits consulted by the endpoint
-    # ------------------------------------------------------------------ #
-    @property
-    def cwnd_bytes(self) -> Optional[float]:
-        """Window limit in bytes, or None for no window limit."""
-        return self.cwnd
-
-    @property
-    def pacing_rate(self) -> Optional[float]:
-        """Pacing rate in bytes/s, or None for no pacing."""
-        return self.rate
+    def register(self, measurement: "FlowMeasurement") -> None:
+        """Hand the algorithm its flow's measurement.  Called once by the
+        flow."""
+        self.measurement = measurement
 
     # ------------------------------------------------------------------ #
     # Event hooks

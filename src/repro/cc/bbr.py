@@ -124,7 +124,7 @@ class Bbr(CongestionControl):
         elif self.state == DRAIN:
             # Drain until inflight falls to the estimated BDP.
             bdp = self.btl_bw * self.rt_prop
-            if self.flow is not None and self.flow.inflight <= bdp:
+            if self.measurement.inflight <= bdp:
                 self.state = PROBE_BW
                 self._cycle_index = 0
                 self._cycle_start = now

@@ -117,6 +117,12 @@ class CrossTrafficEstimator:
         """Timestamps of the retained samples."""
         return self._tail(3, duration)
 
+    def newest_z(self, now: float) -> float:
+        """The newest z sample, or 0.0 before the first (a ``z_provider``
+        for BasicDelay; ``now`` is unused)."""
+        end = self._end
+        return float(self._rows[0, end - 1]) if end > self._start else 0.0
+
     def sample_count(self, duration: float) -> int:
         """Number of samples spanning ``duration`` seconds."""
         return int(round(duration / self.sample_interval))

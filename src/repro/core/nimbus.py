@@ -124,17 +124,16 @@ class Nimbus(CongestionControl):
         self._pulses = {MODE_COMPETITIVE: shape_factory(fpc, pulse_fraction),
                         MODE_DELAY: shape_factory(fpd, pulse_fraction)}
 
+        self.estimator = CrossTrafficEstimator(
+            mu if mu is not None and mu > 0 else 1.0,
+            sample_interval=CONTROL_INTERVAL)
         self.competitive_cc = competitive if competitive is not None else Cubic()
         if delay is not None:
             self.delay_cc = delay
         else:
             self.delay_cc = BasicDelay(
                 mu if mu is not None else 1.0,
-                z_provider=lambda now: self.latest_z)
-
-        self.estimator = CrossTrafficEstimator(
-            mu if mu is not None and mu > 0 else 1.0,
-            sample_interval=CONTROL_INTERVAL)
+                z_provider=self.estimator.newest_z)
         self.election = PulserElection(decision_interval=CONTROL_INTERVAL,
                                        fft_duration=FFT_DURATION,
                                        rng=random.Random(seed))
@@ -145,7 +144,6 @@ class Nimbus(CongestionControl):
         self.mode = MODE_DELAY
         self.role = ROLE_WATCHER if multi_flow else ROLE_PULSER
         self.last_eta = 0.0
-        self.latest_z = 0.0
         #: (time, eta) samples recorded at every detector evaluation; used by
         #: the Fig. 6 / Fig. 12 / Fig. 26 experiments.
         self.eta_history: list = []
@@ -178,10 +176,10 @@ class Nimbus(CongestionControl):
     # ------------------------------------------------------------------ #
     # Registration / delegation
     # ------------------------------------------------------------------ #
-    def register(self, flow) -> None:
-        super().register(flow)
-        self.competitive_cc.register(flow)
-        self.delay_cc.register(flow)
+    def register(self, measurement) -> None:
+        super().register(measurement)
+        self.competitive_cc.register(measurement)
+        self.delay_cc.register(measurement)
 
     def on_ack(self, ack, now: float) -> None:
         self._update_mu()
@@ -215,13 +213,12 @@ class Nimbus(CongestionControl):
         rate = self.measurement.max_delivery_rate
         if rate > self._mu_estimate:
             self._mu_estimate = rate
-            self.estimator.mu = self.mu
             if isinstance(self.delay_cc, BasicDelay):
                 self.delay_cc.mu = self.mu
 
     def _take_sample(self, now: float) -> None:
         self.estimator.mu = self.mu
-        self.latest_z = self.estimator.maybe_sample(now, self.measurement)
+        self.estimator.maybe_sample(now, self.measurement)
 
     def _detect(self, now: float, spacing: float) -> None:
         """One detection interval on rows sampled every ``spacing`` seconds:
@@ -293,10 +290,10 @@ class Nimbus(CongestionControl):
     # ------------------------------------------------------------------ #
     def _current_base_rate(self, now: float) -> float:
         inner = self.active_inner
-        rate = inner.pacing_rate
+        rate = inner.rate
         if rate is not None and rate > 0:
             return rate
-        cwnd = inner.cwnd_bytes
+        cwnd = inner.cwnd
         rtt = self.measurement.rtt or self.measurement.base_rtt()
         if cwnd is not None and rtt > 0:
             return cwnd / rtt

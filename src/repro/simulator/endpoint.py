@@ -73,13 +73,13 @@ class Flow:
     not grow a per-instance ``__dict__``.  For the same reason
     :meth:`stop` releases what only a running flow uses: a finished flow
     keeps ``stats`` (its byte totals, start and end), ``fct``,
-    ``next_seq``, ``inflight`` and its measurement's last readings, while
-    ``cc`` and ``source`` become ``None``.
+    ``next_seq`` and its measurement's last readings (``inflight`` among
+    them), while ``cc`` and ``source`` become ``None``.
     """
 
     __slots__ = ("cc", "prop_rtt", "delay_to_receiver", "delay_ack",
                  "source", "start_time", "name", "max_burst_bytes",
-                 "flow_id", "measurement", "stats", "inflight", "next_seq",
+                 "flow_id", "measurement", "stats", "next_seq",
                  "_pace_credit", "_last_control", "_started", "_finished",
                  "_feedback_clocked", "_waiting")
 
@@ -106,7 +106,6 @@ class Flow:
         self.measurement = FlowMeasurement()
         self.stats = FlowStats(start_time=start_time)
 
-        self.inflight = 0.0
         self.next_seq = 0.0
         self._pace_credit = 0.0
         self._last_control = -math.inf
@@ -122,7 +121,7 @@ class Flow:
         #: Found no budget; the engine skips the flow until feedback arrives.
         self._waiting = False
 
-        cc.register(self)
+        cc.register(self.measurement)
 
     # ------------------------------------------------------------------ #
     # State
@@ -163,6 +162,7 @@ class Flow:
             return None
         source = self.source
         cc = self.cc
+        measurement = self.measurement
         source.advance(now, dt)
         # Fires every control_period(dt): the same rule, kept a float
         # comparison here so the per-tick path does no division.
@@ -172,12 +172,12 @@ class Flow:
 
         budget = math.inf
 
-        cwnd = cc.cwnd_bytes
+        cwnd = cc.cwnd
         if cwnd is not None:
-            room = cwnd - self.inflight
+            room = cwnd - measurement.inflight
             budget = room if room > 0.0 else 0.0
 
-        rate = cc.pacing_rate
+        rate = cc.rate
         if rate is not None:
             # Token-bucket pacing with a small burst allowance so that a
             # paced flow can catch up after a tick in which it was limited.
@@ -200,11 +200,10 @@ class Flow:
 
         chunk = Chunk(self.flow_id, budget, self.next_seq, now)
         self.next_seq += budget
-        self.inflight += budget
         if rate is not None:
             self._pace_credit -= budget
         source.consume(budget, now)
-        self.measurement.on_send(now, budget)
+        measurement.on_send(now, budget)
         self.stats.bytes_sent += budget
         return chunk
 
@@ -215,22 +214,18 @@ class Flow:
         """Process an acknowledgement arriving back at the sender."""
         self._waiting = False
         acked = ack.acked_bytes
-        inflight = self.inflight - acked
-        self.inflight = inflight if inflight > 0.0 else 0.0
-        self.measurement.on_ack(now, acked, now - ack.sent_time,
-                                ack.queue_delay)
+        measurement = self.measurement
+        measurement.on_ack(now, acked, now - ack.sent_time, ack.queue_delay)
         self.stats.bytes_delivered += acked
         source = self.source
         source.on_delivered(acked, now)
         self.cc.on_ack(ack, now)
-        if source.finished and self.inflight <= 1.0:
+        if source.finished and measurement.inflight <= 1.0:
             self.stop(now)
 
     def handle_loss(self, lost_bytes: float, now: float) -> None:
         """Process a loss notification (bytes dropped at the bottleneck)."""
         self._waiting = False
-        inflight = self.inflight - lost_bytes
-        self.inflight = inflight if inflight > 0.0 else 0.0
         self.measurement.on_loss(now, lost_bytes)
         self.stats.bytes_lost += lost_bytes
         self.source.on_lost(lost_bytes, now)

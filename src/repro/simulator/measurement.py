@@ -53,7 +53,7 @@ class WindowedCounter:
     of these and ``add`` runs on every send, delivery, and loss.
     """
 
-    __slots__ = ("horizon", "_times", "_bytes", "_head", "_total")
+    __slots__ = ("horizon", "_times", "_bytes", "_head")
 
     def __init__(self, horizon: float = 10.0) -> None:
         #: Oldest age (seconds) of samples retained; anything older is pruned.
@@ -61,7 +61,6 @@ class WindowedCounter:
         self._times = array("d")
         self._bytes = array("d")
         self._head = 0
-        self._total = 0.0
 
     def add(self, now: float, nbytes: float) -> None:
         """Record ``nbytes`` at time ``now``."""
@@ -70,7 +69,6 @@ class WindowedCounter:
         times = self._times
         times.append(now)
         self._bytes.append(nbytes)
-        self._total += nbytes
         if not len(times) % _PRUNE_EVERY:
             self._head = _pruned((times, self._bytes), self._head,
                                  now - self.horizon)
@@ -97,16 +95,13 @@ class WindowedCounter:
             return 0.0
         return self.sum_over(now, window) / window
 
-    @property
-    def total(self) -> float:
-        """All bytes ever recorded (not pruned)."""
-        return self._total
-
 
 class FlowMeasurement:
     """Per-flow measurement state exposed to congestion-control algorithms.
 
     Attributes:
+        inflight: Bytes sent and neither acknowledged nor reported lost
+            (never below 0): what the flow's window limits.
         rtt: Most recent round-trip time sample (seconds).
         min_rtt: Minimum RTT observed so far (the propagation delay estimate).
         queue_delay: Most recent per-packet queueing delay reported by an ACK.
@@ -114,7 +109,7 @@ class FlowMeasurement:
             bottleneck bandwidth estimate).
     """
 
-    __slots__ = ("sent", "delivered", "lost", "rtt", "min_rtt",
+    __slots__ = ("sent", "delivered", "lost", "inflight", "rtt", "min_rtt",
                  "queue_delay", "max_delivery_rate", "_ack_times",
                  "_sent_times", "_acked_bytes", "_acked_head",
                  "_acked_horizon")
@@ -123,6 +118,7 @@ class FlowMeasurement:
         self.sent = WindowedCounter(horizon)
         self.delivered = WindowedCounter(horizon)
         self.lost = WindowedCounter(horizon)
+        self.inflight: float = 0.0
         self.rtt: float = 0.0
         self.min_rtt: float = math.inf
         self.queue_delay: float = 0.0
@@ -140,10 +136,13 @@ class FlowMeasurement:
     # Updates from the flow
     # ------------------------------------------------------------------ #
     def on_send(self, now: float, nbytes: float) -> None:
+        self.inflight += nbytes
         self.sent.add(now, nbytes)
 
     def on_ack(self, now: float, nbytes: float, rtt: float,
                queue_delay: float) -> None:
+        inflight = self.inflight - nbytes
+        self.inflight = inflight if inflight > 0.0 else 0.0
         self.delivered.add(now, nbytes)
         self.rtt = rtt
         self.queue_delay = queue_delay
@@ -157,14 +156,16 @@ class FlowMeasurement:
             self._prune_acked()
 
     def on_loss(self, now: float, nbytes: float) -> None:
+        inflight = self.inflight - nbytes
+        self.inflight = inflight if inflight > 0.0 else 0.0
         self.lost.add(now, nbytes)
 
     def drop_windows(self) -> None:
         """Release the windows of a flow that has finished.
 
         The three counters and the acked records go; the scalar readings
-        (``rtt``, ``min_rtt``, ``queue_delay``, ``max_delivery_rate``)
-        stay.  The byte totals the counters kept are the flow's ``stats``
+        (``inflight``, ``rtt``, ``min_rtt``, ``queue_delay``,
+        ``max_delivery_rate``) stay.  The byte totals the counters kept are the flow's ``stats``
         (the same sums, bit for bit), so a finished flow holds no windowed
         state and answers no windowed query.
         """

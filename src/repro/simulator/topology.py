@@ -337,7 +337,7 @@ class TopologyNetwork:
         #: index on the per-chunk path instead of a table walk.  ``None``
         #: is the *blackhole* state: no surviving route to the destination.
         self._entry_links: List[Optional[BottleneckLink]] = []
-        self.recorder = Recorder(self)
+        self.recorder = Recorder(topology.links, self.link, self.flows)
         #: Min-heap of pending ``(time, counter, kind, payload)`` events;
         #: ``_counter`` breaks time ties in push order and doubles as the
         #: number of events ever scheduled.

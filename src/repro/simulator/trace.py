@@ -1,10 +1,12 @@
 """Time-series recording for experiments.
 
 The :class:`Recorder` observes deliveries and queue state as the engine
-runs, binning them into fixed-width intervals.  Experiment drivers query it
-for the same series the paper plots: per-flow throughput over time,
-per-packet queueing delay, the bottleneck queue delay, and the operating
-mode of mode-switching algorithms (Nimbus, Copa).
+runs, binning them into fixed-width intervals.  It is handed what it
+reads — the topology's links, the monitor link and the engine's list of
+flows — not the engine that owns it.  Experiment drivers query it for the
+same series the paper plots: per-flow throughput over time, per-packet
+queueing delay, the bottleneck queue delay, and the operating mode of
+mode-switching algorithms (Nimbus, Copa).
 
 Beyond the monitor link's per-tick queue-delay series, every link of a
 multi-hop :class:`~repro.simulator.topology.Topology` gets its own per-bin
@@ -52,8 +54,8 @@ from .units import bytes_per_sec_to_mbps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .endpoint import Flow
+    from .link import BottleneckLink
     from .packet import Chunk
-    from .topology import TopologyNetwork
 
 
 def _grow(values: list, upto: int, fill) -> None:
@@ -144,10 +146,19 @@ class _CounterRecord:
 
 
 class Recorder:
-    """Bins deliveries and queue observations into fixed-width intervals."""
+    """Bins deliveries and queue observations into fixed-width intervals.
 
-    def __init__(self, network: "TopologyNetwork", bin_width: float = 0.1) -> None:
-        self.network = network
+    ``links`` are the topology's links in attachment order, ``monitor`` the
+    one whose queue delay is sampled every tick, and ``flows`` the engine's
+    list of every flow it added (indexed by flow id, appended to by the
+    engine).
+    """
+
+    def __init__(self, links: List["BottleneckLink"],
+                 monitor: "BottleneckLink", flows: List["Flow"],
+                 bin_width: float = 0.1) -> None:
+        self._monitor = monitor
+        self._all_flows = flows
         self.bin_width = bin_width
         #: Insertion-ordered by first touch, which ``_select`` relies on to
         #: keep cross-flow accumulation order identical run to run.
@@ -165,8 +176,7 @@ class Recorder:
         # constructs its recorder after wiring the topology, so the link
         # set is fixed here.  Tick counts per bin are shared with the
         # monitor series (every link is sampled on the same ticks).
-        self._link_records = [_CounterRecord(link)
-                              for link in network.topology.links]
+        self._link_records = [_CounterRecord(link) for link in links]
         self._link_index: Dict[str, _CounterRecord] = {
             record.source.name: record for record in self._link_records}
         #: The bin the link records are currently accumulating into.
@@ -179,7 +189,7 @@ class Recorder:
         self._solo_record = (self._link_records[0]
                              if len(self._link_records) == 1
                              and self._link_records[0].source
-                             is network.link else None)
+                             is monitor else None)
 
     # ------------------------------------------------------------------ #
     # Hooks called by the engine
@@ -240,8 +250,7 @@ class Recorder:
             _grow(self._ticks_by_bin, b, 0)
             if b != self._link_bin:
                 self._close_bins(b)
-        network = self.network
-        qdelay_sum[b] += network.link.queue_delay
+        qdelay_sum[b] += self._monitor.queue_delay
         self._ticks_by_bin[b] += 1
         if b > self._max_bin:
             self._max_bin = b
@@ -252,7 +261,7 @@ class Recorder:
         # visit them.  A flow stopped from a callback this tick is still
         # listed until the engine drops it from its roster.  A flow's
         # record is created on its first mode or RTT reading.
-        flows = network.flows
+        flows = self._all_flows
         records = self._flows
         for flow_id in self._sampled:
             flow = flows[flow_id]

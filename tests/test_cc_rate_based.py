@@ -98,8 +98,8 @@ class TestReferenceSenders:
         constant = NullCC()
         constant.rate = 1e6
         assert constant.elastic is False
-        assert constant.pacing_rate == 1e6
-        assert constant.cwnd_bytes is None
+        assert constant.rate == 1e6
+        assert constant.cwnd is None
 
     def test_constant_rate_invalid(self):
         # The drivers' constant-rate stream is a PacedSource.
@@ -113,8 +113,8 @@ class TestReferenceSenders:
 
     def test_null_cc_imposes_no_limits(self):
         null = NullCC()
-        assert null.cwnd_bytes is None
-        assert null.pacing_rate is None
+        assert null.cwnd is None
+        assert null.rate is None
         assert null.elastic is False
 
     def test_app_limited_flow_stays_below_fair_share(self):

@@ -1,11 +1,16 @@
 """Transport endpoint (Flow): emission limits, feedback handling, lifecycle."""
 
+import functools
+import gc
+import weakref
+
 import pytest
 
-from repro.cc import Bbr, Copa, NewReno, Vegas
+from repro.cc import Bbr, Copa, NewReno, Vegas, Vivace
 from repro.cc.base import CongestionControl, NullCC
 from repro.cc.cubic import Cubic
 from repro.core.nimbus import Nimbus
+from repro.runtime.build import make_scheme
 from repro.simulator.endpoint import Flow
 from repro.simulator.packet import Ack
 from repro.simulator.source import BackloggedSource, FiniteSource, PacedSource
@@ -99,7 +104,7 @@ class TestFeedback:
         ack = Ack(flow_id=0, acked_bytes=chunk.size, sent_time=chunk.sent_time,
                   queue_delay=0.0, delivered_time=0.05)
         flow.handle_ack(ack, 0.06)
-        assert flow.inflight == pytest.approx(0.0)
+        assert flow.measurement.inflight == pytest.approx(0.0)
         assert flow.emit(0.07, 0.01) is not None
 
     def test_ack_updates_measurement(self):
@@ -115,7 +120,7 @@ class TestFeedback:
         flow = started_flow(WindowOnly(10 * MSS_BYTES))
         chunk = flow.emit(0.01, 0.01)
         flow.handle_loss(chunk.size / 2, 0.1)
-        assert flow.inflight == pytest.approx(chunk.size / 2)
+        assert flow.measurement.inflight == pytest.approx(chunk.size / 2)
         assert flow.stats.bytes_lost == pytest.approx(chunk.size / 2)
 
     def test_loss_invokes_cc(self):
@@ -183,7 +188,7 @@ class TestLifecycle:
                                 sent_time=chunk.sent_time, queue_delay=0.0,
                                 delivered_time=now), now)
         # 1 byte is still in flight and the source is done within it.
-        assert flow.inflight == 1.0
+        assert flow.measurement.inflight == 1.0
         assert flow.finished and flow.stats.end_time == 0.07
 
     def test_a_finished_source_waits_for_its_bytes_in_flight(self):
@@ -201,7 +206,7 @@ class TestLifecycle:
             flow.handle_ack(Ack(flow_id=0, acked_bytes=acked,
                                 sent_time=chunk.sent_time, queue_delay=0.0,
                                 delivered_time=0.06), 0.06)
-            assert flow.inflight == in_flight
+            assert flow.measurement.inflight == in_flight
         assert flow.finished
 
     def test_fct_none_while_running(self):
@@ -276,3 +281,36 @@ class TestWaiting:
         flow = self.blocked(Cubic(), BackloggedSource())
         flow.stop(1.0)
         assert not flow._waiting and flow.finished
+
+
+#: Every scheme a driver builds by name (``copa`` is Copa), plus the
+#: classes no name covers.
+_CONTROLLERS = {
+    **{name: functools.partial(make_scheme, name, 1e6)
+       for name in ("nimbus", "basicdelay", "cubic", "vegas", "copa", "bbr")},
+    "Vivace": Vivace, "NullCC": NullCC,
+}
+
+
+class TestNoOwnerCycle:
+    """A controller holds its flow's measurement, not the flow: with the
+    collector off, dropping the flow frees the controller at once."""
+
+    @pytest.mark.parametrize("name", sorted(_CONTROLLERS))
+    def test_del_flow_frees_the_controller(self, name):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            flow = started_flow(_CONTROLLERS[name](),
+                                max_burst_bytes=10 * MSS_BYTES)
+            chunk = flow.emit(0.01, 0.002)
+            flow.handle_ack(Ack(flow_id=0, acked_bytes=chunk.size,
+                                sent_time=chunk.sent_time, queue_delay=0.0,
+                                delivered_time=0.04), 0.06)
+            flow.emit(0.062, 0.002)
+            controller = weakref.ref(flow.cc)
+            del flow
+            assert controller() is None
+        finally:
+            if was_enabled:
+                gc.enable()

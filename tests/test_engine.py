@@ -82,7 +82,7 @@ class TestDynamicFlows:
         # The finished flow released its source; the test still holds it.
         assert flow.finished and source.finished and flow.source is None
         assert flow.stats.bytes_delivered == 10 * MSS_BYTES
-        assert flow.inflight == 0.0
+        assert flow.measurement.inflight == 0.0
         assert flow.fct == pytest.approx(0.056, abs=0.005)
         assert network.roster == []
 

@@ -206,7 +206,7 @@ class TestTakeOver:
     @pytest.mark.parametrize("make", WINDOW_BASED)
     def test_as_competitive_mode(self, make, rate, rtt):
         new, old = _worn_in(make), _worn_in(make)
-        new.flow = old.flow = None
+        new.measurement = old.measurement = None
         assert vars(new) == vars(old)
         new.take_over(rate, rtt)
         _old_hand_off_to_competitive(old, rate, rtt)
@@ -217,7 +217,7 @@ class TestTakeOver:
     @pytest.mark.parametrize("make", DELAY_CAPABLE)
     def test_as_delay_mode(self, make, rate, rtt):
         new, old = _worn_in(make), _worn_in(make)
-        new.flow = old.flow = None
+        new.measurement = old.measurement = None
         new.take_over(rate, rtt)
         _old_hand_off_to_delay(old, rate, rtt)
         assert vars(new) == vars(old)

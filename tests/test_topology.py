@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
@@ -247,7 +248,7 @@ def _cruise_fingerprint(network):
     return pickle.dumps((
         times.tobytes(), tput.tobytes(), qtimes.tobytes(), qdelay.tobytes(),
         flow.stats.bytes_sent, flow.stats.bytes_delivered,
-        recorder.rtt_samples("cubic").tobytes(), flow.inflight,
+        recorder.rtt_samples("cubic").tobytes(), flow.measurement.inflight,
         network.link.total_served, network.link.total_drops,
         network.link.queue_bytes, network.now, network._counter,
     ))
@@ -303,3 +304,26 @@ class TestFactories:
         network.run(3.0)
         assert network.recorder.mean_throughput("main") > 0.0
         assert network.link.name == "b"
+
+
+def test_a_routed_case_leaves_no_cyclic_garbage():
+    """Once ``run_case`` returns, reference counting alone frees the
+    network: a collection finds nothing of this package to reclaim."""
+    from repro.experiments import parking_lot
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        parking_lot.run_case(duration=3.0)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
+                         for obj in gc.garbage
+                         if type(obj).__module__.startswith("repro.")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []

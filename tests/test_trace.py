@@ -189,10 +189,7 @@ class _ScriptedTopology:
 
 
 class _ScriptedNetwork:
-    """The slice of ``TopologyNetwork`` a recorder's link side reads."""
-
-    flows = ()
-    roster = ()
+    """The slice of ``TopologyNetwork`` the oracle reads."""
 
     def __init__(self, links):
         self.topology = _ScriptedTopology(links)
@@ -343,7 +340,7 @@ def test_one_counter_record_equals_the_two_record_recorder(script):
     links = [_ScriptedLink(f"hop{i}", 1e6 * (i + 1))
              for i in range(link_count)]
     network = _ScriptedNetwork(links)
-    recorder = Recorder(network, bin_width=bin_width)
+    recorder = Recorder(links, network.link, [], bin_width=bin_width)
     oracle = _TwoRecordOracle(network, bin_width)
     assert (recorder._solo_record is None) == (oracle._solo_record is None)
 
@@ -473,9 +470,8 @@ def test_offset_flow_records_equal_the_zero_padded_records(script):
     silent = _ScriptedFlow(len(flows), "cross", rtt=0.04)
     last = _ScriptedFlow(len(flows) + 1, "main", rtt=0.0)
     flows += [silent, last]
-    network = _ScriptedNetwork([_ScriptedLink("hop0", 1e6)])
-    network.flows = flows
-    recorder = Recorder(network, bin_width=bin_width)
+    link = _ScriptedLink("hop0", 1e6)
+    recorder = Recorder([link], link, flows, bin_width=bin_width)
     for flow in flows:
         recorder.on_start(flow)
     oracle = _PaddedFlowOracle(bin_width)

@@ -300,15 +300,12 @@ class TestStateFollowsLiveness:
                 # ...and a windowed query reads the same window.
                 assert (mine.paired_rates(12.0), mine.loss_rate(12.0, 1.0)) \
                     == (theirs.paired_rates(12.0), theirs.loss_rate(12.0, 1.0))
-            # What a finished flow is read for afterwards is all there: the
-            # counters' totals are the flow's stats, bit for bit.
-            assert (flow.stats.bytes_sent, flow.stats.bytes_delivered,
-                    flow.stats.bytes_lost) == (
-                theirs.sent.total, theirs.delivered.total, theirs.lost.total)
-            assert (mine.rtt, mine.min_rtt, mine.queue_delay,
+            # What a finished flow is read for afterwards is all there: its
+            # byte totals are its stats, and its measurement's readings.
+            assert (mine.inflight, mine.rtt, mine.min_rtt, mine.queue_delay,
                     mine.max_delivery_rate) == (
-                theirs.rtt, theirs.min_rtt, theirs.queue_delay,
-                theirs.max_delivery_rate)
+                theirs.inflight, theirs.rtt, theirs.min_rtt,
+                theirs.queue_delay, theirs.max_delivery_rate)
             assert flow.stats == kept.stats and flow.fct == kept.fct
         assert finished > 100 and live > 0
 

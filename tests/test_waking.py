@@ -143,7 +143,7 @@ def test_waking_equals_polling_and_nothing_waits_for_ever(scenario):
     # would be a flow nothing can ever wake.)
     for flow in flows:
         if flow._waiting:
-            assert flow.active and flow.inflight >= 1.0, flow
+            assert flow.active and flow.measurement.inflight >= 1.0, flow
 
     oracle, _ = build(PollEverything, scenario)
     oracle.run(UNTIL)
